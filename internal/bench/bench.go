@@ -1,9 +1,9 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§ 6). Each experiment builds the relevant systems on a fresh
 // simulated cluster, drives them with the workload generators, and prints
-// the same rows/series the paper reports. EXPERIMENTS.md records the
-// paper-vs-measured comparison; absolute numbers differ (simulated substrate
-// vs EC2) but the shapes are the acceptance criteria.
+// the same rows/series the paper reports. Absolute numbers differ (simulated
+// substrate vs EC2) but the shapes are the acceptance criteria; the per-PR
+// BENCH_<n>.json files at the repository root record the measured rows.
 package bench
 
 import (

@@ -115,15 +115,15 @@ func newStorePlane(parts int) (*storePlane, error) {
 // client builds one worker's view of the plane: a Partitioned router over
 // per-partition Replicated clients speaking RemoteStore to the servers.
 func (sp *storePlane) client(base context.Context) *cloudstore.Partitioned {
-	apis := make([]cloudstore.API, sp.parts)
-	for p := 0; p < sp.parts; p++ {
-		reps := make([]cloudstore.ReplicaAPI, node.StoreRF)
-		for r := 0; r < node.StoreRF; r++ {
+	parts := make([]cloudstore.Doer, sp.parts)
+	for p := range parts {
+		reps := make([]cloudstore.Doer, node.StoreRF)
+		for r := range reps {
 			reps[r] = node.NewRemoteStore(sp.ep, node.StoreIDBase+transport.NodeID(node.StoreRF*p+r+1), 5*time.Second, base)
 		}
-		apis[p] = cloudstore.NewReplicated(p, reps...)
+		parts[p] = cloudstore.NewReplicated(p, reps...)
 	}
-	return cloudstore.NewPartitioned(apis...)
+	return cloudstore.NewPartitioned(parts...)
 }
 
 func (sp *storePlane) Close() {

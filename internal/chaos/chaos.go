@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/ingress"
 	"aeon/internal/node"
@@ -594,8 +595,9 @@ func (r *runner) maxFence(p int) uint64 {
 		if be == nil {
 			continue
 		}
-		if e, err := be.FenceEpoch(p); err == nil && e > max {
-			max = e
+		res, err := be.Do(cloudstore.Op{Kind: cloudstore.OpFenceEpoch, Fence: &cloudstore.Fence{Part: p}})
+		if err == nil && res.Version > max {
+			max = res.Version
 		}
 	}
 	return max

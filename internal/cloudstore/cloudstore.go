@@ -7,6 +7,15 @@
 // The store is a versioned key-value store with compare-and-swap, per-
 // operation simulated latency, and injectable unavailability so tests can
 // exercise eManager crash/recovery paths.
+//
+// There is one definition of "a store operation": the Op value (kind, keys,
+// values, expected version, optional partition fence) and one way to run
+// it, Doer.Do(Op) (Result, error). Store executes ops (DiskStore journals
+// them), Partitioned routes them by key, Replicated stamps the view's fence
+// on them and gates write acks on a majority, and node.RemoteStore carries
+// them over the mesh — each implements Do once. The typed API methods
+// (Get, Put, CAS, …) are written once too, in Typed, which every Doer
+// embeds pointed at itself.
 package cloudstore
 
 import (
@@ -28,17 +37,16 @@ var (
 	ErrVersionMismatch = errors.New("cloudstore: version mismatch")
 	// ErrUnavailable is returned while the store is failed.
 	ErrUnavailable = errors.New("cloudstore: unavailable")
-	// ErrFenced is returned by replica operations carrying a fence epoch
-	// older than the partition's accepted epoch: the caller is acting for a
-	// deposed primary and must refresh its view of the replica set.
+	// ErrFenced is returned to an operation whose Fence epoch is older than
+	// the partition's accepted epoch: the caller is acting for a deposed
+	// primary and must refresh its view of the replica set.
 	ErrFenced = errors.New("cloudstore: fenced by a newer epoch")
 )
 
-// API is the operation surface cloud-store clients depend on. The in-memory
-// Store implements it directly; in multi-process deployments the node
-// runtime's RemoteStore implements it over the transport mesh, so the
-// eManager and migration engine journal into one authoritative store no
-// matter which process they run in.
+// API is the typed surface cloud-store clients depend on: the eManager, the
+// migration engine and the replication log journal through it no matter
+// which Doer — a local Store, a sharded replicated plane, a mesh client in
+// another process — is behind it. Typed is its one implementation.
 type API interface {
 	// Get returns the value and version stored at key.
 	Get(key string) ([]byte, uint64, error)
@@ -69,6 +77,8 @@ type entry struct {
 
 // Store is an in-memory versioned KV store.
 type Store struct {
+	Typed
+
 	latency       time.Duration
 	serialLatency time.Duration
 
@@ -87,10 +97,7 @@ type Store struct {
 	writes atomic.Uint64
 }
 
-var (
-	_ API        = (*Store)(nil)
-	_ ReplicaAPI = (*Store)(nil)
-)
+var _ Backend = (*Store)(nil)
 
 // Option configures a Store.
 type Option func(*Store)
@@ -118,6 +125,7 @@ func New(opts ...Option) *Store {
 		fences:  make(map[int]uint64),
 		applied: make(map[string]uint64),
 	}
+	s.Typed = NewTyped(s)
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -147,19 +155,20 @@ func (s *Store) serviceLocked() {
 // commitLocked journals the mutation records when a persist hook is attached.
 // Callers hold mu, so journal order equals apply order.
 func (s *Store) commitLocked(recs []jrec) error {
-	if s.persist == nil {
+	if s.persist == nil || len(recs) == 0 {
 		return nil
 	}
 	return s.persist(recs)
 }
 
-// fenceGateLocked is the partition fence check shared by every fenced
-// operation: an epoch below the accepted fence is refused with ErrFenced.
-// When advance is set (writes, Apply) a newer epoch raises the fence and the
-// advance is returned as a journal record so it persists exactly like a
-// promoted one — a restarted replica must refuse deposed epochs no matter
-// how it learned the current one. Reads pass advance=false: they never
-// mutate the fence. Callers hold mu.
+// fenceGateLocked is the partition fence check every fenced operation
+// passes: an epoch below the accepted fence is refused with ErrFenced — that
+// is what stops a deposed primary's writes from being acknowledged and its
+// reads from being served. When advance is set (writes, Apply, Promote) a
+// newer epoch raises the fence and the advance is returned as a journal
+// record so it persists no matter how the replica learned it — a restarted
+// replica must keep refusing deposed epochs. Reads pass advance=false: they
+// never mutate the fence. Callers hold mu.
 func (s *Store) fenceGateLocked(part int, epoch uint64, advance bool) ([]jrec, error) {
 	cur := s.fences[part]
 	if epoch < cur {
@@ -175,8 +184,7 @@ func (s *Store) fenceGateLocked(part int, epoch uint64, advance bool) ([]jrec, e
 // --- operation cores -------------------------------------------------------
 // Each core assumes mu is held and the serial service latency has been
 // charged; it mutates state and returns the journal records describing the
-// mutation. The unfenced API ops and the fenced replica ops are both thin
-// wrappers over these.
+// mutation. Do is their only caller.
 
 func (s *Store) getLocked(key string) ([]byte, uint64, error) {
 	e, ok := s.data[key]
@@ -291,424 +299,110 @@ func (s *Store) deleteBatchLocked(keys []string) (uint64, []jrec) {
 	return last, recs
 }
 
-// --- unfenced API ----------------------------------------------------------
-
-// Get returns the value and version stored at key.
-func (s *Store) Get(key string) ([]byte, uint64, error) {
-	if err := s.charge(); err != nil {
-		return nil, 0, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	return s.getLocked(key)
-}
-
-// Put unconditionally stores value at key and returns the new version.
-func (s *Store) Put(key string, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	rec := s.setLocked(key, value)
-	if err := s.commitLocked([]jrec{rec}); err != nil {
-		return 0, err
-	}
-	return rec.Ver, nil
-}
-
-// PutBatch stores every entry in one round trip: the per-operation latency
-// is charged once for the whole batch (one RPC to the storage service), and
-// the writes apply atomically under the store lock. Each key still receives
-// its own fresh version, assigned in sorted key order so batches are
-// deterministic. Returns the highest version assigned.
-func (s *Store) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	// One batched RPC, not len(entries) operations.
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	last, recs := s.putBatchLocked(entries)
-	if err := s.commitLocked(recs); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CreateBatch atomically creates every entry — one charged write — failing
-// with ErrVersionMismatch (and writing nothing) if any key already exists.
-// Concurrent writers racing to create the same generation of keys collide on
-// the first common key instead of silently overwriting each other, which is
-// what makes CAS-style read-recompute-retry loops possible over batches.
-func (s *Store) CreateBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	// One batched RPC, like PutBatch.
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	last, recs, err := s.createBatchLocked(entries)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(recs); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CAS stores value at key only if the current version equals expect.
-// expect == 0 means "key must not exist" (create).
-func (s *Store) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	v, recs, err := s.casLocked(key, expect, value)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(recs); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// Delete removes key. Deleting a missing key is an error so callers notice
-// protocol bugs.
-func (s *Store) Delete(key string) error {
-	if err := s.charge(); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	_, recs, err := s.deleteLocked(key)
-	if err != nil {
-		return err
-	}
-	return s.commitLocked(recs)
-}
-
-// DeleteBatch removes every key in one round trip: one charged write, with
-// the removals applied atomically under the store lock. Missing keys are
-// ignored — callers use it to prune superseded entries (e.g. old checkpoint
-// sequences) and a concurrent pruner is not a protocol error.
-func (s *Store) DeleteBatch(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if err := s.charge(); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	_, recs := s.deleteBatchLocked(keys)
-	return s.commitLocked(recs)
-}
-
-// List returns the keys with the given prefix in sorted order.
-func (s *Store) List(prefix string) ([]string, error) {
-	if err := s.charge(); err != nil {
-		return nil, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	return s.listLocked(prefix), nil
-}
-
-// --- fenced replica ops ----------------------------------------------------
-// The replicated client's surface: every op carries the partition and the
-// fence epoch of the caller's view, and the fence gate runs under the same
-// lock acquisition as the operation itself — there is no window where a
-// newer fence can land between the check and the mutation.
-
-// GetF is Get under the partition fence: a replica that has accepted a
-// newer epoch refuses the read with ErrFenced instead of serving a view
-// that may be missing writes acknowledged through a newer primary.
-func (s *Store) GetF(part int, epoch uint64, key string) ([]byte, uint64, error) {
-	if err := s.charge(); err != nil {
-		return nil, 0, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	if _, err := s.fenceGateLocked(part, epoch, false); err != nil {
-		return nil, 0, err
-	}
-	return s.getLocked(key)
-}
-
-// ListF is List under the partition fence.
-func (s *Store) ListF(part int, epoch uint64, prefix string) ([]string, error) {
-	if err := s.charge(); err != nil {
-		return nil, err
-	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	if _, err := s.fenceGateLocked(part, epoch, false); err != nil {
-		return nil, err
-	}
-	return s.listLocked(prefix), nil
-}
-
-// PutF is Put under the partition fence.
-func (s *Store) PutF(part int, epoch uint64, key string, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	rec := s.setLocked(key, value)
-	if err := s.commitLocked(append(frecs, rec)); err != nil {
-		return 0, err
-	}
-	return rec.Ver, nil
-}
-
-// PutBatchF is PutBatch under the partition fence.
-func (s *Store) PutBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	last, recs := s.putBatchLocked(entries)
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CreateBatchF is CreateBatch under the partition fence.
-func (s *Store) CreateBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	last, recs, err := s.createBatchLocked(entries)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CASF is CAS under the partition fence.
-func (s *Store) CASF(part int, epoch uint64, key string, expect uint64, value []byte) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	v, recs, err := s.casLocked(key, expect, value)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// DeleteF is Delete under the partition fence, returning the tombstone
-// version assigned to the removal so a replicating client can forward the
-// delete to followers with ordering information.
-func (s *Store) DeleteF(part int, epoch uint64, key string) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	v, recs, err := s.deleteLocked(key)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// DeleteBatchF is DeleteBatch under the partition fence, returning the
-// highest tombstone version assigned. Every key — present or missing —
-// consumes one version in sorted key order, so the caller can reconstruct
-// each key's tombstone version from the returned high-water mark exactly as
-// PutBatch callers do.
-func (s *Store) DeleteBatchF(part int, epoch uint64, keys []string) (uint64, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	if err := s.charge(); err != nil {
-		return 0, err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	frecs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return 0, err
-	}
-	last, recs := s.deleteBatchLocked(keys)
-	if err := s.commitLocked(append(frecs, recs...)); err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// Apply installs a replicated commit on a follower. The commit carries the
-// fence epoch of the client's view of partition part: an epoch older than the
-// highest this replica has accepted is refused with ErrFenced — that is the
-// fence that stops a deposed primary's writes from being acknowledged. A
-// newer epoch raises the fence and is journaled like a promoted one, so a
-// restarted replica keeps refusing deposed epochs it learned about only
-// through replication. Within an accepted epoch, sets and deletes apply only
-// if their primary-assigned version is newer than the key's applied
-// high-water mark, so replayed or reordered commits converge to the
-// primary's order.
-func (s *Store) Apply(part int, epoch uint64, c Commit) error {
-	if err := s.charge(); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.serviceLocked()
-	recs, err := s.fenceGateLocked(part, epoch, true)
-	if err != nil {
-		return err
+// applyLocked installs a replicated commit: each set and delete applies only
+// if its primary-assigned version is newer than the key's applied high-water
+// mark, and fresh versions allocate above everything applied.
+func (s *Store) applyLocked(c Commit) []jrec {
+	var recs []jrec
+	fresh := func(key string, ver uint64) bool {
+		if ver <= s.applied[key] {
+			return false
+		}
+		s.applied[key] = ver
+		if ver >= s.next {
+			s.next = ver + 1
+		}
+		return true
 	}
 	for _, kv := range c.Sets {
-		if kv.Ver <= s.applied[kv.Key] {
+		if !fresh(kv.Key, kv.Ver) {
 			continue
 		}
-		s.applied[kv.Key] = kv.Ver
 		stored := make([]byte, len(kv.Val))
 		copy(stored, kv.Val)
 		s.data[kv.Key] = entry{value: stored, version: kv.Ver}
 		recs = append(recs, jrec{Op: jSet, Key: kv.Key, Val: stored, Ver: kv.Ver})
-		if kv.Ver >= s.next {
-			s.next = kv.Ver + 1
-		}
 	}
 	for _, kd := range c.Dels {
-		if kd.Ver <= s.applied[kd.Key] {
+		if !fresh(kd.Key, kd.Ver) {
 			continue
 		}
-		s.applied[kd.Key] = kd.Ver
 		delete(s.data, kd.Key)
 		recs = append(recs, jrec{Op: jDel, Key: kd.Key, Ver: kd.Ver})
-		if kd.Ver >= s.next {
-			s.next = kd.Ver + 1
-		}
 	}
-	return s.commitLocked(recs)
+	return recs
 }
 
-// Promote advances partition part's fence epoch to epoch. It is a pure fence
-// advance: primaryship is derived from the epoch by the replica-list
-// convention (see Replicated), so promoting an epoch onto a replica does not
-// make that replica the primary — failover spreads the same epoch across the
-// set until a majority holds it. A claim older than the current fence is
-// refused with ErrFenced (someone promoted past us); an equal claim is
-// idempotent. Returns the fence in force after the call.
-func (s *Store) Promote(part int, epoch uint64) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
+// Do executes one operation. It is the store's only entry point: latency is
+// charged, the fence gate runs, the operation core mutates state, and the
+// fence and mutation records are journaled under a single hold of mu — there
+// is no window where a newer fence can land between the check and the
+// mutation, and journal order equals apply order.
+func (s *Store) Do(op Op) (Result, error) {
+	if !op.Kind.valid() {
+		return Result{}, fmt.Errorf("cloudstore: unknown operation %v", op.Kind)
 	}
-	s.writes.Add(1)
+	if op.Fence == nil && op.Kind.replica() {
+		return Result{}, fmt.Errorf("cloudstore: %v without a fence", op.Kind)
+	}
+	if err := s.charge(); err != nil {
+		return Result{}, err
+	}
+	// A batch is one RPC, not len(entries) operations.
+	if op.Kind.reads() {
+		s.reads.Add(1)
+	} else {
+		s.writes.Add(1)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.serviceLocked()
-	cur := s.fences[part]
-	if epoch < cur {
-		return cur, fmt.Errorf("partition %d: promote epoch %d < fence %d: %w", part, epoch, cur, ErrFenced)
-	}
-	if epoch > cur {
-		s.fences[part] = epoch
-		if err := s.commitLocked([]jrec{{Op: jFence, Key: strconv.Itoa(part), Ver: epoch}}); err != nil {
-			return 0, err
-		}
-	}
-	return s.fences[part], nil
-}
 
-// FenceEpoch reports the highest fence epoch this replica has accepted for
-// partition part (zero if it has never seen one).
-func (s *Store) FenceEpoch(part int) (uint64, error) {
-	if err := s.charge(); err != nil {
-		return 0, err
+	var recs []jrec
+	if f := op.Fence; f != nil && op.Kind != OpFenceEpoch {
+		frecs, err := s.fenceGateLocked(f.Part, f.Epoch, !op.Kind.reads())
+		if err != nil {
+			return Result{Version: s.fences[f.Part]}, err
+		}
+		recs = frecs
 	}
-	s.reads.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fences[part], nil
+	var (
+		res   Result
+		mrecs []jrec
+		err   error
+	)
+	switch op.Kind {
+	case OpGet:
+		res.Value, res.Version, err = s.getLocked(op.Key)
+	case OpList:
+		res.Keys = s.listLocked(op.Key)
+	case OpPut:
+		rec := s.setLocked(op.Key, op.Value)
+		res.Version, mrecs = rec.Ver, []jrec{rec}
+	case OpPutBatch:
+		res.Version, mrecs = s.putBatchLocked(op.Entries)
+	case OpCreateBatch:
+		res.Version, mrecs, err = s.createBatchLocked(op.Entries)
+	case OpCAS:
+		res.Version, mrecs, err = s.casLocked(op.Key, op.Expect, op.Value)
+	case OpDelete:
+		res.Version, mrecs, err = s.deleteLocked(op.Key)
+	case OpDeleteBatch:
+		res.Version, mrecs = s.deleteBatchLocked(op.Keys)
+	case OpApply:
+		mrecs = s.applyLocked(op.Commit)
+	case OpPromote, OpFenceEpoch:
+		res.Version = s.fences[op.Fence.Part]
+	}
+	// A fence advance stands even when the mutation it rode in on was
+	// refused (a CAS conflict, say), so it is journaled either way.
+	if cerr := s.commitLocked(append(recs, mrecs...)); cerr != nil {
+		return Result{}, cerr
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
 }
 
 // Close releases backend resources. The in-memory store holds none.

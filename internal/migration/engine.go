@@ -271,8 +271,12 @@ func (e *Engine) submit(root ownership.ID, to cluster.ServerID, subtree bool) *F
 	go func() {
 		e.sem <- struct{}{}
 		defer func() { <-e.sem }()
-		defer e.unclaim(root)
-		f.complete(e.run(root, from, to, members, subtree))
+		// Release the claim before completing the future: a waiter reacting
+		// to the outcome (a retry, WAL recovery) must not find the group
+		// still claimed.
+		err := e.run(root, from, to, members, subtree)
+		e.unclaim(root)
+		f.complete(err)
 	}()
 	return f
 }

@@ -230,12 +230,12 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 		// partition (failing over across its replica set), routed by a
 		// Partitioned client. A replica naming this node serves from
 		// LocalStore without a mesh hop.
-		parts := make([]cloudstore.API, 0, len(cfg.StoreReplicas))
+		parts := make([]cloudstore.Doer, 0, len(cfg.StoreReplicas))
 		for i, sp := range cfg.StoreReplicas {
 			if len(sp.Replicas) == 0 {
 				return nil, fmt.Errorf("node %v: store partition %d has no replicas", cfg.ID, i)
 			}
-			replicas := make([]cloudstore.ReplicaAPI, 0, len(sp.Replicas))
+			replicas := make([]cloudstore.Doer, 0, len(sp.Replicas))
 			for _, rep := range sp.Replicas {
 				if rep == cfg.ID {
 					if cfg.LocalStore == nil {
@@ -245,7 +245,7 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 					n.servesStore = true
 					continue
 				}
-				replicas = append(replicas, &RemoteStore{node: n, to: rep})
+				replicas = append(replicas, n.remoteStore(rep))
 			}
 			parts = append(parts, cloudstore.NewReplicated(i, replicas...))
 		}
@@ -257,7 +257,7 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 		n.store = cfg.LocalStore
 		n.servesStore = true
 	} else {
-		n.store = &RemoteStore{node: n, to: cfg.StoreNode}
+		n.store = n.remoteStore(cfg.StoreNode)
 	}
 	if cfg.Replicate {
 		// The replicated ownership-metadata control plane: structural
@@ -585,22 +585,16 @@ func (n *Node) callSubmit(to transport.NodeID, req submitReq) (submitResp, error
 	if err != nil {
 		return submitResp{}, fmt.Errorf("submit to %v: %w", to, err)
 	}
-	var resp submitResp
-	if schema.IsHotFrame(raw.Payload) {
-		var hr schema.SubmitResp
-		if err := hr.UnmarshalWire(raw.Payload); err != nil {
-			return submitResp{}, err
-		}
-		resp = submitResp{
-			Result:  hr.Result,
-			Host:    cluster.ServerID(hr.Host),
-			Err:     hr.Err,
-			ErrKind: hr.ErrKind,
-		}
-	} else if err := decodeFrame(raw.Payload, &resp); err != nil {
+	var hr schema.SubmitResp
+	if err := hr.UnmarshalWire(raw.Payload); err != nil {
 		return submitResp{}, err
 	}
-	return resp, nil
+	return submitResp{
+		Result:  hr.Result,
+		Host:    cluster.ServerID(hr.Host),
+		Err:     hr.Err,
+		ErrKind: hr.ErrKind,
+	}, nil
 }
 
 // learnPlacement repairs the local directory cache from an authoritative
@@ -636,36 +630,25 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		payload, err := encodeFrame(pingResp{Node: n.id})
 		return transport.Message{Kind: KindPing, Payload: payload}, err
 	case KindSubmit:
-		// Hot path: submits arrive on the hand-rolled codec and answer in
-		// kind; the gob branch remains for mixed-version peers and tests
-		// speaking the old frames.
-		if schema.IsHotFrame(req.Payload) {
-			var hr schema.SubmitReq
-			if err := hr.UnmarshalWire(req.Payload); err != nil {
-				return transport.Message{}, err
-			}
-			resp := n.handleSubmit(submitReq{
-				Target: hr.Target,
-				Method: hr.Method,
-				Args:   hr.Args,
-				Hops:   int(hr.Hops),
-				MinSeq: hr.MinSeq,
-				Trace:  hr.Trace,
-			})
-			hot := schema.SubmitResp{
-				Result:  resp.Result,
-				Host:    int64(resp.Host),
-				Err:     resp.Err,
-				ErrKind: resp.ErrKind,
-			}
-			payload, err := hot.MarshalWire(nil)
-			return transport.Message{Kind: KindSubmit, Payload: payload}, err
-		}
-		var sr submitReq
-		if err := decodeFrame(req.Payload, &sr); err != nil {
+		var hr schema.SubmitReq
+		if err := hr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		payload, err := encodeFrame(n.handleSubmit(sr))
+		resp := n.handleSubmit(submitReq{
+			Target: hr.Target,
+			Method: hr.Method,
+			Args:   hr.Args,
+			Hops:   int(hr.Hops),
+			MinSeq: hr.MinSeq,
+			Trace:  hr.Trace,
+		})
+		hot := schema.SubmitResp{
+			Result:  resp.Result,
+			Host:    int64(resp.Host),
+			Err:     resp.Err,
+			ErrKind: resp.ErrKind,
+		}
+		payload, err := hot.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmit, Payload: payload}, err
 	case KindSubmitBatch:
 		var br schema.SubmitBatchReq
@@ -676,31 +659,25 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		payload, err := resp.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
 	case KindStore:
-		var sr storeReq
-		if err := decodeFrame(req.Payload, &sr); err != nil {
+		var op cloudstore.Op
+		if err := decodeFrame(req.Payload, &op); err != nil {
 			return transport.Message{}, err
 		}
-		payload, err := encodeFrame(n.handleStore(sr))
+		payload, err := encodeFrame(n.handleStore(op))
 		return transport.Message{Kind: KindStore, Payload: payload}, err
 	case KindTransfer:
-		var tr transferReq
-		if schema.IsHotFrame(req.Payload) {
-			var rec schema.TransferRec
-			if err := rec.UnmarshalWire(req.Payload); err != nil {
-				return transport.Message{}, err
-			}
-			tr = transferReq{
-				Members:    rec.Members,
-				From:       cluster.ServerID(rec.From),
-				To:         cluster.ServerID(rec.To),
-				TotalBytes: int(rec.TotalBytes),
-				States:     rec.States,
-				MinSeq:     rec.MinSeq,
-			}
-		} else if err := decodeFrame(req.Payload, &tr); err != nil {
+		var rec schema.TransferRec
+		if err := rec.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		msg, kind := errFields(n.handleTransfer(tr))
+		msg, kind := errFields(n.handleTransfer(transferReq{
+			Members:    rec.Members,
+			From:       cluster.ServerID(rec.From),
+			To:         cluster.ServerID(rec.To),
+			TotalBytes: int(rec.TotalBytes),
+			States:     rec.States,
+			MinSeq:     rec.MinSeq,
+		}))
 		payload, err := encodeFrame(transferResp{Err: msg, ErrKind: kind})
 		return transport.Message{Kind: KindTransfer, Payload: payload}, err
 	case KindTransferQuery:
@@ -720,32 +697,61 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		payload, err := encodeFrame(migrateResp{Err: msg, ErrKind: kind})
 		return transport.Message{Kind: KindMigrate, Payload: payload}, err
 	case KindReplicate:
-		if schema.IsHotFrame(req.Payload) {
-			var nr schema.NotifyRec
-			if err := nr.UnmarshalWire(req.Payload); err != nil {
-				return transport.Message{}, err
-			}
-			if n.plane != nil {
-				n.plane.Poke(nr.Seq)
-			}
-			// The hint is fire-and-forget; an empty ack suffices.
-			return transport.Message{Kind: KindReplicate}, nil
-		}
-		var rr replicateReq
-		if err := decodeFrame(req.Payload, &rr); err != nil {
+		var nr schema.NotifyRec
+		if err := nr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
 		if n.plane != nil {
-			n.plane.Poke(rr.Seq)
+			n.plane.Poke(nr.Seq)
 		}
-		payload, err := encodeFrame(replicateResp{})
-		return transport.Message{Kind: KindReplicate, Payload: payload}, err
+		// The hint is fire-and-forget; an empty ack suffices.
+		return transport.Message{Kind: KindReplicate}, nil
 	case KindShutdown:
 		n.shutdownOnce.Do(func() { close(n.shutdownCh) })
 		return transport.Message{Kind: KindShutdown}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("node %v: unknown frame kind %q", n.id, req.Kind)
 	}
+}
+
+// route resolves target's sequencing point (its dominator) and the server
+// hosting it, for both submit handlers. caughtUp records that the frame
+// being handled already pulled the replication log, so one frame pays at
+// most one catch-up however many unknown targets it names.
+func (n *Node) route(target ownership.ID, caughtUp *bool) (ownership.ID, cluster.ServerID, error) {
+	dom, _, err := n.rt.Graph().Resolve(target)
+	if err != nil && errors.Is(err, ownership.ErrNotFound) && n.plane != nil && !*caughtUp {
+		// The sender may know the target from a mutation whose sequence it
+		// did not carry (e.g. a client-side retry): pull the log once
+		// before declaring the context unknown. Gated on not-found so other
+		// resolve failures don't buy a store round trip per submit.
+		*caughtUp = true
+		if n.plane.CatchUp() == nil {
+			dom, _, err = n.rt.Graph().Resolve(target)
+		}
+	}
+	if err != nil {
+		// Keep the typed sentinel for the wire kind, but carry the real
+		// cause (store outage mid-catch-up, resolve ambiguity) in the
+		// message — "unknown context" alone hides what actually failed.
+		return 0, 0, fmt.Errorf("dominator of %v: %v: %w", target, err, core.ErrUnknownContext)
+	}
+	dir := n.rt.Directory()
+	host, ok := dir.Locate(dom)
+	if !ok {
+		// An event can name a sequencing point this node has resolved but
+		// never materialized: a virtual join minted by the Resolve above is
+		// placed only when the runtime materializes it. Materialize it here
+		// — the runtime places it deterministically alongside its first
+		// child — then re-read the directory.
+		if _, cerr := n.rt.Context(dom); cerr == nil {
+			host, ok = dir.Locate(dom)
+		}
+	}
+	if !ok {
+		return 0, 0, fmt.Errorf("%v: %w", dom, core.ErrUnknownContext)
+	}
+	return dom, host, nil
 }
 
 // handleSubmit executes or forwards one submitted event. Placement is
@@ -766,38 +772,12 @@ func (n *Node) handleSubmit(req submitReq) submitResp {
 			return submitResp{Err: msg, ErrKind: kind}
 		}
 	}
-	dom, _, err := n.rt.Graph().Resolve(req.Target)
-	if err != nil && errors.Is(err, ownership.ErrNotFound) &&
-		n.plane != nil && n.plane.CatchUp() == nil {
-		// The sender may know the target from a mutation whose sequence it
-		// did not carry (e.g. a client-side retry): pull the log once
-		// before declaring the context unknown. Gated on not-found so other
-		// resolve failures don't buy a store round trip per submit.
-		dom, _, err = n.rt.Graph().Resolve(req.Target)
-	}
+	dom, host, err := n.route(req.Target, new(bool))
 	if err != nil {
-		// Keep the typed sentinel for the wire kind, but carry the real
-		// cause (store outage mid-catch-up, resolve ambiguity) in the
-		// message — "unknown context" alone hides what actually failed.
-		msg, kind := errFields(fmt.Errorf("dominator of %v: %v: %w", req.Target, err, core.ErrUnknownContext))
+		msg, kind := errFields(err)
 		return submitResp{Err: msg, ErrKind: kind}
 	}
 	dir := n.rt.Directory()
-	host, ok := dir.Locate(dom)
-	if !ok {
-		// A forwarded event can name a sequencing point this node has
-		// resolved but never materialized: a virtual join minted by the
-		// Resolve above is placed only when the runtime materializes it.
-		// Materialize it here — the runtime places it deterministically
-		// alongside its first child — then re-read the directory.
-		if _, cerr := n.rt.Context(dom); cerr == nil {
-			host, ok = dir.Locate(dom)
-		}
-	}
-	if !ok {
-		msg, kind := errFields(fmt.Errorf("%v: %w", dom, core.ErrUnknownContext))
-		return submitResp{Err: msg, ErrKind: kind}
-	}
 	if !n.isLocal(host) {
 		// Forward on miss: our cached mapping says another node hosts the
 		// sequencing point.
@@ -912,26 +892,13 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 	// log once; batchmates resolve against the refreshed snapshot.
 	caughtUp := false
 	executedHere := 0
+	dir := n.rt.Directory()
 	var fwd map[cluster.ServerID][]int
 	for i := range req.Events {
 		ev := &req.Events[i]
-		dom, _, err := n.rt.Graph().Resolve(ev.Target)
-		if err != nil && errors.Is(err, ownership.ErrNotFound) && !caughtUp && n.plane != nil {
-			caughtUp = true
-			if n.plane.CatchUp() == nil {
-				dom, _, err = n.rt.Graph().Resolve(ev.Target)
-			}
-		}
+		dom, host, err := n.route(ev.Target, &caughtUp)
 		if err != nil {
-			msg, kind := errFields(fmt.Errorf("dominator of %v: %v: %w", ev.Target, err, core.ErrUnknownContext))
-			out[i].Err, out[i].ErrKind = msg, kind
-			continue
-		}
-		dir := n.rt.Directory()
-		host, ok := dir.Locate(dom)
-		if !ok {
-			msg, kind := errFields(fmt.Errorf("%v: %w", dom, core.ErrUnknownContext))
-			out[i].Err, out[i].ErrKind = msg, kind
+			out[i].Err, out[i].ErrKind = errFields(err)
 			continue
 		}
 		if !n.isLocal(host) {
@@ -1171,11 +1138,11 @@ func (n *Node) handleTransfer(req transferReq) error {
 
 // handleStore serves one cloud-store operation from the authoritative local
 // store. Non-store nodes refuse typed, so a misconfigured peer fails fast.
-func (n *Node) handleStore(req storeReq) storeResp {
+func (n *Node) handleStore(op cloudstore.Op) storeResp {
 	st := n.cfg.LocalStore
 	if !n.servesStore || st == nil {
 		msg, kind := errFields(fmt.Errorf("node %v: %w", n.id, ErrNotStoreNode))
 		return storeResp{Err: msg, ErrKind: kind}
 	}
-	return execStoreOp(st, n.id, req)
+	return execStoreOp(st, op)
 }

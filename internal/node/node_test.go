@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -331,6 +332,24 @@ func TestDeploymentMatchesSingleProcess(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("result %d differs: deployment=%q single-process=%q", i, got[i], want[i])
+		}
+	}
+}
+
+// Submit, transfer and replicate-notify requests travel on the hot codec
+// only; a gob payload (or anything else) on those kinds is a decode error,
+// not a second protocol.
+func TestRequestFramesAreHotCodecOnly(t *testing.T) {
+	d := deploy(t, 1)
+	gobPayload, err := encodeFrame(pingResp{Node: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{KindSubmit, KindTransfer, KindReplicate} {
+		for name, payload := range map[string][]byte{"gob": gobPayload, "empty": nil} {
+			if _, err := d.Nodes[0].handle(context.Background(), 2, transport.Message{Kind: kind, Payload: payload}); err == nil {
+				t.Errorf("%s accepted a %s payload", kind, name)
+			}
 		}
 	}
 }

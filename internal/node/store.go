@@ -9,18 +9,20 @@ import (
 	"aeon/internal/transport"
 )
 
-// RemoteStore is a cloudstore.ReplicaAPI client over the transport mesh:
-// every operation is one request/response exchange with a store replica, so
-// all processes of a deployment journal migrations, mappings, and
-// checkpoints into one authoritative store plane — the paper's cloud-storage
-// role (§ 5.1), with store-server processes (or a store-serving node)
-// standing in for ZooKeeper/S3.
+// RemoteStore is a cloudstore.Doer over the transport mesh: every operation
+// is one request/response exchange with a store replica, so all processes of
+// a deployment journal migrations, mappings, and checkpoints into one
+// authoritative store plane — the paper's cloud-storage role (§ 5.1), with
+// store-server processes (or a store-serving node) standing in for
+// ZooKeeper/S3.
 //
 // Every call runs under a context derived from the owner's lifecycle (the
 // node's base context, canceled on Close): when a partition client abandons
 // a replica mid-failover, its in-flight calls are canceled instead of
 // stacking up behind dead peers until CallTimeout.
 type RemoteStore struct {
+	cloudstore.Typed
+
 	node *Node // set when owned by a node: endpoint/timeout/ctx resolve lazily
 
 	// Standalone wiring (partition clients owned by the harness or driver).
@@ -30,7 +32,7 @@ type RemoteStore struct {
 	base    context.Context
 }
 
-var _ cloudstore.ReplicaAPI = (*RemoteStore)(nil)
+var _ cloudstore.API = (*RemoteStore)(nil)
 
 // NewRemoteStore returns a mesh client for the store replica at `to`,
 // bounding each call by timeout and canceling in-flight calls when base is
@@ -42,7 +44,17 @@ func NewRemoteStore(ep transport.Endpoint, to transport.NodeID, timeout time.Dur
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	return &RemoteStore{ep: ep, to: to, timeout: timeout, base: base}
+	r := &RemoteStore{ep: ep, to: to, timeout: timeout, base: base}
+	r.Typed = cloudstore.NewTyped(r)
+	return r
+}
+
+// remoteStore returns a mesh client owned by n: it calls through n's
+// endpoint under n's lifecycle context and CallTimeout.
+func (n *Node) remoteStore(to transport.NodeID) *RemoteStore {
+	r := &RemoteStore{node: n, to: to}
+	r.Typed = cloudstore.NewTyped(r)
+	return r
 }
 
 // callCtx derives the per-call context: the owning node's base context when
@@ -62,274 +74,37 @@ func (r *RemoteStore) endpoint() transport.Endpoint {
 	return r.ep
 }
 
-// call performs one store exchange. Store frames stay on the gob codec
-// (control path), but encode into a pooled buffer: endpoints do not retain
-// request payloads past Call, so the buffer recycles per exchange.
-func (r *RemoteStore) call(req storeReq) (storeResp, error) {
-	buf, payload, err := encodeFramePooled(req)
+// Do performs one store exchange: the op is the request frame. Store frames
+// stay on the gob codec (control path), but encode into a pooled buffer:
+// endpoints do not retain request payloads past Call, so the buffer recycles
+// per exchange.
+func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
+	buf, payload, err := encodeFramePooled(op)
 	if err != nil {
-		return storeResp{}, err
+		return cloudstore.Result{}, err
 	}
 	ctx, cancel := r.callCtx()
 	defer cancel()
 	raw, err := r.endpoint().Call(ctx, r.to, transport.Message{Kind: KindStore, Payload: payload})
 	releaseFrameBuf(buf)
 	if err != nil {
-		return storeResp{}, fmt.Errorf("store %s via %v: %w", req.Op, r.to, err)
+		return cloudstore.Result{}, fmt.Errorf("store %v via %v: %w", op.Kind, r.to, err)
 	}
 	var resp storeResp
 	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return storeResp{}, err
+		return cloudstore.Result{}, err
 	}
-	if resp.Err != "" {
-		// Return the decoded response alongside the typed error: Promote's
-		// fenced refusal carries the accepted epoch in Version.
-		return resp, WireError(resp.ErrKind, resp.Err)
-	}
-	return resp, nil
+	res := cloudstore.Result{Value: resp.Value, Version: resp.Version, Keys: resp.Keys}
+	return res, WireError(resp.ErrKind, resp.Err)
 }
 
-// Get implements cloudstore.API.
-func (r *RemoteStore) Get(key string) ([]byte, uint64, error) {
-	resp, err := r.call(storeReq{Op: storeGet, Key: key})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Value, resp.Version, nil
-}
-
-// Put implements cloudstore.API.
-func (r *RemoteStore) Put(key string, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storePut, Key: key, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// PutBatch implements cloudstore.API: the whole batch is one mesh round
-// trip and one charged store write, preserving the batched-migration and
-// batched-checkpoint cost model across the process boundary.
-func (r *RemoteStore) PutBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(storeReq{Op: storePutBatch, Entries: entries})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// CreateBatch implements cloudstore.API: atomic create-only batch in one
-// mesh round trip and one charged store write.
-func (r *RemoteStore) CreateBatch(entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(storeReq{Op: storeCreateBatch, Entries: entries})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// CAS implements cloudstore.API.
-func (r *RemoteStore) CAS(key string, expect uint64, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeCAS, Key: key, Expect: expect, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// Delete implements cloudstore.API.
-func (r *RemoteStore) Delete(key string) error {
-	_, err := r.call(storeReq{Op: storeDelete, Key: key})
-	return err
-}
-
-// DeleteBatch implements cloudstore.API: one mesh round trip, one charged
-// write for the whole prune.
-func (r *RemoteStore) DeleteBatch(keys []string) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	_, err := r.call(storeReq{Op: storeDelBatch, Keys: keys})
-	return err
-}
-
-// List implements cloudstore.API.
-func (r *RemoteStore) List(prefix string) ([]string, error) {
-	resp, err := r.call(storeReq{Op: storeList, Key: prefix})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Keys, nil
-}
-
-// GetF implements cloudstore.ReplicaAPI: Get under the partition fence.
-func (r *RemoteStore) GetF(part int, epoch uint64, key string) ([]byte, uint64, error) {
-	resp, err := r.call(storeReq{Op: storeGetF, Part: part, Epoch: epoch, Key: key})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Value, resp.Version, nil
-}
-
-// ListF implements cloudstore.ReplicaAPI: List under the partition fence.
-func (r *RemoteStore) ListF(part int, epoch uint64, prefix string) ([]string, error) {
-	resp, err := r.call(storeReq{Op: storeListF, Part: part, Epoch: epoch, Key: prefix})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Keys, nil
-}
-
-// PutF implements cloudstore.ReplicaAPI: Put under the partition fence.
-func (r *RemoteStore) PutF(part int, epoch uint64, key string, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storePutF, Part: part, Epoch: epoch, Key: key, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// PutBatchF implements cloudstore.ReplicaAPI: PutBatch under the partition
-// fence.
-func (r *RemoteStore) PutBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(storeReq{Op: storePutBatchF, Part: part, Epoch: epoch, Entries: entries})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// CreateBatchF implements cloudstore.ReplicaAPI: CreateBatch under the
-// partition fence.
-func (r *RemoteStore) CreateBatchF(part int, epoch uint64, entries map[string][]byte) (uint64, error) {
-	if len(entries) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(storeReq{Op: storeCreateBatchF, Part: part, Epoch: epoch, Entries: entries})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// CASF implements cloudstore.ReplicaAPI: CAS under the partition fence.
-func (r *RemoteStore) CASF(part int, epoch uint64, key string, expect uint64, value []byte) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeCASF, Part: part, Epoch: epoch, Key: key, Expect: expect, Value: value})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// DeleteF implements cloudstore.ReplicaAPI: fenced delete returning the
-// tombstone version.
-func (r *RemoteStore) DeleteF(part int, epoch uint64, key string) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeDeleteF, Part: part, Epoch: epoch, Key: key})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// DeleteBatchF implements cloudstore.ReplicaAPI: fenced batch delete
-// returning the highest tombstone version.
-func (r *RemoteStore) DeleteBatchF(part int, epoch uint64, keys []string) (uint64, error) {
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	resp, err := r.call(storeReq{Op: storeDelBatchF, Part: part, Epoch: epoch, Keys: keys})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// Apply implements cloudstore.ReplicaAPI: forward a fenced commit to a
-// follower replica.
-func (r *RemoteStore) Apply(part int, epoch uint64, c cloudstore.Commit) error {
-	_, err := r.call(storeReq{Op: storeApply, Part: part, Epoch: epoch, Commit: c})
-	return err
-}
-
-// Promote implements cloudstore.ReplicaAPI: claim the partition's primary
-// role at epoch on the remote replica.
-func (r *RemoteStore) Promote(part int, epoch uint64) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storePromote, Part: part, Epoch: epoch})
-	if err != nil {
-		// The accepted fence rides Version even on refusal, so a fenced
-		// caller can adopt the newer epoch without a second round trip.
-		return resp.Version, err
-	}
-	return resp.Version, nil
-}
-
-// FenceEpoch implements cloudstore.ReplicaAPI.
-func (r *RemoteStore) FenceEpoch(part int) (uint64, error) {
-	resp, err := r.call(storeReq{Op: storeEpoch, Part: part})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Version, nil
-}
-
-// execStoreOp executes one store wire request against a replica surface. It
-// is the single translation point between storeReq frames and
-// cloudstore.ReplicaAPI, shared by store-serving nodes and dedicated store
-// servers so both speak exactly the same protocol.
-func execStoreOp(st cloudstore.ReplicaAPI, owner transport.NodeID, req storeReq) storeResp {
-	var resp storeResp
-	var err error
-	switch req.Op {
-	case storeGet:
-		resp.Value, resp.Version, err = st.Get(req.Key)
-	case storePut:
-		resp.Version, err = st.Put(req.Key, req.Value)
-	case storePutBatch:
-		resp.Version, err = st.PutBatch(req.Entries)
-	case storeCreateBatch:
-		resp.Version, err = st.CreateBatch(req.Entries)
-	case storeCAS:
-		resp.Version, err = st.CAS(req.Key, req.Expect, req.Value)
-	case storeDelete:
-		err = st.Delete(req.Key)
-	case storeDelBatch:
-		err = st.DeleteBatch(req.Keys)
-	case storeList:
-		resp.Keys, err = st.List(req.Key)
-	case storeGetF:
-		resp.Value, resp.Version, err = st.GetF(req.Part, req.Epoch, req.Key)
-	case storeListF:
-		resp.Keys, err = st.ListF(req.Part, req.Epoch, req.Key)
-	case storePutF:
-		resp.Version, err = st.PutF(req.Part, req.Epoch, req.Key, req.Value)
-	case storePutBatchF:
-		resp.Version, err = st.PutBatchF(req.Part, req.Epoch, req.Entries)
-	case storeCreateBatchF:
-		resp.Version, err = st.CreateBatchF(req.Part, req.Epoch, req.Entries)
-	case storeCASF:
-		resp.Version, err = st.CASF(req.Part, req.Epoch, req.Key, req.Expect, req.Value)
-	case storeDeleteF:
-		resp.Version, err = st.DeleteF(req.Part, req.Epoch, req.Key)
-	case storeDelBatchF:
-		resp.Version, err = st.DeleteBatchF(req.Part, req.Epoch, req.Keys)
-	case storeApply:
-		err = st.Apply(req.Part, req.Epoch, req.Commit)
-	case storePromote:
-		resp.Version, err = st.Promote(req.Part, req.Epoch)
-	case storeEpoch:
-		resp.Version, err = st.FenceEpoch(req.Part)
-	default:
-		err = fmt.Errorf("node %v: unknown store op %q", owner, req.Op)
-	}
+// execStoreOp runs one store frame's op against a replica and renders the
+// outcome for the wire. It is shared by store-serving nodes and dedicated
+// store servers so both speak exactly the same protocol. The Result rides
+// even next to an error: a fence refusal carries the accepted epoch.
+func execStoreOp(st cloudstore.Doer, op cloudstore.Op) storeResp {
+	res, err := st.Do(op)
+	resp := storeResp{Value: res.Value, Version: res.Version, Keys: res.Keys}
 	resp.Err, resp.ErrKind = errFields(err)
 	return resp
 }

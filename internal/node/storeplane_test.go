@@ -39,141 +39,55 @@ func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
 	return st, NewRemoteStore(ep, StoreIDBase+1, 5*time.Second, nil)
 }
 
-// TestStoreWireSentinelRoundTrip pins that every cloudstore sentinel
-// survives the RemoteStore→handler→WireError translation for every store
-// op: ErrUnavailable for all of them (a downed replica must look downed, or
-// failover never triggers), and the op-specific semantic sentinels
-// (ErrNotFound, ErrVersionMismatch, ErrFenced) where the op can produce
-// them.
+// TestStoreWireSentinelRoundTrip pins that every cloudstore sentinel survives
+// the RemoteStore → handler → WireError translation. One op per sentinel is
+// the whole table: the frame is the same cloudstore.Op whatever its kind
+// (kind × fence epoch is checked where the fence lives, at Store.Do, and
+// every kind crosses the wire in cloudstore's TestWireRoundTripEveryKind).
 func TestStoreWireSentinelRoundTrip(t *testing.T) {
-	// Every op, for the all-ops ErrUnavailable sweep.
-	allOps := []struct {
-		name string
-		op   func(r *RemoteStore) error
-	}{
-		{"Get", func(r *RemoteStore) error { _, _, err := r.Get("k"); return err }},
-		{"Put", func(r *RemoteStore) error { _, err := r.Put("k", nil); return err }},
-		{"PutBatch", func(r *RemoteStore) error { _, err := r.PutBatch(map[string][]byte{"k": nil}); return err }},
-		{"CreateBatch", func(r *RemoteStore) error { _, err := r.CreateBatch(map[string][]byte{"k": nil}); return err }},
-		{"CAS", func(r *RemoteStore) error { _, err := r.CAS("k", 0, nil); return err }},
-		{"Delete", func(r *RemoteStore) error { return r.Delete("k") }},
-		{"DeleteBatch", func(r *RemoteStore) error { return r.DeleteBatch([]string{"k"}) }},
-		{"List", func(r *RemoteStore) error { _, err := r.List(""); return err }},
-		{"GetF", func(r *RemoteStore) error { _, _, err := r.GetF(0, 1, "k"); return err }},
-		{"ListF", func(r *RemoteStore) error { _, err := r.ListF(0, 1, ""); return err }},
-		{"PutF", func(r *RemoteStore) error { _, err := r.PutF(0, 1, "k", nil); return err }},
-		{"PutBatchF", func(r *RemoteStore) error { _, err := r.PutBatchF(0, 1, map[string][]byte{"k": nil}); return err }},
-		{"CreateBatchF", func(r *RemoteStore) error { _, err := r.CreateBatchF(0, 1, map[string][]byte{"k": nil}); return err }},
-		{"CASF", func(r *RemoteStore) error { _, err := r.CASF(0, 1, "k", 0, nil); return err }},
-		{"DeleteF", func(r *RemoteStore) error { _, err := r.DeleteF(0, 1, "k"); return err }},
-		{"DeleteBatchF", func(r *RemoteStore) error { _, err := r.DeleteBatchF(0, 1, []string{"k"}); return err }},
-		{"Apply", func(r *RemoteStore) error { return r.Apply(0, 1, cloudstore.Commit{}) }},
-		{"Promote", func(r *RemoteStore) error { _, err := r.Promote(0, 1); return err }},
-		{"FenceEpoch", func(r *RemoteStore) error { _, err := r.FenceEpoch(0); return err }},
+	fenced := func(st *cloudstore.Store) {
+		_, _ = st.Do(cloudstore.Op{Kind: cloudstore.OpPromote, Fence: &cloudstore.Fence{Part: 3, Epoch: 9}})
 	}
-	for _, tc := range allOps {
-		t.Run("Unavailable/"+tc.name, func(t *testing.T) {
-			st, r := storeWireRig(t)
-			st.Fail()
-			if err := tc.op(r); !errors.Is(err, cloudstore.ErrUnavailable) {
-				t.Fatalf("err = %v; want ErrUnavailable", err)
-			}
-		})
-	}
-
-	// Op-specific semantic sentinels.
-	semantic := []struct {
+	for _, tc := range []struct {
 		name  string
 		setup func(st *cloudstore.Store)
-		op    func(r *RemoteStore) error
+		op    cloudstore.Op
 		want  error
+		// fence is the accepted epoch a refusal must carry back.
+		fence uint64
 	}{
-		{"Get/NotFound", nil,
-			func(r *RemoteStore) error { _, _, err := r.Get("ghost"); return err }, cloudstore.ErrNotFound},
-		{"Delete/NotFound", nil,
-			func(r *RemoteStore) error { return r.Delete("ghost") }, cloudstore.ErrNotFound},
-		{"GetF/NotFound", nil,
-			func(r *RemoteStore) error { _, _, err := r.GetF(0, 1, "ghost"); return err }, cloudstore.ErrNotFound},
-		{"DeleteF/NotFound", nil,
-			func(r *RemoteStore) error { _, err := r.DeleteF(0, 1, "ghost"); return err }, cloudstore.ErrNotFound},
-		{"CASF/VersionMismatch",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
-			func(r *RemoteStore) error { _, err := r.CASF(0, 1, "k", 99, nil); return err }, cloudstore.ErrVersionMismatch},
-		{"CreateBatchF/VersionMismatchExists",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
-			func(r *RemoteStore) error {
-				_, err := r.CreateBatchF(0, 1, map[string][]byte{"k": nil})
-				return err
-			}, cloudstore.ErrVersionMismatch},
-		{"GetF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, _, err := r.GetF(0, 2, "k"); return err }, cloudstore.ErrFenced},
-		{"ListF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.ListF(0, 2, ""); return err }, cloudstore.ErrFenced},
-		{"PutF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.PutF(0, 2, "k", nil); return err }, cloudstore.ErrFenced},
-		{"PutBatchF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.PutBatchF(0, 2, map[string][]byte{"k": nil}); return err }, cloudstore.ErrFenced},
-		{"CreateBatchF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.CreateBatchF(0, 2, map[string][]byte{"k": nil}); return err }, cloudstore.ErrFenced},
-		{"CASF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.CASF(0, 2, "k", 0, nil); return err }, cloudstore.ErrFenced},
-		{"DeleteF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.DeleteF(0, 2, "k"); return err }, cloudstore.ErrFenced},
-		{"DeleteBatchF/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.DeleteBatchF(0, 2, []string{"k"}); return err }, cloudstore.ErrFenced},
-		{"CAS/VersionMismatchConflict",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
-			func(r *RemoteStore) error { _, err := r.CAS("k", 99, nil); return err }, cloudstore.ErrVersionMismatch},
-		{"CAS/VersionMismatchMissing", nil,
-			func(r *RemoteStore) error { _, err := r.CAS("ghost", 3, nil); return err }, cloudstore.ErrVersionMismatch},
-		{"CreateBatch/VersionMismatchExists",
-			func(st *cloudstore.Store) { _, _ = st.Put("k", []byte("v")) },
-			func(r *RemoteStore) error {
-				_, err := r.CreateBatch(map[string][]byte{"k": nil, "fresh": nil})
-				return err
-			}, cloudstore.ErrVersionMismatch},
-		{"Apply/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { return r.Apply(0, 2, cloudstore.Commit{}) }, cloudstore.ErrFenced},
-		{"Promote/Fenced",
-			func(st *cloudstore.Store) { _, _ = st.Promote(0, 5) },
-			func(r *RemoteStore) error { _, err := r.Promote(0, 2); return err }, cloudstore.ErrFenced},
-	}
-	for _, tc := range semantic {
+		{"Unavailable", (*cloudstore.Store).Fail,
+			cloudstore.Op{Kind: cloudstore.OpGet, Key: "k"}, cloudstore.ErrUnavailable, 0},
+		{"NotFound", nil,
+			cloudstore.Op{Kind: cloudstore.OpGet, Key: "ghost"}, cloudstore.ErrNotFound, 0},
+		{"VersionMismatch", nil,
+			cloudstore.Op{Kind: cloudstore.OpCAS, Key: "ghost", Expect: 3}, cloudstore.ErrVersionMismatch, 0},
+		// The failover contract: a fenced Promote still delivers the
+		// accepted epoch, so the client adopts the newer view without a
+		// second round trip.
+		{"Fenced/Promote", fenced,
+			cloudstore.Op{Kind: cloudstore.OpPromote, Fence: &cloudstore.Fence{Part: 3, Epoch: 4}}, cloudstore.ErrFenced, 9},
+		// A fence whose fields are all zero must reach the replica as a
+		// fence, not as "unfenced".
+		{"Fenced/ZeroEpoch",
+			func(st *cloudstore.Store) {
+				_, _ = st.Do(cloudstore.Op{Kind: cloudstore.OpPromote, Fence: &cloudstore.Fence{Part: 0, Epoch: 2}})
+			},
+			cloudstore.Op{Kind: cloudstore.OpPut, Key: "k", Fence: &cloudstore.Fence{}}, cloudstore.ErrFenced, 2},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, r := storeWireRig(t)
 			if tc.setup != nil {
 				tc.setup(st)
 			}
-			if err := tc.op(r); !errors.Is(err, tc.want) {
+			res, err := r.Do(tc.op)
+			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v; want %v", err, tc.want)
 			}
+			if res.Version != tc.fence {
+				t.Fatalf("refusal carried fence %d; want %d", res.Version, tc.fence)
+			}
 		})
-	}
-}
-
-// TestRemoteStorePromoteCarriesFenceOnRefusal pins the failover contract
-// over the wire: a fenced Promote must still deliver the accepted epoch so
-// the client adopts the newer view without a second round trip.
-func TestRemoteStorePromoteCarriesFenceOnRefusal(t *testing.T) {
-	st, r := storeWireRig(t)
-	if _, err := st.Promote(3, 9); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := r.Promote(3, 4)
-	if !errors.Is(err, cloudstore.ErrFenced) {
-		t.Fatalf("err = %v; want ErrFenced", err)
-	}
-	if cur != 9 {
-		t.Fatalf("refused promote reported fence %d; want 9", cur)
 	}
 }
 
@@ -262,7 +176,7 @@ func TestStorePlaneDeploymentMatchesOracle(t *testing.T) {
 // replogPartition reports which of n partitions owns the replication log's
 // record keys (the CAS-sequenced commit point — the hottest store state).
 func replogPartition(n int) int {
-	probe := cloudstore.NewPartitioned(make([]cloudstore.API, n)...)
+	probe := cloudstore.NewPartitioned(make([]cloudstore.Doer, n)...)
 	return probe.PartitionOf("replog/rec/00000000000000000001")
 }
 
@@ -312,12 +226,12 @@ func TestStoreFailoverChaos(t *testing.T) {
 	// The replog partition failed over: its follower's fence epoch moved
 	// past the boot epoch, and the follower holds the post-kill records.
 	fol := d.StoreBackends[StoreRF*p+1]
-	epoch, err := fol.FenceEpoch(p)
+	fence, err := fol.Do(cloudstore.Op{Kind: cloudstore.OpFenceEpoch, Fence: &cloudstore.Fence{Part: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch < 2 {
-		t.Fatalf("replog partition fence epoch = %d; follower was never promoted", epoch)
+	if fence.Version < 2 {
+		t.Fatalf("replog partition fence epoch = %d; follower was never promoted", fence.Version)
 	}
 	keys, err := fol.List("replog/rec/")
 	if err != nil {
@@ -349,7 +263,11 @@ func TestStoreFailoverChaos(t *testing.T) {
 	// The stale-primary fence holds across the mesh: a client still acting
 	// for the boot view has its fenced apply refused by the promoted
 	// follower.
-	err = fol.Apply(p, 1, cloudstore.Commit{Sets: []cloudstore.KV{{Key: "rogue", Val: nil, Ver: 1 << 40}}})
+	_, err = fol.Do(cloudstore.Op{
+		Kind:   cloudstore.OpApply,
+		Fence:  &cloudstore.Fence{Part: p, Epoch: 1},
+		Commit: cloudstore.Commit{Sets: []cloudstore.KV{{Key: "rogue", Val: nil, Ver: 1 << 40}}},
+	})
 	if !errors.Is(err, cloudstore.ErrFenced) {
 		t.Fatalf("stale-epoch apply err = %v; want ErrFenced", err)
 	}

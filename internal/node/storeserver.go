@@ -108,11 +108,11 @@ func (s *StoreServer) handle(_ context.Context, _ transport.NodeID, req transpor
 		return transport.Message{Kind: KindPing, Payload: payload}, err
 	case KindStore:
 		s.storeOps.Add(1)
-		var sr storeReq
-		if err := decodeFrame(req.Payload, &sr); err != nil {
+		var op cloudstore.Op
+		if err := decodeFrame(req.Payload, &op); err != nil {
 			return transport.Message{}, err
 		}
-		payload, err := encodeFrame(execStoreOp(s.be, s.id, sr))
+		payload, err := encodeFrame(execStoreOp(s.be, op))
 		return transport.Message{Kind: KindStore, Payload: payload}, err
 	case KindShutdown:
 		s.shutdownOnce.Do(func() { close(s.shutdownCh) })

@@ -1,7 +1,10 @@
 package node
 
-// The node wire protocol: gob frames carried in transport.Message payloads
-// over Mesh.Call. Every exchange is strictly request/response. Handler-level
+// The node wire protocol: frames carried in transport.Message payloads over
+// Mesh.Call. Submit, batch-submit, transfer and replicate-notify requests
+// are hot-codec frames (schema/hotframe.go) and nothing else; store ops and
+// the control plane (ping, migrate, transfer-query, transfer acks) are gob
+// frames. Every exchange is strictly request/response. Handler-level
 // failures travel in-band as an error kind plus message, so typed errors
 // (unknown context, hop-budget exhaustion, backpressure, store version
 // mismatch) survive the wire instead of flattening into strings.
@@ -29,11 +32,11 @@ const (
 	// KindSubmit submits (or forwards) one event for execution.
 	KindSubmit = "node.submit"
 	// KindSubmitBatch submits (or forwards) a batch of independent events in
-	// one frame: one admission, one response, per-event outcomes. Batch
-	// frames are hot-codec only (schema.SubmitBatchReq/Resp) — they were
-	// born after the gob fallback era.
+	// one frame: one admission, one response, per-event outcomes
+	// (schema.SubmitBatchReq/Resp).
 	KindSubmitBatch = "node.submit.batch"
-	// KindStore performs one cloud-store operation on the store node.
+	// KindStore performs one cloud-store operation on a store replica: the
+	// request is a gob-encoded cloudstore.Op, the response a storeResp.
 	KindStore = "node.store"
 	// KindTransfer installs a migrated group's state on the destination
 	// node (migration protocol step IV over the mesh).
@@ -117,48 +120,10 @@ type submitResp struct {
 	ErrKind string
 }
 
-// Store operation selectors.
-const (
-	storeGet         = "get"
-	storePut         = "put"
-	storePutBatch    = "putbatch"
-	storeCreateBatch = "createbatch"
-	storeCAS         = "cas"
-	storeDelete      = "delete"
-	storeDelBatch    = "deletebatch"
-	storeList        = "list"
-	// Replica-plane selectors (cloudstore.ReplicaAPI over the mesh): the
-	// fenced per-op surface (every op of a replicated deployment carries
-	// its partition and fence epoch), fenced commit application, and fence
-	// promotion/inspection for partition failover.
-	storeGetF         = "getf"
-	storeListF        = "listf"
-	storePutF         = "putf"
-	storePutBatchF    = "putbatchf"
-	storeCreateBatchF = "createbatchf"
-	storeCASF         = "casf"
-	storeDeleteF      = "deletef"
-	storeDelBatchF    = "deletebatchf"
-	storeApply        = "apply"
-	storePromote      = "promote"
-	storeEpoch        = "epoch"
-)
-
-// storeReq is one cloud-store operation. Part/Epoch ride the replica-plane
-// ops (the fenced surface, apply, promote, epoch); Commit rides apply only.
-type storeReq struct {
-	Op      string
-	Key     string
-	Keys    []string
-	Value   []byte
-	Entries map[string][]byte
-	Expect  uint64
-	Part    int
-	Epoch   uint64
-	Commit  cloudstore.Commit
-}
-
-// storeResp is the result of a store operation.
+// storeResp is the result of a store operation: a cloudstore.Result plus the
+// in-band error (the request frame is the cloudstore.Op itself). The Result
+// is spelled out flat because gob compiles every nested struct type anew for
+// each frame.
 type storeResp struct {
 	Value   []byte
 	Version uint64
@@ -215,15 +180,6 @@ type migrateResp struct {
 	ErrKind string
 }
 
-// replicateReq hints that the replication log reached Seq (the transport
-// already identifies the sender).
-type replicateReq struct {
-	Seq uint64
-}
-
-// replicateResp acknowledges a replicate-notify hint.
-type replicateResp struct{}
-
 // pingResp reports liveness.
 type pingResp struct {
 	Node transport.NodeID
@@ -233,12 +189,10 @@ func init() {
 	// Node wire frames travel through the shared registry like every other
 	// cross-process payload.
 	schema.RegisterWireTypes(
-		submitReq{}, submitResp{},
-		storeReq{}, storeResp{},
-		transferReq{}, transferResp{},
+		cloudstore.Op{}, storeResp{},
+		transferResp{},
 		transferQueryReq{}, transferQueryResp{},
 		migrateReq{}, migrateResp{},
-		replicateReq{}, replicateResp{},
 		pingResp{},
 	)
 }
