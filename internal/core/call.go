@@ -4,16 +4,23 @@ import (
 	"fmt"
 	"time"
 
+	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
 )
 
 // callEnv implements schema.Call: the environment a method body executes in.
+// It is a frame owned by the event (event.pushFrame) and recycled when the
+// handler returns — see the no-retain contract on schema.Call.
 type callEnv struct {
 	rt     *Runtime
 	ev     *event
 	ctx    *Context
 	method *schema.Method
+	// host is the server ctx was routed to when it was activated: the origin
+	// of the EXEC hops this frame's calls send, and where its Work burns.
+	host   cluster.ServerID
+	inline bool // one of ev.frames
 }
 
 var _ schema.Call = (*callEnv)(nil)
@@ -24,8 +31,10 @@ func (c *callEnv) Self() ownership.ID { return c.ctx.id }
 // Class implements schema.Call.
 func (c *callEnv) Class() string { return c.ctx.class.Name() }
 
-// State implements schema.Call.
-func (c *callEnv) State() any { return c.ctx.State() }
+// State implements schema.Call. The frame runs under the context's
+// activation, which orders it after any SetState (setup, or a migration
+// holding the context exclusively), so it reads the state directly.
+func (c *callEnv) State() any { return c.ctx.state }
 
 // EventID implements schema.Call.
 func (c *callEnv) EventID() uint64 { return c.ev.id }
@@ -33,23 +42,20 @@ func (c *callEnv) EventID() uint64 { return c.ev.id }
 // ReadOnly implements schema.Call.
 func (c *callEnv) ReadOnly() bool { return c.ev.mode == RO }
 
-// prepareCall validates and activates a child call, returning the callee
-// context and method. It charges the cross-server hop for the EXEC message.
-func (c *callEnv) prepareCall(child ownership.ID, method string) (*Context, *schema.Method, error) {
+// resolveCallee is the one callee resolution behind Sync, Async and Crab:
+// crab check, the caller's child table (existence, § 3 direct ownership and
+// the runtime entry in one probe), the precomputed may-access set, the
+// method table. It neither routes nor activates.
+func (c *callEnv) resolveCallee(child ownership.ID, method string) (*Context, *schema.Method, error) {
 	if c.ev.crabbedCtx(c.ctx.id) {
 		return nil, nil, fmt.Errorf("call %s from %v: %w", method, c.ctx.id, ErrCrabbed)
 	}
-	cc, err := c.rt.Context(child)
+	cc, err := c.rt.ownedChild(c.ctx, child)
 	if err != nil {
 		return nil, nil, err
 	}
-	// § 3: access to a context is only granted to the contexts that
-	// directly own it.
-	if !c.rt.graph.OwnsDirectly(c.ctx.id, child) {
-		return nil, nil, fmt.Errorf("%v → %v: %w", c.ctx.id, child, ErrNotOwned)
-	}
 	// Dynamic enforcement of the statically declared may-access sets.
-	if !c.rt.schema.MayAccess(c.ctx.class.Name(), c.method.Name, cc.class.Name()) {
+	if !c.method.MayAccessClass(cc.class) {
 		return nil, nil, fmt.Errorf("%s.%s → %s: %w",
 			c.ctx.class.Name(), c.method.Name, cc.class.Name(), ErrAccessDenied)
 	}
@@ -57,25 +63,33 @@ func (c *callEnv) prepareCall(child ownership.ID, method string) (*Context, *sch
 	if m == nil {
 		return nil, nil, fmt.Errorf("%s.%s: %w", cc.class.Name(), method, ErrUnknownMethod)
 	}
-	// EXEC message from the caller's host to the callee's host.
-	if from, ok := c.rt.dir.Locate(c.ctx.id); ok {
-		if _, err := c.rt.routeHop(from, child, true); err != nil {
-			return nil, nil, err
-		}
+	return cc, m, nil
+}
+
+// activateCallee resolves a child call, charges the EXEC message from this
+// frame's host to the callee's, and activates the callee for the event.
+func (c *callEnv) activateCallee(child ownership.ID, method string) (*Context, *schema.Method, cluster.ServerID, error) {
+	cc, m, err := c.resolveCallee(child, method)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	host, err := c.rt.routeHop(c.host, child, true)
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	if err := c.rt.acquireCtx(c.ev, cc); err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	return cc, m, nil
+	return cc, m, host, nil
 }
 
 // Sync implements schema.Call.
 func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (any, error) {
-	cc, m, err := c.prepareCall(child, method)
+	cc, m, host, err := c.activateCallee(child, method)
 	if err != nil {
 		return nil, err
 	}
-	return c.rt.invoke(c.ev, cc, m, args)
+	return c.rt.invoke(c.ev, cc, m, host, args)
 }
 
 // asyncResult implements schema.AsyncResult.
@@ -96,17 +110,19 @@ func (a *asyncResult) Wait() (any, error) {
 // the event's ordering guarantees); only the execution is concurrent.
 func (c *callEnv) Async(child ownership.ID, method string, args ...any) schema.AsyncResult {
 	a := &asyncResult{done: make(chan struct{})}
-	cc, m, err := c.prepareCall(child, method)
+	cc, m, host, err := c.activateCallee(child, method)
 	if err != nil {
 		a.err = err
 		close(a.done)
 		return a
 	}
-	c.ev.asyncWG.Add(1)
+	rt, ev := c.rt, c.ev // the goroutine may outlive this frame
+	ev.fork()
+	ev.asyncWG.Add(1)
 	go func() {
-		defer c.ev.asyncWG.Done()
+		defer ev.asyncWG.Done()
 		defer close(a.done)
-		a.res, a.err = c.rt.invoke(c.ev, cc, m, args)
+		a.res, a.err = rt.invoke(ev, cc, m, host, args)
 	}()
 	return a
 }
@@ -121,53 +137,39 @@ func (c *callEnv) Async(child ownership.ID, method string, args ...any) schema.A
 // current context's hold time (§ 6.1.2: the Warehouse is released while the
 // District part of the transaction is still being delivered).
 func (c *callEnv) Crab(child ownership.ID, method string, args ...any) error {
-	if c.ev.crabbedCtx(c.ctx.id) {
-		return fmt.Errorf("call %s from %v: %w", method, c.ctx.id, ErrCrabbed)
-	}
-	cc, err := c.rt.Context(child)
+	cc, m, err := c.resolveCallee(child, method)
 	if err != nil {
 		return err
 	}
-	if !c.rt.graph.OwnsDirectly(c.ctx.id, child) {
-		return fmt.Errorf("%v → %v: %w", c.ctx.id, child, ErrNotOwned)
-	}
-	if !c.rt.schema.MayAccess(c.ctx.class.Name(), c.method.Name, cc.class.Name()) {
-		return fmt.Errorf("%s.%s → %s: %w",
-			c.ctx.class.Name(), c.method.Name, cc.class.Name(), ErrAccessDenied)
-	}
-	m := cc.class.Method(method)
-	if m == nil {
-		return fmt.Errorf("%s.%s: %w", cc.class.Name(), method, ErrUnknownMethod)
-	}
+	rt, ev, from := c.rt, c.ev, c.host // the tail outlives this frame
+	ev.fork()
 	// Reserve the child's queue slot now, under the current hold.
-	w, admitted := cc.lock.enqueue(c.ev.id, c.ev.mode)
-	if (w != nil || admitted) && !c.ev.recordHold(cc) {
+	w, admitted := cc.lock.enqueue(ev.id, ev.mode)
+	if (w != nil || admitted) && !ev.recordHold(cc) {
 		// A concurrent same-event branch is mid-acquisition on this child;
 		// crabbing into it would race admission tracking. This pattern is
 		// unsupported — crab targets must be untouched children.
-		cc.lock.release(c.ev.id)
+		cc.lock.release(ev.id)
 		return fmt.Errorf("crab %v: concurrent same-event acquisition: %w", child, ErrCrabbed)
 	}
-	if !c.ev.markCrab(c.ctx.id) {
+	if !ev.markCrab(c.ctx.id) {
 		return fmt.Errorf("%v: %w", c.ctx.id, ErrCrabbed)
 	}
-	from, fromOK := c.rt.dir.Locate(c.ctx.id)
-	c.ev.asyncWG.Add(1)
+	ev.asyncWG.Add(1)
 	go func() {
-		defer c.ev.asyncWG.Done()
+		defer ev.asyncWG.Done()
 		// EXEC hop travels while the crabbed parent is already free.
-		if fromOK {
-			if _, err := c.rt.routeHop(from, child, true); err != nil {
-				c.rt.SubEventErrors.Inc()
-				return
-			}
-		}
-		if w != nil && !cc.lock.waitAdmitted(w) {
-			c.rt.SubEventErrors.Inc()
+		host, err := rt.routeHop(from, child, true)
+		if err != nil {
+			rt.SubEventErrors.Inc()
 			return
 		}
-		if _, err := c.rt.invoke(c.ev, cc, m, args); err != nil {
-			c.rt.SubEventErrors.Inc()
+		if w != nil && !cc.lock.waitAdmitted(w) {
+			rt.SubEventErrors.Inc()
+			return
+		}
+		if _, err := rt.invoke(ev, cc, m, host, args); err != nil {
+			rt.SubEventErrors.Inc()
 		}
 	}()
 	return nil
@@ -237,9 +239,7 @@ func (c *callEnv) Children(class string) ([]ownership.ID, error) {
 
 // Work implements schema.Call.
 func (c *callEnv) Work(d time.Duration) {
-	if srv, ok := c.rt.dir.Locate(c.ctx.id); ok {
-		if server, sok := c.rt.cluster.Server(srv); sok {
-			server.Work(d)
-		}
+	if server, ok := c.rt.cluster.Server(c.host); ok {
+		server.Work(d)
 	}
 }

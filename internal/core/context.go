@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -23,13 +24,62 @@ type Context struct {
 	// executions skip it.
 	runMu sync.Mutex
 
-	// stateMu guards state replacement during migration; handlers access
-	// state under the activation lock, so no per-access locking is needed.
+	// stateMu guards state replacement and reads from outside events (setup
+	// code, migration); handlers read state under the activation they hold,
+	// without it (callEnv.State).
 	stateMu sync.Mutex
 	state   any
 
-	migrating atomic.Bool
-	version   atomic.Uint64 // bumped on every exclusive execution (test oracle)
+	// kids resolves the callees of this context's sub-calls (ownedChild);
+	// built on first use, replaced when the context's child set changes.
+	kids atomic.Pointer[childTable]
+}
+
+// childTable maps a caller's direct children to their runtime entries. It is
+// valid for one immutable ownership node: entry i belongs to the node's i-th
+// child, so a hit proves existence and § 3 direct ownership and yields the
+// *Context in one probe. Entries fill on first use and never change — a
+// child's registry entry lives until the child is destroyed, which detaches
+// it and thereby replaces the owner's node.
+type childTable struct {
+	node *ownership.Node
+	// version is the last graph version at which node was still the caller's
+	// node; a newer graph costs one node lookup to revalidate.
+	version atomic.Uint64
+	ctxs    []atomic.Pointer[Context]
+}
+
+// ownedChild resolves a callee through the caller's child table. Unknown
+// contexts fail with ErrUnknownContext, known ones the caller does not
+// directly own with ErrNotOwned.
+func (r *Runtime) ownedChild(parent *Context, child ownership.ID) (*Context, error) {
+	view := r.graph.Snapshot()
+	t := parent.kids.Load()
+	if t == nil || t.version.Load() != view.Version() {
+		// COW: the caller's node pointer is unchanged iff its child set is.
+		if node := view.Node(parent.id); t == nil || t.node != node {
+			t = &childTable{node: node, ctxs: make([]atomic.Pointer[Context], node.NumChildren())}
+			parent.kids.Store(t)
+		}
+		t.version.Store(view.Version())
+	}
+	i := t.node.ChildIndex(child)
+	if i >= 0 {
+		if cc := t.ctxs[i].Load(); cc != nil {
+			return cc, nil
+		}
+	}
+	cc, err := r.Context(child)
+	if err != nil {
+		return nil, err
+	}
+	if i < 0 {
+		// § 3: access to a context is only granted to the contexts that
+		// directly own it.
+		return nil, fmt.Errorf("%v → %v: %w", parent.id, child, ErrNotOwned)
+	}
+	t.ctxs[i].Store(cc)
+	return cc, nil
 }
 
 // ID returns the context's ID.
@@ -53,10 +103,6 @@ func (c *Context) SetState(s any) {
 	defer c.stateMu.Unlock()
 	c.state = s
 }
-
-// Version returns the exclusive-execution counter (used by the
-// serializability test oracle).
-func (c *Context) Version() uint64 { return c.version.Load() }
 
 // Sized lets application state declare its serialized size so migration
 // transfer costs are charged realistically (e.g. the paper's 1 MB Room

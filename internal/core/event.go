@@ -2,33 +2,49 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"aeon/internal/ownership"
 )
 
+// inlineFrames is the handler nesting depth an event serves from its own
+// frame array before falling back to the heap.
+const inlineFrames = 8
+
 // event is one in-flight AEON event (Algorithm 1's Event plus the runtime
-// bookkeeping: held contexts in acquisition order, outstanding asynchronous
-// calls, and sub-events dispatched within the event).
+// bookkeeping: held contexts in acquisition order, handler frames,
+// outstanding asynchronous calls, and sub-events dispatched within it).
 type event struct {
 	id     uint64
 	mode   AccessMode
 	target ownership.ID
 	method string
-	dom    ownership.ID
 
-	mu       sync.Mutex
-	held     []heldEntry // acquisition order
-	heldBuf  [4]heldEntry
-	subs     []subEvent
-	finished bool
+	// forked is set by the event's first Async or Crab, before the goroutine
+	// it starts. Until then the event runs on one goroutine and touches held
+	// and subs without mu; from then on every access takes it (lock). The
+	// flag is written once, while the event is still single-goroutine, and
+	// every later reader was started after that write.
+	forked bool
+	mu     sync.Mutex
+	held   []heldEntry // acquisition order; capacity survives the pool
+	subs   []subEvent
+	// crabs counts the contexts this event has crabbed; events that never
+	// crab skip the crab bookkeeping on every call and handler return.
+	crabs atomic.Int32
+
+	// frames is the handler call stack of the event's first goroutine: Sync
+	// calls nest, so a frame is free again when its handler returns. Only
+	// that goroutine touches it; a forked event's branches take heap frames.
+	frames  [inlineFrames]callEnv
+	nframes int
 
 	asyncWG sync.WaitGroup
 }
 
 // heldEntry records one context hold inline in the event (no per-hold heap
 // allocation; lookups are linear scans — events hold a handful of contexts).
-// Pointers into e.held are only ever used under e.mu and never retained
-// across an append.
+// Pointers into e.held are never retained across an append.
 type heldEntry struct {
 	ctx      *Context
 	released bool // crab-released early
@@ -54,23 +70,62 @@ func newEvent(id uint64, mode AccessMode, target ownership.ID, method string) *e
 	e.mode = mode
 	e.target = target
 	e.method = method
-	e.dom = ownership.None
-	e.finished = false
-	e.held = e.heldBuf[:0]
+	e.forked = false
+	e.crabs.Store(0)
+	e.nframes = 0
 	return e
 }
 
 // putEvent returns a finished event to the pool. The caller must guarantee
 // no goroutine still references it (all async calls joined, subs taken).
 func putEvent(e *event) {
-	clear(e.heldBuf[:]) // drop *Context references so contexts can be GC'd
-	e.held = nil
+	clear(e.held) // drop *Context references so contexts can be GC'd
+	e.held = e.held[:0]
 	e.subs = nil
 	eventPool.Put(e)
 }
 
-// find returns the hold entry for a context, or nil. Caller holds e.mu; the
-// pointer must not be kept across any mutation of e.held.
+// lock and unlock guard held and subs once the event has forked.
+func (e *event) lock() {
+	if e.forked {
+		e.mu.Lock()
+	}
+}
+
+func (e *event) unlock() {
+	if e.forked {
+		e.mu.Unlock()
+	}
+}
+
+// fork marks the event concurrent, before an Async or Crab goroutine starts.
+func (e *event) fork() {
+	if !e.forked {
+		e.forked = true
+	}
+}
+
+// pushFrame returns the frame one handler invocation executes in.
+func (e *event) pushFrame() *callEnv {
+	if e.forked || e.nframes == len(e.frames) {
+		return new(callEnv)
+	}
+	f := &e.frames[e.nframes]
+	e.nframes++
+	f.inline = true
+	return f
+}
+
+// popFrame retires a frame when its handler has returned.
+func (e *event) popFrame(f *callEnv) {
+	if f.inline {
+		*f = callEnv{}
+		e.nframes--
+	}
+}
+
+// find returns the hold entry for a context, or nil. Caller holds the event
+// lock; the pointer must not be kept across any mutation of e.held.
 func (e *event) find(id ownership.ID) *heldEntry {
 	for i := range e.held {
 		if e.held[i].ctx.id == id {
@@ -83,43 +138,48 @@ func (e *event) find(id ownership.ID) *heldEntry {
 // holds reports whether the event currently holds the context (and has not
 // crab-released it).
 func (e *event) holds(id ownership.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	h := e.find(id)
 	return h != nil && !h.released
 }
 
-// crabbed reports whether the event crab-released the context.
+// crabbedCtx reports whether the event crab-released the context.
 func (e *event) crabbedCtx(id ownership.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	if e.crabs.Load() == 0 {
+		return false
+	}
+	e.lock()
+	defer e.unlock()
 	h := e.find(id)
 	return h != nil && h.crabbed
 }
 
 // recordHold registers a newly acquired context. It returns false when the
-// context was already recorded (a same-event race between two async calls;
-// the duplicate acquisition was re-entrant and cost nothing).
+// context was already recorded, which only a forked event can see (a race
+// between two async branches on a common child).
 func (e *event) recordHold(c *Context) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.find(c.id) != nil {
+	e.lock()
+	if e.forked && e.find(c.id) != nil {
+		e.unlock()
 		return false
 	}
 	e.held = append(e.held, heldEntry{ctx: c})
+	e.unlock()
 	return true
 }
 
 // markCrab flags the context as crabbed: no further calls may route through
 // it, and its activation is dropped as soon as its current handler returns.
 func (e *event) markCrab(id ownership.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	h := e.find(id)
 	if h == nil || h.crabbed {
 		return false
 	}
 	h.crabbed = true
+	e.crabs.Add(1)
 	return true
 }
 
@@ -127,8 +187,11 @@ func (e *event) markCrab(id ownership.ID) bool {
 // context: it reports true exactly once, after Crab was called and before
 // event termination.
 func (e *event) markCrabReleasable(id ownership.ID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	if e.crabs.Load() == 0 {
+		return false
+	}
+	e.lock()
+	defer e.unlock()
 	h := e.find(id)
 	if h == nil || !h.crabbed || h.released {
 		return false
@@ -139,41 +202,21 @@ func (e *event) markCrabReleasable(id ownership.ID) bool {
 
 // releaseAll releases every still-held context in reverse acquisition order
 // (§ 4: "locks on the contexts accessed during an event are released in the
-// reverse order on which they are locked").
+// reverse order on which they are locked"), in place: every branch is joined.
 func (e *event) releaseAll() {
-	e.mu.Lock()
-	var buf [8]*Context
-	rel := buf[:0]
 	for i := len(e.held) - 1; i >= 0; i-- {
-		h := &e.held[i]
-		if h.released {
-			continue
+		if h := &e.held[i]; !h.released {
+			h.released = true
+			h.ctx.lock.release(e.id)
 		}
-		h.released = true
-		rel = append(rel, h.ctx)
-	}
-	e.finished = true
-	e.mu.Unlock()
-
-	for _, c := range rel {
-		c.lock.release(e.id)
 	}
 }
 
 // addSub queues a sub-event for dispatch after completion.
 func (e *event) addSub(target ownership.ID, method string, args []any) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.lock()
+	defer e.unlock()
 	e.subs = append(e.subs, subEvent{target: target, method: method, args: args})
-}
-
-// takeSubs returns and clears the queued sub-events.
-func (e *event) takeSubs() []subEvent {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	subs := e.subs
-	e.subs = nil
-	return subs
 }
 
 // Future is the client-side handle of an asynchronous event submission.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -31,11 +32,14 @@ func (m AccessMode) String() string {
 // and no exclusive holder is active, or if the activated set is empty;
 // otherwise it waits. FIFO admission gives starvation freedom — a writer is
 // never overtaken by later readers.
+//
+// The activated set is either one exclusive holder or a set of readonly
+// holders, and is stored as exactly that; event IDs start at 1.
 type eventLock struct {
-	mu      sync.Mutex
-	holders map[uint64]AccessMode
-	exCount int
-	queue   []*waiter
+	mu    sync.Mutex
+	ex    uint64   // exclusive holder, 0 when none
+	ro    []uint64 // readonly holders, no duplicates; keeps its capacity
+	queue []*waiter
 }
 
 type waiter struct {
@@ -48,8 +52,21 @@ type waiter struct {
 	cancelled bool
 }
 
-func newEventLock() *eventLock {
-	return &eventLock{holders: make(map[uint64]AccessMode)}
+func newEventLock() *eventLock { return new(eventLock) }
+
+// admissible is Algorithm 2's dispatchEvent rule: readonly joins readonly
+// holders, anything enters an empty activated set.
+func (l *eventLock) admissible(mode AccessMode) bool {
+	return l.ex == 0 && (mode == RO || len(l.ro) == 0)
+}
+
+// admit adds the event to the activated set; caller checked admissible.
+func (l *eventLock) admit(eventID uint64, mode AccessMode) {
+	if mode == EX {
+		l.ex = eventID
+	} else if !slices.Contains(l.ro, eventID) {
+		l.ro = append(l.ro, eventID)
+	}
 }
 
 // enqueue joins the activation queue without blocking. The queue position
@@ -64,18 +81,15 @@ func newEventLock() *eventLock {
 func (l *eventLock) enqueue(eventID uint64, mode AccessMode) (*waiter, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.holders[eventID]; ok {
+	if l.ex == eventID || slices.Contains(l.ro, eventID) {
 		return nil, false
 	}
 	// Fast path: nobody queued ahead and the admission rule of pump() holds
 	// right now — admit without allocating a waiter and its channel. This
 	// is the common case for events on disjoint subtrees and keeps the
 	// per-event hot path allocation-free here.
-	if len(l.queue) == 0 && ((mode == RO && l.exCount == 0) || len(l.holders) == 0) {
-		l.holders[eventID] = mode
-		if mode == EX {
-			l.exCount++
-		}
+	if len(l.queue) == 0 && l.admissible(mode) {
+		l.admit(eventID, mode)
 		return nil, true
 	}
 	w := &waiter{eventID: eventID, mode: mode, ready: make(chan struct{})}
@@ -113,7 +127,7 @@ func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Durati
 		l.mu.Lock()
 		for i, qw := range l.queue {
 			if qw == w {
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
+				l.dequeue(i)
 				l.mu.Unlock()
 				return false, ErrAcquireTimeout
 			}
@@ -131,17 +145,18 @@ func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Durati
 // waiters.
 func (l *eventLock) release(eventID uint64) {
 	l.mu.Lock()
-	mode, ok := l.holders[eventID]
-	if ok {
-		delete(l.holders, eventID)
-		if mode == EX {
-			l.exCount--
-		}
+	if l.ex == eventID {
+		l.ex = 0
+		l.pump()
+	} else if i := slices.Index(l.ro, eventID); i >= 0 {
+		last := len(l.ro) - 1
+		l.ro[i] = l.ro[last]
+		l.ro = l.ro[:last]
 		l.pump()
 	} else {
 		for i, w := range l.queue {
 			if w.eventID == eventID {
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
+				l.dequeue(i)
 				w.cancelled = true
 				close(w.ready)
 				l.pump()
@@ -150,6 +165,16 @@ func (l *eventLock) release(eventID uint64) {
 		}
 	}
 	l.mu.Unlock()
+}
+
+// dequeue removes queue[i], keeping FIFO order. The vacated tail slot is
+// cleared so the backing array (which a hot context never reallocates) does
+// not keep the waiter and its channel reachable; caller holds l.mu.
+func (l *eventLock) dequeue(i int) {
+	last := len(l.queue) - 1
+	copy(l.queue[i:], l.queue[i+1:])
+	l.queue[last] = nil
+	l.queue = l.queue[:last]
 }
 
 // waitAdmitted blocks until the waiter is admitted; it returns false when
@@ -161,35 +186,11 @@ func (l *eventLock) waitAdmitted(w *waiter) bool {
 
 // pump admits queue heads per Algorithm 2; caller holds l.mu.
 func (l *eventLock) pump() {
-	for len(l.queue) > 0 {
+	for len(l.queue) > 0 && l.admissible(l.queue[0].mode) {
 		head := l.queue[0]
-		switch {
-		case head.mode == RO && l.exCount == 0:
-			// Readonly joins other readonly holders.
-		case len(l.holders) == 0:
-			// Exclusive (or first) activation requires an empty set.
-		default:
-			return
-		}
-		l.holders[head.eventID] = head.mode
-		if head.mode == EX {
-			l.exCount++
-		}
+		l.admit(head.eventID, head.mode)
+		l.queue[0] = nil // see dequeue
 		l.queue = l.queue[1:]
 		close(head.ready)
 	}
-}
-
-// holderCount reports how many events currently hold the context.
-func (l *eventLock) holderCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.holders)
-}
-
-// queueLen reports how many events are waiting for activation.
-func (l *eventLock) queueLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue)
 }

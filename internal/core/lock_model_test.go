@@ -81,16 +81,25 @@ func (m *lockModel) holderSet() map[uint64]AccessMode {
 func implHolderSet(l *eventLock) map[uint64]AccessMode {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[uint64]AccessMode, len(l.holders))
-	for k, v := range l.holders {
-		out[k] = v
+	out := make(map[uint64]AccessMode, len(l.ro)+1)
+	if l.ex != 0 {
+		out[l.ex] = EX
+	}
+	for _, id := range l.ro {
+		if _, dup := out[id]; dup {
+			panic("eventLock: duplicate holder")
+		}
+		out[id] = RO
 	}
 	return out
 }
 
 // TestLockMatchesModel drives the real eventLock and the reference model
 // with identical random operation sequences (single-threaded, using the
-// non-blocking enqueue) and compares holder sets after every step.
+// non-blocking enqueue) and compares holder sets after every step. The mix
+// covers RO and EX arrivals, releases of holders and of queued waiters, and
+// re-entrant acquires by current holders (which must change nothing and
+// report neither a waiter nor a fresh admission).
 func TestLockMatchesModel(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -100,7 +109,21 @@ func TestLockMatchesModel(t *testing.T) {
 		nextID := uint64(1)
 
 		for s := 0; s < int(steps%120)+20; s++ {
-			if len(live) == 0 || rng.Intn(100) < 55 {
+			if holders := implHolderSet(impl); len(holders) > 0 && rng.Intn(100) < 15 {
+				// re-entrant acquire by a current holder (the oldest, so the
+				// schedule depends on the seed alone), in either mode
+				var id uint64
+				for h := range holders {
+					if id == 0 || h < id {
+						id = h
+					}
+				}
+				mode := RO + AccessMode(rng.Intn(2))
+				if w, admitted := impl.enqueue(id, mode); w != nil || admitted {
+					return false
+				}
+				model.enqueue(id, mode)
+			} else if len(live) == 0 || rng.Intn(100) < 55 {
 				// enqueue a new event
 				id := nextID
 				nextID++

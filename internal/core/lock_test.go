@@ -218,3 +218,20 @@ func TestLockConcurrentStress(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// holderCount reports how many events currently hold the context.
+func (l *eventLock) holderCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ex != 0 {
+		return 1
+	}
+	return len(l.ro)
+}
+
+// queueLen reports how many events are waiting for activation.
+func (l *eventLock) queueLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.queue)
+}

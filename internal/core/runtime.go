@@ -156,11 +156,6 @@ func (r *Runtime) SetRemote(isLocal func(cluster.ServerID) bool, forward Forward
 	r.forward = forward
 }
 
-// hostIsLocal reports whether this process embodies the given server.
-func (r *Runtime) hostIsLocal(srv cluster.ServerID) bool {
-	return r.isLocal == nil || r.isLocal(srv)
-}
-
 // Graph returns the ownership network.
 func (r *Runtime) Graph() *ownership.Graph { return r.graph }
 
@@ -282,7 +277,15 @@ func (r *Runtime) DestroyContext(id ownership.ID) error {
 // Submit runs an event to completion and returns its result (the paper's
 // `event x.m(args)` decorated call, § 3).
 func (r *Runtime) Submit(target ownership.ID, method string, args ...any) (any, error) {
-	return r.run(target, method, args)
+	res, _, err := r.runWith(target, method, args, false)
+	return res, err
+}
+
+// SubmitRouted is Submit that also reports the server hosting the event's
+// sequencing point as seen once the event was admitted (or the server it was
+// forwarded to; zero if it failed before routing), for senders' route repair.
+func (r *Runtime) SubmitRouted(target ownership.ID, method string, args ...any) (any, cluster.ServerID, error) {
+	return r.runWith(target, method, args, false)
 }
 
 // SubmitAsync runs an event on the executor pool of the server hosting the
@@ -299,7 +302,7 @@ func (r *Runtime) SubmitAsync(target ownership.ID, method string, args ...any) *
 	r.subWG.Add(1)
 	err := r.exec.trySubmit(r.execServer(target), func() {
 		defer r.subWG.Done()
-		f.complete(r.run(target, method, args))
+		f.complete(r.Submit(target, method, args...))
 	})
 	if err != nil {
 		r.subWG.Done()
@@ -321,15 +324,11 @@ func (r *Runtime) execServer(target ownership.ID) cluster.ServerID {
 	return 0
 }
 
-func (r *Runtime) run(target ownership.ID, method string, args []any) (any, error) {
-	return r.runWith(target, method, args, false)
-}
-
 // runWith executes one event; asSub marks sub-events launched before Close,
 // which must run to completion even while the runtime is draining.
-func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub bool) (any, error) {
+func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub bool) (any, cluster.ServerID, error) {
 	if r.closed.Load() && !asSub {
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	start := time.Now()
 
@@ -341,11 +340,11 @@ func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub 
 		tc, err = r.Context(target)
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	m := tc.class.Method(method)
 	if m == nil {
-		return nil, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
+		return nil, 0, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
 	}
 	mode := EX
 	if m.ReadOnly {
@@ -353,60 +352,62 @@ func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub 
 	}
 	ev := newEvent(r.eventSeq.Add(1), mode, target, method)
 
-	res, err := r.executeEvent(ev, tc, m, args)
+	res, host, err := r.executeEvent(ev, tc, m, args)
 
 	r.recordLatency(ev.id, time.Since(start))
 	r.Completed.IncAt(ev.id)
 	r.launchSubs(ev)
-	// executeEvent joined every async call and takeSubs drained the subs, so
+	// executeEvent joined every async call and the subs are launched, so
 	// nothing references the event anymore: recycle it.
 	putEvent(ev)
-	return res, err
+	return res, host, err
 }
 
 // executeEvent drives Algorithm 2 for one event: dominator activation, path
-// activation down to the target, execution, then release of everything.
-func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []any) (any, error) {
+// activation down to the target, execution, then release of everything. It
+// also returns the server hosting the dominator.
+func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []any) (any, cluster.ServerID, error) {
 	// Resolve the dominator (getDom, Algorithm 2 line 3) together with one
 	// consistent ownership snapshot; the activation path below is computed
 	// against the same snapshot, so the admission sequence never mixes two
 	// versions of the network.
 	dom, view, err := r.graph.Resolve(ev.target)
 	if err != nil {
-		return nil, fmt.Errorf("dominator of %v: %w", ev.target, err)
+		return nil, 0, fmt.Errorf("dominator of %v: %w", ev.target, err)
 	}
-	ev.dom = dom
-
+	// Materialize the dominator's runtime entry first: virtual sequencer
+	// contexts are created lazily and need placement before routing.
+	domCtx := tc
+	if dom != ev.target {
+		if domCtx, err = r.Context(dom); err != nil {
+			return nil, 0, err
+		}
+	}
+	// One directory read serves the locality decision and the ACT hop.
+	host, via, forwarded, ok := r.dir.Route(dom)
+	if !ok {
+		return nil, 0, fmt.Errorf("%v: %w", dom, ErrUnknownContext)
+	}
 	// Multi-process mode: events execute on the process embodying the server
 	// that hosts their sequencing point. When that is another node, delegate
 	// the whole event there instead of running it against this process's
 	// non-authoritative state replica.
-	if r.isLocal != nil {
-		if host, ok := r.dir.Locate(dom); ok && !r.isLocal(host) {
-			if r.forward == nil {
-				return nil, fmt.Errorf("%v on %v: %w", dom, host, ErrNotLocal)
-			}
-			return r.forward(host, ev.target, ev.method, args)
-		}
+	if r.isLocal != nil && !r.isLocal(host) {
+		return r.forwardTo(host, ev, args)
 	}
 
 	// Make sure everything is released even on error paths; releaseAll is
 	// idempotent per held context.
 	defer ev.releaseAll()
 
-	// Materialize the dominator's runtime entry first: virtual sequencer
-	// contexts are created lazily and need placement before routing.
-	domCtx, err := r.Context(dom)
-	if err != nil {
-		return nil, err
-	}
 	// Client request travels to the dominator's host (ACT message).
-	domSrv, err := r.routeHop(ClientNode, dom, r.cfg.ChargeClientHops)
-	if err != nil {
-		return nil, err
+	if r.cfg.ChargeClientHops {
+		if err := r.chargeHop(ClientNode, host, via, forwarded); err != nil {
+			return nil, host, err
+		}
 	}
 	if err := r.acquireCtx(ev, domCtx); err != nil {
-		return nil, err
+		return nil, host, err
 	}
 	// Re-check locality now that admission succeeded: an event that queued
 	// behind a migration's stop window wakes up *after* the group moved, and
@@ -414,39 +415,19 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []
 	// was remapped before the stop released (RehostBatch under the group
 	// lock), so this read is guaranteed to see the move.
 	if r.isLocal != nil {
-		if host, ok := r.dir.Locate(dom); ok && !r.isLocal(host) {
-			ev.releaseAll()
-			if r.forward == nil {
-				return nil, fmt.Errorf("%v on %v: %w", dom, host, ErrNotLocal)
-			}
-			return r.forward(host, ev.target, ev.method, args)
-		}
-	}
-
-	// Path activation dominator → target, top-down (activatePath).
-	if dom != ev.target {
-		path, err := view.Path(dom, ev.target)
-		if err != nil {
-			return nil, fmt.Errorf("activate path %v→%v: %w", dom, ev.target, err)
-		}
-		cur := domSrv
-		for _, cid := range path[1:] {
-			next, err := r.routeHop(cur, cid, true)
-			if err != nil {
-				return nil, err
-			}
-			cur = next
-			cctx, err := r.Context(cid)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.acquireCtx(ev, cctx); err != nil {
-				return nil, err
+		if cur, ok := r.dir.Locate(dom); ok && cur != host {
+			if host = cur; !r.isLocal(host) {
+				ev.releaseAll()
+				return r.forwardTo(host, ev, args)
 			}
 		}
 	}
 
-	res, err := r.invoke(ev, tc, m, args)
+	cur, err := r.activatePath(ev, view, dom, tc, host, true)
+	if err != nil {
+		return nil, host, err
+	}
+	res, err := r.invoke(ev, tc, m, cur, args)
 	// The event terminates only when all its asynchronous calls have; all
 	// activations release at termination, *before* the reply travels back
 	// (the deferred releaseAll above is an idempotent safety net for error
@@ -456,11 +437,47 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []
 
 	// Reply to the client from the target's host.
 	if r.cfg.ChargeClientHops {
-		if srv, ok := r.dir.Locate(ev.target); ok {
-			_ = r.cluster.Net().Hop(srv, ClientNode, r.cfg.MessageBytes)
+		_ = r.cluster.Net().Hop(cur, ClientNode, r.cfg.MessageBytes)
+	}
+	return res, host, err
+}
+
+// activatePath escorts ev from its activated dominator (on server from) down
+// to its target tc, top-down along the snapshot's ownership path (Algorithm
+// 2, activatePath), charging each EXEC hop when charge is set. It returns
+// the target's host.
+func (r *Runtime) activatePath(ev *event, view *ownership.Snapshot, dom ownership.ID, tc *Context, from cluster.ServerID, charge bool) (cluster.ServerID, error) {
+	if dom == tc.id {
+		return from, nil
+	}
+	path, err := view.Path(dom, tc.id)
+	if err != nil {
+		return 0, fmt.Errorf("activate path %v→%v: %w", dom, tc.id, err)
+	}
+	for _, cid := range path[1:] {
+		if from, err = r.routeHop(from, cid, charge); err != nil {
+			return 0, err
+		}
+		c := tc
+		if cid != tc.id {
+			if c, err = r.Context(cid); err != nil {
+				return 0, err
+			}
+		}
+		if err := r.acquireCtx(ev, c); err != nil {
+			return 0, err
 		}
 	}
-	return res, err
+	return from, nil
+}
+
+// forwardTo delegates an event whose sequencing point another node hosts.
+func (r *Runtime) forwardTo(host cluster.ServerID, ev *event, args []any) (any, cluster.ServerID, error) {
+	if r.forward == nil {
+		return nil, host, fmt.Errorf("%v on %v: %w", ev.target, host, ErrNotLocal)
+	}
+	res, err := r.forward(host, ev.target, ev.method, args)
+	return res, host, err
 }
 
 // routeHop charges the network hop from `from` to the host of context id,
@@ -474,22 +491,23 @@ func (r *Runtime) routeHop(from transport.NodeID, id ownership.ID, charge bool) 
 	if !charge {
 		return host, nil
 	}
+	return host, r.chargeHop(from, host, via, forwarded)
+}
+
+// chargeHop charges one routed message: from → host, or from → via → host
+// when a stale cache still points at the context's previous server.
+func (r *Runtime) chargeHop(from transport.NodeID, host, via cluster.ServerID, forwarded bool) error {
 	net := r.cluster.Net()
 	if forwarded && via != host {
 		if err := net.Hop(from, via, r.cfg.MessageBytes); err != nil {
-			return 0, err
+			return err
 		}
-		if err := net.Hop(via, host, r.cfg.MessageBytes); err != nil {
-			return 0, err
-		}
-		return host, nil
+		return net.Hop(via, host, r.cfg.MessageBytes)
 	}
 	if from != host {
-		if err := net.Hop(from, host, r.cfg.MessageBytes); err != nil {
-			return 0, err
-		}
+		return net.Hop(from, host, r.cfg.MessageBytes)
 	}
-	return host, nil
+	return nil
 }
 
 // acquireCtx activates a context for an event (enqueue + wait, per
@@ -499,18 +517,16 @@ func (r *Runtime) acquireCtx(ev *event, c *Context) error {
 	if err != nil {
 		return fmt.Errorf("activate %v for event %d: %w", c.id, ev.id, err)
 	}
-	if first {
-		if !ev.recordHold(c) {
-			// A concurrent same-event acquisition recorded it already;
-			// drop the duplicate hold.
-			c.lock.release(ev.id)
-		}
+	if first && !ev.recordHold(c) {
+		// A concurrent same-event acquisition recorded it already; drop the
+		// duplicate hold.
+		c.lock.release(ev.id)
 	}
 	return nil
 }
 
-// invoke runs one method call on a context the event has activated.
-func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, args []any) (any, error) {
+// invoke runs one method call on a context the event has activated on host.
+func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, host cluster.ServerID, args []any) (any, error) {
 	if ev.mode == RO && !m.ReadOnly {
 		return nil, fmt.Errorf("%s.%s in event %d: %w", c.class.Name(), m.Name, ev.id, ErrReadOnlyEvent)
 	}
@@ -519,19 +535,21 @@ func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, args []any) (a
 	}
 	// Simulated CPU burns on the hosting server.
 	if m.Cost > 0 {
-		if srv, ok := r.dir.Locate(c.id); ok {
-			if server, sok := r.cluster.Server(srv); sok {
-				server.Work(m.Cost)
-			}
+		if server, ok := r.cluster.Server(host); ok {
+			server.Work(m.Cost)
 		}
 	}
-	if !m.ReadOnly {
+	// Two handlers can only meet on one context inside a forked event, and
+	// only on contexts invoked after the fork: the frames already on the
+	// stack own the forking context, so by acyclicity no branch reaches them.
+	if ev.forked && !m.ReadOnly {
 		c.runMu.Lock()
 		defer c.runMu.Unlock()
-		c.version.Add(1)
 	}
-	env := &callEnv{rt: r, ev: ev, ctx: c, method: m}
+	env := ev.pushFrame()
+	env.rt, env.ev, env.ctx, env.method, env.host = r, ev, c, m, host
 	res, err := m.Handler(env, args)
+	ev.popFrame(env)
 	// Crab: release this context as soon as its handler returns (§ 6.1.2),
 	// letting the next event enter while our asynchronous tail call runs
 	// below the crabbed child.
@@ -547,12 +565,11 @@ func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, args []any) (a
 // full the sub-event runs inline on this goroutine instead — dispatched
 // work is never dropped, and the producer pays the cost (backpressure).
 func (r *Runtime) launchSubs(ev *event) {
-	for _, sub := range ev.takeSubs() {
-		s := sub
+	for _, s := range ev.subs {
 		r.subWG.Add(1)
 		task := func() {
 			defer r.subWG.Done()
-			if _, err := r.runWith(s.target, s.method, s.args, true); err != nil {
+			if _, _, err := r.runWith(s.target, s.method, s.args, true); err != nil {
 				r.SubEventErrors.Inc()
 			}
 		}
@@ -604,19 +621,12 @@ func (r *Runtime) LockForMigrationTimeout(id ownership.ID, timeout time.Duration
 	if err != nil {
 		return nil, err
 	}
-	c.migrating.Store(true)
-	ev := newEvent(r.eventSeq.Add(1), EX, id, "__migrate__")
-	if _, err := c.lock.acquire(ev.id, EX, timeout); err != nil {
-		c.migrating.Store(false)
+	eventID := r.eventSeq.Add(1) // the migratec pseudo-event
+	if _, err := c.lock.acquire(eventID, EX, timeout); err != nil {
 		return nil, err
 	}
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.migrating.Store(false)
-			c.lock.release(ev.id)
-		})
-	}, nil
+	return func() { once.Do(func() { c.lock.release(eventID) }) }, nil
 }
 
 // LockGroupForMigration exclusively activates every context of a migration

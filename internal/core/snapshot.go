@@ -21,6 +21,10 @@ func (r *Runtime) WithSubtreeShared(root ownership.ID, fn func(ids []ownership.I
 	ev := newEvent(r.eventSeq.Add(1), RO, root, "__snapshot__")
 	defer ev.releaseAll()
 
+	rootCtx, err := r.Context(root)
+	if err != nil {
+		return err
+	}
 	// One consistent ownership snapshot drives the whole acquisition: the
 	// dominator, the activation path, and the subtree walk all observe the
 	// same version of the network.
@@ -28,27 +32,17 @@ func (r *Runtime) WithSubtreeShared(root ownership.ID, fn func(ids []ownership.I
 	if err != nil {
 		return fmt.Errorf("dominator of %v: %w", root, err)
 	}
-	domCtx, err := r.Context(dom)
-	if err != nil {
-		return err
+	domCtx := rootCtx
+	if dom != root {
+		if domCtx, err = r.Context(dom); err != nil {
+			return err
+		}
 	}
 	if err := r.acquireCtx(ev, domCtx); err != nil {
 		return err
 	}
-	if dom != root {
-		path, err := view.Path(dom, root)
-		if err != nil {
-			return err
-		}
-		for _, cid := range path[1:] {
-			c, err := r.Context(cid)
-			if err != nil {
-				return err
-			}
-			if err := r.acquireCtx(ev, c); err != nil {
-				return err
-			}
-		}
+	if _, err := r.activatePath(ev, view, dom, rootCtx, 0, false); err != nil {
+		return err
 	}
 
 	// Breadth-first top-down over the subtree.

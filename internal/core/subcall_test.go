@@ -1,0 +1,402 @@
+package core
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"aeon/internal/cluster"
+	"aeon/internal/ownership"
+	"aeon/internal/schema"
+	"aeon/internal/transport"
+)
+
+// hubState lists the leaves a Hub fans out to; leafState counts touches.
+type hubState struct{ leaves []ownership.ID }
+type leafState struct{ n int }
+
+// fanSchema declares the sub-call fixture. Hub.fan and Leaf.touch allocate
+// nothing themselves — fan forwards the args slice it was given and both
+// return nil — so whatever a Submit of them allocates is the runtime's own.
+func fanSchema(t testing.TB) *schema.Schema {
+	t.Helper()
+	s := schema.New()
+	hub := s.MustDeclareClass("Hub", func() any { return &hubState{} })
+	leaf := s.MustDeclareClass("Leaf", func() any { return &leafState{} })
+	link := s.MustDeclareClass("Link", nil)
+	leaf.MustDeclareMethod("touch", func(call schema.Call, _ []any) (any, error) {
+		call.State().(*leafState).n++
+		return nil, nil
+	})
+	leaf.MustDeclareMethod("peek", func(schema.Call, []any) (any, error) { return nil, nil }, schema.RO())
+	leaf.MustDeclareMethod("count", func(call schema.Call, _ []any) (any, error) {
+		return call.State().(*leafState).n, nil
+	}, schema.RO())
+	hub.MustDeclareMethod("fan", func(call schema.Call, args []any) (any, error) {
+		for _, l := range call.State().(*hubState).leaves {
+			if _, err := call.Sync(l, "touch", args...); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}, schema.MayCall("Leaf", "touch"))
+	// spawn creates a leaf under the hub and calls it within the same event.
+	hub.MustDeclareMethod("spawn", func(call schema.Call, _ []any) (any, error) {
+		id, err := call.NewContext("Leaf", call.Self())
+		if err != nil {
+			return nil, err
+		}
+		_, err = call.Sync(id, "touch")
+		return id, err
+	}, schema.MayCall("Leaf", "touch"))
+	// poke calls the first leaf without having declared access to Leaf.
+	hub.MustDeclareMethod("poke", func(call schema.Call, _ []any) (any, error) {
+		return call.Sync(call.State().(*hubState).leaves[0], "touch")
+	})
+	// burst races args[0] asynchronous branches on the hub's first leaf.
+	hub.MustDeclareMethod("burst", func(call schema.Call, args []any) (any, error) {
+		l := call.State().(*hubState).leaves[0]
+		rs := make([]schema.AsyncResult, args[0].(int))
+		for i := range rs {
+			rs[i] = call.Async(l, "touch")
+		}
+		for _, r := range rs {
+			if _, err := r.Wait(); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}, schema.MayCall("Leaf", "touch"))
+	// down recurses along a chain of Links and reports its depth.
+	link.MustDeclareMethod("down", func(call schema.Call, _ []any) (any, error) {
+		kids, err := call.Children("Link")
+		if err != nil || len(kids) == 0 {
+			return 1, err
+		}
+		d, err := call.Sync(kids[0], "down")
+		if err != nil {
+			return nil, err
+		}
+		return d.(int) + 1, nil
+	})
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// fanWorld is nHubs Hubs that all own the same nLeaves Leaves: with one hub
+// it is its own dominator, with several every event is sequenced at their
+// virtual join and escorted down the memoised activation path.
+type fanWorld struct {
+	rt     *Runtime
+	hubs   []ownership.ID
+	leaves []ownership.ID
+}
+
+func newFanWorld(t testing.TB, nHubs, nLeaves int, net transport.Network, nServers int) *fanWorld {
+	t.Helper()
+	cl := cluster.New(net)
+	for i := 0; i < nServers; i++ {
+		cl.AddServer(cluster.M3Large)
+	}
+	rt, err := New(fanSchema(t), ownership.NewGraph(), cl, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	w := &fanWorld{rt: rt}
+	first := cl.Servers()[0].ID()
+	for i := 0; i < nHubs; i++ {
+		h, err := rt.CreateContextOn(first, "Hub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.hubs = append(w.hubs, h)
+	}
+	for i := 0; i < nLeaves; i++ {
+		l, err := rt.CreateContextOn(first, "Leaf", w.hubs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.leaves = append(w.leaves, l)
+	}
+	for _, h := range w.hubs {
+		w.aim(t, h, w.leaves...)
+	}
+	return w
+}
+
+// aim points a hub's fan-out at the given leaves.
+func (w *fanWorld) aim(t testing.TB, hub ownership.ID, leaves ...ownership.ID) {
+	t.Helper()
+	c, err := w.rt.Context(hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetState(&hubState{leaves: leaves})
+}
+
+func (w *fanWorld) submit(t testing.TB, target ownership.ID, method string, args ...any) any {
+	t.Helper()
+	res, err := w.rt.Submit(target, method, args...)
+	if err != nil {
+		t.Fatalf("%v.%s: %v", target, method, err)
+	}
+	return res
+}
+
+// TestSubCallPathAllocatesNothing is the core allocation gate: on a warmed
+// runtime a fan-out event with 8 synchronous sub-calls — sequenced at its
+// own context, or at a virtual join with path activation — and a
+// single-context event make no allocation inside the runtime. (At the parent
+// commit the same events made 12–14 and 1.)
+func TestSubCallPathAllocatesNothing(t *testing.T) {
+	if poolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
+	}
+	args := []any{"msg"}
+	for _, tc := range []struct {
+		name  string
+		hubs  int
+		event func(w *fanWorld) (ownership.ID, string)
+	}{
+		{"fan-out, own dominator", 1, func(w *fanWorld) (ownership.ID, string) { return w.hubs[0], "fan" }},
+		{"fan-out, virtual-join dominator", 2, func(w *fanWorld) (ownership.ID, string) { return w.hubs[1], "fan" }},
+		{"single context, exclusive", 1, func(w *fanWorld) (ownership.ID, string) { return w.leaves[0], "touch" }},
+		{"single context below a join, readonly", 2, func(w *fanWorld) (ownership.ID, string) { return w.leaves[3], "peek" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newFanWorld(t, tc.hubs, 8, transport.NullNetwork{}, 1)
+			target, method := tc.event(w)
+			submit := func() {
+				if _, err := w.rt.Submit(target, method, args...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				submit() // warm: event pool, child table, dominator and path memo
+			}
+			if n := testing.AllocsPerRun(500, submit); n != 0 {
+				t.Fatalf("%s.%s: %v allocations per event inside the runtime; want 0", target, method, n)
+			}
+		})
+	}
+}
+
+// The child-table invalidation tests below share one shape: an event warms
+// the caller's table, the ownership network changes, and the next event must
+// see the change. Each fails if ownedChild trusts a table without comparing
+// its node to the caller's current one.
+
+func TestChildTableSeesRemovedEdge(t *testing.T) {
+	w := newFanWorld(t, 1, 8, transport.NullNetwork{}, 1)
+	w.submit(t, w.hubs[0], "fan")
+	if err := w.rt.Graph().RemoveEdge(w.hubs[0], w.leaves[3]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.rt.Submit(w.hubs[0], "fan"); !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("fan after RemoveEdge: err = %v; want ErrNotOwned", err)
+	}
+	w.aim(t, w.hubs[0], w.leaves[:3]...)
+	w.submit(t, w.hubs[0], "fan") // the remaining children are still callable
+}
+
+func TestChildTableSeesAddedEdge(t *testing.T) {
+	w := newFanWorld(t, 1, 2, transport.NullNetwork{}, 1)
+	other, err := w.rt.CreateContext("Hub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.aim(t, other, w.leaves[0])
+	if _, err := w.rt.Submit(other, "fan"); !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("fan into an unowned leaf: err = %v; want ErrNotOwned", err)
+	}
+	if err := w.rt.AddOwnerEdge(other, w.leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	w.submit(t, other, "fan")
+}
+
+// A destroyed child also loses its placement, so any call into it ends in
+// ErrUnknownContext once it is routed; what only the table can get wrong is
+// the order of the checks. Existence comes first: an undeclared access to a
+// live leaf is ErrAccessDenied, to a destroyed one ErrUnknownContext.
+func TestChildTableSeesDestroyedChild(t *testing.T) {
+	w := newFanWorld(t, 1, 4, transport.NullNetwork{}, 1)
+	w.submit(t, w.hubs[0], "fan")
+	if _, err := w.rt.Submit(w.hubs[0], "poke"); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("undeclared access to a live leaf: err = %v; want ErrAccessDenied", err)
+	}
+	if err := w.rt.DestroyContext(w.leaves[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []string{"poke", "fan"} {
+		if _, err := w.rt.Submit(w.hubs[0], method); !errors.Is(err, ErrUnknownContext) {
+			t.Fatalf("%s into a destroyed leaf: err = %v; want ErrUnknownContext", method, err)
+		}
+	}
+}
+
+func TestChildTableSeesContextCreatedInsideEvent(t *testing.T) {
+	w := newFanWorld(t, 1, 4, transport.NullNetwork{}, 1)
+	w.submit(t, w.hubs[0], "fan")
+	id := w.submit(t, w.hubs[0], "spawn").(ownership.ID)
+	if n := w.submit(t, id, "count"); n != 1 {
+		t.Fatalf("spawned leaf was touched %v times inside its creating event; want 1", n)
+	}
+	w.aim(t, w.hubs[0], append(w.leaves, id)...)
+	w.submit(t, w.hubs[0], "fan")
+}
+
+// hopLog is a latency-charging network that records every hop it charges.
+type hopLog struct {
+	*transport.SimNetwork
+	mu   sync.Mutex
+	hops [][2]transport.NodeID
+}
+
+func (h *hopLog) Hop(from, to transport.NodeID, bytes int) error {
+	h.mu.Lock()
+	h.hops = append(h.hops, [2]transport.NodeID{from, to})
+	h.mu.Unlock()
+	return h.SimNetwork.Hop(from, to, bytes)
+}
+
+// take returns and clears the hops charged so far.
+func (h *hopLog) take() [][2]transport.NodeID {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hops := h.hops
+	h.hops = nil
+	return hops
+}
+
+// TestSubCallHopCharging pins what a synchronous sub-call is charged on a
+// latency-charging network, the same at the parent commit: nothing when
+// callee and caller share a server, one EXEC hop across servers, and inside
+// the staleness window after the callee migrated the stale-cache detour —
+// caller's host → old host → new host — even though the caller's child table
+// was warm before the move (the table caches runtime entries, not placement).
+func TestSubCallHopCharging(t *testing.T) {
+	net := &hopLog{SimNetwork: transport.NewSim(transport.SimConfig{BaseLatency: time.Microsecond})}
+	w := newFanWorld(t, 1, 2, net, 2)
+	servers := w.rt.Cluster().Servers()
+	s1, s2 := servers[0].ID(), servers[1].ID()
+	hub, near, mover := w.hubs[0], w.leaves[0], w.leaves[1]
+	far, err := w.rt.CreateContextOn(s2, "Leaf", hub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := [][2]transport.NodeID{{ClientNode, s1}, {s1, ClientNode}} // ACT in, reply out
+	check := func(name string, leaf ownership.ID, exec ...[2]transport.NodeID) {
+		t.Helper()
+		w.aim(t, hub, leaf)
+		net.take()
+		w.submit(t, hub, "fan")
+		want := append(append([][2]transport.NodeID{client[0]}, exec...), client[1])
+		if got := net.take(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: hops charged = %v; want %v", name, got, want)
+		}
+	}
+	check("same server", near)
+	check("cross server", far, [2]transport.NodeID{s1, s2})
+	check("before the move", mover)
+	release, err := w.rt.LockForMigration(mover)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.rt.Rehost(mover, s2); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	check("inside the staleness window", mover, [2]transport.NodeID{s1, s1}, [2]transport.NodeID{s1, s2})
+}
+
+// TestEventOverflowsInlineCapacity drives an event past everything the
+// pooled event holds inline: 41 contexts held at once, handler frames nested
+// 12 deep (inlineFrames is 8), and 32 asynchronous branches racing on one
+// child. Everything must behave as it does within capacity, and every
+// activation must be released at termination.
+func TestEventOverflowsInlineCapacity(t *testing.T) {
+	w := newFanWorld(t, 1, 40, transport.NullNetwork{}, 1)
+	for round := 1; round <= 2; round++ { // the second round reuses the pooled event
+		w.submit(t, w.hubs[0], "fan")
+		for _, l := range w.leaves {
+			if n := w.submit(t, l, "count"); n != round {
+				t.Fatalf("round %d: leaf %v touched %v times", round, l, n)
+			}
+		}
+	}
+
+	const depth = inlineFrames + 4
+	chain := make([]ownership.ID, depth)
+	for i := range chain {
+		var owners []ownership.ID
+		if i > 0 {
+			owners = chain[i-1 : i]
+		}
+		id, err := w.rt.CreateContext("Link", owners...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain[i] = id
+	}
+	for round := 0; round < 2; round++ {
+		if d := w.submit(t, chain[0], "down"); d != depth {
+			t.Fatalf("nested call depth = %v; want %d", d, depth)
+		}
+	}
+
+	const branches = 32
+	before := w.submit(t, w.leaves[0], "count").(int)
+	w.submit(t, w.hubs[0], "burst", branches)
+	if n := w.submit(t, w.leaves[0], "count").(int); n != before+branches {
+		t.Fatalf("%d async branches on one child left %d touches; want %d", branches, n-before, branches)
+	}
+
+	for _, id := range append(append(chain, w.hubs...), w.leaves...) {
+		c, err := w.rt.Context(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := c.lock.holderCount(); n != 0 || c.lock.queueLen() != 0 {
+			t.Fatalf("%v still has %d holders, %d waiters after its events terminated", id, n, c.lock.queueLen())
+		}
+	}
+}
+
+// poolIsLossy reports whether sync.Pool fails to hand a Put entry back to the
+// next Get on the same goroutine, as it does at random under -race.
+func poolIsLossy() bool {
+	p := sync.Pool{New: func() any { return new([64]byte) }}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		p.Put(p.Get())
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs-before.Mallocs > 50
+}
+
+func BenchmarkFanoutSubmit(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		hubs int
+	}{{"own-dominator", 1}, {"virtual-join", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := newFanWorld(b, bc.hubs, 8, transport.NullNetwork{}, 1)
+			args := []any{"msg"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.rt.Submit(w.hubs[i%bc.hubs], "fan", args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

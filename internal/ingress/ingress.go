@@ -261,7 +261,11 @@ func (c *Client) learn(target ownership.ID, host int64) {
 	if host == 0 {
 		return
 	}
-	c.routes.Store(target, transport.NodeID(host))
+	// Nearly every response confirms the cached route; storing allocates a
+	// map entry, so only a changed route is written.
+	if cur, ok := c.Route(target); !ok || cur != transport.NodeID(host) {
+		c.routes.Store(target, transport.NodeID(host))
+	}
 }
 
 // Route reports the cached placement of a target (for tests and the bench).

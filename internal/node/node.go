@@ -714,11 +714,11 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 	}
 }
 
-// route resolves target's sequencing point (its dominator) and the server
-// hosting it, for both submit handlers. caughtUp records that the frame
+// route resolves the server hosting target's sequencing point (its
+// dominator), for both submit handlers. caughtUp records that the frame
 // being handled already pulled the replication log, so one frame pays at
 // most one catch-up however many unknown targets it names.
-func (n *Node) route(target ownership.ID, caughtUp *bool) (ownership.ID, cluster.ServerID, error) {
+func (n *Node) route(target ownership.ID, caughtUp *bool) (cluster.ServerID, error) {
 	dom, _, err := n.rt.Graph().Resolve(target)
 	if err != nil && errors.Is(err, ownership.ErrNotFound) && n.plane != nil && !*caughtUp {
 		// The sender may know the target from a mutation whose sequence it
@@ -734,7 +734,7 @@ func (n *Node) route(target ownership.ID, caughtUp *bool) (ownership.ID, cluster
 		// Keep the typed sentinel for the wire kind, but carry the real
 		// cause (store outage mid-catch-up, resolve ambiguity) in the
 		// message — "unknown context" alone hides what actually failed.
-		return 0, 0, fmt.Errorf("dominator of %v: %v: %w", target, err, core.ErrUnknownContext)
+		return 0, fmt.Errorf("dominator of %v: %v: %w", target, err, core.ErrUnknownContext)
 	}
 	dir := n.rt.Directory()
 	host, ok := dir.Locate(dom)
@@ -749,9 +749,9 @@ func (n *Node) route(target ownership.ID, caughtUp *bool) (ownership.ID, cluster
 		}
 	}
 	if !ok {
-		return 0, 0, fmt.Errorf("%v: %w", dom, core.ErrUnknownContext)
+		return 0, fmt.Errorf("%v: %w", dom, core.ErrUnknownContext)
 	}
-	return dom, host, nil
+	return host, nil
 }
 
 // handleSubmit executes or forwards one submitted event. Placement is
@@ -772,12 +772,11 @@ func (n *Node) handleSubmit(req submitReq) submitResp {
 			return submitResp{Err: msg, ErrKind: kind}
 		}
 	}
-	dom, host, err := n.route(req.Target, new(bool))
+	host, err := n.route(req.Target, new(bool))
 	if err != nil {
 		msg, kind := errFields(err)
 		return submitResp{Err: msg, ErrKind: kind}
 	}
-	dir := n.rt.Directory()
 	if !n.isLocal(host) {
 		// Forward on miss: our cached mapping says another node hosts the
 		// sequencing point.
@@ -805,17 +804,14 @@ func (n *Node) handleSubmit(req submitReq) submitResp {
 	}
 	n.executed.Add(1)
 	start := time.Now()
-	res, err := n.rt.Submit(req.Target, req.Method, req.Args...)
+	// The runtime reports the authoritative placement it admitted the event
+	// at (it may itself have forwarded if a migration raced admission).
+	res, host, err := n.rt.SubmitRouted(req.Target, req.Method, req.Args...)
 	d := time.Since(start)
 	n.submitLat.Record(d)
 	n.span(req.Trace, "execute", req.Target, req.Method, req.Hops, d)
-	resp := submitResp{Result: res}
+	resp := submitResp{Result: res, Host: host}
 	resp.Err, resp.ErrKind = errFields(err)
-	// Report the authoritative placement after execution (the runtime may
-	// itself have forwarded if a migration raced admission).
-	if cur, ok := dir.Locate(dom); ok {
-		resp.Host = cur
-	}
 	return resp
 }
 
@@ -892,11 +888,10 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 	// log once; batchmates resolve against the refreshed snapshot.
 	caughtUp := false
 	executedHere := 0
-	dir := n.rt.Directory()
 	var fwd map[cluster.ServerID][]int
 	for i := range req.Events {
 		ev := &req.Events[i]
-		dom, host, err := n.route(ev.Target, &caughtUp)
+		host, err := n.route(ev.Target, &caughtUp)
 		if err != nil {
 			out[i].Err, out[i].ErrKind = errFields(err)
 			continue
@@ -914,13 +909,10 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 			continue
 		}
 		n.executed.Add(1)
-		res, err := n.rt.Submit(ev.Target, ev.Method, ev.Args...)
+		res, host, err := n.rt.SubmitRouted(ev.Target, ev.Method, ev.Args...)
 		executedHere++
-		out[i].Result = res
+		out[i].Result, out[i].Host = res, int64(host)
 		out[i].Err, out[i].ErrKind = errFields(err)
-		if cur, ok := dir.Locate(dom); ok {
-			out[i].Host = int64(cur)
-		}
 	}
 	if executedHere > 0 {
 		// One span covers the frame's locally executed slice — per-event spans

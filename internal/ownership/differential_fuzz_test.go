@@ -2,6 +2,7 @@ package ownership
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -439,10 +440,30 @@ func checkDomAgree(t *testing.T, g *Graph, ref *refModel, id ID) {
 	}
 }
 
+// checkPathMemo verifies every activation path memoised beside a dominator
+// against a fresh breadth-first walk of the same snapshot — after every
+// mutation, so a cache carried across one (leaf creation, RemoveContext) is
+// caught the moment a carried path stops being the path Path would compute.
+func checkPathMemo(t *testing.T, s *Snapshot) {
+	t.Helper()
+	s.dom.t.Load().each(func(id, dom ID, memo []ID) {
+		if !s.Contains(id) {
+			return // unreachable self-entry left behind by RemoveContext
+		}
+		if want := bfsPath(s.nodes, dom, id); !slices.Equal(memo, want) {
+			t.Fatalf("memoised path %v→%v = %v; breadth-first walk finds %v\n%s", dom, id, memo, want, s.DumpDOT())
+		}
+		if got, err := s.Path(dom, id); err != nil || (dom != id && !slices.Equal(got, memo)) {
+			t.Fatalf("Path(%v,%v) = %v, %v; memo %v", dom, id, got, err, memo)
+		}
+	})
+}
+
 // checkAgree compares the full observable state of both models.
 func checkAgree(t *testing.T, g *Graph, ref *refModel) {
 	t.Helper()
 	s := g.Snapshot()
+	checkPathMemo(t, s)
 	realIDs := s.IDs()
 	refIDs := ref.ids()
 	if len(realIDs) != len(refIDs) {

@@ -60,7 +60,7 @@ func (s *Snapshot) resolveDom(id ID) (ID, *Snapshot, error) {
 		return None, s, fmt.Errorf("%v: %w", id, ErrNotFound)
 	}
 	// Lock-free fast path: the cache is valid for every snapshot sharing it.
-	if d, ok := s.dom.get(id); ok {
+	if d, _, ok := s.dom.get(id); ok {
 		return d, s, nil
 	}
 	members := s.shareMembers(id)
@@ -78,9 +78,10 @@ func (s *Snapshot) resolveDom(id ID) (ID, *Snapshot, error) {
 }
 
 // fillDomCache opportunistically memoizes a dominator computed lock-free
-// against s. The store happens under the writer mutex and only if s is still
-// the current snapshot: a value computed against a superseded structure must
-// not leak into a cache handle newer snapshots share.
+// against s, with the activation path below it. The store happens under the
+// writer mutex and only if s is still the current snapshot: a value computed
+// against a superseded structure must not leak into a cache handle newer
+// snapshots share.
 func (g *Graph) fillDomCache(s *Snapshot, id, d ID) {
 	if g.snap.Load() != s {
 		// Already superseded: the store below would be discarded anyway, so
@@ -88,9 +89,10 @@ func (g *Graph) fillDomCache(s *Snapshot, id, d ID) {
 		// under the mutex.
 		return
 	}
+	path := bfsPath(s.nodes, d, id)
 	g.mu.Lock()
 	if g.snap.Load() == s {
-		s.dom.put(id, d)
+		s.dom.put(id, d, path)
 	}
 	g.mu.Unlock()
 }
@@ -109,17 +111,17 @@ func (g *Graph) mintVirtualJoin(s *Snapshot, id ID) (ID, *Snapshot, error) {
 		if cur.nodes.get(id) == nil {
 			return None, cur, fmt.Errorf("%v: %w", id, ErrNotFound)
 		}
-		if d, ok := cur.dom.get(id); ok {
+		if d, _, ok := cur.dom.get(id); ok {
 			return d, cur, nil
 		}
 	}
 	members := cur.shareMembers(id)
 	if len(members) == 1 {
-		cur.dom.put(id, members[0])
+		cur.dom.put(id, members[0], bfsPath(cur.nodes, members[0], id))
 		return members[0], cur, nil
 	}
 	if lub, ok := cur.lub(members); ok {
-		cur.dom.put(id, lub)
+		cur.dom.put(id, lub, bfsPath(cur.nodes, lub, id))
 		return lub, cur, nil
 	}
 
@@ -133,7 +135,7 @@ func (g *Graph) mintVirtualJoin(s *Snapshot, id ID) (ID, *Snapshot, error) {
 		// check keeps a stale entry from ever resurfacing a deleted or
 		// non-covering context ID.
 		if cur.coversAll(v, maxima) {
-			cur.dom.put(id, v)
+			cur.dom.put(id, v, bfsPath(cur.nodes, v, id))
 			return v, cur, nil
 		}
 		g.dropVirtualKeyLocked(v)
@@ -157,7 +159,7 @@ func (g *Graph) mintVirtualJoin(s *Snapshot, id ID) (ID, *Snapshot, error) {
 	// (The differential fuzzer caught exactly this against the pre-COW
 	// implementation, which shared the cache across mints.)
 	dom := newDomCache()
-	dom.put(id, vid)
+	dom.put(id, vid, bfsPath(nodes, vid, id))
 	next := g.publishLocked(nodes, dom)
 	g.virtualJoin[key] = vid
 	g.virtualKey[vid] = key
@@ -171,7 +173,7 @@ func (s *Snapshot) coversAll(v ID, ids []ID) bool {
 		return false
 	}
 	for _, m := range ids {
-		if !containsID(n.children, m) {
+		if n.ChildIndex(m) < 0 {
 			return false
 		}
 	}
@@ -336,7 +338,7 @@ func leafDomCacheStable(next *Snapshot, cache *domCache, leaf ID, parents []ID) 
 		return true
 	}
 	for _, p := range parents {
-		if _, ok := cache.get(p); !ok {
+		if _, _, ok := cache.get(p); !ok {
 			return false
 		}
 	}
@@ -355,7 +357,7 @@ func leafDomCacheStable(next *Snapshot, cache *domCache, leaf ID, parents []ID) 
 		if a == leaf {
 			continue
 		}
-		cached, ok := cache.get(a)
+		cached, _, ok := cache.get(a)
 		if !ok {
 			continue
 		}

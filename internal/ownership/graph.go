@@ -76,6 +76,35 @@ type node struct {
 	children []ID
 }
 
+// Node is a snapshot's immutable record of one context (Snapshot.Node).
+// Mutations clone exactly the nodes they change and share the rest, so two
+// snapshots hold the same *Node for a context if and only if its owners and
+// children are unchanged between them: pointer identity is a precise change
+// detector for caches keyed on a context's child set.
+type Node = node
+
+// NumChildren reports how many contexts the node directly owns; a nil node
+// (context absent from the snapshot) owns none.
+func (n *node) NumChildren() int {
+	if n == nil {
+		return 0
+	}
+	return len(n.children)
+}
+
+// ChildIndex returns the position of child among the node's direct children
+// (fixed for the life of the node), or -1 when the node does not own it.
+func (n *node) ChildIndex(child ID) int {
+	if n != nil {
+		for i, c := range n.children { // hand-rolled: inlines into the sub-call path
+			if c == child {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 func (n *node) clone() *node {
 	return &node{
 		id:       n.id,
@@ -233,7 +262,7 @@ func (g *Graph) AddEdge(parent, child ID) error {
 	if cn == nil {
 		return fmt.Errorf("child %v: %w", child, ErrNotFound)
 	}
-	if containsID(pn.children, child) {
+	if pn.ChildIndex(child) >= 0 {
 		return fmt.Errorf("edge %v→%v: %w", parent, child, ErrExists)
 	}
 	if parent == child || cur.reachable(child, parent) {
@@ -264,7 +293,7 @@ func (g *Graph) RemoveEdge(parent, child ID) error {
 	if cn == nil {
 		return fmt.Errorf("child %v: %w", child, ErrNotFound)
 	}
-	if !containsID(pn.children, child) {
+	if pn.ChildIndex(child) < 0 {
 		return fmt.Errorf("edge %v→%v: %w", parent, child, ErrNotFound)
 	}
 	pc := pn.clone()

@@ -3,6 +3,7 @@ package ownership
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,7 +186,7 @@ func TestGraphSnapshotRaceStress(t *testing.T) {
 						fail("child %v of %v missing from its own snapshot", ch, target)
 						return
 					}
-					if !containsID(parents, target) {
+					if !slices.Contains(parents, target) {
 						fail("child %v does not list %v as parent in the same snapshot", ch, target)
 						return
 					}

@@ -36,6 +36,9 @@ func (s *Snapshot) Len() int { return s.nodes.len() }
 // Contains reports whether the context exists in the snapshot.
 func (s *Snapshot) Contains(id ID) bool { return s.nodes.get(id) != nil }
 
+// Node returns the snapshot's record of a context, or nil.
+func (s *Snapshot) Node(id ID) *Node { return s.nodes.get(id) }
+
 // Class reports the class of a context.
 func (s *Snapshot) Class(id ID) (string, error) {
 	n := s.nodes.get(id)
@@ -69,11 +72,7 @@ func (s *Snapshot) Parents(id ID) ([]ID, error) {
 
 // OwnsDirectly reports whether parent directly owns child.
 func (s *Snapshot) OwnsDirectly(parent, child ID) bool {
-	n := s.nodes.get(parent)
-	if n == nil {
-		return false
-	}
-	return containsID(n.children, child)
+	return s.nodes.get(parent).ChildIndex(child) >= 0
 }
 
 // Owns reports whether anc transitively owns desc (strictly).
@@ -119,7 +118,9 @@ func (s *Snapshot) IDs() []ID {
 // Path returns a downward direct-ownership path from anc to desc, inclusive
 // on both ends. If anc == desc the path is the single context. The runtime
 // activates the returned contexts top-down when escorting an event from its
-// dominator to its target (Algorithm 2, activatePath).
+// dominator to its target (Algorithm 2, activatePath). The dominator→target
+// path is memoized beside the dominator (see domCache) and shared between
+// callers, so the returned slice must not be modified.
 func (s *Snapshot) Path(anc, desc ID) ([]ID, error) {
 	if s.nodes.get(anc) == nil {
 		return nil, fmt.Errorf("%v: %w", anc, ErrNotFound)
@@ -130,13 +131,28 @@ func (s *Snapshot) Path(anc, desc ID) ([]ID, error) {
 	if anc == desc {
 		return []ID{anc}, nil
 	}
-	// BFS upward from desc to anc following parent edges; shortest path.
+	if d, path, ok := s.dom.get(desc); ok && d == anc && path != nil {
+		return path, nil
+	}
+	if path := bfsPath(s.nodes, anc, desc); path != nil {
+		return path, nil
+	}
+	return nil, fmt.Errorf("%v→%v: %w", anc, desc, ErrNoPath)
+}
+
+// bfsPath is the shortest downward path anc→desc (both present in nodes),
+// found by a breadth-first walk up the parent edges from desc; nil when anc
+// is desc or does not own it.
+func bfsPath(nodes *trie, anc, desc ID) []ID {
+	if anc == desc {
+		return nil
+	}
 	prev := map[ID]ID{desc: None}
 	queue := []ID{desc}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, p := range s.nodes.get(cur).parents {
+		for _, p := range nodes.get(cur).parents {
 			if _, seen := prev[p]; seen {
 				continue
 			}
@@ -146,12 +162,12 @@ func (s *Snapshot) Path(anc, desc ID) ([]ID, error) {
 				for c := anc; c != None; c = prev[c] {
 					path = append(path, c)
 				}
-				return path, nil
+				return path
 			}
 			queue = append(queue, p)
 		}
 	}
-	return nil, fmt.Errorf("%v→%v: %w", anc, desc, ErrNoPath)
+	return nil
 }
 
 // reachable reports whether to is reachable from from via child edges.
@@ -223,13 +239,4 @@ func (s *Snapshot) DumpDOT() string {
 	})
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func containsID(s []ID, id ID) bool {
-	for _, v := range s {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

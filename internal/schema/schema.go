@@ -23,6 +23,7 @@ package schema
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -63,6 +64,11 @@ type AsyncResult interface {
 // Call is the environment a method body executes in. The core runtime
 // provides the implementation; it is defined here so that application
 // schemas do not depend on the runtime package.
+//
+// A Call is valid only while the handler it was passed to is running: the
+// runtime recycles it when the handler returns. A handler must not retain
+// its Call (in state, a closure, or a goroutine of its own) past its return;
+// intra-event concurrency goes through Async/Crab, which the event joins.
 type Call interface {
 	// Self returns the context the method is executing on.
 	Self() ownership.ID
@@ -131,7 +137,15 @@ type Method struct {
 	Cost time.Duration
 	// Handler is the method body.
 	Handler Handler
+
+	// access is the may-access set resolved by Freeze: the declaring class
+	// (the reflexive exception) plus every class in Accesses.
+	access []*Class
 }
+
+// MayAccessClass reports whether the method may reach instances of c, which
+// the runtime enforces on every sub-call. Valid once the schema is frozen.
+func (m *Method) MayAccessClass(c *Class) bool { return slices.Contains(m.access, c) }
 
 // MethodRef names a method of a contextclass.
 type MethodRef struct {
@@ -300,6 +314,14 @@ func (s *Schema) Freeze() error {
 	if err := s.checkAcyclic(); err != nil {
 		return err
 	}
+	for _, c := range s.classes {
+		for _, m := range c.methods {
+			m.access = []*Class{c}
+			for _, a := range m.Accesses {
+				m.access = append(m.access, s.classes[a])
+			}
+		}
+	}
 	s.frozen = true
 	return nil
 }
@@ -423,27 +445,4 @@ func (s *Schema) checkAcyclic() error {
 		}
 	}
 	return nil
-}
-
-// MayAccess reports whether a method of class may access targetClass,
-// honoring the reflexive exception. Used by the runtime to enforce the
-// declarations dynamically.
-func (s *Schema) MayAccess(class, method, targetClass string) bool {
-	c, ok := s.classes[class]
-	if !ok {
-		return false
-	}
-	m, ok := c.methods[method]
-	if !ok {
-		return false
-	}
-	if targetClass == class {
-		return true // reflexive: inductive structures
-	}
-	for _, a := range m.Accesses {
-		if a == targetClass {
-			return true
-		}
-	}
-	return false
 }

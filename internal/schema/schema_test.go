@@ -163,17 +163,18 @@ func TestMayAccess(t *testing.T) {
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.MayAccess("Player", "get_gold", "Item") {
+	m := s.Class("Player").Method("get_gold")
+	if !m.MayAccessClass(s.Class("Item")) {
 		t.Fatal("Player.get_gold should access Item")
 	}
-	if s.MayAccess("Player", "get_gold", "Room") {
+	if m.MayAccessClass(s.Class("Room")) {
 		t.Fatal("Player.get_gold must not access Room")
 	}
-	if !s.MayAccess("Player", "get_gold", "Player") {
+	if !m.MayAccessClass(s.Class("Player")) {
 		t.Fatal("reflexive access must be allowed")
 	}
-	if s.MayAccess("Ghost", "x", "Item") || s.MayAccess("Player", "ghost", "Item") {
-		t.Fatal("unknown class/method must not be accessible")
+	if m.MayAccessClass(nil) || m.MayAccessClass(VirtualContextClass()) {
+		t.Fatal("a class outside the schema must not be accessible")
 	}
 }
 
