@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"aeon/internal/cluster"
@@ -37,17 +36,6 @@ type Replicator interface {
 // events are submitted, like SetRemote; nil restores process-local
 // mutations.
 func (r *Runtime) SetReplicator(rep Replicator) { r.repl = rep }
-
-// catchUpOnUnknown gives the replica one chance to catch up with the
-// mutation log when a lookup missed: a context created on another node is
-// locally unknown only until the log applies. It reports whether the caller
-// should retry the lookup.
-func (r *Runtime) catchUpOnUnknown(err error) bool {
-	if r.repl == nil || !errors.Is(err, ErrUnknownContext) {
-		return false
-	}
-	return r.repl.CatchUp() == nil
-}
 
 // AddOwnerEdge records a direct-ownership edge, through the replication log
 // when one is installed.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -277,14 +278,6 @@ func (r *Runtime) DestroyContext(id ownership.ID) error {
 // Submit runs an event to completion and returns its result (the paper's
 // `event x.m(args)` decorated call, § 3).
 func (r *Runtime) Submit(target ownership.ID, method string, args ...any) (any, error) {
-	res, _, err := r.runWith(target, method, args, false)
-	return res, err
-}
-
-// SubmitRouted is Submit that also reports the server hosting the event's
-// sequencing point as seen once the event was admitted (or the server it was
-// forwarded to; zero if it failed before routing), for senders' route repair.
-func (r *Runtime) SubmitRouted(target ownership.ID, method string, args ...any) (any, cluster.ServerID, error) {
 	return r.runWith(target, method, args, false)
 }
 
@@ -324,78 +317,148 @@ func (r *Runtime) execServer(target ownership.ID) cluster.ServerID {
 	return 0
 }
 
-// runWith executes one event; asSub marks sub-events launched before Close,
-// which must run to completion even while the runtime is draining.
-func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub bool) (any, cluster.ServerID, error) {
-	if r.closed.Load() && !asSub {
-		return nil, 0, ErrClosed
+// runWith executes one event as a frame of one; asSub marks sub-events
+// launched before Close, which must run to completion even while the runtime
+// is draining. An event sequenced on a server another process embodies is
+// delegated there through the forwarding hook.
+func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub bool) (any, error) {
+	f := r.BeginFrame()
+	f.asSub = asSub
+	res, host, local, err := f.Run(target, method, args)
+	if local {
+		return res, err
 	}
-	start := time.Now()
+	if r.forward == nil {
+		err = fmt.Errorf("%v on %v: %w", target, host, ErrNotLocal)
+	} else {
+		res, err = r.forward(host, target, method, args)
+	}
+	f.close(r.eventSeq.Add(1))
+	return res, err
+}
 
+// Frame is one admission's worth of events run back to back on the caller's
+// goroutine: a batch frame's events on a node, or a single Submit (a frame
+// of one). What its events can share is paid once per frame instead of once
+// per event: the clock is read at event boundaries only — event i's end is
+// event i+1's start, N+1 reads for N events, one latency sample each — and
+// the replication log is pulled at most once however many unknown targets
+// the frame names. A Frame is not safe for concurrent use.
+type Frame struct {
+	r        *Runtime
+	last     time.Time // the previous event boundary
+	ran      int       // events closed so far
+	caughtUp bool      // this frame already pulled the mutation log
+	asSub    bool
+}
+
+// BeginFrame opens a frame at the current instant.
+func (r *Runtime) BeginFrame() Frame { return Frame{r: r, last: time.Now()} }
+
+// Clock returns the frame's latest clock reading: BeginFrame's, or the end of
+// the last event Run executed.
+func (f *Frame) Clock() time.Time { return f.last }
+
+// Ran returns how many events the frame has executed, each with its latency
+// sample; events that failed before admission, or that Run reported as not
+// local, are not among them.
+func (f *Frame) Ran() int { return f.ran }
+
+// close ends one event at the current instant: its latency sample runs from
+// the previous event boundary, and the next event starts here.
+func (f *Frame) close(eventID uint64) {
+	f.ran++
+	now := time.Now()
+	f.r.recordLatency(eventID, now.Sub(f.last))
+	f.r.Completed.IncAt(eventID)
+	f.last = now
+}
+
+// Run executes the frame's next event: it resolves the event's sequencing
+// point (its dominator) once, and drives Algorithm 2 — dominator activation,
+// path activation down to the target, execution, release — when this process
+// embodies the server hosting it. host is that server as seen once the event
+// was admitted (zero if the event failed before routing), for senders' route
+// repair. When another process embodies host, nothing ran: Run reports
+// local == false and the caller forwards (a node regroups such events into
+// one sub-frame per host), so the locality decision is made here and nowhere
+// else.
+func (f *Frame) Run(target ownership.ID, method string, args []any) (res any, host cluster.ServerID, local bool, err error) {
+	r := f.r
+	if r.closed.Load() && !f.asSub {
+		return nil, 0, true, ErrClosed
+	}
 	tc, err := r.Context(target)
-	if err != nil && r.catchUpOnUnknown(err) {
+	if err != nil && !f.caughtUp && r.repl != nil && errors.Is(err, ErrUnknownContext) {
 		// The target may have been created on another node moments ago and
-		// the notify hint not arrived yet: pull the mutation log once and
-		// retry before failing the event.
-		tc, err = r.Context(target)
+		// the notify hint not arrived yet (or the sender knows it from a
+		// mutation whose sequence it did not carry): pull the mutation log
+		// once per frame and retry before failing the event.
+		f.caughtUp = true
+		if r.repl.CatchUp() == nil {
+			tc, err = r.Context(target)
+		}
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, true, err
 	}
 	m := tc.class.Method(method)
 	if m == nil {
-		return nil, 0, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
+		return nil, 0, true, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
+	}
+	// Resolve the dominator (getDom, Algorithm 2 line 3) together with one
+	// consistent ownership snapshot; the activation path below is computed
+	// against the same snapshot, so the admission sequence never mixes two
+	// versions of the network.
+	dom, view, err := r.graph.Resolve(target)
+	if err != nil {
+		// Typed for the wire, with the real cause (resolve ambiguity, a
+		// context removed since the lookup above) kept in the chain.
+		return nil, 0, true, fmt.Errorf("dominator of %v: %w: %w", target, err, ErrUnknownContext)
+	}
+	// Materialize the dominator's runtime entry first: virtual sequencer
+	// contexts are created lazily and need placement before routing.
+	domCtx := tc
+	if dom != target {
+		if domCtx, err = r.Context(dom); err != nil {
+			return nil, 0, true, err
+		}
+	}
+	// One directory read serves the locality decision and the ACT hop.
+	host, via, forwarded, ok := r.dir.Route(dom)
+	if !ok {
+		return nil, 0, true, fmt.Errorf("%v: %w", dom, ErrUnknownContext)
+	}
+	// Multi-process mode: events execute on the process embodying the server
+	// that hosts their sequencing point, never against this process's
+	// non-authoritative state replica.
+	if r.isLocal != nil && !r.isLocal(host) {
+		return nil, host, false, nil
 	}
 	mode := EX
 	if m.ReadOnly {
 		mode = RO
 	}
 	ev := newEvent(r.eventSeq.Add(1), mode, target, method)
-
-	res, host, err := r.executeEvent(ev, tc, m, args)
-
-	r.recordLatency(ev.id, time.Since(start))
-	r.Completed.IncAt(ev.id)
-	r.launchSubs(ev)
+	res, host, local, err = r.executeEvent(ev, tc, domCtx, m, args, view, host, via, forwarded)
+	if local {
+		f.close(ev.id)
+		r.launchSubs(ev)
+	}
 	// executeEvent joined every async call and the subs are launched, so
 	// nothing references the event anymore: recycle it.
 	putEvent(ev)
-	return res, host, err
+	return res, host, local, err
 }
 
-// executeEvent drives Algorithm 2 for one event: dominator activation, path
-// activation down to the target, execution, then release of everything. It
-// also returns the server hosting the dominator.
-func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []any) (any, cluster.ServerID, error) {
-	// Resolve the dominator (getDom, Algorithm 2 line 3) together with one
-	// consistent ownership snapshot; the activation path below is computed
-	// against the same snapshot, so the admission sequence never mixes two
-	// versions of the network.
-	dom, view, err := r.graph.Resolve(ev.target)
-	if err != nil {
-		return nil, 0, fmt.Errorf("dominator of %v: %w", ev.target, err)
-	}
-	// Materialize the dominator's runtime entry first: virtual sequencer
-	// contexts are created lazily and need placement before routing.
-	domCtx := tc
-	if dom != ev.target {
-		if domCtx, err = r.Context(dom); err != nil {
-			return nil, 0, err
-		}
-	}
-	// One directory read serves the locality decision and the ACT hop.
-	host, via, forwarded, ok := r.dir.Route(dom)
-	if !ok {
-		return nil, 0, fmt.Errorf("%v: %w", dom, ErrUnknownContext)
-	}
-	// Multi-process mode: events execute on the process embodying the server
-	// that hosts their sequencing point. When that is another node, delegate
-	// the whole event there instead of running it against this process's
-	// non-authoritative state replica.
-	if r.isLocal != nil && !r.isLocal(host) {
-		return r.forwardTo(host, ev, args)
-	}
-
+// executeEvent drives Algorithm 2 for one event whose dominator domCtx is
+// hosted, by the directory read that routed it, on a server this process
+// embodies: dominator activation, path activation down to the target,
+// execution, then release of everything. It reports local == false, with
+// nothing held and nothing run, when the group moved to another process
+// while the event waited for admission.
+func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method, args []any, view *ownership.Snapshot,
+	host, via cluster.ServerID, forwarded bool) (any, cluster.ServerID, bool, error) {
 	// Make sure everything is released even on error paths; releaseAll is
 	// idempotent per held context.
 	defer ev.releaseAll()
@@ -403,11 +466,11 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []
 	// Client request travels to the dominator's host (ACT message).
 	if r.cfg.ChargeClientHops {
 		if err := r.chargeHop(ClientNode, host, via, forwarded); err != nil {
-			return nil, host, err
+			return nil, host, true, err
 		}
 	}
 	if err := r.acquireCtx(ev, domCtx); err != nil {
-		return nil, host, err
+		return nil, host, true, err
 	}
 	// Re-check locality now that admission succeeded: an event that queued
 	// behind a migration's stop window wakes up *after* the group moved, and
@@ -415,17 +478,16 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []
 	// was remapped before the stop released (RehostBatch under the group
 	// lock), so this read is guaranteed to see the move.
 	if r.isLocal != nil {
-		if cur, ok := r.dir.Locate(dom); ok && cur != host {
+		if cur, ok := r.dir.Locate(domCtx.id); ok && cur != host {
 			if host = cur; !r.isLocal(host) {
-				ev.releaseAll()
-				return r.forwardTo(host, ev, args)
+				return nil, host, false, nil
 			}
 		}
 	}
 
-	cur, err := r.activatePath(ev, view, dom, tc, host, true)
+	cur, err := r.activatePath(ev, view, domCtx.id, tc, host, true)
 	if err != nil {
-		return nil, host, err
+		return nil, host, true, err
 	}
 	res, err := r.invoke(ev, tc, m, cur, args)
 	// The event terminates only when all its asynchronous calls have; all
@@ -439,7 +501,7 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, m *schema.Method, args []
 	if r.cfg.ChargeClientHops {
 		_ = r.cluster.Net().Hop(cur, ClientNode, r.cfg.MessageBytes)
 	}
-	return res, host, err
+	return res, host, true, err
 }
 
 // activatePath escorts ev from its activated dominator (on server from) down
@@ -469,15 +531,6 @@ func (r *Runtime) activatePath(ev *event, view *ownership.Snapshot, dom ownershi
 		}
 	}
 	return from, nil
-}
-
-// forwardTo delegates an event whose sequencing point another node hosts.
-func (r *Runtime) forwardTo(host cluster.ServerID, ev *event, args []any) (any, cluster.ServerID, error) {
-	if r.forward == nil {
-		return nil, host, fmt.Errorf("%v on %v: %w", ev.target, host, ErrNotLocal)
-	}
-	res, err := r.forward(host, ev.target, ev.method, args)
-	return res, host, err
 }
 
 // routeHop charges the network hop from `from` to the host of context id,
@@ -569,7 +622,7 @@ func (r *Runtime) launchSubs(ev *event) {
 		r.subWG.Add(1)
 		task := func() {
 			defer r.subWG.Done()
-			if _, _, err := r.runWith(s.target, s.method, s.args, true); err != nil {
+			if _, err := r.runWith(s.target, s.method, s.args, true); err != nil {
 				r.SubEventErrors.Inc()
 			}
 		}

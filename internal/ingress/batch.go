@@ -17,17 +17,13 @@ import (
 	"time"
 
 	"aeon/internal/node"
-	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
-// BatchItem is one event in a client-side batch.
-type BatchItem struct {
-	Target ownership.ID
-	Method string
-	Args   []any
-}
+// BatchItem is one event in a client-side batch: the wire's own event
+// struct, so a batch encodes from the caller's slice in place.
+type BatchItem = schema.BatchEvent
 
 // BatchResult is the per-event outcome of SubmitBatch. Err carries the same
 // typed sentinels as Submit (core.ErrUnknownContext, core.ErrBackpressure,
@@ -36,6 +32,81 @@ type BatchResult struct {
 	Result any
 	Err    error
 }
+
+// frame is one node's share of a batch, and what is paid once for it: the
+// events picked from the caller's slice (all of it, in order, when pick is
+// nil), whether the route cache named the node for each, and the caller's
+// result slots. events, cached and res are index-aligned; pick indexes them.
+type frame struct {
+	to     transport.NodeID
+	events []BatchItem
+	cached []bool
+	res    []BatchResult
+	pick   []int
+}
+
+func (f *frame) len() int {
+	if f.pick != nil {
+		return len(f.pick)
+	}
+	return len(f.events)
+}
+
+// at maps the frame's k-th event to its index in events, cached and res.
+func (f *frame) at(k int) int {
+	if f.pick != nil {
+		return f.pick[k]
+	}
+	return k
+}
+
+// chunk returns the sub-frame of events [start, end).
+func (f frame) chunk(start, end int) frame {
+	if f.pick != nil {
+		f.pick = f.pick[start:end]
+	} else {
+		f.events, f.cached, f.res = f.events[start:end], f.cached[start:end], f.res[start:end]
+	}
+	return f
+}
+
+func (f *frame) fail(err error) {
+	for k := 0; k < f.len(); k++ {
+		f.res[f.at(k)].Err = err
+	}
+}
+
+// batchScratch is the per-call bookkeeping of SubmitBatch that nothing
+// outlives — the cache-hit flags and the per-node pick lists — pooled so the
+// results slice is the call's one allocation.
+type batchScratch struct {
+	cached []bool
+	groups []frame
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// group returns the frame collecting the events bound for one node (a
+// handful per fleet), adding it on first use.
+func (sc *batchScratch) group(to transport.NodeID) *frame {
+	for g := range sc.groups {
+		if sc.groups[g].to == to {
+			return &sc.groups[g]
+		}
+	}
+	if n := len(sc.groups); n < cap(sc.groups) {
+		sc.groups = sc.groups[:n+1] // a recycled slot keeps its pick capacity
+	} else {
+		sc.groups = append(sc.groups, frame{})
+	}
+	f := &sc.groups[len(sc.groups)-1]
+	f.to, f.pick = to, f.pick[:0]
+	return f
+}
+
+// respPool recycles batch-response decode targets: outcomes are copied
+// straight into the caller's results, so the decoded slice is scratch.
+var respPool = sync.Pool{New: func() any { return new(schema.SubmitBatchResp) }}
 
 // SubmitBatch executes many events in as few frames as possible: items are
 // grouped by their routed node, each group rides SubmitBatchReq frames
@@ -54,94 +125,89 @@ func (c *Client) SubmitBatch(items []BatchItem) []BatchResult {
 		}
 		return res
 	}
-	routes := make([]transport.NodeID, len(items))
-	single := true
+	sc := batchScratchPool.Get().(*batchScratch)
+	if cap(sc.cached) < len(items) {
+		sc.cached = make([]bool, len(items))
+	}
+	cached := sc.cached[:len(items)]
+	// One pass under one cache lock: route every item onto its node's pick
+	// list (runs of one node reuse the previous item's).
+	var g *frame
+	c.routeMu.RLock()
 	for i := range items {
-		routes[i] = c.route(items[i].Target)
-		if routes[i] != routes[0] {
-			single = false
+		var to transport.NodeID
+		to, cached[i] = c.routeLocked(items[i].Target)
+		if g == nil || g.to != to {
+			g = sc.group(to)
 		}
+		g.pick = append(g.pick, i)
 	}
-	// Single-destination batches — the common case once routes are warm —
-	// skip the grouping map and the per-group goroutine.
-	if single {
-		evs := make([]schema.BatchEvent, len(items))
-		for i := range items {
-			evs[i] = schema.BatchEvent{Target: items[i].Target, Method: items[i].Method, Args: items[i].Args}
+	c.routeMu.RUnlock()
+	for i := range sc.groups {
+		g := &sc.groups[i]
+		g.events, g.cached, g.res = items, cached, res
+	}
+	if len(sc.groups) == 1 {
+		// Single-destination batches — the common case once routes are warm —
+		// encode the caller's slice in place.
+		f := sc.groups[0]
+		f.pick = nil
+		c.submitFrame(f)
+	} else {
+		var wg sync.WaitGroup
+		for _, f := range sc.groups[1:] {
+			wg.Add(1)
+			go func(f frame) {
+				defer wg.Done()
+				c.submitFrame(f)
+			}(f)
 		}
-		return c.submitBatchTo(routes[0], evs)
+		c.submitFrame(sc.groups[0])
+		wg.Wait()
 	}
-	groups := make(map[transport.NodeID][]int)
-	for i := range items {
-		groups[routes[i]] = append(groups[routes[i]], i)
+	for i := range sc.groups {
+		sc.groups[i] = frame{pick: sc.groups[i].pick} // keep the capacity, drop the caller's slices
 	}
-	var wg sync.WaitGroup
-	for to, idxs := range groups {
-		wg.Add(1)
-		go func(to transport.NodeID, idxs []int) {
-			defer wg.Done()
-			evs := make([]schema.BatchEvent, len(idxs))
-			for j, i := range idxs {
-				evs[j] = schema.BatchEvent{Target: items[i].Target, Method: items[i].Method, Args: items[i].Args}
-			}
-			out := c.submitBatchTo(to, evs)
-			for j, i := range idxs {
-				res[i] = out[j]
-			}
-		}(to, idxs)
-	}
-	wg.Wait()
+	sc.groups = sc.groups[:0]
+	batchScratchPool.Put(sc)
 	return res
 }
 
-// submitBatchTo ships one node's events as pipelined SubmitBatchReq frames
-// and returns outcomes index-aligned with events.
-func (c *Client) submitBatchTo(to transport.NodeID, events []schema.BatchEvent) []BatchResult {
-	res := make([]BatchResult, len(events))
+// submitFrame ships one node's events as pipelined SubmitBatchReq frames
+// and fills their result slots.
+func (c *Client) submitFrame(f frame) {
 	if c.closed.Load() {
-		for i := range res {
-			res[i].Err = ErrClientClosed
-		}
-		return res
+		f.fail(ErrClientClosed)
+		return
 	}
 	// One frame suffices for most batches; ship it directly so small batches
 	// pay no more than a plain Submit beyond the frame's own bytes.
-	if len(events) <= c.cfg.MaxBatch {
-		c.submitChunk(to, events, res, 0, len(events))
-		return res
+	if f.len() <= c.cfg.MaxBatch {
+		c.submitChunk(f)
+		return
 	}
 
-	// Chunk at MaxBatch; each chunk is one frame. chunkRef remembers where a
-	// chunk's events live in the flat slices so outcomes map back by index.
-	type chunkRef struct {
-		start, n int
-		buf      *[]byte
+	// Chunk at MaxBatch; each chunk is one frame.
+	type sent struct {
+		f   frame
+		buf *[]byte
 	}
 	var (
-		refs []chunkRef
-		msgs []transport.Message
+		chunks []sent
+		msgs   []transport.Message
 	)
-	for start := 0; start < len(events); start += c.cfg.MaxBatch {
-		end := start + c.cfg.MaxBatch
-		if end > len(events) {
-			end = len(events)
-		}
-		req := schema.SubmitBatchReq{Events: events[start:end], Trace: c.nextTrace()}
-		buf := schema.GetFrameBuf()
-		payload, err := req.MarshalWire((*buf)[:0])
+	for start := 0; start < f.len(); start += c.cfg.MaxBatch {
+		ch := f.chunk(start, min(start+c.cfg.MaxBatch, f.len()))
+		buf, payload, err := c.encodeFrame(ch)
 		if err != nil {
-			schema.PutFrameBuf(buf)
-			for i := start; i < end; i++ {
-				res[i].Err = fmt.Errorf("ingress: encode batch: %w", err)
-			}
+			ch.fail(err)
 			continue
 		}
-		*buf = payload
-		refs = append(refs, chunkRef{start: start, n: end - start, buf: buf})
+		chunks = append(chunks, sent{f: ch, buf: buf})
 		msgs = append(msgs, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
 	}
 	if len(msgs) == 0 {
-		return res
+		return
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
@@ -152,112 +218,109 @@ func (c *Client) submitBatchTo(to transport.NodeID, events []schema.BatchEvent) 
 		errs  []error
 		fatal error
 	)
-	st := c.stream(to)
+	st := c.stream(f.to)
 	if st != nil {
 		resps, errs, fatal = transport.StreamCallBatch(ctx, st, msgs)
 	} else {
 		resps = make([]transport.Message, len(msgs))
 		errs = make([]error, len(msgs))
 		for k := range msgs {
-			resps[k], errs[k] = c.ep.Call(ctx, to, msgs[k])
+			resps[k], errs[k] = c.ep.Call(ctx, f.to, msgs[k])
 		}
 	}
 	if fatal != nil {
-		c.dropStream(to, st)
-		for _, ref := range refs {
-			schema.PutFrameBuf(ref.buf)
-			for i := ref.start; i < ref.start+ref.n; i++ {
-				res[i].Err = fmt.Errorf("ingress: batch submit to %v: %w", to, fatal)
-			}
-		}
-		return res
+		c.dropStream(f.to, st)
 	}
-
-	for k, ref := range refs {
-		schema.PutFrameBuf(ref.buf) // endpoints do not retain payloads past the call
-		if errs[k] != nil {
+	for k, ch := range chunks {
+		schema.PutFrameBuf(ch.buf) // endpoints do not retain payloads past the call
+		err := fatal
+		if err == nil {
+			err = errs[k]
+		}
+		if err != nil {
 			var remote *transport.RemoteError
-			if st != nil && !errors.As(errs[k], &remote) {
-				c.dropStream(to, st)
+			if fatal == nil && st != nil && !errors.As(err, &remote) {
+				c.dropStream(f.to, st)
 			}
-			for i := ref.start; i < ref.start+ref.n; i++ {
-				res[i].Err = fmt.Errorf("ingress: batch submit to %v: %w", to, errs[k])
-			}
+			ch.f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))
 			continue
 		}
-		c.applyBatchResp(to, events, res, ref.start, ref.n, resps[k])
+		c.applyBatchResp(ch.f, resps[k])
 	}
-	return res
 }
 
-// submitChunk ships one frame's worth of events and fills its outcome slots.
-func (c *Client) submitChunk(to transport.NodeID, events []schema.BatchEvent, res []BatchResult, start, n int) {
-	fail := func(err error) {
-		for i := start; i < start+n; i++ {
-			res[i].Err = err
-		}
-	}
-	req := schema.SubmitBatchReq{Events: events[start : start+n], Trace: c.nextTrace()}
+// encodeFrame encodes one chunk into a pooled buffer, which the caller
+// returns with schema.PutFrameBuf once the call it rides has returned.
+func (c *Client) encodeFrame(f frame) (*[]byte, []byte, error) {
+	req := schema.SubmitBatchReq{Events: f.events, Trace: c.nextTrace()}
 	buf := schema.GetFrameBuf()
-	payload, err := req.MarshalWire((*buf)[:0])
+	payload, err := req.MarshalWirePick((*buf)[:0], f.pick)
 	if err != nil {
 		schema.PutFrameBuf(buf)
-		fail(fmt.Errorf("ingress: encode batch: %w", err))
-		return
+		return nil, nil, fmt.Errorf("ingress: encode batch: %w", err)
 	}
 	*buf = payload
+	return buf, payload, nil
+}
 
+// submitChunk ships one frame's worth of events and fills its result slots.
+func (c *Client) submitChunk(f frame) {
+	buf, payload, err := c.encodeFrame(f)
+	if err != nil {
+		f.fail(err)
+		return
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
 	msg := transport.Message{Kind: node.KindSubmitBatch, Payload: payload}
 	var raw transport.Message
-	if st := c.stream(to); st != nil {
+	if st := c.stream(f.to); st != nil {
 		raw, err = st.Call(ctx, msg)
 		var remote *transport.RemoteError
 		if err != nil && !errors.As(err, &remote) {
-			c.dropStream(to, st)
+			c.dropStream(f.to, st)
 		}
 	} else {
-		raw, err = c.ep.Call(ctx, to, msg)
+		raw, err = c.ep.Call(ctx, f.to, msg)
 	}
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
 	if err != nil {
-		fail(fmt.Errorf("ingress: batch submit to %v: %w", to, err))
+		f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))
 		return
 	}
-	c.applyBatchResp(to, events, res, start, n, raw)
+	c.applyBatchResp(f, raw)
 }
 
-// applyBatchResp decodes one chunk's response and fills its slice of
-// outcomes, repairing the routing cache from each event's authoritative host.
-func (c *Client) applyBatchResp(to transport.NodeID, events []schema.BatchEvent, res []BatchResult, start, n int, raw transport.Message) {
-	fail := func(err error) {
-		for i := start; i < start+n; i++ {
-			res[i].Err = err
-		}
-	}
+// applyBatchResp decodes one chunk's response through pooled scratch into
+// the caller's result slots, repairing the routing cache from each event's
+// authoritative host.
+func (c *Client) applyBatchResp(f frame, raw transport.Message) {
 	if !schema.IsHotFrame(raw.Payload) {
-		fail(fmt.Errorf("ingress: node %v answered batch submit with a non-hot frame", to))
+		f.fail(fmt.Errorf("ingress: node %v answered batch submit with a non-hot frame", f.to))
 		return
 	}
-	var br schema.SubmitBatchResp
+	br := respPool.Get().(*schema.SubmitBatchResp)
+	defer func() {
+		clear(br.Outcomes)
+		respPool.Put(br)
+	}()
 	if err := br.UnmarshalWire(raw.Payload); err != nil {
-		fail(fmt.Errorf("ingress: decode batch response: %w", err))
+		f.fail(fmt.Errorf("ingress: decode batch response: %w", err))
 		return
 	}
-	if len(br.Outcomes) != n {
-		fail(fmt.Errorf("ingress: node %v returned %d outcomes for a %d-event batch", to, len(br.Outcomes), n))
+	if len(br.Outcomes) != f.len() {
+		f.fail(fmt.Errorf("ingress: node %v returned %d outcomes for a %d-event batch", f.to, len(br.Outcomes), f.len()))
 		return
 	}
-	for j := 0; j < n; j++ {
-		out := &br.Outcomes[j]
+	for k := range br.Outcomes {
+		out, i := &br.Outcomes[k], f.at(k)
 		// Repair the cache even on per-event failure — the authoritative host
 		// is exactly what a mis-routed event needs.
-		c.learn(events[start+j].Target, out.Host)
+		c.learn(f.events[i].Target, f.to, f.cached[i], out.Host)
 		if out.Err != "" {
-			res[start+j].Err = node.WireError(out.ErrKind, out.Err)
+			f.res[i].Err = node.WireError(out.ErrKind, out.Err)
 		} else {
-			res[start+j].Result = out.Result
+			f.res[i].Result = out.Result
 		}
 	}
 }
@@ -272,36 +335,38 @@ type coalescer struct {
 	to transport.NodeID
 
 	mu      sync.Mutex
-	events  []schema.BatchEvent
+	events  []BatchItem
+	cached  []bool // per event: the route cache named this node
 	futures []*Future
 	timer   *time.Timer
 }
 
 // take claims the pending batch. Callers hold mu.
-func (co *coalescer) take() ([]schema.BatchEvent, []*Future) {
-	events, futures := co.events, co.futures
-	co.events, co.futures = nil, nil
+func (co *coalescer) take() (frame, []*Future) {
+	f, futures := frame{to: co.to, events: co.events, cached: co.cached}, co.futures
+	co.events, co.cached, co.futures = nil, nil, nil
 	if co.timer != nil {
 		co.timer.Stop()
 		co.timer = nil
 	}
-	return events, futures
+	return f, futures
 }
 
 // add enqueues one async submit, arming the linger timer on the first event
 // and flushing inline when the batch fills.
-func (co *coalescer) add(ev schema.BatchEvent, f *Future) {
+func (co *coalescer) add(ev BatchItem, cached bool, f *Future) {
 	co.mu.Lock()
 	co.events = append(co.events, ev)
+	co.cached = append(co.cached, cached)
 	co.futures = append(co.futures, f)
 	if len(co.events) == 1 {
 		co.timer = time.AfterFunc(co.c.cfg.Linger, co.flushAfterLinger)
 	}
 	if len(co.events) >= co.c.cfg.MaxBatch {
-		events, futures := co.take()
+		fr, futures := co.take()
 		co.mu.Unlock()
 		co.c.flushFill.Add(1)
-		go co.c.flushBatch(co.to, events, futures)
+		go co.c.flushBatch(fr, futures)
 		return
 	}
 	co.mu.Unlock()
@@ -309,22 +374,23 @@ func (co *coalescer) add(ev schema.BatchEvent, f *Future) {
 
 func (co *coalescer) flushAfterLinger() {
 	co.mu.Lock()
-	events, futures := co.take()
+	fr, futures := co.take()
 	co.mu.Unlock()
-	if len(events) > 0 {
+	if len(futures) > 0 {
 		co.c.flushLinger.Add(1)
-		co.c.flushBatch(co.to, events, futures)
+		co.c.flushBatch(fr, futures)
 	}
 }
 
 // flushBatch ships a coalesced batch and resolves its futures, releasing one
 // window slot per future (the slot Go acquired).
-func (c *Client) flushBatch(to transport.NodeID, events []schema.BatchEvent, futures []*Future) {
+func (c *Client) flushBatch(fr frame, futures []*Future) {
 	c.coalFlushes.Add(1)
-	c.coalEvents.Add(uint64(len(events)))
-	out := c.submitBatchTo(to, events)
+	c.coalEvents.Add(uint64(len(futures)))
+	fr.res = make([]BatchResult, len(futures))
+	c.submitFrame(fr)
 	for i, f := range futures {
-		f.result, f.err = out[i].Result, out[i].Err
+		f.result, f.err = fr.res[i].Result, fr.res[i].Err
 		close(f.done)
 		<-c.window
 	}

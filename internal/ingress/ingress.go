@@ -98,8 +98,11 @@ type Client struct {
 	ep  transport.Endpoint
 
 	// routes caches target → node placement, repaired from authoritative
-	// submit responses.
-	routes sync.Map // ownership.ID → transport.NodeID
+	// submit responses. Read on every event and written only when a route
+	// is learned or moves, so a plain map under a read lock: SubmitBatch
+	// takes the lock once per call, not per event.
+	routeMu sync.RWMutex
+	routes  map[ownership.ID]transport.NodeID
 
 	streamMu sync.Mutex
 	streams  map[transport.NodeID]transport.Stream
@@ -203,6 +206,7 @@ func Dial(mesh transport.Mesh, cfg Config) (*Client, error) {
 	return &Client{
 		cfg:     cfg,
 		ep:      ep,
+		routes:  make(map[ownership.ID]transport.NodeID),
 		streams: make(map[transport.NodeID]transport.Stream),
 		coals:   make(map[transport.NodeID]*coalescer),
 		window:  make(chan struct{}, cfg.Window),
@@ -245,36 +249,42 @@ func (c *Client) Close() error {
 	return c.ep.Close()
 }
 
-// route picks the node for a target: the cached placement when one is known,
-// otherwise round-robin over the configured fleet.
-func (c *Client) route(target ownership.ID) transport.NodeID {
-	if v, ok := c.routes.Load(target); ok {
-		return v.(transport.NodeID)
-	}
-	return c.cfg.Nodes[c.rr.Add(1)%uint64(len(c.cfg.Nodes))]
+// route picks the node for a target: the cached placement when one is known
+// (cached reports that), otherwise round-robin over the configured fleet.
+func (c *Client) route(target ownership.ID) (to transport.NodeID, cached bool) {
+	c.routeMu.RLock()
+	defer c.routeMu.RUnlock()
+	return c.routeLocked(target)
 }
 
-// learn repairs the routing cache from a response's authoritative host.
-// Fleet deployments map servers to nodes 1:1, so the wire's ServerID is the
-// node address.
-func (c *Client) learn(target ownership.ID, host int64) {
-	if host == 0 {
+// routeLocked is route for callers holding routeMu.
+func (c *Client) routeLocked(target ownership.ID) (transport.NodeID, bool) {
+	if to, ok := c.routes[target]; ok {
+		return to, true
+	}
+	return c.cfg.Nodes[c.rr.Add(1)%uint64(len(c.cfg.Nodes))], false
+}
+
+// learn repairs the routing cache from a response's authoritative host,
+// given where the event was sent and whether the cache said so: a response
+// confirming the cached route — nearly every one in a steady fleet — costs
+// no lookup at all. Fleet deployments map servers to nodes 1:1, so the
+// wire's ServerID is the node address.
+func (c *Client) learn(target ownership.ID, sentTo transport.NodeID, cached bool, host int64) {
+	if host == 0 || (cached && transport.NodeID(host) == sentTo) {
 		return
 	}
-	// Nearly every response confirms the cached route; storing allocates a
-	// map entry, so only a changed route is written.
-	if cur, ok := c.Route(target); !ok || cur != transport.NodeID(host) {
-		c.routes.Store(target, transport.NodeID(host))
-	}
+	c.routeMu.Lock()
+	c.routes[target] = transport.NodeID(host)
+	c.routeMu.Unlock()
 }
 
 // Route reports the cached placement of a target (for tests and the bench).
 func (c *Client) Route(target ownership.ID) (transport.NodeID, bool) {
-	v, ok := c.routes.Load(target)
-	if !ok {
-		return 0, false
-	}
-	return v.(transport.NodeID), true
+	c.routeMu.RLock()
+	defer c.routeMu.RUnlock()
+	to, ok := c.routes[target]
+	return to, ok
 }
 
 // stream returns the cached pipelined stream to a node, opening one on first
@@ -335,7 +345,7 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	}
 	*buf = payload
 
-	to := c.route(target)
+	to, cached := c.route(target)
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
 	msg := transport.Message{Kind: node.KindSubmit, Payload: payload}
@@ -363,7 +373,7 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	}
 	// Repair the routing cache even on failures — the authoritative host is
 	// exactly what a mis-routed submit needs.
-	c.learn(target, resp.Host)
+	c.learn(target, to, cached, resp.Host)
 	if resp.Err != "" {
 		return nil, node.WireError(resp.ErrKind, resp.Err)
 	}
@@ -406,14 +416,15 @@ func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 		}()
 		return f
 	}
-	co := c.coalescerFor(c.route(target))
+	to, cached := c.route(target)
+	co := c.coalescerFor(to)
 	if co == nil { // closed between the check above and here
 		f.err = ErrClientClosed
 		close(f.done)
 		<-c.window
 		return f
 	}
-	co.add(schema.BatchEvent{Target: target, Method: method, Args: args}, f)
+	co.add(BatchItem{Target: target, Method: method, Args: args}, cached, f)
 	return f
 }
 

@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -489,7 +490,7 @@ func (n *Node) replicaSeq() uint64 {
 // cache when the placement moved.
 func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []any) (any, error) {
 	n.forwarded.Add(1)
-	resp, err := n.callSubmit(n.nodeFor(host), submitReq{
+	resp, err := n.callSubmit(n.nodeFor(host), &schema.SubmitReq{
 		Target: target,
 		Method: method,
 		Args:   args,
@@ -499,7 +500,7 @@ func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string
 	if err != nil {
 		return nil, err
 	}
-	n.learnPlacement(target, resp.Host)
+	n.learnPlacement(target, cluster.ServerID(resp.Host))
 	if resp.Err != "" {
 		return nil, WireError(resp.ErrKind, resp.Err)
 	}
@@ -548,53 +549,42 @@ func (n *Node) dropStream(to transport.NodeID, st transport.Stream) {
 // buffer, and travels over the cached pipelined stream to the peer when the
 // mesh supports one — many submits share one connection with in-flight
 // windowing — falling back to the one-shot call otherwise.
-func (n *Node) callSubmit(to transport.NodeID, req submitReq) (submitResp, error) {
-	hot := schema.SubmitReq{
-		Target: req.Target,
-		Method: req.Method,
-		Args:   req.Args,
-		Hops:   uint32(req.Hops),
-		MinSeq: req.MinSeq,
-		Trace:  req.Trace,
-	}
-	buf := schema.GetFrameBuf()
-	payload, err := hot.MarshalWire((*buf)[:0])
+func (n *Node) callSubmit(to transport.NodeID, req *schema.SubmitReq) (schema.SubmitResp, error) {
+	var resp schema.SubmitResp
+	raw, err := n.callHot(to, KindSubmit, req.MarshalWire)
 	if err != nil {
-		schema.PutFrameBuf(buf)
-		return submitResp{}, err
+		return resp, fmt.Errorf("submit to %v: %w", to, err)
+	}
+	return resp, resp.UnmarshalWire(raw.Payload)
+}
+
+// callHot encodes one submit or batch frame into a pooled buffer and sends
+// it to a peer: over the cached pipelined stream when the mesh supports one,
+// the one-shot call otherwise.
+func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte) ([]byte, error)) (transport.Message, error) {
+	buf := schema.GetFrameBuf()
+	defer schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
+	payload, err := encode((*buf)[:0])
+	if err != nil {
+		return transport.Message{}, err
 	}
 	*buf = payload
-
+	msg := transport.Message{Kind: kind, Payload: payload}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
-	msg := transport.Message{Kind: KindSubmit, Payload: payload}
-	var raw transport.Message
-	if st := n.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			// Transport failure (not a handler error): the stream is broken
-			// or timed out; discard it so the next submit redials. No retry
-			// here — the outcome is ambiguous and events are not idempotent.
-			n.dropStream(to, st)
-		}
-	} else {
-		raw, err = n.ep.Call(ctx, to, msg)
+	st := n.stream(to)
+	if st == nil {
+		return n.ep.Call(ctx, to, msg)
 	}
-	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
-	if err != nil {
-		return submitResp{}, fmt.Errorf("submit to %v: %w", to, err)
+	raw, err := st.Call(ctx, msg)
+	var remote *transport.RemoteError
+	if err != nil && !errors.As(err, &remote) {
+		// Transport failure (not a handler error): the stream is broken or
+		// timed out; discard it so the next submit redials. No retry here —
+		// the outcome is ambiguous and events are not idempotent.
+		n.dropStream(to, st)
 	}
-	var hr schema.SubmitResp
-	if err := hr.UnmarshalWire(raw.Payload); err != nil {
-		return submitResp{}, err
-	}
-	return submitResp{
-		Result:  hr.Result,
-		Host:    cluster.ServerID(hr.Host),
-		Err:     hr.Err,
-		ErrKind: hr.ErrKind,
-	}, nil
+	return raw, err
 }
 
 // learnPlacement repairs the local directory cache from an authoritative
@@ -634,29 +624,20 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		if err := hr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		resp := n.handleSubmit(submitReq{
-			Target: hr.Target,
-			Method: hr.Method,
-			Args:   hr.Args,
-			Hops:   int(hr.Hops),
-			MinSeq: hr.MinSeq,
-			Trace:  hr.Trace,
-		})
-		hot := schema.SubmitResp{
-			Result:  resp.Result,
-			Host:    int64(resp.Host),
-			Err:     resp.Err,
-			ErrKind: resp.ErrKind,
-		}
-		payload, err := hot.MarshalWire(nil)
+		resp := n.handleSubmit(&hr)
+		payload, err := resp.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmit, Payload: payload}, err
 	case KindSubmitBatch:
-		var br schema.SubmitBatchReq
-		if err := br.UnmarshalWire(req.Payload); err != nil {
+		sc := batchScratchPool.Get().(*batchScratch)
+		defer sc.release()
+		if err := sc.req.UnmarshalFrame(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		resp := n.handleSubmitBatch(&br)
-		payload, err := resp.MarshalWire(nil)
+		n.handleSubmitBatch(sc)
+		// The response outlives the handler (the transport's writer flushes
+		// it later), so its buffer is the one per-frame byte allocation:
+		// sized from the event count so that it rarely grows.
+		payload, err := sc.resp.MarshalWire(make([]byte, 0, 16+8*len(sc.resp.Outcomes)))
 		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
 	case KindStore:
 		var op cloudstore.Op
@@ -714,244 +695,206 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 	}
 }
 
-// route resolves the server hosting target's sequencing point (its
-// dominator), for both submit handlers. caughtUp records that the frame
-// being handled already pulled the replication log, so one frame pays at
-// most one catch-up however many unknown targets it names.
-func (n *Node) route(target ownership.ID, caughtUp *bool) (cluster.ServerID, error) {
-	dom, _, err := n.rt.Graph().Resolve(target)
-	if err != nil && errors.Is(err, ownership.ErrNotFound) && n.plane != nil && !*caughtUp {
-		// The sender may know the target from a mutation whose sequence it
-		// did not carry (e.g. a client-side retry): pull the log once
-		// before declaring the context unknown. Gated on not-found so other
-		// resolve failures don't buy a store round trip per submit.
-		*caughtUp = true
-		if n.plane.CatchUp() == nil {
-			dom, _, err = n.rt.Graph().Resolve(target)
-		}
+// admit is the frame-level lag gate both submit handlers charge once: the
+// sender's replica had applied minSeq of the mutation log when it routed
+// here. Block until ours has too (a target may only exist past that
+// sequence), then fail typed if the replica stays behind — never admit
+// against a torn view.
+func (n *Node) admit(minSeq uint64) error {
+	if n.plane == nil || minSeq <= n.plane.Applied() {
+		return nil
 	}
+	err := n.plane.WaitFor(minSeq, n.cfg.ReplicaLagWait)
 	if err != nil {
-		// Keep the typed sentinel for the wire kind, but carry the real
-		// cause (store outage mid-catch-up, resolve ambiguity) in the
-		// message — "unknown context" alone hides what actually failed.
-		return 0, fmt.Errorf("dominator of %v: %v: %w", target, err, core.ErrUnknownContext)
+		n.emit("backpressure.lag", map[string]any{
+			"node": int64(n.id), "min_seq": minSeq, "applied": n.plane.Applied(), "err": err.Error(),
+		})
+		err = fmt.Errorf("submit at seq %d: %w", minSeq, err)
 	}
-	dir := n.rt.Directory()
-	host, ok := dir.Locate(dom)
-	if !ok {
-		// An event can name a sequencing point this node has resolved but
-		// never materialized: a virtual join minted by the Resolve above is
-		// placed only when the runtime materializes it. Materialize it here
-		// — the runtime places it deterministically alongside its first
-		// child — then re-read the directory.
-		if _, cerr := n.rt.Context(dom); cerr == nil {
-			host, ok = dir.Locate(dom)
-		}
-	}
-	if !ok {
-		return 0, fmt.Errorf("%v: %w", dom, core.ErrUnknownContext)
-	}
-	return host, nil
+	return err
 }
 
-// handleSubmit executes or forwards one submitted event. Placement is
-// resolved against the local directory snapshot; a miss forwards along the
-// directory's answer with the hop budget decremented, so a stale sender
-// pays exactly the forwarding hop of the paper's staleness window.
-func (n *Node) handleSubmit(req submitReq) submitResp {
-	// Lag-aware admission: the sender's replica had applied MinSeq of the
-	// mutation log when it routed here. Block until ours has too (the
-	// target may only exist past that sequence), then fail typed if the
-	// replica stays behind — never admit against a torn view.
-	if n.plane != nil && req.MinSeq > n.plane.Applied() {
-		if err := n.plane.WaitFor(req.MinSeq, n.cfg.ReplicaLagWait); err != nil {
-			n.emit("backpressure.lag", map[string]any{
-				"node": int64(n.id), "min_seq": req.MinSeq, "applied": n.plane.Applied(), "err": err.Error(),
-			})
-			msg, kind := errFields(fmt.Errorf("submit %v at seq %d: %w", req.Target, req.MinSeq, err))
-			return submitResp{Err: msg, ErrKind: kind}
-		}
-	}
-	host, err := n.route(req.Target, new(bool))
-	if err != nil {
-		msg, kind := errFields(err)
-		return submitResp{Err: msg, ErrKind: kind}
-	}
-	if !n.isLocal(host) {
-		// Forward on miss: our cached mapping says another node hosts the
-		// sequencing point.
-		if req.Hops >= n.cfg.MaxHops {
-			msg, kind := errFields(fmt.Errorf("%v after %d hops: %w", req.Target, req.Hops, ErrTooManyHops))
-			return submitResp{Err: msg, ErrKind: kind, Host: host}
-		}
-		fwd := req
-		fwd.Hops++
-		if s := n.replicaSeq(); s > fwd.MinSeq {
-			fwd.MinSeq = s
-		}
-		n.forwarded.Add(1)
-		start := time.Now()
-		resp, err := n.callSubmit(n.nodeFor(host), fwd)
-		d := time.Since(start)
-		n.forwardLat.Record(d)
-		n.span(req.Trace, "forward", req.Target, req.Method, req.Hops, d)
-		if err != nil {
-			msg, kind := errFields(err)
-			return submitResp{Err: msg, ErrKind: kind, Host: host}
-		}
-		n.learnPlacement(req.Target, resp.Host)
-		return resp
-	}
-	n.executed.Add(1)
-	start := time.Now()
+// runEvent is the per-event step both submit handlers share — a single
+// submit is a frame of one. The runtime frame resolves the event's
+// sequencing point once and executes it when this node embodies its host;
+// out then holds the outcome and runEvent returns 0. Otherwise our cached
+// mapping says another node hosts it: runEvent returns that host for the
+// caller to forward to, or fills out with ErrTooManyHops when the frame's
+// hop budget is spent. Placement is resolved against the local directory
+// snapshot, so a stale sender pays exactly the forwarding hop of the
+// paper's staleness window.
+func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method string, args []any, out *schema.BatchOutcome) cluster.ServerID {
 	// The runtime reports the authoritative placement it admitted the event
-	// at (it may itself have forwarded if a migration raced admission).
-	res, host, err := n.rt.SubmitRouted(req.Target, req.Method, req.Args...)
+	// at (zero if it failed before routing).
+	res, host, local, err := f.Run(target, method, args)
+	out.Host = int64(host)
+	switch {
+	case err != nil:
+		out.Err, out.ErrKind = errFields(err)
+	case local:
+		out.Result = res
+	case hops >= uint32(n.cfg.MaxHops):
+		out.Err, out.ErrKind = errFields(fmt.Errorf("%v after %d hops: %w", target, hops, ErrTooManyHops))
+	default:
+		return host
+	}
+	return 0
+}
+
+// handleSubmit executes or forwards one submitted event: the frame of one.
+func (n *Node) handleSubmit(req *schema.SubmitReq) schema.SubmitResp {
+	var out schema.BatchOutcome
+	f := n.rt.BeginFrame()
+	start := f.Clock()
+	if err := n.admit(req.MinSeq); err != nil {
+		out.Err, out.ErrKind = errFields(err)
+		return schema.SubmitResp(out)
+	}
+	host := n.runEvent(&f, req.Hops, req.Target, req.Method, req.Args, &out)
+	if host == 0 {
+		if f.Ran() > 0 {
+			n.executed.Add(1)
+			d := f.Clock().Sub(start)
+			n.submitLat.Record(d)
+			n.span(req.Trace, "execute", req.Target, req.Method, int(req.Hops), d)
+		}
+		return schema.SubmitResp(out)
+	}
+	// Forward on miss; the admission floor is the sender's, or this
+	// replica's applied sequence if that is further along.
+	fwd := *req
+	fwd.Hops++
+	fwd.MinSeq = max(req.MinSeq, n.replicaSeq())
+	n.forwarded.Add(1)
+	resp, err := n.callSubmit(n.nodeFor(host), &fwd)
 	d := time.Since(start)
-	n.submitLat.Record(d)
-	n.span(req.Trace, "execute", req.Target, req.Method, req.Hops, d)
-	resp := submitResp{Result: res, Host: host}
-	resp.Err, resp.ErrKind = errFields(err)
+	n.forwardLat.Record(d)
+	n.span(req.Trace, "forward", req.Target, req.Method, int(req.Hops), d)
+	if err != nil {
+		out.Err, out.ErrKind = errFields(err)
+		return schema.SubmitResp(out)
+	}
+	n.learnPlacement(req.Target, cluster.ServerID(resp.Host))
 	return resp
 }
 
-// callSubmitBatch forwards a sub-batch of events to a peer as one hot batch
-// frame over the cached pipelined stream, mirroring callSubmit's transport
-// discipline (pooled encode buffer, stream drop on transport failure, no
-// retry — outcomes are ambiguous and events are not idempotent).
-func (n *Node) callSubmitBatch(to transport.NodeID, req *schema.SubmitBatchReq) (schema.SubmitBatchResp, error) {
-	buf := schema.GetFrameBuf()
-	payload, err := req.MarshalWire((*buf)[:0])
-	if err != nil {
-		schema.PutFrameBuf(buf)
-		return schema.SubmitBatchResp{}, err
-	}
-	*buf = payload
+// batchScratch is what handling one batch frame needs and nothing outlives:
+// the decode target, the outcome slots and the per-host forward lists. It is
+// pooled — bounded by the mux workers handling frames at once — and cleared
+// on return, so a recycled scratch pins no event's arguments or results.
+// (Args are not part of it: see schema.SubmitBatchReq.UnmarshalFrame.)
+type batchScratch struct {
+	req  schema.SubmitBatchReq
+	resp schema.SubmitBatchResp
+	fwd  []hostEvents
+}
 
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
-	msg := transport.Message{Kind: KindSubmitBatch, Payload: payload}
-	var raw transport.Message
-	if st := n.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			n.dropStream(to, st)
+// hostEvents lists, by index into the frame, the events bound for one peer.
+type hostEvents struct {
+	host cluster.ServerID
+	idxs []int
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func (sc *batchScratch) release() {
+	clear(sc.req.Events)
+	clear(sc.resp.Outcomes)
+	clear(sc.fwd)
+	sc.fwd = sc.fwd[:0]
+	batchScratchPool.Put(sc)
+}
+
+// forwardTo appends event i to host's forward list.
+func (sc *batchScratch) forwardTo(host cluster.ServerID, i int) {
+	for k := range sc.fwd {
+		if sc.fwd[k].host == host {
+			sc.fwd[k].idxs = append(sc.fwd[k].idxs, i)
+			return
 		}
-	} else {
-		raw, err = n.ep.Call(ctx, to, msg)
 	}
-	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
-	if err != nil {
-		return schema.SubmitBatchResp{}, fmt.Errorf("batch submit to %v: %w", to, err)
-	}
-	var resp schema.SubmitBatchResp
-	if err := resp.UnmarshalWire(raw.Payload); err != nil {
-		return schema.SubmitBatchResp{}, err
-	}
-	return resp, nil
+	sc.fwd = append(sc.fwd, hostEvents{host: host, idxs: []int{i}})
 }
 
 // handleSubmitBatch executes or forwards a batch of independent events in
-// one admission. The frame-level fields are charged once — one replication-
-// lag gate, one hop budget — while every outcome is per-event: a typed
-// failure (unknown context, backpressure, hop exhaustion) fills only its own
-// slot and its batchmates proceed. Events whose dominators live on peers are
-// regrouped into per-host sub-batches and forwarded as batch frames, so a
-// stale route costs one extra frame per host, not per event; each forwarded
-// outcome carries the authoritative Host, which is learned here exactly like
-// the single-submit path does.
-func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchResp {
+// one admission, filling sc.resp with one outcome per event of sc.req. The
+// frame-level costs are charged once — one replication-lag gate, one hop
+// budget, one runtime frame (at most one log catch-up, one clock read per
+// event boundary), one executed-counter add — while every outcome is
+// per-event: a typed failure (unknown context, backpressure, hop exhaustion)
+// fills only its own slot and its batchmates proceed. Events whose
+// dominators live on peers are regrouped into per-host sub-batches and
+// forwarded as batch frames, so a stale route costs one extra frame per
+// host, not per event; each forwarded outcome carries the authoritative
+// Host, which is learned here exactly like the single-submit path does.
+func (n *Node) handleSubmitBatch(sc *batchScratch) {
+	req := &sc.req
 	n.batches.Add(1)
 	n.batchEvents.Add(uint64(len(req.Events)))
-	batchStart := time.Now()
-	defer func() { n.batchLat.Record(time.Since(batchStart)) }()
-	out := make([]schema.BatchOutcome, len(req.Events))
-	resp := schema.SubmitBatchResp{Outcomes: out}
-	if len(req.Events) == 0 {
-		return resp
-	}
-	// One lag-aware admission for the whole frame (see handleSubmit).
-	if n.plane != nil && req.MinSeq > n.plane.Applied() {
-		if err := n.plane.WaitFor(req.MinSeq, n.cfg.ReplicaLagWait); err != nil {
-			n.emit("backpressure.lag", map[string]any{
-				"node": int64(n.id), "min_seq": req.MinSeq, "applied": n.plane.Applied(), "err": err.Error(),
-			})
-			msg, kind := errFields(fmt.Errorf("batch submit at seq %d: %w", req.MinSeq, err))
-			for i := range out {
-				out[i].Err, out[i].ErrKind = msg, kind
-			}
-			return resp
+	f := n.rt.BeginFrame()
+	start := f.Clock()
+	out := slices.Grow(sc.resp.Outcomes[:0], len(req.Events))[:len(req.Events)] // release left them zeroed
+	sc.resp.Outcomes = out
+	// One lag-aware admission for the whole frame.
+	if err := n.admit(req.MinSeq); err != nil {
+		msg, kind := errFields(err)
+		for i := range out {
+			out[i].Err, out[i].ErrKind = msg, kind
 		}
+		n.batchLat.Record(time.Since(start))
+		return
 	}
-	// At most one log catch-up per batch: the first unknown target pulls the
-	// log once; batchmates resolve against the refreshed snapshot.
-	caughtUp := false
-	executedHere := 0
-	var fwd map[cluster.ServerID][]int
 	for i := range req.Events {
 		ev := &req.Events[i]
-		host, err := n.route(ev.Target, &caughtUp)
-		if err != nil {
-			out[i].Err, out[i].ErrKind = errFields(err)
-			continue
+		if host := n.runEvent(&f, req.Hops, ev.Target, ev.Method, ev.Args, &out[i]); host != 0 {
+			sc.forwardTo(host, i)
 		}
-		if !n.isLocal(host) {
-			if req.Hops >= uint32(n.cfg.MaxHops) {
-				msg, kind := errFields(fmt.Errorf("%v after %d hops: %w", ev.Target, req.Hops, ErrTooManyHops))
-				out[i].Err, out[i].ErrKind, out[i].Host = msg, kind, int64(host)
-				continue
-			}
-			if fwd == nil {
-				fwd = make(map[cluster.ServerID][]int)
-			}
-			fwd[host] = append(fwd[host], i)
-			continue
-		}
-		n.executed.Add(1)
-		res, host, err := n.rt.SubmitRouted(ev.Target, ev.Method, ev.Args...)
-		executedHere++
-		out[i].Result, out[i].Host = res, int64(host)
-		out[i].Err, out[i].ErrKind = errFields(err)
 	}
-	if executedHere > 0 {
-		// One span covers the frame's locally executed slice — per-event spans
-		// would multiply the feed by the batch size for no extra structure.
-		n.span(req.Trace, "batch-execute", ownership.ID(executedHere), "", int(req.Hops), time.Since(batchStart))
+	end := f.Clock()
+	if ran := f.Ran(); ran > 0 {
+		// One add and one span cover the frame's locally executed slice —
+		// per-event spans would multiply the feed by the batch size for no
+		// extra structure.
+		n.executed.Add(uint64(ran))
+		n.span(req.Trace, "batch-execute", ownership.ID(ran), "", int(req.Hops), end.Sub(start))
 	}
-	if len(fwd) == 0 {
-		return resp
+	if len(sc.fwd) > 0 {
+		n.forwardBatch(sc)
+		end = time.Now()
 	}
-	// Regroup misrouted events per host and forward each group as one batch
-	// frame, concurrently across hosts. Outcome slots are disjoint per group,
-	// so the goroutines never write the same index.
-	minSeq := req.MinSeq
-	if s := n.replicaSeq(); s > minSeq {
-		minSeq = s
-	}
+	n.batchLat.Record(end.Sub(start))
+}
+
+// forwardBatch ships each of the frame's per-host forward lists as one batch
+// frame — encoded from the frame's own events by index, with callSubmit's
+// transport discipline — concurrently across hosts. Outcome slots are disjoint per list, so the
+// goroutines never write the same index.
+func (n *Node) forwardBatch(sc *batchScratch) {
+	req, out := &sc.req, sc.resp.Outcomes
+	sub := schema.SubmitBatchReq{Hops: req.Hops + 1, MinSeq: max(req.MinSeq, n.replicaSeq()), Trace: req.Trace, Events: req.Events}
 	var wg sync.WaitGroup
-	for host, idxs := range fwd {
+	for _, g := range sc.fwd {
 		wg.Add(1)
 		go func(host cluster.ServerID, idxs []int) {
 			defer wg.Done()
-			sub := schema.SubmitBatchReq{
-				Hops:   req.Hops + 1,
-				MinSeq: minSeq,
-				Trace:  req.Trace,
-				Events: make([]schema.BatchEvent, len(idxs)),
-			}
-			for j, i := range idxs {
-				sub.Events[j] = req.Events[i]
-				n.forwarded.Add(1)
-			}
-			start := time.Now()
-			fres, err := n.callSubmitBatch(n.nodeFor(host), &sub)
-			n.span(req.Trace, "batch-forward", ownership.ID(len(idxs)), "", int(req.Hops), time.Since(start))
-			if err != nil {
+			n.forwarded.Add(uint64(len(idxs)))
+			fail := func(err error) {
 				msg, kind := errFields(err)
 				for _, i := range idxs {
 					out[i].Err, out[i].ErrKind, out[i].Host = msg, kind, int64(host)
 				}
+			}
+			start := time.Now()
+			raw, err := n.callHot(n.nodeFor(host), KindSubmitBatch, func(dst []byte) ([]byte, error) {
+				return sub.MarshalWirePick(dst, idxs)
+			})
+			n.span(req.Trace, "batch-forward", ownership.ID(len(idxs)), "", int(req.Hops), time.Since(start))
+			var fres schema.SubmitBatchResp
+			if err == nil {
+				err = fres.UnmarshalWire(raw.Payload)
+			}
+			if err != nil {
+				fail(fmt.Errorf("batch submit to %v: %w", host, err))
 				return
 			}
 			for j, i := range idxs {
@@ -962,10 +905,9 @@ func (n *Node) handleSubmitBatch(req *schema.SubmitBatchReq) schema.SubmitBatchR
 				out[i] = fres.Outcomes[j]
 				n.learnPlacement(req.Events[i].Target, cluster.ServerID(fres.Outcomes[j].Host))
 			}
-		}(host, idxs)
+		}(g.host, g.idxs)
 	}
 	wg.Wait()
-	return resp
 }
 
 // handleMigrate serves a commanded migration: only the node embodying the

@@ -92,34 +92,6 @@ var (
 	ErrNotLocalServer = errors.New("node: server not embodied by this node")
 )
 
-// submitReq asks the receiving node to execute one event. Hops counts how
-// many times the frame has been forwarded already. MinSeq is the sender's
-// applied replication sequence: the receiver must have applied at least
-// that much of the mutation log before admitting the event, or it could
-// reject a target the sender just created (it blocks on the needed
-// sequence, then fails typed if the replica stays behind).
-type submitReq struct {
-	Target ownership.ID
-	Method string
-	Args   []any
-	Hops   int
-	MinSeq uint64
-	// Trace is the optional 8-byte trace ID carried by hot frames (0 =
-	// untraced); forwards propagate it and traced hops emit span records.
-	Trace uint64
-}
-
-// submitResp carries the event result. Host is the authoritative placement
-// of the event's sequencing point after execution, so stale callers can
-// repair their directory cache ("notify source host to update its context
-// map", § 5.2).
-type submitResp struct {
-	Result  any
-	Host    cluster.ServerID
-	Err     string
-	ErrKind string
-}
-
 // storeResp is the result of a store operation: a cloudstore.Result plus the
 // in-band error (the request frame is the cloudstore.Op itself). The Result
 // is spelled out flat because gob compiles every nested struct type anew for

@@ -29,8 +29,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"aeon/internal/ownership"
 )
@@ -248,29 +250,28 @@ func (r *hotReader) take(n uint64) ([]byte, error) {
 	return b, nil
 }
 
+// lenBytes returns the next length-prefixed field without copying.
+func (r *hotReader) lenBytes() ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	return r.take(n)
+}
+
 // str decodes a length-prefixed string, copying out of the frame (frames
 // may live in pooled buffers; decoded values must not alias them).
 func (r *hotReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	b, err := r.lenBytes()
+	return string(b), err
 }
 
 // internedStr decodes a length-prefixed string through the intern table:
 // repeated values (method names, error kinds — small closed sets) decode
-// with zero allocations after first sight.
+// with zero allocations after first sight, and the empty string (the ErrKind
+// of every successful outcome) without touching the table at all.
 func (r *hotReader) internedStr() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.take(n)
+	b, err := r.lenBytes()
 	if err != nil {
 		return "", err
 	}
@@ -294,27 +295,52 @@ func (r *hotReader) header(frameType byte) error {
 // schema's methods, the wire error kinds), so the decoder interns them: a
 // map hit with a []byte key compiles to zero allocations, making repeated
 // decodes allocation-free. Only bounded sets go through here — free-form
-// strings (error messages, app data) are copied instead, so the table
-// cannot grow without bound.
+// strings (error messages, app data) are copied instead.
+//
+// Every decoded event reads the table and, past warm-up, nothing writes it,
+// so it is an immutable map behind an atomic pointer: a hit takes no lock,
+// and a miss copies the map under internMu. internMax bounds what a peer
+// sending made-up names can make that copy cost; past it, names are
+// returned uninterned.
+const internMax = 1024
+
 var (
-	internMu  sync.RWMutex
-	internTab = make(map[string]string)
+	internMu  sync.Mutex // serializes writers
+	internTab atomic.Pointer[map[string]string]
 )
 
+// internTable returns the current table (nil, which reads as empty, until
+// the first name is interned).
+func internTable() map[string]string {
+	if tab := internTab.Load(); tab != nil {
+		return *tab
+	}
+	return nil
+}
+
 func intern(b []byte) string {
-	internMu.RLock()
-	s, ok := internTab[string(b)] // no alloc: mapaccess with byte-slice key
-	internMu.RUnlock()
-	if ok {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := internTable()[string(b)]; ok { // no alloc: mapaccess with byte-slice key
 		return s
 	}
 	internMu.Lock()
 	defer internMu.Unlock()
-	if s, ok = internTab[string(b)]; ok {
+	old := internTable()
+	if s, ok := old[string(b)]; ok {
 		return s
 	}
-	s = string(b)
-	internTab[s] = s
+	s := string(b)
+	if len(old) >= internMax {
+		return s
+	}
+	next := maps.Clone(old)
+	if next == nil {
+		next = make(map[string]string)
+	}
+	next[s] = s
+	internTab.Store(&next)
 	return s
 }
 
@@ -385,11 +411,7 @@ func (r *hotReader) readValue() (any, error) {
 	case tagString:
 		return r.str()
 	case tagBytes:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(n)
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -400,11 +422,7 @@ func (r *hotReader) readValue() (any, error) {
 		v, err := r.uvarint()
 		return ownership.ID(v), err
 	case tagGob:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(n)
+		b, err := r.lenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -709,25 +727,44 @@ const batchTargetScan = 8
 // MarshalWire appends the frame to dst. Pass a pooled buffer (GetFrameBuf)
 // to encode without allocating.
 func (q *SubmitBatchReq) MarshalWire(dst []byte) ([]byte, error) {
-	if len(q.Events) > MaxBatchEvents {
-		return nil, fmt.Errorf("schema: batch of %d events exceeds MaxBatchEvents", len(q.Events))
+	return q.MarshalWirePick(dst, nil)
+}
+
+// MarshalWirePick appends a frame carrying only the events q.Events[pick[0]],
+// q.Events[pick[1]], … in that order (every event, in order, when pick is
+// nil), so a sender that splits one batch across destinations encodes each
+// share from the caller's slice instead of copying it into a frame-shaped
+// one first.
+func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error) {
+	n := len(q.Events)
+	if pick != nil {
+		n = len(pick)
+	}
+	if n > MaxBatchEvents {
+		return nil, fmt.Errorf("schema: batch of %d events exceeds MaxBatchEvents", n)
 	}
 	dst = append(dst, HotMagic, hotTypeSubmitBatchReq)
 	dst = putUvarint(dst, uint64(q.Hops))
 	dst = putUvarint(dst, q.MinSeq)
 	dst = putUvarint(dst, q.Trace)
-	dst = putUvarint(dst, uint64(len(q.Events)))
+	dst = putUvarint(dst, uint64(n))
 	var err error
-	for i := range q.Events {
+	var recent [batchTargetScan]ownership.ID // targets of the last events encoded
+	for k := 0; k < n; k++ {
+		i := k
+		if pick != nil {
+			i = pick[k]
+		}
 		ev := &q.Events[i]
-		// Target: 0 = raw ID follows; k>0 = same target as event i-k.
+		// Target: 0 = raw ID follows; j>0 = same target as the event j back.
 		back := uint64(0)
-		for k := 1; k <= batchTargetScan && k <= i; k++ {
-			if q.Events[i-k].Target == ev.Target {
-				back = uint64(k)
+		for j := 1; j <= batchTargetScan && j <= k; j++ {
+			if recent[(k-j)%batchTargetScan] == ev.Target {
+				back = uint64(j)
 				break
 			}
 		}
+		recent[k%batchTargetScan] = ev.Target
 		dst = putUvarint(dst, back)
 		if back == 0 {
 			dst = putUvarint(dst, uint64(ev.Target))
@@ -747,7 +784,18 @@ func (q *SubmitBatchReq) MarshalWire(dst []byte) ([]byte, error) {
 // Events slice — and each event's Args slice — is reused when capacity
 // suffices, so a long-lived decode target reaches steady-state zero
 // allocations; decoded values never alias b.
-func (q *SubmitBatchReq) UnmarshalWire(b []byte) error {
+func (q *SubmitBatchReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, false) }
+
+// UnmarshalFrame decodes like UnmarshalWire for a receiver that is recycled
+// between frames while the events it decoded may live on: the Events slice
+// is reused, but every event's Args is carved — with a full slice
+// expression, so appending to one never writes its neighbour — from one
+// []any allocated fresh for this frame. A handler that keeps its args, or
+// dispatches them to a sub-event, therefore holds memory no later frame
+// will write, exactly as if each event had its own slice.
+func (q *SubmitBatchReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, true) }
+
+func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 	r := hotReader{b: b}
 	if err := r.header(hotTypeSubmitBatchReq); err != nil {
 		return err
@@ -782,6 +830,7 @@ func (q *SubmitBatchReq) UnmarshalWire(b []byte) error {
 		// repeated decodes allocation-free.
 		evs = evs[:n]
 	}
+	var arena []any // freshArgs: the frame's one args allocation
 	for i := uint64(0); i < n; i++ {
 		e := &evs[i]
 		back, err := r.uvarint()
@@ -800,17 +849,34 @@ func (q *SubmitBatchReq) UnmarshalWire(b []byte) error {
 		default:
 			e.Target = evs[i-back].Target
 		}
-		if e.Method, err = r.internedStr(); err != nil {
+		method, err := r.lenBytes()
+		if err != nil {
 			return err
+		}
+		// Coalesced batches are runs of one method: try the previous event's
+		// before the table.
+		if i > 0 && string(method) == evs[i-1].Method {
+			e.Method = evs[i-1].Method
+		} else {
+			e.Method = intern(method)
 		}
 		na, err := r.uvarint()
 		if err != nil {
 			return err
 		}
-		if na > hotMax {
+		rest := uint64(len(r.b) - r.off) // every value takes at least a byte
+		if na > rest {
 			return r.fail("arg count overflow")
 		}
 		args := e.Args[:0]
+		if freshArgs {
+			if uint64(cap(arena)-len(arena)) < na {
+				// Size for the remaining events at this one's arity.
+				arena = make([]any, 0, min(na*(n-i), rest))
+			}
+			args = arena[len(arena) : len(arena) : len(arena)+int(na)]
+			arena = arena[:len(arena)+int(na)]
+		}
 		for j := uint64(0); j < na; j++ {
 			v, err := r.readValue()
 			if err != nil {

@@ -3,6 +3,7 @@ package schema
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -288,6 +289,141 @@ func TestSubmitBatchReqRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSubmitBatchReqOneCodecBody pins that the struct forms and the
+// frame-scoped forms are the same codec: MarshalWirePick of an index list is
+// byte-identical to MarshalWire of the copied-out subset (back-references
+// included), and UnmarshalFrame decodes what UnmarshalWire decodes — except
+// that each event's Args is a full-slice-expression cut of memory no later
+// decode into the same receiver writes.
+func TestSubmitBatchReqOneCodecBody(t *testing.T) {
+	all := SubmitBatchReq{Hops: 1, MinSeq: 7, Trace: 9}
+	for i := 0; i < 40; i++ {
+		ev := BatchEvent{Target: ownership.ID(300 + i%5), Method: "deposit", Args: []any{1000 + i}}
+		switch i % 4 {
+		case 1:
+			ev.Method, ev.Args = "balance", nil
+		case 3:
+			ev.Args = []any{i, "memo", ownership.ID(i)}
+		}
+		all.Events = append(all.Events, ev)
+	}
+	pick := []int{0, 2, 3, 7, 8, 12, 13, 14, 21, 39}
+	subset := SubmitBatchReq{Hops: all.Hops, MinSeq: all.MinSeq, Trace: all.Trace}
+	for _, i := range pick {
+		subset.Events = append(subset.Events, all.Events[i])
+	}
+	picked, err := all.MarshalWirePick(nil, pick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied, err := subset.MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(picked, copied) {
+		t.Fatalf("MarshalWirePick differs from MarshalWire of the copied subset:\n%x\n%x", picked, copied)
+	}
+	if _, err := all.MarshalWirePick(nil, make([]int, MaxBatchEvents+1)); err == nil {
+		t.Fatal("oversized pick list encoded")
+	}
+
+	whole, err := all.MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaWire, viaFrame SubmitBatchReq
+	if err := viaWire.UnmarshalWire(whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaFrame.UnmarshalFrame(whole); err != nil {
+		t.Fatal(err)
+	}
+	if len(viaFrame.Events) != len(viaWire.Events) {
+		t.Fatalf("UnmarshalFrame decoded %d events, UnmarshalWire %d", len(viaFrame.Events), len(viaWire.Events))
+	}
+	for i := range viaWire.Events {
+		w, f := viaWire.Events[i], viaFrame.Events[i]
+		if f.Target != w.Target || f.Method != w.Method || len(f.Args) != len(w.Args) {
+			t.Fatalf("event %d: UnmarshalFrame %+v, UnmarshalWire %+v", i, f, w)
+		}
+		for k := range w.Args {
+			if !reflect.DeepEqual(f.Args[k], w.Args[k]) {
+				t.Fatalf("event %d arg %d: %#v vs %#v", i, k, f.Args[k], w.Args[k])
+			}
+		}
+		if cap(f.Args) != len(f.Args) {
+			t.Fatalf("event %d: Args has spare capacity %d into its neighbour's", i, cap(f.Args)-len(f.Args))
+		}
+	}
+	// A kept Args slice survives the receiver's reuse, and appending to it
+	// never writes a batchmate's.
+	kept := viaFrame.Events[3].Args
+	_ = append(kept, "grown")
+	first := viaFrame.Events[0].Args
+	if err := viaFrame.UnmarshalFrame(picked); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaFrame.UnmarshalFrame(whole); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(kept, []any{3, "memo", ownership.ID(3)}) || !reflect.DeepEqual(first, []any{1000}) {
+		t.Fatalf("args kept across two reuses of the receiver changed: %v %v", kept, first)
+	}
+	if !reflect.DeepEqual(viaFrame.Events[4].Args, []any{1004}) {
+		t.Fatalf("appending to event 3's args wrote event 4's: %v", viaFrame.Events[4].Args)
+	}
+	// A lying arg count fails before it can size an allocation.
+	lying := []byte{HotMagic, 5, 0, 0, 0, 1, 0, 9, 0}
+	lying = putUvarint(lying, hotMax)
+	if err := viaFrame.UnmarshalFrame(lying); !errors.Is(err, ErrHotFrame) {
+		t.Fatalf("arg count beyond the frame's bytes: err = %v; want ErrHotFrame", err)
+	}
+}
+
+// TestInternedEmptyStringSkipsTable pins that the empty string — the
+// ErrKind of every successful outcome — decodes without entering (or
+// reading) the intern table, whichever frame carries it, while real names
+// still intern to one shared string.
+func TestInternedEmptyStringSkipsTable(t *testing.T) {
+	frames := map[string]func() ([]byte, error){
+		"submit resp, no error": func() ([]byte, error) { return (&SubmitResp{Result: 1, Host: 2}).MarshalWire(nil) },
+		"batch resp, no errors": func() ([]byte, error) {
+			return (&SubmitBatchResp{Outcomes: []BatchOutcome{{Result: 1, Host: 2}, {Host: 1, Err: "x", ErrKind: "app-test-kind"}, {}}}).MarshalWire(nil)
+		},
+		"submit req, empty method": func() ([]byte, error) { return (&SubmitReq{Target: 3}).MarshalWire(nil) },
+		"batch req, empty methods": func() ([]byte, error) {
+			return (&SubmitBatchReq{Events: []BatchEvent{{Target: 3}, {Target: 3, Method: "intern-test-method"}, {Target: 4}}}).MarshalWire(nil)
+		},
+	}
+	for name, build := range frames {
+		b, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var (
+			q  SubmitReq
+			p  SubmitResp
+			bq SubmitBatchReq
+			bp SubmitBatchResp
+		)
+		if q.UnmarshalWire(b) != nil && p.UnmarshalWire(b) != nil && bq.UnmarshalFrame(b) != nil && bp.UnmarshalWire(b) != nil {
+			t.Fatalf("%s: frame decodes as nothing", name)
+		}
+		if _, ok := internTable()[""]; ok {
+			t.Fatalf("%s: the empty string entered the intern table", name)
+		}
+	}
+	tab := internTable()
+	for _, want := range []string{"app-test-kind", "intern-test-method"} {
+		if _, ok := tab[want]; !ok {
+			t.Fatalf("%q was decoded but not interned", want)
+		}
+	}
+	if intern(nil) != "" || intern([]byte{}) != "" {
+		t.Fatal("intern of no bytes is not the empty string")
+	}
+}
+
 // TestSubmitBatchRespRoundTrip pins the batched response frame, in
 // particular the partial-failure contract: one outcome's typed error rides
 // its own slot and its siblings' results are untouched.
@@ -334,9 +470,9 @@ func TestSubmitBatchBounds(t *testing.T) {
 	}
 	// Hand-build a frame declaring MaxBatchEvents+1 events.
 	frame := []byte{HotMagic, 5}
-	frame = putUvarint(frame, 0)                  // Hops
-	frame = putUvarint(frame, 0)                  // MinSeq
-	frame = putUvarint(frame, MaxBatchEvents+1)   // count
+	frame = putUvarint(frame, 0)                // Hops
+	frame = putUvarint(frame, 0)                // MinSeq
+	frame = putUvarint(frame, MaxBatchEvents+1) // count
 	var q SubmitBatchReq
 	if err := q.UnmarshalWire(frame); err == nil {
 		t.Fatalf("oversized batch count decoded")
@@ -582,8 +718,8 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 				t.Fatalf("re-encode of decoded submitBatchReq failed: %v", err)
 			}
 			var bq2 SubmitBatchReq
-			if err := bq2.UnmarshalWire(b2); err != nil {
-				t.Fatalf("re-decode of re-encoded submitBatchReq failed: %v", err)
+			if err := bq2.UnmarshalFrame(b2); err != nil {
+				t.Fatalf("frame-form re-decode of re-encoded submitBatchReq failed: %v", err)
 			}
 			if bq2.Hops != bq.Hops || bq2.MinSeq != bq.MinSeq || len(bq2.Events) != len(bq.Events) {
 				t.Fatalf("submitBatchReq round trip not a fixed point: %+v vs %+v", bq2, bq)

@@ -819,9 +819,11 @@ func (p *muxWorkerPool) close() {
 // coalesced by a writer goroutine, so slow handlers never stall the read
 // loop and responses flow back in completion order.
 //
-// Handler contract on this path: the request payload is only valid for the
-// duration of the handler call (the read buffer is recycled); in-tree
-// handlers decode synchronously and retain nothing.
+// Handler contract on this path: every request frame is copied out of the
+// read buffer into memory of its own, valid for the handler call *and* any
+// response that aliases it — an echo handler returns the request itself, and
+// the writer goroutine flushes that response after the handler has returned.
+// The copy is therefore never recycled when the handler returns.
 func serveMux(conn net.Conn, h Handler, closing <-chan struct{}) {
 	var idBuf [8]byte
 	if _, err := io.ReadFull(conn, idBuf[:]); err != nil {
@@ -921,7 +923,8 @@ func serveMux(conn net.Conn, h Handler, closing <-chan struct{}) {
 		if !adm.acquire(weight) {
 			break // endpoint closing
 		}
-		// The read buffer is reused; the worker owns a copy.
+		// The read buffer is reused; the worker owns a copy, valid for the
+		// handler call and any response that aliases it (see above).
 		p := make([]byte, len(payload))
 		copy(p, payload)
 		pool.dispatch(muxJob{corrID: corrID, req: Message{Kind: kind, Payload: p}, weight: weight})

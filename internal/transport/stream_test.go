@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -76,6 +77,50 @@ func TestMuxStreamRoundTrip(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestMuxEchoResponseOwnsItsBytes guards the server's per-frame request
+// copy: an echo handler returns the request payload itself, so the response
+// aliases the request's memory until the writer goroutine has flushed it —
+// after the handler returned. With 64 frames in flight, each larger than its
+// share of the read buffer, the read loop keeps decoding new frames while
+// earlier responses are still queued; were a request's memory recycled at
+// handler return, a later frame would overwrite a queued response.
+func TestMuxEchoResponseOwnsItsBytes(t *testing.T) {
+	cli, _, _ := tcpPair(t, func(ctx context.Context, from NodeID, req Message) (Message, error) {
+		return req, nil
+	})
+	st, _, err := OpenStream(cli, 1)
+	if err != nil {
+		t.Fatalf("OpenStream: %v", err)
+	}
+	defer st.Close()
+
+	const inFlight, rounds, size = 64, 8, 8 << 10
+	msgs := make([]Message, inFlight)
+	for r := 0; r < rounds; r++ {
+		for i := range msgs {
+			p := make([]byte, size)
+			for k := range p {
+				p[k] = byte(r*inFlight + i + k)
+			}
+			msgs[i] = Message{Kind: "echo", Payload: p}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		resps, errs, fatal := StreamCallBatch(ctx, st, msgs)
+		cancel()
+		if fatal != nil {
+			t.Fatalf("round %d: %v", r, fatal)
+		}
+		for i := range msgs {
+			if errs[i] != nil {
+				t.Fatalf("round %d frame %d: %v", r, i, errs[i])
+			}
+			if !bytes.Equal(resps[i].Payload, msgs[i].Payload) {
+				t.Fatalf("round %d frame %d: the echoed payload changed after the handler returned", r, i)
+			}
+		}
 	}
 }
 
