@@ -6,12 +6,16 @@ package chaos
 // outcome classification:
 //
 //   - acked: the submit returned success — its effects MUST be visible.
-//   - failed: the error proves the event never executed (typed fail-fast
-//     errors from the synchronous in-memory mesh: dropped, partitioned,
-//     unknown node, lag-refused, backpressure, closed) — its effects MUST
-//     NOT be counted.
-//   - ambiguous: anything else. The event may or may not have executed, so
-//     its effects widen the upper bound of the entity's counter.
+//   - failed: the error proves the event never executed — its code's retry
+//     class (schema.Code.Class) is not-executed, or it is a link failure the
+//     synchronous in-memory mesh raised on the request hop — its effects
+//     MUST NOT be counted.
+//   - ambiguous: anything else (class unknown, or executed-and-failed). The
+//     event may or may not have executed, so its effects widen the upper
+//     bound of the entity's counter.
+//
+// The class is read from the error as it arrived: a coded sentinel in-process,
+// a schema.Coded over the ingress wire. Nothing here matches message text.
 //
 // That yields the soak invariant checked at every checkpoint and at the
 // final quiesce: for every entity, observed - baseline ∈ [ackedLow,
@@ -20,18 +24,15 @@ package chaos
 // equality required when ambiguity is zero.
 
 import (
-	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"aeon/internal/core"
 	"aeon/internal/ingress"
 	"aeon/internal/metrics"
 	"aeon/internal/node"
-	"aeon/internal/replication"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 	"aeon/internal/workload"
 )
@@ -97,32 +98,18 @@ func newDriver(scen workload.Scenario, d *node.Deployment, ing *ingress.Client) 
 	return dr
 }
 
-// retrySafe reports whether err proves the event did not execute. The
-// in-memory mesh is synchronous: a request-side transport error means the
-// handler never ran, and the typed admission errors (lag refusal,
-// backpressure, closed runtime) fail before execution by construction.
-// Server-side errors that crossed the ingress wire arrive re-typed by
-// WireError, so errors.Is covers them too; the string fallback catches
-// transport sentinels that were flattened into a message en route.
+// retrySafe reports whether err proves the event did not execute: the table
+// says so, or it is one of the three link-level codes. Their class is unknown
+// — on a real network a lost request and a lost reply look alike — but this
+// harness runs the synchronous in-memory mesh, where one raised on the
+// request hop means the handler never ran.
 func retrySafe(err error) bool {
-	switch {
-	case errors.Is(err, transport.ErrDropped),
-		errors.Is(err, transport.ErrPartitioned),
-		errors.Is(err, transport.ErrNodeUnknown),
-		errors.Is(err, transport.ErrClosed),
-		errors.Is(err, replication.ErrReplicaLagging),
-		errors.Is(err, core.ErrBackpressure),
-		errors.Is(err, core.ErrClosed),
-		errors.Is(err, node.ErrTooManyHops):
+	switch c := schema.CodeOf(err); c {
+	case schema.CodeLinkDropped, schema.CodeLinkPartitioned, schema.CodeLinkClosed:
 		return true
+	default:
+		return c.Class() == schema.NotExecuted
 	}
-	msg := err.Error()
-	for _, s := range []string{"call dropped", "link partitioned", "unknown node", "replica lagging", "endpoint closed"} {
-		if strings.Contains(msg, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // noteHazard stamps a reply-loss hazard instant; the runner calls it right
@@ -132,13 +119,10 @@ func (dr *driver) noteHazard() { dr.hazard.Store(time.Now().UnixNano()) }
 // hazardSensitive reports whether err is one of the kinds a reply loss can
 // masquerade as: the request-side variants of these are retry-safe, but a
 // call that was already past its request hop fails identically when the
-// fault lands on the reply.
+// fault lands on the reply. (An injected drop only ever eats the request.)
 func hazardSensitive(err error) bool {
-	if errors.Is(err, transport.ErrPartitioned) || errors.Is(err, transport.ErrClosed) {
-		return true
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "link partitioned") || strings.Contains(msg, "endpoint closed")
+	c := schema.CodeOf(err)
+	return c == schema.CodeLinkPartitioned || c == schema.CodeLinkClosed
 }
 
 // markDead/markAlive gate which nodes workers submit through.

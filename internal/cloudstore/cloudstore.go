@@ -19,7 +19,6 @@
 package cloudstore
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -27,20 +26,22 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aeon/internal/schema"
 )
 
 var (
 	// ErrNotFound is returned when a key does not exist.
-	ErrNotFound = errors.New("cloudstore: key not found")
+	ErrNotFound error = schema.CodeStoreNotFound
 	// ErrVersionMismatch is returned by CAS when the expected version is
 	// stale.
-	ErrVersionMismatch = errors.New("cloudstore: version mismatch")
+	ErrVersionMismatch error = schema.CodeStoreVersionMismatch
 	// ErrUnavailable is returned while the store is failed.
-	ErrUnavailable = errors.New("cloudstore: unavailable")
+	ErrUnavailable error = schema.CodeStoreUnavailable
 	// ErrFenced is returned to an operation whose Fence epoch is older than
 	// the partition's accepted epoch: the caller is acting for a deposed
 	// primary and must refresh its view of the replica set.
-	ErrFenced = errors.New("cloudstore: fenced by a newer epoch")
+	ErrFenced error = schema.CodeStoreFenced
 )
 
 // API is the typed surface cloud-store clients depend on: the eManager, the

@@ -19,7 +19,7 @@ import (
 
 // remoteStore serves st from a StoreServer on a fresh in-memory mesh and
 // returns a RemoteStore client to it: every op crosses the full
-// encode → handle → Do → errFields → WireError path.
+// encode → handle → Do → schema.Err path.
 func remoteStore(t *testing.T, st Backend) *node.RemoteStore {
 	t.Helper()
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))

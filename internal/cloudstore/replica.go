@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"aeon/internal/schema"
 )
 
 // KV is one replicated set: the value and the version the primary assigned.
@@ -144,13 +146,6 @@ func (r *Replicated) adopt(epoch uint64) {
 	}
 }
 
-// isSemantic reports whether err is a store-semantic outcome (key state) as
-// opposed to a replica-health signal; semantic errors surface to the caller
-// unchanged instead of triggering failover.
-func isSemantic(err error) bool {
-	return errors.Is(err, ErrNotFound) || errors.Is(err, ErrVersionMismatch)
-}
-
 // refresh re-derives the view from the replicas' accepted fence epochs after
 // an ErrFenced: whoever fenced us recorded a higher epoch on at least one
 // reachable replica.
@@ -240,7 +235,9 @@ func (r *Replicated) Do(op Op) (Result, error) {
 		switch {
 		case err == nil:
 			return res, nil
-		case isSemantic(err):
+		case schema.CodeOf(err).Class() == schema.ExecutedFailed:
+			// The store ran the op and this is its answer (key state), not a
+			// replica-health signal: it surfaces unchanged.
 			return Result{}, err
 		case errors.Is(err, ErrFenced):
 			// Our view is stale: someone fenced a newer epoch. Re-derive it

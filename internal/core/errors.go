@@ -7,16 +7,22 @@
 // starvation freedom while maximizing parallelism.
 package core
 
-import "errors"
+import (
+	"errors"
 
+	"aeon/internal/schema"
+)
+
+// The sentinels that name a schema.Code cross the wire as that code; the rest
+// are a handler's programming errors and read remotely as schema.CodeApp.
 var (
 	// ErrClosed is returned when submitting to a closed runtime.
-	ErrClosed = errors.New("core: runtime closed")
+	ErrClosed error = schema.CodeClosed
 	// ErrUnknownContext is returned when a context ID is not registered.
-	ErrUnknownContext = errors.New("core: unknown context")
+	ErrUnknownContext error = schema.CodeUnknownContext
 	// ErrUnknownMethod is returned when a method is not declared on the
 	// target's contextclass.
-	ErrUnknownMethod = errors.New("core: unknown method")
+	ErrUnknownMethod error = schema.CodeUnknownMethod
 	// ErrNotOwned is returned when a method call targets a context that is
 	// not directly owned by the caller (§ 3: "access to a context is only
 	// granted to the contexts that directly own it").
@@ -36,17 +42,18 @@ var (
 	// ErrAcquireTimeout is returned when lock acquisition exceeds the
 	// configured timeout (used as a deadlock watchdog in tests; the
 	// protocol itself is deadlock-free for valid ownership networks).
-	ErrAcquireTimeout = errors.New("core: context activation timed out")
+	ErrAcquireTimeout error = schema.CodeAcquireTimeout
 	// ErrMigrating is returned when an operation races an in-progress
 	// migration in a way the runtime cannot serve.
-	ErrMigrating = errors.New("core: context is migrating")
+	ErrMigrating error = schema.CodeMigrating
 	// ErrBackpressure is returned when an asynchronous submission finds the
 	// target server's executor queue full. Callers should retry later or
 	// shed load; synchronous Submit is unaffected (it runs on the caller's
 	// goroutine).
-	ErrBackpressure = errors.New("core: server executor queue full")
-	// ErrNotLocal is returned in multi-process deployments when an event's
-	// sequencing point is hosted on a server another process embodies and no
-	// forwarder is installed to delegate it there (see Runtime.SetRemote).
-	ErrNotLocal = errors.New("core: context not hosted on a local server")
+	ErrBackpressure error = schema.CodeBackpressure
+	// ErrNotLocal is returned in multi-process deployments when a request
+	// needs a server (or store) this process does not embody: an event
+	// sequenced elsewhere with no forwarder installed (Runtime.SetRemote), a
+	// transfer, migration or store frame addressed to the wrong node.
+	ErrNotLocal error = schema.CodeNotHosted
 )

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"aeon/internal/ops"
-)
+import "aeon/internal/ops"
 
 // queued reports the events currently sitting on executor queues across
 // every server pool (a point-in-time gauge; pools are read without locks,
@@ -17,8 +13,6 @@ func (e *executor) queued() int {
 	})
 	return n
 }
-
-var errRuntimeClosed = errors.New("runtime closed")
 
 // RegisterOps registers the runtime's hot-path metrics on an ops registry:
 // the striped end-to-end latency histogram (merged on read), completion and
@@ -41,7 +35,7 @@ func (r *Runtime) RegisterOps(reg *ops.Registry) {
 		func() float64 { return float64(len(r.Cluster().Servers())) })
 	reg.Readiness("runtime", func() error {
 		if r.closed.Load() {
-			return errRuntimeClosed
+			return ErrClosed
 		}
 		return nil
 	})

@@ -317,8 +317,8 @@ func (c *Client) applyBatchResp(f frame, raw transport.Message) {
 		// Repair the cache even on per-event failure — the authoritative host
 		// is exactly what a mis-routed event needs.
 		c.learn(f.events[i].Target, f.to, f.cached[i], out.Host)
-		if out.Err != "" {
-			f.res[i].Err = node.WireError(out.ErrKind, out.Err)
+		if out.Code != schema.CodeOK {
+			f.res[i].Err = schema.Err(out.Code, out.Err)
 		} else {
 			f.res[i].Result = out.Result
 		}

@@ -199,7 +199,7 @@ func TestClientBatchTypedErrorsRawProtocol(t *testing.T) {
 		resp := schema.SubmitBatchResp{Outcomes: make([]schema.BatchOutcome, len(br.Events))}
 		for i := range br.Events {
 			if br.Events[i].Method == "reject" {
-				resp.Outcomes[i] = schema.BatchOutcome{Err: "queue full", ErrKind: "backpressure", Host: 1}
+				resp.Outcomes[i] = schema.BatchOutcome{Err: "queue full", Code: schema.CodeBackpressure, Host: 1}
 			} else {
 				resp.Outcomes[i] = schema.BatchOutcome{Result: i, Host: 1}
 			}

@@ -374,8 +374,8 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	// Repair the routing cache even on failures — the authoritative host is
 	// exactly what a mis-routed submit needs.
 	c.learn(target, to, cached, resp.Host)
-	if resp.Err != "" {
-		return nil, node.WireError(resp.ErrKind, resp.Err)
+	if resp.Code != schema.CodeOK {
+		return nil, schema.Err(resp.Code, resp.Err)
 	}
 	return resp.Result, nil
 }

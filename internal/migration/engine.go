@@ -51,11 +51,10 @@ import (
 // (the eManager service).
 const ManagerNode = transport.NodeID(-2)
 
-var (
-	// ErrAlreadyMigrating is returned when a requested group overlaps a
-	// migration still in flight.
-	ErrAlreadyMigrating = errors.New("migration: context already migrating")
-)
+// ErrAlreadyMigrating is returned when a requested group overlaps a migration
+// still in flight. It is core.ErrMigrating, so a commanded migration's
+// collision crosses the wire typed (nothing moved: safe to ask again).
+var ErrAlreadyMigrating = core.ErrMigrating
 
 // Step identifies a journaled protocol step; the WAL records the last step
 // durably completed so Recover can roll the group forward.

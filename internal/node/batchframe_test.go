@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -123,7 +124,7 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 
 	type want struct {
 		result int
-		kind   string
+		code   schema.Code
 		host   int64
 	}
 	req := schema.SubmitBatchReq{Hops: uint32(n1.cfg.MaxHops) - 1}
@@ -135,24 +136,24 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 	for round := 1; round <= 4; round++ {
 		add(local[0], "deposit", want{result: 1000 + round, host: 1}, 1)
 		add(on2[0], "deposit", want{result: 1000 + 10*round, host: 2}, 10)
-		add(ownership.ID(90000+round), "deposit", want{kind: errKindUnknownContext}, 1)
+		add(ownership.ID(90000+round), "deposit", want{code: schema.CodeUnknownContext}, 1)
 		add(on3[1], "deposit", want{result: 1000 + 100*round, host: 3}, 100)
 		add(local[1], "balance", want{result: 1000, host: 1})
-		add(stale, "deposit", want{kind: errKindTooManyHops, host: 3}, 5)
+		add(stale, "deposit", want{code: schema.CodeTooManyHops, host: 3}, 5)
 	}
 	fwd1, b2, b3, e2, e3 := n1.Forwarded(), n2.Batches(), n3.Batches(), n2.Executed(), n3.Executed()
 	outs := handleBatch(t, n1, &req)
 	for i, w := range wants {
 		o := outs[i]
-		if o.ErrKind != w.kind || o.Host != w.host {
-			t.Fatalf("slot %d (%+v): kind %q host %d (%s); want kind %q host %d", i, req.Events[i], o.ErrKind, o.Host, o.Err, w.kind, w.host)
+		if o.Code != w.code || o.Host != w.host {
+			t.Fatalf("slot %d (%+v): code %s host %d (%s); want code %s host %d", i, req.Events[i], o.Code.Name(), o.Host, o.Err, w.code.Name(), w.host)
 		}
-		if w.kind == "" && o.Result != w.result {
+		if w.code == schema.CodeOK && o.Result != w.result {
 			t.Fatalf("slot %d (%+v): result %v; want %d — outcomes out of order or an event ran twice", i, req.Events[i], o.Result, w.result)
 		}
 	}
-	if !errors.Is(WireError(outs[2].ErrKind, outs[2].Err), core.ErrUnknownContext) ||
-		!errors.Is(WireError(outs[5].ErrKind, outs[5].Err), ErrTooManyHops) {
+	if !errors.Is(schema.Err(outs[2].Code, outs[2].Err), core.ErrUnknownContext) ||
+		!errors.Is(schema.Err(outs[5].Code, outs[5].Err), ErrTooManyHops) {
 		t.Fatalf("typed failures did not survive their slots: %q / %q", outs[2].Err, outs[5].Err)
 	}
 	if pulls.n != 1 {
@@ -180,6 +181,113 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 		if got := ctx.State().(*BankAccount).Balance; got != c.want {
 			t.Fatalf("%v on node %v: balance %d; want %d", c.acct, c.n.ID(), got, c.want)
 		}
+	}
+}
+
+// TestFailuresArriveAsThemselves pins what a caller can tell from a failed
+// outcome, on the single and the batch path alike: a forward hop that failed
+// in the transport arrives as that link error with class unknown — nothing
+// says whether the peer executed — a peer's short batch response leaves the
+// missing slots unknown too, and the runtime's own refusals arrive as their
+// sentinels with the class the table gives them. (At the parent commit every
+// row but the insufficient-funds one read as kind "app": a handler failure.)
+func TestFailuresArriveAsThemselves(t *testing.T) {
+	d, fm, net := deployFaulty(t, 3)
+	n1 := d.Nodes[0]
+	on2, on3 := d.Top.Accounts[1], d.Top.Accounts[2]
+	net.Partition(1, 2)
+	// Node 3 is replaced by a peer that answers a batch frame one outcome
+	// short and a single submit with garbage.
+	_ = d.Nodes[2].Close()
+	ep, err := fm.Attach(3, func(_ context.Context, _ transport.NodeID, req transport.Message) (transport.Message, error) {
+		if req.Kind != KindSubmitBatch {
+			return transport.Message{Kind: req.Kind, Payload: []byte("garbage")}, nil
+		}
+		var q schema.SubmitBatchReq
+		if err := q.UnmarshalWire(req.Payload); err != nil {
+			return transport.Message{}, err
+		}
+		short := schema.SubmitBatchResp{Outcomes: make([]schema.BatchOutcome, len(q.Events)-1)}
+		for i := range short.Outcomes {
+			short.Outcomes[i] = schema.BatchOutcome{Result: 7, Host: 3}
+		}
+		payload, err := short.MarshalWire(nil)
+		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ep.Close() })
+
+	// A runtime whose one class fails with whatever sentinel it is asked for.
+	s := schema.New()
+	sentinels := []error{core.ErrMigrating, core.ErrAcquireTimeout, errors.New("handler's own")}
+	s.MustDeclareClass("Faulty", func() any { return new(int) }).MustDeclareMethod("fail", func(_ schema.Call, args []any) (any, error) {
+		return nil, fmt.Errorf("asked for: %w", sentinels[args[0].(int)])
+	})
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(transport.NewSim(transport.SimConfig{}))
+	cl.AddServer(cluster.M3Large)
+	rt, err := core.New(s, ownership.NewGraph(), cl, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf, err := Start(transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), Config{ID: 1, Runtime: rt, LocalStore: cloudstore.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = nf.Close(); rt.Close() })
+	faulty := mustCreate(t, rt, "Faulty")
+
+	for _, tc := range []struct {
+		name   string
+		via    *Node
+		target ownership.ID
+		method string
+		args   []any
+		is     error // nil: any error of the class
+		class  schema.RetryClass
+		batch  bool // the single path cannot produce this row
+	}{
+		{"forward hop partitioned", n1, on2[0], "deposit", []any{1}, transport.ErrPartitioned, schema.OutcomeUnknown, false},
+		{"forward response undecodable", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, false},
+		{"batch response truncated", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, true},
+		{"migrating", nf, faulty, "fail", []any{0}, core.ErrMigrating, schema.NotExecuted, false},
+		{"acquire timeout", nf, faulty, "fail", []any{1}, core.ErrAcquireTimeout, schema.OutcomeUnknown, false},
+		{"handler's own error", nf, faulty, "fail", []any{2}, schema.CodeApp, schema.ExecutedFailed, false},
+		{"unknown context", n1, ownership.ID(90001), "deposit", []any{1}, core.ErrUnknownContext, schema.NotExecuted, false},
+	} {
+		check := func(path string, code schema.Code, msg string) {
+			t.Helper()
+			back := schema.Err(code, msg)
+			if back == nil || (tc.is != nil && !errors.Is(back, tc.is)) || schema.CodeOf(back).Class() != tc.class {
+				t.Errorf("%s, %s path: arrived as code %s (%s): %v; want errors.Is %v with class %s",
+					tc.name, path, code.Name(), code.Class(), back, tc.is, tc.class)
+			}
+		}
+		// Two events, so that a response one outcome short still fills slot 0.
+		req := schema.SubmitBatchReq{Events: []schema.BatchEvent{
+			{Target: tc.target, Method: tc.method, Args: tc.args}, {Target: tc.target, Method: tc.method, Args: tc.args}}}
+		last := handleBatch(t, tc.via, &req)[1]
+		check("batch", last.Code, last.Err)
+		if tc.batch {
+			continue
+		}
+		payload, err := (&schema.SubmitReq{Target: tc.target, Method: tc.method, Args: tc.args}).MarshalWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := tc.via.handle(context.Background(), 99, transport.Message{Kind: KindSubmit, Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp schema.SubmitResp
+		if err := resp.UnmarshalWire(raw.Payload); err != nil {
+			t.Fatal(err)
+		}
+		check("single", resp.Code, resp.Err)
 	}
 }
 
@@ -240,7 +348,7 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 	for round := 0; round <= laterFrames; round++ {
 		req := frame(round)
 		for i, o := range handleBatch(t, n, &req) {
-			if o.Err != "" {
+			if o.Code != schema.CodeOK {
 				t.Fatalf("frame %d event %d: %s", round, i, o.Err)
 			}
 		}

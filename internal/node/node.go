@@ -169,6 +169,9 @@ type Node struct {
 	// batch frames it handled (however many events each carried);
 	// batchEvents counts the events those frames carried.
 	forwarded, executed, batches, batchEvents, transfersIn, transfersOut atomic.Uint64
+	// errs counts failed outcomes by code (aeon_errors_total); only failure
+	// branches touch it.
+	errs [schema.NumCodes]atomic.Uint64
 
 	// ops is the process observability registry (Config.Ops; nil = off).
 	// submitLat/forwardLat/batchLat are striped per-frame handler latency
@@ -417,11 +420,11 @@ func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to clust
 	if err != nil {
 		return fmt.Errorf("migrate %v via %v: %w", root, owner, err)
 	}
-	var resp migrateResp
+	var resp ackResp
 	if err := decodeFrame(raw.Payload, &resp); err != nil {
 		return err
 	}
-	return WireError(resp.ErrKind, resp.Err)
+	return schema.Err(resp.Code, resp.Err)
 }
 
 // notifyReplicated is the replication plane's propagation hint: after a
@@ -498,11 +501,12 @@ func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string
 		MinSeq: n.replicaSeq(),
 	})
 	if err != nil {
+		n.failed(err, schema.CodeUnknown, 1)
 		return nil, err
 	}
 	n.learnPlacement(target, cluster.ServerID(resp.Host))
-	if resp.Err != "" {
-		return nil, WireError(resp.ErrKind, resp.Err)
+	if resp.Code != schema.CodeOK {
+		return nil, schema.Err(resp.Code, resp.Err)
 	}
 	return resp.Result, nil
 }
@@ -651,15 +655,7 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		if err := rec.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		msg, kind := errFields(n.handleTransfer(transferReq{
-			Members:    rec.Members,
-			From:       cluster.ServerID(rec.From),
-			To:         cluster.ServerID(rec.To),
-			TotalBytes: int(rec.TotalBytes),
-			States:     rec.States,
-			MinSeq:     rec.MinSeq,
-		}))
-		payload, err := encodeFrame(transferResp{Err: msg, ErrKind: kind})
+		payload, err := encodeFrame(ackOf(n.handleTransfer(&rec)))
 		return transport.Message{Kind: KindTransfer, Payload: payload}, err
 	case KindTransferQuery:
 		var tq transferQueryReq
@@ -674,8 +670,7 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		if err := decodeFrame(req.Payload, &mr); err != nil {
 			return transport.Message{}, err
 		}
-		msg, kind := errFields(n.handleMigrate(mr))
-		payload, err := encodeFrame(migrateResp{Err: msg, ErrKind: kind})
+		payload, err := encodeFrame(ackOf(n.handleMigrate(mr)))
 		return transport.Message{Kind: KindMigrate, Payload: payload}, err
 	case KindReplicate:
 		var nr schema.NotifyRec
@@ -699,7 +694,7 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 // sender's replica had applied minSeq of the mutation log when it routed
 // here. Block until ours has too (a target may only exist past that
 // sequence), then fail typed if the replica stays behind — never admit
-// against a torn view.
+// against a torn view. The caller says what was refused.
 func (n *Node) admit(minSeq uint64) error {
 	if n.plane == nil || minSeq <= n.plane.Applied() {
 		return nil
@@ -709,9 +704,20 @@ func (n *Node) admit(minSeq uint64) error {
 		n.emit("backpressure.lag", map[string]any{
 			"node": int64(n.id), "min_seq": minSeq, "applied": n.plane.Applied(), "err": err.Error(),
 		})
-		err = fmt.Errorf("submit at seq %d: %w", minSeq, err)
 	}
 	return err
+}
+
+// failed renders err as the (code, message) of `events` outcomes and counts
+// them under aeon_errors_total. uncoded is the code of an error no layer
+// gave one: CodeApp where a handler ran, so the failure is the
+// application's; CodeUnknown where a hop failed and nothing says whether the
+// peer executed.
+func (n *Node) failed(err error, uncoded schema.Code, events int) (schema.Code, string) {
+	code := uncoded
+	errors.As(err, &code)
+	n.errs[code].Add(uint64(events))
+	return code, err.Error()
 }
 
 // runEvent is the per-event step both submit handlers share — a single
@@ -730,11 +736,11 @@ func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method 
 	out.Host = int64(host)
 	switch {
 	case err != nil:
-		out.Err, out.ErrKind = errFields(err)
+		out.Code, out.Err = n.failed(err, schema.CodeApp, 1)
 	case local:
 		out.Result = res
 	case hops >= uint32(n.cfg.MaxHops):
-		out.Err, out.ErrKind = errFields(fmt.Errorf("%v after %d hops: %w", target, hops, ErrTooManyHops))
+		out.Code, out.Err = n.failed(fmt.Errorf("%v after %d hops: %w", target, hops, ErrTooManyHops), schema.CodeUnknown, 1)
 	default:
 		return host
 	}
@@ -747,7 +753,7 @@ func (n *Node) handleSubmit(req *schema.SubmitReq) schema.SubmitResp {
 	f := n.rt.BeginFrame()
 	start := f.Clock()
 	if err := n.admit(req.MinSeq); err != nil {
-		out.Err, out.ErrKind = errFields(err)
+		out.Code, out.Err = n.failed(fmt.Errorf("submit %v.%s at seq %d: %w", req.Target, req.Method, req.MinSeq, err), schema.CodeUnknown, 1)
 		return schema.SubmitResp(out)
 	}
 	host := n.runEvent(&f, req.Hops, req.Target, req.Method, req.Args, &out)
@@ -771,7 +777,7 @@ func (n *Node) handleSubmit(req *schema.SubmitReq) schema.SubmitResp {
 	n.forwardLat.Record(d)
 	n.span(req.Trace, "forward", req.Target, req.Method, int(req.Hops), d)
 	if err != nil {
-		out.Err, out.ErrKind = errFields(err)
+		out.Code, out.Err = n.failed(err, schema.CodeUnknown, 1)
 		return schema.SubmitResp(out)
 	}
 	n.learnPlacement(req.Target, cluster.ServerID(resp.Host))
@@ -837,9 +843,9 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 	sc.resp.Outcomes = out
 	// One lag-aware admission for the whole frame.
 	if err := n.admit(req.MinSeq); err != nil {
-		msg, kind := errFields(err)
+		code, msg := n.failed(fmt.Errorf("batch of %d events at seq %d: %w", len(out), req.MinSeq, err), schema.CodeUnknown, len(out))
 		for i := range out {
-			out[i].Err, out[i].ErrKind = msg, kind
+			out[i].Code, out[i].Err = code, msg
 		}
 		n.batchLat.Record(time.Since(start))
 		return
@@ -878,10 +884,11 @@ func (n *Node) forwardBatch(sc *batchScratch) {
 		go func(host cluster.ServerID, idxs []int) {
 			defer wg.Done()
 			n.forwarded.Add(uint64(len(idxs)))
-			fail := func(err error) {
-				msg, kind := errFields(err)
+			// The hop failed: nothing says whether the peer ran these events.
+			fail := func(err error, idxs []int) {
+				code, msg := n.failed(err, schema.CodeUnknown, len(idxs))
 				for _, i := range idxs {
-					out[i].Err, out[i].ErrKind, out[i].Host = msg, kind, int64(host)
+					out[i].Code, out[i].Err, out[i].Host = code, msg, int64(host)
 				}
 			}
 			start := time.Now()
@@ -894,13 +901,13 @@ func (n *Node) forwardBatch(sc *batchScratch) {
 				err = fres.UnmarshalWire(raw.Payload)
 			}
 			if err != nil {
-				fail(fmt.Errorf("batch submit to %v: %w", host, err))
+				fail(fmt.Errorf("batch submit to %v: %w", host, err), idxs)
 				return
 			}
 			for j, i := range idxs {
 				if j >= len(fres.Outcomes) {
-					out[i].Err, out[i].ErrKind = "batch response truncated", errKindApp
-					continue
+					fail(fmt.Errorf("batch response from %v truncated at %d outcomes", host, j), idxs[j:])
+					return
 				}
 				out[i] = fres.Outcomes[j]
 				n.learnPlacement(req.Events[i].Target, cluster.ServerID(fres.Outcomes[j].Host))
@@ -918,7 +925,7 @@ func (n *Node) handleMigrate(req migrateReq) error {
 		return fmt.Errorf("%v: %w", req.Root, core.ErrUnknownContext)
 	}
 	if !n.isLocal(host) {
-		return fmt.Errorf("migrate %v hosted on %v: %w", req.Root, host, ErrNotLocalServer)
+		return fmt.Errorf("migrate %v hosted on %v: %w", req.Root, host, core.ErrNotLocal)
 	}
 	n.emit("migration.start", map[string]any{
 		"node": int64(n.id), "root": uint64(req.Root), "from": int64(host), "to": int64(req.To),
@@ -992,11 +999,11 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 		}
 		return fmt.Errorf("transfer to %v: %w", to, err)
 	}
-	var resp transferResp
+	var resp ackResp
 	if err := decodeFrame(raw.Payload, &resp); err != nil {
 		return err
 	}
-	return WireError(resp.ErrKind, resp.Err)
+	return schema.Err(resp.Code, resp.Err)
 }
 
 // transferCommitted asks the destination whether it committed a transfer
@@ -1024,10 +1031,13 @@ func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
 // handleTransfer installs a migrated group on this node: decode and set
 // each member's state, then remap the local directory replica in one
 // MoveBatch epoch (RehostBatch) and mirror the NIC transfer accounting the
-// source engine charges on its side.
-func (n *Node) handleTransfer(req transferReq) error {
-	if !n.isLocal(req.To) {
-		return fmt.Errorf("transfer for %v: %w", req.To, ErrNotLocalServer)
+// source engine charges on its side. Members without a States entry (nil
+// state, adopted stragglers carrying factory state) are remapped without a
+// state install.
+func (n *Node) handleTransfer(req *schema.TransferRec) error {
+	from, to := cluster.ServerID(req.From), cluster.ServerID(req.To)
+	if !n.isLocal(to) {
+		return fmt.Errorf("transfer for %v: %w", to, core.ErrNotLocal)
 	}
 	// Group members created at runtime exist here only once the replica has
 	// applied their creating records: block on the source's sequence before
@@ -1052,20 +1062,20 @@ func (n *Node) handleTransfer(req transferReq) error {
 		}
 		c.SetState(v)
 	}
-	if err := n.rt.RehostBatch(req.Members, req.To); err != nil {
+	if err := n.rt.RehostBatch(req.Members, to); err != nil {
 		return err
 	}
 	n.transfersIn.Add(1)
 	n.emit("transfer.install", map[string]any{
 		"node": int64(n.id), "members": len(req.Members),
-		"from": int64(req.From), "to": int64(req.To), "bytes": req.TotalBytes,
+		"from": req.From, "to": req.To, "bytes": req.TotalBytes,
 	})
 	cl := n.rt.Cluster()
-	if s, ok := cl.Server(req.To); ok {
-		s.AddTransferBytes(int64(req.TotalBytes))
+	if s, ok := cl.Server(to); ok {
+		s.AddTransferBytes(req.TotalBytes)
 	}
-	if s, ok := cl.Server(req.From); ok {
-		s.AddTransferBytes(int64(req.TotalBytes))
+	if s, ok := cl.Server(from); ok {
+		s.AddTransferBytes(req.TotalBytes)
 	}
 	return nil
 }
@@ -1075,8 +1085,7 @@ func (n *Node) handleTransfer(req transferReq) error {
 func (n *Node) handleStore(op cloudstore.Op) storeResp {
 	st := n.cfg.LocalStore
 	if !n.servesStore || st == nil {
-		msg, kind := errFields(fmt.Errorf("node %v: %w", n.id, ErrNotStoreNode))
-		return storeResp{Err: msg, ErrKind: kind}
+		return storeResp{Err: fmt.Sprintf("node %v serves no store: %v", n.id, core.ErrNotLocal), Code: schema.CodeNotHosted}
 	}
 	return execStoreOp(st, op)
 }

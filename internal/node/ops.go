@@ -16,6 +16,7 @@ import (
 	"aeon/internal/cloudstore"
 	"aeon/internal/ops"
 	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -39,6 +40,11 @@ func (n *Node) registerOps() {
 		"Migration state transfers installed on this node.", nil, n.transfersIn.Load)
 	reg.Counter("aeon_node_transfers_out_total",
 		"Migration state transfers shipped from this node.", nil, n.transfersOut.Load)
+	for c := schema.CodeApp; c < schema.NumCodes; c++ {
+		reg.Counter("aeon_errors_total",
+			"Submit outcomes that failed on this node or on a hop from it, by error code.",
+			ops.Labels{"code": c.Name()}, n.errs[c].Load)
+	}
 	reg.Histogram("aeon_node_submit_seconds",
 		"Handler latency of locally executed submit frames.", nil, &n.submitLat)
 	reg.Histogram("aeon_node_forward_seconds",

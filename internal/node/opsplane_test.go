@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -63,6 +64,35 @@ func TestOpsPlaneNodeExposition(t *testing.T) {
 	}
 	if !strings.Contains(b2.String(), "aeon_node_submits_executed_total 1") {
 		t.Fatalf("node 2 executed counter not live:\n%s", b2.String())
+	}
+}
+
+// TestOpsPlaneErrorsByCode pins aeon_errors_total: a frame's failed outcomes
+// are counted under their code's stable name — here two unknown targets, one
+// handler failure (an overdraft) and nothing else.
+func TestOpsPlaneErrorsByCode(t *testing.T) {
+	d := deployOps(t, 1)
+	n, acct := d.Nodes[0], d.Top.Accounts[0][0]
+	req := schema.SubmitBatchReq{Events: []schema.BatchEvent{
+		{Target: acct, Method: "deposit", Args: []any{1}},
+		{Target: 90001, Method: "deposit", Args: []any{1}},
+		{Target: acct, Method: "withdraw", Args: []any{1 << 30}},
+		{Target: 90002, Method: "balance"},
+	}}
+	handleBatch(t, n, &req)
+	var b strings.Builder
+	if err := n.Ops().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		"# TYPE aeon_errors_total counter",
+		`aeon_errors_total{code="unknown-context"} 2`,
+		`aeon_errors_total{code="app"} 1`,
+		`aeon_errors_total{code="link-partitioned"} 0`,
+	} {
+		if !strings.Contains(b.String(), line+"\n") {
+			t.Fatalf("exposition lacks %q:\n%s", line, b.String())
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"aeon/internal/emanager"
 	"aeon/internal/ownership"
 	"aeon/internal/replication"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -243,13 +244,10 @@ func TestReplicaLagGateBlocksThenFails(t *testing.T) {
 	if !errors.Is(err, replication.ErrReplicaLagging) {
 		t.Fatalf("WaitFor an unreachable sequence = %v, want ErrReplicaLagging", err)
 	}
-	// The sentinel survives the wire: classify and reconstruct.
-	msg, kind := errFields(err)
-	if kind != errKindReplicaLag {
-		t.Fatalf("lag error classifies as %q, want %q", kind, errKindReplicaLag)
-	}
-	if back := WireError(kind, msg); !errors.Is(back, replication.ErrReplicaLagging) {
-		t.Fatalf("wire round trip lost the sentinel: %v", back)
+	// The sentinel survives the wire, and says the submit did not execute.
+	back := schema.Err(schema.CodeOf(err), err.Error())
+	if !errors.Is(back, replication.ErrReplicaLagging) || schema.CodeOf(back).Class() != schema.NotExecuted {
+		t.Fatalf("wire round trip lost the sentinel: %v (code %s)", back, schema.CodeOf(back).Name())
 	}
 	// A reachable sequence blocks and succeeds.
 	if err := n2.Plane().WaitFor(d.Nodes[0].Plane().Applied(), 2*time.Second); err != nil {

@@ -124,8 +124,8 @@ func TestSubmitBatchFirstTouchMaterialisesVirtualJoin(t *testing.T) {
 		t.Fatalf("%d outcomes for %d events", len(resp.Outcomes), nodes)
 	}
 	for i, out := range resp.Outcomes {
-		if out.Err != "" {
-			t.Errorf("first-touch post %d (target %v): %s [%s]", i, req.Events[i].Target, out.Err, out.ErrKind)
+		if out.Code != schema.CodeOK {
+			t.Errorf("first-touch post %d (target %v): %s [%s]", i, req.Events[i].Target, out.Err, out.Code.Name())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aeon/internal/cloudstore"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -95,7 +96,7 @@ func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
 		return cloudstore.Result{}, err
 	}
 	res := cloudstore.Result{Value: resp.Value, Version: resp.Version, Keys: resp.Keys}
-	return res, WireError(resp.ErrKind, resp.Err)
+	return res, schema.Err(resp.Code, resp.Err)
 }
 
 // execStoreOp runs one store frame's op against a replica and renders the
@@ -105,6 +106,8 @@ func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
 func execStoreOp(st cloudstore.Doer, op cloudstore.Op) storeResp {
 	res, err := st.Do(op)
 	resp := storeResp{Value: res.Value, Version: res.Version, Keys: res.Keys}
-	resp.Err, resp.ErrKind = errFields(err)
+	if err != nil {
+		resp.Err, resp.Code = err.Error(), schema.CodeOf(err)
+	}
 	return resp
 }

@@ -14,12 +14,16 @@ import (
 	"time"
 
 	"aeon/internal/cloudstore"
+	"aeon/internal/core"
+	"aeon/internal/migration"
+	"aeon/internal/replication"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
 // storeWireRig is a StoreServer and a RemoteStore client on one in-memory
-// mesh: every op crosses the full encode→handle→execStoreOp→errFields→
-// WireError path.
+// mesh: every op crosses the full encode→handle→execStoreOp→schema.Err
+// path.
 func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
 	t.Helper()
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
@@ -40,7 +44,7 @@ func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
 }
 
 // TestStoreWireSentinelRoundTrip pins that every cloudstore sentinel survives
-// the RemoteStore → handler → WireError translation. One op per sentinel is
+// the RemoteStore → handler → RemoteStore exchange. One op per sentinel is
 // the whole table: the frame is the same cloudstore.Op whatever its kind
 // (kind × fence epoch is checked where the fence lives, at Store.Do, and
 // every kind crosses the wire in cloudstore's TestWireRoundTripEveryKind).
@@ -88,6 +92,99 @@ func TestStoreWireSentinelRoundTrip(t *testing.T) {
 				t.Fatalf("refusal carried fence %d; want %d", res.Version, tc.fence)
 			}
 		})
+	}
+}
+
+// codeSentinels names, for every code of the table, the sentinel a caller
+// tests with errors.Is (the code itself where no package exports one). It is
+// the README "Errors" table's sentinel column under test.
+var codeSentinels = map[schema.Code]error{
+	schema.CodeApp:                  schema.CodeApp,
+	schema.CodeUnknown:              schema.CodeUnknown,
+	schema.CodeUnknownContext:       core.ErrUnknownContext,
+	schema.CodeUnknownMethod:        core.ErrUnknownMethod,
+	schema.CodeNotHosted:            core.ErrNotLocal,
+	schema.CodeTooManyHops:          ErrTooManyHops,
+	schema.CodeBackpressure:         core.ErrBackpressure,
+	schema.CodeClosed:               core.ErrClosed,
+	schema.CodeMigrating:            migration.ErrAlreadyMigrating,
+	schema.CodeAcquireTimeout:       core.ErrAcquireTimeout,
+	schema.CodeReplicaLagging:       replication.ErrReplicaLagging,
+	schema.CodeStoreNotFound:        cloudstore.ErrNotFound,
+	schema.CodeStoreVersionMismatch: cloudstore.ErrVersionMismatch,
+	schema.CodeStoreUnavailable:     cloudstore.ErrUnavailable,
+	schema.CodeStoreFenced:          cloudstore.ErrFenced,
+	schema.CodeLinkPartitioned:      transport.ErrPartitioned,
+	schema.CodeLinkClosed:           transport.ErrClosed,
+	schema.CodeLinkDropped:          transport.ErrDropped,
+	schema.CodeLinkNoNode:           transport.ErrNodeUnknown,
+}
+
+// failingDoer answers every op with one error.
+type failingDoer struct{ err error }
+
+func (d failingDoer) Do(cloudstore.Op) (cloudstore.Result, error) {
+	return cloudstore.Result{}, d.err
+}
+
+// TestEveryCodeSurvivesEveryFrame sends each code of the table, wrapped the
+// way its producer wraps it, through the three response frames that carry
+// errors in-band — SubmitResp, SubmitBatchResp and the gob storeResp — and
+// requires errors.Is against the original sentinel and the retry class to
+// hold on the far side. It fails when a code is added without a sentinel row.
+func TestEveryCodeSurvivesEveryFrame(t *testing.T) {
+	for c := schema.CodeOK + 1; c < schema.NumCodes; c++ {
+		sentinel, ok := codeSentinels[c]
+		if !ok {
+			t.Errorf("code %d (%s) has no row in codeSentinels", c, c.Name())
+			continue
+		}
+		err := fmt.Errorf("ctx#7 on node3: %w", sentinel)
+		if schema.CodeOf(err) != c {
+			t.Errorf("%s: sentinel %v carries code %s", c.Name(), sentinel, schema.CodeOf(err).Name())
+			continue
+		}
+		arrived := map[string]error{}
+
+		single := schema.SubmitResp{Host: 3, Code: schema.CodeOf(err), Err: err.Error()}
+		b, merr := single.MarshalWire(nil)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		var gotSingle schema.SubmitResp
+		if uerr := gotSingle.UnmarshalWire(b); uerr != nil {
+			t.Fatal(uerr)
+		}
+		arrived["SubmitResp"] = schema.Err(gotSingle.Code, gotSingle.Err)
+
+		batch := schema.SubmitBatchResp{Outcomes: []schema.BatchOutcome{{Result: 1, Host: 3}, schema.BatchOutcome(single)}}
+		if b, merr = batch.MarshalWire(nil); merr != nil {
+			t.Fatal(merr)
+		}
+		var gotBatch schema.SubmitBatchResp
+		if uerr := gotBatch.UnmarshalWire(b); uerr != nil {
+			t.Fatal(uerr)
+		}
+		if ok := gotBatch.Outcomes[0]; ok.Code != schema.CodeOK || ok.Err != "" || ok.Result != 1 {
+			t.Errorf("%s: the failed slot's neighbour arrived as %+v", c.Name(), ok)
+		}
+		arrived["SubmitBatchResp"] = schema.Err(gotBatch.Outcomes[1].Code, gotBatch.Outcomes[1].Err)
+
+		if b, merr = encodeFrame(execStoreOp(failingDoer{err}, cloudstore.Op{Kind: cloudstore.OpGet, Key: "k"})); merr != nil {
+			t.Fatal(merr)
+		}
+		var gotStore storeResp
+		if derr := decodeFrame(b, &gotStore); derr != nil {
+			t.Fatal(derr)
+		}
+		arrived["storeResp"] = schema.Err(gotStore.Code, gotStore.Err)
+
+		for frame, back := range arrived {
+			if !errors.Is(back, sentinel) || schema.CodeOf(back).Class() != c.Class() || back.Error() != err.Error() {
+				t.Errorf("%s through %s: arrived as %v (code %s, class %s); want errors.Is %v, class %s",
+					c.Name(), frame, back, schema.CodeOf(back).Name(), schema.CodeOf(back).Class(), sentinel, c.Class())
+			}
+		}
 	}
 }
 

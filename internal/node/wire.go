@@ -5,22 +5,20 @@ package node
 // are hot-codec frames (schema/hotframe.go) and nothing else; store ops and
 // the control plane (ping, migrate, transfer-query, transfer acks) are gob
 // frames. Every exchange is strictly request/response. Handler-level
-// failures travel in-band as an error kind plus message, so typed errors
-// (unknown context, hop-budget exhaustion, backpressure, store version
-// mismatch) survive the wire instead of flattening into strings.
+// failures travel in-band as a schema.Code plus message. The sentinels are
+// their codes (schema/errors.go), so there is nothing to map at either end:
+// the sender reads the code out of the error chain, the receiver rebuilds
+// the error with schema.Err, and errors.Is holds across the wire.
 
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"sync"
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
-	"aeon/internal/core"
 	"aeon/internal/ownership"
-	"aeon/internal/replication"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
@@ -60,37 +58,11 @@ const (
 	KindShutdown = "node.shutdown"
 )
 
-// Wire error kinds; mapped back to sentinel errors on the calling side.
-const (
-	errKindNone            = ""
-	errKindApp             = "app"
-	errKindUnknownContext  = "unknown-context"
-	errKindUnknownMethod   = "unknown-method"
-	errKindTooManyHops     = "too-many-hops"
-	errKindBackpressure    = "backpressure"
-	errKindClosed          = "closed"
-	errKindNotLocal        = "not-local"
-	errKindNotStoreNode    = "not-store-node"
-	errKindNotFound        = "store-not-found"
-	errKindVersionMismatch = "store-version-mismatch"
-	errKindUnavailable     = "store-unavailable"
-	errKindFenced          = "store-fenced"
-	errKindReplicaLag      = "replica-lagging"
-)
-
-var (
-	// ErrTooManyHops is returned when a submit frame exhausts its forwarding
-	// budget — the placement directories of the involved nodes disagree
-	// persistently (a bug or a torn deployment), so the event fails typed
-	// instead of bouncing forever.
-	ErrTooManyHops = errors.New("node: submit exceeded forwarding hop budget")
-	// ErrNotStoreNode is returned when a store frame reaches a node that
-	// does not serve the authoritative cloud store.
-	ErrNotStoreNode = errors.New("node: not the store node")
-	// ErrNotLocalServer is returned when a frame requires a server this
-	// node does not embody (e.g. a transfer addressed to the wrong node).
-	ErrNotLocalServer = errors.New("node: server not embodied by this node")
-)
+// ErrTooManyHops is returned when a submit frame exhausts its forwarding
+// budget — the placement directories of the involved nodes disagree
+// persistently (a bug or a torn deployment), so the event fails typed
+// instead of bouncing forever.
+var ErrTooManyHops error = schema.CodeTooManyHops
 
 // storeResp is the result of a store operation: a cloudstore.Result plus the
 // in-band error (the request frame is the cloudstore.Op itself). The Result
@@ -101,29 +73,24 @@ type storeResp struct {
 	Version uint64
 	Keys    []string
 	Err     string
-	ErrKind string
+	Code    schema.Code
 }
 
-// transferReq ships a stopped migration group's serialized state to the
-// destination node. States maps member ID to its schema.EncodeWire payload;
-// members without an entry (nil state, adopted stragglers carrying factory
-// state) are remapped without a state install. MinSeq is the source's
-// applied replication sequence: members created at runtime exist on the
-// destination only once its replica reaches their creating records, so the
-// install blocks on that sequence like submit admission does.
-type transferReq struct {
-	Members    []ownership.ID
-	From       cluster.ServerID
-	To         cluster.ServerID
-	TotalBytes int
-	States     map[uint64][]byte
-	MinSeq     uint64
+// ackResp acknowledges a state transfer or a commanded migration: the
+// handler's error in-band, zero on success.
+type ackResp struct {
+	Err  string
+	Code schema.Code
 }
 
-// transferResp acknowledges a state transfer.
-type transferResp struct {
-	Err     string
-	ErrKind string
+// ackOf renders a control handler's outcome. An error no layer gave a code
+// reads as CodeUnknown: a migration that failed midway converges through
+// its WAL, and the caller cannot tell how far it got.
+func ackOf(err error) ackResp {
+	if err == nil {
+		return ackResp{}
+	}
+	return ackResp{Err: err.Error(), Code: schema.CodeOf(err)}
 }
 
 // transferQueryReq probes whether the destination committed a transfer:
@@ -136,20 +103,12 @@ type transferQueryReq struct {
 // transferQueryResp answers a commit probe.
 type transferQueryResp struct {
 	Committed bool
-	Err       string
-	ErrKind   string
 }
 
 // migrateReq asks the receiving node to migrate a group it hosts.
 type migrateReq struct {
 	Root ownership.ID
 	To   cluster.ServerID
-}
-
-// migrateResp acknowledges a commanded migration.
-type migrateResp struct {
-	Err     string
-	ErrKind string
 }
 
 // pingResp reports liveness.
@@ -162,9 +121,9 @@ func init() {
 	// cross-process payload.
 	schema.RegisterWireTypes(
 		cloudstore.Op{}, storeResp{},
-		transferResp{},
+		ackResp{},
 		transferQueryReq{}, transferQueryResp{},
-		migrateReq{}, migrateResp{},
+		migrateReq{},
 		pingResp{},
 	)
 }
@@ -211,86 +170,4 @@ func decodeFrame(b []byte, out any) error {
 		return fmt.Errorf("node: decode frame %T: %w", out, err)
 	}
 	return nil
-}
-
-// errKindOf classifies an error for the wire.
-func errKindOf(err error) string {
-	switch {
-	case err == nil:
-		return errKindNone
-	case errors.Is(err, core.ErrUnknownContext):
-		return errKindUnknownContext
-	case errors.Is(err, core.ErrUnknownMethod):
-		return errKindUnknownMethod
-	case errors.Is(err, core.ErrBackpressure):
-		return errKindBackpressure
-	case errors.Is(err, core.ErrClosed):
-		return errKindClosed
-	case errors.Is(err, core.ErrNotLocal):
-		return errKindNotLocal
-	case errors.Is(err, ErrTooManyHops):
-		return errKindTooManyHops
-	case errors.Is(err, ErrNotStoreNode):
-		return errKindNotStoreNode
-	case errors.Is(err, ErrNotLocalServer):
-		return errKindNotLocal
-	case errors.Is(err, cloudstore.ErrNotFound):
-		return errKindNotFound
-	case errors.Is(err, cloudstore.ErrVersionMismatch):
-		return errKindVersionMismatch
-	case errors.Is(err, cloudstore.ErrUnavailable):
-		return errKindUnavailable
-	case errors.Is(err, cloudstore.ErrFenced):
-		return errKindFenced
-	case errors.Is(err, replication.ErrReplicaLagging):
-		return errKindReplicaLag
-	default:
-		return errKindApp
-	}
-}
-
-// WireError reconstructs a typed error from its wire (kind, message) form,
-// so callers — peer nodes and ingress clients alike — can branch with
-// errors.Is across the process boundary.
-func WireError(kind, msg string) error {
-	var sentinel error
-	switch kind {
-	case errKindNone:
-		return nil
-	case errKindUnknownContext:
-		sentinel = core.ErrUnknownContext
-	case errKindUnknownMethod:
-		sentinel = core.ErrUnknownMethod
-	case errKindBackpressure:
-		sentinel = core.ErrBackpressure
-	case errKindClosed:
-		sentinel = core.ErrClosed
-	case errKindNotLocal:
-		sentinel = core.ErrNotLocal
-	case errKindTooManyHops:
-		sentinel = ErrTooManyHops
-	case errKindNotStoreNode:
-		sentinel = ErrNotStoreNode
-	case errKindNotFound:
-		sentinel = cloudstore.ErrNotFound
-	case errKindVersionMismatch:
-		sentinel = cloudstore.ErrVersionMismatch
-	case errKindUnavailable:
-		sentinel = cloudstore.ErrUnavailable
-	case errKindFenced:
-		sentinel = cloudstore.ErrFenced
-	case errKindReplicaLag:
-		sentinel = replication.ErrReplicaLagging
-	default:
-		return errors.New(msg)
-	}
-	return fmt.Errorf("%s: %w", msg, sentinel)
-}
-
-// errFields renders an error into (message, kind) wire fields.
-func errFields(err error) (msg, kind string) {
-	if err == nil {
-		return "", errKindNone
-	}
-	return err.Error(), errKindOf(err)
 }

@@ -11,6 +11,7 @@ import (
 	"aeon/internal/cluster"
 	"aeon/internal/core"
 	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -19,7 +20,7 @@ var (
 	ErrClosed = errors.New("replication: plane closed")
 	// ErrReplicaLagging is returned when WaitFor times out before the local
 	// replica reaches the requested sequence.
-	ErrReplicaLagging = errors.New("replication: replica lagging behind requested sequence")
+	ErrReplicaLagging error = schema.CodeReplicaLagging
 	// ErrVirtualID is returned when a captured mutation names a virtual-join
 	// context. Virtuals are minted per process, in local query order — the
 	// same ID names different contexts on different nodes (or none), so a

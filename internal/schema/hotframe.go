@@ -91,16 +91,8 @@ type SubmitReq struct {
 	Trace  uint64
 }
 
-// SubmitResp is the hot submit response frame. Host is the authoritative
-// placement of the event's dominator after execution (0 = unknown), which
-// stale callers use to repair their routing caches; Err/ErrKind carry
-// handler failures in-band so typed errors survive the wire.
-type SubmitResp struct {
-	Result  any
-	Host    int64
-	Err     string
-	ErrKind string
-}
+// SubmitResp is the hot submit response frame: the frame of one outcome.
+type SubmitResp BatchOutcome
 
 // NotifyRec is the hot replication-notify hint: the mutation log reached
 // Seq.
@@ -266,18 +258,6 @@ func (r *hotReader) str() (string, error) {
 	return string(b), err
 }
 
-// internedStr decodes a length-prefixed string through the intern table:
-// repeated values (method names, error kinds — small closed sets) decode
-// with zero allocations after first sight, and the empty string (the ErrKind
-// of every successful outcome) without touching the table at all.
-func (r *hotReader) internedStr() (string, error) {
-	b, err := r.lenBytes()
-	if err != nil {
-		return "", err
-	}
-	return intern(b), nil
-}
-
 func (r *hotReader) header(frameType byte) error {
 	if len(r.b) < 2 || r.b[0] != HotMagic {
 		return fmt.Errorf("%w: missing magic", ErrHotFrame)
@@ -291,11 +271,11 @@ func (r *hotReader) header(frameType byte) error {
 
 // ---- string interning ----
 
-// Method names and error kinds are drawn from small closed sets (the frozen
-// schema's methods, the wire error kinds), so the decoder interns them: a
-// map hit with a []byte key compiles to zero allocations, making repeated
-// decodes allocation-free. Only bounded sets go through here — free-form
-// strings (error messages, app data) are copied instead.
+// Method names are drawn from a small closed set (the frozen schema's
+// methods), so the decoder interns them: a map hit with a []byte key
+// compiles to zero allocations, making repeated decodes allocation-free.
+// Only bounded sets go through here — free-form strings (error messages, app
+// data) are copied instead.
 //
 // Every decoded event reads the table and, past warm-up, nothing writes it,
 // so it is an immutable map behind an atomic pointer: a hit takes no lock,
@@ -471,7 +451,7 @@ func (q *SubmitReq) UnmarshalWire(b []byte) error {
 	if err != nil {
 		return err
 	}
-	method, err := r.internedStr()
+	method, err := r.lenBytes()
 	if err != nil {
 		return err
 	}
@@ -506,7 +486,7 @@ func (q *SubmitReq) UnmarshalWire(b []byte) error {
 		args = append(args, v)
 	}
 	q.Target = ownership.ID(target)
-	q.Method = method
+	q.Method = intern(method)
 	q.Hops = uint32(hops)
 	q.MinSeq = minSeq
 	q.Trace = trace
@@ -516,17 +496,39 @@ func (q *SubmitReq) UnmarshalWire(b []byte) error {
 
 // ---- SubmitResp ----
 
+// appendOutcome encodes one outcome: host, code byte, the message only when
+// the code says failure — a success costs one zero byte — then the result.
+func appendOutcome(dst []byte, o *BatchOutcome) ([]byte, error) {
+	dst = append(putVarint(dst, o.Host), byte(o.Code))
+	if o.Code != CodeOK {
+		dst = putString(dst, o.Err)
+	}
+	return appendValue(dst, o.Result)
+}
+
+// outcome decodes what appendOutcome wrote; a code byte this build does not
+// know reads as CodeUnknown.
+func (r *hotReader) outcome(o *BatchOutcome) (err error) {
+	if o.Host, err = r.varint(); err != nil {
+		return err
+	}
+	c, err := r.byte()
+	if err != nil {
+		return err
+	}
+	o.Code, o.Err = Code(c).known(), ""
+	if o.Code != CodeOK {
+		if o.Err, err = r.str(); err != nil {
+			return err
+		}
+	}
+	o.Result, err = r.readValue()
+	return err
+}
+
 // MarshalWire appends the frame to dst.
 func (p *SubmitResp) MarshalWire(dst []byte) ([]byte, error) {
-	dst = append(dst, HotMagic, hotTypeSubmitResp)
-	dst = putVarint(dst, p.Host)
-	dst = putString(dst, p.ErrKind)
-	dst = putString(dst, p.Err)
-	var err error
-	if dst, err = appendValue(dst, p.Result); err != nil {
-		return nil, fmt.Errorf("submit result: %w", err)
-	}
-	return dst, nil
+	return appendOutcome(append(dst, HotMagic, hotTypeSubmitResp), (*BatchOutcome)(p))
 }
 
 // UnmarshalWire decodes a frame produced by MarshalWire.
@@ -535,27 +537,7 @@ func (p *SubmitResp) UnmarshalWire(b []byte) error {
 	if err := r.header(hotTypeSubmitResp); err != nil {
 		return err
 	}
-	host, err := r.varint()
-	if err != nil {
-		return err
-	}
-	kind, err := r.internedStr()
-	if err != nil {
-		return err
-	}
-	msg, err := r.str()
-	if err != nil {
-		return err
-	}
-	res, err := r.readValue()
-	if err != nil {
-		return fmt.Errorf("submit result: %w", err)
-	}
-	p.Host = host
-	p.ErrKind = kind
-	p.Err = msg
-	p.Result = res
-	return nil
+	return r.outcome((*BatchOutcome)(p))
 }
 
 // ---- NotifyRec ----
@@ -703,15 +685,17 @@ type SubmitBatchReq struct {
 	Events []BatchEvent
 }
 
-// BatchOutcome is the result of one event of a batch. The fields mirror
-// SubmitResp: Host is the authoritative placement of that event's dominator
-// after execution (0 = unknown), Err/ErrKind carry a handler failure typed.
-// One event's failure never poisons its batchmates — each slot stands alone.
+// BatchOutcome is the result of one event. Host is the authoritative
+// placement of the event's dominator after execution (0 = unknown), which
+// stale callers use to repair their routing caches. A failure travels
+// in-band as its Code (CodeOK = success) and message — see Err; the message
+// is on the wire only next to a non-zero code. One event's failure never
+// poisons its batchmates — each slot stands alone.
 type BatchOutcome struct {
-	Result  any
-	Host    int64
-	Err     string
-	ErrKind string
+	Result any
+	Host   int64
+	Err    string
+	Code   Code
 }
 
 // SubmitBatchResp carries one BatchOutcome per request event, index-aligned.
@@ -904,12 +888,8 @@ func (p *SubmitBatchResp) MarshalWire(dst []byte) ([]byte, error) {
 	dst = putUvarint(dst, uint64(len(p.Outcomes)))
 	var err error
 	for i := range p.Outcomes {
-		o := &p.Outcomes[i]
-		dst = putVarint(dst, o.Host)
-		dst = putString(dst, o.ErrKind)
-		dst = putString(dst, o.Err)
-		if dst, err = appendValue(dst, o.Result); err != nil {
-			return nil, fmt.Errorf("batch outcome %d result: %w", i, err)
+		if dst, err = appendOutcome(dst, &p.Outcomes[i]); err != nil {
+			return nil, fmt.Errorf("batch outcome %d: %w", i, err)
 		}
 	}
 	return dst, nil
@@ -935,19 +915,9 @@ func (p *SubmitBatchResp) UnmarshalWire(b []byte) error {
 	} else {
 		outs = outs[:n]
 	}
-	for i := uint64(0); i < n; i++ {
-		o := &outs[i]
-		if o.Host, err = r.varint(); err != nil {
-			return err
-		}
-		if o.ErrKind, err = r.internedStr(); err != nil {
-			return err
-		}
-		if o.Err, err = r.str(); err != nil {
-			return err
-		}
-		if o.Result, err = r.readValue(); err != nil {
-			return fmt.Errorf("batch outcome %d result: %w", i, err)
+	for i := range outs {
+		if err := r.outcome(&outs[i]); err != nil {
+			return fmt.Errorf("batch outcome %d: %w", i, err)
 		}
 	}
 	p.Outcomes = outs

@@ -79,7 +79,7 @@ func TestSubmitRespRoundTrip(t *testing.T) {
 	cases := []SubmitResp{
 		{},
 		{Result: 450, Host: 3},
-		{Result: nil, Host: -1, Err: "ctx: no such method", ErrKind: "bad-method"},
+		{Result: nil, Host: -1, Err: "ctx: no such method", Code: CodeUnknownMethod},
 		{Result: []byte("blob"), Host: math.MaxInt64},
 	}
 	for i, in := range cases {
@@ -203,19 +203,14 @@ func TestSubmitReqZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSubmitRespZeroAlloc: same contract for the response direction (the
-// result is a cached small int, the Host varint and interned ErrKind are
-// free).
-func TestSubmitRespZeroAlloc(t *testing.T) {
-	resp := SubmitResp{Result: 7, Host: 3}
-	var dec SubmitResp
-	buf := GetFrameBuf()
-	b, _ := resp.MarshalWire((*buf)[:0])
-	_ = dec.UnmarshalWire(b)
-	*buf = b
-	PutFrameBuf(buf)
-
-	allocs := testing.AllocsPerRun(200, func() {
+// zeroAllocResp runs the pooled encode+decode cycle of one response frame
+// and reports its allocations per cycle.
+func zeroAllocResp(t *testing.T, resp, dec interface {
+	MarshalWire([]byte) ([]byte, error)
+	UnmarshalWire([]byte) error
+}) float64 {
+	t.Helper()
+	cycle := func() {
 		buf := GetFrameBuf()
 		b, err := resp.MarshalWire((*buf)[:0])
 		if err != nil {
@@ -226,9 +221,21 @@ func TestSubmitRespZeroAlloc(t *testing.T) {
 		}
 		*buf = b
 		PutFrameBuf(buf)
-	})
-	if allocs != 0 {
+	}
+	cycle()
+	return testing.AllocsPerRun(200, cycle)
+}
+
+// TestSubmitRespZeroAlloc: same contract for the response direction (the
+// result is a cached small int, the Host varint and the code byte are free).
+// A coded outcome's decode is gated at its one allocation: the message.
+func TestSubmitRespZeroAlloc(t *testing.T) {
+	if allocs := zeroAllocResp(t, &SubmitResp{Result: 7, Host: 3}, &SubmitResp{}); allocs != 0 {
 		t.Fatalf("resp encode+decode allocates %.1f times per op, want 0", allocs)
+	}
+	failed := &SubmitResp{Host: 3, Code: CodeBackpressure, Err: "acct#7: queue full"}
+	if allocs := zeroAllocResp(t, failed, &SubmitResp{}); allocs != 1 {
+		t.Fatalf("coded resp encode+decode allocates %.1f times per op, want 1 (the message string)", allocs)
 	}
 }
 
@@ -380,16 +387,11 @@ func TestSubmitBatchReqOneCodecBody(t *testing.T) {
 	}
 }
 
-// TestInternedEmptyStringSkipsTable pins that the empty string — the
-// ErrKind of every successful outcome — decodes without entering (or
-// reading) the intern table, whichever frame carries it, while real names
-// still intern to one shared string.
+// TestInternedEmptyStringSkipsTable pins that the empty method name decodes
+// without entering (or reading) the intern table, whichever frame carries
+// it, while real names still intern to one shared string.
 func TestInternedEmptyStringSkipsTable(t *testing.T) {
 	frames := map[string]func() ([]byte, error){
-		"submit resp, no error": func() ([]byte, error) { return (&SubmitResp{Result: 1, Host: 2}).MarshalWire(nil) },
-		"batch resp, no errors": func() ([]byte, error) {
-			return (&SubmitBatchResp{Outcomes: []BatchOutcome{{Result: 1, Host: 2}, {Host: 1, Err: "x", ErrKind: "app-test-kind"}, {}}}).MarshalWire(nil)
-		},
 		"submit req, empty method": func() ([]byte, error) { return (&SubmitReq{Target: 3}).MarshalWire(nil) },
 		"batch req, empty methods": func() ([]byte, error) {
 			return (&SubmitBatchReq{Events: []BatchEvent{{Target: 3}, {Target: 3, Method: "intern-test-method"}, {Target: 4}}}).MarshalWire(nil)
@@ -402,11 +404,9 @@ func TestInternedEmptyStringSkipsTable(t *testing.T) {
 		}
 		var (
 			q  SubmitReq
-			p  SubmitResp
 			bq SubmitBatchReq
-			bp SubmitBatchResp
 		)
-		if q.UnmarshalWire(b) != nil && p.UnmarshalWire(b) != nil && bq.UnmarshalFrame(b) != nil && bp.UnmarshalWire(b) != nil {
+		if q.UnmarshalWire(b) != nil && bq.UnmarshalFrame(b) != nil {
 			t.Fatalf("%s: frame decodes as nothing", name)
 		}
 		if _, ok := internTable()[""]; ok {
@@ -414,10 +414,8 @@ func TestInternedEmptyStringSkipsTable(t *testing.T) {
 		}
 	}
 	tab := internTable()
-	for _, want := range []string{"app-test-kind", "intern-test-method"} {
-		if _, ok := tab[want]; !ok {
-			t.Fatalf("%q was decoded but not interned", want)
-		}
+	if _, ok := tab["intern-test-method"]; !ok {
+		t.Fatal("a method name was decoded but not interned")
 	}
 	if intern(nil) != "" || intern([]byte{}) != "" {
 		t.Fatal("intern of no bytes is not the empty string")
@@ -430,9 +428,9 @@ func TestInternedEmptyStringSkipsTable(t *testing.T) {
 func TestSubmitBatchRespRoundTrip(t *testing.T) {
 	in := SubmitBatchResp{Outcomes: []BatchOutcome{
 		{Result: 450, Host: 3},
-		{Result: nil, Host: -1, Err: "no such context", ErrKind: "unknown-context"},
+		{Result: nil, Host: -1, Err: "no such context", Code: CodeUnknownContext},
 		{Result: "ok", Host: 2},
-		{Err: "queue full", ErrKind: "backpressure"},
+		{Err: "queue full", Code: CodeBackpressure},
 	}}
 	b, err := in.MarshalWire(nil)
 	if err != nil {
@@ -526,34 +524,20 @@ func TestSubmitBatchReqZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchRespZeroAlloc: same contract for the batched response.
+// TestSubmitBatchRespZeroAlloc: same contract for the batched response; each
+// coded outcome in the frame costs its message string and nothing else.
 func TestSubmitBatchRespZeroAlloc(t *testing.T) {
 	outs := make([]BatchOutcome, 8)
 	for i := range outs {
 		outs[i] = BatchOutcome{Result: 7, Host: 3}
 	}
-	resp := SubmitBatchResp{Outcomes: outs}
-	var dec SubmitBatchResp
-	buf := GetFrameBuf()
-	b, _ := resp.MarshalWire((*buf)[:0])
-	_ = dec.UnmarshalWire(b)
-	*buf = b
-	PutFrameBuf(buf)
-
-	allocs := testing.AllocsPerRun(200, func() {
-		buf := GetFrameBuf()
-		b, err := resp.MarshalWire((*buf)[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.UnmarshalWire(b); err != nil {
-			t.Fatal(err)
-		}
-		*buf = b
-		PutFrameBuf(buf)
-	})
-	if allocs != 0 {
+	if allocs := zeroAllocResp(t, &SubmitBatchResp{Outcomes: outs}, &SubmitBatchResp{}); allocs != 0 {
 		t.Fatalf("batch resp encode+decode allocates %.1f times per op, want 0", allocs)
+	}
+	outs[2] = BatchOutcome{Host: 3, Code: CodeUnknownContext, Err: "ctx#9: no such context"}
+	outs[5] = BatchOutcome{Host: -1, Code: CodeLinkPartitioned, Err: "batch submit to 2: link partitioned"}
+	if allocs := zeroAllocResp(t, &SubmitBatchResp{Outcomes: outs}, &SubmitBatchResp{}); allocs != 2 {
+		t.Fatalf("batch resp with 2 coded outcomes allocates %.1f times per op, want 2 (their message strings)", allocs)
 	}
 }
 
@@ -636,9 +620,14 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 	if b, err := seedReq.MarshalWire(nil); err == nil {
 		f.Add(b)
 	}
-	seedResp := SubmitResp{Result: 450, Host: 3, Err: "boom", ErrKind: "ctx-missing"}
+	seedResp := SubmitResp{Host: 3, Err: "boom", Code: CodeUnknownContext}
 	if b, err := seedResp.MarshalWire(nil); err == nil {
 		f.Add(b)
+		// The same frame from a peer whose table has grown past ours: the
+		// code byte sits right after the header and the one-byte Host.
+		newer := append([]byte(nil), b...)
+		newer[3] = 0xEE
+		f.Add(newer)
 	}
 	seedTr := TransferRec{Members: []ownership.ID{1, 2}, From: 1, To: 2, TotalBytes: 10, MinSeq: 3,
 		States: map[uint64][]byte{1: []byte("s")}}
@@ -655,7 +644,8 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 	}
 	seedBatchResp := SubmitBatchResp{Outcomes: []BatchOutcome{
 		{Result: 450, Host: 3},
-		{Err: "boom", ErrKind: "backpressure", Host: -1},
+		{Err: "boom", Code: CodeBackpressure, Host: -1},
+		{Err: "lost", Code: CodeLinkPartitioned, Host: 2},
 	}}
 	if b, err := seedBatchResp.MarshalWire(nil); err == nil {
 		f.Add(b)
@@ -692,6 +682,10 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 			if err := p2.UnmarshalWire(b2); err != nil {
 				t.Fatalf("re-decode of re-encoded submitResp failed: %v", err)
 			}
+			if p2.Code != p.Code || p2.Err != p.Err || p2.Host != p.Host {
+				t.Fatalf("submitResp round trip not a fixed point: %+v vs %+v", p2, p)
+			}
+			checkDecodedCode(t, p.Code, p.Err)
 		}
 		var n NotifyRec
 		if err := n.UnmarshalWire(data); err == nil {
@@ -743,6 +737,72 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 			if len(bp2.Outcomes) != len(bp.Outcomes) {
 				t.Fatalf("submitBatchResp round trip not a fixed point")
 			}
+			for i, o := range bp.Outcomes {
+				if o2 := bp2.Outcomes[i]; o2.Code != o.Code || o2.Err != o.Err || o2.Host != o.Host {
+					t.Fatalf("submitBatchResp outcome %d not a fixed point: %+v vs %+v", i, o2, o)
+				}
+				checkDecodedCode(t, o.Code, o.Err)
+			}
 		}
 	})
+}
+
+// checkDecodedCode pins what any decodable response may carry: a code this
+// build has a row for — a byte it does not know reads as CodeUnknown, never
+// as another failure — and a message only next to a failure.
+func checkDecodedCode(t *testing.T, c Code, msg string) {
+	t.Helper()
+	if c >= NumCodes {
+		t.Fatalf("decoder let code byte %d through; the table ends at %d", c, NumCodes)
+	}
+	if (c == CodeOK) != (c.Class() == 0) || (c == CodeOK && msg != "") {
+		t.Fatalf("decoded code %d (%s) with class %v and message %q", c, c.Name(), c.Class(), msg)
+	}
+}
+
+// TestUnknownCodeByteReadsAsUnknown is the fuzz corpus's newer-peer seed as
+// a plain test: the byte maps to the generic unknown-class code, message kept.
+func TestUnknownCodeByteReadsAsUnknown(t *testing.T) {
+	b, err := (&SubmitResp{Host: 3, Err: "boom", Code: CodeUnknownContext}).MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[3] = 0xEE
+	var p SubmitResp
+	if err := p.UnmarshalWire(b); err != nil {
+		t.Fatal(err)
+	}
+	back := Err(p.Code, p.Err)
+	if p.Code != CodeUnknown || CodeOf(back).Class() != OutcomeUnknown || back.Error() != "boom" {
+		t.Fatalf("code byte 0xEE decoded as %d (%s), error %v", p.Code, p.Code.Name(), back)
+	}
+	if Err(0xEE, "x").(*Coded).Code != CodeUnknown || Code(0xEE).Class() != OutcomeUnknown {
+		t.Fatal("a raw out-of-table code does not read as CodeUnknown")
+	}
+}
+
+// TestCodeTableComplete fails when a code is added without a name, a message
+// or a retry class, or under a name another code already has (the name is
+// the aeon_errors_total label).
+func TestCodeTableComplete(t *testing.T) {
+	names := map[string]Code{}
+	for c := CodeOK + 1; c < NumCodes; c++ {
+		row := codeTable[c]
+		if row.name == "" || row.msg == "" {
+			t.Errorf("code %d has name %q, message %q; both are required", c, row.name, row.msg)
+		}
+		if row.class < NotExecuted || row.class > OutcomeUnknown {
+			t.Errorf("code %d (%s) has no retry class", c, row.name)
+		}
+		if prev, dup := names[row.name]; dup {
+			t.Errorf("codes %d and %d share the name %q", prev, c, row.name)
+		}
+		names[row.name] = c
+		if c.Error() != row.msg || c.Name() != row.name || c.Class() != row.class {
+			t.Errorf("code %d: accessors disagree with its row", c)
+		}
+	}
+	if CodeOK.Class() != 0 || CodeOf(nil) != CodeOK || Err(CodeOK, "ignored") != nil {
+		t.Error("CodeOK must read as no error")
+	}
 }

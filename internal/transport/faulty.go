@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"aeon/internal/schema"
 )
 
 // ErrDropped is returned when a fault-injecting mesh drops a call: the
 // request was lost before reaching the destination handler. Callers must
 // treat it like a timed-out call — the operation did not happen.
-var ErrDropped = errors.New("transport: call dropped (injected fault)")
+var ErrDropped error = schema.CodeLinkDropped
 
 // FaultyMesh wraps another Mesh and injects message-level faults for tests:
 // directed links can drop calls (the request never reaches the handler) or

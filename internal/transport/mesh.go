@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"aeon/internal/schema"
 )
 
 // Message is a request or response exchanged between mesh endpoints.
@@ -104,11 +106,11 @@ type Mesh interface {
 
 var (
 	// ErrNodeUnknown is returned when calling a node that is not attached.
-	ErrNodeUnknown = errors.New("transport: unknown node")
+	ErrNodeUnknown error = schema.CodeLinkNoNode
 	// ErrNodeAttached is returned when attaching an already-attached node.
 	ErrNodeAttached = errors.New("transport: node already attached")
 	// ErrClosed is returned when using a closed endpoint.
-	ErrClosed = errors.New("transport: endpoint closed")
+	ErrClosed error = schema.CodeLinkClosed
 )
 
 // InMemMesh is a Mesh connecting endpoints within one process. Delivery cost

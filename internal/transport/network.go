@@ -7,11 +7,12 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
+
+	"aeon/internal/schema"
 )
 
 // NodeID identifies a node (server) on the network.
@@ -21,7 +22,7 @@ type NodeID int
 func (n NodeID) String() string { return fmt.Sprintf("node%d", int(n)) }
 
 // ErrPartitioned is returned when a link is administratively blocked.
-var ErrPartitioned = errors.New("transport: link partitioned")
+var ErrPartitioned error = schema.CodeLinkPartitioned
 
 // Network models message delivery cost between nodes. Implementations must
 // be safe for concurrent use.
