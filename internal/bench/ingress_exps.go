@@ -2,8 +2,8 @@ package bench
 
 // The `ingress` experiment measures what the pipelined ingress layer buys a
 // client outside the fleet: remote submit throughput over one TCP loopback
-// connection with one outstanding frame per call (the old behaviour) vs the
-// multiplexed stream at increasing pipeline depths, how aggregate throughput
+// connection with one call in flight (depth 1) vs the same multiplexed
+// connection at increasing pipeline depths, how aggregate throughput
 // scales with extra client connections, and how quickly a client's routing
 // cache converges after a migration makes it stale. PR 8 adds the batched
 // sweep: SubmitBatch frames at increasing batch sizes and the coalesced Go
@@ -27,44 +27,33 @@ func Ingress(o Options) ([]*Table, error) {
 	accounts := 16
 
 	tput := &Table{
-		Title:   "Ingress: remote submit throughput — one-frame-per-call vs pipelined multiplexed connection (TCP loopback)",
+		Title:   "Ingress: remote submit throughput — one call in flight vs a pipelined multiplexed connection (TCP loopback)",
 		Columns: []string{"config", "clients", "depth", "ev/s", "mean", "speedup"},
 		Notes: []string{
 			"2-node fleet; every submit targets contexts hosted by a peer node, so each event crosses the mesh",
-			"one-shot: strict request/response, one outstanding frame per connection — the PR 4/5 wire discipline, but already on the hot codec",
 			fmt.Sprintf("pipelined: depth concurrent submits share one mux connection per node; %d accounts, %v per point", accounts, dur),
-			"the PR 4/5 one-frame-per-event baseline (gob codec, no pipelining) measured 19.2k ev/s remote on TCP loopback (BENCH_4.json, mesh/tcp-mesh); speedup column is vs the one-shot row above, which the hot codec alone already lifted ~4× past that",
+			"depth 1 is strict request/response on that connection; the speedup column is relative to it",
+			"the PR 4/5 one-frame-per-event baseline (gob codec, no pipelining) measured 19.2k ev/s remote on TCP loopback (BENCH_4.json, mesh/tcp-mesh)",
 			"expected shape: pipelined depth ≥64 on one connection clears 10× the PR 4/5 baseline; extra clients add connections and scale further until the node saturates",
 		},
 	}
 
-	type cfgRow struct {
-		label   string
-		clients int
-		depth   int
-		oneShot bool
-	}
-	rows := []cfgRow{
-		{"one-shot", 1, 1, true},
-		{"pipelined", 1, 16, false},
-		{"pipelined", 1, 64, false},
-		{"pipelined", 1, 256, false},
-		{"pipelined", 2, 64, false},
-		{"pipelined", 4, 64, false},
+	rows := []struct{ clients, depth int }{
+		{1, 1}, {1, 16}, {1, 64}, {1, 256}, {2, 64}, {4, 64},
 	}
 
 	var baseline float64
 	for _, r := range rows {
-		o.progressf("ingress: %s clients=%d depth=%d\n", r.label, r.clients, r.depth)
-		rate, mean, err := ingressThroughput(r.clients, r.depth, r.oneShot, accounts, dur)
+		o.progressf("ingress: pipelined clients=%d depth=%d\n", r.clients, r.depth)
+		rate, mean, err := ingressThroughput(r.clients, r.depth, accounts, dur)
 		if err != nil {
-			return nil, fmt.Errorf("%s depth %d: %w", r.label, r.depth, err)
+			return nil, fmt.Errorf("pipelined depth %d: %w", r.depth, err)
 		}
 		if baseline == 0 {
 			baseline = rate
 		}
 		tput.Rows = append(tput.Rows, []string{
-			r.label, fmt.Sprint(r.clients), fmt.Sprint(r.depth),
+			"pipelined", fmt.Sprint(r.clients), fmt.Sprint(r.depth),
 			fmtK(rate), fmtMS(mean), fmt.Sprintf("%.1fx", rate/baseline),
 		})
 	}
@@ -134,7 +123,7 @@ func max64(a, b uint64) uint64 {
 // ingressThroughput deploys a 2-node TCP fleet and drives it with nClients
 // ingress clients, each keeping depth submits in flight against remotely
 // hosted accounts.
-func ingressThroughput(nClients, depth int, oneShot bool, accounts int, dur time.Duration) (float64, time.Duration, error) {
+func ingressThroughput(nClients, depth, accounts int, dur time.Duration) (float64, time.Duration, error) {
 	mesh := transport.NewTCPMesh()
 	d, err := node.Deploy(mesh, node.Topology{Nodes: 2, AccountsPerBank: accounts, EnableOps: true})
 	if err != nil {
@@ -155,9 +144,8 @@ func ingressThroughput(nClients, depth int, oneShot bool, accounts int, dur time
 		// not — at 100k+ ev/s a span per executed submit serializes on
 		// the event ring. The repair experiment keeps tracing on.
 		c, err := ingress.Dial(mesh, ingress.Config{
-			Nodes:      []transport.NodeID{1, 2},
-			NoPipeline: oneShot,
-			Window:     depth,
+			Nodes:  []transport.NodeID{1, 2},
+			Window: depth,
 		})
 		if err != nil {
 			return 0, 0, err

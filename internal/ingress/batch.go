@@ -11,7 +11,6 @@ package ingress
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -213,24 +212,7 @@ func (c *Client) submitFrame(f frame) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
 
-	var (
-		resps []transport.Message
-		errs  []error
-		fatal error
-	)
-	st := c.stream(f.to)
-	if st != nil {
-		resps, errs, fatal = transport.StreamCallBatch(ctx, st, msgs)
-	} else {
-		resps = make([]transport.Message, len(msgs))
-		errs = make([]error, len(msgs))
-		for k := range msgs {
-			resps[k], errs[k] = c.ep.Call(ctx, f.to, msgs[k])
-		}
-	}
-	if fatal != nil {
-		c.dropStream(f.to, st)
-	}
+	resps, errs, fatal := c.ep.CallBatch(ctx, f.to, msgs)
 	for k, ch := range chunks {
 		schema.PutFrameBuf(ch.buf) // endpoints do not retain payloads past the call
 		err := fatal
@@ -238,10 +220,6 @@ func (c *Client) submitFrame(f frame) {
 			err = errs[k]
 		}
 		if err != nil {
-			var remote *transport.RemoteError
-			if fatal == nil && st != nil && !errors.As(err, &remote) {
-				c.dropStream(f.to, st)
-			}
 			ch.f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))
 			continue
 		}
@@ -272,17 +250,7 @@ func (c *Client) submitChunk(f frame) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
-	msg := transport.Message{Kind: node.KindSubmitBatch, Payload: payload}
-	var raw transport.Message
-	if st := c.stream(f.to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			c.dropStream(f.to, st)
-		}
-	} else {
-		raw, err = c.ep.Call(ctx, f.to, msg)
-	}
+	raw, err := c.ep.Call(ctx, f.to, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
 	if err != nil {
 		f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))

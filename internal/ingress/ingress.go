@@ -1,9 +1,9 @@
 // Package ingress is the client SDK for submitting events to an AEON
 // deployment from outside the fleet: a Client attaches to the transport mesh
 // as a non-serving endpoint, speaks the node wire protocol's hot submit
-// frames, and pipelines many in-flight submits over one multiplexed
-// connection per node (transport.Stream) instead of paying a strict
-// request/response round trip per event.
+// frames, and calls nodes the way nodes call each other — through its
+// endpoint, which on a TCP mesh keeps one multiplexed connection per node
+// and pipelines every in-flight submit on it.
 //
 // Routing. Events execute on the node embodying the server that hosts their
 // dominator. The client does not know placements a priori: it routes each
@@ -13,7 +13,7 @@
 // nodes use (§ 5.2). A stale route costs one server-side forwarding hop,
 // never a failure, and the very next submit for that target goes direct.
 //
-// Backpressure. Pipelined submits share the per-stream in-flight window
+// Backpressure. Submits to one node share its connection's in-flight window
 // (transport.MuxWindow); when it fills, Submit blocks until a slot frees or
 // the call timeout expires. Go (the async variant) additionally bounds the
 // client's total in-flight futures by Config.Window so a producer that never
@@ -62,13 +62,9 @@ type Config struct {
 	CallTimeout time.Duration
 	// Window bounds in-flight futures from Go. Zero means 256.
 	Window int
-	// NoPipeline disables multiplexed streams: every submit is a one-shot
-	// mesh call (one outstanding request per connection). The bench uses it
-	// as the baseline; real clients leave it off.
-	NoPipeline bool
 	// Linger is how long Go holds an async submit so batchmates bound for
 	// the same node can coalesce into one frame before it flushes. Zero
-	// means 100µs. Ignored when NoCoalesce or NoPipeline is set.
+	// means 100µs. Ignored when NoCoalesce is set.
 	Linger time.Duration
 	// MaxBatch caps events per batch frame: SubmitBatch chunks larger
 	// inputs and the coalescer flushes early when a batch fills. Zero means
@@ -103,9 +99,6 @@ type Client struct {
 	// takes the lock once per call, not per event.
 	routeMu sync.RWMutex
 	routes  map[ownership.ID]transport.NodeID
-
-	streamMu sync.Mutex
-	streams  map[transport.NodeID]transport.Stream
 
 	// coals holds the per-node coalescers Go's futures ride; nil once the
 	// client closes.
@@ -204,20 +197,19 @@ func Dial(mesh transport.Mesh, cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("ingress: attach client %v: %w", cfg.ID, err)
 	}
 	return &Client{
-		cfg:     cfg,
-		ep:      ep,
-		routes:  make(map[ownership.ID]transport.NodeID),
-		streams: make(map[transport.NodeID]transport.Stream),
-		coals:   make(map[transport.NodeID]*coalescer),
-		window:  make(chan struct{}, cfg.Window),
+		cfg:    cfg,
+		ep:     ep,
+		routes: make(map[ownership.ID]transport.NodeID),
+		coals:  make(map[transport.NodeID]*coalescer),
+		window: make(chan struct{}, cfg.Window),
 	}, nil
 }
 
 // ID returns the client's mesh address.
 func (c *Client) ID() transport.NodeID { return c.ep.ID() }
 
-// Close detaches the client and closes its streams. In-flight submits fail;
-// coalesced futures not yet flushed resolve with ErrClientClosed.
+// Close detaches the client and closes its connections. In-flight submits
+// fail; coalesced futures not yet flushed resolve with ErrClientClosed.
 func (c *Client) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
@@ -238,13 +230,6 @@ func (c *Client) Close() error {
 			close(f.done)
 			<-c.window
 		}
-	}
-	c.streamMu.Lock()
-	streams := c.streams
-	c.streams = make(map[transport.NodeID]transport.Stream)
-	c.streamMu.Unlock()
-	for _, st := range streams {
-		_ = st.Close()
 	}
 	return c.ep.Close()
 }
@@ -287,51 +272,9 @@ func (c *Client) Route(target ownership.ID) (transport.NodeID, bool) {
 	return to, ok
 }
 
-// stream returns the cached pipelined stream to a node, opening one on first
-// use; nil means pipelining is off or unsupported and the caller one-shots.
-func (c *Client) stream(to transport.NodeID) transport.Stream {
-	if c.cfg.NoPipeline {
-		return nil
-	}
-	c.streamMu.Lock()
-	st, ok := c.streams[to]
-	c.streamMu.Unlock()
-	if ok {
-		return st
-	}
-	st, supported, err := transport.OpenStream(c.ep, to)
-	if !supported || err != nil {
-		return nil
-	}
-	c.streamMu.Lock()
-	if c.closed.Load() {
-		c.streamMu.Unlock()
-		_ = st.Close()
-		return nil
-	}
-	if cur, ok := c.streams[to]; ok {
-		c.streamMu.Unlock()
-		_ = st.Close()
-		return cur
-	}
-	c.streams[to] = st
-	c.streamMu.Unlock()
-	return st
-}
-
-// dropStream discards a broken stream so the next submit redials.
-func (c *Client) dropStream(to transport.NodeID, st transport.Stream) {
-	c.streamMu.Lock()
-	if cur, ok := c.streams[to]; ok && cur == st {
-		delete(c.streams, to)
-	}
-	c.streamMu.Unlock()
-	_ = st.Close()
-}
-
 // Submit executes one event on the deployment and returns its result.
-// Concurrent Submits from many goroutines pipeline onto shared per-node
-// connections.
+// Concurrent Submits from many goroutines pipeline onto the endpoint's
+// per-node connections.
 func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
@@ -348,17 +291,7 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	to, cached := c.route(target)
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
 	defer cancel()
-	msg := transport.Message{Kind: node.KindSubmit, Payload: payload}
-	var raw transport.Message
-	if st := c.stream(to); st != nil {
-		raw, err = st.Call(ctx, msg)
-		var remote *transport.RemoteError
-		if err != nil && !errors.As(err, &remote) {
-			c.dropStream(to, st)
-		}
-	} else {
-		raw, err = c.ep.Call(ctx, to, msg)
-	}
+	raw, err := c.ep.Call(ctx, to, transport.Message{Kind: node.KindSubmit, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
 	if err != nil {
 		return nil, fmt.Errorf("ingress: submit %v to %v: %w", target, to, err)
@@ -396,8 +329,8 @@ func (f *Future) Wait() (any, error) {
 // Go submits asynchronously: it returns once the request occupies an
 // in-flight slot (blocking when Config.Window submits are already pending —
 // backpressure for producers that batch Waits). The returned Future resolves
-// when the response arrives. Unless NoCoalesce or NoPipeline is set, the
-// event rides the per-node coalescer: it lingers up to Config.Linger waiting
+// when the response arrives. Unless NoCoalesce is set, the event rides the
+// per-node coalescer: it lingers up to Config.Linger waiting
 // for batchmates bound for the same node, then the whole batch flies as one
 // frame.
 func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
@@ -408,7 +341,7 @@ func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 		return f
 	}
 	c.window <- struct{}{}
-	if c.cfg.NoCoalesce || c.cfg.NoPipeline {
+	if c.cfg.NoCoalesce {
 		go func() {
 			defer close(f.done)
 			defer func() { <-c.window }()

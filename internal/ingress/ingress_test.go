@@ -198,31 +198,8 @@ func TestClientConcurrentClientsRace(t *testing.T) {
 	}
 }
 
-// TestClientNoPipelineFallback pins the baseline path the bench compares
-// against: with NoPipeline the client one-shots every submit and still gets
-// identical semantics (results, route repair, typed errors).
-func TestClientNoPipelineFallback(t *testing.T) {
-	d, mesh := deployTCP(t, 2)
-	c := dial(t, mesh, d, ingress.Config{NoPipeline: true})
-
-	acct := d.Top.Accounts[1][1]
-	if _, err := c.Submit(acct, "deposit", 7); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Submit(acct, "balance")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.(int) != 1007 {
-		t.Fatalf("balance = %v, want 1007", res)
-	}
-	if host, ok := c.Route(acct); !ok || host != 2 {
-		t.Fatalf("route = %v (ok=%v), want 2", host, ok)
-	}
-}
-
 // TestClientOnInMemMesh pins mesh-agnosticism: the SDK works over the
-// in-memory mesh (streams expressed as windowed concurrent calls), so
+// in-memory mesh (CallBatch expressed as concurrent calls), so
 // single-process tools and tests can use the same client code path.
 func TestClientOnInMemMesh(t *testing.T) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))

@@ -156,14 +156,6 @@ type Node struct {
 	store cloudstore.API
 	plane *replication.Plane
 
-	// streams caches one pipelined mux stream per peer for the hot submit
-	// path; entries are dropped (and the stream closed) on transport failure
-	// so the next call redials. Nil entries never appear: meshes without
-	// stream support simply leave the map empty and calls fall back to the
-	// one-shot path.
-	streamMu sync.Mutex
-	streams  map[transport.NodeID]transport.Stream
-
 	// forwarded counts submits this node forwarded to another node;
 	// executed counts peer submits it executed locally; batches counts
 	// batch frames it handled (however many events each carried);
@@ -217,7 +209,6 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 		id:         cfg.ID,
 		rt:         cfg.Runtime,
 		local:      make(map[cluster.ServerID]bool, len(servers)),
-		streams:    make(map[transport.NodeID]transport.Stream),
 		shutdownCh: make(chan struct{}),
 	}
 	for _, s := range servers {
@@ -354,13 +345,6 @@ func (n *Node) Close() error {
 		if n.plane != nil {
 			n.plane.Close()
 		}
-		n.streamMu.Lock()
-		streams := n.streams
-		n.streams = make(map[transport.NodeID]transport.Stream)
-		n.streamMu.Unlock()
-		for _, st := range streams {
-			_ = st.Close()
-		}
 		err = n.ep.Close()
 	})
 	return err
@@ -459,20 +443,8 @@ func (n *Node) notifyReplicated(seq uint64) {
 		go func(peer transport.NodeID) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			msg := transport.Message{Kind: KindReplicate, Payload: payload}
-			// Ride the cached pipelined stream when there is one — hints
-			// interleave with submits on the same connection. Best-effort
-			// either way: a lost hint costs poll latency, never correctness.
-			if st := n.stream(peer); st != nil {
-				if _, err := st.Call(ctx, msg); err != nil {
-					var remote *transport.RemoteError
-					if !errors.As(err, &remote) {
-						n.dropStream(peer, st)
-					}
-				}
-				return
-			}
-			_, _ = n.ep.Call(ctx, peer, msg)
+			// Best-effort: a lost hint costs poll latency, never correctness.
+			_, _ = n.ep.Call(ctx, peer, transport.Message{Kind: KindReplicate, Payload: payload})
 		}(peer)
 	}
 }
@@ -511,48 +483,10 @@ func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string
 	return resp.Result, nil
 }
 
-// stream returns the cached pipelined stream to a peer, opening one on first
-// use. Nil means the mesh has no stream support (or the dial failed) and the
-// caller should use the one-shot path.
-func (n *Node) stream(to transport.NodeID) transport.Stream {
-	n.streamMu.Lock()
-	st, ok := n.streams[to]
-	n.streamMu.Unlock()
-	if ok {
-		return st
-	}
-	st, supported, err := transport.OpenStream(n.ep, to)
-	if !supported || err != nil {
-		return nil
-	}
-	n.streamMu.Lock()
-	if cur, ok := n.streams[to]; ok {
-		// Another caller raced the dial; keep theirs.
-		n.streamMu.Unlock()
-		_ = st.Close()
-		return cur
-	}
-	n.streams[to] = st
-	n.streamMu.Unlock()
-	return st
-}
-
-// dropStream discards a cached stream after a transport failure so the next
-// call redials instead of reusing a broken connection.
-func (n *Node) dropStream(to transport.NodeID, st transport.Stream) {
-	n.streamMu.Lock()
-	if cur, ok := n.streams[to]; ok && cur == st {
-		delete(n.streams, to)
-	}
-	n.streamMu.Unlock()
-	_ = st.Close()
-}
-
 // callSubmit sends one submit frame and decodes the response. Submits are
 // the hot path: the frame rides the hand-rolled hot codec in a pooled
-// buffer, and travels over the cached pipelined stream to the peer when the
-// mesh supports one — many submits share one connection with in-flight
-// windowing — falling back to the one-shot call otherwise.
+// buffer, and shares the endpoint's one connection to the peer with every
+// other call in flight.
 func (n *Node) callSubmit(to transport.NodeID, req *schema.SubmitReq) (schema.SubmitResp, error) {
 	var resp schema.SubmitResp
 	raw, err := n.callHot(to, KindSubmit, req.MarshalWire)
@@ -563,8 +497,8 @@ func (n *Node) callSubmit(to transport.NodeID, req *schema.SubmitReq) (schema.Su
 }
 
 // callHot encodes one submit or batch frame into a pooled buffer and sends
-// it to a peer: over the cached pipelined stream when the mesh supports one,
-// the one-shot call otherwise.
+// it to a peer. No retry on failure — the outcome is ambiguous and events
+// are not idempotent.
 func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte) ([]byte, error)) (transport.Message, error) {
 	buf := schema.GetFrameBuf()
 	defer schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
@@ -573,22 +507,9 @@ func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte)
 		return transport.Message{}, err
 	}
 	*buf = payload
-	msg := transport.Message{Kind: kind, Payload: payload}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
-	st := n.stream(to)
-	if st == nil {
-		return n.ep.Call(ctx, to, msg)
-	}
-	raw, err := st.Call(ctx, msg)
-	var remote *transport.RemoteError
-	if err != nil && !errors.As(err, &remote) {
-		// Transport failure (not a handler error): the stream is broken or
-		// timed out; discard it so the next submit redials. No retry here —
-		// the outcome is ambiguous and events are not idempotent.
-		n.dropStream(to, st)
-	}
-	return raw, err
+	return n.ep.Call(ctx, to, transport.Message{Kind: kind, Payload: payload})
 }
 
 // learnPlacement repairs the local directory cache from an authoritative

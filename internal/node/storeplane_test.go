@@ -128,11 +128,28 @@ func (d failingDoer) Do(cloudstore.Op) (cloudstore.Result, error) {
 }
 
 // TestEveryCodeSurvivesEveryFrame sends each code of the table, wrapped the
-// way its producer wraps it, through the three response frames that carry
-// errors in-band — SubmitResp, SubmitBatchResp and the gob storeResp — and
-// requires errors.Is against the original sentinel and the retry class to
-// hold on the far side. It fails when a code is added without a sentinel row.
+// way its producer wraps it, through the four frames that carry errors —
+// SubmitResp, SubmitBatchResp and the gob storeResp in-band, and the mux
+// error frame a failing mesh handler's error rides — and requires errors.Is
+// against the original sentinel and the retry class to hold on the far side.
+// It fails when a code is added without a sentinel row.
 func TestEveryCodeSurvivesEveryFrame(t *testing.T) {
+	// A mesh handler that fails with whatever error the test is on.
+	var handlerErr error
+	mesh := transport.NewTCPMesh()
+	failing, ferr := mesh.Attach(1, func(context.Context, transport.NodeID, transport.Message) (transport.Message, error) {
+		return transport.Message{}, handlerErr
+	})
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	defer failing.Close()
+	caller, ferr := mesh.Attach(2, nil)
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	defer caller.Close()
+
 	for c := schema.CodeOK + 1; c < schema.NumCodes; c++ {
 		sentinel, ok := codeSentinels[c]
 		if !ok {
@@ -178,6 +195,17 @@ func TestEveryCodeSurvivesEveryFrame(t *testing.T) {
 			t.Fatal(derr)
 		}
 		arrived["storeResp"] = schema.Err(gotStore.Code, gotStore.Err)
+
+		handlerErr = err
+		_, back := caller.Call(context.Background(), 1, transport.Message{Kind: "q"})
+		var remote *transport.RemoteError
+		if !errors.As(back, &remote) || remote.Node != 1 {
+			t.Fatalf("%s: a handler's error arrived as %v, want a RemoteError from node 1", c.Name(), back)
+		}
+		arrived["mux error frame"] = schema.Err(remote.Code, remote.Msg)
+		if !errors.Is(back, sentinel) {
+			t.Errorf("%s: errors.Is does not see %v through %v", c.Name(), sentinel, back)
+		}
 
 		for frame, back := range arrived {
 			if !errors.Is(back, sentinel) || schema.CodeOf(back).Class() != c.Class() || back.Error() != err.Error() {

@@ -1,11 +1,13 @@
 package node
 
-// The node wire protocol: frames carried in transport.Message payloads over
-// Mesh.Call. Submit, batch-submit, transfer and replicate-notify requests
-// are hot-codec frames (schema/hotframe.go) and nothing else; store ops and
-// the control plane (ping, migrate, transfer-query, transfer acks) are gob
-// frames. Every exchange is strictly request/response. Handler-level
-// failures travel in-band as a schema.Code plus message. The sentinels are
+// The node wire protocol: frames carried in transport.Message payloads, each
+// one a transport.Endpoint Call (or one request of a CallBatch) — on a TCP
+// mesh all of them share the endpoint's one connection to the peer. Submit,
+// batch-submit, transfer and replicate-notify requests are hot-codec frames
+// (schema/hotframe.go) and nothing else; store ops and the control plane
+// (ping, migrate, transfer-query, transfer acks) are gob payloads. Every
+// exchange is request/response. Handler-level failures travel in-band as a
+// schema.Code plus message. The sentinels are
 // their codes (schema/errors.go), so there is nothing to map at either end:
 // the sender reads the code out of the error chain, the receiver rebuilds
 // the error with schema.Err, and errors.Is holds across the wire.

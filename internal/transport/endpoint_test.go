@@ -1,0 +1,447 @@
+package transport
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// countingListener counts the connections a listener accepted: how many
+// times peers dialed it.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// countedPair attaches a server (node 1) behind a counting listener and a
+// non-serving client (node 2) on one TCP mesh.
+func countedPair(t *testing.T, h Handler) (cli Endpoint, ln *countingListener, mesh *TCPMesh) {
+	t.Helper()
+	mesh = NewTCPMesh()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln = &countingListener{Listener: inner}
+	srv, err := mesh.AttachListener(1, h, ln)
+	if err != nil {
+		t.Fatalf("attach server: %v", err)
+	}
+	cli, err = mesh.Attach(2, mirrorHandler)
+	if err != nil {
+		t.Fatalf("attach client: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = cli.Close()
+		_ = srv.Close()
+	})
+	return cli, ln, mesh
+}
+
+// TestEndpointCallSharesOneConnection pins the one discipline: whatever an
+// endpoint sends a peer — any kind, Call or CallBatch, from any number of
+// goroutines, the first of them racing each other to dial — rides one TCP
+// connection.
+func TestEndpointCallSharesOneConnection(t *testing.T) {
+	cli, ln, _ := countedPair(t, mirrorHandler)
+	open := ReadMuxStats().StreamsOpen
+
+	kinds := []string{"node.submit", "node.store", "node.ping", "node.transfer"}
+	var wg sync.WaitGroup
+	errs := make(chan error, 64)
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i := 0; i < 8; i++ {
+				kind := kinds[(g+i)%len(kinds)]
+				want := fmt.Sprintf("g%d-i%d", g, i)
+				if (g+i)%2 == 0 {
+					resp, err := cli.Call(ctx, 1, Message{Kind: kind, Payload: []byte(want)})
+					if err != nil || resp.Kind != kind || string(resp.Payload) != want {
+						errs <- fmt.Errorf("Call %s: %q %q, %v", want, resp.Kind, resp.Payload, err)
+						return
+					}
+					continue
+				}
+				reqs := []Message{{Kind: kind, Payload: []byte(want + "a")}, {Kind: kind, Payload: []byte(want + "b")}}
+				resps, cerrs, err := cli.CallBatch(ctx, 1, reqs)
+				if err != nil || cerrs[0] != nil || cerrs[1] != nil ||
+					string(resps[0].Payload) != want+"a" || string(resps[1].Payload) != want+"b" {
+					errs <- fmt.Errorf("CallBatch %s: %v, %v, %v", want, resps, cerrs, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := ln.accepted.Load(); got != 1 {
+		t.Fatalf("the peer accepted %d connections from one endpoint, want 1", got)
+	}
+	if got := ReadMuxStats().StreamsOpen - open; got != 1 {
+		t.Fatalf("StreamsOpen rose by %d, want 1", got)
+	}
+}
+
+// TestTimedOutCallLeavesNeighboursAlone pins the replacement rule's other
+// half: a deadline that expires while waiting for a handler says nothing
+// about the connection. With 32 calls in flight and one handler parked past
+// its caller's deadline, that caller alone gets ErrCallTimeout; the other 31
+// complete on the same connection, the late reply is dropped when it finally
+// arrives, and nothing is redialed.
+func TestTimedOutCallLeavesNeighboursAlone(t *testing.T) {
+	const flight = 32
+	var inside atomic.Int32
+	allIn, releaseParked := make(chan struct{}), make(chan struct{})
+	cli, ln, _ := countedPair(t, func(ctx context.Context, from NodeID, req Message) (Message, error) {
+		if req.Kind == "flight" {
+			if inside.Add(1) == flight {
+				close(allIn)
+			}
+			select {
+			case <-allIn:
+			case <-ctx.Done(): // endpoint shutdown: a failed run must not wedge cleanup
+			}
+		}
+		if string(req.Payload) == "parked" {
+			select {
+			case <-releaseParked:
+			case <-ctx.Done():
+			}
+		}
+		return req, nil
+	})
+	before := ReadMuxStats()
+
+	var wg sync.WaitGroup
+	errs := make([]error, flight)
+	for i := 0; i < flight; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			payload, timeout := fmt.Sprintf("call-%d", i), 10*time.Second
+			if i == 0 {
+				payload, timeout = "parked", 200*time.Millisecond
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			resp, err := cli.Call(ctx, 1, Message{Kind: "flight", Payload: []byte(payload)})
+			if err == nil && string(resp.Payload) != payload {
+				err = fmt.Errorf("got %q, want %q", resp.Payload, payload)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	if !errors.Is(errs[0], ErrCallTimeout) {
+		t.Fatalf("parked call: got %v, want ErrCallTimeout", errs[0])
+	}
+	for i, err := range errs[1:] {
+		if err != nil {
+			t.Errorf("neighbour %d of the timed-out call failed: %v", i+1, err)
+		}
+	}
+
+	close(releaseParked)
+	for deadline := time.Now().Add(10 * time.Second); ReadMuxStats().DroppedResponses == before.DroppedResponses; {
+		if time.Now().After(deadline) {
+			t.Fatal("the late reply was never counted as dropped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if resp, err := cli.Call(ctx, 1, Message{Kind: "after", Payload: []byte("fresh")}); err != nil || string(resp.Payload) != "fresh" {
+		t.Fatalf("call after the late reply: %q, %v", resp.Payload, err)
+	}
+	// Nor does a caller that arrives with its context already done.
+	dead, kill := context.WithCancel(context.Background())
+	kill()
+	if _, err := cli.Call(dead, 1, Message{Kind: "after"}); !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call under a dead context: got %v, want ErrCallTimeout", err)
+	}
+	after := ReadMuxStats()
+	if d := after.DroppedResponses - before.DroppedResponses; d != 1 {
+		t.Errorf("DroppedResponses rose by %d, want 1", d)
+	}
+	if got := ln.accepted.Load(); got != 1 || after.StreamsOpen != before.StreamsOpen+1 {
+		t.Fatalf("the connection was replaced: %d accepted, StreamsOpen %d → %d", got, before.StreamsOpen, after.StreamsOpen)
+	}
+}
+
+// TestEndpointRedialsAfterPeerRestart pins both ends of a peer going away.
+// The closing endpoint stops reading requests but still delivers the
+// responses its handlers earn on the way out (a shutdown request's ack is
+// one), so a call in flight across the shutdown completes; then the cached
+// connection breaks, and the next Call dials the peer's new incarnation with
+// no help from the caller.
+func TestEndpointRedialsAfterPeerRestart(t *testing.T) {
+	entered := make(chan struct{})
+	mesh := NewTCPMesh()
+	srv, err := mesh.Attach(1, func(ctx context.Context, from NodeID, req Message) (Message, error) {
+		if req.Kind == "park" {
+			close(entered)
+			<-ctx.Done() // until the endpoint shuts down
+		}
+		return req, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := mesh.Attach(2, mirrorHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	open := ReadMuxStats().StreamsOpen
+	if _, err := cli.Call(ctx, 1, Message{Kind: "warm"}); err != nil {
+		t.Fatalf("call before the restart: %v", err)
+	}
+
+	inFlight := make(chan error, 1)
+	go func() {
+		resp, err := cli.Call(ctx, 1, Message{Kind: "park", Payload: []byte("ack")})
+		if err == nil && string(resp.Payload) != "ack" {
+			err = fmt.Errorf("got %q", resp.Payload)
+		}
+		inFlight <- err
+	}()
+	<-entered
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inFlight; err != nil {
+		t.Fatalf("the response a handler returned as its endpoint closed was cut off: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ReadMuxStats().StreamsOpen != open; {
+		if time.Now().After(deadline) {
+			t.Fatal("the connection to a closed peer never broke")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	addr, _ := mesh.Addr(1)
+	inner, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("port %s re-bind raced: %v", addr, err)
+	}
+	ln := &countingListener{Listener: inner}
+	srv2, err := mesh.AttachListener(1, mirrorHandler, ln)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	resp, err := cli.Call(ctx, 1, Message{Kind: "again", Payload: []byte("hello")})
+	if err != nil || string(resp.Payload) != "hello" {
+		t.Fatalf("first call after the restart: %q, %v", resp.Payload, err)
+	}
+	if got := ln.accepted.Load(); got != 1 {
+		t.Fatalf("the restarted peer accepted %d connections, want 1", got)
+	}
+}
+
+// TestListenerRejectsNonMuxPreamble pins that the mesh has one protocol: a
+// connection that opens with anything but the mux preamble — the old gob
+// envelope, or noise — is closed and never reaches a handler.
+func TestListenerRejectsNonMuxPreamble(t *testing.T) {
+	var handled atomic.Int32
+	_, _, mesh := countedPair(t, func(ctx context.Context, from NodeID, req Message) (Message, error) {
+		handled.Add(1)
+		return req, nil
+	})
+	addr, _ := mesh.Addr(1)
+	openings := map[string][]byte{
+		// How a gob stream of struct{From int64; Req struct{Kind string; Payload []byte}} begins.
+		"gob":    {0x2b, 0xff, 0x81, 0x03, 0x01, 0x01, 0x07, 'w', 'i', 'r', 'e', 'R'},
+		"random": {0x13, 0x9c, 0x00, 0xfe, 0x41, 0x07, 0xd2, 0x6b, 0xa7, 0x4d, 0x58, 0x31},
+	}
+	for name, opening := range openings {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The opening, then a well-formed request frame: were the listener to
+		// serve the connection anyway, the handler would run.
+		frame := muxWrite{corrID: 1<<muxSlotShift | 0, kind: "q"}
+		if _, err := conn.Write(frame.appendHeader(opening)); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || isTimeout(err) {
+			t.Fatalf("%s opening: the listener kept the connection (read %d bytes, %v)", name, n, err)
+		}
+		_ = conn.Close()
+	}
+	if n := handled.Load(); n != 0 {
+		t.Fatalf("a handler ran %d times for connections that never sent the preamble", n)
+	}
+}
+
+// TestMuxCallDeadlineWhenPeerStopsReading pins the deadline on the write
+// side: a peer that accepts and then never reads wedges the writer once the
+// socket buffers fill, and a caller whose deadline expires with its frame
+// still unflushed must get ErrCallTimeout promptly — not wait on a flush that
+// cannot happen — without returning while the writer can still read its
+// payload (the test recycles it at once, as pooled callers do; run under
+// -race). The stalled connection is broken, so the endpoint replaces it with
+// no help from the caller.
+func TestMuxCallDeadlineWhenPeerStopsReading(t *testing.T) {
+	deaf, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deaf.Close()
+	var held []net.Conn
+	var heldMu sync.Mutex
+	go func() {
+		for {
+			conn, err := deaf.Accept()
+			if err != nil {
+				return
+			}
+			heldMu.Lock()
+			held = append(held, conn) // accepted, never read
+			heldMu.Unlock()
+		}
+	}()
+	defer func() {
+		heldMu.Lock()
+		defer heldMu.Unlock()
+		for _, conn := range held {
+			_ = conn.Close()
+		}
+	}()
+
+	cli, _, mesh := countedPair(t, mirrorHandler)
+	healthy, _ := mesh.Addr(1)
+	mesh.Register(1, deaf.Addr().String())
+
+	stalled := func(name string, call func(ctx context.Context, req Message) (Message, error)) {
+		t.Helper()
+		payload := bytes.Repeat([]byte{0xAB}, 16<<20) // far beyond the socket buffers
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := call(ctx, Message{Kind: "node.transfer", Payload: payload})
+		if !errors.Is(err, ErrCallTimeout) {
+			t.Fatalf("%s to a peer that stopped reading: got %v, want ErrCallTimeout", name, err)
+		}
+		if elapsed := time.Since(start); elapsed > 3*time.Second {
+			t.Fatalf("%s returned %v after a 200ms deadline", name, elapsed)
+		}
+		clear(payload) // the caller owns its payload again
+	}
+
+	st, ok, err := OpenStream(cli, 1)
+	if !ok || err != nil {
+		t.Fatalf("OpenStream: ok=%v err=%v", ok, err)
+	}
+	defer st.Close()
+	stalled("Stream.Call", st.Call)
+	if _, err := st.Call(context.Background(), Message{Kind: "q"}); err == nil {
+		t.Fatal("a stalled private stream was not broken")
+	}
+
+	stalled("Endpoint.Call", func(ctx context.Context, req Message) (Message, error) { return cli.Call(ctx, 1, req) })
+	mesh.Register(1, healthy)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	resp, err := cli.Call(ctx, 1, Message{Kind: "q", Payload: []byte("hello")})
+	if err != nil || string(resp.Payload) != "hello" {
+		t.Fatalf("call to the healthy peer after the stall: %q, %v", resp.Payload, err)
+	}
+}
+
+// TestWorkerPoolNeverStrandsAJob pins the pool's accounting: a job is handed
+// to a waiting worker or gets a new one, even when two jobs arrive before the
+// one idle worker has woken — counting that worker for both stranded the
+// second job for as long as the first one's handler stayed parked.
+func TestWorkerPoolNeverStrandsAJob(t *testing.T) {
+	var inside atomic.Int32
+	warm, both := make(chan struct{}), make(chan struct{})
+	pool := newMuxWorkerPool(MuxWindow, func(j muxJob) {
+		if j.corrID == 0 {
+			close(warm)
+			return
+		}
+		if inside.Add(1) == 2 {
+			close(both)
+		}
+		<-both // each job needs the other one running
+	})
+	pool.dispatch(muxJob{corrID: 0})
+	<-warm
+	for pool.idle.Load() != 1 { // the warm-up's worker is waiting again
+		runtime.Gosched()
+	}
+	pool.dispatch(muxJob{corrID: 1})
+	pool.dispatch(muxJob{corrID: 2})
+	select {
+	case <-both:
+	case <-time.After(10 * time.Second):
+		t.Fatal("two jobs dispatched back to back never ran together: one is stranded in the queue")
+	}
+	pool.close()
+}
+
+// TestMuxStreamFootprint is the budget on what a connection costs before it
+// carries traffic: every directed pair of a fleet holds one — store links
+// that see a frame a second included — so the fixed cost, both ends, is what
+// a fleet's resident memory is made of. (559 KiB per stream when the queues
+// were window-deep, the writers held 64 KiB buffers and the slot table was
+// allocated whole.)
+func TestMuxStreamFootprint(t *testing.T) {
+	const streams, budget = 32, 256 << 10
+	cli, _, _ := tcpPair(t, mirrorHandler)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	open := make([]Stream, streams)
+	for i := range open {
+		st, _, err := OpenStream(cli, 1)
+		if err != nil {
+			t.Fatalf("OpenStream %d: %v", i, err)
+		}
+		defer st.Close()
+		if _, err := st.Call(ctx, Message{Kind: "q", Payload: []byte("hello")}); err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		open[i] = st
+	}
+	perStream := (heap() - before) / streams
+	t.Logf("%d KiB of heap per open stream, both ends", perStream>>10)
+	if perStream > budget {
+		t.Fatalf("an open stream holds %d KiB of heap, budget %d KiB", perStream>>10, budget>>10)
+	}
+	runtime.KeepAlive(open)
+}

@@ -50,35 +50,6 @@ func TestTCPCallTimeoutOnDeadPeer(t *testing.T) {
 	}
 }
 
-// TestTCPCallDeadlineDoesNotPoisonPool verifies a deadline-bearing call that
-// succeeds leaves a reusable connection behind: the next (deadline-free)
-// call must not inherit the old deadline.
-func TestTCPCallDeadlineDoesNotPoisonPool(t *testing.T) {
-	m := NewTCPMesh()
-	srv, err := m.Attach(2, echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ep, err := m.Attach(1, echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	if _, err := ep.Call(ctx, 2, Message{Kind: "a"}); err != nil {
-		cancel()
-		t.Fatalf("deadline call: %v", err)
-	}
-	cancel()
-	// Wait past the old deadline, then reuse the pooled connection.
-	time.Sleep(1100 * time.Millisecond)
-	if _, err := ep.Call(context.Background(), 2, Message{Kind: "b"}); err != nil {
-		t.Fatalf("pooled reuse after deadline: %v", err)
-	}
-}
-
 // TestTCPAttachUsesRegisteredAddr pins the daemon-facing behavior: a node
 // that registered its own address before Attach listens there, so peers can
 // dial the configured port.

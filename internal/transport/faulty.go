@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -93,21 +92,25 @@ var _ Endpoint = (*faultyEndpoint)(nil)
 
 func (e *faultyEndpoint) ID() NodeID { return e.inner.ID() }
 
-func (e *faultyEndpoint) Call(ctx context.Context, to NodeID, req Message) (Message, error) {
+// fault decides the fate of one request on the directed link to a peer,
+// spending the link's duplicate and lost-reply budgets.
+func (e *faultyEndpoint) fault(to NodeID) (dropped, duplicate, lostAck bool) {
 	link := [2]NodeID{e.inner.ID(), to}
 	e.mesh.mu.Lock()
-	dropped := e.mesh.drop[link]
-	duplicate := false
+	defer e.mesh.mu.Unlock()
 	if n := e.mesh.dup[link]; n > 0 {
 		duplicate = true
 		e.mesh.dup[link] = n - 1
 	}
-	lostAck := false
 	if n := e.mesh.dropReply[link]; n > 0 {
 		lostAck = true
 		e.mesh.dropReply[link] = n - 1
 	}
-	e.mesh.mu.Unlock()
+	return e.mesh.drop[link], duplicate, lostAck
+}
+
+func (e *faultyEndpoint) Call(ctx context.Context, to NodeID, req Message) (Message, error) {
+	dropped, duplicate, lostAck := e.fault(to)
 	if dropped {
 		return Message{}, fmt.Errorf("%v→%v: %w", e.inner.ID(), to, ErrDropped)
 	}
@@ -124,66 +127,11 @@ func (e *faultyEndpoint) Call(ctx context.Context, to NodeID, req Message) (Mess
 	return resp, err
 }
 
+// CallBatch faults each request of the flight on its own, exactly as Call
+// would: one dropped, duplicated or unacknowledged request never touches its
+// batchmates.
+func (e *faultyEndpoint) CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error) {
+	return callEach(reqs, func(req Message) (Message, error) { return e.Call(ctx, to, req) })
+}
+
 func (e *faultyEndpoint) Close() error { return e.inner.Close() }
-
-// Stream implements Streamer when the inner endpoint does: the pipelined
-// path is subject to the same directed-link faults as one-shot calls, so
-// tests can drop, duplicate, and lose-the-response-of individual pipelined
-// requests.
-func (e *faultyEndpoint) Stream(to NodeID) (Stream, error) {
-	inner, ok, err := OpenStream(e.inner, to)
-	if !ok {
-		return nil, fmt.Errorf("%T: %w", e.inner, ErrNoStreams)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &faultyStream{mesh: e.mesh, from: e.inner.ID(), to: to, inner: inner}, nil
-}
-
-// ErrNoStreams is returned when opening a stream on a mesh whose inner
-// endpoints only support one-shot calls.
-var ErrNoStreams = errors.New("transport: endpoint does not support streams")
-
-type faultyStream struct {
-	mesh  *FaultyMesh
-	from  NodeID
-	to    NodeID
-	inner Stream
-}
-
-var _ Stream = (*faultyStream)(nil)
-
-func (s *faultyStream) Call(ctx context.Context, req Message) (Message, error) {
-	link := [2]NodeID{s.from, s.to}
-	s.mesh.mu.Lock()
-	dropped := s.mesh.drop[link]
-	duplicate := false
-	if n := s.mesh.dup[link]; n > 0 {
-		duplicate = true
-		s.mesh.dup[link] = n - 1
-	}
-	lostAck := false
-	if n := s.mesh.dropReply[link]; n > 0 {
-		lostAck = true
-		s.mesh.dropReply[link] = n - 1
-	}
-	s.mesh.mu.Unlock()
-	if dropped {
-		return Message{}, fmt.Errorf("%v→%v: %w", s.from, s.to, ErrDropped)
-	}
-	resp, err := s.inner.Call(ctx, req)
-	if duplicate {
-		// The request is delivered twice (the handler runs for both); the
-		// duplicate's response is discarded like a retransmission's would
-		// be — on a real mux connection its correlation ID is already
-		// retired, so it can never match a newer request.
-		_, _ = s.inner.Call(ctx, req)
-	}
-	if lostAck {
-		return Message{}, fmt.Errorf("%v→%v reply: %w", s.from, s.to, ErrDropped)
-	}
-	return resp, err
-}
-
-func (s *faultyStream) Close() error { return s.inner.Close() }

@@ -20,47 +20,34 @@ type Message struct {
 // Handler processes a request and produces a response.
 type Handler func(ctx context.Context, from NodeID, req Message) (Message, error)
 
-// Endpoint is one node's attachment to a mesh.
+// Endpoint is one node's attachment to a mesh, and the one way to call a
+// peer: every kind of request — submits, forwards, hints, store ops, control
+// frames, state transfers — goes through Call or CallBatch.
 type Endpoint interface {
 	// ID returns this endpoint's node ID.
 	ID() NodeID
-	// Call sends a request to another node and waits for its response. The
-	// request payload is not retained after Call returns, so callers may
-	// recycle pooled payload buffers.
+	// Call sends a request to another node and waits for its response. It is
+	// safe for concurrent use, and on a TCP mesh concurrent calls to one peer
+	// pipeline on the endpoint's one connection to it; when that
+	// connection's in-flight window is full, Call blocks until a slot frees
+	// or ctx expires — backpressure propagates to the submitter. The request
+	// payload is not retained after Call returns, so callers may recycle
+	// pooled payload buffers.
 	Call(ctx context.Context, to NodeID, req Message) (Message, error)
-	// Close detaches the endpoint.
+	// CallBatch issues several requests to one node as one flight. Responses
+	// are index-aligned with reqs; per-call handler failures land in errs; a
+	// non-nil overall error is a transport-level failure (context expiry,
+	// broken connection) that voided the whole flight. Payloads are not
+	// retained after it returns.
+	CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error)
+	// Close detaches the endpoint and closes its connections.
 	Close() error
 }
 
-// Stream is a pipelined connection to one peer: Call is safe for
-// concurrent use and concurrent calls share the connection with many
-// requests in flight (responses are matched by correlation ID, so they may
-// complete in any order). When the stream's in-flight window is full, Call
-// blocks until a slot frees or ctx expires — backpressure propagates to
-// the submitter. The request payload is not retained after Call returns.
-type Stream interface {
-	Call(ctx context.Context, req Message) (Message, error)
-	Close() error
-}
-
-// BatchCaller is implemented by streams that can issue several requests as
-// one burst through a shared completion plane: the frames ride one writer
-// flush and one parked waiter instead of len(reqs) goroutines. Responses
-// are index-aligned with reqs; per-call handler failures land in errs; a
-// non-nil overall error is a transport-level failure (context expiry,
-// broken stream) that voided the whole flight.
-type BatchCaller interface {
-	CallBatch(ctx context.Context, reqs []Message) ([]Message, []error, error)
-}
-
-// StreamCallBatch issues reqs over st as one pipelined flight, using the
-// stream's native CallBatch when it has one and falling back to concurrent
-// Calls otherwise (the fallback reports transport failures per-index rather
-// than as an overall error).
-func StreamCallBatch(ctx context.Context, st Stream, reqs []Message) ([]Message, []error, error) {
-	if bc, ok := st.(BatchCaller); ok {
-		return bc.CallBatch(ctx, reqs)
-	}
+// callEach is CallBatch for an endpoint with no connection to pipeline on:
+// the requests run as concurrent calls, and a transport failure lands in its
+// own index of errs rather than voiding the flight.
+func callEach(reqs []Message, call func(Message) (Message, error)) ([]Message, []error, error) {
 	msgs := make([]Message, len(reqs))
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
@@ -68,33 +55,47 @@ func StreamCallBatch(ctx context.Context, st Stream, reqs []Message) ([]Message,
 	for i := range reqs {
 		go func(i int) {
 			defer wg.Done()
-			msgs[i], errs[i] = st.Call(ctx, reqs[i])
+			msgs[i], errs[i] = call(reqs[i])
 		}(i)
 	}
 	wg.Wait()
 	return msgs, errs, nil
 }
 
-// Streamer is implemented by endpoints that support pipelined multiplexed
-// streams in addition to one-shot calls.
-type Streamer interface {
-	// Stream opens a pipelined stream to a peer. Streams are not pooled by
-	// the transport: callers cache and reopen them.
-	Stream(to NodeID) (Stream, error)
+// Stream is a private pipelined connection to one peer, for a caller that
+// wants one of its own instead of the endpoint's (the benchmark's echo
+// replay, the mux's tests): same Call and CallBatch contract, minus the
+// peer.
+type Stream interface {
+	Call(ctx context.Context, req Message) (Message, error)
+	BatchCaller
+	Close() error
 }
 
-// OpenStream opens a pipelined stream to a peer when the endpoint supports
-// it; ok is false otherwise (callers fall back to one-shot Call).
+// BatchCaller is the batch half of a Stream: the frames ride one writer
+// flush and one parked waiter instead of len(reqs) goroutines.
+type BatchCaller interface {
+	CallBatch(ctx context.Context, reqs []Message) ([]Message, []error, error)
+}
+
+// StreamCallBatch issues reqs over st as one pipelined flight.
+func StreamCallBatch(ctx context.Context, st Stream, reqs []Message) ([]Message, []error, error) {
+	return st.CallBatch(ctx, reqs)
+}
+
+// OpenStream dials a private mux connection to a peer; ok is false on a
+// mesh that has no connections to open (the in-memory ones). The stream
+// lives until its Close or the endpoint's.
 func OpenStream(ep Endpoint, to NodeID) (Stream, bool, error) {
-	s, ok := ep.(Streamer)
+	e, ok := ep.(*tcpEndpoint)
 	if !ok {
 		return nil, false, nil
 	}
-	st, err := s.Stream(to)
+	s, err := e.dial(context.Background(), to)
 	if err != nil {
 		return nil, true, err
 	}
-	return st, true, nil
+	return s, true, nil
 }
 
 // Mesh connects endpoints so they can exchange request/response messages.
@@ -183,53 +184,8 @@ func (e *inMemEndpoint) Call(ctx context.Context, to NodeID, req Message) (Messa
 	return resp, nil
 }
 
-// Stream implements Streamer: the in-memory "connection" has no socket to
-// multiplex, so pipelining is expressed directly — concurrent Calls run
-// concurrently against the destination handler, bounded by the same
-// in-flight window a mux connection has. This keeps stream-path semantics
-// (windowed backpressure, concurrent dispatch) testable in-process.
-func (e *inMemEndpoint) Stream(to NodeID) (Stream, error) {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	return &inMemStream{ep: e, to: to, window: make(chan struct{}, MuxWindow)}, nil
-}
-
-type inMemStream struct {
-	ep     *inMemEndpoint
-	to     NodeID
-	window chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-}
-
-var _ Stream = (*inMemStream)(nil)
-
-func (s *inMemStream) Call(ctx context.Context, req Message) (Message, error) {
-	select {
-	case s.window <- struct{}{}:
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
-	}
-	defer func() { <-s.window }()
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return Message{}, ErrStreamBroken
-	}
-	return s.ep.Call(ctx, s.to, req)
-}
-
-func (s *inMemStream) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	return nil
+func (e *inMemEndpoint) CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error) {
+	return callEach(reqs, func(req Message) (Message, error) { return e.Call(ctx, to, req) })
 }
 
 func (e *inMemEndpoint) Close() error {

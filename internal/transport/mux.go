@@ -1,29 +1,38 @@
 package transport
 
-// Pipelined, multiplexed connections. The one-shot TCP protocol is strictly
-// request/response — one outstanding call per connection — so a remote
-// submit costs a full round trip and the wire idles between frames. A mux
-// connection instead carries many in-flight requests: each call is stamped
-// with a correlation ID, a writer goroutine coalesces queued frames into
-// single buffered flushes (writev-style — one syscall covers every frame
-// queued while the previous flush was in flight), the server dispatches
-// frames to a bounded worker pool as they arrive, and a reader goroutine
-// matches responses back to callers by correlation ID, in whatever order
-// the handlers finish.
+// The mesh's one wire protocol: pipelined, multiplexed connections. An
+// endpoint holds one mux connection per peer and every call to that peer
+// rides it — submits, forwards, replication hints, store ops, control frames
+// and state transfers alike. Each call is stamped with a correlation ID, a
+// writer goroutine coalesces queued frames into as few socket writes as the
+// traffic allows (one write covers every frame queued while the previous one
+// was in flight; a large payload is gathered in place, writev-style), the
+// server dispatches frames to a bounded worker pool as they arrive, and a
+// reader goroutine matches responses back to callers by correlation ID, in
+// whatever order the handlers finish.
 //
-// Completion plane. Completions are delivered through a fixed per-stream
-// slot table instead of one channel per call: a correlation ID encodes its
-// slot index in the low bits and a per-slot generation in the high bits, so
-// the reader finds the destination slot with a mask, writes the result, and
+// Completion plane. Completions are delivered through a per-stream slot
+// table instead of one channel per call: a correlation ID encodes its slot
+// index in the low bits and a per-slot generation in the high bits, so the
+// reader finds the destination slot with a mask, writes the result, and
 // wakes the caller through one of a small set of striped notifiers. A burst
 // of responses arriving in one read batch wakes each touched stripe once —
 // not once per call — which is what removes the per-event channel allocation
 // and wakeup that dominated the pipelined submit path (BENCH_6's residual).
 //
-// Correlation IDs are still never reused: the generation increments on every
-// slot acquisition, so a late response (its caller timed out and abandoned
-// the slot) or a duplicated response can only mismatch the slot's current ID
-// and be discarded; it can never be delivered to a newer request.
+// Correlation IDs are never reused: the generation increments on every slot
+// acquisition, so a late response (its caller timed out and abandoned the
+// slot) or a duplicated response can only mismatch the slot's current ID and
+// be discarded; it can never be delivered to a newer request. That is why a
+// call that times out waiting for a handler leaves the connection alone.
+//
+// When a connection is replaced. A stream is broken when bytes cannot move
+// on it: its reader or writer failed, or a caller's deadline expired with
+// its frame still unflushed (the peer stopped reading, or the writer is
+// wedged behind a frame whose peer did). A broken stream fails every call
+// pending on it and is never used again; the endpoint dials a fresh one on
+// the next call. Nothing else replaces a connection — not a handler error,
+// not a deadline that expired waiting for a reply.
 //
 // Backpressure: the slot freelist doubles as the bounded in-flight window
 // (MuxWindow, 1024). When no slot is free, Call blocks until one frees or
@@ -33,10 +42,15 @@ package transport
 // 128-event batch frame takes 128 admission slots and batching cannot be
 // used to sidestep the window.
 //
-// Wire format (unchanged since PR 6). A mux connection opens with a 12-byte
-// preamble:
+// Footprint. A connection that has carried nothing holds its two 64 KiB
+// read buffers and little else: the window bounds what is in flight, so the
+// hand-off queues between callers, writer, workers and response writer are
+// short (muxQueueDepth); the writers own no fixed buffer; the slot table is
+// allocated a chunk at a time as the freelist first reaches each chunk.
 //
-//	[4]byte{0xA7, 'M', 'X', '1'}   magic (0xA7 never begins a gob stream)
+// Wire format. A mux connection opens with a 12-byte preamble:
+//
+//	[4]byte{0xA7, 'M', 'X', '1'}   magic
 //	uint64 BE                      caller's NodeID
 //
 // then carries length-prefixed frames in both directions:
@@ -44,8 +58,12 @@ package transport
 //	uint32 BE      frame length (bytes that follow; ≤ 64 MiB)
 //	uint64 BE      correlation ID
 //	uvarint+bytes  kind
-//	uvarint+bytes  err (responses; empty on requests and successes)
+//	byte           schema.Code (0 on requests and successes)
+//	uvarint+bytes  error message (present only when the code is non-zero)
 //	rest           payload
+//
+// A connection that does not open with the magic is closed before any
+// handler runs.
 
 import (
 	"bufio"
@@ -75,6 +93,18 @@ const MuxWindow = 1024
 // muxSlotShift is the number of correlation-ID bits holding the slot index.
 const muxSlotShift = 10
 
+// muxSlotChunk is how many completion slots are allocated at a time. The
+// freelist hands slots out in index order, so a stream that has made fewer
+// than muxSlotChunk calls holds one chunk and a busy one grows to the full
+// table.
+const muxSlotChunk = 64
+
+// muxQueueDepth is the depth of the hand-off queues (caller → writer, read
+// loop → workers, workers → response writer). The window and the admission
+// semaphore bound what is in flight; these only need to absorb one
+// scheduling burst, after which a full queue blocks its sender.
+const muxQueueDepth = 64
+
 // muxNotifyStripes is the number of completion notifiers a stream's slots
 // hash onto. Waiters park on their slot's stripe; the reader wakes each
 // dirty stripe once per read burst.
@@ -91,33 +121,61 @@ const muxServerAdmission = 4 * MuxWindow
 const muxWorkerIdle = time.Second
 
 // maxMuxFrame bounds a frame body so a corrupt length prefix cannot demand
-// an absurd allocation.
+// an absurd allocation. It is the largest request or response the mesh
+// carries — a migration's state transfer included.
 const maxMuxFrame = 64 << 20
 
+// muxReadBuffer is each side's socket read buffer: one read syscall drains
+// up to this much of a burst.
+const muxReadBuffer = 64 << 10
+
+// muxFlushBytes is how much a writer queues before it writes without
+// waiting for the burst to end, and muxDirectPayload the payload size from
+// which a frame is not copied into the queue at all but gathered from the
+// caller's memory.
+const (
+	muxFlushBytes    = 64 << 10
+	muxDirectPayload = 16 << 10
+)
+
 // ErrStreamBroken is returned by calls pending on a mux stream whose
-// connection failed; the stream is dead and must be reopened.
+// connection failed; the stream is dead and the endpoint dials a fresh one
+// on the next call.
 var ErrStreamBroken = errors.New("transport: mux stream broken")
 
-// writeMuxFrame appends one frame to w using scratch for the header; the
-// payload bytes are written directly (bufio coalesces them into the next
-// flush).
-func writeMuxFrame(w *bufio.Writer, scratch []byte, corrID uint64, kind, errStr string, payload []byte) error {
-	body := 8 + uvarintLen(uint64(len(kind))) + len(kind) +
-		uvarintLen(uint64(len(errStr))) + len(errStr) + len(payload)
-	if body > maxMuxFrame {
-		return fmt.Errorf("transport: mux frame too large (%d bytes)", body)
+// errFrameTooLarge refuses a frame over maxMuxFrame before it is queued.
+var errFrameTooLarge = fmt.Errorf("transport: mux frame larger than %d bytes", maxMuxFrame)
+
+// muxWrite is one queued outbound frame.
+type muxWrite struct {
+	corrID  uint64
+	kind    string
+	code    schema.Code // non-zero on a handler's error response
+	errMsg  string
+	payload []byte
+}
+
+// bodyLen is the frame's length prefix: everything after it.
+func (wr *muxWrite) bodyLen() int {
+	n := 8 + uvarintLen(uint64(len(wr.kind))) + len(wr.kind) + 1 + len(wr.payload)
+	if wr.code != schema.CodeOK {
+		n += uvarintLen(uint64(len(wr.errMsg))) + len(wr.errMsg)
 	}
-	scratch = binary.BigEndian.AppendUint32(scratch[:0], uint32(body))
-	scratch = binary.BigEndian.AppendUint64(scratch, corrID)
-	scratch = binary.AppendUvarint(scratch, uint64(len(kind)))
-	scratch = append(scratch, kind...)
-	scratch = binary.AppendUvarint(scratch, uint64(len(errStr)))
-	scratch = append(scratch, errStr...)
-	if _, err := w.Write(scratch); err != nil {
-		return err
+	return n
+}
+
+// appendHeader appends the frame up to, not including, its payload.
+func (wr *muxWrite) appendHeader(dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(wr.bodyLen()))
+	dst = binary.BigEndian.AppendUint64(dst, wr.corrID)
+	dst = binary.AppendUvarint(dst, uint64(len(wr.kind)))
+	dst = append(dst, wr.kind...)
+	dst = append(dst, byte(wr.code))
+	if wr.code != schema.CodeOK {
+		dst = binary.AppendUvarint(dst, uint64(len(wr.errMsg)))
+		dst = append(dst, wr.errMsg...)
 	}
-	_, err := w.Write(payload)
-	return err
+	return dst
 }
 
 func uvarintLen(v uint64) int {
@@ -129,23 +187,25 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// readMuxFrame reads one frame, reusing *buf for the body. The returned
-// kind/err/payload alias *buf and are only valid until the next call.
-func readMuxFrame(r io.Reader, buf *[]byte) (corrID uint64, kind, errStr string, payload []byte, err error) {
+// readMuxFrame reads one frame, reusing *buf for the body. herr is the
+// handler error an error frame carries (Node unset; a code byte this build
+// has no row for reads as CodeUnknown), nil on requests and successes. kind
+// and payload alias *buf and are only valid until the next call.
+func readMuxFrame(r io.Reader, buf *[]byte) (corrID uint64, kind string, herr *RemoteError, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, "", "", nil, err
+		return 0, "", nil, nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < 8 || n > maxMuxFrame {
-		return 0, "", "", nil, fmt.Errorf("transport: bad mux frame length %d", n)
+		return 0, "", nil, nil, fmt.Errorf("transport: bad mux frame length %d", n)
 	}
 	if cap(*buf) < int(n) {
 		*buf = make([]byte, n)
 	}
 	body := (*buf)[:n]
 	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, "", "", nil, err
+		return 0, "", nil, nil, err
 	}
 	corrID = binary.BigEndian.Uint64(body[:8])
 	rest := body[8:]
@@ -160,84 +220,183 @@ func readMuxFrame(r io.Reader, buf *[]byte) (corrID uint64, kind, errStr string,
 	}
 	kb, err := take()
 	if err != nil {
-		return 0, "", "", nil, err
+		return 0, "", nil, nil, err
 	}
-	eb, err := take()
-	if err != nil {
-		return 0, "", "", nil, err
+	if len(rest) == 0 {
+		return 0, "", nil, nil, fmt.Errorf("transport: mux frame has no code byte")
 	}
-	return corrID, string(kb), string(eb), rest, nil
-}
-
-// ---- flush barriers ----
-
-// flushBarrier is the write barrier between a caller that may recycle its
-// pooled request payload and the writer goroutine that flushes it. It is
-// pooled (one barrier per call was measurable churn at depth ≥256): the
-// writer signals with a token send (a closed channel could not be reused)
-// and the last of the two references — caller and writer — drains any
-// unconsumed token and returns the barrier to the pool.
-type flushBarrier struct {
-	ch   chan struct{}
-	refs atomic.Int32
-}
-
-var barrierPool = sync.Pool{
-	New: func() any { return &flushBarrier{ch: make(chan struct{}, 1)} },
-}
-
-func getFlushBarrier() *flushBarrier {
-	fb := barrierPool.Get().(*flushBarrier)
-	fb.refs.Store(2)
-	return fb
-}
-
-// signal marks the barrier's frame flushed. Writer side, called once.
-func (fb *flushBarrier) signal() {
-	select {
-	case fb.ch <- struct{}{}:
-	default:
-	}
-}
-
-// release drops one reference; the last reference recycles the barrier. A
-// barrier stranded in the write queue of a failed stream keeps its writer
-// reference forever and is simply garbage collected.
-func (fb *flushBarrier) release() {
-	if fb.refs.Add(-1) == 0 {
-		select {
-		case <-fb.ch:
-		default:
+	code := schema.Code(rest[0])
+	rest = rest[1:]
+	if code != schema.CodeOK {
+		mb, err := take()
+		if err != nil {
+			return 0, "", nil, nil, err
 		}
-		barrierPool.Put(fb)
+		if code >= schema.NumCodes {
+			code = schema.CodeUnknown
+		}
+		herr = &RemoteError{Code: code, Msg: string(mb)}
+	}
+	return corrID, string(kb), herr, rest, nil
+}
+
+// RemoteError is the error a remote handler returned: its message, and the
+// schema.Code it carried (CodeUnknown when it carried none), so a coded
+// sentinel crosses the mesh as itself and errors.Is holds on the caller.
+type RemoteError struct {
+	Node NodeID
+	Code schema.Code
+	Msg  string
+}
+
+// Error implements error.
+func (e *RemoteError) Error() string { return fmt.Sprintf("remote %v: %s", e.Node, e.Msg) }
+
+// Unwrap returns the code the handler's error carried.
+func (e *RemoteError) Unwrap() error { return e.Code }
+
+// ---- frame writer ----
+
+// frameWriter turns queued frames into socket writes with no fixed buffer:
+// headers and small payloads are appended to out, which grows to what the
+// link's bursts need (an idle link holds nothing) and is written when the
+// burst ends or muxFlushBytes are queued; a payload of muxDirectPayload
+// bytes or more is never copied — it goes to the kernel from the caller's
+// memory, gathered with whatever is queued ahead of it.
+type frameWriter struct {
+	conn net.Conn
+	out  []byte
+	// flushed, when non-nil, is told the correlation ID of every frame once
+	// its bytes are on the socket; pending holds those queued in out.
+	flushed func(corrID uint64)
+	pending []uint64
+}
+
+func (w *frameWriter) add(wr muxWrite) error {
+	w.out = wr.appendHeader(w.out)
+	if w.flushed != nil {
+		w.pending = append(w.pending, wr.corrID)
+	}
+	if len(wr.payload) >= muxDirectPayload {
+		return w.flush(wr.payload)
+	}
+	w.out = append(w.out, wr.payload...)
+	if len(w.out) >= muxFlushBytes {
+		return w.flush(nil)
+	}
+	return nil
+}
+
+// flush writes what is queued, then direct.
+func (w *frameWriter) flush(direct []byte) error {
+	var err error
+	switch {
+	case direct != nil:
+		bufs := net.Buffers{w.out, direct}
+		_, err = bufs.WriteTo(w.conn)
+	case len(w.out) > 0:
+		_, err = w.conn.Write(w.out)
+	}
+	w.out = w.out[:0]
+	if err == nil {
+		for _, id := range w.pending {
+			w.flushed(id)
+		}
+	}
+	w.pending = w.pending[:0]
+	return err
+}
+
+// pumpFrames is the writer goroutine of both halves of a connection: it
+// drains ch into conn, one socket write per burst — every frame queued
+// while the previous write was on the wire rides the next one. It returns
+// nil when ch is closed (a server's response queue) or stop is (a client
+// stream failing), and the error when a write fails. flushed, when non-nil,
+// hears of every frame written.
+func pumpFrames(conn net.Conn, ch <-chan muxWrite, stop <-chan struct{}, flushed func(corrID uint64)) error {
+	w := frameWriter{conn: conn, flushed: flushed}
+	for {
+		var (
+			wr muxWrite
+			ok bool
+		)
+		select {
+		case wr, ok = <-ch:
+			if !ok {
+				return nil
+			}
+		case <-stop:
+			return nil
+		}
+		err := w.add(wr)
+		// Drain the burst before flushing. When the queue looks empty, yield
+		// once and re-check: callers that just woke from the previous flush,
+		// or handlers finishing right now, are usually about to enqueue, and
+		// folding their frames into this write is what turns N round-trip
+		// syscalls into one.
+		yielded := false
+	drain:
+		for err == nil {
+			select {
+			case wr, ok = <-ch:
+				if !ok {
+					break drain // flush; the next receive returns
+				}
+				err = w.add(wr)
+			default:
+				if !yielded && len(w.out) < muxFlushBytes/2 {
+					yielded = true
+					runtime.Gosched()
+					continue
+				}
+				break drain
+			}
+		}
+		if err == nil {
+			err = w.flush(nil)
+		}
+		if err != nil {
+			return err
+		}
 	}
 }
 
 // ---- client stream ----
-
-// muxWrite is one queued outbound frame.
-type muxWrite struct {
-	corrID  uint64
-	kind    string
-	errStr  string
-	payload []byte
-	// flushed, when non-nil, is signalled once the frame (and everything
-	// queued before it) has been flushed to the socket — the write barrier
-	// callers releasing pooled payload buffers need.
-	flushed *flushBarrier
-}
 
 // muxSlot is one entry of the completion plane. The owner (the caller
 // holding the slot between acquire and release) and the reader synchronize
 // on mu; gen is touched only by owners while they hold the slot, so it
 // survives across uses without wider locking.
 type muxSlot struct {
-	mu   sync.Mutex
-	corr uint64 // current correlation ID; 0 = no caller listening
-	done bool
-	msg  Message
-	err  error
-	gen  uint64
+	mu      sync.Mutex
+	corr    uint64 // current correlation ID; 0 = no caller listening
+	flushed bool   // the request frame is on the socket: the writer is done with its payload
+	done    bool
+	msg     Message
+	err     error
+	gen     uint64
+}
+
+// take claims a completed slot's result and closes the slot for delivery.
+func (sl *muxSlot) take() (msg Message, err error, ok bool) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if !sl.done {
+		return Message{}, nil, false
+	}
+	msg, err = sl.msg, sl.err
+	sl.corr, sl.done, sl.msg, sl.err = 0, false, Message{}, nil
+	return msg, err, true
+}
+
+// close closes the slot for delivery without completing it, and reports
+// whether its request frame had reached the socket.
+func (sl *muxSlot) close() (flushed bool) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	flushed = sl.flushed
+	sl.corr, sl.done, sl.msg, sl.err = 0, false, Message{}, nil
+	return flushed
 }
 
 // notifyStripe wakes every waiter parked on it by closing and replacing its
@@ -264,27 +423,26 @@ func (n *notifyStripe) wake() {
 
 // muxStream is the client half of a multiplexed connection.
 type muxStream struct {
-	to   NodeID
-	conn net.Conn
+	to    NodeID
+	conn  net.Conn
+	owner *tcpEndpoint // untracks the stream on Close; nil in tests
 
 	writeCh chan muxWrite
 
-	slots   []muxSlot
+	slots   [MuxWindow / muxSlotChunk]atomic.Pointer[[muxSlotChunk]muxSlot]
 	free    chan uint32 // slot freelist; doubles as the in-flight window
 	stripes [muxNotifyStripes]notifyStripe
 
 	mu     sync.Mutex
 	broken error
 
-	done chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	done       chan struct{} // closed when the stream fails
+	writerDone chan struct{} // closed when the writer has exited
+	once       sync.Once
+	wg         sync.WaitGroup
 }
 
-var (
-	_ Stream      = (*muxStream)(nil)
-	_ BatchCaller = (*muxStream)(nil)
-)
+var _ Stream = (*muxStream)(nil)
 
 // dialMux opens a mux stream over an established connection, sending the
 // preamble and starting the writer/reader goroutines.
@@ -297,12 +455,12 @@ func dialMux(conn net.Conn, from, to NodeID) (*muxStream, error) {
 		return nil, fmt.Errorf("mux preamble to %v: %w", to, err)
 	}
 	s := &muxStream{
-		to:      to,
-		conn:    conn,
-		writeCh: make(chan muxWrite, MuxWindow),
-		slots:   make([]muxSlot, MuxWindow),
-		free:    make(chan uint32, MuxWindow),
-		done:    make(chan struct{}),
+		to:         to,
+		conn:       conn,
+		writeCh:    make(chan muxWrite, muxQueueDepth),
+		free:       make(chan uint32, MuxWindow),
+		done:       make(chan struct{}),
+		writerDone: make(chan struct{}),
 	}
 	for i := range s.stripes {
 		s.stripes[i].ch = make(chan struct{})
@@ -315,6 +473,16 @@ func dialMux(conn net.Conn, from, to NodeID) (*muxStream, error) {
 	go s.writer()
 	go s.reader()
 	return s, nil
+}
+
+// readMuxPreamble reads what dialMux wrote: the caller's node ID, false when
+// the connection opened with anything else.
+func readMuxPreamble(conn net.Conn) (NodeID, bool) {
+	var pre [12]byte
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || [4]byte(pre[:4]) != muxMagic {
+		return 0, false
+	}
+	return NodeID(int64(binary.BigEndian.Uint64(pre[4:]))), true
 }
 
 // fail breaks the stream: the connection closes, done wakes every parked
@@ -331,67 +499,31 @@ func (s *muxStream) fail(err error) {
 	})
 }
 
+// isBroken reports whether the stream has failed.
+func (s *muxStream) isBroken() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Close implements Stream.
 func (s *muxStream) Close() error {
 	s.fail(ErrStreamBroken)
 	s.wg.Wait()
+	if s.owner != nil {
+		s.owner.untrack(s)
+	}
 	return nil
 }
 
-// writer drains the queue into the buffered socket writer, flushing once
-// per burst: every frame queued while the previous flush was on the wire
-// rides the next syscall.
 func (s *muxStream) writer() {
 	defer s.wg.Done()
-	w := bufio.NewWriterSize(s.conn, 64<<10)
-	scratch := make([]byte, 0, 64)
-	var notify []*flushBarrier
-	for {
-		var first muxWrite
-		select {
-		case first = <-s.writeCh:
-		case <-s.done:
-			return
-		}
-		err := writeMuxFrame(w, scratch, first.corrID, first.kind, first.errStr, first.payload)
-		if first.flushed != nil {
-			notify = append(notify, first.flushed)
-		}
-		// Drain the burst before flushing. When the queue looks empty, yield
-		// once and re-check: callers that just woke from the previous flush
-		// are usually about to enqueue, and folding their frames into this
-		// flush is what turns N round-trip syscalls into one.
-		yielded := false
-	drain:
-		for err == nil {
-			select {
-			case next := <-s.writeCh:
-				err = writeMuxFrame(w, scratch, next.corrID, next.kind, next.errStr, next.payload)
-				if next.flushed != nil {
-					notify = append(notify, next.flushed)
-				}
-			default:
-				if !yielded && w.Buffered() < 32<<10 {
-					yielded = true
-					runtime.Gosched()
-					continue
-				}
-				break drain
-			}
-		}
-		if err == nil {
-			err = w.Flush()
-		}
-		for i, fb := range notify {
-			fb.signal()
-			fb.release()
-			notify[i] = nil
-		}
-		notify = notify[:0]
-		if err != nil {
-			s.fail(fmt.Errorf("mux write to %v: %w", s.to, err))
-			return
-		}
+	defer close(s.writerDone)
+	if err := pumpFrames(s.conn, s.writeCh, s.done, s.markFlushed); err != nil {
+		s.fail(fmt.Errorf("mux write to %v: %w", s.to, err))
 	}
 }
 
@@ -423,16 +555,16 @@ func frameBuffered(r *bufio.Reader) bool {
 // response has been delivered.
 func (s *muxStream) reader() {
 	defer s.wg.Done()
-	r := bufio.NewReaderSize(s.conn, 64<<10)
+	r := bufio.NewReaderSize(s.conn, muxReadBuffer)
 	var buf []byte
 	var dirty uint32 // bitmask of stripes with undelivered wakeups
 	for {
-		corrID, kind, errStr, payload, err := readMuxFrame(r, &buf)
+		corrID, kind, herr, payload, err := readMuxFrame(r, &buf)
 		if err != nil {
 			s.fail(fmt.Errorf("mux read from %v: %w", s.to, err))
 			return
 		}
-		if s.deliver(corrID, kind, errStr, payload) {
+		if s.deliver(corrID, kind, herr, payload) {
 			dirty |= 1 << (uint32(corrID&(MuxWindow-1)) % muxNotifyStripes)
 		}
 		if dirty != 0 && !frameBuffered(r) {
@@ -446,18 +578,32 @@ func (s *muxStream) reader() {
 	}
 }
 
+// slot returns the completion slot for idx, nil when its chunk of the table
+// has never been armed.
+func (s *muxStream) slot(idx uint32) *muxSlot {
+	if c := s.slots[idx/muxSlotChunk].Load(); c != nil {
+		return &c[idx%muxSlotChunk]
+	}
+	return nil
+}
+
 // deliver writes one response into its slot; it reports whether a caller is
 // listening (and therefore whether its stripe needs a wakeup).
-func (s *muxStream) deliver(corrID uint64, kind, errStr string, payload []byte) bool {
-	sl := &s.slots[corrID&(MuxWindow-1)]
+func (s *muxStream) deliver(corrID uint64, kind string, herr *RemoteError, payload []byte) bool {
+	sl := s.slot(uint32(corrID & (MuxWindow - 1)))
+	if sl == nil {
+		muxDroppedResponses.Add(1)
+		return false // an ID this stream never issued
+	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	if sl.corr != corrID || sl.done {
 		muxDroppedResponses.Add(1)
 		return false // late or duplicated response: no caller, drop it
 	}
-	if errStr != "" {
-		sl.err = &RemoteError{Node: s.to, Msg: errStr}
+	if herr != nil {
+		herr.Node = s.to
+		sl.err = herr
 	} else {
 		// The read buffer is reused for the next frame; the payload handed
 		// to the caller must own its bytes.
@@ -469,7 +615,8 @@ func (s *muxStream) deliver(corrID uint64, kind, errStr string, payload []byte) 
 	return true
 }
 
-// acquire takes a free completion slot (the backpressure point).
+// acquire takes a free completion slot (the backpressure point). A deadline
+// that expires here waited on the window, not the wire: the stream is fine.
 func (s *muxStream) acquire(ctx context.Context) (uint32, error) {
 	select {
 	case idx := <-s.free:
@@ -482,7 +629,7 @@ func (s *muxStream) acquire(ctx context.Context) (uint32, error) {
 			return idx, nil
 		}
 	case <-ctx.Done():
-		return 0, fmt.Errorf("mux call to %v: %w", s.to, ErrCallTimeout)
+		return 0, s.timeoutErr()
 	case <-s.done:
 		return 0, s.brokenErr()
 	}
@@ -491,26 +638,28 @@ func (s *muxStream) acquire(ctx context.Context) (uint32, error) {
 // arm stamps a fresh, never-before-used correlation ID onto an acquired
 // slot and opens it for delivery.
 func (s *muxStream) arm(idx uint32) uint64 {
-	sl := &s.slots[idx]
+	sl := s.slot(idx)
+	if sl == nil {
+		s.slots[idx/muxSlotChunk].CompareAndSwap(nil, new([muxSlotChunk]muxSlot))
+		sl = s.slot(idx)
+	}
 	sl.mu.Lock()
 	sl.gen++
 	corr := sl.gen<<muxSlotShift | uint64(idx)
 	sl.corr = corr
-	sl.done = false
-	sl.msg = Message{}
-	sl.err = nil
+	sl.flushed, sl.done, sl.msg, sl.err = false, false, Message{}, nil
 	sl.mu.Unlock()
 	return corr
 }
 
-// disarm closes a slot for delivery without completing it (the frame never
-// reached the write queue).
-func (s *muxStream) disarm(idx uint32) {
-	sl := &s.slots[idx]
+// markFlushed is the writer telling a frame's caller, should it stop
+// waiting, that its request payload is no longer being read.
+func (s *muxStream) markFlushed(corrID uint64) {
+	sl := s.slot(uint32(corrID & (MuxWindow - 1)))
 	sl.mu.Lock()
-	sl.corr = 0
-	sl.done = false
-	sl.msg, sl.err = Message{}, nil
+	if sl.corr == corrID {
+		sl.flushed = true
+	}
 	sl.mu.Unlock()
 }
 
@@ -520,16 +669,52 @@ func (s *muxStream) release(idx uint32) {
 	s.free <- idx
 }
 
-// enqueue hands a frame to the writer.
-func (s *muxStream) enqueue(ctx context.Context, wr muxWrite) error {
+// send takes a slot for req and hands its frame to the writer. A context
+// that is already done never reaches the stream, and one that expires
+// before the frame is queued waited on the queue, as in acquire: neither
+// says anything about the connection.
+func (s *muxStream) send(ctx context.Context, req Message) (uint32, error) {
+	wr := muxWrite{kind: req.Kind, payload: req.Payload}
+	if wr.bodyLen() > maxMuxFrame {
+		return 0, fmt.Errorf("mux call to %v: %w", s.to, errFrameTooLarge)
+	}
+	select {
+	case <-ctx.Done():
+		return 0, s.timeoutErr()
+	default:
+	}
+	idx, err := s.acquire(ctx)
+	if err != nil {
+		return 0, err
+	}
+	wr.corrID = s.arm(idx)
 	select {
 	case s.writeCh <- wr:
-		return nil
+		return idx, nil
 	case <-ctx.Done():
-		return fmt.Errorf("mux call to %v: %w", s.to, ErrCallTimeout)
+		err = s.timeoutErr()
 	case <-s.done:
-		return s.brokenErr()
+		err = s.brokenErr()
 	}
+	s.slot(idx).close()
+	s.release(idx)
+	return 0, err
+}
+
+// giveUp abandons a sent call whose result will not be taken. It is where a
+// caller decides what its expired deadline says about the connection: a
+// frame that reached the socket was waiting on the handler, and the stream
+// is left alone (the late reply mismatches the slot's next ID and is
+// dropped); a frame still unflushed means bytes are not moving, and the
+// stream is broken. Either way giveUp returns only once the writer can no
+// longer read the request payload, because callers recycle it as soon as
+// the call returns.
+func (s *muxStream) giveUp(idx uint32) {
+	if !s.slot(idx).close() {
+		s.fail(fmt.Errorf("mux write to %v stalled past a caller's wait: %w", s.to, ErrStreamBroken))
+		<-s.writerDone
+	}
+	s.release(idx)
 }
 
 // awaitSlot parks on the slot's stripe until the reader completes the slot,
@@ -537,50 +722,26 @@ func (s *muxStream) enqueue(ctx context.Context, wr muxWrite) error {
 // failure (RemoteError); fatal is a transport-level failure that voids the
 // whole flight. Exactly one of the three outcomes is set, and in every case
 // the slot has been returned to the freelist when awaitSlot returns.
-func (s *muxStream) awaitSlot(ctx context.Context, idx uint32, fb *flushBarrier) (msg Message, callErr, fatal error) {
-	sl := &s.slots[idx]
+func (s *muxStream) awaitSlot(ctx context.Context, idx uint32) (msg Message, callErr, fatal error) {
+	sl := s.slot(idx)
 	stripe := &s.stripes[idx%muxNotifyStripes]
 	for {
 		ch := stripe.get()
-		sl.mu.Lock()
-		if sl.done {
-			msg, callErr = sl.msg, sl.err
-			sl.corr, sl.done, sl.msg, sl.err = 0, false, Message{}, nil
-			sl.mu.Unlock()
-			fb.release()
+		if m, e, ok := sl.take(); ok {
 			s.release(idx)
-			return msg, callErr, nil
+			return m, e, nil
 		}
-		sl.mu.Unlock()
+		if fatal != nil {
+			s.giveUp(idx)
+			return Message{}, nil, fatal
+		}
+		// On either failure, look once more: a completion may have raced it.
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			s.disarm(idx)
-			// Callers may recycle the payload once we return, so an
-			// abandoned call must wait out the flush first.
-			select {
-			case <-fb.ch:
-			case <-s.done:
-			}
-			fb.release()
-			s.release(idx)
-			return Message{}, nil, fmt.Errorf("mux call to %v: %w", s.to, ErrCallTimeout)
+			fatal = s.timeoutErr()
 		case <-s.done:
-			// A completion may have raced the failure; prefer it.
-			sl.mu.Lock()
-			if sl.done {
-				msg, callErr = sl.msg, sl.err
-				sl.corr, sl.done, sl.msg, sl.err = 0, false, Message{}, nil
-				sl.mu.Unlock()
-				fb.release()
-				s.release(idx)
-				return msg, callErr, nil
-			}
-			sl.corr = 0
-			sl.mu.Unlock()
-			fb.release()
-			s.release(idx)
-			return Message{}, nil, s.brokenErr()
+			fatal = s.brokenErr()
 		}
 	}
 }
@@ -589,20 +750,11 @@ func (s *muxStream) awaitSlot(ctx context.Context, idx uint32, fb *flushBarrier)
 // calls pipeline on the single connection. The request payload is not
 // retained after Call returns.
 func (s *muxStream) Call(ctx context.Context, req Message) (Message, error) {
-	idx, err := s.acquire(ctx)
+	idx, err := s.send(ctx, req)
 	if err != nil {
 		return Message{}, err
 	}
-	corr := s.arm(idx)
-	fb := getFlushBarrier()
-	if err := s.enqueue(ctx, muxWrite{corrID: corr, kind: req.Kind, payload: req.Payload, flushed: fb}); err != nil {
-		s.disarm(idx)
-		fb.release()
-		fb.release() // the writer never saw it: both references are ours
-		s.release(idx)
-		return Message{}, err
-	}
-	msg, callErr, fatal := s.awaitSlot(ctx, idx, fb)
+	msg, callErr, fatal := s.awaitSlot(ctx, idx)
 	if fatal != nil {
 		return Message{}, fatal
 	}
@@ -619,52 +771,35 @@ func (s *muxStream) CallBatch(ctx context.Context, reqs []Message) ([]Message, [
 	if len(reqs) == 0 {
 		return nil, nil, nil
 	}
-	type flight struct {
-		idx uint32
-		fb  *flushBarrier
-	}
-	flights := make([]flight, 0, len(reqs))
-	abandon := func() {
-		for _, fl := range flights {
-			s.disarm(fl.idx)
-			select {
-			case <-fl.fb.ch:
-			case <-s.done:
-			}
-			fl.fb.release()
-			s.release(fl.idx)
+	flights := make([]uint32, 0, len(reqs)) // slot per request still in flight
+	abandon := func(fatal error) ([]Message, []error, error) {
+		for _, idx := range flights {
+			s.giveUp(idx)
 		}
+		return nil, nil, fatal
 	}
 	for i := range reqs {
-		idx, err := s.acquire(ctx)
+		idx, err := s.send(ctx, reqs[i])
 		if err != nil {
-			abandon()
-			return nil, nil, err
+			return abandon(err)
 		}
-		corr := s.arm(idx)
-		fb := getFlushBarrier()
-		if err := s.enqueue(ctx, muxWrite{corrID: corr, kind: reqs[i].Kind, payload: reqs[i].Payload, flushed: fb}); err != nil {
-			s.disarm(idx)
-			fb.release()
-			fb.release()
-			s.release(idx)
-			abandon()
-			return nil, nil, err
-		}
-		flights = append(flights, flight{idx: idx, fb: fb})
+		flights = append(flights, idx)
 	}
 	msgs := make([]Message, len(reqs))
 	errs := make([]error, len(reqs))
-	for i, fl := range flights {
-		msg, callErr, fatal := s.awaitSlot(ctx, fl.idx, fl.fb)
+	for i, idx := range flights {
+		msg, callErr, fatal := s.awaitSlot(ctx, idx)
 		if fatal != nil {
 			flights = flights[i+1:]
-			abandon()
-			return nil, nil, fatal
+			return abandon(fatal)
 		}
 		msgs[i], errs[i] = msg, callErr
 	}
 	return msgs, errs, nil
+}
+
+func (s *muxStream) timeoutErr() error {
+	return fmt.Errorf("mux call to %v: %w", s.to, ErrCallTimeout)
 }
 
 func (s *muxStream) brokenErr() error {
@@ -730,9 +865,9 @@ type muxJob struct {
 }
 
 // muxWorkerPool runs handler jobs on a dynamically sized, bounded set of
-// workers: a job spawns a worker only when none is idle and the pool is
-// below its cap, and workers exit after an idle timeout — so a steady
-// pipeline reuses the same few goroutines instead of paying a
+// workers: a job spawns a worker only when none is waiting for one and the
+// pool is below its cap, and workers exit after an idle timeout — so a
+// steady pipeline reuses the same few goroutines instead of paying a
 // goroutine-per-frame spawn, while a deep burst still fans out to
 // MuxWindow-way concurrency (parked handlers hold workers, as the
 // pipelining tests require).
@@ -741,34 +876,36 @@ type muxWorkerPool struct {
 	handle  func(muxJob)
 	max     int32
 	workers atomic.Int32
-	idle    atomic.Int32
-	wg      sync.WaitGroup
+	// idle is workers waiting for a job minus jobs dispatched and not yet
+	// received: every dispatch takes one off, every worker puts one on before
+	// it receives. Negative means jobs are queued that no worker is coming
+	// for.
+	idle atomic.Int32
+	wg   sync.WaitGroup
 }
 
 func newMuxWorkerPool(max int, handle func(muxJob)) *muxWorkerPool {
 	return &muxWorkerPool{
-		work:   make(chan muxJob, MuxWindow),
+		work:   make(chan muxJob, muxQueueDepth),
 		handle: handle,
 		max:    int32(max),
 	}
 }
 
-// dispatch queues one job, growing the pool if nobody is idle. The
-// spawn-vs-idle-exit race is closed on the worker side: a worker drains the
-// queue once more after deciding to exit, so a job enqueued against a
-// dying worker is either picked up by it or sees workers below cap on the
-// next dispatch.
+// dispatch queues one job, growing the pool when no waiting worker is left
+// for it: a job is never stranded behind handlers that are all parked.
 func (p *muxWorkerPool) dispatch(j muxJob) {
-	p.work <- j
-	if p.idle.Load() == 0 && p.workers.Load() < p.max {
+	if p.idle.Add(-1) < 0 && p.workers.Load() < p.max {
 		p.workers.Add(1)
 		p.wg.Add(1)
 		go p.worker()
 	}
+	p.work <- j
 }
 
 func (p *muxWorkerPool) worker() {
 	defer p.wg.Done()
+	defer p.workers.Add(-1)
 	timer := time.NewTimer(muxWorkerIdle)
 	defer timer.Stop()
 	for {
@@ -780,29 +917,35 @@ func (p *muxWorkerPool) worker() {
 			}
 		}
 		timer.Reset(muxWorkerIdle)
+		var (
+			j  muxJob
+			ok bool
+		)
 		select {
-		case j, ok := <-p.work:
-			p.idle.Add(-1)
-			if !ok {
-				p.workers.Add(-1)
-				return
-			}
-			p.handle(j)
+		case j, ok = <-p.work:
 		case <-timer.C:
-			p.idle.Add(-1)
-			// Final non-blocking drain before leaving, closing the race with
-			// a dispatch that saw this worker as idle.
-			select {
-			case j, ok := <-p.work:
-				if !ok {
-					p.workers.Add(-1)
-					return
-				}
-				p.handle(j)
-			default:
-				p.workers.Add(-1)
+			if p.retire() {
 				return
 			}
+			j, ok = <-p.work // a dispatch counted on this worker: its job is on the way
+		}
+		if !ok {
+			return
+		}
+		p.handle(j)
+	}
+}
+
+// retire takes an idle worker off the books, unless every waiting worker is
+// already spoken for by a dispatched job.
+func (p *muxWorkerPool) retire() bool {
+	for {
+		n := p.idle.Load()
+		if n <= 0 {
+			return false
+		}
+		if p.idle.CompareAndSwap(n, n-1) {
+			return true
 		}
 	}
 }
@@ -813,65 +956,29 @@ func (p *muxWorkerPool) close() {
 	p.wg.Wait()
 }
 
-// serveMux is the server half: conn already consumed the magic; the peer's
-// node ID follows, then a stream of request frames. Frames are admitted by
-// event weight, dispatched to the bounded worker pool, and responses are
-// coalesced by a writer goroutine, so slow handlers never stall the read
-// loop and responses flow back in completion order.
+// serveMux is the server half of a connection whose preamble named from as
+// the caller. Request frames are admitted by event weight, dispatched to the
+// bounded worker pool, and responses are coalesced by a writer goroutine, so
+// slow handlers never stall the read loop and responses flow back in
+// completion order.
 //
 // Handler contract on this path: every request frame is copied out of the
 // read buffer into memory of its own, valid for the handler call *and* any
 // response that aliases it — an echo handler returns the request itself, and
 // the writer goroutine flushes that response after the handler has returned.
 // The copy is therefore never recycled when the handler returns.
-func serveMux(conn net.Conn, h Handler, closing <-chan struct{}) {
-	var idBuf [8]byte
-	if _, err := io.ReadFull(conn, idBuf[:]); err != nil {
-		return
-	}
-	from := NodeID(int64(binary.BigEndian.Uint64(idBuf[:])))
-
-	respCh := make(chan muxWrite, MuxWindow)
+func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}) {
+	respCh := make(chan muxWrite, muxQueueDepth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		w := bufio.NewWriterSize(conn, 64<<10)
-		scratch := make([]byte, 0, 64)
-		for wr := range respCh {
-			err := writeMuxFrame(w, scratch, wr.corrID, wr.kind, wr.errStr, wr.payload)
-			// Same burst coalescing as muxStream.writer: yield once before
-			// flushing so handlers finishing right now ride this syscall.
-			yielded := false
-		drain:
-			for err == nil {
-				select {
-				case next, ok := <-respCh:
-					if !ok {
-						break drain
-					}
-					err = writeMuxFrame(w, scratch, next.corrID, next.kind, next.errStr, next.payload)
-				default:
-					if !yielded && w.Buffered() < 32<<10 {
-						yielded = true
-						runtime.Gosched()
-						continue
-					}
-					break drain
-				}
-			}
-			if err == nil {
-				err = w.Flush()
-			}
-			if err != nil {
-				_ = conn.Close() // unblock the read loop; remaining responses are moot
-				// Keep draining so pool workers sending responses never block
-				// on a dead writer.
-				for range respCh {
-				}
-				return
+		if err := pumpFrames(conn, respCh, nil, nil); err != nil {
+			_ = conn.Close() // unblock the read loop; remaining responses are moot
+			// Keep draining so pool workers sending responses never block
+			// on a dead writer.
+			for range respCh {
 			}
 		}
-		_ = w.Flush()
 	}()
 
 	// Handlers get a context cancelled on endpoint shutdown, so long-running
@@ -893,15 +1000,19 @@ func serveMux(conn net.Conn, h Handler, closing <-chan struct{}) {
 	pool := newMuxWorkerPool(MuxWindow, func(j muxJob) {
 		resp, herr := h(hctx, from, j.req)
 		wr := muxWrite{corrID: j.corrID, kind: resp.Kind, payload: resp.Payload}
+		if herr == nil && wr.bodyLen() > maxMuxFrame {
+			herr = errFrameTooLarge
+		}
 		if herr != nil {
-			wr.errStr = herr.Error()
-			wr.payload = nil
+			// A coded sentinel crosses as itself; anything else reads as
+			// CodeUnknown on the caller.
+			wr = muxWrite{corrID: j.corrID, code: schema.CodeOf(herr), errMsg: herr.Error()}
 		}
 		respCh <- wr
 		adm.release(j.weight)
 	})
 
-	r := bufio.NewReaderSize(conn, 64<<10)
+	r := bufio.NewReaderSize(conn, muxReadBuffer)
 	var buf []byte
 	for {
 		corrID, kind, _, payload, err := readMuxFrame(r, &buf)

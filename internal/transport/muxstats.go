@@ -5,7 +5,7 @@ import "sync/atomic"
 // Process-wide mux-stream instrumentation. Kept as package-level atomics so
 // the hot paths (deliver, acquire/release) pay one uncontended atomic each
 // and the ops plane can read them without threading a registry through
-// OpenStream. In a normal deployment one process hosts one node, so
+// every endpoint. In a normal deployment one process hosts one node, so
 // process-wide equals per-node.
 var (
 	muxDroppedResponses atomic.Uint64

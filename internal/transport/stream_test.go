@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aeon/internal/schema"
 )
 
 // mirrorHandler answers every request with its own payload, tagging the kind,
@@ -255,13 +257,9 @@ func readReqFrame(t *testing.T, r *bufio.Reader) (corrID uint64, payload []byte)
 
 func writeRespFrame(t *testing.T, conn net.Conn, corrID uint64, payload []byte) {
 	t.Helper()
-	w := bufio.NewWriter(conn)
-	if err := writeMuxFrame(w, nil, corrID, "resp", "", payload); err != nil {
+	wr := muxWrite{corrID: corrID, kind: "resp", payload: payload}
+	if _, err := conn.Write(append(wr.appendHeader(nil), payload...)); err != nil {
 		t.Errorf("fake server write: %v", err)
-		return
-	}
-	if err := w.Flush(); err != nil {
-		t.Errorf("fake server flush: %v", err)
 	}
 }
 
@@ -351,9 +349,10 @@ func TestMuxDuplicatedAndUnknownResponses(t *testing.T) {
 	}
 }
 
-// TestFaultyStreamFaults pins fault injection on the pipelined path:
-// drop (request lost), duplicate (handler runs twice), and lost ack
-// (handler runs, caller sees ErrDropped) — same semantics as one-shot.
+// TestFaultyStreamFaults pins fault injection on both call forms of the one
+// discipline: drop (request lost), duplicate (handler runs twice), and lost
+// ack (handler runs, caller sees ErrDropped) hit individual requests, whether
+// they were issued through Call or as part of a CallBatch flight.
 func TestFaultyStreamFaults(t *testing.T) {
 	var handled atomic.Int32
 	inner := NewInMemMesh(NewSim(SimConfig{}))
@@ -371,37 +370,66 @@ func TestFaultyStreamFaults(t *testing.T) {
 		t.Fatalf("attach client: %v", err)
 	}
 	defer cli.Close()
-
-	st, ok, err := OpenStream(cli, 1)
-	if !ok || err != nil {
-		t.Fatalf("OpenStream: ok=%v err=%v", ok, err)
-	}
-	defer st.Close()
 	ctx := context.Background()
 
-	fm.Drop(2, 1)
-	if _, err := st.Call(ctx, Message{Kind: "q"}); !errors.Is(err, ErrDropped) {
-		t.Fatalf("dropped stream call: got %v", err)
+	calls := map[string]func(Message) error{
+		"Call": func(req Message) error {
+			_, err := cli.Call(ctx, 1, req)
+			return err
+		},
+		"CallBatch": func(req Message) error {
+			_, errs, fatal := cli.CallBatch(ctx, 1, []Message{req})
+			if fatal != nil {
+				t.Fatalf("a per-request fault voided the flight: %v", fatal)
+			}
+			return errs[0]
+		},
 	}
-	if handled.Load() != 0 {
-		t.Fatalf("dropped request reached the handler")
-	}
-	fm.Heal(2, 1)
+	for name, call := range calls {
+		handled.Store(0)
+		fm.Drop(2, 1)
+		if err := call(Message{Kind: "q"}); !errors.Is(err, ErrDropped) {
+			t.Fatalf("%s: dropped request: got %v", name, err)
+		}
+		if handled.Load() != 0 {
+			t.Fatalf("%s: dropped request reached the handler", name)
+		}
+		fm.Heal(2, 1)
 
-	fm.Duplicate(2, 1, 1)
-	if _, err := st.Call(ctx, Message{Kind: "q"}); err != nil {
-		t.Fatalf("duplicated stream call: %v", err)
-	}
-	if got := handled.Load(); got != 2 {
-		t.Fatalf("duplicated request ran handler %d times, want 2", got)
+		fm.Duplicate(2, 1, 1)
+		if err := call(Message{Kind: "q"}); err != nil {
+			t.Fatalf("%s: duplicated request: %v", name, err)
+		}
+		if got := handled.Load(); got != 2 {
+			t.Fatalf("%s: duplicated request ran handler %d times, want 2", name, got)
+		}
+
+		fm.DropReply(2, 1, 1)
+		if err := call(Message{Kind: "q"}); !errors.Is(err, ErrDropped) {
+			t.Fatalf("%s: lost-ack request: got %v", name, err)
+		}
+		if got := handled.Load(); got != 3 {
+			t.Fatalf("%s: lost-ack request ran handler %d times, want 3", name, got)
+		}
 	}
 
+	// One faulted request in a flight leaves its batchmates alone.
+	handled.Store(0)
 	fm.DropReply(2, 1, 1)
-	if _, err := st.Call(ctx, Message{Kind: "q"}); !errors.Is(err, ErrDropped) {
-		t.Fatalf("lost-ack stream call: got %v", err)
+	_, errs, fatal := cli.CallBatch(ctx, 1, make([]Message, 4))
+	if fatal != nil {
+		t.Fatalf("flight with one lost ack: %v", fatal)
 	}
-	if got := handled.Load(); got != 3 {
-		t.Fatalf("lost-ack request ran handler %d times, want 3", got)
+	lost := 0
+	for _, err := range errs {
+		if errors.Is(err, ErrDropped) {
+			lost++
+		} else if err != nil {
+			t.Fatalf("batchmate of a lost ack failed: %v", err)
+		}
+	}
+	if lost != 1 || handled.Load() != 4 {
+		t.Fatalf("flight of 4 with one lost ack: %d lost, handler ran %d times", lost, handled.Load())
 	}
 }
 
@@ -710,8 +738,8 @@ func TestWeightedSem(t *testing.T) {
 	}
 }
 
-// TestStreamCallBatchFallback pins the helper's degraded path: a stream
-// without a native CallBatch still completes a batch via concurrent Calls.
+// TestStreamCallBatchFallback pins CallBatch on a mesh with no connection to
+// pipeline on: the in-memory endpoint completes a batch via concurrent Calls.
 func TestStreamCallBatchFallback(t *testing.T) {
 	mesh := NewInMemMesh(NewSim(SimConfig{}))
 	srv, err := mesh.Attach(1, mirrorHandler)
@@ -724,19 +752,17 @@ func TestStreamCallBatchFallback(t *testing.T) {
 		t.Fatalf("attach client: %v", err)
 	}
 	defer cli.Close()
-	st, ok, err := OpenStream(cli, 1)
-	if !ok || err != nil {
-		t.Fatalf("OpenStream: ok=%v err=%v", ok, err)
+	if _, ok, _ := OpenStream(cli, 1); ok {
+		t.Fatalf("the in-memory mesh opened a private connection")
 	}
-	defer st.Close()
 
 	reqs := make([]Message, 5)
 	for i := range reqs {
 		reqs[i] = Message{Kind: "q", Payload: []byte(strconv.Itoa(i))}
 	}
-	msgs, errs, err := StreamCallBatch(context.Background(), st, reqs)
+	msgs, errs, err := cli.CallBatch(context.Background(), 1, reqs)
 	if err != nil {
-		t.Fatalf("StreamCallBatch: %v", err)
+		t.Fatalf("CallBatch: %v", err)
 	}
 	for i := range reqs {
 		if errs[i] != nil {
@@ -747,23 +773,53 @@ func TestStreamCallBatchFallback(t *testing.T) {
 	}
 }
 
-// TestMuxFrameCodec pins the frame layout round trip and its bounds checks.
+// TestMuxFrameCodec pins the frame layout round trip — request/success
+// frames, and error frames with their code byte — and its bounds checks.
 func TestMuxFrameCodec(t *testing.T) {
-	var netBuf bufWriter
-	w := bufio.NewWriter(&netBuf)
-	if err := writeMuxFrame(w, nil, 42, "node.submit", "boom", []byte("hello")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
 	var scratch []byte
-	corrID, kind, errStr, payload, err := readMuxFrame(bufio.NewReader(&netBuf), &scratch)
+	frame := func(wr muxWrite) []byte { return append(wr.appendHeader(nil), wr.payload...) }
+
+	ok := frame(muxWrite{corrID: 42, kind: "node.submit", payload: []byte("hello")})
+	if want := 4 + 8 + 1 + len("node.submit") + 1 + len("hello"); len(ok) != want {
+		t.Fatalf("success frame is %d bytes, want %d (a zero code byte and no message field)", len(ok), want)
+	}
+	corrID, kind, herr, payload, err := readMuxFrame(&readerOf{ok}, &scratch)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if corrID != 42 || kind != "node.submit" || errStr != "boom" || string(payload) != "hello" {
-		t.Fatalf("round trip: %d %q %q %q", corrID, kind, errStr, payload)
+	if corrID != 42 || kind != "node.submit" || herr != nil || string(payload) != "hello" {
+		t.Fatalf("round trip: %d %q %v %q", corrID, kind, herr, payload)
+	}
+
+	bad := frame(muxWrite{corrID: 43, code: schema.CodeBackpressure, errMsg: "boom"})
+	corrID, _, herr, payload, err = readMuxFrame(&readerOf{bad}, &scratch)
+	if err != nil {
+		t.Fatalf("read error frame: %v", err)
+	}
+	if corrID != 43 || herr == nil || herr.Code != schema.CodeBackpressure || herr.Msg != "boom" || len(payload) != 0 {
+		t.Fatalf("error frame round trip: %d %+v %q", corrID, herr, payload)
+	}
+	if !errors.Is(herr, schema.CodeBackpressure) || schema.CodeOf(herr).Class() != schema.NotExecuted {
+		t.Fatalf("error frame lost its code: %v reads as %s", herr, schema.CodeOf(herr).Name())
+	}
+
+	// A code byte this build has no row for reads as CodeUnknown, message
+	// kept (TestUnknownCodeByteReadsAsUnknown's rule for the hot frames).
+	newer := frame(muxWrite{corrID: 44, code: 0xEE, errMsg: "from the future"})
+	if _, _, herr, _, err = readMuxFrame(&readerOf{newer}, &scratch); err != nil {
+		t.Fatalf("read newer-peer frame: %v", err)
+	}
+	if herr.Code != schema.CodeUnknown || schema.CodeOf(herr).Class() != schema.OutcomeUnknown || herr.Msg != "from the future" {
+		t.Fatalf("code byte 0xEE decoded as %+v", herr)
+	}
+
+	// Truncated fields must be rejected, not read past the frame.
+	for cut := 1; cut <= len("boom")+2; cut++ {
+		short := append([]byte(nil), bad[:len(bad)-cut]...)
+		binary.BigEndian.PutUint32(short[:4], uint32(len(short)-4))
+		if _, _, _, _, err := readMuxFrame(&readerOf{short}, &scratch); err == nil {
+			t.Fatalf("error frame truncated by %d bytes accepted", cut)
+		}
 	}
 
 	// A frame with an absurd length prefix must be rejected, not allocated.
@@ -772,21 +828,6 @@ func TestMuxFrameCodec(t *testing.T) {
 	if _, _, _, _, err := readMuxFrame(bufio.NewReader(&readerOf{huge[:]}), &scratch); err == nil {
 		t.Fatalf("oversized frame accepted")
 	}
-}
-
-type bufWriter struct {
-	b []byte
-	r int
-}
-
-func (w *bufWriter) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
-func (w *bufWriter) Read(p []byte) (int, error) {
-	if w.r >= len(w.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, w.b[w.r:])
-	w.r += n
-	return n, nil
 }
 
 type readerOf struct{ b []byte }

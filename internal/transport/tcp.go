@@ -1,15 +1,12 @@
 package transport
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,18 +17,19 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// TCPMesh is a Mesh whose endpoints communicate over real TCP sockets with
-// gob-encoded frames. It supports multi-process deployments: each process
-// attaches its node and dials peers by address.
+// TCPMesh is a Mesh whose endpoints communicate over real TCP sockets. It
+// supports multi-process deployments: each process attaches its node and
+// dials peers by address.
 //
-// Wire protocol: a one-shot connection carries a stream of gob-encoded
-// wireReq frames from client to server and wireResp frames back, strictly
-// request/response (one outstanding call per connection; the client pools
-// connections). A connection that instead opens with the mux magic carries
-// the pipelined multiplexed protocol (see mux.go): many in-flight requests
-// per connection, responses matched by correlation ID. The server peeks the
-// first bytes to tell the two apart, so both protocols share one listener
-// port.
+// There is one wire protocol, the pipelined multiplexed one of mux.go, and
+// one connection discipline: an endpoint dials a peer on its first call to
+// it, keeps that one connection for every later Call and CallBatch — many
+// in flight, responses matched by correlation ID — and replaces it only
+// once it is broken (see mux.go for what that means). A listener closes a
+// connection that opens with anything but the mux preamble. A closing
+// endpoint stops reading requests at once but still writes the responses its
+// handlers return on the way out, so the request that asked a process to
+// shut down is acknowledged.
 type TCPMesh struct {
 	mu     sync.RWMutex
 	addrs  map[NodeID]string
@@ -39,16 +37,6 @@ type TCPMesh struct {
 }
 
 var _ Mesh = (*TCPMesh)(nil)
-
-type wireReq struct {
-	From NodeID
-	Req  Message
-}
-
-type wireResp struct {
-	Resp Message
-	Err  string
-}
 
 // NewTCPMesh returns a TCP mesh. Peers must be registered with Register
 // before they can be called.
@@ -59,10 +47,11 @@ func NewTCPMesh() *TCPMesh {
 	}
 }
 
-// ErrCallTimeout is returned by TCP mesh calls whose context deadline
-// expired before the peer answered (dead peer, partition, or overload); the
-// connection is discarded so a late response can never be mis-matched to a
-// later call.
+// ErrCallTimeout is returned by TCP mesh calls whose context expired before
+// the peer answered (dead peer, partition, or overload). The connection
+// survives a call that timed out waiting for a handler — correlation IDs are
+// never reused, so the late response is dropped — and is replaced when the
+// call's own frame could not be written by then.
 var ErrCallTimeout = errors.New("transport: call timed out")
 
 // Register associates a node ID with a dialable address. Registering the
@@ -103,7 +92,7 @@ func (m *TCPMesh) AttachListener(id NodeID, h Handler, ln net.Listener) (Endpoin
 		id:      id,
 		handler: h,
 		ln:      ln,
-		conns:   make(map[NodeID][]*clientConn),
+		peers:   make(map[NodeID]*peerLink),
 		served:  make(map[net.Conn]bool),
 		streams: make(map[*muxStream]bool),
 		done:    make(chan struct{}),
@@ -125,10 +114,24 @@ func (m *TCPMesh) Addr(id NodeID) (string, bool) {
 	return a, ok
 }
 
-type clientConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+// closeDrain is how long a closing endpoint lets its accepted connections
+// flush responses to peers that are slow to read them.
+const closeDrain = time.Second
+
+// peerLink is an endpoint's one connection to a peer. dialing is a
+// one-token lock held while the connection is (re)dialed, so concurrent
+// first calls share one dial and a waiter can still honour its own context.
+type peerLink struct {
+	dialing chan struct{}
+	s       atomic.Pointer[muxStream]
+}
+
+// live returns the link's connection unless there is none or it is broken.
+func (l *peerLink) live() *muxStream {
+	if s := l.s.Load(); s != nil && !s.isBroken() {
+		return s
+	}
+	return nil
 }
 
 type tcpEndpoint struct {
@@ -138,9 +141,9 @@ type tcpEndpoint struct {
 	ln      net.Listener
 
 	mu      sync.Mutex
-	conns   map[NodeID][]*clientConn
+	peers   map[NodeID]*peerLink
 	served  map[net.Conn]bool
-	streams map[*muxStream]bool
+	streams map[*muxStream]bool // every live stream this endpoint dialed, for Close
 	closed  bool
 
 	done chan struct{}
@@ -174,8 +177,8 @@ func (e *tcpEndpoint) serve() {
 func (e *tcpEndpoint) serveConn(conn net.Conn) {
 	defer e.wg.Done()
 	defer func() { _ = conn.Close() }()
-	// Track the accepted connection so Close can unblock the decoder even
-	// when the remote side keeps the connection open.
+	// Track the accepted connection so Close can unblock its reads even when
+	// the remote side keeps the connection open.
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -188,186 +191,104 @@ func (e *tcpEndpoint) serveConn(conn net.Conn) {
 		delete(e.served, conn)
 		e.mu.Unlock()
 	}()
-	// Peek the opening bytes: a mux connection announces itself with a
-	// magic gob can never emit, everything else is the one-shot protocol.
-	br := bufio.NewReader(conn)
-	head, err := br.Peek(len(muxMagic))
-	if err != nil {
-		return
+	from, ok := readMuxPreamble(conn)
+	if !ok {
+		return // not a mesh peer: closed before any handler runs
 	}
-	if bytes.Equal(head, muxMagic[:]) {
-		_, _ = br.Discard(len(muxMagic))
-		serveMux(&peekedConn{Conn: conn, r: br}, e.handler, e.done)
-		return
-	}
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var req wireReq
-		if err := dec.Decode(&req); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			return
-		}
-		resp, err := e.handler(context.Background(), req.From, req.Req)
-		out := wireResp{Resp: resp}
-		if err != nil {
-			out.Err = err.Error()
-		}
-		if err := enc.Encode(out); err != nil {
-			return
-		}
-	}
+	serveMux(conn, from, e.handler, e.done)
 }
 
-// peekedConn is a net.Conn whose reads go through the bufio.Reader that
-// peeked the protocol magic (so no peeked bytes are lost).
-type peekedConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func (c *peekedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// Stream implements Streamer: it dials a dedicated mux connection to the
-// peer. The stream lives until Close (its own or the endpoint's); callers
-// cache streams and reopen on failure.
-func (e *tcpEndpoint) Stream(to NodeID) (Stream, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrClosed
-	}
-	e.mu.Unlock()
+// dial opens a mux connection to a peer under the caller's context and
+// tracks it for Close.
+func (e *tcpEndpoint) dial(ctx context.Context, to NodeID) (*muxStream, error) {
 	addr, ok := e.mesh.Addr(to)
 	if !ok {
 		return nil, fmt.Errorf("%v: %w", to, ErrNodeUnknown)
 	}
-	conn, err := net.Dial("tcp", addr)
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("dial mux %v: %w", to, err)
+		// A peer whose handshake never completes (host down, SYN
+		// blackholed) is the same dead-peer case as a hung response:
+		// surface the typed timeout.
+		if isTimeout(err) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, fmt.Errorf("dial %v: %w", to, ErrCallTimeout)
+		}
+		return nil, fmt.Errorf("dial %v: %w", to, err)
 	}
 	s, err := dialMux(conn, e.id, to)
 	if err != nil {
 		return nil, err
 	}
+	s.owner = e
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
-		_ = s.Close()
+		s.fail(ErrClosed)
 		return nil, ErrClosed
 	}
 	e.streams[s] = true
+	return s, nil
+}
+
+func (e *tcpEndpoint) untrack(s *muxStream) {
+	e.mu.Lock()
+	delete(e.streams, s)
 	e.mu.Unlock()
-	return &tcpStream{ep: e, mux: s}, nil
 }
 
-// tcpStream wraps a muxStream to untrack it from the endpoint on Close.
-type tcpStream struct {
-	ep  *tcpEndpoint
-	mux *muxStream
-}
-
-var (
-	_ Stream      = (*tcpStream)(nil)
-	_ BatchCaller = (*tcpStream)(nil)
-)
-
-func (s *tcpStream) Call(ctx context.Context, req Message) (Message, error) {
-	return s.mux.Call(ctx, req)
-}
-
-func (s *tcpStream) CallBatch(ctx context.Context, reqs []Message) ([]Message, []error, error) {
-	return s.mux.CallBatch(ctx, reqs)
-}
-
-func (s *tcpStream) Close() error {
-	s.ep.mu.Lock()
-	delete(s.ep.streams, s.mux)
-	s.ep.mu.Unlock()
-	return s.mux.Close()
-}
-
-func (e *tcpEndpoint) Call(ctx context.Context, to NodeID, req Message) (Message, error) {
+// link returns the endpoint's connection to a peer, dialing it on first use
+// and again once the cached one is broken — the only reason a connection is
+// ever replaced.
+func (e *tcpEndpoint) link(ctx context.Context, to NodeID) (*muxStream, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return Message{}, ErrClosed
+		return nil, ErrClosed
 	}
-	var cc *clientConn
-	if pool := e.conns[to]; len(pool) > 0 {
-		cc = pool[len(pool)-1]
-		e.conns[to] = pool[:len(pool)-1]
+	l := e.peers[to]
+	if l == nil {
+		l = &peerLink{dialing: make(chan struct{}, 1)}
+		e.peers[to] = l
 	}
 	e.mu.Unlock()
-
-	if cc == nil {
-		addr, ok := e.mesh.Addr(to)
-		if !ok {
-			return Message{}, fmt.Errorf("%v: %w", to, ErrNodeUnknown)
-		}
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			// A peer whose handshake never completes (host down, SYN
-			// blackholed) is the same dead-peer case as a hung response:
-			// surface the typed timeout.
-			if isTimeout(err) || errors.Is(err, context.DeadlineExceeded) {
-				return Message{}, fmt.Errorf("dial %v: %w", to, ErrCallTimeout)
-			}
-			return Message{}, fmt.Errorf("dial %v: %w", to, err)
-		}
-		cc = &clientConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	if s := l.live(); s != nil {
+		return s, nil
 	}
 
-	// Honor the caller's deadline on the socket itself: without it a dead
-	// peer (process gone but connection alive, or a partition that eats the
-	// response) wedges the decoder forever. A timed-out connection is closed,
-	// never pooled, so a late response cannot be mis-matched to a later call.
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := cc.conn.SetDeadline(deadline); err != nil {
-			_ = cc.conn.Close()
-			return Message{}, fmt.Errorf("set deadline for %v: %w", to, err)
-		}
+	select {
+	case l.dialing <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("dial %v: %w", to, ErrCallTimeout)
 	}
-	if err := cc.enc.Encode(wireReq{From: e.id, Req: req}); err != nil {
-		_ = cc.conn.Close()
-		if isTimeout(err) {
-			return Message{}, fmt.Errorf("send to %v: %w", to, ErrCallTimeout)
-		}
-		return Message{}, fmt.Errorf("send to %v: %w", to, err)
+	defer func() { <-l.dialing }()
+	if s := l.live(); s != nil {
+		return s, nil // dialed while this caller waited its turn
 	}
-	var resp wireResp
-	if err := cc.dec.Decode(&resp); err != nil {
-		_ = cc.conn.Close()
-		if isTimeout(err) {
-			return Message{}, fmt.Errorf("recv from %v: %w", to, ErrCallTimeout)
-		}
-		return Message{}, fmt.Errorf("recv from %v: %w", to, err)
+	fresh, err := e.dial(ctx, to)
+	if err != nil {
+		return nil, err
 	}
-	pool := true
-	if _, ok := ctx.Deadline(); ok {
-		// Clear the deadline before the connection returns to the pool.
-		if err := cc.conn.SetDeadline(time.Time{}); err != nil {
-			_ = cc.conn.Close()
-			pool = false
-		}
+	if broken := l.s.Swap(fresh); broken != nil {
+		e.untrack(broken)
 	}
+	return fresh, nil
+}
 
-	e.mu.Lock()
-	if pool && !e.closed {
-		e.conns[to] = append(e.conns[to], cc)
-		e.mu.Unlock()
-	} else {
-		e.mu.Unlock()
-		_ = cc.conn.Close()
+func (e *tcpEndpoint) Call(ctx context.Context, to NodeID, req Message) (Message, error) {
+	s, err := e.link(ctx, to)
+	if err != nil {
+		return Message{}, err
 	}
+	return s.Call(ctx, req)
+}
 
-	if resp.Err != "" {
-		return Message{}, &RemoteError{Node: to, Msg: resp.Err}
+func (e *tcpEndpoint) CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error) {
+	s, err := e.link(ctx, to)
+	if err != nil {
+		return nil, nil, err
 	}
-	return resp.Resp, nil
+	return s.CallBatch(ctx, reqs)
 }
 
 func (e *tcpEndpoint) Close() error {
@@ -377,23 +298,26 @@ func (e *tcpEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	for _, pool := range e.conns {
-		for _, cc := range pool {
-			_ = cc.conn.Close()
-		}
-	}
-	e.conns = make(map[NodeID][]*clientConn)
 	for conn := range e.served {
-		_ = conn.Close() // unblock serveConn decoders
+		// Unblock the connection's read loop without cutting off the
+		// responses its handlers have already earned — the ack of the
+		// shutdown request that led here, for one: serveMux drains its
+		// handlers and its writer, then serveConn closes the socket. The
+		// write deadline bounds that on a peer that has stopped reading.
+		_ = conn.SetWriteDeadline(time.Now().Add(closeDrain))
+		if half, ok := conn.(interface{ CloseRead() error }); ok {
+			_ = half.CloseRead()
+		} else {
+			_ = conn.Close()
+		}
 	}
 	streams := make([]*muxStream, 0, len(e.streams))
 	for s := range e.streams {
 		streams = append(streams, s)
 	}
-	e.streams = make(map[*muxStream]bool)
 	e.mu.Unlock()
 	for _, s := range streams {
-		_ = s.Close() // fail pending mux calls fast
+		_ = s.Close() // fail pending calls fast
 	}
 
 	close(e.done)
@@ -404,15 +328,4 @@ func (e *tcpEndpoint) Close() error {
 	delete(e.mesh.locals, e.id)
 	e.mesh.mu.Unlock()
 	return err
-}
-
-// RemoteError carries an error string returned by a remote handler.
-type RemoteError struct {
-	Node NodeID
-	Msg  string
-}
-
-// Error implements error.
-func (e *RemoteError) Error() string {
-	return fmt.Sprintf("remote %v: %s", e.Node, e.Msg)
 }
