@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"aeon/internal/alloctest"
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
@@ -155,7 +155,7 @@ func (w *fanWorld) submit(t testing.TB, target ownership.ID, method string, args
 // single-context event make no allocation inside the runtime. (At the parent
 // commit the same events made 12–14 and 1.)
 func TestSubCallPathAllocatesNothing(t *testing.T) {
-	if poolIsLossy() {
+	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
 	}
 	args := []any{"msg"}
@@ -367,19 +367,6 @@ func TestEventOverflowsInlineCapacity(t *testing.T) {
 			t.Fatalf("%v still has %d holders, %d waiters after its events terminated", id, n, c.lock.queueLen())
 		}
 	}
-}
-
-// poolIsLossy reports whether sync.Pool fails to hand a Put entry back to the
-// next Get on the same goroutine, as it does at random under -race.
-func poolIsLossy() bool {
-	p := sync.Pool{New: func() any { return new([64]byte) }}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 1000; i++ {
-		p.Put(p.Get())
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs-before.Mallocs > 50
 }
 
 func BenchmarkFanoutSubmit(b *testing.B) {

@@ -4,13 +4,12 @@ package ingress
 // one frame per destination node (chunked at Config.MaxBatch) — so the fleet
 // pays one wakeup and one admission per frame instead of per event. Go's
 // futures ride the same frames transparently: a per-node coalescer holds each
-// async submit for a short linger window (the client-side analogue of the mux
-// writer's one-Gosched flush linger) and flushes when the batch fills or the
-// window elapses. Outcomes are per-event: one event's typed error, stale
-// route, or backpressure rejection never poisons its batchmates.
+// async submit for a short linger window (the client-side analogue of a mux
+// sender's one-Gosched yield before it flushes) and flushes when the batch
+// fills or the window elapses. Outcomes are per-event: one event's typed
+// error, stale route, or backpressure rejection never poisons its batchmates.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -209,8 +208,8 @@ func (c *Client) submitFrame(f frame) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	defer cancel()
+	ctx := transport.NewDeadline(c.cfg.CallTimeout)
+	defer ctx.Release()
 
 	resps, errs, fatal := c.ep.CallBatch(ctx, f.to, msgs)
 	for k, ch := range chunks {
@@ -248,8 +247,8 @@ func (c *Client) submitChunk(f frame) {
 		f.fail(err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	defer cancel()
+	ctx := transport.NewDeadline(c.cfg.CallTimeout)
+	defer ctx.Release()
 	raw, err := c.ep.Call(ctx, f.to, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
 	if err != nil {

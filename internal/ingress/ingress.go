@@ -289,8 +289,8 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	*buf = payload
 
 	to, cached := c.route(target)
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-	defer cancel()
+	ctx := transport.NewDeadline(c.cfg.CallTimeout)
+	defer ctx.Release()
 	raw, err := c.ep.Call(ctx, to, transport.Message{Kind: node.KindSubmit, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
 	if err != nil {

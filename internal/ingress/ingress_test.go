@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/alloctest"
 	"aeon/internal/core"
 	"aeon/internal/ingress"
 	"aeon/internal/node"
@@ -218,5 +219,31 @@ func TestClientOnInMemMesh(t *testing.T) {
 	}
 	if res.(int) != 1003 {
 		t.Fatalf("balance = %v, want 1003", res)
+	}
+}
+
+// TestSubmitAllocBudget is the SDK's allocation gate for the interactive
+// path: one Client.Submit of a bank deposit to a TCP node, both ends counted
+// — what the codecs and the handler API box or slice on either end, and the
+// two payload copies the mux makes — and nothing for carrying the call: no
+// context, no timer, no channel, no kind string. (16 at the parent commit.)
+func TestSubmitAllocBudget(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped buffer is rebuilt from scratch")
+	}
+	const budget = 6
+	d, mesh := deployTCP(t, 1)
+	c := dial(t, mesh, d, ingress.Config{})
+	acct := d.Top.Accounts[0][0]
+	submit := func() {
+		if _, err := c.Submit(acct, "deposit", 1); err != nil {
+			t.Fatalf("deposit: %v", err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		submit() // dial, learn the route, grow the pooled buffers
+	}
+	if got := testing.AllocsPerRun(2000, submit); got > budget {
+		t.Fatalf("one Submit allocates %.2f objects, budget %d", got, budget)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
+	"aeon/internal/alloctest"
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
@@ -39,19 +39,6 @@ func handleBatch(t testing.TB, n *Node, req *schema.SubmitBatchReq) []schema.Bat
 	return resp.Outcomes
 }
 
-// poolIsLossy reports whether sync.Pool fails to hand a Put entry back to the
-// next Get on the same goroutine, as it does at random under -race.
-func poolIsLossy() bool {
-	p := sync.Pool{New: func() any { return new([64]byte) }}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 1000; i++ {
-		p.Put(p.Get())
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs-before.Mallocs > 50
-}
-
 // TestBatchFrameAllocBudget is the node's allocation gate for the batch
 // frame path: handling a warm 96-event bank frame (the benchmark's op mix)
 // allocates one object per event — the handler API returns `any`, and a
@@ -61,7 +48,7 @@ func poolIsLossy() bool {
 // commit the same frame made ≈ 2 × events + 8: an Args slice per event, the
 // events slice, the outcomes slice and the response buffer's doublings.)
 func TestBatchFrameAllocBudget(t *testing.T) {
-	if poolIsLossy() {
+	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped scratch is rebuilt from scratch")
 	}
 	const events, frameAllocs = 96, 2

@@ -507,8 +507,8 @@ func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte)
 		return transport.Message{}, err
 	}
 	*buf = payload
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
+	ctx := transport.NewDeadline(n.cfg.CallTimeout)
+	defer ctx.Release()
 	return n.ep.Call(ctx, to, transport.Message{Kind: kind, Payload: payload})
 }
 

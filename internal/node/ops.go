@@ -67,6 +67,12 @@ func (n *Node) registerOps() {
 	reg.Counter("aeon_mux_dropped_responses_total",
 		"Late or duplicated mux responses dropped by the slot-table generation check.", nil,
 		func() uint64 { return transport.ReadMuxStats().DroppedResponses })
+	reg.Counter("aeon_mux_frames_written_total",
+		"Mux frames, requests and responses, this process has written.", nil,
+		func() uint64 { return transport.ReadMuxStats().FramesWritten })
+	reg.Counter("aeon_mux_socket_writes_total",
+		"Socket writes that carried those frames; frames per write is how well senders coalesce.", nil,
+		func() uint64 { return transport.ReadMuxStats().SocketWrites })
 	reg.Gauge("aeon_mux_slots_in_use",
 		"Occupied mux completion slots across open streams.", nil,
 		func() float64 { return float64(transport.ReadMuxStats().SlotsInUse) })

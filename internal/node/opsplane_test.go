@@ -38,6 +38,8 @@ func TestOpsPlaneNodeExposition(t *testing.T) {
 		"aeon_events_completed_total",
 		"aeon_exec_queue_depth",
 		"aeon_mux_dropped_responses_total",
+		"aeon_mux_frames_written_total",
+		"aeon_mux_socket_writes_total",
 		"aeon_migration_groups_total",
 		"aeon_migration_stop_seconds",
 	} {

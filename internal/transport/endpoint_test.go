@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aeon/internal/alloctest"
 )
 
 // countingListener counts the connections a listener accepted: how many
@@ -407,6 +409,59 @@ func TestWorkerPoolNeverStrandsAJob(t *testing.T) {
 	pool.close()
 }
 
+// TestWorkerPoolReapRetiresWhatAPeriodDidNotNeed pins the reaper's rule: a
+// reap retires as many workers as sat idle through the whole period since the
+// last one — not the workers a burst inside the period used — and a reap that
+// races dispatches and close neither strands a job nor outlives the pool.
+func TestWorkerPoolReapRetiresWhatAPeriodDidNotNeed(t *testing.T) {
+	const burst = 8
+	var handled atomic.Int32
+	release := make(chan struct{})
+	pool := newMuxWorkerPool(MuxWindow, func(j muxJob) {
+		handled.Add(1)
+		if j.corrID == 0 {
+			<-release // hold a worker each, so the burst grows the pool
+		}
+	})
+	settle := func(idle, workers int32) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); pool.idle.Load() != idle || pool.workers.Load() != workers; {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool has %d workers, %d idle; want %d, %d", pool.workers.Load(), pool.idle.Load(), workers, idle)
+			}
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < burst; i++ {
+		pool.dispatch(muxJob{})
+	}
+	close(release)
+	settle(burst, burst)
+	pool.reap() // the period that saw the burst: every worker was needed
+	settle(burst, burst)
+	pool.dispatch(muxJob{corrID: 1})
+	settle(burst, burst)
+	pool.reap() // a period with one job at a time: one worker was enough
+	settle(1, 1)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			pool.reap()
+		}
+	}()
+	for i := 0; i < 1000; i++ {
+		pool.dispatch(muxJob{corrID: 1})
+	}
+	pool.close()
+	wg.Wait()
+	if got := handled.Load(); got != burst+1+1000 {
+		t.Fatalf("%d jobs handled, want %d", got, burst+1+1000)
+	}
+}
+
 // TestMuxStreamFootprint is the budget on what a connection costs before it
 // carries traffic: every directed pair of a fleet holds one — store links
 // that see a frame a second included — so the fixed cost, both ends, is what
@@ -444,4 +499,168 @@ func TestMuxStreamFootprint(t *testing.T) {
 		t.Fatalf("an open stream holds %d KiB of heap, budget %d KiB", perStream>>10, budget>>10)
 	}
 	runtime.KeepAlive(open)
+}
+
+// deafPeer listens, accepts and never reads: what a wedged process looks
+// like from the calling end.
+func deafPeer(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, conn) // accepted, never read
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, conn := range held {
+			_ = conn.Close()
+		}
+	})
+	return ln
+}
+
+// TestSmallFramesDeadlineWhenPeerStopsReading pins the deadline on a sender's
+// own write. Frames below muxDirectPayload are copied into the pending
+// buffer and written by whichever sender holds the flush role; when the peer
+// stops reading, that sender blocks in Write once the socket buffers fill,
+// and no other goroutine is watching its deadline for it. Its own context
+// must bound its own write — by deadline, or for a context that can only be
+// cancelled, by the watchdog — the stalled stream must break, and the
+// endpoint must replace it with no help from the caller.
+func TestSmallFramesDeadlineWhenPeerStopsReading(t *testing.T) {
+	// 1000 frames of 8 KiB are far more than a loopback socket pair buffers,
+	// and still fit the window, so no caller waits for a slot.
+	const frames, size = 1000, 8 << 10
+	payload := bytes.Repeat([]byte{0xCD}, size)
+
+	check := func(t *testing.T, blockedOnOwnFrame bool, stall func(cli Endpoint) []error) {
+		deaf := deafPeer(t)
+		cli, _, mesh := countedPair(t, mirrorHandler)
+		healthy, _ := mesh.Addr(1)
+		mesh.Register(1, deaf.Addr().String())
+		dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		stream, err := cli.(*tcpEndpoint).link(dialCtx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		start := time.Now()
+		errs := stall(cli)
+		if elapsed := time.Since(start); elapsed > 3*time.Second {
+			t.Fatalf("calls to a peer that stopped reading returned after %v", elapsed)
+		}
+		timedOut := 0
+		for i, err := range errs {
+			switch {
+			case errors.Is(err, ErrCallTimeout):
+				timedOut++
+			case !errors.Is(err, ErrStreamBroken):
+				t.Fatalf("call %d: got %v, want ErrCallTimeout or ErrStreamBroken", i, err)
+			}
+		}
+		if blockedOnOwnFrame && timedOut == 0 {
+			t.Fatal("the sender whose deadline cut its own frame's write short did not get ErrCallTimeout")
+		}
+		if !stream.isBroken() {
+			t.Fatal("the stalled stream was not broken")
+		}
+		stream.out.drains.Wait()
+		buf := make([]byte, 1<<20)
+		if stacks := buf[:runtime.Stack(buf, true)]; bytes.Contains(stacks, []byte("(*muxOut).flush")) {
+			t.Fatalf("a goroutine is still flushing the broken stream:\n%s", stacks)
+		}
+
+		mesh.Register(1, healthy)
+		resp, err := cli.Call(dialCtx, 1, Message{Kind: "q", Payload: []byte("hello")})
+		if err != nil || string(resp.Payload) != "hello" {
+			t.Fatalf("call to the healthy peer after the stall: %q, %v", resp.Payload, err)
+		}
+	}
+
+	// Whichever caller holds the flush role when the buffers fill is stuck in
+	// Write — on its own frame, or on its neighbours' with its own long out, in
+	// which case the break its deadline causes is all anyone sees.
+	t.Run("calls deadline", func(t *testing.T) {
+		check(t, false, func(cli Endpoint) []error {
+			errs := make([]error, frames)
+			var wg sync.WaitGroup
+			for i := range errs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+					defer cancel()
+					_, errs[i] = cli.Call(ctx, 1, Message{Kind: "node.submit", Payload: payload})
+				}(i)
+			}
+			wg.Wait()
+			return errs
+		})
+	})
+	// One flight: its caller is the stream's only sender, so it is the one
+	// stuck in Write, and nobody else's expiry breaks the stream for it. Under
+	// a context that can only be cancelled there is no deadline to put on the
+	// socket either.
+	flight := func(ctx context.Context) func(Endpoint) []error {
+		return func(cli Endpoint) []error {
+			reqs := make([]Message, frames)
+			for i := range reqs {
+				reqs[i] = Message{Kind: "node.submit", Payload: payload}
+			}
+			_, _, fatal := cli.CallBatch(ctx, 1, reqs)
+			return []error{fatal}
+		}
+	}
+	t.Run("flight deadline", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		defer cancel()
+		check(t, true, flight(ctx))
+	})
+	t.Run("flight cancel", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer time.AfterFunc(200*time.Millisecond, cancel).Stop()
+		check(t, true, flight(ctx))
+	})
+}
+
+// TestMuxCallAllocBudget is the transport's allocation gate for one small
+// round trip over loopback, both ends counted: the request copy the handler
+// owns, the response copy the caller owns, and nothing for the carriage —
+// no context, no timer, no channel, no kind string, no length prefix. (12 at
+// the parent commit under context.WithTimeout, 7 under context.Background.)
+func TestMuxCallAllocBudget(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped deadline is rebuilt from scratch")
+	}
+	const budget = 2
+	cli, _, _ := tcpPair(t, mirrorHandler)
+	req := Message{Kind: "node.submit", Payload: bytes.Repeat([]byte{1}, 64)}
+	call := func() {
+		ctx := NewDeadline(10 * time.Second)
+		defer ctx.Release()
+		if resp, err := cli.Call(ctx, 1, req); err != nil || len(resp.Payload) != len(req.Payload) {
+			t.Fatalf("call: %d bytes, %v", len(resp.Payload), err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		call() // dial, grow the pending buffers, start the worker
+	}
+	if got := testing.AllocsPerRun(2000, call); got > budget {
+		t.Fatalf("one round trip allocates %.2f objects, budget %d", got, budget)
+	}
 }

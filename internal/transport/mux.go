@@ -3,22 +3,20 @@ package transport
 // The mesh's one wire protocol: pipelined, multiplexed connections. An
 // endpoint holds one mux connection per peer and every call to that peer
 // rides it — submits, forwards, replication hints, store ops, control frames
-// and state transfers alike. Each call is stamped with a correlation ID, a
-// writer goroutine coalesces queued frames into as few socket writes as the
-// traffic allows (one write covers every frame queued while the previous one
-// was in flight; a large payload is gathered in place, writev-style), the
-// server dispatches frames to a bounded worker pool as they arrive, and a
-// reader goroutine matches responses back to callers by correlation ID, in
-// whatever order the handlers finish.
+// and state transfers alike. Each call is stamped with a correlation ID and
+// its sender writes its own frame (see muxOut): no writer goroutine, and one
+// socket write for every frame queued by the time it starts. The server
+// dispatches frames to a bounded worker pool as they arrive, each worker
+// writes its handler's response the same way, and a reader goroutine — all
+// an idle connection runs on the calling end — matches responses back to
+// callers by correlation ID, in whatever order the handlers finish.
 //
 // Completion plane. Completions are delivered through a per-stream slot
 // table instead of one channel per call: a correlation ID encodes its slot
 // index in the low bits and a per-slot generation in the high bits, so the
 // reader finds the destination slot with a mask, writes the result, and
-// wakes the caller through one of a small set of striped notifiers. A burst
-// of responses arriving in one read batch wakes each touched stripe once —
-// not once per call — which is what removes the per-event channel allocation
-// and wakeup that dominated the pipelined submit path (BENCH_6's residual).
+// drops a token into the slot's own one-deep wake channel. Nothing is
+// allocated per call.
 //
 // Correlation IDs are never reused: the generation increments on every slot
 // acquisition, so a late response (its caller timed out and abandoned the
@@ -27,12 +25,13 @@ package transport
 // call that times out waiting for a handler leaves the connection alone.
 //
 // When a connection is replaced. A stream is broken when bytes cannot move
-// on it: its reader or writer failed, or a caller's deadline expired with
-// its frame still unflushed (the peer stopped reading, or the writer is
-// wedged behind a frame whose peer did). A broken stream fails every call
-// pending on it and is never used again; the endpoint dials a fresh one on
-// the next call. Nothing else replaces a connection — not a handler error,
-// not a deadline that expired waiting for a reply.
+// on it: its reader failed, a write failed, the write of a sender's own frame
+// outlasted its context, or a caller's deadline expired waiting for a reply
+// with its frame still unwritten (the peer stopped reading, and whoever is
+// flushing is wedged behind it). A broken stream fails every call pending on
+// it and is never used again; the endpoint dials a fresh one on the next call.
+// Nothing else replaces a connection — not a handler error, not a deadline
+// that expired waiting for a reply.
 //
 // Backpressure: the slot freelist doubles as the bounded in-flight window
 // (MuxWindow, 1024). When no slot is free, Call blocks until one frees or
@@ -43,10 +42,11 @@ package transport
 // used to sidestep the window.
 //
 // Footprint. A connection that has carried nothing holds its two 64 KiB
-// read buffers and little else: the window bounds what is in flight, so the
-// hand-off queues between callers, writer, workers and response writer are
-// short (muxQueueDepth); the writers own no fixed buffer; the slot table is
-// allocated a chunk at a time as the freelist first reaches each chunk.
+// read buffers and little else: the two pending buffers, one queued into
+// while the other is written, grow to what the link's bursts need (the window
+// and the admission gate bound that); the read loop → workers queue is short
+// (muxQueueDepth); the slot table is allocated a chunk at a time as the
+// freelist first reaches each chunk.
 //
 // Wire format. A mux connection opens with a 12-byte preamble:
 //
@@ -99,25 +99,19 @@ const muxSlotShift = 10
 // table.
 const muxSlotChunk = 64
 
-// muxQueueDepth is the depth of the hand-off queues (caller → writer, read
-// loop → workers, workers → response writer). The window and the admission
-// semaphore bound what is in flight; these only need to absorb one
-// scheduling burst, after which a full queue blocks its sender.
+// muxQueueDepth is the depth of the read loop → workers queue. The admission
+// semaphore bounds what is in flight; the queue only needs to absorb one
+// scheduling burst, after which a full queue blocks the read loop.
 const muxQueueDepth = 64
-
-// muxNotifyStripes is the number of completion notifiers a stream's slots
-// hash onto. Waiters park on their slot's stripe; the reader wakes each
-// dirty stripe once per read burst.
-const muxNotifyStripes = 16
 
 // muxServerAdmission bounds the total in-flight event weight (frames
 // weighted by their event count) one server connection admits before the
 // read loop stops pulling frames off the socket.
 const muxServerAdmission = 4 * MuxWindow
 
-// muxWorkerIdle is how long a server pool worker stays parked waiting for
-// the next frame before exiting; the pool grows on demand up to MuxWindow
-// workers and shrinks back when a burst passes.
+// muxWorkerIdle is the period of an endpoint's reaper: a pool grows on
+// demand up to MuxWindow workers, and every period the reaper retires the
+// workers the period never needed.
 const muxWorkerIdle = time.Second
 
 // maxMuxFrame bounds a frame body so a corrupt length prefix cannot demand
@@ -129,14 +123,24 @@ const maxMuxFrame = 64 << 20
 // up to this much of a burst.
 const muxReadBuffer = 64 << 10
 
-// muxFlushBytes is how much a writer queues before it writes without
-// waiting for the burst to end, and muxDirectPayload the payload size from
-// which a frame is not copied into the queue at all but gathered from the
-// caller's memory.
+// muxFlushBytes is how much a corked sender queues before it flushes without
+// waiting for its burst to end, and muxDirectPayload the payload size from
+// which a frame is not copied into the pending buffer at all but gathered from
+// the caller's memory.
 const (
 	muxFlushBytes    = 64 << 10
 	muxDirectPayload = 16 << 10
 )
+
+// muxCaptureWrites is how many socket writes a sender performs for other
+// senders once its own frame is out: on many cores frames can arrive as fast
+// as it writes them, so past this it hands the flush role to a transient
+// drain goroutine and goes to wait for its reply.
+const muxCaptureWrites = 2
+
+// muxKinds bounds a connection's kind intern table (the mesh has about a
+// dozen kinds); a kind past the bound is merely allocated.
+const muxKinds = 32
 
 // ErrStreamBroken is returned by calls pending on a mux stream whose
 // connection failed; the stream is dead and the endpoint dials a fresh one
@@ -187,23 +191,45 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// readMuxFrame reads one frame, reusing *buf for the body. herr is the
-// handler error an error frame carries (Node unset; a code byte this build
-// has no row for reads as CodeUnknown), nil on requests and successes. kind
-// and payload alias *buf and are only valid until the next call.
-func readMuxFrame(r io.Reader, buf *[]byte) (corrID uint64, kind string, herr *RemoteError, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// frameScratch is what one connection's read loop keeps between frames, so
+// that reading one allocates nothing: the length prefix (a local would
+// escape through the io.Reader), the body buffer, and an intern table of the
+// kinds the connection has carried — a handful of constants.
+type frameScratch struct {
+	hdr   [4]byte
+	body  []byte
+	kinds []string
+}
+
+func (sc *frameScratch) intern(kind []byte) string {
+	for _, k := range sc.kinds {
+		if string(kind) == k {
+			return k
+		}
+	}
+	k := string(kind)
+	if len(sc.kinds) < muxKinds {
+		sc.kinds = append(sc.kinds, k)
+	}
+	return k
+}
+
+// readMuxFrame reads one frame, reusing sc for the body. herr is the handler
+// error an error frame carries (Node unset; a code byte this build has no row
+// for reads as CodeUnknown), nil on requests and successes. payload aliases
+// sc and is only valid until the next call.
+func readMuxFrame(r io.Reader, sc *frameScratch) (corrID uint64, kind string, herr *RemoteError, payload []byte, err error) {
+	if _, err = io.ReadFull(r, sc.hdr[:]); err != nil {
 		return 0, "", nil, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(sc.hdr[:])
 	if n < 8 || n > maxMuxFrame {
 		return 0, "", nil, nil, fmt.Errorf("transport: bad mux frame length %d", n)
 	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
+	if cap(sc.body) < int(n) {
+		sc.body = make([]byte, n)
 	}
-	body := (*buf)[:n]
+	body := sc.body[:n]
 	if _, err = io.ReadFull(r, body); err != nil {
 		return 0, "", nil, nil, err
 	}
@@ -237,7 +263,7 @@ func readMuxFrame(r io.Reader, buf *[]byte) (corrID uint64, kind string, herr *R
 		}
 		herr = &RemoteError{Code: code, Msg: string(mb)}
 	}
-	return corrID, string(kb), herr, rest, nil
+	return corrID, sc.intern(kb), herr, rest, nil
 }
 
 // RemoteError is the error a remote handler returned: its message, and the
@@ -255,126 +281,264 @@ func (e *RemoteError) Error() string { return fmt.Sprintf("remote %v: %s", e.Nod
 // Unwrap returns the code the handler's error carried.
 func (e *RemoteError) Unwrap() error { return e.Code }
 
-// ---- frame writer ----
+// ---- write half ----
 
-// frameWriter turns queued frames into socket writes with no fixed buffer:
-// headers and small payloads are appended to out, which grows to what the
-// link's bursts need (an idle link holds nothing) and is written when the
-// burst ends or muxFlushBytes are queued; a payload of muxDirectPayload
-// bytes or more is never copied — it goes to the kernel from the caller's
-// memory, gathered with whatever is queued ahead of it.
-type frameWriter struct {
+// aLongTimeAgo is a write deadline that has always passed.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// muxOut is the write half of a connection, shared by every sender on it:
+// callers on the calling end, pool workers on the serving end. A sender
+// appends its whole frame to buf under mu and, if no flush is in progress,
+// takes the flush role and writes what is queued — its own frame and every
+// frame other senders queue meanwhile, which is what folds a burst into one
+// socket write; a sender that finds the role taken leaves its frame to that
+// flusher. mu is never held across a socket write.
+type muxOut struct {
 	conn net.Conn
-	out  []byte
-	// flushed, when non-nil, is told the correlation ID of every frame once
-	// its bytes are on the socket; pending holds those queued in out.
-	flushed func(corrID uint64)
-	pending []uint64
+	// bounded is set on the calling end, where a flusher's context bounds the
+	// write that carries its own frame: no second goroutine is there to notice
+	// that a sender stuck in Write has expired. The serving end leaves the
+	// socket's write deadline to the endpoint's Close.
+	bounded bool
+	broke   func(error) // hears, outside mu, of a failed write: it shuts o and ends the connection
+
+	mu       sync.Mutex
+	buf      []byte        // frames queued for the next write
+	queued   uint64        // frames ever queued; the n-th is on the socket once written >= n
+	written  uint64        // frames ever written
+	flushing bool          // the flush role is taken
+	watch    uint64        // names the role holder whose cancellation is watched, else 0
+	waiting  int           // gathered senders waiting for the role
+	freed    chan struct{} // made by one of them, closed at the role's release
+	err      error         // why nothing more will be written; sticky
+
+	spare  []byte // the buffer last written, the next to queue into; the role holder's
+	drains sync.WaitGroup
 }
 
-func (w *frameWriter) add(wr muxWrite) error {
-	w.out = wr.appendHeader(w.out)
-	if w.flushed != nil {
-		w.pending = append(w.pending, wr.corrID)
-	}
+// send queues one frame and returns its place in the write order, having
+// flushed the buffer unless another sender is doing so — or, under cork,
+// unless less than muxFlushBytes are queued: a corked sender is inside a
+// burst that it ends with an uncorked send or a kick. A payload too large to
+// copy is gathered: its sender waits for the flush role under its context (a
+// deadline that expires there says nothing about the connection), queues the
+// header, and writes what is queued and the payload in one gathered write.
+// Once send returns, whatever it returns, nobody reads wr.payload any more.
+func (o *muxOut) send(ctx context.Context, wr *muxWrite, cork bool) (seq uint64, err error) {
+	var direct []byte
 	if len(wr.payload) >= muxDirectPayload {
-		return w.flush(wr.payload)
+		direct = wr.payload
 	}
-	w.out = append(w.out, wr.payload...)
-	if len(w.out) >= muxFlushBytes {
-		return w.flush(nil)
+	o.mu.Lock()
+	for direct != nil && o.flushing && o.err == nil {
+		if o.freed == nil {
+			o.freed = make(chan struct{})
+		}
+		freed := o.freed
+		o.waiting++
+		o.mu.Unlock()
+		select {
+		case <-freed:
+		case <-ctx.Done():
+		}
+		o.mu.Lock()
+		o.waiting--
+		if ctx.Err() != nil {
+			o.relay() // a flusher may just have stepped aside for this sender
+			return 0, ctx.Err()
+		}
 	}
+	if err = o.err; err != nil {
+		o.mu.Unlock()
+		return 0, err
+	}
+	o.buf = wr.appendHeader(o.buf)
+	if direct == nil {
+		o.buf = append(o.buf, wr.payload...)
+	}
+	o.queued++
+	seq = o.queued
+	if cork && direct == nil && len(o.buf) < muxFlushBytes {
+		o.mu.Unlock()
+		return seq, nil
+	}
+	return seq, o.lead(ctx, direct)
+}
+
+// kick flushes what is queued, if anything is and nobody is flushing it. A
+// write that fails breaks the stream, which is how its callers hear of it.
+func (o *muxOut) kick(ctx context.Context) {
+	o.mu.Lock()
+	_ = o.lead(ctx, nil)
+}
+
+// lead takes the flush role if it is free and frames are queued, and flushes;
+// mu is held on entry. A gathered sender detaches the buffer under the lock
+// that queued its header, so that nothing comes between the header and direct;
+// anyone else yields first.
+func (o *muxOut) lead(ctx context.Context, direct []byte) error {
+	if o.flushing || len(o.buf) == 0 || o.err != nil {
+		o.mu.Unlock()
+		return nil
+	}
+	o.flushing = true
+	if direct == nil && len(o.buf) < muxFlushBytes/2 {
+		o.mu.Unlock()
+		// Load-bearing: senders that just woke from the previous flush, or
+		// handlers finishing right now, are about to queue, and folding their
+		// frames into this write is what turns N round-trip syscalls into one.
+		runtime.Gosched()
+		o.mu.Lock()
+	}
+	out, n := o.detach()
+	o.mu.Unlock()
+	return o.flush(ctx, out, direct, n, muxCaptureWrites)
+}
+
+// detach takes what is queued, n frames, for the role holder to write, and
+// leaves senders the other buffer to queue into; the caller holds mu.
+func (o *muxOut) detach() (out []byte, n uint64) {
+	out, n = o.buf, o.queued-o.written
+	o.buf = o.spare[:0]
+	return out, n
+}
+
+// flush is run by the holder of the flush role with what it detached: out, n
+// frames, the caller's own among them. It writes out and direct in one write
+// bound by ctx, and returns how that went. Before it returns it writes what
+// other senders queued meanwhile, in up to more further writes — bound by
+// those senders' waits (see giveUp), not by ctx, whose frame is out — unless
+// a gathered sender is waiting to write it instead; what is queued after the
+// last of them is a drain goroutine's.
+func (o *muxOut) flush(ctx context.Context, out, direct []byte, n uint64, more int) error {
+	bound := o.bounded
+	if bound {
+		if unwatch := o.bind(ctx); unwatch != nil {
+			defer unwatch()
+		}
+	}
+	err := o.write(out, direct, n)
+	for ok := err == nil; ; more-- {
+		o.mu.Lock()
+		if ok {
+			o.written += n
+		}
+		o.spare, o.watch = out[:0], 0
+		switch {
+		case o.err != nil || len(o.buf) == 0 || o.waiting > 0:
+			o.flushing = false
+			if o.freed != nil {
+				close(o.freed)
+				o.freed = nil
+			}
+		case more == 0:
+			o.startDrain()
+		default:
+			out, n = o.detach()
+			o.mu.Unlock()
+			if bound {
+				bound = false
+				_ = o.conn.SetWriteDeadline(time.Time{})
+			}
+			ok = o.write(out, nil, n) == nil
+			continue
+		}
+		o.mu.Unlock()
+		return err
+	}
+}
+
+// write puts out, n frames, and direct after it on the socket. A failure
+// breaks the connection.
+func (o *muxOut) write(out, direct []byte, n uint64) (err error) {
+	if direct != nil {
+		bufs := net.Buffers{out, direct}
+		_, err = bufs.WriteTo(o.conn)
+	} else {
+		_, err = o.conn.Write(out)
+	}
+	if err != nil {
+		o.broke(err) // shuts o
+		return err
+	}
+	muxSocketWrites.Add(1)
+	muxFramesWritten.Add(n)
 	return nil
 }
 
-// flush writes what is queued, then direct.
-func (w *frameWriter) flush(direct []byte) error {
-	var err error
-	switch {
-	case direct != nil:
-		bufs := net.Buffers{w.out, direct}
-		_, err = bufs.WriteTo(w.conn)
-	case len(w.out) > 0:
-		_, err = w.conn.Write(w.out)
+// relay starts a drain if frames are queued and nobody holds the flush role:
+// for a sender that will not flush them itself. mu is held on entry.
+func (o *muxOut) relay() {
+	if !o.flushing && len(o.buf) > 0 && o.err == nil {
+		o.flushing = true
+		o.startDrain()
 	}
-	w.out = w.out[:0]
-	if err == nil {
-		for _, id := range w.pending {
-			w.flushed(id)
-		}
-	}
-	w.pending = w.pending[:0]
-	return err
+	o.mu.Unlock()
 }
 
-// pumpFrames is the writer goroutine of both halves of a connection: it
-// drains ch into conn, one socket write per burst — every frame queued
-// while the previous write was on the wire rides the next one. It returns
-// nil when ch is closed (a server's response queue) or stop is (a client
-// stream failing), and the error when a write fails. flushed, when non-nil,
-// hears of every frame written.
-func pumpFrames(conn net.Conn, ch <-chan muxWrite, stop <-chan struct{}, flushed func(corrID uint64)) error {
-	w := frameWriter{conn: conn, flushed: flushed}
-	for {
-		var (
-			wr muxWrite
-			ok bool
-		)
-		select {
-		case wr, ok = <-ch:
-			if !ok {
-				return nil
-			}
-		case <-stop:
-			return nil
-		}
-		err := w.add(wr)
-		// Drain the burst before flushing. When the queue looks empty, yield
-		// once and re-check: callers that just woke from the previous flush,
-		// or handlers finishing right now, are usually about to enqueue, and
-		// folding their frames into this write is what turns N round-trip
-		// syscalls into one.
-		yielded := false
-	drain:
-		for err == nil {
-			select {
-			case wr, ok = <-ch:
-				if !ok {
-					break drain // flush; the next receive returns
-				}
-				err = w.add(wr)
-			default:
-				if !yielded && len(w.out) < muxFlushBytes/2 {
-					yielded = true
-					runtime.Gosched()
-					continue
-				}
-				break drain
-			}
-		}
-		if err == nil {
-			err = w.flush(nil)
-		}
-		if err != nil {
-			return err
-		}
+// startDrain hands the flush role to a transient goroutine that holds it for
+// nobody, until the buffer is empty; the caller holds mu and the role.
+func (o *muxOut) startDrain() {
+	out, n := o.detach()
+	o.drains.Add(1)
+	go func() {
+		defer o.drains.Done()
+		_ = o.flush(context.Background(), out, nil, n, -1) // flush has told broke
+	}()
+}
+
+// bind puts ctx in charge of the role holder's next write. Every flusher sets
+// the write deadline, so that no write inherits an earlier one's. A context
+// that can only be cancelled is watched instead: its cancellation moves the
+// deadline into the past, unless that write is over by then. The returned
+// function, when there is one, ends the watch.
+func (o *muxOut) bind(ctx context.Context) (unwatch func() bool) {
+	at, timed := ctx.Deadline()
+	_ = o.conn.SetWriteDeadline(at)
+	if timed || ctx.Done() == nil {
+		return nil
 	}
+	o.mu.Lock()
+	token := o.written + 1 // this holder's alone: its write moves written on
+	o.watch = token
+	o.mu.Unlock()
+	return context.AfterFunc(ctx, func() {
+		o.mu.Lock()
+		if o.watch == token {
+			_ = o.conn.SetWriteDeadline(aLongTimeAgo)
+		}
+		o.mu.Unlock()
+	})
+}
+
+// shut stops further writes, for err unless a reason is already recorded: a
+// flusher stops at its next look, and no drain starts after shut returns.
+func (o *muxOut) shut(err error) {
+	o.mu.Lock()
+	if o.err == nil {
+		o.err = err
+	}
+	o.mu.Unlock()
 }
 
 // ---- client stream ----
 
 // muxSlot is one entry of the completion plane. The owner (the caller
 // holding the slot between acquire and release) and the reader synchronize
-// on mu; gen is touched only by owners while they hold the slot, so it
-// survives across uses without wider locking.
+// on mu; gen and seq are touched only by owners while they hold the slot, so
+// they survive across uses without wider locking.
 type muxSlot struct {
-	mu      sync.Mutex
-	corr    uint64 // current correlation ID; 0 = no caller listening
-	flushed bool   // the request frame is on the socket: the writer is done with its payload
-	done    bool
-	msg     Message
-	err     error
-	gen     uint64
+	mu   sync.Mutex
+	corr uint64 // current correlation ID; 0 = no caller listening
+	done bool
+	msg  Message
+	err  error
+	gen  uint64
+	seq  uint64 // the request frame's place in the stream's write order
+	// wake is one deep. The reader drops a token in after completing the
+	// slot; a woken owner re-checks the slot, so a token left by a call that
+	// was abandoned only costs the next owner one extra look.
+	wake chan struct{}
 }
 
 // take claims a completed slot's result and closes the slot for delivery.
@@ -389,36 +553,11 @@ func (sl *muxSlot) take() (msg Message, err error, ok bool) {
 	return msg, err, true
 }
 
-// close closes the slot for delivery without completing it, and reports
-// whether its request frame had reached the socket.
-func (sl *muxSlot) close() (flushed bool) {
+// close closes the slot for delivery without completing it.
+func (sl *muxSlot) close() {
 	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	flushed = sl.flushed
 	sl.corr, sl.done, sl.msg, sl.err = 0, false, Message{}, nil
-	return flushed
-}
-
-// notifyStripe wakes every waiter parked on it by closing and replacing its
-// channel. Waiters grab the current channel before re-checking their slot,
-// so a wake between check and park is never lost.
-type notifyStripe struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func (n *notifyStripe) get() <-chan struct{} {
-	n.mu.Lock()
-	ch := n.ch
-	n.mu.Unlock()
-	return ch
-}
-
-func (n *notifyStripe) wake() {
-	n.mu.Lock()
-	close(n.ch)
-	n.ch = make(chan struct{})
-	n.mu.Unlock()
+	sl.mu.Unlock()
 }
 
 // muxStream is the client half of a multiplexed connection.
@@ -426,26 +565,20 @@ type muxStream struct {
 	to    NodeID
 	conn  net.Conn
 	owner *tcpEndpoint // untracks the stream on Close; nil in tests
+	out   muxOut
 
-	writeCh chan muxWrite
+	slots [MuxWindow / muxSlotChunk]atomic.Pointer[[muxSlotChunk]muxSlot]
+	free  chan uint32 // slot freelist; doubles as the in-flight window
 
-	slots   [MuxWindow / muxSlotChunk]atomic.Pointer[[muxSlotChunk]muxSlot]
-	free    chan uint32 // slot freelist; doubles as the in-flight window
-	stripes [muxNotifyStripes]notifyStripe
-
-	mu     sync.Mutex
-	broken error
-
-	done       chan struct{} // closed when the stream fails
-	writerDone chan struct{} // closed when the writer has exited
-	once       sync.Once
-	wg         sync.WaitGroup
+	done chan struct{} // closed when the stream fails, after out is shut with the reason
+	once sync.Once
+	wg   sync.WaitGroup
 }
 
 var _ Stream = (*muxStream)(nil)
 
 // dialMux opens a mux stream over an established connection, sending the
-// preamble and starting the writer/reader goroutines.
+// preamble and starting the reader goroutine.
 func dialMux(conn net.Conn, from, to NodeID) (*muxStream, error) {
 	var pre [12]byte
 	copy(pre[:4], muxMagic[:])
@@ -455,22 +588,20 @@ func dialMux(conn net.Conn, from, to NodeID) (*muxStream, error) {
 		return nil, fmt.Errorf("mux preamble to %v: %w", to, err)
 	}
 	s := &muxStream{
-		to:         to,
-		conn:       conn,
-		writeCh:    make(chan muxWrite, muxQueueDepth),
-		free:       make(chan uint32, MuxWindow),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
+		to:   to,
+		conn: conn,
+		free: make(chan uint32, MuxWindow),
+		done: make(chan struct{}),
 	}
-	for i := range s.stripes {
-		s.stripes[i].ch = make(chan struct{})
+	s.out.conn, s.out.bounded = conn, true
+	s.out.broke = func(err error) {
+		s.fail(fmt.Errorf("mux write to %v: %w: %w", to, err, ErrStreamBroken)) // err kept: a timeout is the sender's
 	}
 	for i := uint32(0); i < MuxWindow; i++ {
 		s.free <- i
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	muxStreamsOpen.Add(1)
-	go s.writer()
 	go s.reader()
 	return s, nil
 }
@@ -490,9 +621,7 @@ func readMuxPreamble(conn net.Conn) (NodeID, bool) {
 // and future calls fail fast.
 func (s *muxStream) fail(err error) {
 	s.once.Do(func() {
-		s.mu.Lock()
-		s.broken = err
-		s.mu.Unlock()
+		s.out.shut(err)
 		close(s.done)
 		_ = s.conn.Close()
 		muxStreamsOpen.Add(-1)
@@ -513,68 +642,28 @@ func (s *muxStream) isBroken() bool {
 func (s *muxStream) Close() error {
 	s.fail(ErrStreamBroken)
 	s.wg.Wait()
+	s.out.drains.Wait()
 	if s.owner != nil {
 		s.owner.untrack(s)
 	}
 	return nil
 }
 
-func (s *muxStream) writer() {
-	defer s.wg.Done()
-	defer close(s.writerDone)
-	if err := pumpFrames(s.conn, s.writeCh, s.done, s.markFlushed); err != nil {
-		s.fail(fmt.Errorf("mux write to %v: %w", s.to, err))
-	}
-}
-
-// frameBuffered reports whether a complete frame is already sitting in r's
-// buffer — i.e. whether the next readMuxFrame can return without blocking.
-// The reader uses it to batch completion wakeups: notifications are held
-// while more responses are decodable and flushed just before the loop would
-// block on the socket.
-func frameBuffered(r *bufio.Reader) bool {
-	if r.Buffered() < 4 {
-		return false // Peek would hit the socket and block
-	}
-	hdr, err := r.Peek(4)
-	if err != nil {
-		return false
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > maxMuxFrame {
-		return false // corrupt length; the next read will surface the error
-	}
-	return r.Buffered() >= 4+int(n)
-}
-
 // reader matches inbound frames to completion slots by correlation ID. A
 // frame whose ID mismatches its slot's current ID — its caller timed out,
 // or a faulty network duplicated the response — is discarded: IDs are never
-// reused, so it cannot belong to a newer call. Wakeups are batched per read
-// burst: each touched stripe is woken once, after every already-buffered
-// response has been delivered.
+// reused, so it cannot belong to a newer call.
 func (s *muxStream) reader() {
 	defer s.wg.Done()
 	r := bufio.NewReaderSize(s.conn, muxReadBuffer)
-	var buf []byte
-	var dirty uint32 // bitmask of stripes with undelivered wakeups
+	var sc frameScratch
 	for {
-		corrID, kind, herr, payload, err := readMuxFrame(r, &buf)
+		corrID, kind, herr, payload, err := readMuxFrame(r, &sc)
 		if err != nil {
 			s.fail(fmt.Errorf("mux read from %v: %w", s.to, err))
 			return
 		}
-		if s.deliver(corrID, kind, herr, payload) {
-			dirty |= 1 << (uint32(corrID&(MuxWindow-1)) % muxNotifyStripes)
-		}
-		if dirty != 0 && !frameBuffered(r) {
-			for i := uint32(0); dirty != 0; i++ {
-				if dirty&(1<<i) != 0 {
-					s.stripes[i].wake()
-					dirty &^= 1 << i
-				}
-			}
-		}
+		s.deliver(corrID, kind, herr, payload)
 	}
 }
 
@@ -587,19 +676,18 @@ func (s *muxStream) slot(idx uint32) *muxSlot {
 	return nil
 }
 
-// deliver writes one response into its slot; it reports whether a caller is
-// listening (and therefore whether its stripe needs a wakeup).
-func (s *muxStream) deliver(corrID uint64, kind string, herr *RemoteError, payload []byte) bool {
+// deliver writes one response into its slot and wakes the slot's owner.
+func (s *muxStream) deliver(corrID uint64, kind string, herr *RemoteError, payload []byte) {
 	sl := s.slot(uint32(corrID & (MuxWindow - 1)))
 	if sl == nil {
 		muxDroppedResponses.Add(1)
-		return false // an ID this stream never issued
+		return // an ID this stream never issued
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	if sl.corr != corrID || sl.done {
 		muxDroppedResponses.Add(1)
-		return false // late or duplicated response: no caller, drop it
+		return // late or duplicated response: no caller, drop it
 	}
 	if herr != nil {
 		herr.Node = s.to
@@ -612,55 +700,57 @@ func (s *muxStream) deliver(corrID uint64, kind string, herr *RemoteError, paylo
 		sl.msg = Message{Kind: kind, Payload: p}
 	}
 	sl.done = true
-	return true
+	select {
+	case sl.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
 }
 
 // acquire takes a free completion slot (the backpressure point). A deadline
 // that expires here waited on the window, not the wire: the stream is fine.
 func (s *muxStream) acquire(ctx context.Context) (uint32, error) {
+	var idx uint32
 	select {
-	case idx := <-s.free:
+	case idx = <-s.free:
+	default:
+		// About to wait for a reply to free a slot: the frames a corked burst
+		// has queued so far are among those it waits on.
+		s.out.kick(ctx)
 		select {
+		case idx = <-s.free:
+		case <-ctx.Done():
+			return 0, s.timeoutErr()
 		case <-s.done:
-			s.free <- idx
 			return 0, s.brokenErr()
-		default:
-			muxSlotsInUse.Add(1)
-			return idx, nil
 		}
-	case <-ctx.Done():
-		return 0, s.timeoutErr()
-	case <-s.done:
+	}
+	if s.isBroken() {
+		s.free <- idx
 		return 0, s.brokenErr()
 	}
+	muxSlotsInUse.Add(1)
+	return idx, nil
 }
 
 // arm stamps a fresh, never-before-used correlation ID onto an acquired
 // slot and opens it for delivery.
-func (s *muxStream) arm(idx uint32) uint64 {
+func (s *muxStream) arm(idx uint32) (*muxSlot, uint64) {
 	sl := s.slot(idx)
 	if sl == nil {
-		s.slots[idx/muxSlotChunk].CompareAndSwap(nil, new([muxSlotChunk]muxSlot))
+		chunk := new([muxSlotChunk]muxSlot)
+		for i := range chunk {
+			chunk[i].wake = make(chan struct{}, 1)
+		}
+		s.slots[idx/muxSlotChunk].CompareAndSwap(nil, chunk)
 		sl = s.slot(idx)
 	}
 	sl.mu.Lock()
 	sl.gen++
 	corr := sl.gen<<muxSlotShift | uint64(idx)
 	sl.corr = corr
-	sl.flushed, sl.done, sl.msg, sl.err = false, false, Message{}, nil
+	sl.done, sl.msg, sl.err = false, Message{}, nil
 	sl.mu.Unlock()
-	return corr
-}
-
-// markFlushed is the writer telling a frame's caller, should it stop
-// waiting, that its request payload is no longer being read.
-func (s *muxStream) markFlushed(corrID uint64) {
-	sl := s.slot(uint32(corrID & (MuxWindow - 1)))
-	sl.mu.Lock()
-	if sl.corr == corrID {
-		sl.flushed = true
-	}
-	sl.mu.Unlock()
+	return sl, corr
 }
 
 // release returns a slot to the freelist.
@@ -669,11 +759,14 @@ func (s *muxStream) release(idx uint32) {
 	s.free <- idx
 }
 
-// send takes a slot for req and hands its frame to the writer. A context
-// that is already done never reaches the stream, and one that expires
-// before the frame is queued waited on the queue, as in acquire: neither
-// says anything about the connection.
-func (s *muxStream) send(ctx context.Context, req Message) (uint32, error) {
+// send takes a slot for req and writes its frame, or under cork queues it
+// (see muxOut.send). A context that is already done never reaches the
+// stream, and one that expires before the frame is queued waited on the
+// window or on the flush role: neither says anything about the connection.
+// A write that fails has broken the stream; the sender whose own deadline
+// cut the write short gets ErrCallTimeout like any other caller whose
+// deadline passed with its frame unflushed.
+func (s *muxStream) send(ctx context.Context, req Message, cork bool) (uint32, error) {
 	wr := muxWrite{kind: req.Kind, payload: req.Payload}
 	if wr.bodyLen() > maxMuxFrame {
 		return 0, fmt.Errorf("mux call to %v: %w", s.to, errFrameTooLarge)
@@ -687,57 +780,59 @@ func (s *muxStream) send(ctx context.Context, req Message) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	wr.corrID = s.arm(idx)
-	select {
-	case s.writeCh <- wr:
+	sl, corr := s.arm(idx)
+	wr.corrID = corr
+	if sl.seq, err = s.out.send(ctx, &wr, cork); err == nil {
 		return idx, nil
-	case <-ctx.Done():
-		err = s.timeoutErr()
-	case <-s.done:
-		err = s.brokenErr()
 	}
-	s.slot(idx).close()
+	sl.close()
 	s.release(idx)
-	return 0, err
+	if isTimeout(err) || ctx.Err() != nil {
+		return 0, s.timeoutErr()
+	}
+	return 0, s.brokenErr()
 }
 
-// giveUp abandons a sent call whose result will not be taken. It is where a
-// caller decides what its expired deadline says about the connection: a
-// frame that reached the socket was waiting on the handler, and the stream
-// is left alone (the late reply mismatches the slot's next ID and is
-// dropped); a frame still unflushed means bytes are not moving, and the
-// stream is broken. Either way giveUp returns only once the writer can no
-// longer read the request payload, because callers recycle it as soon as
-// the call returns.
-func (s *muxStream) giveUp(idx uint32) {
-	if !s.slot(idx).close() {
+// giveUp abandons a sent call whose result will not be taken. With waited
+// set it is where a caller that waited for the reply decides what its expired
+// deadline says about the connection: a frame that reached the socket was
+// waiting on the handler, and the stream is left alone (the late reply
+// mismatches the slot's next ID and is dropped); a frame still unwritten
+// means bytes are not moving, and the stream is broken — which also unblocks
+// whoever is stuck writing. The request payload is not at stake: send copied
+// or wrote it.
+func (s *muxStream) giveUp(idx uint32, waited bool) {
+	sl := s.slot(idx)
+	sl.close()
+	s.out.mu.Lock()
+	stalled := waited && s.out.written < sl.seq
+	s.out.mu.Unlock()
+	if stalled {
 		s.fail(fmt.Errorf("mux write to %v stalled past a caller's wait: %w", s.to, ErrStreamBroken))
-		<-s.writerDone
 	}
 	s.release(idx)
 }
 
-// awaitSlot parks on the slot's stripe until the reader completes the slot,
-// the context expires, or the stream breaks. callErr is a per-call handler
-// failure (RemoteError); fatal is a transport-level failure that voids the
-// whole flight. Exactly one of the three outcomes is set, and in every case
-// the slot has been returned to the freelist when awaitSlot returns.
+// awaitSlot parks on the slot's wake channel until the reader completes the
+// slot, the context expires, or the stream breaks. callErr is a per-call
+// handler failure (RemoteError); fatal is a transport-level failure that
+// voids the whole flight. Exactly one of the three outcomes is set, and in
+// every case the slot has been returned to the freelist when awaitSlot
+// returns.
 func (s *muxStream) awaitSlot(ctx context.Context, idx uint32) (msg Message, callErr, fatal error) {
 	sl := s.slot(idx)
-	stripe := &s.stripes[idx%muxNotifyStripes]
 	for {
-		ch := stripe.get()
 		if m, e, ok := sl.take(); ok {
 			s.release(idx)
 			return m, e, nil
 		}
 		if fatal != nil {
-			s.giveUp(idx)
+			s.giveUp(idx, true)
 			return Message{}, nil, fatal
 		}
 		// On either failure, look once more: a completion may have raced it.
 		select {
-		case <-ch:
+		case <-sl.wake:
 		case <-ctx.Done():
 			fatal = s.timeoutErr()
 		case <-s.done:
@@ -750,7 +845,7 @@ func (s *muxStream) awaitSlot(ctx context.Context, idx uint32) (msg Message, cal
 // calls pipeline on the single connection. The request payload is not
 // retained after Call returns.
 func (s *muxStream) Call(ctx context.Context, req Message) (Message, error) {
-	idx, err := s.send(ctx, req)
+	idx, err := s.send(ctx, req, false)
 	if err != nil {
 		return Message{}, err
 	}
@@ -762,9 +857,9 @@ func (s *muxStream) Call(ctx context.Context, req Message) (Message, error) {
 }
 
 // CallBatch implements BatchCaller: every request becomes its own pipelined
-// frame, enqueued as one burst (the writer folds them into one flush) and
-// awaited through the completion plane with one parked caller instead of
-// len(reqs) goroutines. Handler failures land per-index in errs; a
+// frame, queued under cork so that the burst leaves in one flush — the last
+// frame's — and awaited through the completion plane with one parked caller
+// instead of len(reqs) goroutines. Handler failures land per-index in errs; a
 // transport-level failure (context expiry, broken stream) aborts the whole
 // flight and is returned as fatal with every in-flight slot abandoned.
 func (s *muxStream) CallBatch(ctx context.Context, reqs []Message) ([]Message, []error, error) {
@@ -772,16 +867,21 @@ func (s *muxStream) CallBatch(ctx context.Context, reqs []Message) ([]Message, [
 		return nil, nil, nil
 	}
 	flights := make([]uint32, 0, len(reqs)) // slot per request still in flight
-	abandon := func(fatal error) ([]Message, []error, error) {
+	abandon := func(fatal error, waited bool) ([]Message, []error, error) {
 		for _, idx := range flights {
-			s.giveUp(idx)
+			s.giveUp(idx, waited)
 		}
 		return nil, nil, fatal
 	}
 	for i := range reqs {
-		idx, err := s.send(ctx, reqs[i])
+		idx, err := s.send(ctx, reqs[i], i < len(reqs)-1)
 		if err != nil {
-			return abandon(err)
+			// The frames corked so far were never flushed: that they are still
+			// queued says nothing about the connection, and ctx may be why the
+			// send failed, so it is not for this caller to write them.
+			s.out.mu.Lock()
+			s.out.relay()
+			return abandon(err, false)
 		}
 		flights = append(flights, idx)
 	}
@@ -791,7 +891,7 @@ func (s *muxStream) CallBatch(ctx context.Context, reqs []Message) ([]Message, [
 		msg, callErr, fatal := s.awaitSlot(ctx, idx)
 		if fatal != nil {
 			flights = flights[i+1:]
-			return abandon(fatal)
+			return abandon(fatal, true)
 		}
 		msgs[i], errs[i] = msg, callErr
 	}
@@ -802,13 +902,11 @@ func (s *muxStream) timeoutErr() error {
 	return fmt.Errorf("mux call to %v: %w", s.to, ErrCallTimeout)
 }
 
+// brokenErr is why the stream failed.
 func (s *muxStream) brokenErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken != nil {
-		return s.broken
-	}
-	return ErrStreamBroken
+	s.out.mu.Lock()
+	defer s.out.mu.Unlock()
+	return s.out.err
 }
 
 // ---- server side ----
@@ -857,20 +955,22 @@ func (s *weightedSem) close() {
 	s.cond.Broadcast()
 }
 
-// muxJob is one admitted request frame awaiting a pool worker.
+// muxJob is one admitted request frame awaiting a pool worker — or, with
+// retire set, the reaper telling the worker that receives it to exit.
 type muxJob struct {
 	corrID uint64
 	req    Message
 	weight int
+	retire bool
 }
 
 // muxWorkerPool runs handler jobs on a dynamically sized, bounded set of
 // workers: a job spawns a worker only when none is waiting for one and the
-// pool is below its cap, and workers exit after an idle timeout — so a
-// steady pipeline reuses the same few goroutines instead of paying a
-// goroutine-per-frame spawn, while a deep burst still fans out to
-// MuxWindow-way concurrency (parked handlers hold workers, as the
-// pipelining tests require).
+// pool is below its cap, and the endpoint's reaper retires the workers a
+// whole muxWorkerIdle period did not need — so a steady pipeline reuses the
+// same few goroutines instead of paying a goroutine-per-frame spawn, while a
+// deep burst still fans out to MuxWindow-way concurrency (parked handlers
+// hold workers, as the pipelining tests require).
 type muxWorkerPool struct {
 	work    chan muxJob
 	handle  func(muxJob)
@@ -881,7 +981,13 @@ type muxWorkerPool struct {
 	// it receives. Negative means jobs are queued that no worker is coming
 	// for.
 	idle atomic.Int32
-	wg   sync.WaitGroup
+	// low is the least idle has been since the last reap: the workers with
+	// nothing to do all period. A lost update costs one respawn.
+	low atomic.Int32
+	wg  sync.WaitGroup
+
+	mu     sync.Mutex // orders reap's sends before close
+	closed bool
 }
 
 func newMuxWorkerPool(max int, handle func(muxJob)) *muxWorkerPool {
@@ -895,10 +1001,14 @@ func newMuxWorkerPool(max int, handle func(muxJob)) *muxWorkerPool {
 // dispatch queues one job, growing the pool when no waiting worker is left
 // for it: a job is never stranded behind handlers that are all parked.
 func (p *muxWorkerPool) dispatch(j muxJob) {
-	if p.idle.Add(-1) < 0 && p.workers.Load() < p.max {
+	idle := p.idle.Add(-1)
+	if idle < 0 && p.workers.Load() < p.max {
 		p.workers.Add(1)
 		p.wg.Add(1)
 		go p.worker()
+	}
+	if idle < p.low.Load() {
+		p.low.Store(idle)
 	}
 	p.work <- j
 }
@@ -906,80 +1016,62 @@ func (p *muxWorkerPool) dispatch(j muxJob) {
 func (p *muxWorkerPool) worker() {
 	defer p.wg.Done()
 	defer p.workers.Add(-1)
-	timer := time.NewTimer(muxWorkerIdle)
-	defer timer.Stop()
 	for {
 		p.idle.Add(1)
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(muxWorkerIdle)
-		var (
-			j  muxJob
-			ok bool
-		)
-		select {
-		case j, ok = <-p.work:
-		case <-timer.C:
-			if p.retire() {
-				return
-			}
-			j, ok = <-p.work // a dispatch counted on this worker: its job is on the way
-		}
-		if !ok {
+		j, ok := <-p.work
+		if !ok || j.retire {
 			return
 		}
 		p.handle(j)
 	}
 }
 
-// retire takes an idle worker off the books, unless every waiting worker is
-// already spoken for by a dispatched job.
-func (p *muxWorkerPool) retire() bool {
-	for {
-		n := p.idle.Load()
-		if n <= 0 {
-			return false
+// reap retires the workers that sat idle since the last reap. Each is taken
+// off the books as a dispatch would take it, so the worker that receives the
+// sentinel is one no job was counting on; a worker a racing dispatch spoke
+// for first waits for the next reap.
+func (p *muxWorkerPool) reap() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return
+	}
+	for n := p.low.Swap(p.idle.Load()); n > 0; n-- {
+		if idle := p.idle.Load(); idle <= 0 || !p.idle.CompareAndSwap(idle, idle-1) {
+			return
 		}
-		if p.idle.CompareAndSwap(n, n-1) {
-			return true
-		}
+		p.work <- muxJob{retire: true}
 	}
 }
 
 // close stops the pool after the queue drains and waits for every worker.
 func (p *muxWorkerPool) close() {
+	p.mu.Lock()
+	p.closed = true
 	close(p.work)
+	p.mu.Unlock()
 	p.wg.Wait()
 }
 
 // serveMux is the server half of a connection whose preamble named from as
-// the caller. Request frames are admitted by event weight, dispatched to the
-// bounded worker pool, and responses are coalesced by a writer goroutine, so
-// slow handlers never stall the read loop and responses flow back in
-// completion order.
+// the caller. Request frames are admitted by event weight and dispatched to
+// the bounded worker pool — handed to track, for the endpoint's reaper — and
+// each worker writes its handler's response itself, so slow handlers never
+// stall the read loop and responses flow back in completion order.
 //
 // Handler contract on this path: every request frame is copied out of the
 // read buffer into memory of its own, valid for the handler call *and* any
 // response that aliases it — an echo handler returns the request itself, and
-// the writer goroutine flushes that response after the handler has returned.
-// The copy is therefore never recycled when the handler returns.
-func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}) {
-	respCh := make(chan muxWrite, muxQueueDepth)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		if err := pumpFrames(conn, respCh, nil, nil); err != nil {
-			_ = conn.Close() // unblock the read loop; remaining responses are moot
-			// Keep draining so pool workers sending responses never block
-			// on a dead writer.
-			for range respCh {
-			}
-		}
-	}()
+// the response is read once more after the handler has returned, when its
+// worker copies it into the pending buffer or writes it to the socket. The
+// copy is therefore never recycled when the handler returns.
+func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}, track func(*muxWorkerPool)) {
+	// A failed write closes the connection, which unblocks the read loop.
+	out := &muxOut{conn: conn}
+	out.broke = func(err error) {
+		out.shut(err)
+		_ = conn.Close()
+	}
 
 	// Handlers get a context cancelled on endpoint shutdown, so long-running
 	// work can observe Close instead of wedging the drain below.
@@ -1008,14 +1100,15 @@ func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}) {
 			// CodeUnknown on the caller.
 			wr = muxWrite{corrID: j.corrID, code: schema.CodeOf(herr), errMsg: herr.Error()}
 		}
-		respCh <- wr
+		_, _ = out.send(context.Background(), &wr, false) // out has told broke
 		adm.release(j.weight)
 	})
+	track(pool)
 
 	r := bufio.NewReaderSize(conn, muxReadBuffer)
-	var buf []byte
+	var sc frameScratch
 	for {
-		corrID, kind, _, payload, err := readMuxFrame(r, &buf)
+		corrID, kind, _, payload, err := readMuxFrame(r, &sc)
 		if err != nil {
 			break
 		}
@@ -1040,7 +1133,7 @@ func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}) {
 		copy(p, payload)
 		pool.dispatch(muxJob{corrID: corrID, req: Message{Kind: kind, Payload: p}, weight: weight})
 	}
+	// Once its worker has exited a response is written, or with a drain.
 	pool.close()
-	close(respCh)
-	<-writerDone
+	out.drains.Wait()
 }

@@ -3,14 +3,16 @@ package transport
 import "sync/atomic"
 
 // Process-wide mux-stream instrumentation. Kept as package-level atomics so
-// the hot paths (deliver, acquire/release) pay one uncontended atomic each
-// and the ops plane can read them without threading a registry through
-// every endpoint. In a normal deployment one process hosts one node, so
+// the hot paths (deliver, acquire/release, flush) pay an uncontended atomic
+// or two each and the ops plane can read them without threading a registry
+// through every endpoint. In a normal deployment one process hosts one node, so
 // process-wide equals per-node.
 var (
 	muxDroppedResponses atomic.Uint64
 	muxSlotsInUse       atomic.Int64
 	muxStreamsOpen      atomic.Int64
+	muxFramesWritten    atomic.Uint64
+	muxSocketWrites     atomic.Uint64
 )
 
 // MuxStats is a snapshot of the process-wide mux internals.
@@ -25,6 +27,10 @@ type MuxStats struct {
 	SlotsInUse int64
 	// StreamsOpen is the current number of live mux streams.
 	StreamsOpen int64
+	// FramesWritten counts the frames, requests and responses alike, this
+	// process has written, and SocketWrites the writes that carried them.
+	FramesWritten uint64
+	SocketWrites  uint64
 }
 
 // ReadMuxStats returns the current process-wide mux counters.
@@ -33,5 +39,7 @@ func ReadMuxStats() MuxStats {
 		DroppedResponses: muxDroppedResponses.Load(),
 		SlotsInUse:       muxSlotsInUse.Load(),
 		StreamsOpen:      muxStreamsOpen.Load(),
+		FramesWritten:    muxFramesWritten.Load(),
+		SocketWrites:     muxSocketWrites.Load(),
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -245,8 +246,8 @@ func fakeMuxServer(t *testing.T, script func(conn net.Conn, r *bufio.Reader)) st
 
 func readReqFrame(t *testing.T, r *bufio.Reader) (corrID uint64, payload []byte) {
 	t.Helper()
-	var buf []byte
-	corrID, _, _, p, err := readMuxFrame(r, &buf)
+	var sc frameScratch
+	corrID, _, _, p, err := readMuxFrame(r, &sc)
 	if err != nil {
 		t.Errorf("fake server read: %v", err)
 		return 0, nil
@@ -678,7 +679,7 @@ func TestMuxSlotReuseAcrossWindow(t *testing.T) {
 func TestMuxCallBatchAbandonReleasesAllSlots(t *testing.T) {
 	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
 		for { // swallow requests, never answer
-			if _, _, _, _, err := readMuxFrame(r, new([]byte)); err != nil {
+			if _, _, _, _, err := readMuxFrame(r, new(frameScratch)); err != nil {
 				return
 			}
 		}
@@ -776,7 +777,7 @@ func TestStreamCallBatchFallback(t *testing.T) {
 // TestMuxFrameCodec pins the frame layout round trip — request/success
 // frames, and error frames with their code byte — and its bounds checks.
 func TestMuxFrameCodec(t *testing.T) {
-	var scratch []byte
+	var scratch frameScratch
 	frame := func(wr muxWrite) []byte { return append(wr.appendHeader(nil), wr.payload...) }
 
 	ok := frame(muxWrite{corrID: 42, kind: "node.submit", payload: []byte("hello")})
@@ -839,4 +840,69 @@ func (r *readerOf) Read(p []byte) (int, error) {
 	n := copy(p, r.b)
 	r.b = r.b[n:]
 	return n, nil
+}
+
+// TestCallBatchLeavesInOneWrite pins the cork: the frames of one CallBatch
+// are queued and leave in one socket write. (The fake server's replies are
+// raw writes, so the counters see the calling end alone.)
+func TestCallBatchLeavesInOneWrite(t *testing.T) {
+	const frames = 64
+	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+		for i := 0; i < frames; i++ {
+			id, p := readReqFrame(t, r)
+			writeRespFrame(t, conn, id, p)
+		}
+	})
+	s := dialFake(t, addr)
+	reqs := make([]Message, frames)
+	for i := range reqs {
+		reqs[i] = Message{Kind: "q", Payload: []byte("frame-" + strconv.Itoa(i))}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := ReadMuxStats()
+	if _, _, err := s.CallBatch(ctx, reqs); err != nil {
+		t.Fatalf("CallBatch: %v", err)
+	}
+	after := ReadMuxStats()
+	if f, w := after.FramesWritten-before.FramesWritten, after.SocketWrites-before.SocketWrites; f != frames || w != 1 {
+		t.Fatalf("a %d-frame CallBatch left as %d frames in %d socket writes, want one write", frames, f, w)
+	}
+}
+
+// TestConcurrentCallersShareAWrite pins the yield a sender makes between
+// taking the flush role and writing: on one thread it is what lets a second
+// caller bound for the same peer queue its frame behind the first one's, and
+// the two handlers' responses share a write the same way. Without it every
+// frame is its own syscall (ratio 1.0) and the single-frame path loses what
+// the writer goroutines used to give it.
+func TestConcurrentCallersShareAWrite(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cli, _, _ := tcpPair(t, mirrorHandler)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if _, err := cli.Call(ctx, 1, Message{Kind: "warm"}); err != nil {
+		t.Fatal(err)
+	}
+	const callers, calls = 2, 5000
+	before := ReadMuxStats()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if _, err := cli.Call(ctx, 1, Message{Kind: "echo", Payload: []byte("ping")}); err != nil {
+					t.Errorf("call %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	after := ReadMuxStats()
+	frames, writes := after.FramesWritten-before.FramesWritten, after.SocketWrites-before.SocketWrites
+	if ratio := float64(frames) / float64(writes); ratio <= 1.5 {
+		t.Fatalf("%d frames took %d socket writes (%.2f frames per write), want more than 1.5", frames, writes, ratio)
+	}
 }

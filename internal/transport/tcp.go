@@ -93,7 +93,7 @@ func (m *TCPMesh) AttachListener(id NodeID, h Handler, ln net.Listener) (Endpoin
 		handler: h,
 		ln:      ln,
 		peers:   make(map[NodeID]*peerLink),
-		served:  make(map[net.Conn]bool),
+		served:  make(map[net.Conn]*muxWorkerPool),
 		streams: make(map[*muxStream]bool),
 		done:    make(chan struct{}),
 	}
@@ -101,8 +101,9 @@ func (m *TCPMesh) AttachListener(id NodeID, h Handler, ln net.Listener) (Endpoin
 	m.addrs[id] = ln.Addr().String()
 	m.mu.Unlock()
 
-	ep.wg.Add(1)
+	ep.wg.Add(2)
 	go ep.serve()
+	go ep.reap()
 	return ep, nil
 }
 
@@ -142,8 +143,8 @@ type tcpEndpoint struct {
 
 	mu      sync.Mutex
 	peers   map[NodeID]*peerLink
-	served  map[net.Conn]bool
-	streams map[*muxStream]bool // every live stream this endpoint dialed, for Close
+	served  map[net.Conn]*muxWorkerPool // accepted connections; the pool is nil until serveMux has made it
+	streams map[*muxStream]bool         // every live stream this endpoint dialed, for Close
 	closed  bool
 
 	done chan struct{}
@@ -184,7 +185,7 @@ func (e *tcpEndpoint) serveConn(conn net.Conn) {
 		e.mu.Unlock()
 		return
 	}
-	e.served[conn] = true
+	e.served[conn] = nil
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
@@ -195,7 +196,34 @@ func (e *tcpEndpoint) serveConn(conn net.Conn) {
 	if !ok {
 		return // not a mesh peer: closed before any handler runs
 	}
-	serveMux(conn, from, e.handler, e.done)
+	serveMux(conn, from, e.handler, e.done, func(pool *muxWorkerPool) {
+		e.mu.Lock()
+		e.served[conn] = pool
+		e.mu.Unlock()
+	})
+}
+
+// reap is the endpoint's one reaper: every muxWorkerIdle it has each served
+// connection's pool retire the workers the period did not need. (A reap only
+// ever waits for a worker that is waiting for a job, so mu can be held.)
+func (e *tcpEndpoint) reap() {
+	defer e.wg.Done()
+	tick := time.NewTicker(muxWorkerIdle)
+	defer tick.Stop()
+	for {
+		select {
+		case <-e.done:
+			return
+		case <-tick.C:
+		}
+		e.mu.Lock()
+		for _, pool := range e.served {
+			if pool != nil {
+				pool.reap()
+			}
+		}
+		e.mu.Unlock()
+	}
 }
 
 // dial opens a mux connection to a peer under the caller's context and
