@@ -1,10 +1,12 @@
-// Command aeon-bench regenerates the paper's evaluation tables and figures.
+// Command aeon-bench regenerates the paper's evaluation tables and figures
+// (paper figures only; benchmark/run.sh measures the system).
 //
 // Usage:
 //
-//	aeon-bench -exp fig5a            # one experiment
-//	aeon-bench -exp all -quick       # everything, CI-speed
-//	aeon-bench -list                 # available experiments
+//	aeon-bench -exp fig5a            # one paper figure
+//	aeon-bench -exp all -quick       # all nine, CI-speed
+//	aeon-bench -exp fig8 -csv        # CSV, for plotting
+//	aeon-bench -list                 # available figures
 package main
 
 import (
@@ -28,14 +30,12 @@ func main() {
 
 func run() error {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (or 'all')")
+		exp      = flag.String("exp", "all", "paper figure to regenerate (comma list, or 'all')")
 		quick    = flag.Bool("quick", false, "shrink sweeps and durations")
 		duration = flag.Duration("duration", 0, "override per-point measurement duration")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		list     = flag.Bool("list", false, "list experiments and exit")
+		list     = flag.Bool("list", false, "list the paper figures and exit")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut  = flag.String("json", "", "also write a machine-readable report to this file (e.g. BENCH_1.json)")
-		label    = flag.String("label", "", "label recorded in the JSON report")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	)
@@ -88,34 +88,12 @@ func run() error {
 			}
 		}
 	}
-	report := bench.NewJSONReport(*label, *quick)
-	writeReport := func() error {
-		if *jsonOut == "" || len(report.Experiments) == 0 {
-			return nil
-		}
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := report.Write(f); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "[json report written to %s]\n", *jsonOut)
-		return nil
-	}
 	for _, name := range names {
 		start := time.Now()
 		tables, err := bench.Run(name, opts)
 		if err != nil {
-			// Preserve the experiments that already finished: a failure late
-			// in a long sweep must not discard hours of measurement.
-			if werr := writeReport(); werr != nil {
-				fmt.Fprintln(os.Stderr, "aeon-bench:", werr)
-			}
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		report.Add(name, tables)
 		for _, t := range tables {
 			if *csv {
 				fmt.Printf("# %s\n%s", t.Title, t.CSV())
@@ -125,5 +103,5 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	return writeReport()
+	return nil
 }

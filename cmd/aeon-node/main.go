@@ -46,7 +46,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -327,14 +327,11 @@ func parsePeers(spec string) (addrs map[transport.NodeID]string, nodeCount, stor
 	return addrs, nodeCount, storeCount, nil
 }
 
-// runDrive is the smoke driver: wait for the peers, replay the bank script
-// across the deployment, compare with the single-process oracle, migrate a
-// remote bank group over the mesh, verify the transferred state, replay the
-// dynamic-topology script (runtime context creation on every process,
-// sequenced through the replicated mutation log), drive pipelined traffic
-// from an external ingress client, and shut everything down.
-func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs map[transport.NodeID]string, accounts, balance int, replicate bool, reg *ops.Registry, adminSelf, adminPeerSpec string) error {
-	var peerIDs, storeIDs []transport.NodeID
+// awaitPeers names everything a driver talks to — this node's peers and the
+// store servers, each sorted by ID — and waits until all of them answer a
+// ping: peers (and store servers — they answer the same pings) may still be
+// binding their listeners.
+func awaitPeers(n *node.Node, addrs map[transport.NodeID]string) (peerIDs, storeIDs []transport.NodeID, err error) {
 	for pid := range addrs {
 		switch {
 		case pid >= node.StoreIDBase:
@@ -343,32 +340,47 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 			peerIDs = append(peerIDs, pid)
 		}
 	}
-	sort.Slice(peerIDs, func(i, j int) bool { return peerIDs[i] < peerIDs[j] })
-	sort.Slice(storeIDs, func(i, j int) bool { return storeIDs[i] < storeIDs[j] })
+	slices.Sort(peerIDs)
+	slices.Sort(storeIDs)
 
-	// Peers (and store servers — they answer the same pings) may still be
-	// binding their listeners.
 	deadline := time.Now().Add(15 * time.Second)
-	for _, pid := range append(append([]transport.NodeID(nil), peerIDs...), storeIDs...) {
+	for _, pid := range slices.Concat(peerIDs, storeIDs) {
 		for {
 			if err := n.Ping(pid); err == nil {
 				break
 			} else if time.Now().After(deadline) {
-				return fmt.Errorf("peer %v never became reachable: %w", pid, err)
+				return nil, nil, fmt.Errorf("peer %v never became reachable: %w", pid, err)
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
 	}
 	fmt.Printf("drive: %d peers reachable (%d store servers)\n", len(peerIDs)+len(storeIDs), len(storeIDs))
-	shutdownPeers := func() {
-		// Nodes first, store servers last: a shutting-down node may still
-		// flush through the store plane.
-		for _, pid := range append(append([]transport.NodeID(nil), peerIDs...), storeIDs...) {
-			if err := n.Shutdown(pid); err != nil {
-				fmt.Fprintf(os.Stderr, "drive: shutdown %v: %v\n", pid, err)
-			}
+	return peerIDs, storeIDs, nil
+}
+
+// shutdownPeers stops the fleet, nodes first and store servers last: a
+// shutting-down node may still flush through the store plane. A lost
+// shutdown ack only logs.
+func shutdownPeers(n *node.Node, peerIDs, storeIDs []transport.NodeID) {
+	for _, pid := range slices.Concat(peerIDs, storeIDs) {
+		if err := n.Shutdown(pid); err != nil {
+			fmt.Fprintf(os.Stderr, "drive: shutdown %v: %v\n", pid, err)
 		}
 	}
+}
+
+// runDrive is the smoke driver: wait for the peers, replay the bank script
+// across the deployment, compare with the single-process oracle, migrate a
+// remote bank group over the mesh, verify the transferred state, replay the
+// dynamic-topology script (runtime context creation on every process,
+// sequenced through the replicated mutation log), drive pipelined traffic
+// from an external ingress client, and shut everything down.
+func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs map[transport.NodeID]string, accounts, balance int, replicate bool, reg *ops.Registry, adminSelf, adminPeerSpec string) error {
+	peerIDs, storeIDs, err := awaitPeers(n, addrs)
+	if err != nil {
+		return err
+	}
+	defer shutdownPeers(n, peerIDs, storeIDs)
 
 	// Phase 1: the deterministic script, every op submitted at this node,
 	// so every other bank's ops cross the mesh. Results must be identical
@@ -376,11 +388,9 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 	got := node.RunBankScript(n.Submit, top)
 	want, wantDynamic, err := node.BankDynamicOracle(len(top.Banks), accounts, balance)
 	if err != nil {
-		shutdownPeers()
 		return err
 	}
 	if err := diffResults("script", got, want); err != nil {
-		shutdownPeers()
 		return err
 	}
 	fmt.Printf("drive: %d script results identical to single-process run\n", len(got))
@@ -393,30 +403,24 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 		bank := top.Banks[bankIdx]
 		preAudit, err := n.Submit(bank, "audit")
 		if err != nil {
-			shutdownPeers()
 			return fmt.Errorf("pre-migration audit: %w", err)
 		}
 		if err := n.MigrateRemote(src, bank, cluster.ServerID(n.ID())); err != nil {
-			shutdownPeers()
 			return fmt.Errorf("commanded migration from node %v: %w", src, err)
 		}
 		fwdBefore := n.Forwarded()
 		postAudit, err := n.Submit(bank, "audit")
 		if err != nil {
-			shutdownPeers()
 			return fmt.Errorf("post-migration audit: %w", err)
 		}
 		if preAudit.(int) != postAudit.(int) {
-			shutdownPeers()
 			return fmt.Errorf("migration changed the audit total: %d → %d", preAudit, postAudit)
 		}
 		if n.Forwarded() != fwdBefore {
-			shutdownPeers()
 			return fmt.Errorf("post-migration audit still crossed the mesh")
 		}
 		srv, ok := n.Runtime().Cluster().Server(cluster.ServerID(n.ID()))
 		if !ok || srv.TransferBytes() == 0 {
-			shutdownPeers()
 			return fmt.Errorf("no migration state bytes arrived over the mesh")
 		}
 		fmt.Printf("drive: migrated bank %v from node %v over the mesh (%d state bytes, audit total %d preserved)\n",
@@ -432,7 +436,6 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 	if replicate {
 		gotDynamic := node.RunBankDynamicScript(n.Submit, top)
 		if err := diffResults("dynamic script", gotDynamic, wantDynamic); err != nil {
-			shutdownPeers()
 			return err
 		}
 		fmt.Printf("drive: %d runtime-topology results identical to single-process run (replication plane at seq %d)\n",
@@ -445,7 +448,6 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 	// phase-2 migration made stale). Submits are traced, so phase 5 can find
 	// the forwarding hops in the fleet's event feeds.
 	if err := driveIngress(n, mesh, top, reg); err != nil {
-		shutdownPeers()
 		return fmt.Errorf("ingress: %w", err)
 	}
 
@@ -454,12 +456,10 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 	// trace from phase 4 shows spans on two or more forwarding hops.
 	if adminSelf != "" || adminPeerSpec != "" {
 		if err := driveAdminSmoke(adminSelf, adminPeerSpec); err != nil {
-			shutdownPeers()
 			return fmt.Errorf("admin smoke: %w", err)
 		}
 	}
 
-	shutdownPeers()
 	fmt.Println("drive: OK")
 	return nil
 }
@@ -469,48 +469,20 @@ func runDrive(n *node.Node, mesh transport.Mesh, top *node.BankTopology, addrs m
 // and diffs the transcript against the single-process oracle, then shuts
 // the fleet down. The node layer must be semantically invisible.
 func runDriveScenario(n *node.Node, scen workload.Scenario, name string, servers int, addrs map[transport.NodeID]string) error {
-	var peerIDs, storeIDs []transport.NodeID
-	for pid := range addrs {
-		switch {
-		case pid >= node.StoreIDBase:
-			storeIDs = append(storeIDs, pid)
-		case pid != n.ID():
-			peerIDs = append(peerIDs, pid)
-		}
+	peerIDs, storeIDs, err := awaitPeers(n, addrs)
+	if err != nil {
+		return err
 	}
-	sort.Slice(peerIDs, func(i, j int) bool { return peerIDs[i] < peerIDs[j] })
-	sort.Slice(storeIDs, func(i, j int) bool { return storeIDs[i] < storeIDs[j] })
-	deadline := time.Now().Add(15 * time.Second)
-	for _, pid := range append(append([]transport.NodeID(nil), peerIDs...), storeIDs...) {
-		for {
-			if err := n.Ping(pid); err == nil {
-				break
-			} else if time.Now().After(deadline) {
-				return fmt.Errorf("peer %v never became reachable: %w", pid, err)
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-	fmt.Printf("drive: %d peers reachable (%d store servers)\n", len(peerIDs)+len(storeIDs), len(storeIDs))
-	shutdownPeers := func() {
-		for _, pid := range append(append([]transport.NodeID(nil), peerIDs...), storeIDs...) {
-			if err := n.Shutdown(pid); err != nil {
-				fmt.Fprintf(os.Stderr, "drive: shutdown %v: %v\n", pid, err)
-			}
-		}
-	}
+	defer shutdownPeers(n, peerIDs, storeIDs)
 	got := scen.Script(n.Submit)
 	want, err := workload.Oracle(name, servers)
 	if err != nil {
-		shutdownPeers()
 		return err
 	}
 	if err := diffResults(name+" script", got, want); err != nil {
-		shutdownPeers()
 		return err
 	}
 	fmt.Printf("drive: %d %s script results identical to single-process run\n", len(got), name)
-	shutdownPeers()
 	fmt.Println("drive: OK")
 	return nil
 }

@@ -1,10 +1,11 @@
 // Command aeon-top summarizes a live AEON fleet on one screen, the way top
 // summarizes processes: it polls every node's admin /metrics endpoint
-// (cmd/aeon-node -admin), computes per-interval rates from consecutive
-// scrapes, and renders a table — one row per node — of the numbers an
-// operator reaches for first: submit execution and forwarding rates, batch
-// throughput, executor queue depth, event-latency p99, mux completion-slot
-// occupancy, replication lag, and dropped late responses.
+// (cmd/aeon-node -admin), computes rates from consecutive scrapes of the same
+// node over the time that actually passed between them, and renders a table
+// — one row per node — of the numbers an operator reaches for first: submit
+// execution and forwarding rates, batch throughput, executor queue depth,
+// event-latency p99, mux completion-slot occupancy, replication lag, and
+// dropped late responses.
 //
 //	aeon-top -fleet "1=127.0.0.1:8101,2=127.0.0.1:8102,3=127.0.0.1:8103"
 //
@@ -49,7 +50,7 @@ func run() error {
 
 	if *once {
 		rows := scrapeAll(targets)
-		render(os.Stdout, rows, nil, 0)
+		render(os.Stdout, rows, nil)
 		return nil
 	}
 
@@ -61,7 +62,7 @@ func run() error {
 		// Clear and home between frames; plain output stays readable when
 		// piped because each frame still ends in newlines.
 		fmt.Print("\033[H\033[2J")
-		render(os.Stdout, rows, prev, *interval)
+		render(os.Stdout, rows, prev)
 		prev = rows
 		select {
 		case <-sig:
@@ -96,10 +97,14 @@ func parseFleet(spec string) ([]target, error) {
 }
 
 // sample is one node's scraped metric set (metric name + optional quantile
-// label → value), plus scrape health.
+// label → value), plus scrape health. at is when the scrape was read: one
+// loop turn is every target's scrape (sequential, up to the client timeout
+// each) plus -interval, so a rate divides by the gap between two samples' at,
+// never by the flag.
 type sample struct {
 	ok      bool
 	err     string
+	at      time.Time
 	metrics map[string]float64
 }
 
@@ -118,11 +123,14 @@ func scrape(httpc *http.Client, base string) sample {
 		return sample{err: err.Error()}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != http.StatusOK {
 		return sample{err: fmt.Sprintf("HTTP %d", resp.StatusCode)}
 	}
-	s := sample{ok: true, metrics: make(map[string]float64)}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return sample{err: "read body: " + err.Error()}
+	}
+	s := sample{ok: true, at: time.Now(), metrics: make(map[string]float64)}
 	for _, line := range strings.Split(string(body), "\n") {
 		if line == "" || line[0] == '#' {
 			continue
@@ -183,7 +191,19 @@ var columns = []struct {
 	{"DROPS", "aeon_mux_dropped_responses_total", true},
 }
 
-func render(w io.Writer, rows, prev map[string]sample, interval time.Duration) {
+// rate renders a counter's per-second rate between two scrapes of one node,
+// or "-" when there is none to give: the node was down at the previous
+// scrape, or the counter went backwards (the node restarted in between).
+func rate(cur, prev sample, key string) string {
+	dt := cur.at.Sub(prev.at).Seconds()
+	dv := cur.metrics[key] - prev.metrics[key]
+	if !prev.ok || dt <= 0 || dv < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f", dv/dt)
+}
+
+func render(w io.Writer, rows, prev map[string]sample) {
 	names := make([]string, 0, len(rows))
 	for name := range rows {
 		names = append(names, name)
@@ -209,13 +229,8 @@ func render(w io.Writer, rows, prev map[string]sample, interval time.Duration) {
 				fmt.Fprintf(w, " %9s", "-")
 			case c.key == "aeon_event_latency_seconds:0.99":
 				fmt.Fprintf(w, " %9.2f", v*1000)
-			case c.counter && prev != nil && interval > 0:
-				p := prev[name]
-				if !p.ok {
-					fmt.Fprintf(w, " %9s", "-")
-					break
-				}
-				fmt.Fprintf(w, " %9.0f", (v-p.metrics[c.key])/interval.Seconds())
+			case c.counter && prev != nil:
+				fmt.Fprintf(w, " %9s", rate(s, prev[name], c.key))
 			default:
 				fmt.Fprintf(w, " %9.0f", v)
 			}
@@ -223,6 +238,6 @@ func render(w io.Writer, rows, prev map[string]sample, interval time.Duration) {
 		fmt.Fprintln(w)
 	}
 	if prev != nil {
-		fmt.Fprintf(w, "\ncounters are per-second rates over the last %v; ctrl-c to quit\n", interval)
+		fmt.Fprintln(w, "\ncounters are per-second rates between each node's last two scrapes; ctrl-c to quit")
 	}
 }

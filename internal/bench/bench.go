@@ -1,9 +1,10 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§ 6). Each experiment builds the relevant systems on a fresh
-// simulated cluster, drives them with the workload generators, and prints
-// the same rows/series the paper reports. Absolute numbers differ (simulated
-// substrate vs EC2) but the shapes are the acceptance criteria; the per-PR
-// BENCH_<n>.json files at the repository root record the measured rows.
+// evaluation (§ 6) — paper figures only. Each experiment builds the relevant
+// systems on a fresh simulated cluster, drives them with the workload
+// generators, and prints the same rows/series the paper reports. Absolute
+// numbers differ (simulated substrate vs EC2) but the shapes are the
+// acceptance criteria. Measuring this system (throughput, latency, per-layer
+// cost, PR over PR) is benchmark/'s job, not this package's.
 package bench
 
 import (
@@ -116,29 +117,15 @@ func (t *Table) CSV() string {
 
 // Experiment names map to runner functions.
 var experiments = map[string]func(Options) ([]*Table, error){
-	"fig1":    func(o Options) ([]*Table, error) { return []*Table{Fig1()}, nil },
-	"fig5a":   func(o Options) ([]*Table, error) { t, err := Fig5a(o); return wrap(t, err) },
-	"fig5b":   func(o Options) ([]*Table, error) { t, err := Fig5b(o); return wrap(t, err) },
-	"fig6a":   func(o Options) ([]*Table, error) { t, err := Fig6a(o); return wrap(t, err) },
-	"fig6b":   func(o Options) ([]*Table, error) { t, err := Fig6b(o); return wrap(t, err) },
-	"fig7":    Fig7,
-	"table1":  func(o Options) ([]*Table, error) { t, err := Table1(o); return wrap(t, err) },
-	"fig8":    func(o Options) ([]*Table, error) { t, err := Fig8(o); return wrap(t, err) },
-	"fig9":    func(o Options) ([]*Table, error) { t, err := Fig9(o); return wrap(t, err) },
-	"hotpath": func(o Options) ([]*Table, error) { t, err := Hotpath(o); return wrap(t, err) },
-	"graph":   func(o Options) ([]*Table, error) { t, err := GraphRead(o); return wrap(t, err) },
-	"migration": func(o Options) ([]*Table, error) {
-		t, err := MigrationBatch(o)
-		return wrap(t, err)
-	},
-	"mesh":    func(o Options) ([]*Table, error) { t, err := MeshExp(o); return wrap(t, err) },
-	"ingress": Ingress,
-	"replication": func(o Options) ([]*Table, error) {
-		t, err := ReplicationExp(o)
-		return wrap(t, err)
-	},
-	"store": func(o Options) ([]*Table, error) { t, err := StoreExp(o); return wrap(t, err) },
-	"soak":  Soak,
+	"fig1":   func(o Options) ([]*Table, error) { return []*Table{Fig1()}, nil },
+	"fig5a":  func(o Options) ([]*Table, error) { t, err := Fig5a(o); return wrap(t, err) },
+	"fig5b":  func(o Options) ([]*Table, error) { t, err := Fig5b(o); return wrap(t, err) },
+	"fig6a":  func(o Options) ([]*Table, error) { t, err := Fig6a(o); return wrap(t, err) },
+	"fig6b":  func(o Options) ([]*Table, error) { t, err := Fig6b(o); return wrap(t, err) },
+	"fig7":   Fig7,
+	"table1": func(o Options) ([]*Table, error) { t, err := Table1(o); return wrap(t, err) },
+	"fig8":   func(o Options) ([]*Table, error) { t, err := Fig8(o); return wrap(t, err) },
+	"fig9":   func(o Options) ([]*Table, error) { t, err := Fig9(o); return wrap(t, err) },
 }
 
 func wrap(t *Table, err error) ([]*Table, error) {

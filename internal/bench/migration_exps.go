@@ -3,17 +3,13 @@ package bench
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
-	"aeon/internal/core"
 	"aeon/internal/emanager"
 	"aeon/internal/game"
-	"aeon/internal/migration"
 	"aeon/internal/ownership"
-	"aeon/internal/schema"
 	"aeon/internal/transport"
 	"aeon/internal/workload"
 )
@@ -202,183 +198,3 @@ func Fig9(o Options) (*Table, error) {
 	}
 	return t, nil
 }
-
-// MigrationBatch compares the serial per-member migration loop (the
-// pre-engine behaviour: one protocol round, one stop/δ window, and one
-// transfer sleep per group member, with the group split across servers
-// until the loop finishes) against the batched group engine (one round, one
-// window, one coalesced transfer per group). Events keep flowing against
-// the group throughout each move, so the table reports both total
-// group-move latency and event availability during the move.
-func MigrationBatch(o Options) (*Table, error) {
-	sizes := []int{4, 16, 48}
-	pad := 128 << 10 // 128 KB per member
-	if o.Quick {
-		sizes = []int{4, 12}
-		pad = 32 << 10
-	}
-	t := &Table{
-		Title:   "Serial per-member vs batched group migration (group move latency and availability)",
-		Columns: []string{"group size", "mode", "move latency", "stop/δ windows", "ev/s over window", "store writes"},
-		Notes: []string{
-			"serial = pre-engine behaviour: five-step protocol looped per member; batched = one protocol round per group",
-			"events target the group root and a member throughout; ev/s is measured over the same fixed window (1.25× the serial move) for both modes = availability around the move",
-			fmt.Sprintf("%d KB state per member; m1.small endpoints; 1ms cloud-store ops", pad>>10),
-		},
-	}
-
-	for _, size := range sizes {
-		// Availability is compared over a fixed observation window starting
-		// at move start — the same wall-clock budget for both modes, sized
-		// from the serial move's duration so it always contains the whole
-		// move. Rating only the rate *during* each move would reward the
-		// serial loop for dragging its degradation out 5-10× longer. Each
-		// mode runs in a fresh world so neither inherits the other's
-		// forwarding windows.
-		var window time.Duration
-		for _, mode := range []string{"serial", "batched"} {
-			o.progressf("migration: size %d %s\n", size, mode)
-			w, err := newMigrationWorld(size, pad)
-			if err != nil {
-				return nil, err
-			}
-
-			// Closed-loop traffic against the group for the whole window.
-			var completed atomic.Int64
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for c := 0; c < 4; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for i := c; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if _, err := w.rt.Submit(w.root, "poke", w.members[1+i%(size-1)]); err == nil {
-							completed.Add(1)
-						}
-					}
-				}(c)
-			}
-
-			_, w0 := w.store.Stats()
-			start := time.Now()
-			if mode == "serial" {
-				// The pre-engine loop: one full protocol round per member.
-				for _, id := range w.members {
-					if err := w.engine.Migrate(id, w.dst.ID()); err != nil {
-						close(stop)
-						w.rt.Close()
-						return nil, fmt.Errorf("serial member %v: %w", id, err)
-					}
-				}
-			} else {
-				if err := w.engine.MigrateGroup(w.root, w.dst.ID()); err != nil {
-					close(stop)
-					w.rt.Close()
-					return nil, fmt.Errorf("batched group: %w", err)
-				}
-			}
-			dur := time.Since(start)
-			if window == 0 {
-				// Serial runs first and sets the shared window.
-				window = dur * 5 / 4
-			}
-			if rest := window - time.Since(start); rest > 0 {
-				time.Sleep(rest)
-			}
-			evWindow := completed.Load()
-			close(stop)
-			wg.Wait()
-			_, w1 := w.store.Stats()
-
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d", size),
-				mode,
-				fmtMS(dur),
-				fmt.Sprintf("%d", w.engine.StopWindows.Value()),
-				fmtK(float64(evWindow) / window.Seconds()),
-				fmt.Sprintf("%d", w1-w0),
-			})
-			w.rt.Close()
-		}
-	}
-	return t, nil
-}
-
-// migrationWorld is one fresh runtime for a MigrationBatch measurement: a
-// Room owning size-1 Items on the source server of a two-server cluster.
-type migrationWorld struct {
-	rt       *core.Runtime
-	store    *cloudstore.Store
-	engine   *migration.Engine
-	src, dst *cluster.Server
-	root     ownership.ID
-	members  []ownership.ID
-}
-
-func newMigrationWorld(size, pad int) (*migrationWorld, error) {
-	sch := schema.New()
-	room := sch.MustDeclareClass("Room", func() any { return &padState{pad: pad} })
-	item := sch.MustDeclareClass("Item", func() any { return &padState{pad: pad} })
-	item.MustDeclareMethod("inc", func(call schema.Call, args []any) (any, error) {
-		st := call.State().(*padState)
-		st.n++
-		return st.n, nil
-	})
-	room.MustDeclareMethod("poke", func(call schema.Call, args []any) (any, error) {
-		// Touch one owned item, so a split group pays cross-server hops.
-		return call.Sync(args[0].(ownership.ID), "inc")
-	}, schema.MayCall("Item", "inc"))
-	if err := sch.Freeze(); err != nil {
-		return nil, err
-	}
-
-	net := transport.NewSim(transport.DefaultSimConfig())
-	cl := cluster.New(net)
-	src := cl.AddServer(cluster.M1Small)
-	dst := cl.AddServer(cluster.M1Small)
-	rt, err := core.New(sch, ownership.NewGraph(), cl, core.Config{
-		MessageBytes:     256,
-		ChargeClientHops: true,
-		AcquireTimeout:   60 * time.Second,
-		StalenessWindow:  100 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	store := cloudstore.New(cloudstore.WithLatency(time.Millisecond))
-	engine := migration.NewEngine(rt, store, migration.Config{
-		Delta:        2 * time.Millisecond,
-		ProtocolWork: 1500 * time.Microsecond,
-	})
-	root, err := rt.CreateContextOn(src.ID(), "Room")
-	if err != nil {
-		rt.Close()
-		return nil, err
-	}
-	members := []ownership.ID{root}
-	for i := 1; i < size; i++ {
-		id, err := rt.CreateContext("Item", root)
-		if err != nil {
-			rt.Close()
-			return nil, err
-		}
-		members = append(members, id)
-	}
-	return &migrationWorld{
-		rt: rt, store: store, engine: engine,
-		src: src, dst: dst, root: root, members: members,
-	}, nil
-}
-
-// padState is a fixed-size member state for the migration experiment.
-type padState struct {
-	n   int
-	pad int
-}
-
-func (s *padState) StateBytes() int { return 64 + s.pad }

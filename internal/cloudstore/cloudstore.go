@@ -80,8 +80,7 @@ type entry struct {
 type Store struct {
 	Typed
 
-	latency       time.Duration
-	serialLatency time.Duration
+	latency time.Duration
 
 	mu      sync.Mutex
 	data    map[string]entry
@@ -107,15 +106,6 @@ type Option func(*Store)
 // remote storage service.
 func WithLatency(d time.Duration) Option {
 	return func(s *Store) { s.latency = d }
-}
-
-// WithSerialLatency charges the given latency *while holding the store lock*,
-// modeling a store node with a bounded serial service rate (one op at a time
-// at 1/d ops per second) rather than an infinitely parallel service. The
-// store bench uses it to make the single-store throughput ceiling — the thing
-// partitioning removes — observable on a small host.
-func WithSerialLatency(d time.Duration) Option {
-	return func(s *Store) { s.serialLatency = d }
 }
 
 // New returns an empty store.
@@ -144,13 +134,6 @@ func (s *Store) charge() error {
 		return ErrUnavailable
 	}
 	return nil
-}
-
-// serviceLocked charges the serial service latency. Callers hold mu.
-func (s *Store) serviceLocked() {
-	if s.serialLatency > 0 {
-		time.Sleep(s.serialLatency)
-	}
 }
 
 // commitLocked journals the mutation records when a persist hook is attached.
@@ -357,7 +340,6 @@ func (s *Store) Do(op Op) (Result, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.serviceLocked()
 
 	var recs []jrec
 	if f := op.Fence; f != nil && op.Kind != OpFenceEpoch {
@@ -415,7 +397,7 @@ func (s *Store) Fail() { s.down.Store(true) }
 // Recover restores availability after Fail.
 func (s *Store) Recover() { s.down.Store(false) }
 
-// Stats reports operation counts (for tests and the bench harness).
+// Stats reports operation counts (for tests).
 func (s *Store) Stats() (reads, writes uint64) {
 	return s.reads.Load(), s.writes.Load()
 }

@@ -100,8 +100,8 @@ func NewReplicated(part int, replicas ...Doer) *Replicated {
 	return r
 }
 
-// View reports the client's current fence epoch and primary index (tests and
-// the bench harness use it to observe failovers).
+// View reports the client's current fence epoch and primary index (the ops
+// plane exports the epoch; tests use it to observe failovers).
 func (r *Replicated) View() (epoch uint64, primary int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -264,7 +264,7 @@ func (c *Client) learn(target ownership.ID, sentTo transport.NodeID, cached bool
 	c.routeMu.Unlock()
 }
 
-// Route reports the cached placement of a target (for tests and the bench).
+// Route reports the cached placement of a target (for tests and benchmark/).
 func (c *Client) Route(target ownership.ID) (transport.NodeID, bool) {
 	c.routeMu.RLock()
 	defer c.routeMu.RUnlock()

@@ -173,32 +173,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Throughput measures completed operations over a wall-clock window.
-type Throughput struct {
-	count Counter
-	start time.Time
-}
-
-// NewThroughput starts a throughput measurement now.
-func NewThroughput() *Throughput {
-	return &Throughput{start: time.Now()}
-}
-
-// Done records one completed operation.
-func (t *Throughput) Done() { t.count.Inc() }
-
-// Count returns completed operations so far.
-func (t *Throughput) Count() uint64 { return t.count.Value() }
-
-// PerSecond returns the average operations per second since start.
-func (t *Throughput) PerSecond() float64 {
-	el := time.Since(t.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(t.count.Value()) / el
-}
-
 // TimeSeries accumulates per-window samples (e.g. events/s per second for
 // Figure 8, or average latency per second for Figure 7a).
 type TimeSeries struct {

@@ -131,21 +131,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	tp := NewThroughput()
-	for i := 0; i < 100; i++ {
-		tp.Done()
-	}
-	if tp.Count() != 100 {
-		t.Fatalf("count = %d", tp.Count())
-	}
-	time.Sleep(10 * time.Millisecond)
-	ps := tp.PerSecond()
-	if ps <= 0 || ps > 100/0.009 {
-		t.Fatalf("per second = %v; implausible", ps)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(100 * time.Millisecond)
 	base := ts.Start()

@@ -97,10 +97,6 @@ type Config struct {
 	// which move real bytes and sleep through protocol windows. Zero means
 	// 60s.
 	TransferTimeout time.Duration
-	// NoPlacementLearning disables repairing the local directory from
-	// submit responses. The mesh bench uses it to keep a deliberately stale
-	// directory paying the forwarding hop on every call.
-	NoPlacementLearning bool
 	// Replicate sequences structural mutations (runtime context creation,
 	// edge changes, server membership) through the replicated mutation log
 	// in the authoritative cloud store, making dynamic topologies work
@@ -328,8 +324,8 @@ func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
 // Executed returns how many peer-submitted events this node executed.
 func (n *Node) Executed() uint64 { return n.executed.Load() }
 
-// Batches returns how many batch submit frames this node handled (tests and
-// the bench use it to verify coalescing actually reduced frame count).
+// Batches returns how many batch submit frames this node handled (tests use
+// it to verify coalescing actually reduced frame count).
 func (n *Node) Batches() uint64 { return n.batches.Load() }
 
 // Done is closed when a peer requests shutdown (KindShutdown).
@@ -520,7 +516,7 @@ func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte)
 // without its subtree), and overwriting its correct entry with the
 // dominator's host would corrupt it.
 func (n *Node) learnPlacement(target ownership.ID, host cluster.ServerID) {
-	if host == 0 || n.cfg.NoPlacementLearning {
+	if host == 0 {
 		return
 	}
 	dom, _, err := n.rt.Graph().Resolve(target)

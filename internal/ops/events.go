@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -75,9 +74,6 @@ func (r *Registry) EventSeq() uint64 {
 	defer r.ring.mu.Unlock()
 	return r.ring.next
 }
-
-// NDJSON renders one event as a single JSON line (no trailing newline).
-func (e Event) NDJSON() ([]byte, error) { return json.Marshal(e) }
 
 // TraceHex renders an 8-byte trace ID the way span events and logs show it.
 func TraceHex(trace uint64) string { return fmt.Sprintf("%016x", trace) }

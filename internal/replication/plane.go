@@ -561,9 +561,6 @@ func (p *Plane) Resume() {
 	p.kick()
 }
 
-// Paused reports whether the tailer is suspended.
-func (p *Plane) Paused() bool { return p.paused.Load() }
-
 // --- core.Replicator + fleet topology API ---
 
 // CreateContext implements core.Replicator: sequence a context creation

@@ -4,8 +4,9 @@ package schema
 // responses (every remote event pays one of each), replication-notify hints
 // (every durable append fans one out per peer), and migration transfer
 // records. Gob is reflection-driven and re-sends type metadata per frame on
-// the request/response path, which BENCH_4/5 show dominating the remote
-// submit cost; these frames instead get a fixed little-endian layout with
+// the request/response path (BenchmarkSubmitReqGob vs
+// BenchmarkSubmitReqHotCodec is the cost of one submit request either way);
+// these frames instead get a fixed little-endian layout with
 // varint integers, a tagged value encoding for `any` fields, and buffer
 // reuse via sync.Pool, so the steady-state ingress path encodes and decodes
 // without allocating. Rare control frames (store ops, migrate commands,

@@ -326,14 +326,6 @@ func (s *Schema) Freeze() error {
 	return nil
 }
 
-// MustFreeze is Freeze that panics on error.
-func (s *Schema) MustFreeze() *Schema {
-	if err := s.Freeze(); err != nil {
-		panic(err)
-	}
-	return s
-}
-
 func (s *Schema) checkReferences() error {
 	for _, c := range s.classes {
 		for _, m := range c.methods {
