@@ -73,7 +73,7 @@ func (c *callEnv) activateCallee(child ownership.ID, method string) (*Context, *
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	host, err := c.rt.routeHop(c.host, child, true)
+	host, err := c.rt.routeHop(c.host, cc, true)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -159,7 +159,7 @@ func (c *callEnv) Crab(child ownership.ID, method string, args ...any) error {
 	go func() {
 		defer ev.asyncWG.Done()
 		// EXEC hop travels while the crabbed parent is already free.
-		host, err := rt.routeHop(from, child, true)
+		host, err := rt.routeHop(from, cc, true)
 		if err != nil {
 			rt.SubEventErrors.Inc()
 			return

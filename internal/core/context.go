@@ -33,6 +33,10 @@ type Context struct {
 	// kids resolves the callees of this context's sub-calls (ownedChild);
 	// built on first use, replaced when the context's child set changes.
 	kids atomic.Pointer[childTable]
+
+	// placed caches the context's host, tagged with the directory generation
+	// it was read at (Directory.routeOf).
+	placed atomic.Uint64
 }
 
 // childTable maps a caller's direct children to their runtime entries. It is

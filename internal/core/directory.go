@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"aeon/internal/cluster"
@@ -23,9 +24,19 @@ import (
 // context hashes to, so events on distinct contexts never serialize here.
 // Whole-directory reads (HostedOn, Len, Snapshot) walk the shards one at a
 // time; they serve the eManager's control plane, not the event hot path.
+//
+// The event hot path, which holds the *Context, does not come here at all in
+// steady state: routeOf answers from the placement cached on the context for
+// as long as gen has not moved.
 type Directory struct {
 	staleFor time.Duration
-	shards   [shardCount]dirShard
+	// gen counts the mutations that can change an answer Route has already
+	// given — Move, MoveBatch, Forget, a Place over a different host — and
+	// not the placement of a new context. It is bumped inside the shard
+	// lock(s), so a reader that loads gen after the bump probes after the
+	// mutation.
+	gen    atomic.Uint64
+	shards [shardCount]dirShard
 }
 
 type dirShard struct {
@@ -58,6 +69,9 @@ func (d *Directory) shard(id ownership.ID) *dirShard {
 func (d *Directory) Place(id ownership.ID, s cluster.ServerID) {
 	sh := d.shard(id)
 	sh.mu.Lock()
+	if old, ok := sh.loc[id]; ok && old != s {
+		d.gen.Add(1)
+	}
 	sh.loc[id] = s
 	sh.mu.Unlock()
 }
@@ -88,6 +102,32 @@ func (d *Directory) Route(id ownership.ID) (host cluster.ServerID, staleVia clus
 	return s, 0, false, true
 }
 
+// A context's cached placement is one word: the directory generation it was
+// read at above placedHostBits, the host below. Zero is "nothing cached"
+// (server IDs start at 1), and a host that does not fit is not cached.
+const (
+	placedHostBits = 24
+	placedHostMask = 1<<placedHostBits - 1
+)
+
+// routeOf is Route for a caller that holds the context's runtime entry: a
+// generation compare and one word in steady state, Route on a mismatch. The
+// generation is read before the probe, so a racing move can only leave a tag
+// that is already stale. An answer inside its forwarding window is never
+// cached — every read of it has to charge the stale-forward hop — and an
+// expired one is cached like any other.
+func (d *Directory) routeOf(c *Context) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
+	gen := d.gen.Load() << placedHostBits
+	if w := c.placed.Load(); w&^placedHostMask == gen && w&placedHostMask != 0 {
+		return cluster.ServerID(w & placedHostMask), 0, false, true
+	}
+	host, staleVia, forwarded, ok = d.Route(c.id)
+	if ok && !forwarded && host > 0 && host <= placedHostMask {
+		c.placed.Store(gen | uint64(host))
+	}
+	return host, staleVia, forwarded, ok
+}
+
 // Move rehosts a context and opens its forwarding window.
 func (d *Directory) Move(id ownership.ID, to cluster.ServerID) error {
 	sh := d.shard(id)
@@ -99,6 +139,7 @@ func (d *Directory) Move(id ownership.ID, to cluster.ServerID) error {
 	}
 	sh.loc[id] = to
 	sh.moved[id] = movedRecord{old: old, at: time.Now()}
+	d.gen.Add(1)
 	return nil
 }
 
@@ -149,6 +190,7 @@ func (d *Directory) MoveBatch(ids []ownership.ID, to cluster.ServerID) error {
 			}
 		}
 	}
+	d.gen.Add(1)
 	return nil
 }
 
@@ -158,6 +200,7 @@ func (d *Directory) Forget(id ownership.ID) {
 	sh.mu.Lock()
 	delete(sh.loc, id)
 	delete(sh.moved, id)
+	d.gen.Add(1)
 	sh.mu.Unlock()
 }
 

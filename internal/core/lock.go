@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,12 +36,27 @@ func (m AccessMode) String() string {
 //
 // The activated set is either one exclusive holder or a set of readonly
 // holders, and is stored as exactly that; event IDs start at 1.
+//
+// While no event shares the context or waits for it, the whole state is the
+// one word thin: 0 idle, or the ID of the exclusive holder admitted into the
+// idle lock. An exclusive admission into an idle lock is CAS(0→id), its
+// release CAS(id→0), and neither takes mu. Everything else takes mu through
+// lock, which inflates — thin becomes lockInflated and its holder moves into
+// ex — so the fields below are the state for as long as mu is held, and
+// unlock deflates again (thin ← ex) once no readonly holder and no waiter
+// remain. The thin path admits only into a lock with no holder and no queue,
+// so it can overtake nobody: FIFO admission is the mutex path's alone.
 type eventLock struct {
+	thin  atomic.Uint64
 	mu    sync.Mutex
 	ex    uint64   // exclusive holder, 0 when none
 	ro    []uint64 // readonly holders, no duplicates; keeps its capacity
 	queue []*waiter
 }
+
+// lockInflated in eventLock.thin says the state lives in ex, ro and queue.
+// Event IDs count up from 1 and never reach bit 63.
+const lockInflated = 1 << 63
 
 type waiter struct {
 	eventID uint64
@@ -53,6 +69,27 @@ type waiter struct {
 }
 
 func newEventLock() *eventLock { return new(eventLock) }
+
+// lock takes mu and inflates: a thin holder — one may be admitted or released
+// by a racing CAS until the word reads lockInflated — moves into ex.
+func (l *eventLock) lock() {
+	l.mu.Lock()
+	for t := l.thin.Load(); t != lockInflated; t = l.thin.Load() {
+		if l.thin.CompareAndSwap(t, lockInflated) {
+			l.ex = t
+		}
+	}
+}
+
+// unlock deflates when one word can say it all again, and drops mu.
+func (l *eventLock) unlock() {
+	if len(l.ro) == 0 && len(l.queue) == 0 {
+		t := l.ex
+		l.ex = 0
+		l.thin.Store(t)
+	}
+	l.mu.Unlock()
+}
 
 // admissible is Algorithm 2's dispatchEvent rule: readonly joins readonly
 // holders, anything enters an empty activated set.
@@ -79,8 +116,14 @@ func (l *eventLock) admit(eventID uint64, mode AccessMode) {
 //	               waiter was allocated)
 //	(w, false)   — queued; block on w via waitAdmitted
 func (l *eventLock) enqueue(eventID uint64, mode AccessMode) (*waiter, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	if mode == EX && l.thin.CompareAndSwap(0, eventID) {
+		return nil, true
+	}
+	if l.thin.Load() == eventID {
+		return nil, false
+	}
+	l.lock()
+	defer l.unlock()
 	if l.ex == eventID || slices.Contains(l.ro, eventID) {
 		return nil, false
 	}
@@ -98,53 +141,52 @@ func (l *eventLock) enqueue(eventID uint64, mode AccessMode) (*waiter, bool) {
 	return w, false
 }
 
-// acquire blocks until the event holds the context in the given mode.
-// It returns false if the event already held the context (re-entrant; no
-// state change), and an error only if the optional timeout fires.
-func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Duration) (bool, error) {
+// acquire blocks until the event holds the context in the given mode. first
+// is false if the event already held the context (re-entrant; no state
+// change), waited is true if it had to queue behind another event, and the
+// error is non-nil only if the optional timeout fires.
+func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Duration) (first, waited bool, err error) {
 	w, admitted := l.enqueue(eventID, mode)
 	if w == nil {
-		return admitted, nil
+		return admitted, false, nil
 	}
 
-	if timeout <= 0 {
-		if !l.waitAdmitted(w) {
-			return false, ErrAcquireTimeout
-		}
-		return true, nil
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-w.ready:
-		if w.cancelled {
-			return false, ErrAcquireTimeout
-		}
-		return true, nil
-	case <-timer.C:
-		// Remove ourselves from the queue if still waiting; we may have
-		// been admitted in the race, in which case we keep the lock.
-		l.mu.Lock()
-		for i, qw := range l.queue {
-			if qw == w {
+	if timeout > 0 {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case <-w.ready:
+		case <-timer.C:
+			// Remove ourselves from the queue if still waiting; we may have
+			// been admitted in the race, in which case we keep the lock.
+			// Whoever queued behind us may be admissible once we no longer
+			// stand between it and the holders.
+			l.lock()
+			i := slices.Index(l.queue, w)
+			if i >= 0 {
 				l.dequeue(i)
-				l.mu.Unlock()
-				return false, ErrAcquireTimeout
+				l.pump()
+			}
+			l.unlock()
+			if i >= 0 {
+				return false, true, ErrAcquireTimeout
 			}
 		}
-		l.mu.Unlock()
-		if !l.waitAdmitted(w) {
-			return false, ErrAcquireTimeout
-		}
-		return true, nil
 	}
+	if !l.waitAdmitted(w) {
+		return false, true, ErrAcquireTimeout
+	}
+	return true, true, nil
 }
 
 // release drops the event's hold (or its pending queue entry, if the event
 // was enqueued but never admitted — e.g. an aborted crab) and admits queued
 // waiters.
 func (l *eventLock) release(eventID uint64) {
-	l.mu.Lock()
+	if l.thin.CompareAndSwap(eventID, 0) {
+		return
+	}
+	l.lock()
 	if l.ex == eventID {
 		l.ex = 0
 		l.pump()
@@ -164,12 +206,12 @@ func (l *eventLock) release(eventID uint64) {
 			}
 		}
 	}
-	l.mu.Unlock()
+	l.unlock()
 }
 
 // dequeue removes queue[i], keeping FIFO order. The vacated tail slot is
 // cleared so the backing array (which a hot context never reallocates) does
-// not keep the waiter and its channel reachable; caller holds l.mu.
+// not keep the waiter and its channel reachable; caller holds the lock.
 func (l *eventLock) dequeue(i int) {
 	last := len(l.queue) - 1
 	copy(l.queue[i:], l.queue[i+1:])
@@ -184,7 +226,7 @@ func (l *eventLock) waitAdmitted(w *waiter) bool {
 	return !w.cancelled
 }
 
-// pump admits queue heads per Algorithm 2; caller holds l.mu.
+// pump admits queue heads per Algorithm 2; caller holds the lock.
 func (l *eventLock) pump() {
 	for len(l.queue) > 0 && l.admissible(l.queue[0].mode) {
 		head := l.queue[0]

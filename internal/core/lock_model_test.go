@@ -79,8 +79,8 @@ func (m *lockModel) holderSet() map[uint64]AccessMode {
 
 // implHolderSet snapshots the real lock's holders.
 func implHolderSet(l *eventLock) map[uint64]AccessMode {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.lock()
+	defer l.unlock()
 	out := make(map[uint64]AccessMode, len(l.ro)+1)
 	if l.ex != 0 {
 		out[l.ex] = EX

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 )
 
@@ -124,4 +125,77 @@ func TestLockGroupForMigrationTimeoutReleasesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	release()
+}
+
+// TestParkedEventFollowsRehostedGroup pins executeEvent's post-admission
+// locality re-check, on which the directory generation's ordering argument
+// rests. In multi-process mode an event parks behind a group's stop window
+// with its dominator's placement cached; the group is rehosted to a server
+// another process embodies — the generation moves under the directory locks,
+// before the release that admits the event — so once admitted the event must
+// miss its cached word, see the new host and come back local == false having
+// run nothing and holding nothing.
+func TestParkedEventFollowsRehostedGroup(t *testing.T) {
+	rt := newTestRuntime(t, 2)
+	here, away := rt.Cluster().Servers()[0].ID(), rt.Cluster().Servers()[1].ID()
+	room, _ := rt.CreateContextOn(here, "Room")
+	item, _ := rt.CreateContextOn(here, "Item", room)
+	rt.SetRemote(func(s cluster.ServerID) bool { return s == here },
+		func(cluster.ServerID, ownership.ID, string, []any) (any, error) {
+			t.Error("Frame.Run forwarded; it only reports")
+			return nil, nil
+		})
+	if _, err := rt.Submit(item, "add", 5); err != nil { // caches the placement
+		t.Fatal(err)
+	}
+	ic, _ := rt.Context(item)
+	if !placementCached(rt.dir, ic) {
+		t.Fatal("the warm-up event left no cached placement to go stale")
+	}
+	samples, waits := rt.Latency.Count(), rt.ActivationWaits.Value()
+
+	group := []ownership.ID{room, item}
+	release, err := rt.LockGroupForMigration(group, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		res   any
+		host  cluster.ServerID
+		local bool
+		err   error
+		ran   int
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		f := rt.BeginFrame()
+		var o outcome
+		o.res, o.host, o.local, o.err = f.Run(item, "add", []any{1})
+		o.ran = f.Ran()
+		done <- o
+	}()
+	waitFor(t, "the event to park behind the stop window", func() bool { return ic.lock.queueLen() == 1 })
+	if err := rt.RehostBatch(group, away); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	o := <-done
+	if o.err != nil || o.local || o.host != away || o.res != nil || o.ran != 0 {
+		t.Fatalf("parked event after the rehost: %+v; want local=false on host %v, nothing run", o, away)
+	}
+	if got := ic.State().(*itemState).Gold; got != 5 {
+		t.Fatalf("item gold = %d; the event ran against state that had moved away", got)
+	}
+	for _, id := range group {
+		c, _ := rt.Context(id)
+		if h, q := c.lock.holderCount(), c.lock.queueLen(); h != 0 || q != 0 {
+			t.Fatalf("%v: holders=%d queue=%d after the event came back", id, h, q)
+		}
+	}
+	if rt.Latency.Count() != samples {
+		t.Fatal("an event that did not run left a latency sample")
+	}
+	if got := rt.ActivationWaits.Value() - waits; got != 1 {
+		t.Fatalf("activation waits counted = %d; want the one park behind the stop window", got)
+	}
 }

@@ -27,6 +27,8 @@ func (r *Runtime) RegisterOps(reg *ops.Registry) {
 		"Asynchronous sub-events that failed with no caller to report to.", nil, r.SubEventErrors.Value)
 	reg.Counter("aeon_backpressure_total",
 		"Asynchronous submissions rejected because their server's executor queue was full.", nil, r.Backpressure.Value)
+	reg.Counter("aeon_activation_waits_total",
+		"Activations that queued behind another event.", nil, r.ActivationWaits.Value)
 	reg.Gauge("aeon_exec_queue_depth",
 		"Events waiting on executor queues across all server pools.", nil,
 		func() float64 { return float64(r.exec.queued()) })

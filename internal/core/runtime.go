@@ -114,7 +114,9 @@ type Runtime struct {
 	// Backpressure counts asynchronous submissions that found their
 	// server's executor queue full.
 	Backpressure metrics.Counter
-	ewma         metrics.StripedEWMA
+	// ActivationWaits counts activations that queued behind another event.
+	ActivationWaits metrics.Counter
+	ewma            metrics.StripedEWMA
 }
 
 // New creates a runtime over a frozen schema, an ownership graph, and a
@@ -346,18 +348,35 @@ func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub 
 // the frame names. A Frame is not safe for concurrent use.
 type Frame struct {
 	r        *Runtime
-	last     time.Time // the previous event boundary
-	ran      int       // events closed so far
-	caughtUp bool      // this frame already pulled the mutation log
+	last     Instant // the previous event boundary
+	ran      int     // events closed so far
+	caughtUp bool    // this frame already pulled the mutation log
 	asSub    bool
 }
 
+// Instant is a reading of the process's monotonic clock, as an offset from a
+// base fixed at start-up. Two readings only ever get subtracted, and taking
+// one reads the monotonic clock alone where time.Now reads the wall clock
+// too.
+type Instant time.Duration
+
+var clockBase = time.Now()
+
+// Now reads the clock.
+func Now() Instant { return Instant(time.Since(clockBase)) }
+
+// Sub returns the time elapsed from u to t.
+func (t Instant) Sub(u Instant) time.Duration { return time.Duration(t - u) }
+
+// Since returns the time elapsed since t.
+func Since(t Instant) time.Duration { return Now().Sub(t) }
+
 // BeginFrame opens a frame at the current instant.
-func (r *Runtime) BeginFrame() Frame { return Frame{r: r, last: time.Now()} }
+func (r *Runtime) BeginFrame() Frame { return Frame{r: r, last: Now()} }
 
 // Clock returns the frame's latest clock reading: BeginFrame's, or the end of
 // the last event Run executed.
-func (f *Frame) Clock() time.Time { return f.last }
+func (f *Frame) Clock() Instant { return f.last }
 
 // Ran returns how many events the frame has executed, each with its latency
 // sample; events that failed before admission, or that Run reported as not
@@ -368,7 +387,7 @@ func (f *Frame) Ran() int { return f.ran }
 // the previous event boundary, and the next event starts here.
 func (f *Frame) close(eventID uint64) {
 	f.ran++
-	now := time.Now()
+	now := Now()
 	f.r.recordLatency(eventID, now.Sub(f.last))
 	f.r.Completed.IncAt(eventID)
 	f.last = now
@@ -424,8 +443,8 @@ func (f *Frame) Run(target ownership.ID, method string, args []any) (res any, ho
 			return nil, 0, true, err
 		}
 	}
-	// One directory read serves the locality decision and the ACT hop.
-	host, via, forwarded, ok := r.dir.Route(dom)
+	// One placement read serves the locality decision and the ACT hop.
+	host, via, forwarded, ok := r.dir.routeOf(domCtx)
 	if !ok {
 		return nil, 0, true, fmt.Errorf("%v: %w", dom, ErrUnknownContext)
 	}
@@ -476,9 +495,10 @@ func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method,
 	// behind a migration's stop window wakes up *after* the group moved, and
 	// by then the authoritative state lives on another node. The directory
 	// was remapped before the stop released (RehostBatch under the group
-	// lock), so this read is guaranteed to see the move.
+	// lock, which bumps the directory generation before it returns), so this
+	// read is guaranteed to see the move.
 	if r.isLocal != nil {
-		if cur, ok := r.dir.Locate(domCtx.id); ok && cur != host {
+		if cur, _, _, ok := r.dir.routeOf(domCtx); ok && cur != host {
 			if host = cur; !r.isLocal(host) {
 				return nil, host, false, nil
 			}
@@ -517,14 +537,14 @@ func (r *Runtime) activatePath(ev *event, view *ownership.Snapshot, dom ownershi
 		return 0, fmt.Errorf("activate path %v→%v: %w", dom, tc.id, err)
 	}
 	for _, cid := range path[1:] {
-		if from, err = r.routeHop(from, cid, charge); err != nil {
-			return 0, err
-		}
 		c := tc
 		if cid != tc.id {
 			if c, err = r.Context(cid); err != nil {
 				return 0, err
 			}
+		}
+		if from, err = r.routeHop(from, c, charge); err != nil {
+			return 0, err
 		}
 		if err := r.acquireCtx(ev, c); err != nil {
 			return 0, err
@@ -533,13 +553,13 @@ func (r *Runtime) activatePath(ev *event, view *ownership.Snapshot, dom ownershi
 	return from, nil
 }
 
-// routeHop charges the network hop from `from` to the host of context id,
+// routeHop charges the network hop from `from` to the host of context c,
 // including the stale-cache forwarding hop for recently migrated contexts,
 // and returns the host. When charge is false only routing is performed.
-func (r *Runtime) routeHop(from transport.NodeID, id ownership.ID, charge bool) (cluster.ServerID, error) {
-	host, via, forwarded, ok := r.dir.Route(id)
+func (r *Runtime) routeHop(from transport.NodeID, c *Context, charge bool) (cluster.ServerID, error) {
+	host, via, forwarded, ok := r.dir.routeOf(c)
 	if !ok {
-		return 0, fmt.Errorf("%v: %w", id, ErrUnknownContext)
+		return 0, fmt.Errorf("%v: %w", c.id, ErrUnknownContext)
 	}
 	if !charge {
 		return host, nil
@@ -566,7 +586,10 @@ func (r *Runtime) chargeHop(from transport.NodeID, host, via cluster.ServerID, f
 // acquireCtx activates a context for an event (enqueue + wait, per
 // Algorithm 2) and records the hold for reverse-order release.
 func (r *Runtime) acquireCtx(ev *event, c *Context) error {
-	first, err := c.lock.acquire(ev.id, ev.mode, r.cfg.AcquireTimeout)
+	first, waited, err := c.lock.acquire(ev.id, ev.mode, r.cfg.AcquireTimeout)
+	if waited {
+		r.ActivationWaits.Inc()
+	}
 	if err != nil {
 		return fmt.Errorf("activate %v for event %d: %w", c.id, ev.id, err)
 	}
@@ -675,7 +698,7 @@ func (r *Runtime) LockForMigrationTimeout(id ownership.ID, timeout time.Duration
 		return nil, err
 	}
 	eventID := r.eventSeq.Add(1) // the migratec pseudo-event
-	if _, err := c.lock.acquire(eventID, EX, timeout); err != nil {
+	if _, _, err := c.lock.acquire(eventID, EX, timeout); err != nil {
 		return nil, err
 	}
 	var once sync.Once

@@ -30,20 +30,30 @@ const (
 	bucketCount      = bucketsPerOctave * octaves
 )
 
+// octaveSteps[k] is the mantissa (the float64's 52 fraction bits) of 2^(k/16),
+// where sub-bucket k of every octave begins.
+var octaveSteps = func() (steps [bucketsPerOctave]uint64) {
+	for k := range steps {
+		steps[k] = math.Float64bits(math.Exp2(float64(k)/bucketsPerOctave)) & (1<<52 - 1)
+	}
+	return steps
+}()
+
+// bucketIndex is ⌊log2(µs)·16⌋ without the logarithm: the float64's exponent
+// is the octave, and its mantissa's rank among octaveSteps the sub-bucket.
 func bucketIndex(d time.Duration) int {
 	ns := d.Nanoseconds()
 	if ns < 1000 {
 		return 0
 	}
-	us := float64(ns) / 1000.0
-	idx := int(math.Log2(us) * bucketsPerOctave)
-	if idx < 0 {
-		idx = 0
+	bits := math.Float64bits(float64(ns) / 1000.0) // ≥ 1: no sign, exponent ≥ 0
+	frac, k := bits&(1<<52-1), 0
+	for step := bucketsPerOctave / 2; step > 0; step /= 2 {
+		if frac >= octaveSteps[k+step] {
+			k += step
+		}
 	}
-	if idx >= bucketCount {
-		idx = bucketCount - 1
-	}
-	return idx
+	return min((int(bits>>52)-1023)*bucketsPerOctave+k, bucketCount-1)
 }
 
 func bucketValue(idx int) time.Duration {

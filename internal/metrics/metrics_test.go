@@ -254,3 +254,55 @@ func TestSnapshotStringTailQuantiles(t *testing.T) {
 		}
 	}
 }
+
+// bucketIndexLog is the bucket formula as it was written before the table:
+// ⌊log2(µs)·16⌋, clamped.
+func bucketIndexLog(d time.Duration) int {
+	ns := d.Nanoseconds()
+	if ns < 1000 {
+		return 0
+	}
+	return max(0, min(int(math.Log2(float64(ns)/1000.0)*bucketsPerOctave), bucketCount-1))
+}
+
+// TestBucketIndexMatchesLogarithm holds the table-driven bucketIndex to the
+// logarithm it replaced: equal on a million log-uniform durations from 1 µs
+// to 1000 s and at every octave boundary, monotone, clamped at both ends.
+func TestBucketIndexMatchesLogarithm(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	lo, hi := math.Log(1e3), math.Log(1e12) // ns
+	for i := 0; i < 1_000_000; i++ {
+		d := time.Duration(math.Exp(lo + rng.Float64()*(hi-lo)))
+		if got, want := bucketIndex(d), bucketIndexLog(d); got != want {
+			t.Fatalf("bucketIndex(%v) = %d; the logarithm says %d", d, got, want)
+		}
+	}
+	for e := 0; e < 40; e++ { // 2^e µs exactly, and its neighbours
+		for _, d := range []time.Duration{1000<<e - 1, 1000 << e, 1000<<e + 1} {
+			if got, want := bucketIndex(d), bucketIndexLog(d); got != want {
+				t.Fatalf("bucketIndex(%v) = %d at an octave boundary; the logarithm says %d", d, got, want)
+			}
+		}
+	}
+	prev := 0
+	for ns := 1.0; ns < 4e18; ns *= 1.0007 { // finer than a sub-bucket (2^(1/16) ≈ 1.044)
+		idx := bucketIndex(time.Duration(ns))
+		if idx < prev || idx > prev+1 {
+			t.Fatalf("bucketIndex(%v) = %d after %d: not monotone, or a bucket was skipped", time.Duration(ns), idx, prev)
+		}
+		prev = idx
+	}
+	if prev != bucketCount-1 {
+		t.Fatalf("the sweep ended in bucket %d; want the last, %d", prev, bucketCount-1)
+	}
+	for _, d := range []time.Duration{math.MinInt64, -time.Second, 0, 999} {
+		if got := bucketIndex(d); got != 0 {
+			t.Fatalf("bucketIndex(%v) = %d; want 0", d, got)
+		}
+	}
+	for _, d := range []time.Duration{bucketValue(bucketCount), time.Duration(math.MaxInt64)} {
+		if got := bucketIndex(d); got != bucketCount-1 {
+			t.Fatalf("bucketIndex(%v) = %d; want the last bucket", d, got)
+		}
+	}
+}

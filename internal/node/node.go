@@ -690,7 +690,7 @@ func (n *Node) handleSubmit(req *schema.SubmitReq) schema.SubmitResp {
 	fwd.MinSeq = max(req.MinSeq, n.replicaSeq())
 	n.forwarded.Add(1)
 	resp, err := n.callSubmit(n.nodeFor(host), &fwd)
-	d := time.Since(start)
+	d := core.Since(start)
 	n.forwardLat.Record(d)
 	n.span(req.Trace, "forward", req.Target, req.Method, int(req.Hops), d)
 	if err != nil {
@@ -764,7 +764,7 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 		for i := range out {
 			out[i].Code, out[i].Err = code, msg
 		}
-		n.batchLat.Record(time.Since(start))
+		n.batchLat.Record(core.Since(start))
 		return
 	}
 	for i := range req.Events {
@@ -783,7 +783,7 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 	}
 	if len(sc.fwd) > 0 {
 		n.forwardBatch(sc)
-		end = time.Now()
+		end = core.Now()
 	}
 	n.batchLat.Record(end.Sub(start))
 }
