@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -73,13 +74,28 @@ func openDisk(dir string, fsync bool) (*DiskStore, error) {
 	}
 	s := New()
 	var maxVer uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
+	br := bufio.NewReaderSize(f, 64*1024)
+	var good int64 // offset just past the last complete line
+	for line := 1; ; line++ {
+		raw, err := br.ReadBytes('\n')
+		if err == io.EOF && len(raw) > 0 {
+			// A record is acknowledged only once its line, newline included,
+			// is flushed: a final line without one is the write the process
+			// died in, acked to nobody. Drop it, so that the next append
+			// starts on a line of its own. (A malformed line with data after
+			// it is not a torn tail, and stays a refusal below.)
+			err = f.Truncate(good)
+			raw = nil
+		}
+		if err != nil && err != io.EOF {
+			f.Close()
+			return nil, fmt.Errorf("cloudstore: journal %s: %w", path, err)
+		}
 		if len(raw) == 0 {
+			break
+		}
+		good += int64(len(raw))
+		if raw = raw[:len(raw)-1]; len(raw) == 0 {
 			continue
 		}
 		var rec jrec
@@ -116,10 +132,6 @@ func openDisk(dir string, fsync bool) (*DiskStore, error) {
 		if rec.Op != jFence && rec.Ver > maxVer {
 			maxVer = rec.Ver
 		}
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("cloudstore: journal %s: %w", path, err)
 	}
 	s.next = maxVer + 1
 	d := &DiskStore{Store: s, f: f, w: bufio.NewWriter(f), fsync: fsync}

@@ -1,6 +1,10 @@
 package cloudstore
 
-import "fmt"
+import (
+	"fmt"
+
+	"aeon/internal/schema"
+)
 
 // Kind names one store operation.
 type Kind uint8
@@ -111,6 +115,16 @@ type Result struct {
 	Keys    []string
 }
 
+// Reply is what a store replica answers an Op with over the mesh: the Result
+// and the in-band error as its code and message (schema.Err rebuilds it). The
+// Result rides even next to an error — a fence refusal carries the accepted
+// epoch.
+type Reply struct {
+	Result Result
+	Code   schema.Code
+	Err    string
+}
+
 // Doer executes store operations.
 type Doer interface {
 	Do(Op) (Result, error)
@@ -191,4 +205,197 @@ func (t Typed) DeleteBatch(keys []string) error {
 func (t Typed) List(prefix string) ([]string, error) {
 	res, err := t.d.Do(Op{Kind: OpList, Key: prefix})
 	return res.Keys, err
+}
+
+// The wire form. An Op and its Reply cross the mesh as hot-codec frames
+// (schema/hotframe.go: magic, type byte, varint integers, length-prefixed
+// strings and bytes), laid out here so that the field set and the byte layout
+// change together. The layout is positional — the kind byte, the fence behind
+// a presence byte, then every field in declaration order — so an unused field
+// costs its one zero byte. A zero-length value, key list or map decodes as nil.
+
+// AppendWire appends op's request frame to dst.
+func (op *Op) AppendWire(dst []byte) []byte {
+	dst = append(dst, schema.HotMagic, schema.HotTypeStoreReq, byte(op.Kind))
+	if f := op.Fence; f != nil {
+		dst = schema.PutUvarint(schema.PutVarint(append(dst, 1), int64(f.Part)), f.Epoch)
+	} else {
+		dst = append(dst, 0)
+	}
+	dst = schema.PutString(dst, op.Key)
+	dst = appendKeys(dst, op.Keys)
+	dst = schema.PutBytes(dst, op.Value)
+	dst = schema.PutUvarint(dst, uint64(len(op.Entries)))
+	for k, v := range op.Entries {
+		dst = schema.PutBytes(schema.PutString(dst, k), v)
+	}
+	dst = schema.PutUvarint(dst, op.Expect)
+	dst = schema.PutUvarint(dst, uint64(len(op.Commit.Sets)))
+	for _, kv := range op.Commit.Sets {
+		dst = schema.PutUvarint(schema.PutBytes(schema.PutString(dst, kv.Key), kv.Val), kv.Ver)
+	}
+	dst = schema.PutUvarint(dst, uint64(len(op.Commit.Dels)))
+	for _, kd := range op.Commit.Dels {
+		dst = schema.PutUvarint(schema.PutString(dst, kd.Key), kd.Ver)
+	}
+	return dst
+}
+
+// UnmarshalWire decodes a frame AppendWire produced. The bytes come from
+// another process: a kind without a row in kinds is refused before any field
+// is read, every count is checked against the bytes left (HotReader.Count),
+// and everything decoded is copied out of b, which may be the caller's pooled
+// buffer, recycled while a store still holds the op's keys and values.
+func (op *Op) UnmarshalWire(b []byte) (err error) {
+	var r schema.HotReader
+	if err = r.Header(b, schema.HotTypeStoreReq); err != nil {
+		return err
+	}
+	k, err := r.Byte()
+	if err != nil {
+		return err
+	}
+	if !Kind(k).valid() {
+		return r.Fail(fmt.Sprintf("unknown store op kind %d", k))
+	}
+	*op = Op{Kind: Kind(k)}
+	fenced, err := r.Byte()
+	if err != nil {
+		return err
+	}
+	if fenced != 0 {
+		part, err := r.Varint()
+		if err != nil {
+			return err
+		}
+		op.Fence = &Fence{Part: int(part)}
+		if op.Fence.Epoch, err = r.Uvarint(); err != nil {
+			return err
+		}
+	}
+	if op.Key, err = r.Str(); err != nil {
+		return err
+	}
+	if op.Keys, err = readKeys(&r); err != nil {
+		return err
+	}
+	if op.Value, err = readBytes(&r); err != nil {
+		return err
+	}
+	n, err := r.Count()
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		op.Entries = make(map[string][]byte, n)
+	}
+	for ; n > 0; n-- {
+		key, err := r.Str()
+		if err != nil {
+			return err
+		}
+		if op.Entries[key], err = readBytes(&r); err != nil {
+			return err
+		}
+	}
+	if op.Expect, err = r.Uvarint(); err != nil {
+		return err
+	}
+	if n, err = r.Count(); err != nil {
+		return err
+	}
+	op.Commit.Sets = make([]KV, n)
+	for i := range op.Commit.Sets {
+		kv := &op.Commit.Sets[i]
+		if kv.Key, err = r.Str(); err != nil {
+			return err
+		}
+		if kv.Val, err = readBytes(&r); err != nil {
+			return err
+		}
+		if kv.Ver, err = r.Uvarint(); err != nil {
+			return err
+		}
+	}
+	if n, err = r.Count(); err != nil {
+		return err
+	}
+	op.Commit.Dels = make([]KD, n)
+	for i := range op.Commit.Dels {
+		kd := &op.Commit.Dels[i]
+		if kd.Key, err = r.Str(); err != nil {
+			return err
+		}
+		if kd.Ver, err = r.Uvarint(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendWire appends the response frame to dst: the code byte, the message
+// only next to a failure, then the Result.
+func (p *Reply) AppendWire(dst []byte) []byte {
+	dst = append(dst, schema.HotMagic, schema.HotTypeStoreResp, byte(p.Code))
+	if p.Code != schema.CodeOK {
+		dst = schema.PutString(dst, p.Err)
+	}
+	dst = schema.PutBytes(dst, p.Result.Value)
+	dst = schema.PutUvarint(dst, p.Result.Version)
+	return appendKeys(dst, p.Result.Keys)
+}
+
+// UnmarshalWire decodes a frame AppendWire produced, under Op.UnmarshalWire's
+// rules; a code byte this build does not know reads as CodeUnknown.
+func (p *Reply) UnmarshalWire(b []byte) (err error) {
+	var r schema.HotReader
+	if err = r.Header(b, schema.HotTypeStoreResp); err != nil {
+		return err
+	}
+	c, err := r.Byte()
+	if err != nil {
+		return err
+	}
+	*p = Reply{Code: schema.Code(c).Known()}
+	if p.Code != schema.CodeOK {
+		if p.Err, err = r.Str(); err != nil {
+			return err
+		}
+	}
+	if p.Result.Value, err = readBytes(&r); err != nil {
+		return err
+	}
+	if p.Result.Version, err = r.Uvarint(); err != nil {
+		return err
+	}
+	p.Result.Keys, err = readKeys(&r)
+	return err
+}
+
+func appendKeys(dst []byte, keys []string) []byte {
+	dst = schema.PutUvarint(dst, uint64(len(keys)))
+	for _, k := range keys {
+		dst = schema.PutString(dst, k)
+	}
+	return dst
+}
+
+func readKeys(r *schema.HotReader) ([]string, error) {
+	n, err := r.Count()
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		if keys[i], err = r.Str(); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
+}
+
+// readBytes copies the next length-prefixed value out of the frame.
+func readBytes(r *schema.HotReader) ([]byte, error) {
+	b, err := r.LenBytes()
+	return append([]byte(nil), b...), err
 }

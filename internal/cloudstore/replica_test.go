@@ -551,6 +551,67 @@ func TestDiskBackendRejectsCorruptJournal(t *testing.T) {
 	}
 }
 
+// A replica killed mid-append leaves a final journal line with no newline: a
+// record nobody was acked for. Reopening drops it and truncates the file, so
+// the next append starts on its own line and the reopen after that is clean.
+// A malformed line with data after it is not a torn tail and stays a refusal.
+func TestDiskBackendDropsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.journal")
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"k1", "k2", "k3"} {
+		if _, err := d.Put(k, []byte("value of "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, whole[:len(whole)-9], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatalf("reopen over a torn final line: %v", err)
+	}
+	if keys, _ := re.List(""); len(keys) != 2 {
+		t.Fatalf("keys after the torn reopen = %v; want k1 and k2", keys)
+	}
+	if _, err := re.Put("k4", []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	if keys, _ := again.List(""); strings.Join(keys, ",") != "k1,k2,k4" {
+		t.Fatalf("keys after the second reopen = %v; want k1, k2, k4", keys)
+	}
+	if err := again.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	lines := strings.SplitAfter(string(whole), "\n")
+	midTorn := lines[0] + lines[1][:len(lines[1])-9] + "\n" + lines[2]
+	if err := os.WriteFile(path, []byte(midTorn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDisk(dir); err == nil {
+		t.Fatal("a malformed line followed by a good one must fail to open")
+	}
+}
+
 // The disk+fsync variant is the same journal with per-commit fsync: it
 // must open through the spec registry, ack writes only after a durable
 // journal append, and replay identically to the plain disk backend.

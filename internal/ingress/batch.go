@@ -262,10 +262,6 @@ func (c *Client) submitChunk(f frame) {
 // the caller's result slots, repairing the routing cache from each event's
 // authoritative host.
 func (c *Client) applyBatchResp(f frame, raw transport.Message) {
-	if !schema.IsHotFrame(raw.Payload) {
-		f.fail(fmt.Errorf("ingress: node %v answered batch submit with a non-hot frame", f.to))
-		return
-	}
 	br := respPool.Get().(*schema.SubmitBatchResp)
 	defer func() {
 		clear(br.Outcomes)

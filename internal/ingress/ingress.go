@@ -298,9 +298,6 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	}
 
 	var resp schema.SubmitResp
-	if !schema.IsHotFrame(raw.Payload) {
-		return nil, fmt.Errorf("ingress: node %v answered submit with a non-hot frame", to)
-	}
 	if err := resp.UnmarshalWire(raw.Payload); err != nil {
 		return nil, fmt.Errorf("ingress: decode submit response: %w", err)
 	}

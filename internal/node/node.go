@@ -1,6 +1,6 @@
 // Package node implements AEON's distributed node runtime: it wraps one
 // process's server-slice of the system and attaches it to a transport.Mesh,
-// so N AEON servers run as N OS processes exchanging gob frames instead of
+// so N AEON servers run as N OS processes exchanging wire frames instead of
 // sharing an address space.
 //
 // Deployment model. Every node process builds the same cluster topology and
@@ -163,11 +163,13 @@ type Node struct {
 
 	// ops is the process observability registry (Config.Ops; nil = off).
 	// submitLat/forwardLat/batchLat are striped per-frame handler latency
-	// histograms, recorded lock-free on the hot path and merged on scrape.
+	// histograms, recorded lock-free on the hot path and merged on scrape;
+	// storeLat is the round trip of every op this node's RemoteStores send.
 	ops        *ops.Registry
 	submitLat  metrics.StripedHistogram
 	forwardLat metrics.StripedHistogram
 	batchLat   metrics.StripedHistogram
+	storeLat   metrics.StripedHistogram
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
@@ -367,12 +369,7 @@ func (n *Node) Submit(target ownership.ID, method string, args ...any) (any, err
 func (n *Node) Ping(peer transport.NodeID) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
 	defer cancel()
-	buf, payload, err := encodeFramePooled(pingResp{Node: n.id})
-	if err != nil {
-		return err
-	}
-	_, err = n.ep.Call(ctx, peer, transport.Message{Kind: KindPing, Payload: payload})
-	releaseFrameBuf(buf)
+	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: KindPing})
 	return err
 }
 
@@ -389,22 +386,14 @@ func (n *Node) Shutdown(peer transport.NodeID) error {
 // including the mesh state transfer — runs on the owning node; this call
 // blocks until the group is live on the destination.
 func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to cluster.ServerID) error {
-	buf, payload, err := encodeFramePooled(migrateReq{Root: root, To: to})
-	if err != nil {
-		return err
-	}
+	req := schema.PlaceReq{Context: root, Server: int64(to)}
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.TransferTimeout)
 	defer cancel()
-	raw, err := n.ep.Call(ctx, owner, transport.Message{Kind: KindMigrate, Payload: payload})
-	releaseFrameBuf(buf)
+	raw, err := sendHot(ctx, n.ep, owner, KindMigrate, req.MarshalWire)
 	if err != nil {
 		return fmt.Errorf("migrate %v via %v: %w", root, owner, err)
 	}
-	var resp ackResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return err
-	}
-	return schema.Err(resp.Code, resp.Err)
+	return acked(raw)
 }
 
 // notifyReplicated is the replication plane's propagation hint: after a
@@ -492,20 +481,11 @@ func (n *Node) callSubmit(to transport.NodeID, req *schema.SubmitReq) (schema.Su
 	return resp, resp.UnmarshalWire(raw.Payload)
 }
 
-// callHot encodes one submit or batch frame into a pooled buffer and sends
-// it to a peer. No retry on failure — the outcome is ambiguous and events
-// are not idempotent.
+// callHot is sendHot from this node, bounded by CallTimeout.
 func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte) ([]byte, error)) (transport.Message, error) {
-	buf := schema.GetFrameBuf()
-	defer schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
-	payload, err := encode((*buf)[:0])
-	if err != nil {
-		return transport.Message{}, err
-	}
-	*buf = payload
 	ctx := transport.NewDeadline(n.cfg.CallTimeout)
 	defer ctx.Release()
-	return n.ep.Call(ctx, to, transport.Message{Kind: kind, Payload: payload})
+	return sendHot(ctx, n.ep, to, kind, encode)
 }
 
 // learnPlacement repairs the local directory cache from an authoritative
@@ -538,8 +518,7 @@ func (n *Node) learnPlacement(target ownership.ID, host cluster.ServerID) {
 func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.Message) (transport.Message, error) {
 	switch req.Kind {
 	case KindPing:
-		payload, err := encodeFrame(pingResp{Node: n.id})
-		return transport.Message{Kind: KindPing, Payload: payload}, err
+		return ack(KindPing, schema.SubmitResp{Host: int64(n.id)}, nil)
 	case KindSubmit:
 		var hr schema.SubmitReq
 		if err := hr.UnmarshalWire(req.Payload); err != nil {
@@ -561,34 +540,26 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		payload, err := sc.resp.MarshalWire(make([]byte, 0, 16+8*len(sc.resp.Outcomes)))
 		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
 	case KindStore:
-		var op cloudstore.Op
-		if err := decodeFrame(req.Payload, &op); err != nil {
-			return transport.Message{}, err
-		}
-		payload, err := encodeFrame(n.handleStore(op))
-		return transport.Message{Kind: KindStore, Payload: payload}, err
+		return serveStore(n.handleStore, req.Payload)
 	case KindTransfer:
 		var rec schema.TransferRec
 		if err := rec.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		payload, err := encodeFrame(ackOf(n.handleTransfer(&rec)))
-		return transport.Message{Kind: KindTransfer, Payload: payload}, err
+		return ack(KindTransfer, schema.SubmitResp{}, n.handleTransfer(&rec))
 	case KindTransferQuery:
-		var tq transferQueryReq
-		if err := decodeFrame(req.Payload, &tq); err != nil {
+		var tq schema.PlaceReq
+		if err := tq.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		host, ok := n.rt.Directory().Locate(tq.Probe)
-		payload, err := encodeFrame(transferQueryResp{Committed: ok && host == tq.To})
-		return transport.Message{Kind: KindTransferQuery, Payload: payload}, err
+		host, ok := n.rt.Directory().Locate(tq.Context)
+		return ack(KindTransferQuery, schema.SubmitResp{Result: ok && int64(host) == tq.Server}, nil)
 	case KindMigrate:
-		var mr migrateReq
-		if err := decodeFrame(req.Payload, &mr); err != nil {
+		var mr schema.PlaceReq
+		if err := mr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		payload, err := encodeFrame(ackOf(n.handleMigrate(mr)))
-		return transport.Message{Kind: KindMigrate, Payload: payload}, err
+		return ack(KindMigrate, schema.SubmitResp{}, n.handleMigrate(mr.Context, cluster.ServerID(mr.Server)))
 	case KindReplicate:
 		var nr schema.NotifyRec
 		if err := nr.UnmarshalWire(req.Payload); err != nil {
@@ -836,27 +807,27 @@ func (n *Node) forwardBatch(sc *batchScratch) {
 
 // handleMigrate serves a commanded migration: only the node embodying the
 // group's current host may run it (the migration engine is source-driven).
-func (n *Node) handleMigrate(req migrateReq) error {
-	host, ok := n.rt.Directory().Locate(req.Root)
+func (n *Node) handleMigrate(root ownership.ID, to cluster.ServerID) error {
+	host, ok := n.rt.Directory().Locate(root)
 	if !ok {
-		return fmt.Errorf("%v: %w", req.Root, core.ErrUnknownContext)
+		return fmt.Errorf("%v: %w", root, core.ErrUnknownContext)
 	}
 	if !n.isLocal(host) {
-		return fmt.Errorf("migrate %v hosted on %v: %w", req.Root, host, core.ErrNotLocal)
+		return fmt.Errorf("migrate %v hosted on %v: %w", root, host, core.ErrNotLocal)
 	}
 	n.emit("migration.start", map[string]any{
-		"node": int64(n.id), "root": uint64(req.Root), "from": int64(host), "to": int64(req.To),
+		"node": int64(n.id), "root": uint64(root), "from": int64(host), "to": int64(to),
 	})
 	start := time.Now()
-	err := n.mgr.MigrateGroup(req.Root, req.To)
+	err := n.mgr.MigrateGroup(root, to)
 	if err != nil {
 		n.emit("migration.abort", map[string]any{
-			"node": int64(n.id), "root": uint64(req.Root), "to": int64(req.To), "err": err.Error(),
+			"node": int64(n.id), "root": uint64(root), "to": int64(to), "err": err.Error(),
 		})
 		return err
 	}
 	n.emit("migration.commit", map[string]any{
-		"node": int64(n.id), "root": uint64(req.Root), "from": int64(host), "to": int64(req.To),
+		"node": int64(n.id), "root": uint64(root), "from": int64(host), "to": int64(to),
 		"us": time.Since(start).Microseconds(),
 	})
 	return nil
@@ -916,33 +887,24 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 		}
 		return fmt.Errorf("transfer to %v: %w", to, err)
 	}
-	var resp ackResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return err
-	}
-	return schema.Err(resp.Code, resp.Err)
+	return acked(raw)
 }
 
 // transferCommitted asks the destination whether it committed a transfer
 // whose acknowledgment was lost. Any probe failure reports false — the
 // caller then aborts and leaves convergence to WAL recovery.
 func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
-	buf, payload, err := encodeFramePooled(transferQueryReq{Probe: probe, To: to})
+	req := schema.PlaceReq{Context: probe, Server: int64(to)}
+	raw, err := n.callHot(n.nodeFor(to), KindTransferQuery, req.MarshalWire)
 	if err != nil {
 		return false
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
-	defer cancel()
-	raw, err := n.ep.Call(ctx, n.nodeFor(to), transport.Message{Kind: KindTransferQuery, Payload: payload})
-	releaseFrameBuf(buf)
-	if err != nil {
+	var resp schema.SubmitResp
+	if err := resp.UnmarshalWire(raw.Payload); err != nil {
 		return false
 	}
-	var resp transferQueryResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
-		return false
-	}
-	return resp.Committed
+	committed, _ := resp.Result.(bool)
+	return committed
 }
 
 // handleTransfer installs a migrated group on this node: decode and set
@@ -999,10 +961,10 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 
 // handleStore serves one cloud-store operation from the authoritative local
 // store. Non-store nodes refuse typed, so a misconfigured peer fails fast.
-func (n *Node) handleStore(op cloudstore.Op) storeResp {
+func (n *Node) handleStore(op cloudstore.Op) (cloudstore.Result, error) {
 	st := n.cfg.LocalStore
 	if !n.servesStore || st == nil {
-		return storeResp{Err: fmt.Sprintf("node %v serves no store: %v", n.id, core.ErrNotLocal), Code: schema.CodeNotHosted}
+		return cloudstore.Result{}, fmt.Errorf("node %v serves no store: %w", n.id, core.ErrNotLocal)
 	}
-	return execStoreOp(st, op)
+	return st.Do(op)
 }

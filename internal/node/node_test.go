@@ -1,13 +1,16 @@
 package node
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"testing"
 	"time"
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/core"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -336,19 +339,47 @@ func TestDeploymentMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// Submit, transfer and replicate-notify requests travel on the hot codec
-// only; a gob payload (or anything else) on those kinds is a decode error,
-// not a second protocol.
+// Every payload-carrying request kind travels on the hot codec only: a gob
+// payload, another kind's hot frame or nothing at all is a decode error
+// (schema.ErrHotFrame) on each of them, not a second protocol — on a node and
+// on a dedicated store server alike.
 func TestRequestFramesAreHotCodecOnly(t *testing.T) {
 	d := deploy(t, 1)
-	gobPayload, err := encodeFrame(pingResp{Node: 7})
+	srv, err := ServeStore(transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), StoreIDBase+1, cloudstore.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{KindSubmit, KindTransfer, KindReplicate} {
-		for name, payload := range map[string][]byte{"gob": gobPayload, "empty": nil} {
-			if _, err := d.Nodes[0].handle(context.Background(), 2, transport.Message{Kind: kind, Payload: payload}); err == nil {
-				t.Errorf("%s accepted a %s payload", kind, name)
+	defer srv.Close()
+	var gobPayload bytes.Buffer
+	if err := gob.NewEncoder(&gobPayload).Encode(cloudstore.Op{Kind: cloudstore.OpGet, Key: "k"}); err != nil {
+		t.Fatal(err)
+	}
+	notify, err := (&schema.NotifyRec{Seq: 1}).MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit, err := (&schema.SubmitReq{Target: 1, Method: "m"}).MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := []struct {
+		who    string
+		handle transport.Handler
+		kinds  []string
+	}{
+		{"node", d.Nodes[0].handle, []string{KindSubmit, KindSubmitBatch, KindStore, KindTransfer, KindTransferQuery, KindMigrate, KindReplicate}},
+		{"store server", srv.handle, []string{KindStore}},
+	}
+	for _, s := range servers {
+		for _, kind := range s.kinds {
+			other := notify
+			if kind == KindReplicate {
+				other = submit
+			}
+			for name, payload := range map[string][]byte{"gob": gobPayload.Bytes(), "another kind's": other, "empty": nil} {
+				if _, err := s.handle(context.Background(), 2, transport.Message{Kind: kind, Payload: payload}); !errors.Is(err, schema.ErrHotFrame) {
+					t.Errorf("%s: %s answered a %s payload with %v; want ErrHotFrame", s.who, kind, name, err)
+				}
 			}
 		}
 	}

@@ -119,6 +119,8 @@ func (n *Node) registerOps() {
 	reg.Histogram("aeon_migration_stop_seconds",
 		"Full-stop window duration per group migration (event unavailability).", nil, &eng.StopTime)
 
+	reg.Histogram("aeon_store_op_seconds",
+		"Round trip of cloud-store operations this node sent to a store replica, failed ones included.", nil, &n.storeLat)
 	if part, ok := n.store.(*cloudstore.Partitioned); ok {
 		for i := 0; i < part.Parts(); i++ {
 			rep, ok := part.Partition(i).(*cloudstore.Replicated)

@@ -42,6 +42,7 @@ func TestOpsPlaneNodeExposition(t *testing.T) {
 		"aeon_mux_socket_writes_total",
 		"aeon_migration_groups_total",
 		"aeon_migration_stop_seconds",
+		"aeon_store_op_seconds",
 	} {
 		if !strings.Contains(out, "# TYPE "+family) {
 			t.Fatalf("node exposition missing family %s:\n%s", family, out)
@@ -66,6 +67,22 @@ func TestOpsPlaneNodeExposition(t *testing.T) {
 	}
 	if !strings.Contains(b2.String(), "aeon_node_submits_executed_total 1") {
 		t.Fatalf("node 2 executed counter not live:\n%s", b2.String())
+	}
+
+	// Node 2 reaches the store over the mesh: each op lands on its store
+	// round-trip histogram. Node 1 serves the store itself and records none.
+	before, _, _, _ := n2.Ops().Summary("aeon_store_op_seconds")
+	if _, err := n2.Store().Put("ops/k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := n2.Store().Get("ops/missing"); err == nil {
+		t.Fatal("get of a missing key succeeded")
+	}
+	if after, _, _, ok := n2.Ops().Summary("aeon_store_op_seconds"); !ok || after != before+2 {
+		t.Fatalf("node 2 store histogram count %d → %d after two ops (one failed)", before, after)
+	}
+	if local, _, _, _ := n1.Ops().Summary("aeon_store_op_seconds"); local != 0 {
+		t.Fatalf("node 1 serves the store locally but recorded %d remote ops", local)
 	}
 }
 

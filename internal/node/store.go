@@ -75,39 +75,41 @@ func (r *RemoteStore) endpoint() transport.Endpoint {
 	return r.ep
 }
 
-// Do performs one store exchange: the op is the request frame. Store frames
-// stay on the gob codec (control path), but encode into a pooled buffer:
-// endpoints do not retain request payloads past Call, so the buffer recycles
-// per exchange.
+// Do performs one store exchange: the op is the request frame, encoded into
+// a pooled buffer like every other node frame.
 func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
-	buf, payload, err := encodeFramePooled(op)
-	if err != nil {
-		return cloudstore.Result{}, err
-	}
 	ctx, cancel := r.callCtx()
 	defer cancel()
-	raw, err := r.endpoint().Call(ctx, r.to, transport.Message{Kind: KindStore, Payload: payload})
-	releaseFrameBuf(buf)
+	start := time.Now()
+	raw, err := sendHot(ctx, r.endpoint(), r.to, KindStore, func(dst []byte) ([]byte, error) {
+		return op.AppendWire(dst), nil
+	})
+	if r.node != nil {
+		r.node.storeLat.Record(time.Since(start))
+	}
 	if err != nil {
 		return cloudstore.Result{}, fmt.Errorf("store %v via %v: %w", op.Kind, r.to, err)
 	}
-	var resp storeResp
-	if err := decodeFrame(raw.Payload, &resp); err != nil {
+	var rep cloudstore.Reply
+	if err := rep.UnmarshalWire(raw.Payload); err != nil {
 		return cloudstore.Result{}, err
 	}
-	res := cloudstore.Result{Value: resp.Value, Version: resp.Version, Keys: resp.Keys}
-	return res, schema.Err(resp.Code, resp.Err)
+	return rep.Result, schema.Err(rep.Code, rep.Err)
 }
 
-// execStoreOp runs one store frame's op against a replica and renders the
-// outcome for the wire. It is shared by store-serving nodes and dedicated
-// store servers so both speak exactly the same protocol. The Result rides
-// even next to an error: a fence refusal carries the accepted epoch.
-func execStoreOp(st cloudstore.Doer, op cloudstore.Op) storeResp {
-	res, err := st.Do(op)
-	resp := storeResp{Value: res.Value, Version: res.Version, Keys: res.Keys}
-	if err != nil {
-		resp.Err, resp.Code = err.Error(), schema.CodeOf(err)
+// serveStore is the KindStore arm of a store-serving handler, shared by
+// store-serving nodes and dedicated store servers so both speak exactly the
+// same protocol: decode the op, run it, answer with its Reply. The Result
+// rides even next to an error: a fence refusal carries the accepted epoch.
+func serveStore(do func(cloudstore.Op) (cloudstore.Result, error), payload []byte) (transport.Message, error) {
+	var op cloudstore.Op
+	if err := op.UnmarshalWire(payload); err != nil {
+		return transport.Message{}, err
 	}
-	return resp
+	res, err := do(op)
+	rep := cloudstore.Reply{Result: res}
+	if err != nil {
+		rep.Err, rep.Code = err.Error(), schema.CodeOf(err)
+	}
+	return transport.Message{Kind: KindStore, Payload: rep.AppendWire(nil)}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/alloctest"
 	"aeon/internal/cloudstore"
 	"aeon/internal/core"
 	"aeon/internal/migration"
@@ -22,7 +23,7 @@ import (
 )
 
 // storeWireRig is a StoreServer and a RemoteStore client on one in-memory
-// mesh: every op crosses the full encode→handle→execStoreOp→schema.Err
+// mesh: every op crosses the full encode→handle→serveStore→schema.Err
 // path.
 func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
 	t.Helper()
@@ -129,7 +130,7 @@ func (d failingDoer) Do(cloudstore.Op) (cloudstore.Result, error) {
 
 // TestEveryCodeSurvivesEveryFrame sends each code of the table, wrapped the
 // way its producer wraps it, through the four frames that carry errors —
-// SubmitResp, SubmitBatchResp and the gob storeResp in-band, and the mux
+// SubmitResp, SubmitBatchResp and the store Reply in-band, and the mux
 // error frame a failing mesh handler's error rides — and requires errors.Is
 // against the original sentinel and the retry class to hold on the far side.
 // It fails when a code is added without a sentinel row.
@@ -187,14 +188,15 @@ func TestEveryCodeSurvivesEveryFrame(t *testing.T) {
 		}
 		arrived["SubmitBatchResp"] = schema.Err(gotBatch.Outcomes[1].Code, gotBatch.Outcomes[1].Err)
 
-		if b, merr = encodeFrame(execStoreOp(failingDoer{err}, cloudstore.Op{Kind: cloudstore.OpGet, Key: "k"})); merr != nil {
-			t.Fatal(merr)
+		sent, serr := serveStore(failingDoer{err}.Do, (&cloudstore.Op{Kind: cloudstore.OpGet, Key: "k"}).AppendWire(nil))
+		if serr != nil {
+			t.Fatal(serr)
 		}
-		var gotStore storeResp
-		if derr := decodeFrame(b, &gotStore); derr != nil {
+		var gotStore cloudstore.Reply
+		if derr := gotStore.UnmarshalWire(sent.Payload); derr != nil {
 			t.Fatal(derr)
 		}
-		arrived["storeResp"] = schema.Err(gotStore.Code, gotStore.Err)
+		arrived["store Reply"] = schema.Err(gotStore.Code, gotStore.Err)
 
 		handlerErr = err
 		_, back := caller.Call(context.Background(), 1, transport.Message{Kind: "q"})
@@ -476,5 +478,46 @@ func TestStorePlaneDiskBackend(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no partition journal holds any keys; the workload never hit the disk backend")
+	}
+}
+
+// TestStoreExchangeAllocBudget is the store plane's allocation gate: one put
+// and one get of a 200-byte value through RemoteStore → in-memory mesh →
+// StoreServer allocate 18 objects between them — per exchange the call's
+// context and timer, the key and value copied out of the frame, the store's
+// own copy, the reply buffer — and nothing for the codec's machinery. (Under
+// gob the codec alone made 537 objects per exchange: type descriptors
+// compiled anew for every frame.)
+func TestStoreExchangeAllocBudget(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped buffer is rebuilt from scratch")
+	}
+	const budget = 18
+	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
+	srv, err := ServeStore(mesh, StoreIDBase+1, cloudstore.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ep, err := mesh.Attach(999, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	r := NewRemoteStore(ep, StoreIDBase+1, time.Minute, nil)
+	key, val := "wal/group/000042", make([]byte, 200)
+	pair := func() {
+		if _, err := r.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := r.Get(key); err != nil || len(got) != len(val) {
+			t.Fatalf("get = %d bytes, %v", len(got), err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		pair() // warm the frame-buffer pool
+	}
+	if got := testing.AllocsPerRun(200, pair); got > budget {
+		t.Fatalf("a put+get pair allocated %v objects; budget %d", got, budget)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/ops"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -29,7 +30,7 @@ const StoreIDBase transport.NodeID = 1 << 20
 const StoreRF = 3
 
 // StoreServer is a dedicated store-replica process attachment: it serves
-// the cloud-store wire protocol (KindStore, via the same execStoreOp as
+// the cloud-store wire protocol (KindStore, via the same serveStore as
 // store-serving nodes) from a pluggable backend, answers pings, and honors
 // shutdown frames. It embodies no AEON servers — losing one loses a store
 // replica and nothing else, which is exactly the blast radius the sharded
@@ -104,16 +105,10 @@ func (s *StoreServer) handle(_ context.Context, _ transport.NodeID, req transpor
 	switch req.Kind {
 	case KindPing:
 		s.pings.Add(1)
-		payload, err := encodeFrame(pingResp{Node: s.id})
-		return transport.Message{Kind: KindPing, Payload: payload}, err
+		return ack(KindPing, schema.SubmitResp{Host: int64(s.id)}, nil)
 	case KindStore:
 		s.storeOps.Add(1)
-		var op cloudstore.Op
-		if err := decodeFrame(req.Payload, &op); err != nil {
-			return transport.Message{}, err
-		}
-		payload, err := encodeFrame(execStoreOp(s.be, op))
-		return transport.Message{Kind: KindStore, Payload: payload}, err
+		return serveStore(s.be.Do, req.Payload)
 	case KindShutdown:
 		s.shutdownOnce.Do(func() { close(s.shutdownCh) })
 		return transport.Message{Kind: KindShutdown}, nil

@@ -2,25 +2,30 @@ package node
 
 // The node wire protocol: frames carried in transport.Message payloads, each
 // one a transport.Endpoint Call (or one request of a CallBatch) — on a TCP
-// mesh all of them share the endpoint's one connection to the peer. Submit,
-// batch-submit, transfer and replicate-notify requests are hot-codec frames
-// (schema/hotframe.go) and nothing else; store ops and the control plane
-// (ping, migrate, transfer-query, transfer acks) are gob payloads. Every
-// exchange is request/response. Handler-level failures travel in-band as a
-// schema.Code plus message. The sentinels are
-// their codes (schema/errors.go), so there is nothing to map at either end:
-// the sender reads the code out of the error chain, the receiver rebuilds
-// the error with schema.Err, and errors.Is holds across the wire.
+// mesh all of them share the endpoint's one connection to the peer. Every
+// exchange is request/response, and every payload is a hot-codec frame
+// (schema/hotframe.go) or empty; a payload that is anything else is a decode
+// error (schema.ErrHotFrame), not a second protocol:
+//
+//	kind                  request                 response
+//	node.submit           schema.SubmitReq        schema.SubmitResp
+//	node.submit.batch     schema.SubmitBatchReq   schema.SubmitBatchResp
+//	node.store            cloudstore.Op           cloudstore.Reply
+//	node.transfer         schema.TransferRec      schema.SubmitResp (Code, Err)
+//	node.transfer.query   schema.PlaceReq         schema.SubmitResp (Result: committed)
+//	node.migrate          schema.PlaceReq         schema.SubmitResp (Code, Err)
+//	node.ping             empty                   schema.SubmitResp (Host: the peer's ID)
+//	node.replicate.notify schema.NotifyRec        empty
+//	node.shutdown         empty                   empty
+//
+// Handler-level failures travel in-band as a schema.Code plus message. The
+// sentinels are their codes (schema/errors.go), so there is nothing to map at
+// either end: the sender reads the code out of the error chain, the receiver
+// rebuilds the error with schema.Err, and errors.Is holds across the wire.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sync"
+	"context"
 
-	"aeon/internal/cloudstore"
-	"aeon/internal/cluster"
-	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
@@ -35,8 +40,7 @@ const (
 	// one frame: one admission, one response, per-event outcomes
 	// (schema.SubmitBatchReq/Resp).
 	KindSubmitBatch = "node.submit.batch"
-	// KindStore performs one cloud-store operation on a store replica: the
-	// request is a gob-encoded cloudstore.Op, the response a storeResp.
+	// KindStore performs one cloud-store operation on a store replica.
 	KindStore = "node.store"
 	// KindTransfer installs a migrated group's state on the destination
 	// node (migration protocol step IV over the mesh).
@@ -66,110 +70,37 @@ const (
 // instead of bouncing forever.
 var ErrTooManyHops error = schema.CodeTooManyHops
 
-// storeResp is the result of a store operation: a cloudstore.Result plus the
-// in-band error (the request frame is the cloudstore.Op itself). The Result
-// is spelled out flat because gob compiles every nested struct type anew for
-// each frame.
-type storeResp struct {
-	Value   []byte
-	Version uint64
-	Keys    []string
-	Err     string
-	Code    schema.Code
-}
-
-// ackResp acknowledges a state transfer or a commanded migration: the
-// handler's error in-band, zero on success.
-type ackResp struct {
-	Err  string
-	Code schema.Code
-}
-
-// ackOf renders a control handler's outcome. An error no layer gave a code
-// reads as CodeUnknown: a migration that failed midway converges through
-// its WAL, and the caller cannot tell how far it got.
-func ackOf(err error) ackResp {
-	if err == nil {
-		return ackResp{}
+// ack renders a control handler's outcome as the response frame every
+// control kind answers with. An error no layer gave a code reads as
+// CodeUnknown: a migration that failed midway converges through its WAL, and
+// the caller cannot tell how far it got.
+func ack(kind string, out schema.SubmitResp, err error) (transport.Message, error) {
+	if err != nil {
+		out.Code, out.Err = schema.CodeOf(err), err.Error()
 	}
-	return ackResp{Err: err.Error(), Code: schema.CodeOf(err)}
+	payload, err := out.MarshalWire(nil)
+	return transport.Message{Kind: kind, Payload: payload}, err
 }
 
-// transferQueryReq probes whether the destination committed a transfer:
-// Probe is the group's root (first member), To the destination server.
-type transferQueryReq struct {
-	Probe ownership.ID
-	To    cluster.ServerID
-}
-
-// transferQueryResp answers a commit probe.
-type transferQueryResp struct {
-	Committed bool
-}
-
-// migrateReq asks the receiving node to migrate a group it hosts.
-type migrateReq struct {
-	Root ownership.ID
-	To   cluster.ServerID
-}
-
-// pingResp reports liveness.
-type pingResp struct {
-	Node transport.NodeID
-}
-
-func init() {
-	// Node wire frames travel through the shared registry like every other
-	// cross-process payload.
-	schema.RegisterWireTypes(
-		cloudstore.Op{}, storeResp{},
-		ackResp{},
-		transferQueryReq{}, transferQueryResp{},
-		migrateReq{},
-		pingResp{},
-	)
-}
-
-// encodeFrame gob-encodes one wire frame.
-func encodeFrame(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("node: encode frame %T: %w", v, err)
+// acked reads what ack wrote: the peer handler's error, nil on success.
+func acked(raw transport.Message) error {
+	var resp schema.SubmitResp
+	if err := resp.UnmarshalWire(raw.Payload); err != nil {
+		return err
 	}
-	return buf.Bytes(), nil
+	return schema.Err(resp.Code, resp.Err)
 }
 
-// gobBufPool recycles encode buffers on the gob control path: mesh endpoints
-// do not retain request payloads after Call returns, so a caller can encode
-// into a pooled buffer, send, and return the buffer — one steady-state
-// allocation fewer per control frame.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// encodeFramePooled gob-encodes v into a pooled buffer. The returned bytes
-// alias the buffer: release it with releaseFrameBuf only after the payload is
-// no longer referenced (for mesh calls, after Call returns).
-func encodeFramePooled(v any) (*bytes.Buffer, []byte, error) {
-	buf := gobBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		gobBufPool.Put(buf)
-		return nil, nil, fmt.Errorf("node: encode frame %T: %w", v, err)
+// sendHot encodes one frame into a pooled buffer and sends it to a peer under
+// the caller's context. No retry on failure — the outcome is ambiguous and
+// events are not idempotent.
+func sendHot(ctx context.Context, ep transport.Endpoint, to transport.NodeID, kind string, encode func(dst []byte) ([]byte, error)) (transport.Message, error) {
+	buf := schema.GetFrameBuf()
+	defer schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
+	payload, err := encode((*buf)[:0])
+	if err != nil {
+		return transport.Message{}, err
 	}
-	return buf, buf.Bytes(), nil
-}
-
-// releaseFrameBuf recycles a buffer from encodeFramePooled.
-func releaseFrameBuf(buf *bytes.Buffer) {
-	if buf == nil || buf.Cap() > 1<<20 {
-		return // don't let one huge transfer pin a huge buffer in the pool
-	}
-	gobBufPool.Put(buf)
-}
-
-// decodeFrame decodes a wire frame into out (a pointer).
-func decodeFrame(b []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(out); err != nil {
-		return fmt.Errorf("node: decode frame %T: %w", out, err)
-	}
-	return nil
+	*buf = payload
+	return ep.Call(ctx, to, transport.Message{Kind: kind, Payload: payload})
 }

@@ -82,9 +82,9 @@ var codeTable = [NumCodes]struct {
 	CodeLinkNoNode:           {"link-no-node", "transport: unknown node", NotExecuted},
 }
 
-// known maps a byte this build has no row for onto CodeUnknown, so decoding
+// Known maps a byte this build has no row for onto CodeUnknown, so decoding
 // a newer peer's code can neither panic nor read as some other failure.
-func (c Code) known() Code {
+func (c Code) Known() Code {
 	if c >= NumCodes {
 		return CodeUnknown
 	}
@@ -93,9 +93,9 @@ func (c Code) known() Code {
 
 // Error returns the code's message, Name its stable name, Class its retry
 // class (zero for CodeOK).
-func (c Code) Error() string     { return codeTable[c.known()].msg }
-func (c Code) Name() string      { return codeTable[c.known()].name }
-func (c Code) Class() RetryClass { return codeTable[c.known()].class }
+func (c Code) Error() string     { return codeTable[c.Known()].msg }
+func (c Code) Name() string      { return codeTable[c.Known()].name }
+func (c Code) Class() RetryClass { return codeTable[c.Known()].class }
 
 // CodeOf returns the code err carries: CodeOK for nil, CodeUnknown for an
 // error with no code in its chain. CodeOf(err).Class() is a caller's retry
@@ -125,5 +125,5 @@ func Err(c Code, msg string) error {
 	if c == CodeOK {
 		return nil
 	}
-	return &Coded{Code: c.known(), Msg: msg}
+	return &Coded{Code: c.Known(), Msg: msg}
 }

@@ -1,22 +1,23 @@
 package schema
 
-// Hand-rolled binary codec for the hot wire frames: submit requests and
+// Hand-rolled binary codec for the node wire frames: submit requests and
 // responses (every remote event pays one of each), replication-notify hints
-// (every durable append fans one out per peer), and migration transfer
-// records. Gob is reflection-driven and re-sends type metadata per frame on
+// (every durable append fans one out per peer), migration transfer records,
+// the control plane's request (PlaceReq; its acks are SubmitResps) and — laid
+// out beside cloudstore.Op with the primitives exported here — the store
+// frames. Gob is reflection-driven and re-sends type metadata per frame on
 // the request/response path (BenchmarkSubmitReqGob vs
 // BenchmarkSubmitReqHotCodec is the cost of one submit request either way);
 // these frames instead get a fixed little-endian layout with
 // varint integers, a tagged value encoding for `any` fields, and buffer
 // reuse via sync.Pool, so the steady-state ingress path encodes and decodes
-// without allocating. Rare control frames (store ops, migrate commands,
-// pings) stay on the registered-gob codec — see RegisterWireType.
+// without allocating. No frame between processes is a gob stream; gob is
+// only the codec of opaque application values inside a frame (see wire.go).
 //
-// Frame layout: every hot frame starts with [HotMagic, type byte]. HotMagic
-// (0xA7) can never begin a valid gob stream (gob's leading byte is either a
-// small literal length ≤ 0x7F or a 0xF8–0xFF length-of-length marker), so a
-// receiver can cheaply tell the two codecs apart. All integers are uvarint
-// or zigzag varint; strings and byte slices are length-prefixed.
+// Frame layout: every hot frame starts with [HotMagic, type byte], and a
+// decoder refuses a payload that does not start with its own pair. All
+// integers are uvarint or zigzag varint; strings and byte slices are
+// length-prefixed.
 //
 // `any` values (event arguments and results) are encoded with a one-byte
 // tag covering the scalar kinds real workloads send — nil, bool, int,
@@ -49,6 +50,11 @@ const (
 	hotTypeTransfer        byte = 4
 	hotTypeSubmitBatchReq  byte = 5
 	hotTypeSubmitBatchResp byte = 6
+	// The store frames: a cloudstore.Op and its Reply, laid out in
+	// cloudstore/op.go beside the structs they carry.
+	HotTypeStoreReq  byte = 7
+	HotTypeStoreResp byte = 8
+	hotTypePlaceReq  byte = 9
 )
 
 // Value tags for the `any` encoding.
@@ -113,10 +119,13 @@ type TransferRec struct {
 	States     map[uint64][]byte
 }
 
-// IsHotFrame reports whether b begins like a hot-codec frame (as opposed to
-// a gob payload).
-func IsHotFrame(b []byte) bool {
-	return len(b) >= 2 && b[0] == HotMagic
+// PlaceReq is the control plane's one request shape, a context and a server:
+// "migrate the group rooted at Context to Server" on node.migrate, "did
+// Server commit the transfer of the group whose first member is Context" on
+// node.transfer.query. Either is answered by a SubmitResp.
+type PlaceReq struct {
+	Context ownership.ID
+	Server  int64
 }
 
 // MaxBatchEvents bounds the events one batch frame may carry. Encoders split
@@ -132,17 +141,17 @@ func HotFrameEvents(b []byte) int {
 	if len(b) < 2 || b[0] != HotMagic || b[1] != hotTypeSubmitBatchReq {
 		return 1
 	}
-	r := hotReader{b: b, off: 2}
-	if _, err := r.uvarint(); err != nil { // Hops
+	r := HotReader{b: b, off: 2}
+	if _, err := r.Uvarint(); err != nil { // Hops
 		return 1
 	}
-	if _, err := r.uvarint(); err != nil { // MinSeq
+	if _, err := r.Uvarint(); err != nil { // MinSeq
 		return 1
 	}
-	if _, err := r.uvarint(); err != nil { // Trace
+	if _, err := r.Uvarint(); err != nil { // Trace
 		return 1
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil || n == 0 || n > MaxBatchEvents {
 		return 1
 	}
@@ -175,98 +184,117 @@ func PutFrameBuf(b *[]byte) {
 	framePool.Put(b)
 }
 
-// ---- primitive encoders ----
+// ---- primitives ----
+//
+// Exported for the one frame family laid out outside this package (the store
+// frames, which must sit beside cloudstore.Op and cannot be imported here).
 
-func putUvarint(dst []byte, v uint64) []byte {
+func PutUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
 }
 
-func putVarint(dst []byte, v int64) []byte {
+func PutVarint(dst []byte, v int64) []byte {
 	return binary.AppendVarint(dst, v)
 }
 
-func putString(dst []byte, s string) []byte {
+func PutString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func putBytes(dst []byte, b []byte) []byte {
+func PutBytes(dst []byte, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
-// hotReader walks a frame body with bounds checks; every failure is an
-// ErrHotFrame, never a panic, so arbitrary bytes are safe to feed in.
-type hotReader struct {
+// HotReader walks a frame body with bounds checks; every failure is an
+// ErrHotFrame, never a panic, so arbitrary bytes are safe to feed in. Header
+// starts it on a frame.
+type HotReader struct {
 	b   []byte
 	off int
 }
 
-func (r *hotReader) fail(what string) error {
+func (r *HotReader) Fail(what string) error {
 	return fmt.Errorf("%w: %s at offset %d", ErrHotFrame, what, r.off)
 }
 
-func (r *hotReader) byte() (byte, error) {
+func (r *HotReader) Byte() (byte, error) {
 	if r.off >= len(r.b) {
-		return 0, r.fail("truncated byte")
+		return 0, r.Fail("truncated byte")
 	}
 	c := r.b[r.off]
 	r.off++
 	return c, nil
 }
 
-func (r *hotReader) uvarint() (uint64, error) {
+func (r *HotReader) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, r.fail("bad uvarint")
+		return 0, r.Fail("bad uvarint")
 	}
 	r.off += n
 	return v, nil
 }
 
-func (r *hotReader) varint() (int64, error) {
+func (r *HotReader) Varint() (int64, error) {
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		return 0, r.fail("bad varint")
+		return 0, r.Fail("bad varint")
 	}
 	r.off += n
 	return v, nil
 }
 
-// take returns the next n bytes of the frame without copying.
-func (r *hotReader) take(n uint64) ([]byte, error) {
+// Take returns the next n bytes of the frame without copying.
+func (r *HotReader) Take(n uint64) ([]byte, error) {
 	if n > hotMax || r.off+int(n) > len(r.b) {
-		return nil, r.fail("truncated field")
+		return nil, r.Fail("truncated field")
 	}
 	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
 	return b, nil
 }
 
-// lenBytes returns the next length-prefixed field without copying.
-func (r *hotReader) lenBytes() ([]byte, error) {
-	n, err := r.uvarint()
+// LenBytes returns the next length-prefixed field without copying.
+func (r *HotReader) LenBytes() ([]byte, error) {
+	n, err := r.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	return r.take(n)
+	return r.Take(n)
 }
 
-// str decodes a length-prefixed string, copying out of the frame (frames
+// Str decodes a length-prefixed string, copying out of the frame (frames
 // may live in pooled buffers; decoded values must not alias them).
-func (r *hotReader) str() (string, error) {
-	b, err := r.lenBytes()
+func (r *HotReader) Str() (string, error) {
+	b, err := r.LenBytes()
 	return string(b), err
 }
 
-func (r *hotReader) header(frameType byte) error {
-	if len(r.b) < 2 || r.b[0] != HotMagic {
+// Count decodes a collection's element count, refusing one larger than the
+// bytes left in the frame: every element takes at least a byte, so such a
+// count is a lie, and the caller is about to size an allocation by it.
+func (r *HotReader) Count() (int, error) {
+	n, err := r.Uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(r.b)-r.off) {
+		return 0, r.Fail("count exceeds frame")
+	}
+	return int(n), nil
+}
+
+// Header starts the reader on b, which must be a frame of the given type.
+func (r *HotReader) Header(b []byte, frameType byte) error {
+	if len(b) < 2 || b[0] != HotMagic {
 		return fmt.Errorf("%w: missing magic", ErrHotFrame)
 	}
-	if r.b[1] != frameType {
-		return fmt.Errorf("%w: frame type %d, want %d", ErrHotFrame, r.b[1], frameType)
+	if b[1] != frameType {
+		return fmt.Errorf("%w: frame type %d, want %d", ErrHotFrame, b[1], frameType)
 	}
-	r.off = 2
+	r.b, r.off = b, 2
 	return nil
 }
 
@@ -338,20 +366,20 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 		}
 		return append(dst, tagFalse), nil
 	case int:
-		return putVarint(append(dst, tagInt), int64(x)), nil
+		return PutVarint(append(dst, tagInt), int64(x)), nil
 	case int64:
-		return putVarint(append(dst, tagInt64), x), nil
+		return PutVarint(append(dst, tagInt64), x), nil
 	case uint64:
-		return putUvarint(append(dst, tagUint64), x), nil
+		return PutUvarint(append(dst, tagUint64), x), nil
 	case float64:
 		dst = append(dst, tagFloat)
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x)), nil
 	case string:
-		return putString(append(dst, tagString), x), nil
+		return PutString(append(dst, tagString), x), nil
 	case []byte:
-		return putBytes(append(dst, tagBytes), x), nil
+		return PutBytes(append(dst, tagBytes), x), nil
 	case ownership.ID:
-		return putUvarint(append(dst, tagID), uint64(x)), nil
+		return PutUvarint(append(dst, tagID), uint64(x)), nil
 	default:
 		// Exotic payload type: embed a registered-gob blob. Correct for
 		// every RegisterWireType'd type, just not allocation-free.
@@ -359,13 +387,13 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		return putBytes(append(dst, tagGob), blob), nil
+		return PutBytes(append(dst, tagGob), blob), nil
 	}
 }
 
 // readValue decodes one tagged value.
-func (r *hotReader) readValue() (any, error) {
-	tag, err := r.byte()
+func (r *HotReader) readValue() (any, error) {
+	tag, err := r.Byte()
 	if err != nil {
 		return nil, err
 	}
@@ -377,22 +405,22 @@ func (r *hotReader) readValue() (any, error) {
 	case tagTrue:
 		return true, nil
 	case tagInt:
-		v, err := r.varint()
+		v, err := r.Varint()
 		return int(v), err
 	case tagInt64:
-		return r.varint()
+		return r.Varint()
 	case tagUint64:
-		return r.uvarint()
+		return r.Uvarint()
 	case tagFloat:
-		b, err := r.take(8)
+		b, err := r.Take(8)
 		if err != nil {
 			return nil, err
 		}
 		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 	case tagString:
-		return r.str()
+		return r.Str()
 	case tagBytes:
-		b, err := r.lenBytes()
+		b, err := r.LenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -400,10 +428,10 @@ func (r *hotReader) readValue() (any, error) {
 		copy(out, b)
 		return out, nil
 	case tagID:
-		v, err := r.uvarint()
+		v, err := r.Uvarint()
 		return ownership.ID(v), err
 	case tagGob:
-		b, err := r.lenBytes()
+		b, err := r.LenBytes()
 		if err != nil {
 			return nil, err
 		}
@@ -413,7 +441,7 @@ func (r *hotReader) readValue() (any, error) {
 		}
 		return v, nil
 	default:
-		return nil, r.fail(fmt.Sprintf("unknown value tag %d", tag))
+		return nil, r.Fail(fmt.Sprintf("unknown value tag %d", tag))
 	}
 }
 
@@ -424,12 +452,12 @@ func (r *hotReader) readValue() (any, error) {
 // without allocating.
 func (q *SubmitReq) MarshalWire(dst []byte) ([]byte, error) {
 	dst = append(dst, HotMagic, hotTypeSubmitReq)
-	dst = putUvarint(dst, uint64(q.Target))
-	dst = putString(dst, q.Method)
-	dst = putUvarint(dst, uint64(q.Hops))
-	dst = putUvarint(dst, q.MinSeq)
-	dst = putUvarint(dst, q.Trace)
-	dst = putUvarint(dst, uint64(len(q.Args)))
+	dst = PutUvarint(dst, uint64(q.Target))
+	dst = PutString(dst, q.Method)
+	dst = PutUvarint(dst, uint64(q.Hops))
+	dst = PutUvarint(dst, q.MinSeq)
+	dst = PutUvarint(dst, q.Trace)
+	dst = PutUvarint(dst, uint64(len(q.Args)))
 	var err error
 	for _, a := range q.Args {
 		if dst, err = appendValue(dst, a); err != nil {
@@ -444,42 +472,39 @@ func (q *SubmitReq) MarshalWire(dst []byte) ([]byte, error) {
 // target reaches steady-state zero allocations; decoded values never alias
 // b.
 func (q *SubmitReq) UnmarshalWire(b []byte) error {
-	r := hotReader{b: b}
-	if err := r.header(hotTypeSubmitReq); err != nil {
+	var r HotReader
+	if err := r.Header(b, hotTypeSubmitReq); err != nil {
 		return err
 	}
-	target, err := r.uvarint()
+	target, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	method, err := r.lenBytes()
+	method, err := r.LenBytes()
 	if err != nil {
 		return err
 	}
-	hops, err := r.uvarint()
+	hops, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
 	if hops > math.MaxUint32 {
-		return r.fail("hop count overflow")
+		return r.Fail("hop count overflow")
 	}
-	minSeq, err := r.uvarint()
+	minSeq, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	trace, err := r.uvarint()
+	trace, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	n, err := r.uvarint()
+	n, err := r.Count()
 	if err != nil {
 		return err
-	}
-	if n > hotMax {
-		return r.fail("arg count overflow")
 	}
 	args := q.Args[:0]
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		v, err := r.readValue()
 		if err != nil {
 			return fmt.Errorf("submit arg %d: %w", i, err)
@@ -500,26 +525,26 @@ func (q *SubmitReq) UnmarshalWire(b []byte) error {
 // appendOutcome encodes one outcome: host, code byte, the message only when
 // the code says failure — a success costs one zero byte — then the result.
 func appendOutcome(dst []byte, o *BatchOutcome) ([]byte, error) {
-	dst = append(putVarint(dst, o.Host), byte(o.Code))
+	dst = append(PutVarint(dst, o.Host), byte(o.Code))
 	if o.Code != CodeOK {
-		dst = putString(dst, o.Err)
+		dst = PutString(dst, o.Err)
 	}
 	return appendValue(dst, o.Result)
 }
 
 // outcome decodes what appendOutcome wrote; a code byte this build does not
 // know reads as CodeUnknown.
-func (r *hotReader) outcome(o *BatchOutcome) (err error) {
-	if o.Host, err = r.varint(); err != nil {
+func (r *HotReader) outcome(o *BatchOutcome) (err error) {
+	if o.Host, err = r.Varint(); err != nil {
 		return err
 	}
-	c, err := r.byte()
+	c, err := r.Byte()
 	if err != nil {
 		return err
 	}
-	o.Code, o.Err = Code(c).known(), ""
+	o.Code, o.Err = Code(c).Known(), ""
 	if o.Code != CodeOK {
-		if o.Err, err = r.str(); err != nil {
+		if o.Err, err = r.Str(); err != nil {
 			return err
 		}
 	}
@@ -534,8 +559,8 @@ func (p *SubmitResp) MarshalWire(dst []byte) ([]byte, error) {
 
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (p *SubmitResp) UnmarshalWire(b []byte) error {
-	r := hotReader{b: b}
-	if err := r.header(hotTypeSubmitResp); err != nil {
+	var r HotReader
+	if err := r.Header(b, hotTypeSubmitResp); err != nil {
 		return err
 	}
 	return r.outcome((*BatchOutcome)(p))
@@ -546,16 +571,16 @@ func (p *SubmitResp) UnmarshalWire(b []byte) error {
 // MarshalWire appends the frame to dst.
 func (n *NotifyRec) MarshalWire(dst []byte) ([]byte, error) {
 	dst = append(dst, HotMagic, hotTypeNotify)
-	return putUvarint(dst, n.Seq), nil
+	return PutUvarint(dst, n.Seq), nil
 }
 
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (n *NotifyRec) UnmarshalWire(b []byte) error {
-	r := hotReader{b: b}
-	if err := r.header(hotTypeNotify); err != nil {
+	var r HotReader
+	if err := r.Header(b, hotTypeNotify); err != nil {
 		return err
 	}
-	seq, err := r.uvarint()
+	seq, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
@@ -563,20 +588,43 @@ func (n *NotifyRec) UnmarshalWire(b []byte) error {
 	return nil
 }
 
+// ---- PlaceReq ----
+
+// MarshalWire appends the frame to dst.
+func (q *PlaceReq) MarshalWire(dst []byte) ([]byte, error) {
+	dst = append(dst, HotMagic, hotTypePlaceReq)
+	return PutVarint(PutUvarint(dst, uint64(q.Context)), q.Server), nil
+}
+
+// UnmarshalWire decodes a frame produced by MarshalWire.
+func (q *PlaceReq) UnmarshalWire(b []byte) error {
+	var r HotReader
+	if err := r.Header(b, hotTypePlaceReq); err != nil {
+		return err
+	}
+	id, err := r.Uvarint()
+	if err != nil {
+		return err
+	}
+	q.Context = ownership.ID(id)
+	q.Server, err = r.Varint()
+	return err
+}
+
 // ---- TransferRec ----
 
 // MarshalWire appends the frame to dst.
 func (t *TransferRec) MarshalWire(dst []byte) ([]byte, error) {
 	dst = append(dst, HotMagic, hotTypeTransfer)
-	dst = putVarint(dst, t.From)
-	dst = putVarint(dst, t.To)
-	dst = putVarint(dst, t.TotalBytes)
-	dst = putUvarint(dst, t.MinSeq)
-	dst = putUvarint(dst, uint64(len(t.Members)))
+	dst = PutVarint(dst, t.From)
+	dst = PutVarint(dst, t.To)
+	dst = PutVarint(dst, t.TotalBytes)
+	dst = PutUvarint(dst, t.MinSeq)
+	dst = PutUvarint(dst, uint64(len(t.Members)))
 	for _, id := range t.Members {
-		dst = putUvarint(dst, uint64(id))
+		dst = PutUvarint(dst, uint64(id))
 	}
-	dst = putUvarint(dst, uint64(len(t.States)))
+	dst = PutUvarint(dst, uint64(len(t.States)))
 	// Iterate members (ordered) rather than the map so the encoding is
 	// deterministic; entries for non-members cannot exist by construction
 	// but are guarded below anyway.
@@ -586,8 +634,8 @@ func (t *TransferRec) MarshalWire(dst []byte) ([]byte, error) {
 		if !ok {
 			continue
 		}
-		dst = putUvarint(dst, uint64(id))
-		dst = putBytes(dst, b)
+		dst = PutUvarint(dst, uint64(id))
+		dst = PutBytes(dst, b)
 		written++
 	}
 	if written != len(t.States) {
@@ -598,56 +646,49 @@ func (t *TransferRec) MarshalWire(dst []byte) ([]byte, error) {
 
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (t *TransferRec) UnmarshalWire(b []byte) error {
-	r := hotReader{b: b}
-	if err := r.header(hotTypeTransfer); err != nil {
+	var r HotReader
+	if err := r.Header(b, hotTypeTransfer); err != nil {
 		return err
 	}
 	var err error
-	if t.From, err = r.varint(); err != nil {
+	if t.From, err = r.Varint(); err != nil {
 		return err
 	}
-	if t.To, err = r.varint(); err != nil {
+	if t.To, err = r.Varint(); err != nil {
 		return err
 	}
-	if t.TotalBytes, err = r.varint(); err != nil {
+	if t.TotalBytes, err = r.Varint(); err != nil {
 		return err
 	}
-	if t.MinSeq, err = r.uvarint(); err != nil {
+	if t.MinSeq, err = r.Uvarint(); err != nil {
 		return err
 	}
-	n, err := r.uvarint()
+	n, err := r.Count()
 	if err != nil {
 		return err
 	}
-	if n > hotMax {
-		return r.fail("member count overflow")
-	}
 	t.Members = make([]ownership.ID, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := r.uvarint()
+	for i := 0; i < n; i++ {
+		id, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
 		t.Members = append(t.Members, ownership.ID(id))
 	}
-	n, err = r.uvarint()
-	if err != nil {
+	if n, err = r.Count(); err != nil {
 		return err
 	}
-	if n > hotMax {
-		return r.fail("state count overflow")
-	}
 	t.States = make(map[uint64][]byte, n)
-	for i := uint64(0); i < n; i++ {
-		id, err := r.uvarint()
+	for i := 0; i < n; i++ {
+		id, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
-		ln, err := r.uvarint()
+		ln, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
-		raw, err := r.take(ln)
+		raw, err := r.Take(ln)
 		if err != nil {
 			return err
 		}
@@ -729,10 +770,10 @@ func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error)
 		return nil, fmt.Errorf("schema: batch of %d events exceeds MaxBatchEvents", n)
 	}
 	dst = append(dst, HotMagic, hotTypeSubmitBatchReq)
-	dst = putUvarint(dst, uint64(q.Hops))
-	dst = putUvarint(dst, q.MinSeq)
-	dst = putUvarint(dst, q.Trace)
-	dst = putUvarint(dst, uint64(n))
+	dst = PutUvarint(dst, uint64(q.Hops))
+	dst = PutUvarint(dst, q.MinSeq)
+	dst = PutUvarint(dst, q.Trace)
+	dst = PutUvarint(dst, uint64(n))
 	var err error
 	var recent [batchTargetScan]ownership.ID // targets of the last events encoded
 	for k := 0; k < n; k++ {
@@ -750,12 +791,12 @@ func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error)
 			}
 		}
 		recent[k%batchTargetScan] = ev.Target
-		dst = putUvarint(dst, back)
+		dst = PutUvarint(dst, back)
 		if back == 0 {
-			dst = putUvarint(dst, uint64(ev.Target))
+			dst = PutUvarint(dst, uint64(ev.Target))
 		}
-		dst = putString(dst, ev.Method)
-		dst = putUvarint(dst, uint64(len(ev.Args)))
+		dst = PutString(dst, ev.Method)
+		dst = PutUvarint(dst, uint64(len(ev.Args)))
 		for _, a := range ev.Args {
 			if dst, err = appendValue(dst, a); err != nil {
 				return nil, fmt.Errorf("batch event %d arg: %w", i, err)
@@ -781,31 +822,31 @@ func (q *SubmitBatchReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, f
 func (q *SubmitBatchReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, true) }
 
 func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
-	r := hotReader{b: b}
-	if err := r.header(hotTypeSubmitBatchReq); err != nil {
+	var r HotReader
+	if err := r.Header(b, hotTypeSubmitBatchReq); err != nil {
 		return err
 	}
-	hops, err := r.uvarint()
+	hops, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
 	if hops > math.MaxUint32 {
-		return r.fail("hop count overflow")
+		return r.Fail("hop count overflow")
 	}
-	minSeq, err := r.uvarint()
+	minSeq, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	trace, err := r.uvarint()
+	trace, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
 	if n > MaxBatchEvents {
-		return r.fail("batch event count overflow")
+		return r.Fail("batch event count overflow")
 	}
 	evs := q.Events
 	if uint64(cap(evs)) < n {
@@ -818,23 +859,23 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 	var arena []any // freshArgs: the frame's one args allocation
 	for i := uint64(0); i < n; i++ {
 		e := &evs[i]
-		back, err := r.uvarint()
+		back, err := r.Uvarint()
 		if err != nil {
 			return err
 		}
 		switch {
 		case back == 0:
-			raw, err := r.uvarint()
+			raw, err := r.Uvarint()
 			if err != nil {
 				return err
 			}
 			e.Target = ownership.ID(raw)
 		case back > i:
-			return r.fail("batch target back-reference out of range")
+			return r.Fail("batch target back-reference out of range")
 		default:
 			e.Target = evs[i-back].Target
 		}
-		method, err := r.lenBytes()
+		method, err := r.LenBytes()
 		if err != nil {
 			return err
 		}
@@ -845,24 +886,21 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 		} else {
 			e.Method = intern(method)
 		}
-		na, err := r.uvarint()
+		na, err := r.Count()
 		if err != nil {
 			return err
 		}
-		rest := uint64(len(r.b) - r.off) // every value takes at least a byte
-		if na > rest {
-			return r.fail("arg count overflow")
-		}
 		args := e.Args[:0]
 		if freshArgs {
-			if uint64(cap(arena)-len(arena)) < na {
-				// Size for the remaining events at this one's arity.
-				arena = make([]any, 0, min(na*(n-i), rest))
+			if cap(arena)-len(arena) < na {
+				// Size for the remaining events at this one's arity; every
+				// value takes at least a byte of what is left of the frame.
+				arena = make([]any, 0, min(na*int(n-i), len(r.b)-r.off))
 			}
-			args = arena[len(arena) : len(arena) : len(arena)+int(na)]
-			arena = arena[:len(arena)+int(na)]
+			args = arena[len(arena) : len(arena) : len(arena)+na]
+			arena = arena[:len(arena)+na]
 		}
-		for j := uint64(0); j < na; j++ {
+		for j := 0; j < na; j++ {
 			v, err := r.readValue()
 			if err != nil {
 				return fmt.Errorf("batch event %d arg %d: %w", i, j, err)
@@ -886,7 +924,7 @@ func (p *SubmitBatchResp) MarshalWire(dst []byte) ([]byte, error) {
 		return nil, fmt.Errorf("schema: batch of %d outcomes exceeds MaxBatchEvents", len(p.Outcomes))
 	}
 	dst = append(dst, HotMagic, hotTypeSubmitBatchResp)
-	dst = putUvarint(dst, uint64(len(p.Outcomes)))
+	dst = PutUvarint(dst, uint64(len(p.Outcomes)))
 	var err error
 	for i := range p.Outcomes {
 		if dst, err = appendOutcome(dst, &p.Outcomes[i]); err != nil {
@@ -899,16 +937,16 @@ func (p *SubmitBatchResp) MarshalWire(dst []byte) ([]byte, error) {
 // UnmarshalWire decodes a frame produced by MarshalWire. The receiver's
 // Outcomes slice is reused when capacity suffices.
 func (p *SubmitBatchResp) UnmarshalWire(b []byte) error {
-	r := hotReader{b: b}
-	if err := r.header(hotTypeSubmitBatchResp); err != nil {
+	var r HotReader
+	if err := r.Header(b, hotTypeSubmitBatchResp); err != nil {
 		return err
 	}
-	n, err := r.uvarint()
+	n, err := r.Uvarint()
 	if err != nil {
 		return err
 	}
 	if n > MaxBatchEvents {
-		return r.fail("batch outcome count overflow")
+		return r.Fail("batch outcome count overflow")
 	}
 	outs := p.Outcomes
 	if uint64(cap(outs)) < n {
