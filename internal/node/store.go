@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aeon/internal/cloudstore"
+	"aeon/internal/core"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
@@ -112,4 +113,14 @@ func serveStore(do func(cloudstore.Op) (cloudstore.Result, error), payload []byt
 		rep.Err, rep.Code = err.Error(), schema.CodeOf(err)
 	}
 	return transport.Message{Kind: KindStore, Payload: rep.AppendWire(nil)}, nil
+}
+
+// handleStore serves one cloud-store operation from the authoritative local
+// store. Non-store nodes refuse typed, so a misconfigured peer fails fast.
+func (n *Node) handleStore(op cloudstore.Op) (cloudstore.Result, error) {
+	st := n.cfg.LocalStore
+	if !n.servesStore || st == nil {
+		return cloudstore.Result{}, fmt.Errorf("node %v serves no store: %w", n.id, core.ErrNotLocal)
+	}
+	return st.Do(op)
 }
