@@ -274,16 +274,18 @@ func (r *HotReader) Str() (string, error) {
 
 // Count decodes a collection's element count, refusing one larger than the
 // bytes left in the frame: every element takes at least a byte, so such a
-// count is a lie, and the caller is about to size an allocation by it.
+// count is a lie, and the caller is about to size an allocation by it. It
+// reads its varint itself: batch decode pays one Count per event, and a call
+// through Uvarint showed there (+7 % on BenchmarkSubmitBatchReqHotCodec).
 func (r *HotReader) Count() (int, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return 0, err
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		return 0, r.Fail("bad uvarint")
 	}
-	if n > uint64(len(r.b)-r.off) {
+	if r.off += n; v > uint64(len(r.b)-r.off) {
 		return 0, r.Fail("count exceeds frame")
 	}
-	return int(n), nil
+	return int(v), nil
 }
 
 // Header starts the reader on b, which must be a frame of the given type.
