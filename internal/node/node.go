@@ -164,12 +164,14 @@ type Node struct {
 	// ops is the process observability registry (Config.Ops; nil = off).
 	// submitLat/forwardLat/batchLat are striped per-frame handler latency
 	// histograms, recorded lock-free on the hot path and merged on scrape;
-	// storeLat is the round trip of every op this node's RemoteStores send.
+	// storeLat is the round trip of every op this node's RemoteStores send —
+	// rare next to events, so one histogram and not 64 stripes of one
+	// (≈ 250 KB of live heap per node, which GOGC doubles into RSS).
 	ops        *ops.Registry
 	submitLat  metrics.StripedHistogram
 	forwardLat metrics.StripedHistogram
 	batchLat   metrics.StripedHistogram
-	storeLat   metrics.StripedHistogram
+	storeLat   metrics.Histogram
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
