@@ -35,7 +35,8 @@ type Context struct {
 	kids atomic.Pointer[childTable]
 
 	// placed caches the context's host, tagged with the directory generation
-	// it was read at (Directory.routeOf).
+	// it was read at (Directory.routeOf) — inside the context's forwarding
+	// window too: the window changes what a remote sender pays, not the host.
 	placed atomic.Uint64
 }
 

@@ -25,9 +25,10 @@ import (
 // Whole-directory reads (HostedOn, Len, Snapshot) walk the shards one at a
 // time; they serve the eManager's control plane, not the event hot path.
 //
-// The event hot path, which holds the *Context, does not come here at all in
-// steady state: routeOf answers from the placement cached on the context for
-// as long as gen has not moved.
+// The event hot path, which holds the *Context, comes here only where a
+// message crosses servers (the forwarding window is a property of the remote
+// sender's stale map): routeOf answers every other read from the placement
+// cached on the context for as long as gen has not moved.
 type Directory struct {
 	staleFor time.Duration
 	// gen counts the mutations that can change an answer Route has already
@@ -47,7 +48,17 @@ type dirShard struct {
 
 type movedRecord struct {
 	old cluster.ServerID
-	at  time.Time
+	at  Instant
+}
+
+// expire drops the shard's closed forwarding windows; the caller holds sh.mu
+// for writing.
+func (d *Directory) expire(sh *dirShard, now Instant) {
+	for id, rec := range sh.moved {
+		if now.Sub(rec.at) >= d.staleFor {
+			delete(sh.moved, id)
+		}
+	}
 }
 
 // NewDirectory returns an empty directory whose moved-context forwarding
@@ -96,7 +107,7 @@ func (d *Directory) Route(id ownership.ID) (host cluster.ServerID, staleVia clus
 	if !ok {
 		return 0, 0, false, false
 	}
-	if rec, moved := sh.moved[id]; moved && time.Since(rec.at) < d.staleFor {
+	if rec, moved := sh.moved[id]; moved && Since(rec.at) < d.staleFor {
 		return s, rec.old, true, true
 	}
 	return s, 0, false, true
@@ -110,22 +121,21 @@ const (
 	placedHostMask = 1<<placedHostBits - 1
 )
 
-// routeOf is Route for a caller that holds the context's runtime entry: a
-// generation compare and one word in steady state, Route on a mismatch. The
-// generation is read before the probe, so a racing move can only leave a tag
-// that is already stale. An answer inside its forwarding window is never
-// cached — every read of it has to charge the stale-forward hop — and an
-// expired one is cached like any other.
-func (d *Directory) routeOf(c *Context) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
+// routeOf is Locate for a caller that holds the context's runtime entry: a
+// generation compare and one word until the next move of any context, a probe
+// after it. The generation is read before the probe, so a racing move can only
+// leave a tag that is already stale. Whether the context's forwarding window
+// is open is not this read's business: the host is the same either way.
+func (d *Directory) routeOf(c *Context) (cluster.ServerID, bool) {
 	gen := d.gen.Load() << placedHostBits
 	if w := c.placed.Load(); w&^placedHostMask == gen && w&placedHostMask != 0 {
-		return cluster.ServerID(w & placedHostMask), 0, false, true
+		return cluster.ServerID(w & placedHostMask), true
 	}
-	host, staleVia, forwarded, ok = d.Route(c.id)
-	if ok && !forwarded && host > 0 && host <= placedHostMask {
+	host, ok := d.Locate(c.id)
+	if ok && host > 0 && host <= placedHostMask {
 		c.placed.Store(gen | uint64(host))
 	}
-	return host, staleVia, forwarded, ok
+	return host, ok
 }
 
 // Move rehosts a context and opens its forwarding window.
@@ -137,8 +147,10 @@ func (d *Directory) Move(id ownership.ID, to cluster.ServerID) error {
 	if !ok {
 		return fmt.Errorf("%v: %w", id, ErrUnknownContext)
 	}
+	now := Now()
+	d.expire(sh, now)
 	sh.loc[id] = to
-	sh.moved[id] = movedRecord{old: old, at: time.Now()}
+	sh.moved[id] = movedRecord{old: old, at: now}
 	d.gen.Add(1)
 	return nil
 }
@@ -179,9 +191,10 @@ func (d *Directory) MoveBatch(ids []ownership.ID, to cluster.ServerID) error {
 		}
 	}
 	// Apply: one epoch timestamp for the whole group.
-	epoch := time.Now()
+	epoch := Now()
 	for _, si := range locked {
 		sh := &d.shards[si]
+		d.expire(sh, epoch)
 		for _, id := range byShard[si] {
 			old := sh.loc[id]
 			sh.loc[id] = to

@@ -131,61 +131,64 @@ func placementCached(d *Directory, c *Context) bool {
 	return w&placedHostMask != 0 && w&^placedHostMask == d.gen.Load()<<placedHostBits
 }
 
-// TestRouteOfMatchesRoute runs Route(id) and the read off the *Context side by
-// side through every directory mutation and requires identical answers — on
-// the probing read and on the one after it, which a cached word may serve —
-// and that an answer is cached exactly when it may be: never inside a
-// forwarding window, never for a forgotten context.
+// closeWindows backdates every forwarding-window record so that its window
+// has closed, without sleeping through it.
+func closeWindows(d *Directory) {
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.Lock()
+		for id, rec := range sh.moved {
+			rec.at -= Instant(d.staleFor)
+			sh.moved[id] = rec
+		}
+		sh.mu.Unlock()
+	}
+}
+
+// TestRouteOfMatchesRoute runs Route(id) and the host-only read off the
+// *Context side by side through every directory mutation and requires the same
+// host — on the probing read and on the one after it, which a cached word may
+// serve — and that the host is cached after every read of a placed context,
+// inside its forwarding window like outside it; only a forgotten context
+// caches nothing.
 func TestRouteOfMatchesRoute(t *testing.T) {
-	d := NewDirectory(20 * time.Millisecond)
+	d := NewDirectory(time.Hour)
 	ctxs := map[ownership.ID]*Context{}
 	for id := ownership.ID(1); id <= 13; id++ { // enough to span several shards
 		ctxs[id] = &Context{id: id}
 		d.Place(id, 10)
 	}
 	group := []ownership.ID{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	windowsClosed := func(ids ...ownership.ID) {
-		for _, id := range ids {
-			waitFor(t, "the forwarding window to close", func() bool {
-				_, _, forwarded, _ := d.Route(id)
-				return !forwarded
-			})
-		}
-	}
-	type answer struct {
-		host, via     cluster.ServerID
-		forwarded, ok bool
-	}
 	steps := []struct {
 		name       string
 		mutate     func()
 		ids        []ownership.ID
-		want       answer
+		wantHost   cluster.ServerID
+		wantFwd    bool // Route's answer; the host-only read does not see it
 		wantCached bool
 	}{
-		{"fresh placement", func() {}, []ownership.ID{1, 2, 13}, answer{10, 0, false, true}, true},
-		{"Move, inside the window", func() { _ = d.Move(1, 20) }, []ownership.ID{1}, answer{20, 10, true, true}, false},
-		{"a bystander re-probes after the Move", func() {}, []ownership.ID{2}, answer{10, 0, false, true}, true},
-		{"Move, window expired", func() { windowsClosed(1) }, []ownership.ID{1}, answer{20, 0, false, true}, true},
-		{"MoveBatch, inside the window", func() { _ = d.MoveBatch(group, 30) }, group, answer{30, 10, true, true}, false},
-		{"MoveBatch, window expired", func() { windowsClosed(group...) }, group, answer{30, 0, false, true}, true},
-		{"Forget", func() { d.Forget(1) }, []ownership.ID{1}, answer{}, false},
-		{"Place over a different host", func() { d.Place(2, 40) }, []ownership.ID{2}, answer{40, 0, false, true}, true},
-		{"Place over the same host", func() { d.Place(2, 40) }, []ownership.ID{2}, answer{40, 0, false, true}, true},
-		{"a bystander of both Places", func() {}, []ownership.ID{3}, answer{30, 0, false, true}, true},
+		{"fresh placement", func() {}, []ownership.ID{1, 2, 13}, 10, false, true},
+		{"Move, inside the window", func() { _ = d.Move(1, 20) }, []ownership.ID{1}, 20, true, true},
+		{"a bystander re-probes after the Move", func() {}, []ownership.ID{2}, 10, false, true},
+		{"Move, window expired", func() { closeWindows(d) }, []ownership.ID{1}, 20, false, true},
+		{"MoveBatch, inside the window", func() { _ = d.MoveBatch(group, 30) }, group, 30, true, true},
+		{"MoveBatch, window expired", func() { closeWindows(d) }, group, 30, false, true},
+		{"Forget", func() { d.Forget(1) }, []ownership.ID{1}, 0, false, false},
+		{"Place over a different host", func() { d.Place(2, 40) }, []ownership.ID{2}, 40, false, true},
+		{"Place over the same host", func() { d.Place(2, 40) }, []ownership.ID{2}, 40, false, true},
+		{"a bystander of both Places", func() {}, []ownership.ID{3}, 30, false, true},
 	}
 	for _, s := range steps {
 		s.mutate()
 		for _, id := range s.ids {
 			for _, read := range []string{"probing", "repeated"} {
-				var want, got answer
-				want.host, want.via, want.forwarded, want.ok = d.Route(id)
-				got.host, got.via, got.forwarded, got.ok = d.routeOf(ctxs[id])
-				if got != want {
-					t.Fatalf("%s, %v, %s read: routeOf = %+v, Route = %+v", s.name, id, read, got, want)
+				wantHost, _, forwarded, wantOK := d.Route(id)
+				host, ok := d.routeOf(ctxs[id])
+				if host != wantHost || ok != wantOK {
+					t.Fatalf("%s, %v, %s read: routeOf = %v, %v; Route = %v, %v", s.name, id, read, host, ok, wantHost, wantOK)
 				}
-				if got != s.want {
-					t.Fatalf("%s, %v, %s read: %+v; want %+v", s.name, id, read, got, s.want)
+				if host != s.wantHost || forwarded != s.wantFwd {
+					t.Fatalf("%s, %v, %s read: host %v, forwarded %v; want %v, %v", s.name, id, read, host, forwarded, s.wantHost, s.wantFwd)
 				}
 				if cached := placementCached(d, ctxs[id]); cached != s.wantCached {
 					t.Fatalf("%s, %v, after the %s read: cached = %v; want %v", s.name, id, read, cached, s.wantCached)
@@ -199,6 +202,63 @@ func TestRouteOfMatchesRoute(t *testing.T) {
 	d.Place(99, 10)
 	if d.gen.Load() != gen {
 		t.Fatal("a Place that changes no existing answer moved the generation")
+	}
+}
+
+// TestDirectoryMoveDropsExpiredRecords: a forwarding-window record lives until
+// the next move on its shard after the window closed, not for ever — Route's
+// second probe is a miss again for a context that moved long ago. Windows are
+// closed by backdating their records, not by sleeping.
+func TestDirectoryMoveDropsExpiredRecords(t *testing.T) {
+	d := NewDirectory(time.Hour)
+	ids := []ownership.ID{1} // three shard mates, found by hash
+	for id := ownership.ID(2); len(ids) < 3; id++ {
+		if shardFor(id) == shardFor(ids[0]) {
+			ids = append(ids, id)
+		}
+	}
+	first, second, third := ids[0], ids[1], ids[2]
+	for _, id := range ids {
+		d.Place(id, 10)
+	}
+	sh := d.shard(first)
+	recorded := func(id ownership.ID) bool {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		_, ok := sh.moved[id]
+		return ok
+	}
+	if err := d.Move(first, 20); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Move(second, 20); err != nil {
+		t.Fatal(err)
+	}
+	if !recorded(first) || !recorded(second) {
+		t.Fatal("Move dropped the record of an open window")
+	}
+	closeWindows(d)
+	if _, _, forwarded, _ := d.Route(first); forwarded {
+		t.Fatal("a closed window still forwards")
+	}
+	if err := d.MoveBatch([]ownership.ID{third}, 20); err != nil {
+		t.Fatal(err)
+	}
+	if recorded(first) || recorded(second) {
+		t.Fatal("an expired record survived a MoveBatch on its shard")
+	}
+	if err := d.Move(first, 30); err != nil {
+		t.Fatal(err)
+	}
+	if !recorded(first) || !recorded(third) {
+		t.Fatal("a move dropped the record of an open window")
+	}
+	closeWindows(d)
+	if err := d.Move(second, 30); err != nil {
+		t.Fatal(err)
+	}
+	if recorded(first) || recorded(third) || !recorded(second) {
+		t.Fatal("an expired record survived a Move on its shard")
 	}
 }
 

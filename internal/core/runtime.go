@@ -443,8 +443,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []any) (res any, ho
 			return nil, 0, true, err
 		}
 	}
-	// One placement read serves the locality decision and the ACT hop.
-	host, via, forwarded, ok := r.dir.routeOf(domCtx)
+	host, ok := r.dir.routeOf(domCtx)
 	if !ok {
 		return nil, 0, true, fmt.Errorf("%v: %w", dom, ErrUnknownContext)
 	}
@@ -459,7 +458,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []any) (res any, ho
 		mode = RO
 	}
 	ev := newEvent(r.eventSeq.Add(1), mode, target, method)
-	res, host, local, err = r.executeEvent(ev, tc, domCtx, m, args, view, host, via, forwarded)
+	res, host, local, err = r.executeEvent(ev, tc, domCtx, m, args, view, host)
 	if local {
 		f.close(ev.id)
 		r.launchSubs(ev)
@@ -477,14 +476,14 @@ func (f *Frame) Run(target ownership.ID, method string, args []any) (res any, ho
 // nothing held and nothing run, when the group moved to another process
 // while the event waited for admission.
 func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method, args []any, view *ownership.Snapshot,
-	host, via cluster.ServerID, forwarded bool) (any, cluster.ServerID, bool, error) {
+	host cluster.ServerID) (any, cluster.ServerID, bool, error) {
 	// Make sure everything is released even on error paths; releaseAll is
 	// idempotent per held context.
 	defer ev.releaseAll()
 
 	// Client request travels to the dominator's host (ACT message).
 	if r.cfg.ChargeClientHops {
-		if err := r.chargeHop(ClientNode, host, via, forwarded); err != nil {
+		if _, err := r.routeHop(ClientNode, domCtx, true); err != nil {
 			return nil, host, true, err
 		}
 	}
@@ -498,7 +497,7 @@ func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method,
 	// lock, which bumps the directory generation before it returns), so this
 	// read is guaranteed to see the move.
 	if r.isLocal != nil {
-		if cur, _, _, ok := r.dir.routeOf(domCtx); ok && cur != host {
+		if cur, ok := r.dir.routeOf(domCtx); ok && cur != host {
 			if host = cur; !r.isLocal(host) {
 				return nil, host, false, nil
 			}
@@ -553,34 +552,31 @@ func (r *Runtime) activatePath(ev *event, view *ownership.Snapshot, dom ownershi
 	return from, nil
 }
 
-// routeHop charges the network hop from `from` to the host of context c,
-// including the stale-cache forwarding hop for recently migrated contexts,
-// and returns the host. When charge is false only routing is performed.
+// routeHop routes a message from `from` — a server, or ClientNode — to
+// context c and returns c's host. A hop is charged when a message is sent,
+// that is between two servers, and goes by the context's previous server
+// while the sender's map may still point there (§ 5.2); a caller already on
+// c's host sends none and has no route to be stale about. When charge is
+// false only routing is performed.
 func (r *Runtime) routeHop(from transport.NodeID, c *Context, charge bool) (cluster.ServerID, error) {
-	host, via, forwarded, ok := r.dir.routeOf(c)
+	host, ok := r.dir.routeOf(c)
+	if ok && (!charge || from == host) {
+		return host, nil
+	}
+	host, via, forwarded, ok := r.dir.Route(c.id)
 	if !ok {
 		return 0, fmt.Errorf("%v: %w", c.id, ErrUnknownContext)
 	}
-	if !charge {
-		return host, nil
-	}
-	return host, r.chargeHop(from, host, via, forwarded)
-}
-
-// chargeHop charges one routed message: from → host, or from → via → host
-// when a stale cache still points at the context's previous server.
-func (r *Runtime) chargeHop(from transport.NodeID, host, via cluster.ServerID, forwarded bool) error {
 	net := r.cluster.Net()
+	var err error
 	if forwarded && via != host {
-		if err := net.Hop(from, via, r.cfg.MessageBytes); err != nil {
-			return err
+		if err = net.Hop(from, via, r.cfg.MessageBytes); err == nil {
+			err = net.Hop(via, host, r.cfg.MessageBytes)
 		}
-		return net.Hop(via, host, r.cfg.MessageBytes)
+	} else if from != host {
+		err = net.Hop(from, host, r.cfg.MessageBytes)
 	}
-	if from != host {
-		return net.Hop(from, host, r.cfg.MessageBytes)
-	}
-	return nil
+	return host, err
 }
 
 // acquireCtx activates a context for an event (enqueue + wait, per

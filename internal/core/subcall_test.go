@@ -275,12 +275,29 @@ func (h *hopLog) take() [][2]transport.NodeID {
 	return hops
 }
 
+// moveGroup rehosts ids, listed top-down, to one server the way a group
+// migration does: stop window, one directory update, release.
+func (w *fanWorld) moveGroup(t testing.TB, to cluster.ServerID, ids ...ownership.ID) {
+	t.Helper()
+	release, err := w.rt.LockGroupForMigration(ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if err := w.rt.RehostBatch(ids, to); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSubCallHopCharging pins what a synchronous sub-call is charged on a
-// latency-charging network, the same at the parent commit: nothing when
-// callee and caller share a server, one EXEC hop across servers, and inside
-// the staleness window after the callee migrated the stale-cache detour —
-// caller's host → old host → new host — even though the caller's child table
-// was warm before the move (the table caches runtime entries, not placement).
+// latency-charging network. A hop is charged when a message is sent, that is
+// between two servers: nothing when callee and caller share a server, one EXEC
+// hop across servers, and inside the staleness window after the callee alone
+// migrated the stale-cache detour — caller's host → old host → new host — even
+// though the caller's child table was warm before the move (the table caches
+// runtime entries, not placement). When caller and callees migrated together
+// the caller sits on the callees' host and has no route to be stale about:
+// only the client's ACT message pays the detour.
 func TestSubCallHopCharging(t *testing.T) {
 	net := &hopLog{SimNetwork: transport.NewSim(transport.SimConfig{BaseLatency: time.Microsecond})}
 	w := newFanWorld(t, 1, 2, net, 2)
@@ -291,29 +308,78 @@ func TestSubCallHopCharging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := [][2]transport.NodeID{{ClientNode, s1}, {s1, ClientNode}} // ACT in, reply out
-	check := func(name string, leaf ownership.ID, exec ...[2]transport.NodeID) {
+	type hops = [][2]transport.NodeID
+	act, reply := hops{{ClientNode, s1}}, hops{{s1, ClientNode}} // the client's request in, the reply out
+	check := func(name string, exec hops, leaves ...ownership.ID) {
 		t.Helper()
-		w.aim(t, hub, leaf)
+		w.aim(t, hub, leaves...)
 		net.take()
 		w.submit(t, hub, "fan")
-		want := append(append([][2]transport.NodeID{client[0]}, exec...), client[1])
+		want := append(append(append(hops{}, act...), exec...), reply...)
 		if got := net.take(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: hops charged = %v; want %v", name, got, want)
 		}
 	}
-	check("same server", near)
-	check("cross server", far, [2]transport.NodeID{s1, s2})
-	check("before the move", mover)
-	release, err := w.rt.LockForMigration(mover)
+	check("same server", nil, near)
+	check("cross server", hops{{s1, s2}}, far)
+	check("before the move", nil, mover)
+	w.moveGroup(t, s2, mover)
+	check("callee moved, inside the staleness window", hops{{s1, s1}, {s1, s2}}, mover)
+	closeWindows(w.rt.dir)
+	check("callee moved, window closed", hops{{s1, s2}}, mover)
+
+	// The whole group follows: hub and near join mover and far on s2.
+	w.moveGroup(t, s2, hub, near, mover, far)
+	act, reply = hops{{ClientNode, s1}, {s1, s2}}, hops{{s2, ClientNode}}
+	check("group moved, inside the staleness window", nil, near, mover, far)
+	closeWindows(w.rt.dir)
+	act = hops{{ClientNode, s2}}
+	check("group moved, window closed", nil, near, mover, far)
+}
+
+// TestInWindowEventTakesNoDirectoryLock: an event on a group that moved inside
+// the staleness window reads every placement — its dominator's, the
+// post-admission re-check, its 8 callees' — off the contexts, like an event on
+// a group that never moved. With every directory shard write-locked a single
+// Route or Locate would block, so the event completing is proof of none.
+// Client hops are off, as in a fleet: the simulator's ACT hop is a message and
+// does ask Route.
+func TestInWindowEventTakesNoDirectoryLock(t *testing.T) {
+	w := newFanWorld(t, 1, 8, transport.NullNetwork{}, 2)
+	w.rt.cfg.ChargeClientHops = false
+	w.rt.SetRemote(func(cluster.ServerID) bool { return true }, nil) // run the post-admission re-check
+	hub, s2 := w.hubs[0], w.rt.Cluster().Servers()[1].ID()
+	w.submit(t, hub, "fan")
+	w.moveGroup(t, s2, append([]ownership.ID{hub}, w.leaves...)...)
+	w.submit(t, hub, "fan") // warm: one probe per context under the new generation
+	if _, _, forwarded, _ := w.rt.dir.Route(w.leaves[0]); !forwarded {
+		t.Fatal("the forwarding window closed before the measured event")
+	}
+
+	d := w.rt.dir
+	for i := range d.shards {
+		d.shards[i].mu.Lock()
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.rt.Submit(hub, "fan")
+		done <- err
+	}()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(2 * time.Second):
+		t.Error("a warmed in-window event with 8 sub-calls went to the directory")
+	}
+	for i := range d.shards {
+		d.shards[i].mu.Unlock()
+	}
+	if t.Failed() {
+		err = <-done
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.rt.Rehost(mover, s2); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	check("inside the staleness window", mover, [2]transport.NodeID{s1, s1}, [2]transport.NodeID{s1, s2})
 }
 
 // TestEventOverflowsInlineCapacity drives an event past everything the
@@ -371,11 +437,15 @@ func TestEventOverflowsInlineCapacity(t *testing.T) {
 
 func BenchmarkFanoutSubmit(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		hubs int
-	}{{"own-dominator", 1}, {"virtual-join", 2}} {
+		name  string
+		hubs  int
+		moved bool // the group was rehosted and its forwarding window is open
+	}{{"own-dominator", 1, false}, {"virtual-join", 2, false}, {"moved-in-window", 1, true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			w := newFanWorld(b, bc.hubs, 8, transport.NullNetwork{}, 1)
+			w := newFanWorld(b, bc.hubs, 8, transport.NullNetwork{}, 2)
+			if bc.moved {
+				w.moveGroup(b, w.rt.Cluster().Servers()[1].ID(), append(w.hubs[:1:1], w.leaves...)...)
+			}
 			args := []any{"msg"}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -383,6 +453,9 @@ func BenchmarkFanoutSubmit(b *testing.B) {
 				if _, err := w.rt.Submit(w.hubs[i%bc.hubs], "fan", args...); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if _, _, forwarded, _ := w.rt.dir.Route(w.hubs[0]); forwarded != bc.moved {
+				b.Fatalf("forwarding window open = %v at the end of the run; want %v", forwarded, bc.moved)
 			}
 		})
 	}

@@ -8,6 +8,8 @@ package workload
 import (
 	"math/rand"
 	"testing"
+
+	"aeon/internal/alloctest"
 )
 
 func TestScenarioOracleDeterministicAndClean(t *testing.T) {
@@ -121,5 +123,34 @@ func TestScenarioTopologyShape(t *testing.T) {
 	}
 	if got := scen.Entities(); got != 2*2*s.podSize {
 		t.Fatalf("entities = %d, want %d", got, 2*2*s.podSize)
+	}
+}
+
+// TestSocialPostAllocatesOnlyCalleeResults: a warmed post over a pod of 8
+// allocates at most one object per sub-call — push's boxed post count, once
+// the timelines are past the runtime's preboxed small ints — and nothing for
+// carrying the message down.
+func TestSocialPostAllocatesOnlyCalleeResults(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
+	}
+	const pod = 8
+	scen := NewSocial(1, pod, 1)
+	rt, err := NewScenarioRuntime(scen, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	args := []any{"hello"}
+	post := func() {
+		if n, err := rt.Submit(scen.users[0], "post", args...); err != nil || n != pod {
+			t.Fatalf("post = %v, %v", n, err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		post() // warm, and push every timeline past 255 posts
+	}
+	if n := testing.AllocsPerRun(200, post); n > pod {
+		t.Fatalf("%v allocations per post over a pod of %d; want at most one per sub-call", n, pod)
 	}
 }

@@ -119,10 +119,11 @@ func (w *Social) Schema() *schema.Schema {
 
 	user := s.MustDeclareClass("User", func() any { return &SocialUser{} })
 	user.MustDeclareMethod("post", func(call schema.Call, args []any) (any, error) {
-		msg := args[0].(string)
+		// The message goes down in the box it arrived in: unboxing it here
+		// would re-box it, and a fresh args slice, once per timeline.
 		st := call.State().(*SocialUser)
 		for _, tid := range st.Feed {
-			if _, err := call.Sync(ownership.ID(tid), "push", msg); err != nil {
+			if _, err := call.Sync(ownership.ID(tid), "push", args...); err != nil {
 				return nil, err
 			}
 		}
