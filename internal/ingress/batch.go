@@ -3,17 +3,24 @@ package ingress
 // Batched submits. SubmitBatch packs many events into SubmitBatchReq frames —
 // one frame per destination node (chunked at Config.MaxBatch) — so the fleet
 // pays one wakeup and one admission per frame instead of per event. Go's
-// futures ride the same frames transparently: a per-node coalescer holds each
-// async submit for a short linger window (the client-side analogue of a mux
-// sender's one-Gosched yield before it flushes) and flushes when the batch
-// fills or the window elapses. Outcomes are per-event: one event's typed
-// error, stale route, or backpressure rejection never poisons its batchmates.
+// futures ride the same frames transparently, under one rule: an async submit
+// waits for batchmates only while one of its per-node coalescer's own frames
+// is on the wire to that node. On an idle wire it leaves as soon as the
+// coalescer's flusher runs (the client-side analogue of a mux sender's
+// one-Gosched yield before it flushes: what the producer issued in the same
+// quantum rides along); behind a frame in flight it leaves when that frame
+// returns, when the batch fills, or after Config.Linger, whichever is first.
+// Batching is a consequence of load, never a tax on an idle client. Outcomes
+// are per-event: one event's typed error, stale route, or backpressure
+// rejection never poisons its batchmates.
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"aeon/internal/core"
 	"aeon/internal/node"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
@@ -288,78 +295,165 @@ func (c *Client) applyBatchResp(f frame, raw transport.Message) {
 	}
 }
 
-// coalescer batches async submits bound for one node. add holds each event
-// until the batch fills (Config.MaxBatch) or the linger window elapses
-// (Config.Linger), then flushes every held future as one SubmitBatchReq
-// frame. Flush and Close race on the pending slices under mu; take hands
-// each future to exactly one owner.
-type coalescer struct {
-	c  *Client
-	to transport.NodeID
-
-	mu      sync.Mutex
+// batch is a coalescer's pending async submits, index-aligned the way frame
+// wants them; cached says, per event, that the route cache named this node.
+type batch struct {
 	events  []BatchItem
-	cached  []bool // per event: the route cache named this node
+	cached  []bool
 	futures []*Future
-	timer   *time.Timer
 }
 
-// take claims the pending batch. Callers hold mu.
-func (co *coalescer) take() (frame, []*Future) {
-	f, futures := frame{to: co.to, events: co.events, cached: co.cached}, co.futures
-	co.events, co.cached, co.futures = nil, nil, nil
+// reset empties a shipped batch for reuse, dropping what it referenced.
+func (b batch) reset() batch {
+	clear(b.events)
+	clear(b.futures)
+	return batch{b.events[:0], b.cached[:0], b.futures[:0]}
+}
+
+// coalescer batches async submits bound for one node by the package
+// comment's rule. On an idle wire the first add wakes the flusher, which
+// takes the batch when it runs, ships it, and on its return ships whatever
+// gathered behind it: the response is the clock. A batch that fills leaves at
+// once on its own goroutine, and the linger timer — armed only when a batch
+// starts behind the frame in flight — bounds the wait behind a slow one.
+// Flushers and Close race on the pending batch under mu; take hands each
+// future to exactly one owner.
+type coalescer struct {
+	c    *Client
+	to   transport.NodeID
+	wake chan struct{} // one-deep: a batch is pending on an idle wire; Close closes it
+
+	mu       sync.Mutex
+	pending  batch
+	since    core.Instant // when pending's oldest event was added
+	timer    *time.Timer  // non-nil while pending waits behind inFlight
+	inFlight bool         // the flusher's frame is on the wire
+	closed   bool
+}
+
+// take claims the pending batch and leaves next, an empty one, in its place.
+// Callers hold mu.
+func (co *coalescer) take(next batch) batch {
+	b := co.pending
+	co.pending = next
 	if co.timer != nil {
 		co.timer.Stop()
 		co.timer = nil
 	}
-	return f, futures
+	if len(b.futures) > 0 {
+		co.c.hold.Record(core.Since(co.since))
+	}
+	return b
 }
 
-// add enqueues one async submit, arming the linger timer on the first event
-// and flushing inline when the batch fills.
+// add enqueues one async submit. The batch's first event decides how it
+// leaves: behind a frame in flight it arms the linger timer, on an idle
+// wire it wakes the flusher.
 func (co *coalescer) add(ev BatchItem, cached bool, f *Future) {
 	co.mu.Lock()
-	co.events = append(co.events, ev)
-	co.cached = append(co.cached, cached)
-	co.futures = append(co.futures, f)
-	if len(co.events) == 1 {
-		co.timer = time.AfterFunc(co.c.cfg.Linger, co.flushAfterLinger)
-	}
-	if len(co.events) >= co.c.cfg.MaxBatch {
-		fr, futures := co.take()
+	if co.closed { // Go fetched this coalescer before Close drained it
 		co.mu.Unlock()
-		co.c.flushFill.Add(1)
-		go co.c.flushBatch(fr, futures)
+		co.c.resolve(f, nil, ErrClientClosed)
 		return
 	}
+	p := &co.pending
+	p.events = append(p.events, ev)
+	p.cached = append(p.cached, cached)
+	p.futures = append(p.futures, f)
+	n := len(p.events)
+	if n == 1 {
+		co.since = core.Now()
+	}
+	switch {
+	case n >= co.c.cfg.MaxBatch:
+		b := co.take(batch{})
+		co.mu.Unlock()
+		go co.ship(b, &co.c.flushFill)
+		return
+	case n > 1:
+	case co.inFlight:
+		co.timer = time.AfterFunc(co.c.cfg.Linger, co.flushAfterLinger)
+	default:
+		select {
+		case co.wake <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
 	co.mu.Unlock()
+}
+
+// flush is the coalescer's flusher goroutine: woken on an idle wire, it
+// ships the pending batch, then whatever gathered behind that frame while it
+// was in flight, until nothing is pending. Each batch it takes leaves the
+// last one's slices behind as the next pending batch, so a steady trickle of
+// small frames allocates none. It exits when Close closes wake.
+func (co *coalescer) flush() {
+	defer co.c.flushers.Done()
+	var b batch
+	for range co.wake {
+		for {
+			co.mu.Lock()
+			b = co.take(b)
+			co.inFlight = len(b.futures) > 0
+			co.mu.Unlock()
+			if !co.inFlight {
+				break
+			}
+			co.ship(b, &co.c.flushIdle)
+			b = b.reset()
+		}
+	}
 }
 
 func (co *coalescer) flushAfterLinger() {
 	co.mu.Lock()
-	fr, futures := co.take()
+	b := co.take(batch{})
 	co.mu.Unlock()
-	if len(futures) > 0 {
-		co.c.flushLinger.Add(1)
-		co.c.flushBatch(fr, futures)
+	co.ship(b, &co.c.flushLinger)
+}
+
+// close fails what is still pending with ErrClientClosed, turns away later
+// adds, and lets the flusher exit once its frame in flight has returned.
+func (co *coalescer) close() {
+	co.mu.Lock()
+	co.closed = true
+	b := co.take(batch{})
+	close(co.wake)
+	co.mu.Unlock()
+	if len(b.futures) > 0 {
+		co.c.flushClose.Add(1)
+	}
+	for _, f := range b.futures {
+		co.c.resolve(f, nil, ErrClientClosed)
 	}
 }
 
-// flushBatch ships a coalesced batch and resolves its futures, releasing one
-// window slot per future (the slot Go acquired).
-func (c *Client) flushBatch(fr frame, futures []*Future) {
+// resolve completes one coalesced future and returns the window slot Go
+// acquired for it.
+func (c *Client) resolve(f *Future, result any, err error) {
+	f.result, f.err = result, err
+	close(f.done)
+	<-c.window
+}
+
+// ship sends a taken batch, if it holds anything, as one frame flushed for
+// reason why, and resolves its futures.
+func (co *coalescer) ship(b batch, why *atomic.Uint64) {
+	if len(b.futures) == 0 {
+		return
+	}
+	c := co.c
+	why.Add(1)
 	c.coalFlushes.Add(1)
-	c.coalEvents.Add(uint64(len(futures)))
-	fr.res = make([]BatchResult, len(futures))
+	c.coalEvents.Add(uint64(len(b.futures)))
+	fr := frame{to: co.to, events: b.events, cached: b.cached, res: make([]BatchResult, len(b.futures))}
 	c.submitFrame(fr)
-	for i, f := range futures {
-		f.result, f.err = fr.res[i].Result, fr.res[i].Err
-		close(f.done)
-		<-c.window
+	for i, f := range b.futures {
+		c.resolve(f, fr.res[i].Result, fr.res[i].Err)
 	}
 }
 
-// coalescerFor returns the per-node coalescer, creating it on first use; nil
+// coalescerFor returns the per-node coalescer, starting it on first use; nil
 // means the client is closed.
 func (c *Client) coalescerFor(to transport.NodeID) *coalescer {
 	c.coalMu.Lock()
@@ -369,8 +463,10 @@ func (c *Client) coalescerFor(to transport.NodeID) *coalescer {
 	}
 	co, ok := c.coals[to]
 	if !ok {
-		co = &coalescer{c: c, to: to}
+		co = &coalescer{c: c, to: to, wake: make(chan struct{}, 1)}
 		c.coals[to] = co
+		c.flushers.Add(1)
+		go co.flush()
 	}
 	return co
 }

@@ -13,6 +13,7 @@ import (
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
+	"aeon/internal/workload"
 )
 
 // TestClientSubmitBatchAcrossFleet pins the batch SDK contract over real
@@ -270,29 +271,182 @@ func TestClientCoalescedGo(t *testing.T) {
 	}
 }
 
-// TestClientCoalescedGoCloseFailsPending pins Close's contract for the
-// coalescer: futures still lingering when the client closes resolve promptly
-// with ErrClientClosed instead of hanging until the linger window or forever.
-func TestClientCoalescedGoCloseFailsPending(t *testing.T) {
-	d, mesh := deployTCP(t, 2)
-	c := dial(t, mesh, d, ingress.Config{Linger: time.Hour})
+// gatedIoT is the iot scenario plus Sensor.park, a handler that reports on
+// entered and then waits for the gate: the frame that carries one is "a frame
+// in flight" for exactly as long as the test says.
+type gatedIoT struct {
+	*workload.IoT
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
 
-	f := c.Go(d.Top.Accounts[0][0], "deposit", 1)
-	done := make(chan error, 1)
+// open opens the gate; calling it again is harmless.
+func (g *gatedIoT) open() { g.once.Do(func() { close(g.gate) }) }
+
+func (g *gatedIoT) Schema() *schema.Schema {
+	s := g.IoT.Schema()
+	s.Class("Sensor").MustDeclareMethod("park", func(schema.Call, []any) (any, error) {
+		g.entered <- struct{}{}
+		<-g.gate
+		return nil, nil
+	})
+	return s
+}
+
+// sensor returns the ID of the scenario's e-th sensor.
+func (g *gatedIoT) sensor(e int) ownership.ID {
+	var id ownership.ID
+	_, _ = g.ReadEntity(func(target ownership.ID, _ string, _ ...any) (any, error) {
+		id = target
+		return 0, nil
+	}, e)
+	return id
+}
+
+// deployGated deploys the gated scenario on one TCP node and dials a client
+// whose routes to sensors 0..2 are warm, so every Go below rides the one
+// coalescer. The gate opens before the deployment closes.
+func deployGated(t *testing.T, cfg ingress.Config) (*gatedIoT, *node.Node, *ingress.Client) {
+	t.Helper()
+	g := &gatedIoT{IoT: workload.NewIoT(1, 0), entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	mesh := transport.NewTCPMesh()
+	d, err := node.Deploy(mesh, node.Topology{Nodes: 1, Scenario: g})
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	t.Cleanup(d.Close)
+	t.Cleanup(g.open) // runs first: parked handlers return before the node closes
+	if err := d.WaitReady(10 * time.Second); err != nil {
+		t.Fatalf("deployment not ready: %v", err)
+	}
+	c := dial(t, mesh, d, cfg)
+	for e := 0; e < 3; e++ {
+		if _, err := c.Submit(g.sensor(e), "ingest", 0); err != nil {
+			t.Fatalf("warm sensor %d: %v", e, err)
+		}
+	}
+	return g, d.Nodes[0], c
+}
+
+// park puts one frame of c's coalescer in flight and returns its future once
+// the handler holds it.
+func (g *gatedIoT) park(t *testing.T, c *ingress.Client) *ingress.Future {
+	t.Helper()
+	f := c.Go(g.sensor(0), "park")
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the first Go never reached the node after 5s: an idle wire held it")
+	}
+	return f
+}
+
+// await is Future.Wait with the tests' 5 s bound.
+func await(t *testing.T, f *ingress.Future, what string) (any, error) {
+	t.Helper()
+	done := make(chan struct{})
+	var (
+		v   any
+		err error
+	)
 	go func() {
-		_, err := f.Wait()
-		done <- err
+		v, err = f.Wait()
+		close(done)
 	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: not resolved after 5s", what)
+	}
+	return v, err
+}
+
+// TestCoalescerIdleWireNeedsNoTimer pins the idle half of the flush rule: with
+// no frame of the coalescer in flight a lone Go leaves at once — under a
+// one-hour Linger it can only have left without the timer.
+func TestCoalescerIdleWireNeedsNoTimer(t *testing.T) {
+	g, _, c := deployGated(t, ingress.Config{Linger: time.Hour})
+	if v, err := await(t, c.Go(g.sensor(1), "ingest", 7), "lone Go on an idle wire"); err != nil || v.(int) != 7 {
+		t.Fatalf("lone Go = %v (%v), want 7", v, err)
+	}
+	if st := c.CoalescerStats(); st.FlushIdle != 1 || st.Flushes != 1 || st.FlushLinger != 0 {
+		t.Fatalf("stats = %+v; want exactly one idle flush", st)
+	}
+}
+
+// TestCoalescerGathersBehindFrameInFlight pins the loaded half: events issued
+// while a frame is in flight wait for it, and its return — not a timer —
+// sends them, together, as the next frame.
+func TestCoalescerGathersBehindFrameInFlight(t *testing.T) {
+	g, n, c := deployGated(t, ingress.Config{Linger: time.Hour})
+	before := n.Batches()
+	first := g.park(t, c)
+	const k = 9
+	var futures []*ingress.Future
+	for i := 0; i < k; i++ {
+		futures = append(futures, c.Go(g.sensor(1+i%2), "ingest", 1))
+	}
+	if got := n.Batches() - before; got != 1 {
+		t.Fatalf("%d frames reached the node while the first was in flight, want 1", got)
+	}
+	g.open()
+	if _, err := await(t, first, "parked event"); err != nil {
+		t.Fatalf("parked event: %v", err)
+	}
+	for i, f := range futures {
+		if _, err := await(t, f, "event gathered behind the frame in flight"); err != nil {
+			t.Fatalf("gathered event %d: %v", i, err)
+		}
+	}
+	if got := n.Batches() - before; got != 2 {
+		t.Fatalf("%d events rode %d frames, want 2 (1, then %d)", 1+k, got, k)
+	}
+	if st := c.CoalescerStats(); st.FlushIdle != 2 || st.Flushes != 2 || st.Events != 1+k || st.FlushLinger != 0 {
+		t.Fatalf("stats = %+v; want two idle flushes carrying 1 and %d events, and nothing else", st, k)
+	}
+}
+
+// TestCoalescerLingerBoundsWaitBehindStuckFrame pins what Linger is for: a
+// frame stuck behind a parked handler must not hold back an event for another
+// context past Linger. The second event resolves while the first is still
+// parked, and is counted as a linger flush.
+func TestCoalescerLingerBoundsWaitBehindStuckFrame(t *testing.T) {
+	g, _, c := deployGated(t, ingress.Config{Linger: 2 * time.Millisecond})
+	first := g.park(t, c)
+	if v, err := await(t, c.Go(g.sensor(1), "ingest", 3), "event behind a stuck frame"); err != nil || v.(int) != 3 {
+		t.Fatalf("event behind a stuck frame = %v (%v), want 3", v, err)
+	}
+	if st := c.CoalescerStats(); st.FlushLinger != 1 || st.FlushIdle != 1 {
+		t.Fatalf("stats = %+v; want the parked frame's idle flush and one linger flush", st)
+	}
+	g.open() // only now does the first frame return
+	if _, err := await(t, first, "parked event"); err != nil {
+		t.Fatalf("parked event: %v", err)
+	}
+}
+
+// TestClientCoalescedGoCloseFailsPending pins Close's contract for the
+// coalescer: events still waiting behind a frame in flight when the client
+// closes resolve with ErrClientClosed, as one close flush, instead of hanging
+// until the linger elapses or forever.
+func TestClientCoalescedGoCloseFailsPending(t *testing.T) {
+	g, _, c := deployGated(t, ingress.Config{Linger: time.Hour})
+	first := g.park(t, c)
+	pending := []*ingress.Future{c.Go(g.sensor(1), "ingest", 1), c.Go(g.sensor(2), "ingest", 1)}
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, ingress.ErrClientClosed) {
-			t.Fatalf("pending future err = %v, want ErrClientClosed", err)
+	for i, f := range pending {
+		if _, err := await(t, f, "pending future"); !errors.Is(err, ingress.ErrClientClosed) {
+			t.Fatalf("pending future %d err = %v, want ErrClientClosed", i, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("pending future not resolved by Close")
+	}
+	if _, err := await(t, first, "frame in flight at Close"); err == nil {
+		t.Fatalf("the frame in flight at Close resolved without error")
+	}
+	if st := c.CoalescerStats(); st.FlushClose != 1 || st.FlushLinger != 0 {
+		t.Fatalf("stats = %+v; want exactly one close flush", st)
 	}
 }
 
@@ -357,66 +511,38 @@ func TestClientBatchConcurrentRace(t *testing.T) {
 }
 
 // TestCoalescerFlushReasons pins the flush-reason accounting the ops plane
-// exports: a batch that reaches MaxBatch counts as a fill flush, one cut by
-// the linger timer counts as a linger flush, and a coalescer drained by
-// Close with futures still pending counts as a close flush. Fill ratio must
-// land in (0, 1].
+// exports, each reason forced by the gate rather than by who runs first: the
+// frame that leaves an idle wire and the one its return releases count as
+// idle flushes, a batch that reaches MaxBatch behind a frame in flight as a
+// fill flush, and what Close finds still waiting as a close flush (the linger
+// flush is pinned by TestCoalescerLingerBoundsWaitBehindStuckFrame). Fill
+// ratio must land in (0, 1].
 func TestCoalescerFlushReasons(t *testing.T) {
-	d, mesh := deployTCP(t, 2)
-	acct := d.Top.Accounts[1][0]
-
-	// Fill: four async submits against a MaxBatch of four flush immediately.
-	fill := dial(t, mesh, d, ingress.Config{MaxBatch: 4, Linger: time.Hour, Window: 32})
-	if _, err := fill.Submit(acct, "deposit", 0); err != nil { // warm the route
-		t.Fatal(err)
-	}
+	g, _, c := deployGated(t, ingress.Config{MaxBatch: 4, Linger: time.Hour, Window: 32})
+	first := g.park(t, c) // idle wire: flushed at once
 	var futures []*ingress.Future
-	for i := 0; i < 4; i++ {
-		futures = append(futures, fill.Go(acct, "deposit", 1))
+	for i := 0; i < 6; i++ { // four fill a batch and leave; two wait for the frame in flight
+		futures = append(futures, c.Go(g.sensor(1), "ingest", 1))
 	}
-	for i, f := range futures {
-		if _, err := f.Wait(); err != nil {
+	for i, f := range futures[:4] {
+		if _, err := await(t, f, "event of the filled batch"); err != nil {
 			t.Fatalf("fill deposit %d: %v", i, err)
 		}
 	}
-	st := fill.CoalescerStats()
-	if st.FlushFill == 0 || st.FlushLinger != 0 {
-		t.Fatalf("fill client stats = %+v; want fill flushes only", st)
+	if st := c.CoalescerStats(); st.FlushFill != 1 || st.FlushIdle != 1 || st.Events != 5 {
+		t.Fatalf("stats behind the parked frame = %+v; want one idle and one fill flush carrying 5 events", st)
 	}
-	if st.Events < 4 || st.Flushes == 0 {
-		t.Fatalf("fill client stats = %+v; want >=4 events over >=1 flush", st)
+	g.open()
+	for _, f := range append(futures[4:], first) {
+		if _, err := await(t, f, "event released by the frame's return"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.CoalescerStats()
+	if st.FlushIdle != 2 || st.FlushFill != 1 || st.FlushLinger != 0 || st.FlushClose != 0 || st.Flushes != 3 || st.Events != 7 {
+		t.Fatalf("stats = %+v; want 2 idle + 1 fill flushes carrying 7 events", st)
 	}
 	if r := st.FillRatio(); r <= 0 || r > 1 {
 		t.Fatalf("fill ratio = %v; want (0, 1]", r)
-	}
-
-	// Linger: a lone async submit under a huge MaxBatch is cut by the timer.
-	linger := dial(t, mesh, d, ingress.Config{MaxBatch: 64, Linger: 2 * time.Millisecond, Window: 32})
-	if _, err := linger.Submit(acct, "deposit", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := linger.Go(acct, "deposit", 1).Wait(); err != nil {
-		t.Fatalf("linger deposit: %v", err)
-	}
-	if st := linger.CoalescerStats(); st.FlushLinger == 0 {
-		t.Fatalf("linger client stats = %+v; want a linger flush", st)
-	}
-
-	// Close: a future still lingering when the client closes is charged to
-	// the close-drain counter (and fails with ErrClientClosed, pinned
-	// elsewhere).
-	closer := dial(t, mesh, d, ingress.Config{MaxBatch: 64, Linger: time.Hour, Window: 32})
-	if _, err := closer.Submit(acct, "deposit", 0); err != nil {
-		t.Fatal(err)
-	}
-	pending := closer.Go(acct, "deposit", 1)
-	if err := closer.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if _, err := pending.Wait(); !errors.Is(err, ingress.ErrClientClosed) {
-		t.Fatalf("pending future err = %v; want ErrClientClosed", err)
-	}
-	if st := closer.CoalescerStats(); st.FlushClose == 0 {
-		t.Fatalf("closer client stats = %+v; want a close flush", st)
 	}
 }

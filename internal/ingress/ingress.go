@@ -20,9 +20,10 @@
 // waits cannot spawn unbounded goroutines.
 //
 // Batching. SubmitBatch ships many events per frame (see batch.go), and Go's
-// futures transparently coalesce onto the same batch frames so high-rate
+// futures transparently coalesce onto the same batch frames — each waits for
+// batchmates only while a frame of its coalescer is in flight — so high-rate
 // async producers pay the per-event wakeup once per batch, not once per
-// event. Failures stay per-event.
+// event, and an idle client pays no wait at all. Failures stay per-event.
 package ingress
 
 import (
@@ -33,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeon/internal/metrics"
 	"aeon/internal/node"
 	"aeon/internal/ops"
 	"aeon/internal/ownership"
@@ -62,12 +64,13 @@ type Config struct {
 	CallTimeout time.Duration
 	// Window bounds in-flight futures from Go. Zero means 256.
 	Window int
-	// Linger is how long Go holds an async submit so batchmates bound for
-	// the same node can coalesce into one frame before it flushes. Zero
-	// means 100µs. Ignored when NoCoalesce is set.
+	// Linger bounds how long Go holds an async submit behind a frame of its
+	// coalescer that is still in flight to the same node; the frame's return
+	// normally releases it sooner, and on an idle wire it is not held at all
+	// (no timer is armed). Zero means 100µs. Ignored when NoCoalesce is set.
 	Linger time.Duration
 	// MaxBatch caps events per batch frame: SubmitBatch chunks larger
-	// inputs and the coalescer flushes early when a batch fills. Zero means
+	// inputs and the coalescer flushes at once when a batch fills. Zero means
 	// 128; values above schema.MaxBatchEvents are clamped.
 	MaxBatch int
 	// NoCoalesce makes Go submit each event as its own frame (no linger,
@@ -101,21 +104,26 @@ type Client struct {
 	routes  map[ownership.ID]transport.NodeID
 
 	// coals holds the per-node coalescers Go's futures ride; nil once the
-	// client closes.
-	coalMu sync.Mutex
-	coals  map[transport.NodeID]*coalescer
+	// client closes. flushers counts their flusher goroutines, which Close
+	// waits for.
+	coalMu   sync.Mutex
+	coals    map[transport.NodeID]*coalescer
+	flushers sync.WaitGroup
 
 	rr     atomic.Uint64 // round-robin cursor over cfg.Nodes
 	window chan struct{} // Go's in-flight bound
 
 	traceSeq atomic.Uint64 // per-client trace-ID sequence (Config.Trace)
 
-	// Coalescer accounting: why batches flushed and how full they were.
+	// Coalescer accounting: why batches flushed, how full they were, and
+	// how long each one's oldest event was held.
+	flushIdle   atomic.Uint64 // wire idle, or the frame in flight returned
 	flushFill   atomic.Uint64 // batch reached MaxBatch
-	flushLinger atomic.Uint64 // linger window elapsed first
+	flushLinger atomic.Uint64 // linger elapsed behind a frame in flight
 	flushClose  atomic.Uint64 // client closed with events pending
 	coalFlushes atomic.Uint64 // coalesced batches shipped
 	coalEvents  atomic.Uint64 // events those batches carried
+	hold        metrics.Histogram
 
 	closed atomic.Bool
 }
@@ -123,6 +131,7 @@ type Client struct {
 // CoalescerStats reports why coalesced batches flushed and how full they
 // were. FillRatio is mean batch occupancy relative to MaxBatch.
 type CoalescerStats struct {
+	FlushIdle   uint64
 	FlushFill   uint64
 	FlushLinger uint64
 	FlushClose  uint64
@@ -143,6 +152,7 @@ func (s CoalescerStats) FillRatio() float64 {
 // CoalescerStats snapshots the client's coalescer accounting.
 func (c *Client) CoalescerStats() CoalescerStats {
 	return CoalescerStats{
+		FlushIdle:   c.flushIdle.Load(),
 		FlushFill:   c.flushFill.Load(),
 		FlushLinger: c.flushLinger.Load(),
 		FlushClose:  c.flushClose.Load(),
@@ -219,19 +229,11 @@ func (c *Client) Close() error {
 	c.coals = nil
 	c.coalMu.Unlock()
 	for _, co := range coals {
-		co.mu.Lock()
-		_, futures := co.take()
-		co.mu.Unlock()
-		if len(futures) > 0 {
-			c.flushClose.Add(1)
-		}
-		for _, f := range futures {
-			f.err = ErrClientClosed
-			close(f.done)
-			<-c.window
-		}
+		co.close()
 	}
-	return c.ep.Close()
+	err := c.ep.Close() // fails the frames in flight, so every flusher returns
+	c.flushers.Wait()
+	return err
 }
 
 // route picks the node for a target: the cached placement when one is known
@@ -327,9 +329,11 @@ func (f *Future) Wait() (any, error) {
 // in-flight slot (blocking when Config.Window submits are already pending —
 // backpressure for producers that batch Waits). The returned Future resolves
 // when the response arrives. Unless NoCoalesce is set, the event rides the
-// per-node coalescer: it lingers up to Config.Linger waiting
-// for batchmates bound for the same node, then the whole batch flies as one
-// frame.
+// per-node coalescer: on an idle wire it is sent at once, together with
+// whatever else the caller issues before yielding; while one of the
+// coalescer's frames is in flight to that node it waits for batchmates until
+// that frame returns (at most Config.Linger), then the whole batch flies as
+// one frame.
 func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 	f := &Future{done: make(chan struct{})}
 	if c.closed.Load() {
@@ -349,9 +353,7 @@ func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 	to, cached := c.route(target)
 	co := c.coalescerFor(to)
 	if co == nil { // closed between the check above and here
-		f.err = ErrClientClosed
-		close(f.done)
-		<-c.window
+		c.resolve(f, nil, ErrClientClosed)
 		return f
 	}
 	co.add(BatchItem{Target: target, Method: method, Args: args}, cached, f)
@@ -363,14 +365,18 @@ func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 // one /metrics scrape covers both sides of the ingress path).
 func (c *Client) RegisterOps(reg *ops.Registry) {
 	lbl := ops.Labels{"client": fmt.Sprint(int64(c.ep.ID()))}
+	reg.Counter("aeon_ingress_flush_idle_total",
+		"Coalesced batches flushed because the wire was idle or the frame in flight returned.", lbl, c.flushIdle.Load)
 	reg.Counter("aeon_ingress_flush_fill_total",
 		"Coalesced batches flushed because they reached MaxBatch.", lbl, c.flushFill.Load)
 	reg.Counter("aeon_ingress_flush_linger_total",
-		"Coalesced batches flushed because the linger window elapsed.", lbl, c.flushLinger.Load)
+		"Coalesced batches flushed because Linger elapsed behind a frame in flight.", lbl, c.flushLinger.Load)
 	reg.Counter("aeon_ingress_flush_close_total",
 		"Coalescers drained by Close with events still pending.", lbl, c.flushClose.Load)
 	reg.Counter("aeon_ingress_coalesced_events_total",
 		"Events shipped through the coalescer.", lbl, c.coalEvents.Load)
+	reg.Histogram("aeon_ingress_hold_seconds",
+		"How long a coalesced batch's oldest event waited in the coalescer.", lbl, &c.hold)
 	reg.Gauge("aeon_ingress_coalescer_fill_ratio",
 		"Mean coalesced batch occupancy relative to MaxBatch.", lbl,
 		func() float64 { return c.CoalescerStats().FillRatio() })

@@ -15,7 +15,7 @@ import (
 	"aeon/internal/transport"
 )
 
-func deployTCP(t *testing.T, nodes int) (*node.Deployment, *transport.TCPMesh) {
+func deployTCP(t testing.TB, nodes int) (*node.Deployment, *transport.TCPMesh) {
 	t.Helper()
 	mesh := transport.NewTCPMesh()
 	d, err := node.Deploy(mesh, node.Topology{Nodes: nodes})
@@ -29,7 +29,7 @@ func deployTCP(t *testing.T, nodes int) (*node.Deployment, *transport.TCPMesh) {
 	return d, mesh
 }
 
-func dial(t *testing.T, mesh transport.Mesh, d *node.Deployment, cfg ingress.Config) *ingress.Client {
+func dial(t testing.TB, mesh transport.Mesh, d *node.Deployment, cfg ingress.Config) *ingress.Client {
 	t.Helper()
 	if len(cfg.Nodes) == 0 {
 		for _, n := range d.Nodes {
