@@ -6,11 +6,19 @@
 //
 // Programs declare contextclasses (state factory + method table, with the
 // paper's `ro` readonly modifier and statically checked may-access sets),
-// instantiate contexts into an ownership network, and submit events:
+// instantiate contexts into an ownership network, and submit events. A
+// method returns its result as a Value: aeon.Int(n) holds an int inline, so a
+// chain of synchronous calls allocates nothing for its results, and
+// aeon.Of(v) holds anything else. Submit hands the event's result back as an
+// `any` of its concrete type.
 //
 //	s := aeon.NewSchema()
 //	account := s.MustDeclareClass("Account", func() any { return &Account{} })
-//	account.MustDeclareMethod("deposit", deposit)
+//	account.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (aeon.Value, error) {
+//		st := call.State().(*Account)
+//		st.Balance += args[0].(int)
+//		return aeon.Int(st.Balance), nil
+//	})
 //	bank := s.MustDeclareClass("Bank", nil)
 //	bank.MustDeclareMethod("transfer", transfer,
 //		aeon.MayCall("Account", "deposit"), aeon.MayCall("Account", "withdraw"))
@@ -50,6 +58,9 @@ type (
 	Call = schema.Call
 	// Handler is a contextclass method body.
 	Handler = schema.Handler
+	// Value is a method's result: an int inline (Int) or any other value
+	// boxed (Of).
+	Value = schema.Value
 	// AsyncResult joins an asynchronous intra-event call.
 	AsyncResult = schema.AsyncResult
 	// MethodOption configures a method declaration.
@@ -116,6 +127,14 @@ var (
 	MayCall = schema.MayCall
 	// Cost declares simulated CPU consumed per invocation.
 	Cost = schema.Cost
+)
+
+// Method results.
+var (
+	// Int returns a Value holding an int inline.
+	Int = schema.Int
+	// Of returns a Value holding any other result, as it is.
+	Of = schema.Of
 )
 
 // Runtime errors callers are expected to branch on.

@@ -18,48 +18,48 @@ func bankSchema(t *testing.T) *aeon.Schema {
 	t.Helper()
 	s := aeon.NewSchema()
 	account := s.MustDeclareClass("Account", func() any { return &accountState{} })
-	account.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (any, error) {
+	account.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (aeon.Value, error) {
 		st := call.State().(*accountState)
 		st.Balance += args[0].(int)
-		return st.Balance, nil
+		return aeon.Int(st.Balance), nil
 	})
-	account.MustDeclareMethod("withdraw", func(call aeon.Call, args []any) (any, error) {
+	account.MustDeclareMethod("withdraw", func(call aeon.Call, args []any) (aeon.Value, error) {
 		st := call.State().(*accountState)
 		amt := args[0].(int)
 		if amt > st.Balance {
-			return nil, errors.New("insufficient funds")
+			return aeon.Value{}, errors.New("insufficient funds")
 		}
 		st.Balance -= amt
-		return st.Balance, nil
+		return aeon.Int(st.Balance), nil
 	})
-	account.MustDeclareMethod("balance", func(call aeon.Call, args []any) (any, error) {
-		return call.State().(*accountState).Balance, nil
+	account.MustDeclareMethod("balance", func(call aeon.Call, args []any) (aeon.Value, error) {
+		return aeon.Int(call.State().(*accountState).Balance), nil
 	}, aeon.RO())
 
 	bank := s.MustDeclareClass("Bank", nil)
-	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []any) (aeon.Value, error) {
 		from := args[0].(aeon.ContextID)
 		to := args[1].(aeon.ContextID)
 		amt := args[2].(int)
 		if _, err := call.Sync(from, "withdraw", amt); err != nil {
-			return nil, err
+			return aeon.Value{}, err
 		}
 		return call.Sync(to, "deposit", amt)
 	}, aeon.MayCall("Account", "withdraw"), aeon.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("audit", func(call aeon.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("audit", func(call aeon.Call, args []any) (aeon.Value, error) {
 		accounts, err := call.Children("Account")
 		if err != nil {
-			return nil, err
+			return aeon.Value{}, err
 		}
 		total := 0
 		for _, a := range accounts {
 			b, err := call.Sync(a, "balance")
 			if err != nil {
-				return nil, err
+				return aeon.Value{}, err
 			}
-			total += b.(int)
+			total += b.Int()
 		}
-		return total, nil
+		return aeon.Int(total), nil
 	}, aeon.RO(), aeon.MayCall("Account", "balance"))
 	return s
 }

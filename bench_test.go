@@ -69,32 +69,32 @@ func ablationWorld(b *testing.B, leafCost time.Duration) (*aeon.System, aeon.Con
 	b.Helper()
 	s := aeon.NewSchema()
 	leaf := s.MustDeclareClass("Leaf", func() any { return new(int) })
-	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (any, error) {
+	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (aeon.Value, error) {
 		n := call.State().(*int)
 		*n++
-		return *n, nil
+		return aeon.Int(*n), nil
 	}, aeon.Cost(leafCost))
-	leaf.MustDeclareMethod("peek", func(call aeon.Call, args []any) (any, error) {
-		return *call.State().(*int), nil
+	leaf.MustDeclareMethod("peek", func(call aeon.Call, args []any) (aeon.Value, error) {
+		return aeon.Int(*call.State().(*int)), nil
 	}, aeon.RO(), aeon.Cost(leafCost))
 
 	root := s.MustDeclareClass("Root", nil)
-	root.MustDeclareMethod("fanSync", func(call aeon.Call, args []any) (any, error) {
+	root.MustDeclareMethod("fanSync", func(call aeon.Call, args []any) (aeon.Value, error) {
 		leaves, err := call.Children("Leaf")
 		if err != nil {
-			return nil, err
+			return aeon.Value{}, err
 		}
 		for _, l := range leaves {
 			if _, err := call.Sync(l, "bump"); err != nil {
-				return nil, err
+				return aeon.Value{}, err
 			}
 		}
-		return len(leaves), nil
+		return aeon.Int(len(leaves)), nil
 	}, aeon.MayCall("Leaf", "bump"))
-	root.MustDeclareMethod("fanAsync", func(call aeon.Call, args []any) (any, error) {
+	root.MustDeclareMethod("fanAsync", func(call aeon.Call, args []any) (aeon.Value, error) {
 		leaves, err := call.Children("Leaf")
 		if err != nil {
-			return nil, err
+			return aeon.Value{}, err
 		}
 		results := make([]aeon.AsyncResult, 0, len(leaves))
 		for _, l := range leaves {
@@ -102,15 +102,15 @@ func ablationWorld(b *testing.B, leafCost time.Duration) (*aeon.System, aeon.Con
 		}
 		for _, r := range results {
 			if _, err := r.Wait(); err != nil {
-				return nil, err
+				return aeon.Value{}, err
 			}
 		}
-		return len(leaves), nil
+		return aeon.Int(len(leaves)), nil
 	}, aeon.MayCall("Leaf", "bump"))
-	root.MustDeclareMethod("crabTail", func(call aeon.Call, args []any) (any, error) {
-		return nil, call.Crab(args[0].(aeon.ContextID), "bump")
+	root.MustDeclareMethod("crabTail", func(call aeon.Call, args []any) (aeon.Value, error) {
+		return aeon.Value{}, call.Crab(args[0].(aeon.ContextID), "bump")
 	}, aeon.MayCall("Leaf", "bump"))
-	root.MustDeclareMethod("syncTail", func(call aeon.Call, args []any) (any, error) {
+	root.MustDeclareMethod("syncTail", func(call aeon.Call, args []any) (aeon.Value, error) {
 		return call.Sync(args[0].(aeon.ContextID), "bump")
 	}, aeon.MayCall("Leaf", "bump"))
 
@@ -231,10 +231,10 @@ func BenchmarkAblationCrab(b *testing.B) {
 func BenchmarkParallelDisjointSubmit(b *testing.B) {
 	s := aeon.NewSchema()
 	leaf := s.MustDeclareClass("Leaf", func() any { return new(int) })
-	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (any, error) {
+	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (aeon.Value, error) {
 		n := call.State().(*int)
 		*n++
-		return *n, nil
+		return aeon.Int(*n), nil
 	})
 	sys, err := aeon.New(aeon.WithSchema(s), aeon.WithServers(8, aeon.M3Large),
 		aeon.WithNetwork(aeon.SimNetworkConfig{}),
@@ -278,13 +278,13 @@ func BenchmarkAblationDominatorParallelism(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			s := aeon.NewSchema()
 			leaf := s.MustDeclareClass("Leaf", func() any { return new(int) })
-			leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (any, error) {
+			leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (aeon.Value, error) {
 				n := call.State().(*int)
 				*n++
-				return *n, nil
+				return aeon.Int(*n), nil
 			}, aeon.Cost(100*time.Microsecond))
 			owner := s.MustDeclareClass("Owner", nil)
-			owner.MustDeclareMethod("bumpLeaf", func(call aeon.Call, args []any) (any, error) {
+			owner.MustDeclareMethod("bumpLeaf", func(call aeon.Call, args []any) (aeon.Value, error) {
 				return call.Sync(args[0].(aeon.ContextID), "bump")
 			}, aeon.MayCall("Leaf", "bump"))
 			s.MustDeclareClass("Room", nil)

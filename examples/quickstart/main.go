@@ -27,46 +27,46 @@ func buildSchema() *aeon.Schema {
 	s := aeon.NewSchema()
 
 	acc := s.MustDeclareClass("Account", func() any { return &account{} })
-	acc.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (any, error) {
+	acc.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (aeon.Value, error) {
 		st := call.State().(*account)
 		st.Balance += args[0].(int)
-		return st.Balance, nil
+		return aeon.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("withdraw", func(call aeon.Call, args []any) (any, error) {
+	acc.MustDeclareMethod("withdraw", func(call aeon.Call, args []any) (aeon.Value, error) {
 		st := call.State().(*account)
 		amt := args[0].(int)
 		if amt > st.Balance {
-			return nil, errors.New("insufficient funds")
+			return aeon.Value{}, errors.New("insufficient funds")
 		}
 		st.Balance -= amt
-		return st.Balance, nil
+		return aeon.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("balance", func(call aeon.Call, args []any) (any, error) {
-		return call.State().(*account).Balance, nil
+	acc.MustDeclareMethod("balance", func(call aeon.Call, args []any) (aeon.Value, error) {
+		return aeon.Int(call.State().(*account).Balance), nil
 	}, aeon.RO())
 
 	bank := s.MustDeclareClass("Bank", nil)
-	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []any) (aeon.Value, error) {
 		from, to, amt := args[0].(aeon.ContextID), args[1].(aeon.ContextID), args[2].(int)
 		if _, err := call.Sync(from, "withdraw", amt); err != nil {
-			return nil, err
+			return aeon.Value{}, err
 		}
 		return call.Sync(to, "deposit", amt)
 	}, aeon.MayCall("Account", "withdraw"), aeon.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("audit", func(call aeon.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("audit", func(call aeon.Call, args []any) (aeon.Value, error) {
 		accounts, err := call.Children("Account")
 		if err != nil {
-			return nil, err
+			return aeon.Value{}, err
 		}
 		total := 0
 		for _, a := range accounts {
 			b, err := call.Sync(a, "balance")
 			if err != nil {
-				return nil, err
+				return aeon.Value{}, err
 			}
-			total += b.(int)
+			total += b.Int()
 		}
-		return total, nil
+		return aeon.Int(total), nil
 	}, aeon.RO(), aeon.MayCall("Account", "balance"))
 	return s
 }

@@ -84,10 +84,10 @@ func (c *callEnv) activateCallee(child ownership.ID, method string) (*Context, *
 }
 
 // Sync implements schema.Call.
-func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (any, error) {
+func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (schema.Value, error) {
 	cc, m, host, err := c.activateCallee(child, method)
 	if err != nil {
-		return nil, err
+		return schema.Value{}, err
 	}
 	return c.rt.invoke(c.ev, cc, m, host, args)
 }
@@ -95,12 +95,12 @@ func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (any, err
 // asyncResult implements schema.AsyncResult.
 type asyncResult struct {
 	done chan struct{}
-	res  any
+	res  schema.Value
 	err  error
 }
 
 // Wait implements schema.AsyncResult.
-func (a *asyncResult) Wait() (any, error) {
+func (a *asyncResult) Wait() (schema.Value, error) {
 	<-a.done
 	return a.res, a.err
 }

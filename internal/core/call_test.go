@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -20,11 +21,11 @@ func TestAccessDeniedBySchema(t *testing.T) {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", nil)
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("add", func(call schema.Call, args []any) (any, error) {
-			return nil, nil
+		MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
+			return schema.Value{}, nil
 		})
 	// sneaky declares no access to Child.
-	parent.MustDeclareMethod("sneaky", func(call schema.Call, args []any) (any, error) {
+	parent.MustDeclareMethod("sneaky", func(call schema.Call, args []any) (schema.Value, error) {
 		return call.Sync(args[0].(ownership.ID), "add")
 	})
 	if err := s.Freeze(); err != nil {
@@ -47,13 +48,13 @@ func TestAccessDeniedBySchema(t *testing.T) {
 func TestROEventRejectsMutatingCall(t *testing.T) {
 	s := schema.New()
 	cls := s.MustDeclareClass("C", func() any { return &itemState{} })
-	cls.MustDeclareMethod("mutate", func(call schema.Call, args []any) (any, error) {
+	cls.MustDeclareMethod("mutate", func(call schema.Call, args []any) (schema.Value, error) {
 		call.State().(*itemState).Gold++
-		return nil, nil
+		return schema.Value{}, nil
 	})
 	// Schema-level RO check is bypassed by calling a *self* method (the
 	// reflexive exception): the runtime must still refuse.
-	cls.MustDeclareMethod("readSneaky", func(call schema.Call, args []any) (any, error) {
+	cls.MustDeclareMethod("readSneaky", func(call schema.Call, args []any) (schema.Value, error) {
 		return call.Sync(args[0].(ownership.ID), "mutate")
 	}, schema.RO())
 	if err := s.Freeze(); err != nil {
@@ -77,24 +78,24 @@ func TestCrabThenCallFails(t *testing.T) {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", nil)
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("noop", func(call schema.Call, args []any) (any, error) {
-			return nil, nil
+		MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+			return schema.Value{}, nil
 		})
-	parent.MustDeclareMethod("doubleCrab", func(call schema.Call, args []any) (any, error) {
+	parent.MustDeclareMethod("doubleCrab", func(call schema.Call, args []any) (schema.Value, error) {
 		c1 := args[0].(ownership.ID)
 		c2 := args[1].(ownership.ID)
 		if err := call.Crab(c1, "noop"); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		// Second call through the crabbed parent must fail.
 		err := call.Crab(c2, "noop")
 		if !errors.Is(err, ErrCrabbed) {
-			return nil, errors.New("second crab should have failed")
+			return schema.Value{}, errors.New("second crab should have failed")
 		}
 		if _, err := call.Sync(c2, "noop"); !errors.Is(err, ErrCrabbed) {
-			return nil, errors.New("sync after crab should have failed")
+			return schema.Value{}, errors.New("sync after crab should have failed")
 		}
-		return "ok", nil
+		return schema.Of("ok"), nil
 	}, schema.MayCall("Child", "noop"))
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -116,21 +117,29 @@ func TestCrabThenCallFails(t *testing.T) {
 }
 
 // TestCrabPreservesOrdering: two events crabbing through the same parent
-// into the same child must execute at the child in parent order.
+// into the same child must execute at the child in parent order. The first
+// append parks on a gate until every later event has crabbed through the
+// parent and queued at the child, so the child sees all of them waiting at
+// once — the only situation in which its order can differ from the parent's.
 func TestCrabPreservesOrdering(t *testing.T) {
+	const n = 24
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	var first atomic.Bool
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", func() any { return &itemState{} })
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("append", func(call schema.Call, args []any) (any, error) {
-			st := call.State().(*itemState)
-			st.record(uint64(args[0].(int)))
-			time.Sleep(time.Millisecond)
-			return nil, nil
+		MustDeclareMethod("append", func(call schema.Call, args []any) (schema.Value, error) {
+			if first.CompareAndSwap(false, true) {
+				<-gate
+			}
+			call.State().(*itemState).record(uint64(args[0].(int)))
+			return schema.Value{}, nil
 		})
-	parent.MustDeclareMethod("via", func(call schema.Call, args []any) (any, error) {
+	parent.MustDeclareMethod("via", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*itemState)
 		st.Gold++ // order stamp taken under the parent's lock
-		return st.Gold, call.Crab(args[0].(ownership.ID), "append", args[1])
+		return schema.Int(st.Gold), call.Crab(args[0].(ownership.ID), "append", args[1])
 	}, schema.MayCall("Child", "append"))
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -141,8 +150,9 @@ func TestCrabPreservesOrdering(t *testing.T) {
 	defer rt.Close()
 	p, _ := rt.CreateContext("Parent")
 	c, _ := rt.CreateContext("Child", p)
+	cc, _ := rt.Context(c)
+	defer open()
 
-	const n = 24
 	results := make([]int, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -157,21 +167,18 @@ func TestCrabPreservesOrdering(t *testing.T) {
 			results[i] = res.(int)
 		}(i)
 	}
+	waitFor(t, "every later event to queue at the child", func() bool { return cc.lock.queueLen() == n-1 })
+	open()
 	wg.Wait()
 	// The child's append log must follow the parent's stamp order: event
 	// with stamp k wrote position k-1.
-	cc, _ := rt.Context(c)
 	log := cc.State().(*itemState).accessLog()
 	if len(log) != n {
 		t.Fatalf("log len = %d; want %d", len(log), n)
 	}
-	stampOf := make(map[int]int, n) // arg i → stamp
-	for i, stamp := range results {
-		stampOf[i] = stamp
-	}
 	prev := 0
 	for _, arg := range log {
-		stamp := stampOf[int(arg)]
+		stamp := results[int(arg)]
 		if stamp <= prev {
 			t.Fatalf("child order violates parent order: stamp %d after %d", stamp, prev)
 		}
@@ -298,14 +305,14 @@ func gameTestSchemaForQuick() *schema.Schema {
 	s.MustDeclareClass("Room", func() any { return &itemState{} })
 	player := s.MustDeclareClass("Player", func() any { return &itemState{} })
 	item := s.MustDeclareClass("Item", func() any { return &itemState{} })
-	item.MustDeclareMethod("add", func(call schema.Call, args []any) (any, error) {
+	item.MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
 		st, _ := call.State().(*itemState)
 		st.Gold += args[0].(int)
-		return st.Gold, nil
+		return schema.Int(st.Gold), nil
 	})
-	player.MustDeclareMethod("transfer", func(call schema.Call, args []any) (any, error) {
+	player.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
 		if _, err := call.Sync(args[0].(ownership.ID), "add", -args[2].(int)); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		return call.Sync(args[1].(ownership.ID), "add", args[2].(int))
 	}, schema.MayCall("Item", "add"))

@@ -143,14 +143,16 @@ func (l *eventLock) enqueue(eventID uint64, mode AccessMode) (*waiter, bool) {
 
 // acquire blocks until the event holds the context in the given mode. first
 // is false if the event already held the context (re-entrant; no state
-// change), waited is true if it had to queue behind another event, and the
-// error is non-nil only if the optional timeout fires.
-func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Duration) (first, waited bool, err error) {
+// change). waited is how long the event queued behind another: zero if it was
+// admitted without queuing, at least a nanosecond if it queued — the clock is
+// read only then. The error is non-nil only if the optional timeout fires.
+func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Duration) (first bool, waited time.Duration, err error) {
 	w, admitted := l.enqueue(eventID, mode)
 	if w == nil {
-		return admitted, false, nil
+		return admitted, 0, nil
 	}
-
+	start := Now()
+	first = true
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
@@ -169,14 +171,14 @@ func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Durati
 			}
 			l.unlock()
 			if i >= 0 {
-				return false, true, ErrAcquireTimeout
+				first, err = false, ErrAcquireTimeout
 			}
 		}
 	}
-	if !l.waitAdmitted(w) {
-		return false, true, ErrAcquireTimeout
+	if first && !l.waitAdmitted(w) {
+		first, err = false, ErrAcquireTimeout
 	}
-	return true, true, nil
+	return first, max(Since(start), 1), err
 }
 
 // release drops the event's hold (or its pending queue entry, if the event

@@ -76,7 +76,7 @@ func TestLockWriterWaitsForReaders(t *testing.T) {
 		_, _, _ = l.acquire(3, EX, 0)
 		close(acquired)
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, "the writer to queue", func() bool { return l.queueLen() == 1 })
 	l.release(1)
 	select {
 	case <-acquired:
@@ -102,7 +102,7 @@ func TestLockFIFONoReaderBarging(t *testing.T) {
 		_, _, _ = l.acquire(2, EX, 0)
 		close(writerIn)
 	}()
-	time.Sleep(10 * time.Millisecond) // writer is queued
+	waitFor(t, "the writer to queue", func() bool { return l.queueLen() == 1 })
 
 	lateReaderIn := make(chan struct{})
 	go func() {
@@ -145,7 +145,7 @@ func TestLockFIFOOrderAmongWriters(t *testing.T) {
 			mu.Unlock()
 			l.release(id)
 		}(id)
-		time.Sleep(5 * time.Millisecond) // establish arrival order
+		waitFor(t, "the writer to queue", func() bool { return l.queueLen() == int(id) }) // arrival order
 	}
 	l.release(100)
 	wg.Wait()
@@ -267,7 +267,7 @@ func TestLockTimeoutPumpsWaitersBehind(t *testing.T) {
 	reader := make(chan bool, 1)
 	go func() {
 		_, waited, _ := l.acquire(3, RO, 0)
-		reader <- waited
+		reader <- waited > 0
 	}()
 	waitFor(t, "the second reader to queue", func() bool { return l.queueLen() == 2 })
 	if err := <-writer; !errors.Is(err, ErrAcquireTimeout) {
@@ -372,7 +372,7 @@ func TestLockThinTransitions(t *testing.T) {
 				case "release":
 					l.release(s.id)
 				case "timeout":
-					if first, waited, err := l.acquire(s.id, s.mode, 5*time.Millisecond); first || !waited || !errors.Is(err, ErrAcquireTimeout) {
+					if first, waited, err := l.acquire(s.id, s.mode, 5*time.Millisecond); first || waited == 0 || !errors.Is(err, ErrAcquireTimeout) {
 						t.Fatalf("step %d %+v: acquire = (%v, %v, %v); want a wait that timed out", i, s, first, waited, err)
 					}
 				case "wait":

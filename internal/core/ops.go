@@ -29,6 +29,8 @@ func (r *Runtime) RegisterOps(reg *ops.Registry) {
 		"Asynchronous submissions rejected because their server's executor queue was full.", nil, r.Backpressure.Value)
 	reg.Counter("aeon_activation_waits_total",
 		"Activations that queued behind another event.", nil, r.ActivationWaits.Value)
+	reg.Histogram("aeon_activation_wait_seconds",
+		"How long each activation counted by aeon_activation_waits_total queued.", nil, &r.ActivationWait)
 	reg.Gauge("aeon_exec_queue_depth",
 		"Events waiting on executor queues across all server pools.", nil,
 		func() float64 { return float64(r.exec.queued()) })

@@ -79,21 +79,21 @@ func blockSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	b := s.MustDeclareClass("B", func() any { return new(int) })
-	b.MustDeclareMethod("wait", func(call schema.Call, args []any) (any, error) {
+	b.MustDeclareMethod("wait", func(call schema.Call, args []any) (schema.Value, error) {
 		started := args[0].(chan struct{})
 		release := args[1].(chan struct{})
 		close(started)
 		<-release
-		return nil, nil
+		return schema.Value{}, nil
 	})
-	b.MustDeclareMethod("inc", func(call schema.Call, args []any) (any, error) {
+	b.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
 		n := call.State().(*int)
 		*n++
-		return *n, nil
+		return schema.Int(*n), nil
 	})
-	b.MustDeclareMethod("spawnInc", func(call schema.Call, args []any) (any, error) {
+	b.MustDeclareMethod("spawnInc", func(call schema.Call, args []any) (schema.Value, error) {
 		call.Dispatch(args[0].(ownership.ID), "inc")
-		return nil, nil
+		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)

@@ -15,49 +15,72 @@ import (
 )
 
 // hubState lists the leaves a Hub fans out to; leafState counts touches.
-type hubState struct{ leaves []ownership.ID }
+type hubState struct {
+	leaves []ownership.ID
+	sum    int
+}
 type leafState struct{ n int }
 
 // fanSchema declares the sub-call fixture. Hub.fan and Leaf.touch allocate
 // nothing themselves — fan forwards the args slice it was given and both
 // return nil — so whatever a Submit of them allocates is the runtime's own.
+// Hub.tally is fan with results: it sums what Leaf.bump returns, a count that
+// is past the runtime's preboxed small ints once warm, keeps the sum and
+// returns nil.
 func fanSchema(t testing.TB) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	hub := s.MustDeclareClass("Hub", func() any { return &hubState{} })
 	leaf := s.MustDeclareClass("Leaf", func() any { return &leafState{} })
 	link := s.MustDeclareClass("Link", nil)
-	leaf.MustDeclareMethod("touch", func(call schema.Call, _ []any) (any, error) {
+	leaf.MustDeclareMethod("touch", func(call schema.Call, _ []any) (schema.Value, error) {
 		call.State().(*leafState).n++
-		return nil, nil
+		return schema.Value{}, nil
 	})
-	leaf.MustDeclareMethod("peek", func(schema.Call, []any) (any, error) { return nil, nil }, schema.RO())
-	leaf.MustDeclareMethod("count", func(call schema.Call, _ []any) (any, error) {
-		return call.State().(*leafState).n, nil
+	leaf.MustDeclareMethod("bump", func(call schema.Call, _ []any) (schema.Value, error) {
+		st := call.State().(*leafState)
+		st.n++
+		return schema.Int(st.n), nil
+	})
+	leaf.MustDeclareMethod("peek", func(schema.Call, []any) (schema.Value, error) { return schema.Value{}, nil }, schema.RO())
+	leaf.MustDeclareMethod("count", func(call schema.Call, _ []any) (schema.Value, error) {
+		return schema.Int(call.State().(*leafState).n), nil
 	}, schema.RO())
-	hub.MustDeclareMethod("fan", func(call schema.Call, args []any) (any, error) {
+	hub.MustDeclareMethod("fan", func(call schema.Call, args []any) (schema.Value, error) {
 		for _, l := range call.State().(*hubState).leaves {
 			if _, err := call.Sync(l, "touch", args...); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}, schema.MayCall("Leaf", "touch"))
+	hub.MustDeclareMethod("tally", func(call schema.Call, _ []any) (schema.Value, error) {
+		sum := 0
+		for _, l := range call.State().(*hubState).leaves {
+			v, err := call.Sync(l, "bump")
+			if err != nil {
+				return schema.Value{}, err
+			}
+			sum += v.Int()
+		}
+		call.State().(*hubState).sum = sum
+		return schema.Value{}, nil
+	}, schema.MayCall("Leaf", "bump"))
 	// spawn creates a leaf under the hub and calls it within the same event.
-	hub.MustDeclareMethod("spawn", func(call schema.Call, _ []any) (any, error) {
+	hub.MustDeclareMethod("spawn", func(call schema.Call, _ []any) (schema.Value, error) {
 		id, err := call.NewContext("Leaf", call.Self())
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		_, err = call.Sync(id, "touch")
-		return id, err
+		return schema.Of(id), err
 	}, schema.MayCall("Leaf", "touch"))
 	// poke calls the first leaf without having declared access to Leaf.
-	hub.MustDeclareMethod("poke", func(call schema.Call, _ []any) (any, error) {
+	hub.MustDeclareMethod("poke", func(call schema.Call, _ []any) (schema.Value, error) {
 		return call.Sync(call.State().(*hubState).leaves[0], "touch")
 	})
 	// burst races args[0] asynchronous branches on the hub's first leaf.
-	hub.MustDeclareMethod("burst", func(call schema.Call, args []any) (any, error) {
+	hub.MustDeclareMethod("burst", func(call schema.Call, args []any) (schema.Value, error) {
 		l := call.State().(*hubState).leaves[0]
 		rs := make([]schema.AsyncResult, args[0].(int))
 		for i := range rs {
@@ -65,22 +88,22 @@ func fanSchema(t testing.TB) *schema.Schema {
 		}
 		for _, r := range rs {
 			if _, err := r.Wait(); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}, schema.MayCall("Leaf", "touch"))
 	// down recurses along a chain of Links and reports its depth.
-	link.MustDeclareMethod("down", func(call schema.Call, _ []any) (any, error) {
+	link.MustDeclareMethod("down", func(call schema.Call, _ []any) (schema.Value, error) {
 		kids, err := call.Children("Link")
 		if err != nil || len(kids) == 0 {
-			return 1, err
+			return schema.Int(1), err
 		}
 		d, err := call.Sync(kids[0], "down")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		return d.(int) + 1, nil
+		return schema.Int(d.Int() + 1), nil
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -151,9 +174,11 @@ func (w *fanWorld) submit(t testing.TB, target ownership.ID, method string, args
 
 // TestSubCallPathAllocatesNothing is the core allocation gate: on a warmed
 // runtime a fan-out event with 8 synchronous sub-calls — sequenced at its
-// own context, or at a virtual join with path activation — and a
-// single-context event make no allocation inside the runtime. (At the parent
-// commit the same events made 12–14 and 1.)
+// own context, or at a virtual join with path activation, with or without
+// int results ≥ 256 coming back up — and a single-context event make no
+// allocation inside the runtime. (When the gate was added the same events
+// made 12–14 and 1; before method results were schema.Values the results
+// case made 8, one box per callee.)
 func TestSubCallPathAllocatesNothing(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
@@ -168,6 +193,7 @@ func TestSubCallPathAllocatesNothing(t *testing.T) {
 		{"fan-out, virtual-join dominator", 2, func(w *fanWorld) (ownership.ID, string) { return w.hubs[1], "fan" }},
 		{"single context, exclusive", 1, func(w *fanWorld) (ownership.ID, string) { return w.leaves[0], "touch" }},
 		{"single context below a join, readonly", 2, func(w *fanWorld) (ownership.ID, string) { return w.leaves[3], "peek" }},
+		{"fan-out, callee results ≥ 256", 1, func(w *fanWorld) (ownership.ID, string) { return w.hubs[0], "tally" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := newFanWorld(t, tc.hubs, 8, transport.NullNetwork{}, 1)
@@ -177,8 +203,8 @@ func TestSubCallPathAllocatesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 64; i++ {
-				submit() // warm: event pool, child table, dominator and path memo
+			for i := 0; i < 300; i++ {
+				submit() // warm: event pool, child table, dominator and path memo; counts past 255
 			}
 			if n := testing.AllocsPerRun(500, submit); n != 0 {
 				t.Fatalf("%s.%s: %v allocations per event inside the runtime; want 0", target, method, n)
@@ -437,20 +463,29 @@ func TestEventOverflowsInlineCapacity(t *testing.T) {
 
 func BenchmarkFanoutSubmit(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		hubs  int
-		moved bool // the group was rehosted and its forwarding window is open
-	}{{"own-dominator", 1, false}, {"virtual-join", 2, false}, {"moved-in-window", 1, true}} {
+		name   string
+		hubs   int
+		moved  bool // the group was rehosted and its forwarding window is open
+		method string
+	}{
+		{"own-dominator", 1, false, "fan"},
+		{"virtual-join", 2, false, "fan"},
+		{"moved-in-window", 1, true, "fan"},
+		{"callee-results", 1, false, "tally"},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			w := newFanWorld(b, bc.hubs, 8, transport.NullNetwork{}, 2)
 			if bc.moved {
 				w.moveGroup(b, w.rt.Cluster().Servers()[1].ID(), append(w.hubs[:1:1], w.leaves...)...)
 			}
 			args := []any{"msg"}
+			for i := 0; i < 256; i++ {
+				w.submit(b, w.hubs[0], bc.method, args...) // warm; tally's counts past 255
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.rt.Submit(w.hubs[i%bc.hubs], "fan", args...); err != nil {
+				if _, err := w.rt.Submit(w.hubs[i%bc.hubs], bc.method, args...); err != nil {
 					b.Fatal(err)
 				}
 			}

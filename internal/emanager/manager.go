@@ -32,9 +32,6 @@ import (
 	"aeon/internal/ownership"
 )
 
-// ManagerNode is the logical network location of the eManager service.
-const ManagerNode = migration.ManagerNode
-
 var (
 	// ErrVetoed is returned when a constraint rejects an action.
 	ErrVetoed = errors.New("emanager: action vetoed by constraint")

@@ -143,10 +143,10 @@ func (c *callEnv) prepare(child ownership.ID, method string) (*context, *schema.
 }
 
 // Sync implements schema.Call.
-func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (any, error) {
+func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (schema.Value, error) {
 	cc, m, err := c.prepare(child, method)
 	if err != nil {
-		return nil, err
+		return schema.Value{}, err
 	}
 	env := &callEnv{rt: c.rt, ev: c.ev, ctx: cc, method: m}
 	return c.rt.invoke(env, args)
@@ -154,12 +154,12 @@ func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (any, err
 
 type asyncResult struct {
 	done chan struct{}
-	res  any
+	res  schema.Value
 	err  error
 }
 
 // Wait implements schema.AsyncResult.
-func (a *asyncResult) Wait() (any, error) {
+func (a *asyncResult) Wait() (schema.Value, error) {
 	<-a.done
 	return a.res, a.err
 }

@@ -339,17 +339,17 @@ func (r *Runtime) run(target ownership.ID, method string, args []any, asSub bool
 			_, _ = r.run(s.target, s.method, s.args, true)
 		}(sub)
 	}
-	return res, err
+	return res.Any(), err
 }
 
-func (r *Runtime) invoke(env *callEnv, args []any) (any, error) {
+func (r *Runtime) invoke(env *callEnv, args []any) (schema.Value, error) {
 	if env.method.Cost > 0 {
 		if srv, ok := r.cluster.Server(r.locationOf(env.ctx.id)); ok {
 			srv.Work(env.method.Cost)
 		}
 	}
 	if env.method.Handler == nil {
-		return nil, fmt.Errorf("%s.%s: %w", env.ctx.class.Name(), env.method.Name, ErrUnknown)
+		return schema.Value{}, fmt.Errorf("%s.%s: %w", env.ctx.class.Name(), env.method.Name, ErrUnknown)
 	}
 	return env.method.Handler(env, args)
 }

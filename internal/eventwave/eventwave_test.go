@@ -23,20 +23,20 @@ func testSchema(t *testing.T) *schema.Schema {
 	room := s.MustDeclareClass("Room", func() any { return &counter{} })
 	item := s.MustDeclareClass("Item", func() any { return &counter{} })
 
-	item.MustDeclareMethod("add", func(call schema.Call, args []any) (any, error) {
+	item.MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*counter)
 		st.N += args[0].(int)
-		return st.N, nil
+		return schema.Int(st.N), nil
 	})
-	room.MustDeclareMethod("inc", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*counter)
 		st.N++
-		return st.N, nil
+		return schema.Int(st.N), nil
 	})
-	room.MustDeclareMethod("addAll", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("addAll", func(call schema.Call, args []any) (schema.Value, error) {
 		items, err := call.Children("Item")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		var res []schema.AsyncResult
 		for _, it := range items {
@@ -44,25 +44,25 @@ func testSchema(t *testing.T) *schema.Schema {
 		}
 		for _, r := range res {
 			if _, err := r.Wait(); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}, schema.MayCall("Item", "add"))
-	room.MustDeclareMethod("transfer", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
 		from := args[0].(ownership.ID)
 		to := args[1].(ownership.ID)
 		amt := args[2].(int)
 		if _, err := call.Sync(from, "add", -amt); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		if _, err := call.Sync(to, "add", amt); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}, schema.MayCall("Item", "add"))
-	root.MustDeclareMethod("noop", func(call schema.Call, args []any) (any, error) {
-		return nil, nil
+	root.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -211,9 +211,9 @@ func TestPipelineParallelismBelowRoot(t *testing.T) {
 	s := schema.New()
 	s.MustDeclareClass("Root", nil)
 	room := s.MustDeclareClass("Room", nil)
-	room.MustDeclareMethod("slow", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("slow", func(call schema.Call, args []any) (schema.Value, error) {
 		time.Sleep(20 * time.Millisecond)
-		return nil, nil
+		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)

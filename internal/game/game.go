@@ -153,135 +153,135 @@ func Schema(cfg Config) (*schema.Schema, error) {
 
 	cost := cfg.ActionCost
 
-	item.MustDeclareMethod("get", func(call schema.Call, args []any) (any, error) {
+	item.MustDeclareMethod("get", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*ItemState)
 		amt := args[0].(int)
 		if amt > st.Gold {
 			amt = st.Gold
 		}
 		st.Gold -= amt
-		return amt, nil
+		return schema.Int(amt), nil
 	}, schema.Cost(cost))
-	item.MustDeclareMethod("put", func(call schema.Call, args []any) (any, error) {
+	item.MustDeclareMethod("put", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*ItemState)
 		st.Gold += args[0].(int)
-		return st.Gold, nil
+		return schema.Int(st.Gold), nil
 	}, schema.Cost(cost))
-	item.MustDeclareMethod("peek", func(call schema.Call, args []any) (any, error) {
-		return call.State().(*ItemState).Gold, nil
+	item.MustDeclareMethod("peek", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Int(call.State().(*ItemState).Gold), nil
 	}, schema.RO(), schema.Cost(cost))
 
 	// get_gold: the § 2 example — move gold from the player's mine into
 	// their treasure.
-	player.MustDeclareMethod("get_gold", func(call schema.Call, args []any) (any, error) {
+	player.MustDeclareMethod("get_gold", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*PlayerState)
 		amt := args[0].(int)
 		taken, err := call.Sync(ownID(st.Mine), "get", amt)
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		if taken.(int) == 0 {
-			return false, nil
+		if taken.Int() == 0 {
+			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(ownID(st.Treasure), "put", taken); err != nil {
-			return nil, err
+		if _, err := call.Sync(ownID(st.Treasure), "put", taken.Any()); err != nil {
+			return schema.Value{}, err
 		}
-		return true, nil
+		return schema.Of(true), nil
 	}, schema.MayCall("Item", "get"), schema.MayCall("Item", "put"), schema.Cost(cost))
 
 	// receive: deposit into the player's treasure (called by Room during
 	// shared-object interactions under multiple ownership).
-	player.MustDeclareMethod("receive", func(call schema.Call, args []any) (any, error) {
+	player.MustDeclareMethod("receive", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*PlayerState)
 		return call.Sync(ownID(st.Treasure), "put", args[0])
 	}, schema.MayCall("Item", "put"), schema.Cost(cost))
 
 	// player_gold: the single-ownership path — the Room holds all items, so
 	// it moves gold between the player's room-held mine and treasure.
-	room.MustDeclareMethod("player_gold", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("player_gold", func(call schema.Call, args []any) (schema.Value, error) {
 		taken, err := call.Sync(args[0].(ownershipID), "get", args[2])
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		if taken.(int) == 0 {
-			return false, nil
+		if taken.Int() == 0 {
+			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(args[1].(ownershipID), "put", taken); err != nil {
-			return nil, err
+		if _, err := call.Sync(args[1].(ownershipID), "put", taken.Any()); err != nil {
+			return schema.Value{}, err
 		}
-		return true, nil
+		return schema.Of(true), nil
 	}, schema.MayCall("Item", "get"), schema.MayCall("Item", "put"), schema.Cost(cost))
 
 	// interact: a player takes from a shared room object (multi-ownership
 	// wiring: Room reaches the player, who banks into their treasure).
-	room.MustDeclareMethod("interact", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("interact", func(call schema.Call, args []any) (schema.Value, error) {
 		taken, err := call.Sync(args[0].(ownershipID), "get", args[2])
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		if taken.(int) == 0 {
-			return false, nil
+		if taken.Int() == 0 {
+			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(args[1].(ownershipID), "receive", taken); err != nil {
-			return nil, err
+		if _, err := call.Sync(args[1].(ownershipID), "receive", taken.Any()); err != nil {
+			return schema.Value{}, err
 		}
-		return true, nil
+		return schema.Of(true), nil
 	}, schema.MayCall("Item", "get"), schema.MayCall("Player", "receive"), schema.Cost(cost))
 
 	// interact_so: single-ownership variant — both objects are room items.
-	room.MustDeclareMethod("interact_so", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("interact_so", func(call schema.Call, args []any) (schema.Value, error) {
 		taken, err := call.Sync(args[0].(ownershipID), "get", args[2])
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		if taken.(int) == 0 {
-			return false, nil
+		if taken.Int() == 0 {
+			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(args[1].(ownershipID), "put", taken); err != nil {
-			return nil, err
+		if _, err := call.Sync(args[1].(ownershipID), "put", taken.Any()); err != nil {
+			return schema.Value{}, err
 		}
-		return true, nil
+		return schema.Of(true), nil
 	}, schema.MayCall("Item", "get"), schema.MayCall("Item", "put"), schema.Cost(cost))
 
-	room.MustDeclareMethod("nr_players", func(call schema.Call, args []any) (any, error) {
-		return call.State().(*RoomState).NPlayers, nil
+	room.MustDeclareMethod("nr_players", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Int(call.State().(*RoomState).NPlayers), nil
 	}, schema.RO(), schema.Cost(cost))
 
-	room.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []any) (any, error) {
+	room.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*RoomState)
 		st.TimeOfDay = args[0].(int)
-		return nil, nil
+		return schema.Value{}, nil
 	}, schema.Cost(cost))
 
 	// updateTimeOfDay: change time of day in all rooms in parallel (the
 	// Listing 1 async fan-out).
-	building.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []any) (any, error) {
+	building.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*BuildingState)
 		st.TimeOfDay++
 		rooms, err := call.Children("Room")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		for _, r := range rooms {
 			call.Async(r, "updateTimeOfDay", st.TimeOfDay)
 		}
-		return st.TimeOfDay, nil
+		return schema.Int(st.TimeOfDay), nil
 	}, schema.MayCall("Room", "updateTimeOfDay"), schema.Cost(cost))
 
-	building.MustDeclareMethod("countPlayers", func(call schema.Call, args []any) (any, error) {
+	building.MustDeclareMethod("countPlayers", func(call schema.Call, args []any) (schema.Value, error) {
 		rooms, err := call.Children("Room")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		total := 0
 		for _, r := range rooms {
 			n, err := call.Sync(r, "nr_players")
 			if err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
-			total += n.(int)
+			total += n.Int()
 		}
-		return total, nil
+		return schema.Int(total), nil
 	}, schema.RO(), schema.MayCall("Room", "nr_players"), schema.Cost(cost))
 
 	if err := s.Freeze(); err != nil {

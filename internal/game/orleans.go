@@ -6,6 +6,7 @@ import (
 
 	"aeon/internal/cluster"
 	"aeon/internal/orleans"
+	"aeon/internal/schema"
 )
 
 // OrleansApp is the game on the Orleans baseline, in two variants (§ 6.1.1):
@@ -82,64 +83,64 @@ func (a *OrleansApp) declare() error {
 		return rt.DeclareMethod(class, name, cost, h)
 	}
 
-	if err := decl("Item", "get", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Item", "get", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*ItemState)
 		amt := args[0].(int)
 		if amt > st.Gold {
 			amt = st.Gold
 		}
 		st.Gold -= amt
-		return amt, nil
+		return schema.Int(amt), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Item", "put", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Item", "put", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*ItemState)
 		st.Gold += args[0].(int)
-		return st.Gold, nil
+		return schema.Int(st.Gold), nil
 	}); err != nil {
 		return err
 	}
 
 	// Application-level room lock (serializable variant).
-	if err := rt.DeclareMethod("Room", "lock", 0, func(call *orleans.Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("Room", "lock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*roomGrainState)
 		if !st.lockHeld {
 			st.lockHeld = true
-			return true, nil
+			return schema.Of(true), nil
 		}
 		st.waiters = append(st.waiters, call.DeferReply())
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := rt.DeclareMethod("Room", "unlock", 0, func(call *orleans.Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("Room", "unlock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*roomGrainState)
 		if len(st.waiters) > 0 {
 			next := st.waiters[0]
 			st.waiters = st.waiters[1:]
-			next.Resolve(true, nil)
+			next.Resolve(schema.Of(true), nil)
 		} else {
 			st.lockHeld = false
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Room", "nr_players", func(call *orleans.Call, args []any) (any, error) {
-		return call.State().(*roomGrainState).NPlayers, nil
+	if err := decl("Room", "nr_players", func(call *orleans.Call, args []any) (schema.Value, error) {
+		return schema.Int(call.State().(*roomGrainState).NPlayers), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Room", "updateTimeOfDay", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Room", "updateTimeOfDay", func(call *orleans.Call, args []any) (schema.Value, error) {
 		call.State().(*roomGrainState).TimeOfDay = args[0].(int)
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
 
 	// get_gold: move gold mine→treasure, with or without the room lock.
-	if err := decl("Player", "get_gold", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Player", "get_gold", func(call *orleans.Call, args []any) (schema.Value, error) {
 		mine := args[0].(orleans.GrainID)
 		tre := args[1].(orleans.GrainID)
 		room := args[2].(orleans.GrainID)
@@ -147,27 +148,27 @@ func (a *OrleansApp) declare() error {
 		locked := args[4].(bool)
 		if locked {
 			if _, err := call.Call(room, "lock"); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 			defer func() { _, _ = call.Call(room, "unlock") }()
 		}
 		taken, err := call.Call(mine, "get", amt)
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		if taken.(int) == 0 {
-			return false, nil
+		if taken.Int() == 0 {
+			return schema.Of(false), nil
 		}
-		if _, err := call.Call(tre, "put", taken); err != nil {
-			return nil, err
+		if _, err := call.Call(tre, "put", taken.Any()); err != nil {
+			return schema.Value{}, err
 		}
-		return true, nil
+		return schema.Of(true), nil
 	}); err != nil {
 		return err
 	}
 
 	// interact: take from a shared room object into the treasure.
-	if err := decl("Player", "interact", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Player", "interact", func(call *orleans.Call, args []any) (schema.Value, error) {
 		item := args[0].(orleans.GrainID)
 		tre := args[1].(orleans.GrainID)
 		room := args[2].(orleans.GrainID)
@@ -175,26 +176,26 @@ func (a *OrleansApp) declare() error {
 		locked := args[4].(bool)
 		if locked {
 			if _, err := call.Call(room, "lock"); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 			defer func() { _, _ = call.Call(room, "unlock") }()
 		}
 		taken, err := call.Call(item, "get", amt)
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		if taken.(int) == 0 {
-			return false, nil
+		if taken.Int() == 0 {
+			return schema.Of(false), nil
 		}
-		if _, err := call.Call(tre, "put", taken); err != nil {
-			return nil, err
+		if _, err := call.Call(tre, "put", taken.Any()); err != nil {
+			return schema.Value{}, err
 		}
-		return true, nil
+		return schema.Of(true), nil
 	}); err != nil {
 		return err
 	}
 
-	if err := decl("Building", "updateTimeOfDay", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Building", "updateTimeOfDay", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*BuildingState)
 		st.TimeOfDay++
 		rooms := args[0].([]orleans.GrainID)
@@ -204,24 +205,24 @@ func (a *OrleansApp) declare() error {
 		}
 		for _, p := range promises {
 			if _, err := p.Wait(); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 		}
-		return st.TimeOfDay, nil
+		return schema.Int(st.TimeOfDay), nil
 	}); err != nil {
 		return err
 	}
-	return decl("Building", "countPlayers", func(call *orleans.Call, args []any) (any, error) {
+	return decl("Building", "countPlayers", func(call *orleans.Call, args []any) (schema.Value, error) {
 		rooms := args[0].([]orleans.GrainID)
 		total := 0
 		for _, r := range rooms {
 			n, err := call.Call(r, "nr_players")
 			if err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
-			total += n.(int)
+			total += n.Int()
 		}
-		return total, nil
+		return schema.Int(total), nil
 	})
 }
 

@@ -286,10 +286,10 @@ func (g *gatedIoT) open() { g.once.Do(func() { close(g.gate) }) }
 
 func (g *gatedIoT) Schema() *schema.Schema {
 	s := g.IoT.Schema()
-	s.Class("Sensor").MustDeclareMethod("park", func(schema.Call, []any) (any, error) {
+	s.Class("Sensor").MustDeclareMethod("park", func(schema.Call, []any) (schema.Value, error) {
 		g.entered <- struct{}{}
 		<-g.gate
-		return nil, nil
+		return schema.Value{}, nil
 	})
 	return s
 }

@@ -215,9 +215,6 @@ func Dial(mesh transport.Mesh, cfg Config) (*Client, error) {
 	}, nil
 }
 
-// ID returns the client's mesh address.
-func (c *Client) ID() transport.NodeID { return c.ep.ID() }
-
 // Close detaches the client and closes its connections. In-flight submits
 // fail; coalesced futures not yet flushed resolve with ErrClientClosed.
 func (c *Client) Close() error {

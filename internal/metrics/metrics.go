@@ -271,8 +271,5 @@ func (ts *TimeSeries) Points() []Point {
 	return out
 }
 
-// Window returns the configured window size.
-func (ts *TimeSeries) Window() time.Duration { return ts.window }
-
 // Start returns the series anchor time.
 func (ts *TimeSeries) Start() time.Time { return ts.start }

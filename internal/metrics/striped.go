@@ -67,9 +67,6 @@ func (s *StripedHistogram) Count() uint64 {
 	return n
 }
 
-// Mean returns the mean observation across all stripes.
-func (s *StripedHistogram) Mean() time.Duration { return s.merged().Mean() }
-
 // Max returns the largest observation across all stripes.
 func (s *StripedHistogram) Max() time.Duration { return s.merged().Max() }
 

@@ -169,9 +169,6 @@ func NewEngine(rt *core.Runtime, store cloudstore.API, cfg Config) *Engine {
 	}
 }
 
-// Runtime returns the engine's runtime.
-func (e *Engine) Runtime() *core.Runtime { return e.rt }
-
 // Future is the handle of an asynchronous group migration.
 type Future struct {
 	done chan struct{}
@@ -196,12 +193,6 @@ func (f *Future) Wait() error {
 	<-f.done
 	return f.err
 }
-
-// Done returns a channel closed when the migration finishes.
-func (f *Future) Done() <-chan struct{} { return f.done }
-
-// Err returns the migration's error; call only after Done is closed.
-func (f *Future) Err() error { return f.err }
 
 // Migrate moves one context (without its subtree) to another server using
 // one batched protocol round. It blocks until the context is live on the

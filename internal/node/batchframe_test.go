@@ -209,8 +209,8 @@ func TestFailuresArriveAsThemselves(t *testing.T) {
 	// A runtime whose one class fails with whatever sentinel it is asked for.
 	s := schema.New()
 	sentinels := []error{core.ErrMigrating, core.ErrAcquireTimeout, errors.New("handler's own")}
-	s.MustDeclareClass("Faulty", func() any { return new(int) }).MustDeclareMethod("fail", func(_ schema.Call, args []any) (any, error) {
-		return nil, fmt.Errorf("asked for: %w", sentinels[args[0].(int)])
+	s.MustDeclareClass("Faulty", func() any { return new(int) }).MustDeclareMethod("fail", func(_ schema.Call, args []any) (schema.Value, error) {
+		return schema.Value{}, fmt.Errorf("asked for: %w", sentinels[args[0].(int)])
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -294,15 +294,15 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 	var kept sync.WaitGroup // one Done per keep, direct or dispatched
 	kept.Add(perFrame * (laterFrames + 1))
 	keeper := s.MustDeclareClass("Keeper", func() any { return &keeperState{} })
-	keeper.MustDeclareMethod("keep", func(call schema.Call, args []any) (any, error) {
+	keeper.MustDeclareMethod("keep", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*keeperState)
 		st.kept = append(st.kept, args)
 		kept.Done()
-		return len(st.kept), nil
+		return schema.Int(len(st.kept)), nil
 	})
-	keeper.MustDeclareMethod("relay", func(call schema.Call, args []any) (any, error) {
+	keeper.MustDeclareMethod("relay", func(call schema.Call, args []any) (schema.Value, error) {
 		call.Dispatch(call.Self(), "keep", args...)
-		return nil, nil
+		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)

@@ -68,9 +68,6 @@ func ServeStore(mesh transport.Mesh, id transport.NodeID, backend cloudstore.Bac
 // ID returns the store server's mesh address.
 func (s *StoreServer) ID() transport.NodeID { return s.id }
 
-// Backend returns the backend this server serves.
-func (s *StoreServer) Backend() cloudstore.Backend { return s.be }
-
 // Done is closed when a peer requests shutdown (KindShutdown).
 func (s *StoreServer) Done() <-chan struct{} { return s.shutdownCh }
 

@@ -36,26 +36,26 @@ var ErrInsufficientFunds = errors.New("bank: insufficient funds")
 func BankSchema() *schema.Schema {
 	s := schema.New()
 	acc := s.MustDeclareClass("Account", func() any { return &BankAccount{} })
-	acc.MustDeclareMethod("deposit", func(call schema.Call, args []any) (any, error) {
+	acc.MustDeclareMethod("deposit", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*BankAccount)
 		st.Balance += args[0].(int)
-		return st.Balance, nil
+		return schema.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("withdraw", func(call schema.Call, args []any) (any, error) {
+	acc.MustDeclareMethod("withdraw", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*BankAccount)
 		amt := args[0].(int)
 		if amt > st.Balance {
-			return nil, ErrInsufficientFunds
+			return schema.Value{}, ErrInsufficientFunds
 		}
 		st.Balance -= amt
-		return st.Balance, nil
+		return schema.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("balance", func(call schema.Call, args []any) (any, error) {
-		return call.State().(*BankAccount).Balance, nil
+	acc.MustDeclareMethod("balance", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Int(call.State().(*BankAccount).Balance), nil
 	}, schema.RO())
 
 	bank := s.MustDeclareClass("Bank", nil)
-	bank.MustDeclareMethod("open", func(call schema.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("open", func(call schema.Call, args []any) (schema.Value, error) {
 		// Runtime topology mutation: create a fresh account owned by this
 		// bank and seed it. In a replicated deployment the creation is
 		// sequenced through the fleet-wide mutation log on whichever node
@@ -63,36 +63,36 @@ func BankSchema() *schema.Schema {
 		// submittable from every other node.
 		id, err := call.NewContext("Account", call.Self())
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		if initial := args[0].(int); initial != 0 {
 			if _, err := call.Sync(id, "deposit", initial); err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
 		}
-		return id, nil
+		return schema.Of(id), nil
 	}, schema.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("transfer", func(call schema.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
 		from, to, amt := args[0].(ownership.ID), args[1].(ownership.ID), args[2].(int)
 		if _, err := call.Sync(from, "withdraw", amt); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		return call.Sync(to, "deposit", amt)
 	}, schema.MayCall("Account", "withdraw"), schema.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("audit", func(call schema.Call, args []any) (any, error) {
+	bank.MustDeclareMethod("audit", func(call schema.Call, args []any) (schema.Value, error) {
 		accounts, err := call.Children("Account")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		total := 0
 		for _, a := range accounts {
 			b, err := call.Sync(a, "balance")
 			if err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
-			total += b.(int)
+			total += b.Int()
 		}
-		return total, nil
+		return schema.Int(total), nil
 	}, schema.RO(), schema.MayCall("Account", "balance"))
 	return s
 }

@@ -22,6 +22,7 @@ import (
 
 	"aeon/internal/cluster"
 	"aeon/internal/metrics"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -46,8 +47,9 @@ type GrainID uint64
 // String renders the grain ID.
 func (g GrainID) String() string { return fmt.Sprintf("grain#%d", uint64(g)) }
 
-// Handler is a grain method body.
-type Handler func(call *Call, args []any) (any, error)
+// Handler is a grain method body. Its result is a schema.Value, as an AEON
+// handler's is, so a grain-to-grain call does not box an int result.
+type Handler func(call *Call, args []any) (schema.Value, error)
 
 // Method describes one grain method.
 type Method struct {
@@ -111,7 +113,7 @@ type invocation struct {
 }
 
 type result struct {
-	res any
+	res schema.Value
 	err error
 }
 
@@ -164,9 +166,6 @@ func New(cl *cluster.Cluster, cfg Config) *Runtime {
 		grains:  make(map[GrainID]*grain),
 	}
 }
-
-// Cluster returns the compute substrate.
-func (r *Runtime) Cluster() *cluster.Cluster { return r.cluster }
 
 // RegisterClass declares a grain class.
 func (r *Runtime) RegisterClass(c *Class) error {
@@ -332,26 +331,26 @@ func (r *Runtime) Call(to GrainID, method string, args ...any) (any, error) {
 	res, err := r.call(ClientNode, nil, to, method, args)
 	r.Latency.Record(time.Since(start))
 	r.Completed.Inc()
-	return res, err
+	return res.Any(), err
 }
 
 // call routes one invocation; chain carries the synchronous call path for
 // deadlock detection.
-func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, method string, args []any) (any, error) {
+func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, method string, args []any) (schema.Value, error) {
 	r.mu.RLock()
 	g, ok := r.grains[to]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%v: %w", to, ErrUnknown)
+		return schema.Value{}, fmt.Errorf("%v: %w", to, ErrUnknown)
 	}
 	m := g.class.methods[method]
 	if m == nil {
-		return nil, fmt.Errorf("%s.%s: %w", g.class.Name, method, ErrUnknown)
+		return schema.Value{}, fmt.Errorf("%s.%s: %w", g.class.Name, method, ErrUnknown)
 	}
 	// Message hop (client calls charge only when configured).
 	if from != g.server && (from != ClientNode || r.cfg.ChargeClientHops) {
 		if err := r.cluster.Net().Hop(from, g.server, r.cfg.MessageBytes); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 	}
 
@@ -369,7 +368,7 @@ func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, metho
 				return m.Handler(call, args)
 			}
 			r.Deadlocks.Inc()
-			return nil, fmt.Errorf("%v via %v: %w", to, chain, ErrDeadlock)
+			return schema.Value{}, fmt.Errorf("%v via %v: %w", to, chain, ErrDeadlock)
 		}
 	}
 
@@ -427,19 +426,19 @@ func (c *Call) State() any { return c.grain.state }
 
 // Call synchronously invokes another grain. The calling grain's message
 // loop stays blocked until the reply arrives (non-reentrancy).
-func (c *Call) Call(to GrainID, method string, args ...any) (any, error) {
+func (c *Call) Call(to GrainID, method string, args ...any) (schema.Value, error) {
 	return c.rt.call(c.grain.server, c.inv.chain, to, method, args)
 }
 
 // Promise is an outstanding asynchronous grain call.
 type Promise struct {
 	done chan struct{}
-	res  any
+	res  schema.Value
 	err  error
 }
 
 // Wait blocks until the call completes.
-func (p *Promise) Wait() (any, error) {
+func (p *Promise) Wait() (schema.Value, error) {
 	<-p.done
 	return p.res, p.err
 }
@@ -469,13 +468,6 @@ func (c *Call) DeferReply() *Deferred {
 }
 
 // Resolve completes a deferred reply.
-func (d *Deferred) Resolve(res any, err error) {
+func (d *Deferred) Resolve(res schema.Value, err error) {
 	d.inv.reply <- result{res: res, err: err}
-}
-
-// Work consumes simulated CPU on the grain's server.
-func (c *Call) Work(d time.Duration) {
-	if srv, ok := c.rt.cluster.Server(c.grain.server); ok {
-		srv.Work(time.Duration(float64(d) * c.rt.cfg.OverheadFactor))
-	}
 }

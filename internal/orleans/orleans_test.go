@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aeon/internal/cluster"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -30,15 +31,15 @@ func declareCounter(t *testing.T, rt *Runtime, class string) {
 	if err := rt.RegisterClass(&Class{Name: class, New: func() any { return &counter{} }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod(class, "inc", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod(class, "inc", 0, func(call *Call, args []any) (schema.Value, error) {
 		st := call.State().(*counter)
 		st.N++
-		return st.N, nil
+		return schema.Int(st.N), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod(class, "get", 0, func(call *Call, args []any) (any, error) {
-		return call.State().(*counter).N, nil
+	if err := rt.DeclareMethod(class, "get", 0, func(call *Call, args []any) (schema.Value, error) {
+		return schema.Int(call.State().(*counter).N), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,22 +123,22 @@ func TestNonReentrantWhileAwaiting(t *testing.T) {
 	if err := rt.RegisterClass(&Class{Name: "B"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("B", "block", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("B", "block", 0, func(call *Call, args []any) (schema.Value, error) {
 		close(entered)
 		<-release
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var bID GrainID
-	if err := rt.DeclareMethod("A", "callB", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("A", "callB", 0, func(call *Call, args []any) (schema.Value, error) {
 		return call.Call(bID, "block")
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("A", "quick", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("A", "quick", 0, func(call *Call, args []any) (schema.Value, error) {
 		call.State().(*counter).N++
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b GrainID
-	if err := rt.DeclareMethod("P", "ping", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("P", "ping", 0, func(call *Call, args []any) (schema.Value, error) {
 		other := args[0].(GrainID)
 		return call.Call(other, "ping", call.Self())
 	}); err != nil {
@@ -199,10 +200,10 @@ func TestReentrantAllowsCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b GrainID
-	if err := rt.DeclareMethod("R", "bounce", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("R", "bounce", 0, func(call *Call, args []any) (schema.Value, error) {
 		depth := args[0].(int)
 		if depth == 0 {
-			return "done", nil
+			return schema.Of("done"), nil
 		}
 		other := args[1].(GrainID)
 		return call.Call(other, "bounce", depth-1, call.Self())
@@ -225,9 +226,9 @@ func TestStatelessWorkersRunConcurrently(t *testing.T) {
 	if err := rt.RegisterClass(&Class{Name: "W", Stateless: true, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("W", "slow", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("W", "slow", 0, func(call *Call, args []any) (schema.Value, error) {
 		time.Sleep(30 * time.Millisecond)
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,27 +260,27 @@ func TestDeferredReply(t *testing.T) {
 	if err := rt.RegisterClass(&Class{Name: "Lock", New: func() any { return &lockState{} }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("Lock", "lock", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("Lock", "lock", 0, func(call *Call, args []any) (schema.Value, error) {
 		st := call.State().(*lockState)
 		if !st.held {
 			st.held = true
-			return "acquired", nil
+			return schema.Of("acquired"), nil
 		}
 		st.waiters = append(st.waiters, call.DeferReply())
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("Lock", "unlock", 0, func(call *Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("Lock", "unlock", 0, func(call *Call, args []any) (schema.Value, error) {
 		st := call.State().(*lockState)
 		if len(st.waiters) > 0 {
 			next := st.waiters[0]
 			st.waiters = st.waiters[1:]
-			next.Resolve("acquired", nil)
+			next.Resolve(schema.Of("acquired"), nil)
 		} else {
 			st.held = false
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

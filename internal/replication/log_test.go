@@ -13,12 +13,12 @@ import (
 func testSchema() *schema.Schema {
 	s := schema.New()
 	root := s.MustDeclareClass("Root", nil)
-	root.MustDeclareMethod("noop", func(call schema.Call, args []any) (any, error) {
-		return nil, nil
+	root.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Value{}, nil
 	})
 	leaf := s.MustDeclareClass("Leaf", nil)
-	leaf.MustDeclareMethod("noop", func(call schema.Call, args []any) (any, error) {
-		return nil, nil
+	leaf.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Value{}, nil
 	})
 	return s
 }

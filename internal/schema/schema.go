@@ -52,13 +52,13 @@ var (
 
 // Handler is the body of a contextclass method. It receives the invocation
 // environment (the paper's implicit "this context" plus the event-scoped
-// operations) and the call arguments.
-type Handler func(call Call, args []any) (any, error)
+// operations) and the call arguments, and returns its result as a Value.
+type Handler func(call Call, args []any) (Value, error)
 
 // AsyncResult joins an asynchronous intra-event method call.
 type AsyncResult interface {
 	// Wait blocks until the call completes and returns its result.
-	Wait() (any, error)
+	Wait() (Value, error)
 }
 
 // Call is the environment a method body executes in. The core runtime
@@ -84,7 +84,7 @@ type Call interface {
 
 	// Sync performs a synchronous method call on a directly-owned child
 	// context, activating it for the enclosing event first.
-	Sync(child ownership.ID, method string, args ...any) (any, error)
+	Sync(child ownership.ID, method string, args ...any) (Value, error)
 	// Async performs an asynchronous method call on a directly-owned child
 	// context. The enclosing event does not complete until the call does;
 	// Wait is optional.

@@ -126,12 +126,6 @@ func (a *AEONApp) Name() string { return a.name }
 // Runtime exposes the underlying runtime.
 func (a *AEONApp) Runtime() *core.Runtime { return a.rt }
 
-// Warehouse returns the warehouse context.
-func (a *AEONApp) Warehouse() ownership.ID { return a.warehouse }
-
-// Districts returns the district contexts.
-func (a *AEONApp) Districts() []ownership.ID { return a.districts }
-
 // DoTxn implements App.
 func (a *AEONApp) DoTxn(rng *rand.Rand) error {
 	d := rng.Intn(len(a.districts))

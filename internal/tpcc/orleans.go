@@ -7,6 +7,7 @@ import (
 
 	"aeon/internal/cluster"
 	"aeon/internal/orleans"
+	"aeon/internal/schema"
 )
 
 // OrleansApp is TPC-C on the Orleans baseline, in two variants (§ 6.1.2):
@@ -108,32 +109,32 @@ func (a *OrleansApp) declare() error {
 	}
 
 	// Warehouse lock for the serializable variant.
-	if err := rt.DeclareMethod("Warehouse", "lock", 0, func(call *orleans.Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("Warehouse", "lock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		if !st.lockHeld {
 			st.lockHeld = true
-			return true, nil
+			return schema.Of(true), nil
 		}
 		st.waiters = append(st.waiters, call.DeferReply())
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := rt.DeclareMethod("Warehouse", "unlock", 0, func(call *orleans.Call, args []any) (any, error) {
+	if err := rt.DeclareMethod("Warehouse", "unlock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		if len(st.waiters) > 0 {
 			next := st.waiters[0]
 			st.waiters = st.waiters[1:]
-			next.Resolve(true, nil)
+			next.Resolve(schema.Of(true), nil)
 		} else {
 			st.lockHeld = false
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
 
-	if err := decl("Warehouse", "reserve_stock", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Warehouse", "reserve_stock", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		for _, l := range args[0].([]OrderLine) {
 			if st.Stock[l.Item] < l.Qty {
@@ -141,18 +142,18 @@ func (a *OrleansApp) declare() error {
 			}
 			st.Stock[l.Item] -= l.Qty
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Warehouse", "pay_ytd", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Warehouse", "pay_ytd", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		st.YTD += args[0].(int)
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Warehouse", "stock_level", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Warehouse", "stock_level", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		low := 0
 		for _, it := range args[0].([]int) {
@@ -160,12 +161,12 @@ func (a *OrleansApp) declare() error {
 				low++
 			}
 		}
-		return low, nil
+		return schema.Int(low), nil
 	}); err != nil {
 		return err
 	}
 
-	if err := decl("Order", "fill", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Order", "fill", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*oGrainState)
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -174,66 +175,66 @@ func (a *OrleansApp) declare() error {
 		for _, l := range st.Lines {
 			st.Total += l.Amount
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Order", "mark_delivered", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Order", "mark_delivered", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*oGrainState)
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		st.Delivered = true
-		return st.Total, nil
+		return schema.Int(st.Total), nil
 	}); err != nil {
 		return err
 	}
 
-	if err := decl("Customer", "place_order", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Customer", "place_order", func(call *orleans.Call, args []any) (schema.Value, error) {
 		ord, err := a.rt.CreateGrain("Order")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		if _, err := call.Call(ord, "fill", args[0], args[1]); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		st := call.State().(*cGrainState)
 		st.LastOrder = ord
-		return ord, nil
+		return schema.Of(ord), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Customer", "pay", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Customer", "pay", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*cGrainState)
 		amt := args[0].(int)
 		st.Balance -= amt
 		st.YTDPayment += amt
 		st.Payments++
-		return st.Balance, nil
+		return schema.Int(st.Balance), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Customer", "order_status", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Customer", "order_status", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*cGrainState)
-		return st.LastOrder, nil
+		return schema.Of(st.LastOrder), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Customer", "credit_delivery", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("Customer", "credit_delivery", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*cGrainState)
 		st.Balance += args[0].(int)
 		st.Delivered++
-		return nil, nil
+		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
 
-	if err := decl("District", "new_order", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("District", "new_order", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*dGrainState)
 		wh := args[0].(orleans.GrainID)
 		cust := args[1].(orleans.GrainID)
 		lines := args[2].([]OrderLine)
 		if _, err := call.Call(wh, "reserve_stock", lines); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		st.NextOID++
 		st.RecentItems = st.RecentItems[:0]
@@ -242,27 +243,27 @@ func (a *OrleansApp) declare() error {
 		}
 		ord, err := call.Call(cust, "place_order", st.NextOID, lines)
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		st.PendingOrders = append(st.PendingOrders, ord.(orleans.GrainID))
+		st.PendingOrders = append(st.PendingOrders, ord.Any().(orleans.GrainID))
 		return ord, nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("District", "payment", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("District", "payment", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*dGrainState)
 		wh := args[0].(orleans.GrainID)
 		cust := args[1].(orleans.GrainID)
 		amt := args[2].(int)
 		if _, err := call.Call(wh, "pay_ytd", amt); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		st.YTD += amt
 		return call.Call(cust, "pay", amt)
 	}); err != nil {
 		return err
 	}
-	if err := decl("District", "deliver", func(call *orleans.Call, args []any) (any, error) {
+	if err := decl("District", "deliver", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*dGrainState)
 		cust := args[0].(orleans.GrainID)
 		n := len(st.PendingOrders)
@@ -274,17 +275,17 @@ func (a *OrleansApp) declare() error {
 		for _, ord := range batch {
 			total, err := call.Call(ord, "mark_delivered")
 			if err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
-			if _, err := call.Call(cust, "credit_delivery", total); err != nil {
-				return nil, err
+			if _, err := call.Call(cust, "credit_delivery", total.Any()); err != nil {
+				return schema.Value{}, err
 			}
 		}
-		return n, nil
+		return schema.Int(n), nil
 	}); err != nil {
 		return err
 	}
-	return decl("District", "stock_level", func(call *orleans.Call, args []any) (any, error) {
+	return decl("District", "stock_level", func(call *orleans.Call, args []any) (schema.Value, error) {
 		st := call.State().(*dGrainState)
 		wh := args[0].(orleans.GrainID)
 		return call.Call(wh, "stock_level", append([]int(nil), st.RecentItems...))

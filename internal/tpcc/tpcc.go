@@ -217,34 +217,34 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	fillCost := cost * 2
 
 	// --- Order methods -------------------------------------------------
-	order.MustDeclareMethod("fill", func(call schema.Call, args []any) (any, error) {
+	order.MustDeclareMethod("fill", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*OrderState)
 		st.OID = args[0].(int)
 		st.Lines = args[1].([]OrderLine)
 		for _, l := range st.Lines {
 			st.Total += l.Amount
 		}
-		return nil, nil
+		return schema.Value{}, nil
 	}, schema.Cost(fillCost))
-	order.MustDeclareMethod("mark_delivered", func(call schema.Call, args []any) (any, error) {
+	order.MustDeclareMethod("mark_delivered", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*OrderState)
 		st.Delivered = true
-		return st.Total, nil
+		return schema.Int(st.Total), nil
 	}, schema.Cost(cost))
-	order.MustDeclareMethod("read", func(call schema.Call, args []any) (any, error) {
+	order.MustDeclareMethod("read", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*OrderState)
-		return struct {
+		return schema.Of(struct {
 			OID       int
 			Lines     int
 			Delivered bool
-		}{st.OID, len(st.Lines), st.Delivered}, nil
+		}{st.OID, len(st.Lines), st.Delivered}), nil
 	}, schema.RO(), schema.Cost(cost))
 
 	// --- Customer methods ----------------------------------------------
 	// place_order creates the Order context. Under multiple ownership the
 	// order is owned by District and Customer; under single ownership by
 	// the Customer alone.
-	customer.MustDeclareMethod("place_order", func(call schema.Call, args []any) (any, error) {
+	customer.MustDeclareMethod("place_order", func(call schema.Call, args []any) (schema.Value, error) {
 		oid := args[0].(int)
 		lines := args[1].([]OrderLine)
 		districtID := args[2].(ownershipID)
@@ -256,41 +256,41 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		}
 		ord, err := call.NewContext("Order", owners...)
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		if _, err := call.Sync(ord, "fill", oid, lines); err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		st := call.State().(*CustomerState)
 		st.LastOrder = uint64(ord)
-		return ord, nil
+		return schema.Of(ord), nil
 	}, schema.MayCall("Order", "fill"), schema.Cost(custCost))
 
-	customer.MustDeclareMethod("pay", func(call schema.Call, args []any) (any, error) {
+	customer.MustDeclareMethod("pay", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*CustomerState)
 		amt := args[0].(int)
 		st.Balance -= amt
 		st.YTDPayment += amt
 		st.Payments++
-		return st.Balance, nil
+		return schema.Int(st.Balance), nil
 	}, schema.Cost(custCost))
 
-	customer.MustDeclareMethod("deliver_order", func(call schema.Call, args []any) (any, error) {
+	customer.MustDeclareMethod("deliver_order", func(call schema.Call, args []any) (schema.Value, error) {
 		ord := args[0].(ownershipID)
 		total, err := call.Sync(ord, "mark_delivered")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		st := call.State().(*CustomerState)
-		st.Balance += total.(int)
+		st.Balance += total.Int()
 		st.Delivered++
 		return total, nil
 	}, schema.MayCall("Order", "mark_delivered"), schema.Cost(cost))
 
-	customer.MustDeclareMethod("order_status", func(call schema.Call, args []any) (any, error) {
+	customer.MustDeclareMethod("order_status", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*CustomerState)
 		if st.LastOrder == 0 {
-			return nil, nil
+			return schema.Value{}, nil
 		}
 		return call.Sync(ownID(st.LastOrder), "read")
 	}, schema.RO(), schema.MayCall("Order", "read"), schema.Cost(cost))
@@ -301,7 +301,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	// the district crabs into it and frees itself; under multiple
 	// ownership the district must stay locked while customer→order calls
 	// run (orders are reachable from the district around the customer).
-	district.MustDeclareMethod("new_order_district", func(call schema.Call, args []any) (any, error) {
+	district.MustDeclareMethod("new_order_district", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*DistrictState)
 		cust := args[0].(ownershipID)
 		lines := args[1].([]OrderLine)
@@ -316,25 +316,25 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 			// convention: customers record it, the district queues the
 			// customer and resolves the order at delivery time.
 			st.PendingOrders = append(st.PendingOrders, PendingOrder{Customer: uint64(cust)})
-			return nil, call.Crab(cust, "place_order", st.NextOID, lines, call.Self())
+			return schema.Value{}, call.Crab(cust, "place_order", st.NextOID, lines, call.Self())
 		}
 		ord, err := call.Sync(cust, "place_order", st.NextOID, lines, call.Self())
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		st.PendingOrders = append(st.PendingOrders, PendingOrder{
-			Order: uint64(ord.(ownershipID)), Customer: uint64(cust),
+			Order: uint64(ord.Any().(ownershipID)), Customer: uint64(cust),
 		})
 		return ord, nil
 	}, schema.MayCall("Customer", "place_order"), schema.Cost(cost))
 
-	district.MustDeclareMethod("payment_district", func(call schema.Call, args []any) (any, error) {
+	district.MustDeclareMethod("payment_district", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*DistrictState)
 		cust := args[0].(ownershipID)
 		amt := args[1].(int)
 		st.YTD += amt
 		if so {
-			return nil, call.Crab(cust, "pay", amt)
+			return schema.Value{}, call.Crab(cust, "pay", amt)
 		}
 		return call.Sync(cust, "pay", amt)
 	}, schema.MayCall("Customer", "pay"), schema.Cost(cost))
@@ -342,7 +342,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	// deliver: pop up to 10 pending orders. Multiple ownership reaches the
 	// order contexts directly (the district owns them); single ownership
 	// routes through the owning customer.
-	district.MustDeclareMethod("deliver", func(call schema.Call, args []any) (any, error) {
+	district.MustDeclareMethod("deliver", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*DistrictState)
 		n := len(st.PendingOrders)
 		if n > 10 {
@@ -355,35 +355,35 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 			if so {
 				// Resolve the order via the customer's last-order record.
 				if _, err := call.Sync(ownID(p.Customer), "deliver_last"); err != nil {
-					return nil, err
+					return schema.Value{}, err
 				}
 			} else {
 				if _, err := call.Sync(ownID(p.Customer), "deliver_order", ownID(p.Order)); err != nil {
-					return nil, err
+					return schema.Value{}, err
 				}
 			}
 			delivered++
 		}
-		return delivered, nil
+		return schema.Int(delivered), nil
 	}, schema.MayCall("Customer", "deliver_order"), schema.MayCall("Customer", "deliver_last"), schema.Cost(cost))
 
-	customer.MustDeclareMethod("deliver_last", func(call schema.Call, args []any) (any, error) {
+	customer.MustDeclareMethod("deliver_last", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*CustomerState)
 		if st.LastOrder == 0 {
-			return 0, nil
+			return schema.Int(0), nil
 		}
 		total, err := call.Sync(ownID(st.LastOrder), "mark_delivered")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
-		st.Balance += total.(int)
+		st.Balance += total.Int()
 		st.Delivered++
 		return total, nil
 	}, schema.MayCall("Order", "mark_delivered"), schema.Cost(cost))
 
-	district.MustDeclareMethod("recent_items", func(call schema.Call, args []any) (any, error) {
+	district.MustDeclareMethod("recent_items", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*DistrictState)
-		return append([]int(nil), st.RecentItems...), nil
+		return schema.Of(append([]int(nil), st.RecentItems...)), nil
 	}, schema.RO(), schema.Cost(cost))
 
 	// --- Warehouse methods ----------------------------------------------
@@ -392,7 +392,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	// payment transaction finishes its execution in a Warehouse context, it
 	// calls a method in a District context asynchronously, and releases the
 	// Warehouse context. This allows another event to enter the Warehouse").
-	warehouse.MustDeclareMethod("new_order", func(call schema.Call, args []any) (any, error) {
+	warehouse.MustDeclareMethod("new_order", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*WarehouseState)
 		district := args[0].(ownershipID)
 		cust := args[1].(ownershipID)
@@ -404,32 +404,32 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 			st.Stock[l.Item] -= l.Qty
 		}
 		call.Work(time.Duration(len(lines)) * whCost / 10)
-		return nil, call.Crab(district, "new_order_district", cust, lines)
+		return schema.Value{}, call.Crab(district, "new_order_district", cust, lines)
 	}, schema.MayCall("District", "new_order_district"), schema.Cost(whCost))
 
-	warehouse.MustDeclareMethod("payment", func(call schema.Call, args []any) (any, error) {
+	warehouse.MustDeclareMethod("payment", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*WarehouseState)
 		district := args[0].(ownershipID)
 		cust := args[1].(ownershipID)
 		amt := args[2].(int)
 		st.YTD += amt
-		return nil, call.Crab(district, "payment_district", cust, amt)
+		return schema.Value{}, call.Crab(district, "payment_district", cust, amt)
 	}, schema.MayCall("District", "payment_district"), schema.Cost(whCost))
 
-	warehouse.MustDeclareMethod("stock_level", func(call schema.Call, args []any) (any, error) {
+	warehouse.MustDeclareMethod("stock_level", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*WarehouseState)
 		district := args[0].(ownershipID)
 		items, err := call.Sync(district, "recent_items")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		low := 0
-		for _, it := range items.([]int) {
+		for _, it := range items.Any().([]int) {
 			if st.Stock[it] < 15 {
 				low++
 			}
 		}
-		return low, nil
+		return schema.Int(low), nil
 	}, schema.RO(), schema.MayCall("District", "recent_items"), schema.Cost(whCost))
 
 	if err := s.Freeze(); err != nil {

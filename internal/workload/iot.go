@@ -64,45 +64,46 @@ func (w *IoT) Name() string { return "iot" }
 func (w *IoT) Schema() *schema.Schema {
 	s := schema.New()
 	sensor := s.MustDeclareClass("Sensor", func() any { return &IoTSensor{} })
-	sensor.MustDeclareMethod("ingest", func(call schema.Call, args []any) (any, error) {
+	sensor.MustDeclareMethod("ingest", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*IoTSensor)
 		st.Count++
 		st.Sum += args[0].(int)
-		return st.Sum, nil
+		return schema.Int(st.Sum), nil
 	})
-	sensor.MustDeclareMethod("total", func(call schema.Call, args []any) (any, error) {
-		return call.State().(*IoTSensor).Sum, nil
+	sensor.MustDeclareMethod("total", func(call schema.Call, args []any) (schema.Value, error) {
+		return schema.Int(call.State().(*IoTSensor).Sum), nil
 	}, schema.RO())
-	sensor.MustDeclareMethod("read", func(call schema.Call, args []any) (any, error) {
+	sensor.MustDeclareMethod("read", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*IoTSensor)
-		return fmt.Sprintf("%d/%d", st.Count, st.Sum), nil
+		return schema.Of(fmt.Sprintf("%d/%d", st.Count, st.Sum)), nil
 	}, schema.RO())
 
 	region := s.MustDeclareClass("Region", func() any { return &IoTRegion{} })
-	region.MustDeclareMethod("rollup", func(call schema.Call, args []any) (any, error) {
+	region.MustDeclareMethod("rollup", func(call schema.Call, args []any) (schema.Value, error) {
 		sensors, err := call.Children("Sensor")
 		if err != nil {
-			return nil, err
+			return schema.Value{}, err
 		}
 		total := 0
 		for _, id := range sensors {
 			v, err := call.Sync(id, "total")
 			if err != nil {
-				return nil, err
+				return schema.Value{}, err
 			}
-			total += v.(int)
+			total += v.Int()
 		}
 		st := call.State().(*IoTRegion)
 		st.Rollups++
 		st.Total = total
-		return total, nil
+		return schema.Int(total), nil
 	}, schema.MayCall("Sensor", "total"))
-	region.MustDeclareMethod("stats", func(call schema.Call, args []any) (any, error) {
+	region.MustDeclareMethod("stats", func(call schema.Call, args []any) (schema.Value, error) {
 		st := call.State().(*IoTRegion)
-		return fmt.Sprintf("%d/%d", st.Rollups, st.Total), nil
+		return schema.Of(fmt.Sprintf("%d/%d", st.Rollups, st.Total)), nil
 	}, schema.RO())
-	region.MustDeclareMethod("provision", func(call schema.Call, args []any) (any, error) {
-		return call.NewContext("Sensor", call.Self())
+	region.MustDeclareMethod("provision", func(call schema.Call, args []any) (schema.Value, error) {
+		id, err := call.NewContext("Sensor", call.Self())
+		return schema.Of(id), err
 	})
 	return s
 }

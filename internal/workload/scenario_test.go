@@ -126,11 +126,11 @@ func TestScenarioTopologyShape(t *testing.T) {
 	}
 }
 
-// TestSocialPostAllocatesOnlyCalleeResults: a warmed post over a pod of 8
-// allocates at most one object per sub-call — push's boxed post count, once
-// the timelines are past the runtime's preboxed small ints — and nothing for
-// carrying the message down.
-func TestSocialPostAllocatesOnlyCalleeResults(t *testing.T) {
+// TestSocialPostAllocatesNothing: a warmed post over a pod of 8 allocates
+// nothing — not for carrying the message down, and not for push's post
+// count coming back up, though every timeline is past the runtime's preboxed
+// small ints (the parent commit made one allocation per sub-call here, 8).
+func TestSocialPostAllocatesNothing(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
 	}
@@ -150,7 +150,44 @@ func TestSocialPostAllocatesOnlyCalleeResults(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		post() // warm, and push every timeline past 255 posts
 	}
-	if n := testing.AllocsPerRun(200, post); n > pod {
-		t.Fatalf("%v allocations per post over a pod of %d; want at most one per sub-call", n, pod)
+	if n := testing.AllocsPerRun(200, post); n != 0 {
+		t.Fatalf("%v allocations per post over a pod of %d; want 0", n, pod)
+	}
+}
+
+// TestIoTRollupAllocationsFlatInSensors: a warmed rollup over 32 sensors whose
+// totals are past the preboxed small ints allocates exactly what a rollup
+// over one sensor does — a sensor's total costs nothing on its way up (the
+// parent commit allocated one more per sensor).
+func TestIoTRollupAllocationsFlatInSensors(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
+	}
+	rollupAllocs := func(sensors int) float64 {
+		scen := NewIoT(1, sensors)
+		rt, err := NewScenarioRuntime(scen, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		for _, s := range scen.sensors {
+			if _, err := rt.Submit(s, "ingest", 300); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rollup := func() {
+			if total, err := rt.Submit(scen.regions[0], "rollup"); err != nil || total != 300*sensors {
+				t.Fatalf("rollup over %d sensors = %v, %v", sensors, total, err)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			rollup()
+		}
+		return testing.AllocsPerRun(200, rollup)
+	}
+	one, many := rollupAllocs(1), rollupAllocs(32)
+	t.Logf("allocations per rollup: %v over 1 sensor, %v over 32", one, many)
+	if many != one {
+		t.Fatalf("a rollup allocates %v over 32 sensors and %v over 1; want the same", many, one)
 	}
 }
