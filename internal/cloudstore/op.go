@@ -213,6 +213,8 @@ func (t Typed) List(prefix string) ([]string, error) {
 // change together. The layout is positional — the kind byte, the fence behind
 // a presence byte, then every field in declaration order — so an unused field
 // costs its one zero byte. A zero-length value, key list or map decodes as nil.
+// The decoders read several fields inside one composite literal; Go evaluates
+// the calls there left to right, which is the layout order.
 
 // AppendWire appends op's request frame to dst.
 func (op *Op) AppendWire(dst []byte) []byte {
@@ -242,95 +244,42 @@ func (op *Op) AppendWire(dst []byte) []byte {
 }
 
 // UnmarshalWire decodes a frame AppendWire produced. The bytes come from
-// another process: a kind without a row in kinds is refused before any field
-// is read, every count is checked against the bytes left (HotReader.Count),
-// and everything decoded is copied out of b, which may be the caller's pooled
-// buffer, recycled while a store still holds the op's keys and values.
-func (op *Op) UnmarshalWire(b []byte) (err error) {
+// another process: a kind without a row in kinds fails the reader before any
+// field is read, every count is checked against the bytes left
+// (HotReader.Count), and everything decoded is copied out of b, which may be
+// the caller's pooled buffer, recycled while a store still holds the op's
+// keys and values. The op is unspecified when it returns an error.
+func (op *Op) UnmarshalWire(b []byte) error {
 	var r schema.HotReader
-	if err = r.Header(b, schema.HotTypeStoreReq); err != nil {
-		return err
+	r.Header(b, schema.HotTypeStoreReq)
+	k := Kind(r.Byte())
+	if !k.valid() {
+		r.Fail(fmt.Sprintf("unknown store op kind %d", k))
 	}
-	k, err := r.Byte()
-	if err != nil {
-		return err
+	*op = Op{Kind: k}
+	if r.Byte() != 0 {
+		op.Fence = &Fence{Part: int(r.Varint()), Epoch: r.Uvarint()}
 	}
-	if !Kind(k).valid() {
-		return r.Fail(fmt.Sprintf("unknown store op kind %d", k))
-	}
-	*op = Op{Kind: Kind(k)}
-	fenced, err := r.Byte()
-	if err != nil {
-		return err
-	}
-	if fenced != 0 {
-		part, err := r.Varint()
-		if err != nil {
-			return err
-		}
-		op.Fence = &Fence{Part: int(part)}
-		if op.Fence.Epoch, err = r.Uvarint(); err != nil {
-			return err
-		}
-	}
-	if op.Key, err = r.Str(); err != nil {
-		return err
-	}
-	if op.Keys, err = readKeys(&r); err != nil {
-		return err
-	}
-	if op.Value, err = readBytes(&r); err != nil {
-		return err
-	}
-	n, err := r.Count()
-	if err != nil {
-		return err
-	}
-	if n > 0 {
+	op.Key = r.Str()
+	op.Keys = readKeys(&r)
+	op.Value = readBytes(&r)
+	if n := r.Count(); n > 0 {
 		op.Entries = make(map[string][]byte, n)
-	}
-	for ; n > 0; n-- {
-		key, err := r.Str()
-		if err != nil {
-			return err
-		}
-		if op.Entries[key], err = readBytes(&r); err != nil {
-			return err
+		for range n {
+			key := r.Str()
+			op.Entries[key] = readBytes(&r)
 		}
 	}
-	if op.Expect, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if n, err = r.Count(); err != nil {
-		return err
-	}
-	op.Commit.Sets = make([]KV, n)
+	op.Expect = r.Uvarint()
+	op.Commit.Sets = make([]KV, r.Count())
 	for i := range op.Commit.Sets {
-		kv := &op.Commit.Sets[i]
-		if kv.Key, err = r.Str(); err != nil {
-			return err
-		}
-		if kv.Val, err = readBytes(&r); err != nil {
-			return err
-		}
-		if kv.Ver, err = r.Uvarint(); err != nil {
-			return err
-		}
+		op.Commit.Sets[i] = KV{Key: r.Str(), Val: readBytes(&r), Ver: r.Uvarint()}
 	}
-	if n, err = r.Count(); err != nil {
-		return err
-	}
-	op.Commit.Dels = make([]KD, n)
+	op.Commit.Dels = make([]KD, r.Count())
 	for i := range op.Commit.Dels {
-		kd := &op.Commit.Dels[i]
-		if kd.Key, err = r.Str(); err != nil {
-			return err
-		}
-		if kd.Ver, err = r.Uvarint(); err != nil {
-			return err
-		}
+		op.Commit.Dels[i] = KD{Key: r.Str(), Ver: r.Uvarint()}
 	}
-	return nil
+	return r.Err()
 }
 
 // AppendWire appends the response frame to dst: the code byte, the message
@@ -347,29 +296,15 @@ func (p *Reply) AppendWire(dst []byte) []byte {
 
 // UnmarshalWire decodes a frame AppendWire produced, under Op.UnmarshalWire's
 // rules; a code byte this build does not know reads as CodeUnknown.
-func (p *Reply) UnmarshalWire(b []byte) (err error) {
+func (p *Reply) UnmarshalWire(b []byte) error {
 	var r schema.HotReader
-	if err = r.Header(b, schema.HotTypeStoreResp); err != nil {
-		return err
-	}
-	c, err := r.Byte()
-	if err != nil {
-		return err
-	}
-	*p = Reply{Code: schema.Code(c).Known()}
+	r.Header(b, schema.HotTypeStoreResp)
+	*p = Reply{Code: schema.Code(r.Byte()).Known()}
 	if p.Code != schema.CodeOK {
-		if p.Err, err = r.Str(); err != nil {
-			return err
-		}
+		p.Err = r.Str()
 	}
-	if p.Result.Value, err = readBytes(&r); err != nil {
-		return err
-	}
-	if p.Result.Version, err = r.Uvarint(); err != nil {
-		return err
-	}
-	p.Result.Keys, err = readKeys(&r)
-	return err
+	p.Result = Result{Value: readBytes(&r), Version: r.Uvarint(), Keys: readKeys(&r)}
+	return r.Err()
 }
 
 func appendKeys(dst []byte, keys []string) []byte {
@@ -380,22 +315,19 @@ func appendKeys(dst []byte, keys []string) []byte {
 	return dst
 }
 
-func readKeys(r *schema.HotReader) ([]string, error) {
-	n, err := r.Count()
-	if err != nil || n == 0 {
-		return nil, err
+func readKeys(r *schema.HotReader) []string {
+	n := r.Count()
+	if n == 0 {
+		return nil
 	}
 	keys := make([]string, n)
 	for i := range keys {
-		if keys[i], err = r.Str(); err != nil {
-			return nil, err
-		}
+		keys[i] = r.Str()
 	}
-	return keys, nil
+	return keys
 }
 
 // readBytes copies the next length-prefixed value out of the frame.
-func readBytes(r *schema.HotReader) ([]byte, error) {
-	b, err := r.LenBytes()
-	return append([]byte(nil), b...), err
+func readBytes(r *schema.HotReader) []byte {
+	return append([]byte(nil), r.LenBytes()...)
 }

@@ -110,12 +110,6 @@ func (a *EventWaveApp) deploy() error {
 // Name implements App.
 func (a *EventWaveApp) Name() string { return "EventWave" }
 
-// Runtime exposes the underlying runtime.
-func (a *EventWaveApp) Runtime() *eventwave.Runtime { return a.rt }
-
-// Rooms returns the room contexts.
-func (a *EventWaveApp) Rooms() []ownership.ID { return a.rooms }
-
 // DoOp implements App.
 func (a *EventWaveApp) DoOp(rng *rand.Rand) error {
 	r := rng.Intn(len(a.rooms))

@@ -19,6 +19,13 @@ package schema
 // integers are uvarint or zigzag varint; strings and byte slices are
 // length-prefixed.
 //
+// Decoding: every decoder reads its layout straight through a HotReader and
+// checks the reader's one sticky error at the end. A caller acts on a single
+// outcome, "frame malformed" (ErrHotFrame), so no read returns an error of
+// its own; the first failure is kept and the reader yields zeros after it.
+// A decoder writes its receiver as it reads, so the receiver's contents are
+// unspecified when it returns an error.
+//
 // `any` values (event arguments and results) are encoded with a one-byte
 // tag covering the scalar kinds real workloads send — nil, bool, int,
 // int64, uint64, float64, string, []byte, ownership.ID — and fall back to
@@ -28,6 +35,7 @@ package schema
 // which application method bodies rely on for type assertions.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -77,9 +85,9 @@ const (
 // on malformed frames without string matching.
 var ErrHotFrame = errors.New("schema: malformed hot frame")
 
-// hotMax bounds decoded lengths (strings, byte slices, collection counts)
-// so corrupt or adversarial frames cannot demand absurd allocations before
-// failing. 64 MiB matches the transport's frame bound.
+// hotMax bounds the buffers PutFrameBuf recycles; 64 MiB matches the
+// transport's frame bound. Decoded lengths need no bound of their own: the
+// reader refuses any length or count larger than the bytes left in the frame.
 const hotMax = 64 << 20
 
 // SubmitReq is the hot submit request frame: execute one event on the
@@ -142,20 +150,14 @@ func HotFrameEvents(b []byte) int {
 		return 1
 	}
 	r := HotReader{b: b, off: 2}
-	if _, err := r.Uvarint(); err != nil { // Hops
-		return 1
+	r.Uvarint() // Hops
+	r.Uvarint() // MinSeq
+	r.Uvarint() // Trace
+	// A failed read yields 0: a malformed frame weighs 1, like an empty one.
+	if n := r.Uvarint(); n > 0 && n <= MaxBatchEvents {
+		return int(n)
 	}
-	if _, err := r.Uvarint(); err != nil { // MinSeq
-		return 1
-	}
-	if _, err := r.Uvarint(); err != nil { // Trace
-		return 1
-	}
-	n, err := r.Uvarint()
-	if err != nil || n == 0 || n > MaxBatchEvents {
-		return 1
-	}
-	return int(n)
+	return 1
 }
 
 // ---- frame buffers ----
@@ -207,97 +209,109 @@ func PutBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// HotReader walks a frame body with bounds checks; every failure is an
-// ErrHotFrame, never a panic, so arbitrary bytes are safe to feed in. Header
-// starts it on a frame.
+// HotReader walks a frame body with bounds checks and one sticky error. Its
+// reads return values only: the first failure is recorded as an ErrHotFrame
+// naming what failed and where, and it empties the reader, so every later
+// read returns 0, nil or "" and a count of 0. A decoder therefore reads its
+// whole layout straight through and returns Err once at the end; arbitrary
+// bytes never panic, a failed reader cannot index past the frame, and no
+// count it yields can size an allocation beyond the frame's own bytes.
+// Header starts it on a frame.
 type HotReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (r *HotReader) Fail(what string) error {
-	return fmt.Errorf("%w: %s at offset %d", ErrHotFrame, what, r.off)
+// Err reports the reader's first failure, or nil.
+func (r *HotReader) Err() error { return r.err }
+
+// Fail records what as the reader's failure, unless one is already
+// recorded, and empties the reader.
+func (r *HotReader) Fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s at offset %d", ErrHotFrame, what, r.off)
+	}
+	r.b, r.off = nil, 0
 }
 
-func (r *HotReader) Byte() (byte, error) {
+func (r *HotReader) Byte() byte {
 	if r.off >= len(r.b) {
-		return 0, r.Fail("truncated byte")
+		r.Fail("truncated byte")
+		return 0
 	}
 	c := r.b[r.off]
 	r.off++
-	return c, nil
+	return c
 }
 
-func (r *HotReader) Uvarint() (uint64, error) {
+func (r *HotReader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, r.Fail("bad uvarint")
+		r.Fail("bad uvarint")
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
-func (r *HotReader) Varint() (int64, error) {
+func (r *HotReader) Varint() int64 {
 	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
-		return 0, r.Fail("bad varint")
+		r.Fail("bad varint")
+		return 0
 	}
 	r.off += n
-	return v, nil
+	return v
 }
 
-// Take returns the next n bytes of the frame without copying.
-func (r *HotReader) Take(n uint64) ([]byte, error) {
-	if n > hotMax || r.off+int(n) > len(r.b) {
-		return nil, r.Fail("truncated field")
+// take returns the next n bytes of the frame without copying.
+func (r *HotReader) take(n uint64) []byte {
+	if n > uint64(len(r.b)-r.off) {
+		r.Fail("truncated field")
+		return nil
 	}
 	b := r.b[r.off : r.off+int(n)]
 	r.off += int(n)
-	return b, nil
+	return b
 }
 
 // LenBytes returns the next length-prefixed field without copying.
-func (r *HotReader) LenBytes() ([]byte, error) {
-	n, err := r.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	return r.Take(n)
-}
+func (r *HotReader) LenBytes() []byte { return r.take(r.Uvarint()) }
 
 // Str decodes a length-prefixed string, copying out of the frame (frames
 // may live in pooled buffers; decoded values must not alias them).
-func (r *HotReader) Str() (string, error) {
-	b, err := r.LenBytes()
-	return string(b), err
-}
+func (r *HotReader) Str() string { return string(r.LenBytes()) }
 
 // Count decodes a collection's element count, refusing one larger than the
 // bytes left in the frame: every element takes at least a byte, so such a
 // count is a lie, and the caller is about to size an allocation by it. It
 // reads its varint itself: batch decode pays one Count per event, and a call
 // through Uvarint showed there (+7 % on BenchmarkSubmitBatchReqHotCodec).
-func (r *HotReader) Count() (int, error) {
+func (r *HotReader) Count() int {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
-		return 0, r.Fail("bad uvarint")
+		r.Fail("bad uvarint")
+		return 0
 	}
 	if r.off += n; v > uint64(len(r.b)-r.off) {
-		return 0, r.Fail("count exceeds frame")
+		r.Fail("count exceeds frame")
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-// Header starts the reader on b, which must be a frame of the given type.
-func (r *HotReader) Header(b []byte, frameType byte) error {
-	if len(b) < 2 || b[0] != HotMagic {
-		return fmt.Errorf("%w: missing magic", ErrHotFrame)
+// Header starts the reader on b, which must be a frame of the given type;
+// any other b fails the reader.
+func (r *HotReader) Header(b []byte, frameType byte) {
+	switch {
+	case len(b) < 2 || b[0] != HotMagic:
+		r.Fail("missing magic")
+	case b[1] != frameType:
+		r.Fail(fmt.Sprintf("frame type %d, want %d", b[1], frameType))
+	default:
+		r.b, r.off = b, 2
 	}
-	if b[1] != frameType {
-		return fmt.Errorf("%w: frame type %d, want %d", ErrHotFrame, b[1], frameType)
-	}
-	r.b, r.off = b, 2
-	return nil
 }
 
 // ---- string interning ----
@@ -394,56 +408,40 @@ func appendValue(dst []byte, v any) ([]byte, error) {
 }
 
 // readValue decodes one tagged value.
-func (r *HotReader) readValue() (any, error) {
-	tag, err := r.Byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+func (r *HotReader) readValue() any {
+	switch tag := r.Byte(); tag {
 	case tagNil:
-		return nil, nil
+		return nil
 	case tagFalse:
-		return false, nil
+		return false
 	case tagTrue:
-		return true, nil
+		return true
 	case tagInt:
-		v, err := r.Varint()
-		return int(v), err
+		return int(r.Varint())
 	case tagInt64:
 		return r.Varint()
 	case tagUint64:
 		return r.Uvarint()
 	case tagFloat:
-		b, err := r.Take(8)
-		if err != nil {
-			return nil, err
+		if b := r.take(8); len(b) == 8 {
+			return math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+		return nil
 	case tagString:
 		return r.Str()
 	case tagBytes:
-		b, err := r.LenBytes()
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, len(b))
-		copy(out, b)
-		return out, nil
+		return bytes.Clone(r.LenBytes())
 	case tagID:
-		v, err := r.Uvarint()
-		return ownership.ID(v), err
+		return ownership.ID(r.Uvarint())
 	case tagGob:
-		b, err := r.LenBytes()
+		v, err := DecodeWire(r.LenBytes())
 		if err != nil {
-			return nil, err
+			r.Fail(fmt.Sprintf("embedded gob: %v", err))
 		}
-		v, err := DecodeWire(b)
-		if err != nil {
-			return nil, fmt.Errorf("%w: embedded gob: %v", ErrHotFrame, err)
-		}
-		return v, nil
+		return v
 	default:
-		return nil, r.Fail(fmt.Sprintf("unknown value tag %d", tag))
+		r.Fail(fmt.Sprintf("unknown value tag %d", tag))
+		return nil
 	}
 }
 
@@ -472,54 +470,26 @@ func (q *SubmitReq) MarshalWire(dst []byte) ([]byte, error) {
 // UnmarshalWire decodes a frame produced by MarshalWire. The receiver's
 // Args slice is reused when its capacity suffices, so a long-lived decode
 // target reaches steady-state zero allocations; decoded values never alias
-// b.
+// b. The receiver is unspecified when it returns an error.
 func (q *SubmitReq) UnmarshalWire(b []byte) error {
 	var r HotReader
-	if err := r.Header(b, hotTypeSubmitReq); err != nil {
-		return err
-	}
-	target, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	method, err := r.LenBytes()
-	if err != nil {
-		return err
-	}
-	hops, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	r.Header(b, hotTypeSubmitReq)
+	q.Target = ownership.ID(r.Uvarint())
+	q.Method = intern(r.LenBytes())
+	hops := r.Uvarint()
 	if hops > math.MaxUint32 {
-		return r.Fail("hop count overflow")
+		r.Fail("hop count overflow")
 	}
-	minSeq, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	trace, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	n, err := r.Count()
-	if err != nil {
-		return err
-	}
-	args := q.Args[:0]
-	for i := 0; i < n; i++ {
-		v, err := r.readValue()
-		if err != nil {
-			return fmt.Errorf("submit arg %d: %w", i, err)
-		}
-		args = append(args, v)
-	}
-	q.Target = ownership.ID(target)
-	q.Method = intern(method)
 	q.Hops = uint32(hops)
-	q.MinSeq = minSeq
-	q.Trace = trace
+	q.MinSeq = r.Uvarint()
+	q.Trace = r.Uvarint()
+	n := r.Count()
+	args := q.Args[:0]
+	for range n {
+		args = append(args, r.readValue())
+	}
 	q.Args = args
-	return nil
+	return r.Err()
 }
 
 // ---- SubmitResp ----
@@ -536,22 +506,13 @@ func appendOutcome(dst []byte, o *BatchOutcome) ([]byte, error) {
 
 // outcome decodes what appendOutcome wrote; a code byte this build does not
 // know reads as CodeUnknown.
-func (r *HotReader) outcome(o *BatchOutcome) (err error) {
-	if o.Host, err = r.Varint(); err != nil {
-		return err
-	}
-	c, err := r.Byte()
-	if err != nil {
-		return err
-	}
-	o.Code, o.Err = Code(c).Known(), ""
+func (r *HotReader) outcome(o *BatchOutcome) {
+	o.Host = r.Varint()
+	o.Code, o.Err = Code(r.Byte()).Known(), ""
 	if o.Code != CodeOK {
-		if o.Err, err = r.Str(); err != nil {
-			return err
-		}
+		o.Err = r.Str()
 	}
-	o.Result, err = r.readValue()
-	return err
+	o.Result = r.readValue()
 }
 
 // MarshalWire appends the frame to dst.
@@ -562,10 +523,9 @@ func (p *SubmitResp) MarshalWire(dst []byte) ([]byte, error) {
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (p *SubmitResp) UnmarshalWire(b []byte) error {
 	var r HotReader
-	if err := r.Header(b, hotTypeSubmitResp); err != nil {
-		return err
-	}
-	return r.outcome((*BatchOutcome)(p))
+	r.Header(b, hotTypeSubmitResp)
+	r.outcome((*BatchOutcome)(p))
+	return r.Err()
 }
 
 // ---- NotifyRec ----
@@ -579,15 +539,9 @@ func (n *NotifyRec) MarshalWire(dst []byte) ([]byte, error) {
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (n *NotifyRec) UnmarshalWire(b []byte) error {
 	var r HotReader
-	if err := r.Header(b, hotTypeNotify); err != nil {
-		return err
-	}
-	seq, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	n.Seq = seq
-	return nil
+	r.Header(b, hotTypeNotify)
+	n.Seq = r.Uvarint()
+	return r.Err()
 }
 
 // ---- PlaceReq ----
@@ -601,16 +555,10 @@ func (q *PlaceReq) MarshalWire(dst []byte) ([]byte, error) {
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (q *PlaceReq) UnmarshalWire(b []byte) error {
 	var r HotReader
-	if err := r.Header(b, hotTypePlaceReq); err != nil {
-		return err
-	}
-	id, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	q.Context = ownership.ID(id)
-	q.Server, err = r.Varint()
-	return err
+	r.Header(b, hotTypePlaceReq)
+	q.Context = ownership.ID(r.Uvarint())
+	q.Server = r.Varint()
+	return r.Err()
 }
 
 // ---- TransferRec ----
@@ -649,56 +597,22 @@ func (t *TransferRec) MarshalWire(dst []byte) ([]byte, error) {
 // UnmarshalWire decodes a frame produced by MarshalWire.
 func (t *TransferRec) UnmarshalWire(b []byte) error {
 	var r HotReader
-	if err := r.Header(b, hotTypeTransfer); err != nil {
-		return err
+	r.Header(b, hotTypeTransfer)
+	t.From = r.Varint()
+	t.To = r.Varint()
+	t.TotalBytes = r.Varint()
+	t.MinSeq = r.Uvarint()
+	t.Members = make([]ownership.ID, r.Count())
+	for i := range t.Members {
+		t.Members[i] = ownership.ID(r.Uvarint())
 	}
-	var err error
-	if t.From, err = r.Varint(); err != nil {
-		return err
-	}
-	if t.To, err = r.Varint(); err != nil {
-		return err
-	}
-	if t.TotalBytes, err = r.Varint(); err != nil {
-		return err
-	}
-	if t.MinSeq, err = r.Uvarint(); err != nil {
-		return err
-	}
-	n, err := r.Count()
-	if err != nil {
-		return err
-	}
-	t.Members = make([]ownership.ID, 0, n)
-	for i := 0; i < n; i++ {
-		id, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		t.Members = append(t.Members, ownership.ID(id))
-	}
-	if n, err = r.Count(); err != nil {
-		return err
-	}
+	n := r.Count()
 	t.States = make(map[uint64][]byte, n)
-	for i := 0; i < n; i++ {
-		id, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		ln, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		raw, err := r.Take(ln)
-		if err != nil {
-			return err
-		}
-		st := make([]byte, len(raw))
-		copy(st, raw)
-		t.States[id] = st
+	for range n {
+		id := r.Uvarint()
+		t.States[id] = bytes.Clone(r.LenBytes())
 	}
-	return nil
+	return r.Err()
 }
 
 // ---- SubmitBatchReq ----
@@ -811,7 +725,8 @@ func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error)
 // UnmarshalWire decodes a frame produced by MarshalWire. The receiver's
 // Events slice — and each event's Args slice — is reused when capacity
 // suffices, so a long-lived decode target reaches steady-state zero
-// allocations; decoded values never alias b.
+// allocations; decoded values never alias b. The receiver is unspecified
+// when it returns an error; the next decode into it re-extends over it.
 func (q *SubmitBatchReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, false) }
 
 // UnmarshalFrame decodes like UnmarshalWire for a receiver that is recycled
@@ -825,30 +740,18 @@ func (q *SubmitBatchReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, 
 
 func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 	var r HotReader
-	if err := r.Header(b, hotTypeSubmitBatchReq); err != nil {
-		return err
-	}
-	hops, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	r.Header(b, hotTypeSubmitBatchReq)
+	hops := r.Uvarint()
 	if hops > math.MaxUint32 {
-		return r.Fail("hop count overflow")
+		r.Fail("hop count overflow")
 	}
-	minSeq, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	trace, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	q.Hops = uint32(hops)
+	q.MinSeq = r.Uvarint()
+	q.Trace = r.Uvarint()
+	n := r.Uvarint()
 	if n > MaxBatchEvents {
-		return r.Fail("batch event count overflow")
+		r.Fail("batch event count overflow")
+		n = 0
 	}
 	evs := q.Events
 	if uint64(cap(evs)) < n {
@@ -859,28 +762,17 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 		evs = evs[:n]
 	}
 	var arena []any // freshArgs: the frame's one args allocation
-	for i := uint64(0); i < n; i++ {
+	for i := range evs {
 		e := &evs[i]
-		back, err := r.Uvarint()
-		if err != nil {
-			return err
-		}
-		switch {
+		switch back := r.Uvarint(); {
 		case back == 0:
-			raw, err := r.Uvarint()
-			if err != nil {
-				return err
-			}
-			e.Target = ownership.ID(raw)
-		case back > i:
-			return r.Fail("batch target back-reference out of range")
+			e.Target = ownership.ID(r.Uvarint())
+		case back > uint64(i):
+			r.Fail("batch target back-reference out of range")
 		default:
-			e.Target = evs[i-back].Target
+			e.Target = evs[uint64(i)-back].Target
 		}
-		method, err := r.LenBytes()
-		if err != nil {
-			return err
-		}
+		method := r.LenBytes()
 		// Coalesced batches are runs of one method: try the previous event's
 		// before the table.
 		if i > 0 && string(method) == evs[i-1].Method {
@@ -888,34 +780,24 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 		} else {
 			e.Method = intern(method)
 		}
-		na, err := r.Count()
-		if err != nil {
-			return err
-		}
+		na := r.Count()
 		args := e.Args[:0]
 		if freshArgs {
 			if cap(arena)-len(arena) < na {
 				// Size for the remaining events at this one's arity; every
 				// value takes at least a byte of what is left of the frame.
-				arena = make([]any, 0, min(na*int(n-i), len(r.b)-r.off))
+				arena = make([]any, 0, min(na*(len(evs)-i), len(r.b)-r.off))
 			}
 			args = arena[len(arena) : len(arena) : len(arena)+na]
 			arena = arena[:len(arena)+na]
 		}
-		for j := 0; j < na; j++ {
-			v, err := r.readValue()
-			if err != nil {
-				return fmt.Errorf("batch event %d arg %d: %w", i, j, err)
-			}
-			args = append(args, v)
+		for range na {
+			args = append(args, r.readValue())
 		}
 		e.Args = args
 	}
-	q.Hops = uint32(hops)
-	q.MinSeq = minSeq
-	q.Trace = trace
 	q.Events = evs
-	return nil
+	return r.Err()
 }
 
 // ---- SubmitBatchResp ----
@@ -940,27 +822,19 @@ func (p *SubmitBatchResp) MarshalWire(dst []byte) ([]byte, error) {
 // Outcomes slice is reused when capacity suffices.
 func (p *SubmitBatchResp) UnmarshalWire(b []byte) error {
 	var r HotReader
-	if err := r.Header(b, hotTypeSubmitBatchResp); err != nil {
-		return err
-	}
-	n, err := r.Uvarint()
-	if err != nil {
-		return err
-	}
+	r.Header(b, hotTypeSubmitBatchResp)
+	n := r.Uvarint()
 	if n > MaxBatchEvents {
-		return r.Fail("batch outcome count overflow")
+		r.Fail("batch outcome count overflow")
+		n = 0
 	}
-	outs := p.Outcomes
-	if uint64(cap(outs)) < n {
-		outs = make([]BatchOutcome, n)
+	if uint64(cap(p.Outcomes)) < n {
+		p.Outcomes = make([]BatchOutcome, n)
 	} else {
-		outs = outs[:n]
+		p.Outcomes = p.Outcomes[:n]
 	}
-	for i := range outs {
-		if err := r.outcome(&outs[i]); err != nil {
-			return fmt.Errorf("batch outcome %d: %w", i, err)
-		}
+	for i := range p.Outcomes {
+		r.outcome(&p.Outcomes[i])
 	}
-	p.Outcomes = outs
-	return nil
+	return r.Err()
 }

@@ -4,7 +4,9 @@ package schema_test
 // frames too: they are laid out in cloudstore, which imports schema.
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"aeon/internal/cloudstore"
@@ -143,7 +145,11 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 		}
 		var bq schema.SubmitBatchReq
 		if err := bq.UnmarshalWire(data); err == nil {
-			_ = schema.HotFrameEvents(data) // must not panic on any decodable frame
+			// The transport weighs admission by HotFrameEvents: it must count
+			// what the decoder decodes.
+			if got, want := schema.HotFrameEvents(data), max(1, len(bq.Events)); got != want {
+				t.Fatalf("HotFrameEvents = %d for a frame that decodes %d events", got, len(bq.Events))
+			}
 			b2, err := bq.MarshalWire(nil)
 			if err != nil {
 				t.Fatalf("re-encode of decoded submitBatchReq failed: %v", err)
@@ -182,6 +188,85 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEveryTruncationRefused: a frame cut short anywhere is malformed. For one
+// frame of every shape the whole frame decodes, and every strict prefix of it
+// fails with ErrHotFrame without the decoder allocating more than 1 MiB —
+// whichever field the cut lands in, a decoder that reads past it or stops
+// checking its reader shows here.
+func TestEveryTruncationRefused(t *testing.T) {
+	type frame struct {
+		name   string
+		b      []byte
+		decode func([]byte) error
+	}
+	var frames []frame
+	add := func(name string, b []byte, err error, decode func([]byte) error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		frames = append(frames, frame{name, b, decode})
+	}
+	// Every value tag, the embedded-gob fallback included ([]ownership.ID is
+	// registered but not one of the tagged scalars).
+	req := schema.SubmitReq{Target: 300, Method: "deposit", Hops: 2, MinSeq: 9, Trace: 77, Args: []any{
+		nil, false, true, -5, int64(-1 << 40), uint64(1 << 63), 2.5, "memo", []byte("raw"), ownership.ID(12),
+		[]ownership.ID{1, 2},
+	}}
+	b, err := req.MarshalWire(nil)
+	add("submit req", b, err, func(b []byte) error { return new(schema.SubmitReq).UnmarshalWire(b) })
+	resp := schema.SubmitResp{Result: "moved", Host: 3, Err: "ctx#9: no such context", Code: schema.CodeUnknownContext}
+	b, err = resp.MarshalWire(nil)
+	add("submit resp", b, err, func(b []byte) error { return new(schema.SubmitResp).UnmarshalWire(b) })
+	b, err = (&schema.NotifyRec{Seq: 1 << 40}).MarshalWire(nil)
+	add("notify", b, err, func(b []byte) error { return new(schema.NotifyRec).UnmarshalWire(b) })
+	b, err = (&schema.PlaceReq{Context: 700, Server: 2}).MarshalWire(nil)
+	add("place req", b, err, func(b []byte) error { return new(schema.PlaceReq).UnmarshalWire(b) })
+	tr := schema.TransferRec{Members: []ownership.ID{5, 900}, From: 1, To: 2, TotalBytes: 4096, MinSeq: 3,
+		States: map[uint64][]byte{900: []byte("state")}}
+	b, err = tr.MarshalWire(nil)
+	add("transfer", b, err, func(b []byte) error { return new(schema.TransferRec).UnmarshalWire(b) })
+	batch := schema.SubmitBatchReq{Hops: 1, MinSeq: 4, Trace: 8, Events: []schema.BatchEvent{
+		{Target: 300, Method: "deposit", Args: []any{1}},
+		{Target: 300, Method: "withdraw", Args: []any{200, "memo"}},
+		{Target: 9, Method: "balance"},
+	}}
+	b, err = batch.MarshalWire(nil)
+	add("batch req", b, err, func(b []byte) error { return new(schema.SubmitBatchReq).UnmarshalFrame(b) })
+	batchResp := schema.SubmitBatchResp{Outcomes: []schema.BatchOutcome{
+		{Result: 450, Host: 3},
+		{Err: "queue full", Code: schema.CodeBackpressure, Host: -1},
+	}}
+	b, err = batchResp.MarshalWire(nil)
+	add("batch resp", b, err, func(b []byte) error { return new(schema.SubmitBatchResp).UnmarshalWire(b) })
+	for _, op := range storeOpSeeds() {
+		add("store op "+op.Kind.String(), op.AppendWire(nil), nil, func(b []byte) error { return new(cloudstore.Op).UnmarshalWire(b) })
+	}
+	rep := cloudstore.Reply{Result: cloudstore.Result{Value: []byte("v"), Version: 6, Keys: []string{"a", "b"}},
+		Code: schema.CodeStoreFenced, Err: "partition 0: epoch 5 < fence 6"}
+	add("store reply", rep.AppendWire(nil), nil, func(b []byte) error { return new(cloudstore.Reply).UnmarshalWire(b) })
+
+	prefixes := 0
+	for _, f := range frames {
+		if err := f.decode(f.b); err != nil {
+			t.Fatalf("%s: the whole frame does not decode: %v", f.name, err)
+		}
+		for n := range len(f.b) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := f.decode(f.b[:n:n])
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, schema.ErrHotFrame) {
+				t.Errorf("%s cut to %d of %d bytes: err = %v; want ErrHotFrame", f.name, n, len(f.b), err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s cut to %d of %d bytes: the decoder allocated %d bytes", f.name, n, len(f.b), got)
+			}
+			prefixes++
+		}
+	}
+	t.Logf("%d frames, %d prefixes refused", len(frames), prefixes)
 }
 
 // storeOpSeeds is one request frame per store op kind, fenced and not, plus a

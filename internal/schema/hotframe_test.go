@@ -428,6 +428,44 @@ func TestLyingCountAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestHotReaderFailSticks pins the reader's contract: after Fail every read
+// returns its zero value, however many bytes the frame had left, and Err keeps
+// naming the first failure and its offset through a second one.
+func TestHotReaderFailSticks(t *testing.T) {
+	// Bytes every read below decodes to a non-zero value on a live reader.
+	left := PutString([]byte{tagString}, "sticky")
+	frame := append([]byte{HotMagic, hotTypeNotify, 1}, left...)
+	reads := map[string]func(*HotReader) bool{ // reports whether the read was zero
+		"Byte":      func(r *HotReader) bool { return r.Byte() == 0 },
+		"Uvarint":   func(r *HotReader) bool { return r.Uvarint() == 0 },
+		"Varint":    func(r *HotReader) bool { return r.Varint() == 0 },
+		"take":      func(r *HotReader) bool { return r.take(1) == nil },
+		"LenBytes":  func(r *HotReader) bool { return r.LenBytes() == nil },
+		"Str":       func(r *HotReader) bool { return r.Str() == "" },
+		"Count":     func(r *HotReader) bool { return r.Count() == 0 },
+		"readValue": func(r *HotReader) bool { return r.readValue() == nil },
+	}
+	const want = "schema: malformed hot frame: first at offset 3"
+	for name, read := range reads {
+		var live, failed HotReader
+		for _, r := range []*HotReader{&live, &failed} {
+			r.Header(frame, hotTypeNotify)
+			r.Byte()
+		}
+		failed.Fail("first")
+		if read(&live) || live.Err() != nil {
+			t.Fatalf("%s: a live reader read zero from % x (err %v)", name, left, live.Err())
+		}
+		if !read(&failed) {
+			t.Errorf("%s after Fail read a non-zero value: the reader kept its bytes", name)
+		}
+		failed.Fail("second")
+		if err := failed.Err(); !errors.Is(err, ErrHotFrame) || err.Error() != want {
+			t.Errorf("%s: Err() = %v after two failures; want %q", name, err, want)
+		}
+	}
+}
+
 // TestInternedEmptyStringSkipsTable pins that the empty method name decodes
 // without entering (or reading) the intern table, whichever frame carries
 // it, while real names still intern to one shared string.

@@ -81,9 +81,6 @@ func (a *EventWaveApp) deploy() error {
 // Name implements App.
 func (a *EventWaveApp) Name() string { return "EventWave" }
 
-// Runtime exposes the underlying runtime.
-func (a *EventWaveApp) Runtime() *eventwave.Runtime { return a.rt }
-
 // DoTxn implements App.
 func (a *EventWaveApp) DoTxn(rng *rand.Rand) error {
 	d := rng.Intn(len(a.districts))
