@@ -15,7 +15,7 @@ func (e *executor) queued() int {
 }
 
 // RegisterOps registers the runtime's hot-path metrics on an ops registry:
-// the striped end-to-end latency histogram (merged on read), completion and
+// the end-to-end latency histogram (merged on read), completion and
 // error counters, and an executor queue-depth gauge. Call once per process
 // after the runtime is built; registration adds nothing to the hot path.
 func (r *Runtime) RegisterOps(reg *ops.Registry) {

@@ -81,6 +81,10 @@ type Runtime struct {
 	// exec runs asynchronous events and sub-events on bounded per-server
 	// worker pools.
 	exec *executor
+	// Latency records end-to-end event latency. Every event reads its one
+	// word, so it sits a cache line away from eventSeq, which every event
+	// writes.
+	Latency metrics.Histogram
 
 	placeCursor atomic.Uint64
 
@@ -103,10 +107,8 @@ type Runtime struct {
 	closed   atomic.Bool
 	subWG    sync.WaitGroup
 
-	// Latency records end-to-end event latency striped by event sequence
-	// number (merged on read); Completed counts finished events. The
-	// eManager's SLA policy reads RecentLatency.
-	Latency   metrics.StripedHistogram
+	// Completed counts finished events. The eManager's SLA policy reads
+	// RecentLatency.
 	Completed metrics.StripedCounter
 	// SubEventErrors counts sub-events that failed (they have no client to
 	// report to).
@@ -115,8 +117,8 @@ type Runtime struct {
 	// server's executor queue full.
 	Backpressure metrics.Counter
 	// ActivationWaits counts activations that queued behind another event,
-	// and ActivationWait is how long each of them queued (last: 3.8 KB that
-	// an uncontended event never touches).
+	// and ActivationWait is how long each of them queued (one word until the
+	// first wait).
 	ActivationWaits metrics.Counter
 	ewma            metrics.StripedEWMA
 	ActivationWait  metrics.Histogram
@@ -659,11 +661,12 @@ func (r *Runtime) launchSubs(ev *event) {
 	}
 }
 
-// recordLatency stripes both the histogram and the EWMA by event sequence
-// number, so concurrent completions never contend on a shared counter; the
-// merged view is assembled on read (RecentLatency, Latency queries).
+// recordLatency stripes the EWMA by event sequence number (the histogram
+// stripes itself), so concurrent completions never contend on a shared
+// counter; the merged view is assembled on read (RecentLatency, Latency
+// queries).
 func (r *Runtime) recordLatency(eventID uint64, d time.Duration) {
-	r.Latency.RecordAt(eventID, d)
+	r.Latency.Record(d)
 	// Each stripe sees only every 64th event, so the per-stripe smoothing
 	// factor is raised to keep the *merged* signal's time constant at the
 	// pre-sharding ~20 events: alpha = 1 - (1-0.05)^64 ≈ 0.96. A single

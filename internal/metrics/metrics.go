@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,11 +15,22 @@ import (
 )
 
 // Histogram records durations in logarithmically spaced buckets from 1µs to
-// ~17min and answers quantile queries. It is safe for concurrent use and
-// allocation-free on the record path.
+// ~17min and answers quantile queries. It is safe for concurrent use. The
+// zero value is ready to use and is one word until the first Record, which
+// allocates one stripe per scheduler thread (GOMAXPROCS rounded up to a
+// power of two, 3.9 KB each); later Records allocate nothing. Reads merge
+// the stripes, and the count is the buckets' sum, so a Record makes two
+// atomic adds and no third for a total.
 type Histogram struct {
+	first atomic.Pointer[stripe] // stripe 0 of the set; nil before the first Record
+}
+
+// stripe is one share of a Histogram. A set of stripes is one allocation,
+// and stripe 0 carries the slice over it.
+type stripe struct {
+	set    []stripe // stripe 0 only; leading, as the GC scans a stripe up to its last pointer
+	_      [40]byte // every Record reads set: no counter may share its cache line
 	counts [bucketCount]atomic.Uint64
-	total  atomic.Uint64
 	sumNs  atomic.Int64
 	maxNs  atomic.Int64
 }
@@ -61,42 +73,101 @@ func bucketValue(idx int) time.Duration {
 	return time.Duration(us * 1000)
 }
 
-// Record adds one observation.
+// Record adds one observation. The stripe is a multiplicative hash of d, not
+// its low bits: a clock that ticks in whole microseconds would put every
+// observation on stripe 0.
 func (h *Histogram) Record(d time.Duration) {
-	h.counts[bucketIndex(d)].Add(1)
-	h.total.Add(1)
-	h.sumNs.Add(d.Nanoseconds())
+	s := h.first.Load()
+	if s == nil {
+		s = h.install()
+	}
+	s = &s.set[int(uint64(d)*0x9E3779B97F4A7C15>>32)&(len(s.set)-1)]
+	s.counts[bucketIndex(d)].Add(1)
+	s.sumNs.Add(d.Nanoseconds())
 	for {
-		cur := h.maxNs.Load()
-		if d.Nanoseconds() <= cur || h.maxNs.CompareAndSwap(cur, d.Nanoseconds()) {
+		cur := s.maxNs.Load()
+		if d.Nanoseconds() <= cur || s.maxNs.CompareAndSwap(cur, d.Nanoseconds()) {
 			break
 		}
 	}
 }
 
+// install allocates the stripe set; a Record that loses the race to install
+// it uses the winner's.
+func (h *Histogram) install() *stripe {
+	n := 1
+	for n < runtime.GOMAXPROCS(0) {
+		n *= 2
+	}
+	set := make([]stripe, n)
+	set[0].set = set
+	if h.first.CompareAndSwap(nil, &set[0]) {
+		return &set[0]
+	}
+	return h.first.Load()
+}
+
+// stripes returns the stripe set, nil before the first Record.
+func (h *Histogram) stripes() []stripe {
+	if s := h.first.Load(); s != nil {
+		return s.set
+	}
+	return nil
+}
+
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	set := h.stripes()
+	for b := 0; b < bucketCount; b++ {
+		n += bucket(set, b)
+	}
+	return n
+}
 
 // Mean returns the mean observation.
 func (h *Histogram) Mean() time.Duration {
-	n := h.total.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(h.sumNs.Load() / int64(n))
+	return h.Sum() / time.Duration(n)
 }
 
 // Max returns the largest observation.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNs.Load()) }
+func (h *Histogram) Max() time.Duration {
+	var ns int64
+	set := h.stripes()
+	for i := range set {
+		ns = max(ns, set[i].maxNs.Load())
+	}
+	return time.Duration(ns)
+}
 
 // Sum returns the total of all observations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
+func (h *Histogram) Sum() time.Duration {
+	var ns int64
+	set := h.stripes()
+	for i := range set {
+		ns += set[i].sumNs.Load()
+	}
+	return time.Duration(ns)
+}
+
+// bucket returns bucket b's count merged over the stripes.
+func bucket(set []stripe, b int) uint64 {
+	var n uint64
+	for i := range set {
+		n += set[i].counts[b].Load()
+	}
+	return n
+}
 
 // Quantile returns the approximate q-quantile. q is clamped to [0,1]; an
 // empty histogram answers 0 for every quantile. (Unclamped negative q would
 // convert to a huge unsigned rank and always answer Max.)
 func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.total.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -110,8 +181,9 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		rank = n - 1
 	}
 	var cum uint64
+	set := h.stripes()
 	for i := 0; i < bucketCount; i++ {
-		cum += h.counts[i].Load()
+		cum += bucket(set, i)
 		if cum > rank {
 			return bucketValue(i)
 		}
@@ -123,14 +195,14 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 // threshold (used for SLA-violation accounting in Table 1). The threshold is
 // resolved at bucket granularity.
 func (h *Histogram) FractionAbove(threshold time.Duration) float64 {
-	n := h.total.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	idx := bucketIndex(threshold)
 	var above uint64
-	for i := idx + 1; i < bucketCount; i++ {
-		above += h.counts[i].Load()
+	set := h.stripes()
+	for i := bucketIndex(threshold) + 1; i < bucketCount; i++ {
+		above += bucket(set, i)
 	}
 	return float64(above) / float64(n)
 }

@@ -70,7 +70,11 @@ func TestHistogramFractionAbove(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrentRecord races eight recorders, from the first Record
+// on, over eight stripes: every observation lands, whichever Record installs
+// the stripe set.
 func TestHistogramConcurrentRecord(t *testing.T) {
+	withProcs(t, 8)
 	var h Histogram
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -85,6 +89,9 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 {
 		t.Fatalf("count = %d; want 8000", h.Count())
+	}
+	if n := occupied(&h); n < 2 {
+		t.Fatalf("%d of %d stripes recorded into; want several", n, len(h.stripes()))
 	}
 }
 

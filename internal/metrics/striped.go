@@ -5,93 +5,10 @@ import (
 	"time"
 )
 
-// stripeCount is the number of independent histograms a StripedHistogram
-// fans writes across. Power of two so stripe selection is a mask.
+// stripeCount is the number of cache-line-padded stripes a StripedCounter
+// or StripedEWMA fans writes across. Power of two so stripe selection is a
+// mask.
 const stripeCount = 64
-
-// StripedHistogram spreads Record calls over independent Histograms so the
-// record path never contends on shared counters; queries merge the stripes
-// on read. The zero value is ready to use. Use RecordAt with a well-spread
-// hint (e.g. an event sequence number) so concurrent recorders land on
-// different stripes.
-type StripedHistogram struct {
-	stripes [stripeCount]Histogram
-	// recordCursor backs the hint-less Record; hot paths should prefer
-	// RecordAt and avoid this shared counter.
-	recordCursor atomic.Uint64
-}
-
-// RecordAt adds one observation to the stripe selected by hint.
-func (s *StripedHistogram) RecordAt(hint uint64, d time.Duration) {
-	s.stripes[hint&(stripeCount-1)].Record(d)
-}
-
-// Record adds one observation on a round-robin stripe. Prefer RecordAt on
-// hot paths.
-func (s *StripedHistogram) Record(d time.Duration) {
-	s.RecordAt(s.recordCursor.Add(1), d)
-}
-
-// merged folds all stripes into one Histogram. The result is a consistent-
-// enough view under concurrent recording: each stripe is read atomically
-// per counter, exactly like a plain shared Histogram would be.
-func (s *StripedHistogram) merged() *Histogram {
-	var out Histogram
-	var total uint64
-	var sumNs, maxNs int64
-	for i := range s.stripes {
-		h := &s.stripes[i]
-		for b := 0; b < bucketCount; b++ {
-			if c := h.counts[b].Load(); c != 0 {
-				out.counts[b].Add(c)
-			}
-		}
-		total += h.total.Load()
-		sumNs += h.sumNs.Load()
-		if m := h.maxNs.Load(); m > maxNs {
-			maxNs = m
-		}
-	}
-	out.total.Store(total)
-	out.sumNs.Store(sumNs)
-	out.maxNs.Store(maxNs)
-	return &out
-}
-
-// Count returns the number of observations across all stripes.
-func (s *StripedHistogram) Count() uint64 {
-	var n uint64
-	for i := range s.stripes {
-		n += s.stripes[i].total.Load()
-	}
-	return n
-}
-
-// Max returns the largest observation across all stripes.
-func (s *StripedHistogram) Max() time.Duration { return s.merged().Max() }
-
-// Sum returns the total of all observations across stripes.
-func (s *StripedHistogram) Sum() time.Duration {
-	var ns int64
-	for i := range s.stripes {
-		ns += s.stripes[i].sumNs.Load()
-	}
-	return time.Duration(ns)
-}
-
-// Quantile returns the approximate q-quantile of the merged distribution.
-func (s *StripedHistogram) Quantile(q float64) time.Duration {
-	return s.merged().Quantile(q)
-}
-
-// FractionAbove returns the merged fraction of observations strictly above
-// the threshold.
-func (s *StripedHistogram) FractionAbove(threshold time.Duration) float64 {
-	return s.merged().FractionAbove(threshold)
-}
-
-// Snapshot captures the merged distribution summary.
-func (s *StripedHistogram) Snapshot() Snapshot { return s.merged().Snapshot() }
 
 // StripedCounter is a monotonically increasing counter whose increments fan
 // out across cache-line-padded stripes; Value sums them on read. Use IncAt

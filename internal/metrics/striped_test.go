@@ -3,53 +3,7 @@ package metrics
 import (
 	"sync"
 	"testing"
-	"time"
 )
-
-func TestStripedHistogramMergesOnRead(t *testing.T) {
-	var s StripedHistogram
-	// Spread observations across every stripe with known values.
-	for i := uint64(0); i < 10*stripeCount; i++ {
-		s.RecordAt(i, 5*time.Millisecond)
-	}
-	s.RecordAt(3, time.Second) // one outlier on one stripe
-	if n := s.Count(); n != 10*stripeCount+1 {
-		t.Fatalf("Count = %d; want %d", n, 10*stripeCount+1)
-	}
-	if max := s.Max(); max < time.Second {
-		t.Fatalf("Max = %v; want >= 1s", max)
-	}
-	if p50 := s.Quantile(0.5); p50 < 4*time.Millisecond || p50 > 7*time.Millisecond {
-		t.Fatalf("p50 = %v; want ~5ms", p50)
-	}
-	if f := s.FractionAbove(100 * time.Millisecond); f <= 0 || f > 0.01 {
-		t.Fatalf("FractionAbove(100ms) = %v; want one outlier's worth", f)
-	}
-	snap := s.Snapshot()
-	if snap.Count != 10*stripeCount+1 {
-		t.Fatalf("snapshot count = %d", snap.Count)
-	}
-}
-
-func TestStripedHistogramConcurrentRecord(t *testing.T) {
-	var s StripedHistogram
-	const goroutines = 8
-	const per = 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				s.RecordAt(uint64(g*per+i), time.Millisecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := s.Count(); n != goroutines*per {
-		t.Fatalf("Count = %d; want %d", n, goroutines*per)
-	}
-}
 
 func TestStripedCounter(t *testing.T) {
 	var c StripedCounter
@@ -68,64 +22,5 @@ func TestStripedCounter(t *testing.T) {
 	wg.Wait()
 	if v := c.Value(); v != goroutines*per {
 		t.Fatalf("Value = %d; want %d", v, goroutines*per)
-	}
-}
-
-// TestStripedHistogramMergeDuringRecord reads merged views (Count, Quantile,
-// Snapshot, Sum) while writers are recording — the merge-on-read path must
-// be race-free and every merged count must be a value some writer actually
-// reached. Run under -race this pins the lock-free stripe discipline.
-func TestStripedHistogramMergeDuringRecord(t *testing.T) {
-	var s StripedHistogram
-	const goroutines = 8
-	const per = 2000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				s.RecordAt(uint64(g*per+i), time.Duration(1+i%5)*time.Millisecond)
-			}
-		}(g)
-	}
-	var readers sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			var last uint64
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				n := s.Count()
-				if n < last {
-					t.Errorf("merged Count went backwards: %d -> %d", last, n)
-					return
-				}
-				last = n
-				if n > 0 {
-					if q := s.Quantile(0.5); q <= 0 {
-						t.Errorf("mid-flight Quantile(0.5) = %v with count %d", q, n)
-						return
-					}
-				}
-				_ = s.Snapshot()
-				_ = s.Sum()
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if n := s.Count(); n != goroutines*per {
-		t.Fatalf("final Count = %d; want %d", n, goroutines*per)
-	}
-	if sum := s.Sum(); sum <= 0 {
-		t.Fatalf("final Sum = %v; want positive", sum)
 	}
 }

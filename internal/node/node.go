@@ -162,15 +162,14 @@ type Node struct {
 	errs [schema.NumCodes]atomic.Uint64
 
 	// ops is the process observability registry (Config.Ops; nil = off).
-	// submitLat/forwardLat/batchLat are striped per-frame handler latency
-	// histograms, recorded lock-free on the hot path and merged on scrape;
-	// storeLat is the round trip of every op this node's RemoteStores send —
-	// rare next to events, so one histogram and not 64 stripes of one
-	// (≈ 250 KB of live heap per node, which GOGC doubles into RSS).
+	// submitLat/forwardLat/batchLat are per-frame handler latency histograms,
+	// recorded lock-free on the hot path and merged on scrape; storeLat is
+	// the round trip of every op this node's RemoteStores send. Each is one
+	// word until its first record.
 	ops        *ops.Registry
-	submitLat  metrics.StripedHistogram
-	forwardLat metrics.StripedHistogram
-	batchLat   metrics.StripedHistogram
+	submitLat  metrics.Histogram
+	forwardLat metrics.Histogram
+	batchLat   metrics.Histogram
 	storeLat   metrics.Histogram
 
 	shutdownOnce sync.Once

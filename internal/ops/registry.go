@@ -3,10 +3,10 @@
 // checks, a bounded structural-event ring with trace spans, and an admin
 // HTTP server (/healthz, /metrics, /events, /debug/pprof/*).
 //
-// The registry is pull-based: subsystems register closures over the striped
-// primitives they already maintain (metrics.StripedHistogram,
-// StripedCounter, plain atomics), and merge-on-read happens only when a
-// scraper asks. Nothing here adds work — or locks — to the hot path.
+// The registry is pull-based: subsystems register closures over the
+// primitives they already maintain (metrics.Histogram, StripedCounter, plain
+// atomics), and merge-on-read happens only when a scraper asks. Nothing here
+// adds work — or locks — to the hot path.
 package ops
 
 import (
@@ -19,7 +19,7 @@ import (
 )
 
 // HistogramSource is the read-side surface the exporter needs from a
-// histogram. Both metrics.Histogram and metrics.StripedHistogram satisfy it.
+// histogram. metrics.Histogram satisfies it.
 type HistogramSource interface {
 	Count() uint64
 	Sum() time.Duration
@@ -153,7 +153,8 @@ var summaryQuantiles = []struct {
 
 // WritePrometheus renders every registered metric in the Prometheus text
 // exposition format (version 0.0.4), sorted by metric name so output is
-// stable. Striped primitives are merged at this point — merge-on-read.
+// stable. Histogram and counter stripes are merged at this point —
+// merge-on-read.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	entries := make([]metricEntry, len(r.metrics))
