@@ -134,6 +134,6 @@ func run() error {
 	wg.Wait()
 
 	fmt.Printf("run complete: %d requests, %d migrations performed by the eManager\n",
-		sys.Runtime.Completed.Value(), sys.Manager.Migrations.Value())
+		sys.Runtime.Completed(), sys.Manager.Migrations.Value())
 	return nil
 }

@@ -229,8 +229,8 @@ func run() error {
 	elapsed := time.Since(start)
 	fmt.Printf("census: %d players online\n", count)
 	fmt.Printf("%d events in %v — %.0f events/s, mean latency %v\n",
-		rt.Completed.Value(), elapsed.Round(time.Millisecond),
-		float64(rt.Completed.Value())/elapsed.Seconds(),
+		rt.Completed(), elapsed.Round(time.Millisecond),
+		float64(rt.Completed())/elapsed.Seconds(),
 		rt.Latency.Snapshot().Mean.Round(time.Microsecond))
 	return nil
 }

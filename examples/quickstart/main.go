@@ -150,6 +150,6 @@ func run() error {
 	fmt.Printf("after 1600 concurrent transfers: audit total = %d (money conserved: %v)\n",
 		total, total.(int) == nAccounts*1000)
 	fmt.Printf("events completed: %d, mean latency: %v\n",
-		sys.Runtime.Completed.Value(), sys.Runtime.Latency.Snapshot().Mean)
+		sys.Runtime.Completed(), sys.Runtime.Latency.Snapshot().Mean)
 	return nil
 }

@@ -57,32 +57,38 @@ type subEvent struct {
 	args   []any
 }
 
-// eventPool recycles event structs: one event is born and dies per Submit,
-// and at ~1M events/s the allocation churn alone throttles multi-core
-// scaling (GC sweep serializes on runtime-internal locks). Events are
-// returned to the pool by putEvent only after runWith is completely done
-// with them (asyncWG drained, subs taken, locks released).
+// eventPool recycles event records: at ~1M events/s the allocation churn
+// alone throttles multi-core scaling (GC sweep serializes on runtime-internal
+// locks). A Frame takes one record on its first Run, runs every one of its
+// events in it — reset before each, cleared after — and returns it at End.
 var eventPool = sync.Pool{New: func() any { return new(event) }}
 
 func newEvent(id uint64, mode AccessMode, target ownership.ID, method string) *event {
 	e := eventPool.Get().(*event)
+	e.reset(id, mode, target, method)
+	return e
+}
+
+// reset readies a cleared record for the next event.
+func (e *event) reset(id uint64, mode AccessMode, target ownership.ID, method string) {
 	e.id = id
 	e.mode = mode
 	e.target = target
 	e.method = method
 	e.forked = false
-	e.crabs.Store(0)
+	if e.crabs.Load() != 0 { // a store is a locked exchange; most events never crab
+		e.crabs.Store(0)
+	}
 	e.nframes = 0
-	return e
 }
 
-// putEvent returns a finished event to the pool. The caller must guarantee
-// no goroutine still references it (all async calls joined, subs taken).
-func putEvent(e *event) {
-	clear(e.held) // drop *Context references so contexts can be GC'd
+// clear drops what a finished event references, so an idle record pins no
+// context or sub-event argument. The caller must guarantee no goroutine still
+// references the event (all async calls joined, subs launched).
+func (e *event) clear() {
+	clear(e.held)
 	e.held = e.held[:0]
 	e.subs = nil
-	eventPool.Put(e)
 }
 
 // lock and unlock guard held and subs once the event has forked.

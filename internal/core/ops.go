@@ -22,7 +22,7 @@ func (r *Runtime) RegisterOps(reg *ops.Registry) {
 	reg.Histogram("aeon_event_latency_seconds",
 		"End-to-end latency of locally executed events.", nil, &r.Latency)
 	reg.Counter("aeon_events_completed_total",
-		"Events completed by this runtime.", nil, r.Completed.Value)
+		"Events completed by this runtime.", nil, r.Completed)
 	reg.Counter("aeon_subevent_errors_total",
 		"Asynchronous sub-events that failed with no caller to report to.", nil, r.SubEventErrors.Value)
 	reg.Counter("aeon_backpressure_total",

@@ -81,9 +81,9 @@ type Runtime struct {
 	// exec runs asynchronous events and sub-events on bounded per-server
 	// worker pools.
 	exec *executor
-	// Latency records end-to-end event latency. Every event reads its one
-	// word, so it sits a cache line away from eventSeq, which every event
-	// writes.
+	// Latency records end-to-end event latency, one sample per completed
+	// event, so its count is Completed. Every event reads its one word, so it
+	// sits a cache line away from eventSeq, which every event writes.
 	Latency metrics.Histogram
 
 	placeCursor atomic.Uint64
@@ -107,9 +107,6 @@ type Runtime struct {
 	closed   atomic.Bool
 	subWG    sync.WaitGroup
 
-	// Completed counts finished events. The eManager's SLA policy reads
-	// RecentLatency.
-	Completed metrics.StripedCounter
 	// SubEventErrors counts sub-events that failed (they have no client to
 	// report to).
 	SubEventErrors metrics.Counter
@@ -120,7 +117,7 @@ type Runtime struct {
 	// and ActivationWait is how long each of them queued (one word until the
 	// first wait).
 	ActivationWaits metrics.Counter
-	ewma            metrics.StripedEWMA
+	ewma            metrics.StripedEWMA // RecentLatency, fed once per frame by Frame.End
 	ActivationWait  metrics.Histogram
 }
 
@@ -332,15 +329,15 @@ func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub 
 	f := r.BeginFrame()
 	f.asSub = asSub
 	res, host, local, err := f.Run(target, method, args)
-	if local {
-		return res, err
+	if !local {
+		if r.forward == nil {
+			err = fmt.Errorf("%v on %v: %w", target, host, ErrNotLocal)
+		} else {
+			res, err = r.forward(host, target, method, args)
+		}
+		f.close(r.eventSeq.Add(1))
 	}
-	if r.forward == nil {
-		err = fmt.Errorf("%v on %v: %w", target, host, ErrNotLocal)
-	} else {
-		res, err = r.forward(host, target, method, args)
-	}
-	f.close(r.eventSeq.Add(1))
+	f.End()
 	return res, err
 }
 
@@ -350,13 +347,16 @@ func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub 
 // per event: the clock is read at event boundaries only — event i's end is
 // event i+1's start, N+1 reads for N events, one latency sample each — and
 // the replication log is pulled at most once however many unknown targets
-// the frame names. A Frame is not safe for concurrent use.
+// the frame names; its events share one event record, and End feeds the
+// latency EWMA once for them all. A Frame is not safe for concurrent use.
 type Frame struct {
-	r        *Runtime
-	last     Instant // the previous event boundary
-	ran      int     // events closed so far
-	caughtUp bool    // this frame already pulled the mutation log
-	asSub    bool
+	r           *Runtime
+	ev          *event  // the frame's event record, from its first Run to End
+	start, last Instant // BeginFrame's reading and the previous event boundary
+	ran         int     // events closed so far
+	lastID      uint64  // the last closed event's ID; zero again once End observed it
+	caughtUp    bool    // this frame already pulled the mutation log
+	asSub       bool
 }
 
 // Instant is a reading of the process's monotonic clock, as an offset from a
@@ -377,7 +377,10 @@ func (t Instant) Sub(u Instant) time.Duration { return time.Duration(t - u) }
 func Since(t Instant) time.Duration { return Now().Sub(t) }
 
 // BeginFrame opens a frame at the current instant.
-func (r *Runtime) BeginFrame() Frame { return Frame{r: r, last: Now()} }
+func (r *Runtime) BeginFrame() Frame {
+	now := Now()
+	return Frame{r: r, start: now, last: now}
+}
 
 // Clock returns the frame's latest clock reading: BeginFrame's, or the end of
 // the last event Run executed.
@@ -392,10 +395,29 @@ func (f *Frame) Ran() int { return f.ran }
 // the previous event boundary, and the next event starts here.
 func (f *Frame) close(eventID uint64) {
 	f.ran++
+	f.lastID = eventID
 	now := Now()
-	f.r.recordLatency(eventID, now.Sub(f.last))
-	f.r.Completed.IncAt(eventID)
+	f.r.Latency.Record(now.Sub(f.last))
 	f.last = now
+}
+
+// End closes the frame. It feeds RecentLatency one observation, the mean
+// latency of the events the frame ran — a frame of one, every Submit, feeds
+// its event's own sample — and returns the frame's event record to the pool.
+// A second End does nothing.
+func (f *Frame) End() {
+	if f.ev != nil {
+		eventPool.Put(f.ev)
+		f.ev = nil
+	}
+	if f.lastID != 0 {
+		// Each stripe sees only every 64th frame, so the per-stripe smoothing
+		// factor is raised to keep the *merged* signal's time constant at ~20
+		// frames: alpha = 1 - (1-0.05)^64 ≈ 0.96. A single stripe is noisy,
+		// but RecentLatency averages 64 of them.
+		f.r.ewma.ObserveAt(f.lastID, f.last.Sub(f.start)/time.Duration(f.ran), 0.96)
+		f.lastID = 0
+	}
 }
 
 // Run executes the frame's next event: it resolves the event's sequencing
@@ -462,15 +484,19 @@ func (f *Frame) Run(target ownership.ID, method string, args []any) (res any, ho
 	if m.ReadOnly {
 		mode = RO
 	}
-	ev := newEvent(r.eventSeq.Add(1), mode, target, method)
+	if f.ev == nil {
+		f.ev = eventPool.Get().(*event)
+	}
+	ev := f.ev
+	ev.reset(r.eventSeq.Add(1), mode, target, method)
 	res, host, local, err = r.executeEvent(ev, tc, domCtx, m, args, view, host)
 	if local {
 		f.close(ev.id)
 		r.launchSubs(ev)
 	}
 	// executeEvent joined every async call and the subs are launched, so
-	// nothing references the event anymore: recycle it.
-	putEvent(ev)
+	// nothing references the event anymore: clear it for the frame's next.
+	ev.clear()
 	return res, host, local, err
 }
 
@@ -661,24 +687,15 @@ func (r *Runtime) launchSubs(ev *event) {
 	}
 }
 
-// recordLatency stripes the EWMA by event sequence number (the histogram
-// stripes itself), so concurrent completions never contend on a shared
-// counter; the merged view is assembled on read (RecentLatency, Latency
-// queries).
-func (r *Runtime) recordLatency(eventID uint64, d time.Duration) {
-	r.Latency.Record(d)
-	// Each stripe sees only every 64th event, so the per-stripe smoothing
-	// factor is raised to keep the *merged* signal's time constant at the
-	// pre-sharding ~20 events: alpha = 1 - (1-0.05)^64 ≈ 0.96. A single
-	// stripe is noisy, but RecentLatency averages 64 of them.
-	r.ewma.ObserveAt(eventID, d, 0.96)
-}
+// Completed returns how many events have completed: each records exactly one
+// latency sample, so it is the latency histogram's count.
+func (r *Runtime) Completed() uint64 { return r.Latency.Count() }
 
 // RecentLatency returns an exponentially weighted moving average of event
-// latency — the signal the eManager's SLA policy consumes (§ 6.2). Events
-// are striped across per-stripe EWMAs on the record path; the merged view
-// is the mean of the occupied stripes (event IDs spread uniformly, so
-// stripes are equally weighted).
+// latency — the signal the eManager's SLA policy consumes (§ 6.2). Each frame
+// observes its mean event latency once (Frame.End) into a stripe hashed from
+// its last event ID; the merged view is the mean of the occupied stripes
+// (the hash spreads frames uniformly, so stripes are equally weighted).
 func (r *Runtime) RecentLatency() time.Duration {
 	return r.ewma.Value()
 }

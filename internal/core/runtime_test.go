@@ -758,8 +758,8 @@ func TestLatencyMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.rt.Completed.Value() < 10 {
-		t.Fatalf("completed = %d", w.rt.Completed.Value())
+	if w.rt.Completed() < 10 {
+		t.Fatalf("completed = %d", w.rt.Completed())
 	}
 	if w.rt.RecentLatency() <= 0 {
 		t.Fatal("recent latency should be positive")

@@ -74,7 +74,7 @@ func TestDirectorySnapshot(t *testing.T) {
 
 // blockSchema is a minimal schema for executor tests: "wait" parks until
 // its channel argument closes, "inc" bumps an int, "spawnInc" dispatches an
-// inc sub-event at the context given in args[0].
+// inc sub-event at the context given in args[0], "sleep" sleeps for args[0].
 func blockSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
@@ -93,6 +93,10 @@ func blockSchema(t *testing.T) *schema.Schema {
 	})
 	b.MustDeclareMethod("spawnInc", func(call schema.Call, args []any) (schema.Value, error) {
 		call.Dispatch(args[0].(ownership.ID), "inc")
+		return schema.Value{}, nil
+	})
+	b.MustDeclareMethod("sleep", func(call schema.Call, args []any) (schema.Value, error) {
+		time.Sleep(args[0].(time.Duration))
 		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
@@ -192,25 +196,37 @@ func TestSubEventInlineFallback(t *testing.T) {
 	}
 }
 
-// TestRecentLatencyMerged feeds a constant latency through the striped
-// record path and verifies the merged EWMA reproduces it — the signal the
-// eManager's SLA policy consumes must not be skewed by striping.
+// TestRecentLatencyMerged runs frames of events that each take about d and
+// verifies the merged EWMA reproduces d — the signal the eManager's SLA
+// policy consumes must be per event whatever the frame size, and must not be
+// skewed by striping.
 func TestRecentLatencyMerged(t *testing.T) {
 	rt := newExecTestRuntime(t, Config{})
 	defer rt.Close()
-	const d = 10 * time.Millisecond
-	const samples = 256 // several observations on every EWMA stripe
-	for i := uint64(0); i < samples; i++ {
-		rt.recordLatency(i, d)
+	target, err := rt.CreateContext("B")
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := rt.RecentLatency()
-	if got < 9*time.Millisecond || got > 11*time.Millisecond {
+	const d = time.Millisecond
+	const frames, perFrame = 64, 4 // observations on most EWMA stripes, several on some
+	for i := 0; i < frames; i++ {
+		f := rt.BeginFrame()
+		for j := 0; j < perFrame; j++ {
+			if _, _, _, err := f.Run(target, "sleep", []any{d}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.End()
+	}
+	// A sleep never returns early, so every observation is at least d; a
+	// frame observed whole would read perFrame·d.
+	if got := rt.RecentLatency(); got < d || got > 2*d {
 		t.Fatalf("RecentLatency = %v; want ~%v", got, d)
 	}
-	if n := rt.Latency.Count(); n != samples {
-		t.Fatalf("Latency.Count = %d; want %d", n, samples)
+	if n := rt.Latency.Count(); n != frames*perFrame || rt.Completed() != n {
+		t.Fatalf("Latency.Count = %d, Completed = %d; want %d", n, rt.Completed(), frames*perFrame)
 	}
-	if q := rt.Latency.Quantile(0.5); q < 8*time.Millisecond || q > 13*time.Millisecond {
+	if q := rt.Latency.Quantile(0.5); q < d*9/10 || q > 2*d { // a bucket's floor may sit below d
 		t.Fatalf("merged p50 = %v; want ~%v", q, d)
 	}
 }

@@ -5,43 +5,17 @@ import (
 	"time"
 )
 
-// stripeCount is the number of cache-line-padded stripes a StripedCounter
-// or StripedEWMA fans writes across. Power of two so stripe selection is a
-// mask.
+// stripeCount is the number of cache-line-padded stripes a StripedEWMA fans
+// writes across, one picked by the top 6 bits of a hash.
 const stripeCount = 64
-
-// StripedCounter is a monotonically increasing counter whose increments fan
-// out across cache-line-padded stripes; Value sums them on read. Use IncAt
-// with a well-spread hint on hot paths.
-type StripedCounter struct {
-	stripes [stripeCount]counterStripe
-}
-
-type counterStripe struct {
-	v atomic.Uint64
-	_ [56]byte // pad to a cache line
-}
-
-// IncAt increments the stripe selected by hint.
-func (c *StripedCounter) IncAt(hint uint64) {
-	c.stripes[hint&(stripeCount-1)].v.Add(1)
-}
-
-// Value returns the current total across stripes.
-func (c *StripedCounter) Value() uint64 {
-	var n uint64
-	for i := range c.stripes {
-		n += c.stripes[i].v.Load()
-	}
-	return n
-}
 
 // StripedEWMA is an exponentially weighted moving average whose updates fan
 // out across cache-line-padded stripes; Value averages the occupied stripes
-// on read. With hints spread uniformly (e.g. event sequence numbers), each
-// stripe sees every stripeCount-th observation — callers should raise their
-// smoothing factor accordingly (alpha' = 1-(1-alpha)^stripeCount preserves
-// a single EWMA's time constant).
+// on read. The stripe is a hash of the hint, so hints a fixed stride apart
+// (the last event IDs of equal-sized frames) still spread over the stripes.
+// Each stripe then sees every stripeCount-th observation — callers should
+// raise their smoothing factor accordingly (alpha' = 1-(1-alpha)^stripeCount
+// preserves a single EWMA's time constant).
 type StripedEWMA struct {
 	stripes [stripeCount]ewmaStripe
 }
@@ -51,9 +25,13 @@ type ewmaStripe struct {
 	_  [56]byte // pad to a cache line
 }
 
-// ObserveAt folds one observation into the stripe selected by hint.
+// ObserveAt folds one observation into the stripe selected by hint; an empty
+// stripe takes it as it is. The hash multiplies twice: one multiply alone
+// turns a fixed stride into a fixed rotation, which for many strides (96
+// among them) visits fewer than half the stripes.
 func (e *StripedEWMA) ObserveAt(hint uint64, d time.Duration, alpha float64) {
-	st := &e.stripes[hint&(stripeCount-1)]
+	h := hint * 0x9E3779B97F4A7C15
+	st := &e.stripes[(h^h>>32)*0x9E3779B97F4A7C15>>58]
 	for {
 		old := st.ns.Load()
 		var next int64

@@ -631,6 +631,7 @@ func (n *Node) handleSubmit(req *schema.SubmitReq) schema.SubmitResp {
 		return schema.SubmitResp(out)
 	}
 	host := n.runEvent(&f, req.Hops, req.Target, req.Method, req.Args, &out)
+	f.End()
 	if host == 0 {
 		if f.Ran() > 0 {
 			n.executed.Add(1)
@@ -700,7 +701,8 @@ func (sc *batchScratch) forwardTo(host cluster.ServerID, i int) {
 // one admission, filling sc.resp with one outcome per event of sc.req. The
 // frame-level costs are charged once — one replication-lag gate, one hop
 // budget, one runtime frame (at most one log catch-up, one clock read per
-// event boundary), one executed-counter add — while every outcome is
+// event boundary, one event record, one latency-EWMA observation), one
+// executed-counter add — while every outcome is
 // per-event: a typed failure (unknown context, backpressure, hop exhaustion)
 // fills only its own slot and its batchmates proceed. Events whose
 // dominators live on peers are regrouped into per-host sub-batches and
@@ -730,6 +732,7 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 			sc.forwardTo(host, i)
 		}
 	}
+	f.End()
 	end := f.Clock()
 	if ran := f.Ran(); ran > 0 {
 		// One add and one span cover the frame's locally executed slice —

@@ -4,7 +4,7 @@
 // HTTP server (/healthz, /metrics, /events, /debug/pprof/*).
 //
 // The registry is pull-based: subsystems register closures over the
-// primitives they already maintain (metrics.Histogram, StripedCounter, plain
+// primitives they already maintain (metrics.Histogram, metrics.Counter, plain
 // atomics), and merge-on-read happens only when a scraper asks. Nothing here
 // adds work — or locks — to the hot path.
 package ops

@@ -155,9 +155,11 @@ type MethodRef struct {
 
 // Class describes one contextclass.
 type Class struct {
-	name    string
-	newFn   func() any
-	methods map[string]*Method
+	name  string
+	newFn func() any
+	// methods is the method table in declaration order. Method scans it:
+	// for a handful of methods that is cheaper than hashing the name.
+	methods []*Method
 	schema  *Schema
 }
 
@@ -174,14 +176,19 @@ func (c *Class) NewState() any {
 
 // Method returns the named method, or nil.
 func (c *Class) Method(name string) *Method {
-	return c.methods[name]
+	for _, m := range c.methods {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
 }
 
 // Methods returns the method names in sorted order.
 func (c *Class) Methods() []string {
-	out := make([]string, 0, len(c.methods))
-	for name := range c.methods {
-		out = append(out, name)
+	out := make([]string, len(c.methods))
+	for i, m := range c.methods {
+		out[i] = m.Name
 	}
 	sort.Strings(out)
 	return out
@@ -219,14 +226,14 @@ func (c *Class) DeclareMethod(name string, handler Handler, opts ...MethodOption
 	if c.schema.frozen {
 		return ErrFrozen
 	}
-	if _, ok := c.methods[name]; ok {
+	if c.Method(name) != nil {
 		return fmt.Errorf("method %s.%s: %w", c.name, name, ErrDuplicate)
 	}
 	m := &Method{Name: name, Handler: handler}
 	for _, opt := range opts {
 		opt(m)
 	}
-	c.methods[name] = m
+	c.methods = append(c.methods, m)
 	return nil
 }
 
@@ -243,7 +250,7 @@ func (c *Class) MustDeclareMethod(name string, handler Handler, opts ...MethodOp
 // Virtual contexts have no state and no methods; they exist only as
 // sequencing points.
 func VirtualContextClass() *Class {
-	return &Class{name: ownership.VirtualClass, methods: map[string]*Method{}}
+	return &Class{name: ownership.VirtualClass}
 }
 
 // Schema is a set of contextclass declarations.
@@ -265,7 +272,7 @@ func (s *Schema) DeclareClass(name string, newState func() any) (*Class, error) 
 	if _, ok := s.classes[name]; ok {
 		return nil, fmt.Errorf("class %s: %w", name, ErrDuplicate)
 	}
-	c := &Class{name: name, newFn: newState, methods: make(map[string]*Method), schema: s}
+	c := &Class{name: name, newFn: newState, schema: s}
 	s.classes[name] = c
 	return c, nil
 }
@@ -339,7 +346,7 @@ func (s *Schema) checkReferences() error {
 				if !ok {
 					return fmt.Errorf("%s.%s calls %s.%s: %w", c.name, m.Name, call.Class, call.Method, ErrUnknownClass)
 				}
-				if _, ok := callee.methods[call.Method]; !ok {
+				if callee.Method(call.Method) == nil {
 					return fmt.Errorf("%s.%s calls %s.%s: %w", c.name, m.Name, call.Class, call.Method, ErrUnknownMethod)
 				}
 			}
@@ -355,7 +362,7 @@ func (s *Schema) checkReadOnly() error {
 				continue
 			}
 			for _, call := range m.Calls {
-				callee := s.classes[call.Class].methods[call.Method]
+				callee := s.classes[call.Class].Method(call.Method)
 				if !callee.ReadOnly {
 					return fmt.Errorf("%s.%s → %s.%s: %w",
 						c.name, m.Name, call.Class, call.Method, ErrReadOnlyViolation)
