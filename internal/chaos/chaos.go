@@ -28,58 +28,36 @@ import (
 // generation needs it to enumerate store replicas without importing node.
 const storeRF = node.StoreRF
 
+// The soak's fleet: nodes (victims come from 2..nodes), store partitions
+// (the store plane always replicates: chaos without a durable log has
+// nothing to converge to) and traffic workers; the fault schedule's slot
+// width; and the SLOs every checkpoint asserts, the acked/attempted floor
+// and the client p99 ceiling (lag-gated submits legitimately block for the
+// lag window's length).
+const (
+	nodes             = 3
+	storeParts        = 2
+	workers           = 4
+	step              = 250 * time.Millisecond
+	availabilityFloor = 0.5
+	p99Ceiling        = 3 * time.Second
+)
+
 // Config parameterizes one chaos soak.
 type Config struct {
 	// Scenario is the workload name ("iot", "social").
 	Scenario string
-	// Nodes is the node/server count (default 3; victims come from 2..N).
-	Nodes int
-	// StoreParts is the store partition count (default 2); the store plane
-	// always replicates (Replicate is forced on — chaos without a durable
-	// log has nothing to converge to).
-	StoreParts int
-	// StoreBackend optionally overrides the store backend spec, e.g.
-	// "disk+fsync:<dir>" to soak against fsynced journals.
-	StoreBackend string
 	// Seed drives the fault schedule and all soak traffic.
 	Seed int64
-	// Duration is the soak length (default 8s); Step is the slot width
-	// (default 250ms). Slots = Duration/Step.
+	// Duration is the soak length (default 8s), cut into slots of step.
 	Duration time.Duration
-	Step     time.Duration
-	// Workers is the soak worker count (default 4).
-	Workers int
-	// AvailabilityFloor is the minimum acked/attempted ratio asserted at
-	// every checkpoint (default 0.5).
-	AvailabilityFloor float64
-	// P99Ceiling is the client-observed p99 latency ceiling (default 3s —
-	// lag-gated submits legitimately block for the lag window's length).
-	P99Ceiling time.Duration
 	// Log, when set, receives progress lines.
 	Log func(string)
 }
 
 func (c Config) withDefaults() Config {
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
-	if c.StoreParts == 0 {
-		c.StoreParts = 2
-	}
 	if c.Duration == 0 {
 		c.Duration = 8 * time.Second
-	}
-	if c.Step == 0 {
-		c.Step = 250 * time.Millisecond
-	}
-	if c.Workers == 0 {
-		c.Workers = 4
-	}
-	if c.AvailabilityFloor == 0 {
-		c.AvailabilityFloor = 0.5
-	}
-	if c.P99Ceiling == 0 {
-		c.P99Ceiling = 3 * time.Second
 	}
 	return c
 }
@@ -213,11 +191,11 @@ func probeSalts(parts int) []string {
 // only when the soak could not be set up at all.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	scen, err := workload.NewScenario(cfg.Scenario, cfg.Nodes)
+	scen, err := workload.NewScenario(cfg.Scenario, nodes)
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := workload.Oracle(cfg.Scenario, cfg.Nodes)
+	oracle, err := workload.Oracle(cfg.Scenario, nodes)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: oracle: %w", err)
 	}
@@ -225,12 +203,11 @@ func Run(cfg Config) (*Report, error) {
 	net := transport.NewSim(transport.SimConfig{})
 	fm := transport.NewFaultyMesh(transport.NewInMemMesh(net))
 	top := node.Topology{
-		Nodes:        cfg.Nodes,
-		Scenario:     scen,
-		StoreParts:   cfg.StoreParts,
-		StoreBackend: cfg.StoreBackend,
-		Replicate:    true,
-		EnableOps:    true,
+		Nodes:      nodes,
+		Scenario:   scen,
+		StoreParts: storeParts,
+		Replicate:  true,
+		EnableOps:  true,
 	}
 	d, err := node.Deploy(fm, top)
 	if err != nil {
@@ -246,7 +223,7 @@ func Run(cfg Config) (*Report, error) {
 		migrated:  make(map[int]bool),
 		deadStore: make(map[int]bool),
 		recovery:  make(map[string]time.Duration),
-		salts:     probeSalts(cfg.StoreParts),
+		salts:     probeSalts(storeParts),
 	}
 
 	// Preflight: the deterministic script through the live deployment must
@@ -275,7 +252,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		r.base[e] = v
 	}
-	r.fence = make([]uint64, cfg.StoreParts)
+	r.fence = make([]uint64, storeParts)
 	for p := range r.fence {
 		r.fence[p] = r.maxFence(p)
 	}
@@ -285,7 +262,7 @@ func Run(cfg Config) (*Report, error) {
 	// node submits so the virtual-join forwarding path stays hot.
 	var ing *ingress.Client
 	if cfg.Scenario == "iot" {
-		ids := make([]transport.NodeID, cfg.Nodes)
+		ids := make([]transport.NodeID, nodes)
 		for i := range ids {
 			ids[i] = transport.NodeID(i + 1)
 		}
@@ -296,10 +273,10 @@ func Run(cfg Config) (*Report, error) {
 		defer ing.Close()
 	}
 
-	slots := int(cfg.Duration / cfg.Step)
+	slots := int(cfg.Duration / step)
 	sh := Shape{
-		Nodes:      cfg.Nodes,
-		StoreParts: cfg.StoreParts,
+		Nodes:      nodes,
+		StoreParts: storeParts,
 		Roots:      len(scen.Roots()),
 		RootServer: func(root int) int { return int(scen.RootServer(root)) },
 	}
@@ -307,14 +284,14 @@ func Run(cfg Config) (*Report, error) {
 	r.logf("chaos: seed=%d slots=%d faults=%v", cfg.Seed, slots, r.sched.Classes())
 
 	r.dr = newDriver(scen, d, ing)
-	r.dr.run(cfg.Seed+0x9e3779b9, cfg.Workers)
+	r.dr.run(cfg.Seed+0x9e3779b9, workers)
 
 	// The slot clock. Actions are generated in slot order; recovery probes
 	// run inline, so a slow recovery delays later slots but never reorders
 	// them — the sequential-windows invariant holds even when wall time
 	// slips.
 	next := 0
-	ticker := time.NewTicker(cfg.Step)
+	ticker := time.NewTicker(step)
 	for slot := 0; slot < slots; slot++ {
 		<-ticker.C
 		for next < len(r.sched.Actions) && r.sched.Actions[next].Slot <= slot {
@@ -496,7 +473,7 @@ func (r *runner) restartNode(v int) {
 	// workers read them through SoakOp. Deterministic construction is the
 	// point of the Scenario contract — the clone derives identical IDs.
 	top := r.top
-	if fresh, err := workload.NewScenario(r.cfg.Scenario, r.cfg.Nodes); err == nil {
+	if fresh, err := workload.NewScenario(r.cfg.Scenario, nodes); err == nil {
 		top.Scenario = fresh
 	}
 	nn, err := r.d.Restart(r.fm, top, id)
@@ -674,13 +651,13 @@ func (r *runner) lagStop(v int) {
 // readEntity reads entity e, preferring its home node: a local submit is
 // the authoritative path and skips the forwarded-submit lag gate, so a
 // checkpoint inside a replication-lag window doesn't stall the slot clock
-// for ReplicaLagWait per entity. Mid-soak reads race live faults, so
-// persistent failure means "skip", not "violation".
+// for the node's replica-lag wait per entity. Mid-soak reads race live
+// faults, so persistent failure means "skip", not "violation".
 func (r *runner) readEntity(e int) (uint64, bool) {
 	home := int(r.scen.EntityServer(e))
-	order := make([]int, 0, r.cfg.Nodes)
+	order := make([]int, 0, nodes)
 	order = append(order, home)
-	for i := 1; i <= r.cfg.Nodes; i++ {
+	for i := 1; i <= nodes; i++ {
 		if i != home {
 			order = append(order, i)
 		}
@@ -738,13 +715,13 @@ func (r *runner) checkpoint() {
 			r.fence[p] = cur
 		}
 	}
-	if av := r.dr.availability(); av < r.cfg.AvailabilityFloor {
+	if av := r.dr.availability(); av < availabilityFloor {
 		r.violate("checkpoint %d: availability %.3f below floor %.3f",
-			r.checks, av, r.cfg.AvailabilityFloor)
+			r.checks, av, availabilityFloor)
 	}
-	if p99 := r.dr.lat.Quantile(0.99); p99 > r.cfg.P99Ceiling {
+	if p99 := r.dr.lat.Quantile(0.99); p99 > p99Ceiling {
 		r.violate("checkpoint %d: client p99 %v above ceiling %v",
-			r.checks, p99, r.cfg.P99Ceiling)
+			r.checks, p99, p99Ceiling)
 	}
 	r.logf("checkpoint %d: %d/%d entities checked, availability %.3f",
 		r.checks, checked, len(r.dr.ents), r.dr.availability())

@@ -116,10 +116,12 @@ func (s *Server) TransferBytes() int64 { return s.transferBytes.Load() }
 
 // Utilization returns the fraction of core-time spent busy since the last
 // call (the resource-utilization signal the eManager polls, § 5.2).
-func (s *Server) Utilization() float64 {
+func (s *Server) Utilization() float64 { return s.utilizationAt(time.Now()) }
+
+// utilizationAt is Utilization sampled at instant now.
+func (s *Server) utilizationAt(now time.Time) float64 {
 	s.sampleMu.Lock()
 	defer s.sampleMu.Unlock()
-	now := time.Now()
 	busy := s.busyNs.Load()
 	if s.lastSample.IsZero() {
 		s.lastSample = now

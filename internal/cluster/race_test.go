@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"aeon/internal/transport"
 )
@@ -64,12 +63,16 @@ func TestClusterServerMapRaceStress(t *testing.T) {
 		}
 	}()
 
+	// Readers run a fixed budget of rounds each; the mutator churns until
+	// they are done.
+	const rounds = 20000
+	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer readers.Done()
 			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
+			for i := 0; i < rounds && !stop.Load(); i++ {
 				servers := c.Servers()
 				if len(servers) < len(floor) {
 					fail("Servers() lost the stable floor: %d < %d", len(servers), len(floor))
@@ -110,7 +113,7 @@ func TestClusterServerMapRaceStress(t *testing.T) {
 		}(int64(10 + r))
 	}
 
-	time.Sleep(200 * time.Millisecond)
+	readers.Wait()
 	stop.Store(true)
 	wg.Wait()
 }

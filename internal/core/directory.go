@@ -100,6 +100,11 @@ func (d *Directory) Locate(id ownership.ID) (cluster.ServerID, bool) {
 // within the staleness window, the old host a stale cache would still point
 // at (the caller charges the extra forwarding hop).
 func (d *Directory) Route(id ownership.ID) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
+	return d.routeAt(id, Now())
+}
+
+// routeAt is Route as read at instant now.
+func (d *Directory) routeAt(id ownership.ID, now Instant) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
 	sh := d.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -107,7 +112,7 @@ func (d *Directory) Route(id ownership.ID) (host cluster.ServerID, staleVia clus
 	if !ok {
 		return 0, 0, false, false
 	}
-	if rec, moved := sh.moved[id]; moved && Since(rec.at) < d.staleFor {
+	if rec, moved := sh.moved[id]; moved && now.Sub(rec.at) < d.staleFor {
 		return s, rec.old, true, true
 	}
 	return s, 0, false, true

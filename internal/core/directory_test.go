@@ -33,9 +33,8 @@ func TestDirectoryMoveOpensForwardingWindow(t *testing.T) {
 	if !ok || host != 20 || !forwarded || via != 10 {
 		t.Fatalf("Route = host %v via %v fwd %v ok %v", host, via, forwarded, ok)
 	}
-	// After the staleness window, routing is direct.
-	time.Sleep(60 * time.Millisecond)
-	host, _, forwarded, ok = d.Route(ownership.ID(1))
+	// Once the staleness window has passed, routing is direct.
+	host, _, forwarded, ok = d.routeAt(ownership.ID(1), Now()+Instant(50*time.Millisecond))
 	if !ok || host != 20 || forwarded {
 		t.Fatalf("post-window Route = host %v fwd %v", host, forwarded)
 	}
@@ -68,9 +67,9 @@ func TestDirectoryMoveBatchSingleEpoch(t *testing.T) {
 	}
 	// One staleness epoch: the whole group's forwarding windows close
 	// together.
-	time.Sleep(60 * time.Millisecond)
+	closed := Now() + Instant(50*time.Millisecond)
 	for _, id := range ids {
-		if _, _, forwarded, _ := d.Route(id); forwarded {
+		if _, _, forwarded, _ := d.routeAt(id, closed); forwarded {
 			t.Fatalf("%v still forwarded after the shared window", id)
 		}
 	}

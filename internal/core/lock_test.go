@@ -238,11 +238,12 @@ func (l *eventLock) queueLen() int {
 	return len(l.queue)
 }
 
-// waitFor polls cond until it holds; the event a lock test waits for is
-// another goroutine's arrival in the queue, which nothing signals.
+// waitFor polls cond, yielding between reads, until it holds; the event a
+// lock test waits for is another goroutine's arrival in the queue, which
+// nothing signals.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}

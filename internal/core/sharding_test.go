@@ -39,9 +39,8 @@ func TestDirectoryShardedStaleness(t *testing.T) {
 	if _, _, fwd, _ := d.Route(b); fwd {
 		t.Fatal("move on a's shard leaked a forwarding window onto b")
 	}
-	// After the window expires, a routes directly again.
-	time.Sleep(100 * time.Millisecond)
-	if _, _, fwd, _ := d.Route(a); fwd {
+	// Once the window has passed, a routes directly again.
+	if _, _, fwd, _ := d.routeAt(a, Now()+Instant(80*time.Millisecond)); fwd {
 		t.Fatal("forwarding window did not expire")
 	}
 }

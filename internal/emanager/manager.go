@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
@@ -175,7 +176,8 @@ func (m *Manager) Start() {
 	}
 	m.stop = make(chan struct{})
 	m.done = make(chan struct{})
-	go m.loop(m.stop, m.done)
+	tick, stopTick := clock.Tick(m.cfg.PollInterval)
+	go m.loop(tick, stopTick, m.stop, m.done)
 }
 
 // Stop halts the policy loop and waits for it to exit.
@@ -191,15 +193,14 @@ func (m *Manager) Stop() {
 	<-done
 }
 
-func (m *Manager) loop(stop, done chan struct{}) {
+func (m *Manager) loop(tick <-chan time.Time, stopTick func(), stop, done chan struct{}) {
 	defer close(done)
-	ticker := time.NewTicker(m.cfg.PollInterval)
-	defer ticker.Stop()
+	defer stopTick()
 	for {
 		select {
 		case <-stop:
 			return
-		case <-ticker.C:
+		case <-tick:
 			m.Evaluate()
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
@@ -498,14 +499,42 @@ func TestResourceUtilizationPolicy(t *testing.T) {
 	}
 }
 
+// ticks is a clock whose tickers tick only when the test sends on it; its
+// timers are real.
+type ticks chan time.Time
+
+func (c ticks) AfterFunc(d time.Duration, f func()) clock.Timer { return time.AfterFunc(d, f) }
+
+func (c ticks) Tick(time.Duration) (<-chan time.Time, func()) { return c, func() {} }
+
+// countingPolicy counts its Decide rounds and decides nothing.
+type countingPolicy struct{ rounds int }
+
+func (p *countingPolicy) Decide(Stats) []Action {
+	p.rounds++
+	return nil
+}
+
+// TestPolicyLoopStartStop pins that the loop runs one Evaluate round per
+// tick, that a second Start adds no second loop, and that Stop waits for the
+// round in progress.
 func TestPolicyLoopStartStop(t *testing.T) {
+	tick := make(ticks)
+	t.Cleanup(clock.Use(tick))
 	f := newFixture(t, 1, 0)
-	f.mgr.cfg.PollInterval = 5 * time.Millisecond
+	p := &countingPolicy{}
+	f.mgr.AddPolicy(p)
 	f.mgr.Start()
 	f.mgr.Start() // idempotent
-	time.Sleep(20 * time.Millisecond)
+	const k = 3
+	for range k {
+		tick <- time.Time{}
+	}
 	f.mgr.Stop()
 	f.mgr.Stop() // idempotent
+	if p.rounds != k {
+		t.Fatalf("%d ticks ran %d Evaluate rounds, want %d", k, p.rounds, k)
+	}
 }
 
 func TestSnapshotAndRestore(t *testing.T) {

@@ -3,6 +3,7 @@ package eventwave
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,13 +208,25 @@ func TestRootSequencingSerializes(t *testing.T) {
 
 func TestPipelineParallelismBelowRoot(t *testing.T) {
 	// With zero root cost, events to different rooms overlap their room
-	// work (the pipeline property): 4×20ms across 2 rooms ≈ 40ms, not 80.
+	// work (the pipeline property). One event per room waits inside its
+	// handler for the other's, so both complete only if both rooms are
+	// inside their handlers at once; a pipeline that serialized them leaves
+	// the first waiting until its hang guard fails it.
+	both := make(chan struct{})
+	var inside atomic.Int32
 	s := schema.New()
 	s.MustDeclareClass("Root", nil)
 	room := s.MustDeclareClass("Room", nil)
-	room.MustDeclareMethod("slow", func(call schema.Call, args []any) (schema.Value, error) {
-		time.Sleep(20 * time.Millisecond)
-		return schema.Value{}, nil
+	room.MustDeclareMethod("meet", func(call schema.Call, args []any) (schema.Value, error) {
+		if inside.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+			return schema.Value{}, nil
+		case <-time.After(5 * time.Second):
+			return schema.Value{}, errors.New("the other room never entered its handler")
+		}
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -227,22 +240,17 @@ func TestPipelineParallelismBelowRoot(t *testing.T) {
 	r1, _ := rt.CreateContext("Room", root)
 	r2, _ := rt.CreateContext("Room", root)
 
-	start := time.Now()
 	var wg sync.WaitGroup
-	for i, room := range []ownership.ID{r1, r2, r1, r2} {
+	for _, room := range []ownership.ID{r1, r2} {
 		wg.Add(1)
-		go func(id ownership.ID, i int) {
+		go func(id ownership.ID) {
 			defer wg.Done()
-			time.Sleep(time.Duration(i) * time.Millisecond) // stagger arrival
-			if _, err := rt.Submit(id, "slow"); err != nil {
+			if _, err := rt.Submit(id, "meet"); err != nil {
 				t.Error(err)
 			}
-		}(room, i)
+		}(room)
 	}
 	wg.Wait()
-	if el := time.Since(start); el > 70*time.Millisecond {
-		t.Fatalf("pipeline took %v; want ≈40ms (parallel rooms)", el)
-	}
 }
 
 func TestAsyncChildren(t *testing.T) {

@@ -9,7 +9,7 @@ package ingress
 // coalescer's flusher runs (the client-side analogue of a mux sender's
 // one-Gosched yield before it flushes: what the producer issued in the same
 // quantum rides along); behind a frame in flight it leaves when that frame
-// returns, when the batch fills, or after Config.Linger, whichever is first.
+// returns, when the batch fills, or after linger, whichever is first.
 // Batching is a consequence of load, never a tax on an idle client. Outcomes
 // are per-event: one event's typed error, stale route, or backpressure
 // rejection never poisons its batchmates.
@@ -18,8 +18,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/core"
 	"aeon/internal/node"
 	"aeon/internal/schema"
@@ -215,7 +215,7 @@ func (c *Client) submitFrame(f frame) {
 		return
 	}
 
-	ctx := transport.NewDeadline(c.cfg.CallTimeout)
+	ctx := transport.NewDeadline(callTimeout)
 	defer ctx.Release()
 
 	resps, errs, fatal := c.ep.CallBatch(ctx, f.to, msgs)
@@ -254,7 +254,7 @@ func (c *Client) submitChunk(f frame) {
 		f.fail(err)
 		return
 	}
-	ctx := transport.NewDeadline(c.cfg.CallTimeout)
+	ctx := transport.NewDeadline(callTimeout)
 	defer ctx.Release()
 	raw, err := c.ep.Call(ctx, f.to, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
@@ -326,7 +326,7 @@ type coalescer struct {
 	mu       sync.Mutex
 	pending  batch
 	since    core.Instant // when pending's oldest event was added
-	timer    *time.Timer  // non-nil while pending waits behind inFlight
+	timer    clock.Timer  // non-nil while pending waits behind inFlight
 	inFlight bool         // the flusher's frame is on the wire
 	closed   bool
 }
@@ -372,7 +372,7 @@ func (co *coalescer) add(ev BatchItem, cached bool, f *Future) {
 		return
 	case n > 1:
 	case co.inFlight:
-		co.timer = time.AfterFunc(co.c.cfg.Linger, co.flushAfterLinger)
+		co.timer = clock.AfterFunc(linger, co.flushAfterLinger)
 	default:
 		select {
 		case co.wake <- struct{}{}:

@@ -245,7 +245,7 @@ func TestClientBatchTypedErrorsRawProtocol(t *testing.T) {
 // Window).
 func TestClientCoalescedGo(t *testing.T) {
 	d, mesh := deployTCP(t, 2)
-	c := dial(t, mesh, d, ingress.Config{Window: 32, Linger: 20 * time.Millisecond})
+	c := dial(t, mesh, d, ingress.Config{Window: 32})
 
 	acct := d.Top.Accounts[1][0]
 	if _, err := c.Submit(acct, "deposit", 0); err != nil { // warm the route
@@ -363,15 +363,19 @@ func await(t *testing.T, f *ingress.Future, what string) (any, error) {
 }
 
 // TestCoalescerIdleWireNeedsNoTimer pins the idle half of the flush rule: with
-// no frame of the coalescer in flight a lone Go leaves at once — under a
-// one-hour Linger it can only have left without the timer.
+// no frame of the coalescer in flight a lone Go leaves at once, and arms no
+// timer — on a clock whose timers never fire it can only have left without one.
 func TestCoalescerIdleWireNeedsNoTimer(t *testing.T) {
-	g, _, c := deployGated(t, ingress.Config{Linger: time.Hour})
+	clk := ingress.UseManualClock(t)
+	g, _, c := deployGated(t, ingress.Config{})
 	if v, err := await(t, c.Go(g.sensor(1), "ingest", 7), "lone Go on an idle wire"); err != nil || v.(int) != 7 {
 		t.Fatalf("lone Go = %v (%v), want 7", v, err)
 	}
 	if st := c.CoalescerStats(); st.FlushIdle != 1 || st.Flushes != 1 || st.FlushLinger != 0 {
 		t.Fatalf("stats = %+v; want exactly one idle flush", st)
+	}
+	if n := clk.Armed(); n != 0 {
+		t.Fatalf("a lone Go on an idle wire armed %d linger timers", n)
 	}
 }
 
@@ -379,7 +383,8 @@ func TestCoalescerIdleWireNeedsNoTimer(t *testing.T) {
 // while a frame is in flight wait for it, and its return — not a timer —
 // sends them, together, as the next frame.
 func TestCoalescerGathersBehindFrameInFlight(t *testing.T) {
-	g, n, c := deployGated(t, ingress.Config{Linger: time.Hour})
+	ingress.UseManualClock(t) // the linger never fires
+	g, n, c := deployGated(t, ingress.Config{})
 	before := n.Batches()
 	first := g.park(t, c)
 	const k = 9
@@ -407,14 +412,23 @@ func TestCoalescerGathersBehindFrameInFlight(t *testing.T) {
 	}
 }
 
-// TestCoalescerLingerBoundsWaitBehindStuckFrame pins what Linger is for: a
+// TestCoalescerLingerBoundsWaitBehindStuckFrame pins what the linger is for: a
 // frame stuck behind a parked handler must not hold back an event for another
-// context past Linger. The second event resolves while the first is still
-// parked, and is counted as a linger flush.
+// context past the linger. The second event waits while its linger timer is
+// held, and leaves when the timer fires, not when the frame returns: it
+// resolves while the first is still parked, and is counted as a linger flush.
 func TestCoalescerLingerBoundsWaitBehindStuckFrame(t *testing.T) {
-	g, _, c := deployGated(t, ingress.Config{Linger: 2 * time.Millisecond})
+	clk := ingress.UseManualClock(t)
+	g, _, c := deployGated(t, ingress.Config{})
 	first := g.park(t, c)
-	if v, err := await(t, c.Go(g.sensor(1), "ingest", 3), "event behind a stuck frame"); err != nil || v.(int) != 3 {
+	behind := c.Go(g.sensor(1), "ingest", 3)
+	if st, n := c.CoalescerStats(), clk.Armed(); st.Flushes != 1 || n != 1 {
+		t.Fatalf("before the linger fired: stats = %+v, %d timers armed; want only the parked frame flushed and one linger armed", st, n)
+	}
+	if n := clk.Fire(); n != 1 {
+		t.Fatalf("fired %d linger timers, want 1", n)
+	}
+	if v, err := await(t, behind, "event behind a stuck frame"); err != nil || v.(int) != 3 {
 		t.Fatalf("event behind a stuck frame = %v (%v), want 3", v, err)
 	}
 	if st := c.CoalescerStats(); st.FlushLinger != 1 || st.FlushIdle != 1 {
@@ -431,7 +445,8 @@ func TestCoalescerLingerBoundsWaitBehindStuckFrame(t *testing.T) {
 // closes resolve with ErrClientClosed, as one close flush, instead of hanging
 // until the linger elapses or forever.
 func TestClientCoalescedGoCloseFailsPending(t *testing.T) {
-	g, _, c := deployGated(t, ingress.Config{Linger: time.Hour})
+	ingress.UseManualClock(t) // the linger never fires
+	g, _, c := deployGated(t, ingress.Config{})
 	first := g.park(t, c)
 	pending := []*ingress.Future{c.Go(g.sensor(1), "ingest", 1), c.Go(g.sensor(2), "ingest", 1)}
 	if err := c.Close(); err != nil {
@@ -465,7 +480,7 @@ func TestClientBatchConcurrentRace(t *testing.T) {
 	errs := make(chan error, clients)
 	accts := make([]ownership.ID, clients)
 	for ci := 0; ci < clients; ci++ {
-		c := dial(t, mesh, d, ingress.Config{Window: 64, Linger: 200 * time.Microsecond})
+		c := dial(t, mesh, d, ingress.Config{Window: 64})
 		acct := d.Top.Accounts[ci%2][ci]
 		accts[ci] = acct
 		wg.Add(1)
@@ -518,7 +533,8 @@ func TestClientBatchConcurrentRace(t *testing.T) {
 // flush is pinned by TestCoalescerLingerBoundsWaitBehindStuckFrame). Fill
 // ratio must land in (0, 1].
 func TestCoalescerFlushReasons(t *testing.T) {
-	g, _, c := deployGated(t, ingress.Config{MaxBatch: 4, Linger: time.Hour, Window: 32})
+	ingress.UseManualClock(t) // the linger never fires
+	g, _, c := deployGated(t, ingress.Config{MaxBatch: 4, Window: 32})
 	first := g.park(t, c) // idle wire: flushed at once
 	var futures []*ingress.Future
 	for i := 0; i < 6; i++ { // four fill a batch and leave; two wait for the frame in flight

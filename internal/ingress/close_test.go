@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"aeon/internal/transport"
 )
@@ -40,7 +39,8 @@ func TestGoRacingCloseFailsAtOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	c, err := Dial(mesh, Config{Nodes: []transport.NodeID{1}, Linger: time.Hour, Window: 1})
+	clk := UseManualClock(t)
+	c, err := Dial(mesh, Config{Nodes: []transport.NodeID{1}, Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,5 +69,8 @@ func TestGoRacingCloseFailsAtOnce(t *testing.T) {
 	}
 	if len(c.window) != 0 {
 		t.Fatalf("the late future kept its window slot")
+	}
+	if n := clk.Armed(); n != 0 {
+		t.Fatalf("the late add armed %d linger timers on a coalescer nobody flushes", n)
 	}
 }

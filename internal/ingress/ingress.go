@@ -49,6 +49,13 @@ const ClientIDBase transport.NodeID = 1 << 16
 
 var nextClientID atomic.Int64
 
+// callTimeout bounds each submit; linger bounds how long Go holds an event
+// behind a frame of its coalescer in flight to the same node (see batch.go).
+const (
+	callTimeout = 10 * time.Second
+	linger      = 100 * time.Microsecond
+)
+
 // ErrClientClosed is returned by calls on a closed Client.
 var ErrClientClosed = errors.New("ingress: client closed")
 
@@ -60,15 +67,8 @@ type Config struct {
 	// are submitted round-robin across these (the response repairs the
 	// cache). Required.
 	Nodes []transport.NodeID
-	// CallTimeout bounds each submit. Zero means 10s.
-	CallTimeout time.Duration
 	// Window bounds in-flight futures from Go. Zero means 256.
 	Window int
-	// Linger bounds how long Go holds an async submit behind a frame of its
-	// coalescer that is still in flight to the same node; the frame's return
-	// normally releases it sooner, and on an idle wire it is not held at all
-	// (no timer is armed). Zero means 100µs. Ignored when NoCoalesce is set.
-	Linger time.Duration
 	// MaxBatch caps events per batch frame: SubmitBatch chunks larger
 	// inputs and the coalescer flushes at once when a batch fills. Zero means
 	// 128; values above schema.MaxBatchEvents are clamped.
@@ -185,14 +185,8 @@ func Dial(mesh transport.Mesh, cfg Config) (*Client, error) {
 	if cfg.ID == 0 {
 		cfg.ID = ClientIDBase + transport.NodeID(nextClientID.Add(1))
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 256
-	}
-	if cfg.Linger <= 0 {
-		cfg.Linger = 100 * time.Microsecond
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 128
@@ -288,7 +282,7 @@ func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, e
 	*buf = payload
 
 	to, cached := c.route(target)
-	ctx := transport.NewDeadline(c.cfg.CallTimeout)
+	ctx := transport.NewDeadline(callTimeout)
 	defer ctx.Release()
 	raw, err := c.ep.Call(ctx, to, transport.Message{Kind: node.KindSubmit, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
@@ -329,7 +323,7 @@ func (f *Future) Wait() (any, error) {
 // per-node coalescer: on an idle wire it is sent at once, together with
 // whatever else the caller issues before yielding; while one of the
 // coalescer's frames is in flight to that node it waits for batchmates until
-// that frame returns (at most Config.Linger), then the whole batch flies as
+// that frame returns (at most linger), then the whole batch flies as
 // one frame.
 func (c *Client) Go(target ownership.ID, method string, args ...any) *Future {
 	f := &Future{done: make(chan struct{})}
@@ -367,7 +361,7 @@ func (c *Client) RegisterOps(reg *ops.Registry) {
 	reg.Counter("aeon_ingress_flush_fill_total",
 		"Coalesced batches flushed because they reached MaxBatch.", lbl, c.flushFill.Load)
 	reg.Counter("aeon_ingress_flush_linger_total",
-		"Coalesced batches flushed because Linger elapsed behind a frame in flight.", lbl, c.flushLinger.Load)
+		"Coalesced batches flushed because the linger elapsed behind a frame in flight.", lbl, c.flushLinger.Load)
 	reg.Counter("aeon_ingress_flush_close_total",
 		"Coalescers drained by Close with events still pending.", lbl, c.flushClose.Load)
 	reg.Counter("aeon_ingress_coalesced_events_total",

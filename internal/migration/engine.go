@@ -68,6 +68,10 @@ const (
 	StepTransferred Step = 4 // state transferred, runtime remapped
 )
 
+// stopTimeout bounds each member's acquisition in a group stop window; a
+// collision with an in-flight multi-context event retries after a backoff.
+const stopTimeout = 25 * time.Millisecond
+
 // Config tunes the engine.
 type Config struct {
 	// Delta is the paper's δ: the settle time between stopping the source
@@ -80,11 +84,6 @@ type Config struct {
 	// MaxConcurrent bounds how many group migrations run at once on the
 	// worker pool. Zero means 4.
 	MaxConcurrent int
-	// StopTimeout is the per-member acquisition timeout inside the group
-	// stop window; a collision with an in-flight multi-context event
-	// preempts the attempt, which is retried after a backoff. Zero means
-	// 25ms.
-	StopTimeout time.Duration
 	// Transfer, when set, performs the group's state transfer in step IV —
 	// the node runtime ships serialized member state over the transport mesh
 	// to the destination node here. It runs inside the stop window, after
@@ -156,9 +155,6 @@ type Engine struct {
 func NewEngine(rt *core.Runtime, store cloudstore.API, cfg Config) *Engine {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
-	}
-	if cfg.StopTimeout <= 0 {
-		cfg.StopTimeout = 25 * time.Millisecond
 	}
 	return &Engine{
 		cfg:      cfg,
@@ -605,7 +601,7 @@ func (e *Engine) adoptNewMembers(root ownership.ID, from cluster.ServerID, membe
 		if !e.tryClaimMember(root, id) {
 			continue
 		}
-		rel, err := e.rt.LockForMigrationTimeout(id, e.cfg.StopTimeout)
+		rel, err := e.rt.LockForMigrationTimeout(id, stopTimeout)
 		if err != nil {
 			e.unclaimMember(id)
 			continue
@@ -626,7 +622,7 @@ func (e *Engine) adoptNewMembers(root ownership.ID, from cluster.ServerID, membe
 func (e *Engine) stopGroup(members []ownership.ID) (func(), error) {
 	backoff := 500 * time.Microsecond
 	for {
-		release, err := e.rt.LockGroupForMigration(members, e.cfg.StopTimeout)
+		release, err := e.rt.LockGroupForMigration(members, stopTimeout)
 		if err == nil {
 			return release, nil
 		}

@@ -114,7 +114,7 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 		code   schema.Code
 		host   int64
 	}
-	req := schema.SubmitBatchReq{Hops: uint32(n1.cfg.MaxHops) - 1}
+	req := schema.SubmitBatchReq{Hops: maxHops - 1}
 	var wants []want
 	add := func(target ownership.ID, method string, w want, args ...any) {
 		req.Events = append(req.Events, schema.BatchEvent{Target: target, Method: method, Args: args})

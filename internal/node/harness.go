@@ -63,9 +63,6 @@ type Topology struct {
 	// every node: runtime structural mutations are sequenced through the
 	// authoritative store's mutation log instead of staying process-local.
 	Replicate bool
-	// NodeDefaults, when non-nil, is applied to every node Config before
-	// ID/Runtime/stores are filled in (timeouts, hop budget, learning).
-	NodeDefaults *Config
 	// EnableOps gives every node its own ops.Registry (admin-plane metrics,
 	// events, traces), reachable via Node.Ops.
 	EnableOps bool
@@ -225,13 +222,7 @@ func buildNode(mesh transport.Mesh, top Topology, id transport.NodeID) (*Node, *
 		}
 	}
 	store := cloudstore.New()
-	cfg := Config{}
-	if top.NodeDefaults != nil {
-		cfg = *top.NodeDefaults
-	}
-	cfg.ID = id
-	cfg.Runtime = rt
-	cfg.LocalStore = store
+	cfg := Config{ID: id, Runtime: rt, LocalStore: store}
 	if top.StoreParts > 0 {
 		cfg.StoreReplicas = top.storePartitions()
 	} else {

@@ -18,7 +18,7 @@ import (
 // blocks until the group is live on the destination.
 func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to cluster.ServerID) error {
 	req := schema.PlaceReq{Context: root, Server: int64(to)}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.TransferTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
 	defer cancel()
 	raw, err := sendHot(ctx, n.ep, owner, KindMigrate, req.MarshalWire)
 	if err != nil {
@@ -91,7 +91,7 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.TransferTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
 	defer cancel()
 	n.transfersOut.Add(1)
 	raw, err := n.ep.Call(ctx, n.nodeFor(to), transport.Message{Kind: KindTransfer, Payload: payload})
@@ -144,7 +144,7 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 	// applied their creating records: block on the source's sequence before
 	// installing, exactly like submit admission.
 	if n.plane != nil && req.MinSeq > n.plane.Applied() {
-		if err := n.plane.WaitFor(req.MinSeq, n.cfg.ReplicaLagWait); err != nil {
+		if err := n.plane.WaitFor(req.MinSeq, replicaLagWait); err != nil {
 			return fmt.Errorf("transfer at seq %d: %w", req.MinSeq, err)
 		}
 	}

@@ -88,29 +88,12 @@ type Config struct {
 	// Manager configures the node's elasticity manager; its migration
 	// engine is wired to transfer state over the mesh automatically.
 	Manager emanager.Config
-	// MaxHops bounds submit forwarding chains. Zero means 4.
-	MaxHops int
-	// CallTimeout bounds each mesh call (submit forwards, store ops). Zero
-	// means 10s. Transfers and commanded migrations use TransferTimeout.
-	CallTimeout time.Duration
-	// TransferTimeout bounds state-transfer and commanded-migration calls,
-	// which move real bytes and sleep through protocol windows. Zero means
-	// 60s.
-	TransferTimeout time.Duration
 	// Replicate sequences structural mutations (runtime context creation,
 	// edge changes, server membership) through the replicated mutation log
 	// in the authoritative cloud store, making dynamic topologies work
 	// across processes. Off, mutations stay process-local (static
 	// topologies only, the pre-replication behavior).
 	Replicate bool
-	// ReplicationPoll overrides the log tailer's fallback poll interval
-	// (zero: the replication default). Steady-state propagation rides
-	// notify frames; the poll only bounds staleness under frame loss.
-	ReplicationPoll time.Duration
-	// ReplicaLagWait bounds how long a submit handler blocks waiting for
-	// the local replica to reach the sender's log sequence before failing
-	// typed with replication.ErrReplicaLagging. Zero means 5s.
-	ReplicaLagWait time.Duration
 	// Peers lists the mesh nodes of the deployment (this node included or
 	// not — it is skipped either way); replicate-notify hints go to them.
 	// Empty falls back to deriving peers from the cluster's server set via
@@ -126,6 +109,18 @@ type Config struct {
 	// nothing either way.
 	Ops *ops.Registry
 }
+
+// A node's bounds: forwarding hops per submit chain; a mesh call (submit
+// forwards, store ops); a state transfer or commanded migration, which moves
+// real bytes through protocol windows; and a submit's wait for the local
+// replica to reach the sender's log sequence, after which it fails with
+// replication.ErrReplicaLagging.
+const (
+	maxHops         = 4
+	callTimeout     = 10 * time.Second
+	transferTimeout = 60 * time.Second
+	replicaLagWait  = 5 * time.Second
+)
 
 // StorePartition names the replica set serving one keyspace partition of
 // the store plane (primary first; failover promotes in list order).
@@ -143,7 +138,7 @@ type Node struct {
 
 	// baseCtx parents every RemoteStore call so node shutdown cancels
 	// in-flight store ops instead of letting failover retries stack dead
-	// calls behind CallTimeout.
+	// calls behind callTimeout.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -186,18 +181,6 @@ type Node struct {
 func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 	if cfg.Runtime == nil {
 		return nil, fmt.Errorf("node %v: runtime is required", cfg.ID)
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 4
-	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 10 * time.Second
-	}
-	if cfg.TransferTimeout <= 0 {
-		cfg.TransferTimeout = 60 * time.Second
-	}
-	if cfg.ReplicaLagWait <= 0 {
-		cfg.ReplicaLagWait = 5 * time.Second
 	}
 	servers := cfg.Servers
 	if len(servers) == 0 {
@@ -257,10 +240,7 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 		// The replicated ownership-metadata control plane: structural
 		// mutations captured on this node append to the shared log, and the
 		// tailer applies every node's mutations to the local replica.
-		n.plane = replication.New(n.rt, n.store, replication.Config{
-			Origin: cfg.ID,
-			Poll:   cfg.ReplicationPoll,
-		})
+		n.plane = replication.New(n.rt, n.store, replication.Config{Origin: cfg.ID})
 		n.plane.SetNotify(n.notifyReplicated)
 		n.rt.SetReplicator(n.plane)
 	}
@@ -368,7 +348,7 @@ func (n *Node) Submit(target ownership.ID, method string, args ...any) (any, err
 
 // Ping checks that a peer is attached and serving.
 func (n *Node) Ping(peer transport.NodeID) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
 	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: KindPing})
 	return err
@@ -376,7 +356,7 @@ func (n *Node) Ping(peer transport.NodeID) error {
 
 // Shutdown asks a peer to shut down (its Done channel closes).
 func (n *Node) Shutdown(peer transport.NodeID) error {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.CallTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
 	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: KindShutdown})
 	return err
@@ -467,9 +447,9 @@ func (n *Node) callSubmit(to transport.NodeID, req *schema.SubmitReq) (schema.Su
 	return resp, resp.UnmarshalWire(raw.Payload)
 }
 
-// callHot is sendHot from this node, bounded by CallTimeout.
+// callHot is sendHot from this node, bounded by callTimeout.
 func (n *Node) callHot(to transport.NodeID, kind string, encode func(dst []byte) ([]byte, error)) (transport.Message, error) {
-	ctx := transport.NewDeadline(n.cfg.CallTimeout)
+	ctx := transport.NewDeadline(callTimeout)
 	defer ctx.Release()
 	return sendHot(ctx, n.ep, to, kind, encode)
 }
@@ -573,7 +553,7 @@ func (n *Node) admit(minSeq uint64) error {
 	if n.plane == nil || minSeq <= n.plane.Applied() {
 		return nil
 	}
-	err := n.plane.WaitFor(minSeq, n.cfg.ReplicaLagWait)
+	err := n.plane.WaitFor(minSeq, replicaLagWait)
 	if err != nil {
 		n.emit("backpressure.lag", map[string]any{
 			"node": int64(n.id), "min_seq": minSeq, "applied": n.plane.Applied(), "err": err.Error(),
@@ -613,7 +593,7 @@ func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method 
 		out.Code, out.Err = n.failed(err, schema.CodeApp, 1)
 	case local:
 		out.Result = res
-	case hops >= uint32(n.cfg.MaxHops):
+	case hops >= maxHops:
 		out.Code, out.Err = n.failed(fmt.Errorf("%v after %d hops: %w", target, hops, ErrTooManyHops), schema.CodeUnknown, 1)
 	default:
 		return host

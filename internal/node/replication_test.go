@@ -2,9 +2,12 @@ package node
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cluster"
 	"aeon/internal/emanager"
 	"aeon/internal/ownership"
@@ -13,11 +16,68 @@ import (
 	"aeon/internal/transport"
 )
 
+// fakeClock stands in for real time in the tests that steer a tailer's poll
+// or the lag wait. Every ticker started on it gets its own channel, in start
+// order (Deploy starts nodes in ID order), and ticks only when the test sends
+// on it. A timer armed on it is handed to the test on timers and fires only
+// when the test fires it, on the test's goroutine.
+type fakeClock struct {
+	mu      sync.Mutex
+	tickers []chan time.Time
+	timers  chan *fakeTimer
+}
+
+type fakeTimer struct {
+	f    func()
+	done atomic.Bool // fired or stopped
+}
+
+func (f *fakeTimer) Stop() bool { return f.done.CompareAndSwap(false, true) }
+
+// useFakeClock installs a fakeClock until the test ends.
+func useFakeClock(t *testing.T) *fakeClock {
+	// More timers than a test arms, so AfterFunc never blocks.
+	c := &fakeClock{timers: make(chan *fakeTimer, 64)}
+	t.Cleanup(clock.Use(c))
+	return c
+}
+
+func (c *fakeClock) AfterFunc(_ time.Duration, f func()) clock.Timer {
+	ft := &fakeTimer{f: f}
+	c.timers <- ft
+	return ft
+}
+
+func (c *fakeClock) Tick(time.Duration) (<-chan time.Time, func()) {
+	ch := make(chan time.Time)
+	c.mu.Lock()
+	c.tickers = append(c.tickers, ch)
+	c.mu.Unlock()
+	return ch, func() {}
+}
+
+// ticker returns the channel of the i-th ticker started on c.
+func (c *fakeClock) ticker(i int) chan<- time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.tickers[i]
+}
+
+// fireNext fires the next timer armed on c that is still live.
+func (c *fakeClock) fireNext() {
+	for {
+		if ft := <-c.timers; ft.done.CompareAndSwap(false, true) {
+			ft.f()
+			return
+		}
+	}
+}
+
 // deployReplicated builds an n-node in-process deployment with the
 // replicated ownership-metadata control plane enabled.
-func deployReplicated(t *testing.T, mesh transport.Mesh, n int, defaults *Config) *Deployment {
+func deployReplicated(t *testing.T, mesh transport.Mesh, n int) *Deployment {
 	t.Helper()
-	d, err := Deploy(mesh, Topology{Nodes: n, Replicate: true, NodeDefaults: defaults})
+	d, err := Deploy(mesh, Topology{Nodes: n, Replicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +109,7 @@ func diffScripts(t *testing.T, phase string, got, want []string) {
 // run.
 func TestReplicatedRuntimeCreationMatchesOracle(t *testing.T) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
-	d := deployReplicated(t, mesh, 3, nil)
+	d := deployReplicated(t, mesh, 3)
 
 	n1 := d.Nodes[0]
 	static := RunBankScript(n1.Submit, d.Top)
@@ -92,7 +152,7 @@ func TestReplicatedRuntimeCreationMatchesOracle(t *testing.T) {
 // real TCP loopback sockets.
 func TestReplicatedTCPDynamicTopology(t *testing.T) {
 	mesh := transport.NewTCPMesh()
-	d := deployReplicated(t, mesh, 2, nil)
+	d := deployReplicated(t, mesh, 2)
 
 	n1 := d.Nodes[0]
 	static := RunBankScript(n1.Submit, d.Top)
@@ -109,9 +169,10 @@ func TestReplicatedTCPDynamicTopology(t *testing.T) {
 // frames: propagation degrades to the tailer poll, never to divergence, and
 // duplicated hints never double-apply a record.
 func TestReplicationSurvivesNotifyFaults(t *testing.T) {
+	clk := useFakeClock(t)
 	net := transport.NewSim(transport.SimConfig{})
 	fm := transport.NewFaultyMesh(transport.NewInMemMesh(net))
-	d := deployReplicated(t, fm, 3, &Config{ReplicationPoll: 25 * time.Millisecond})
+	d := deployReplicated(t, fm, 3)
 
 	n1, n2, n3 := d.Nodes[0], d.Nodes[1], d.Nodes[2]
 	// Node 2 loses every frame from node 1 — including notify hints. Its
@@ -125,10 +186,19 @@ func TestReplicationSurvivesNotifyFaults(t *testing.T) {
 		t.Fatalf("open during notify faults: %v", err)
 	}
 	target := n1.Plane().Applied()
-	for _, n := range []*Node{n2, n3} {
-		if err := n.Plane().WaitFor(target, 5*time.Second); err != nil {
-			t.Fatalf("node %v did not converge with faulty notifies: %v", n.ID(), err)
-		}
+	// Node 2 heard of the record from nobody: only its poll can find it.
+	if got := n2.Plane().Applied(); got >= target {
+		t.Fatalf("node 2 applied seq %d of %d with every hint dropped and no poll tick", got, target)
+	}
+	// The second tick is taken only once the first one's pass has run.
+	for range 2 {
+		clk.ticker(1) <- time.Time{}
+	}
+	if got := n2.Plane().Applied(); got < target {
+		t.Fatalf("node 2 at seq %d after a poll tick, want %d", got, target)
+	}
+	if err := n3.Plane().WaitFor(target, 5*time.Second); err != nil {
+		t.Fatalf("node 3 did not converge with duplicated notifies: %v", err)
 	}
 	// Exactly-once apply: every replica holds exactly one new context.
 	wantLen := n1.Runtime().Graph().Len()
@@ -214,7 +284,7 @@ func TestReplicatedNodeRejoinCatchesUp(t *testing.T) {
 // map.
 func TestEManagerScaleOutReplicatesMembership(t *testing.T) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
-	d := deployReplicated(t, mesh, 2, nil)
+	d := deployReplicated(t, mesh, 2)
 	n1, n2 := d.Nodes[0], d.Nodes[1]
 
 	before := n1.Runtime().Cluster().Size()
@@ -237,10 +307,14 @@ func TestEManagerScaleOutReplicatesMembership(t *testing.T) {
 // authority and holds less) fails with replication.ErrReplicaLagging
 // instead of misrouting, and a reachable sequence blocks-and-succeeds.
 func TestReplicaLagGateBlocksThenFails(t *testing.T) {
+	clk := useFakeClock(t)
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
-	d := deployReplicated(t, mesh, 2, &Config{ReplicaLagWait: 100 * time.Millisecond})
+	d := deployReplicated(t, mesh, 2)
 	n2 := d.Nodes[1]
-	err := n2.Plane().WaitFor(n2.Plane().Applied()+100, 50*time.Millisecond)
+	waited := make(chan error, 1)
+	go func() { waited <- n2.Plane().WaitFor(n2.Plane().Applied()+100, replicaLagWait) }()
+	clk.fireNext() // the lag wait expires
+	err := <-waited
 	if !errors.Is(err, replication.ErrReplicaLagging) {
 		t.Fatalf("WaitFor an unreachable sequence = %v, want ErrReplicaLagging", err)
 	}

@@ -21,7 +21,7 @@ import (
 // Every call runs under a context derived from the owner's lifecycle (the
 // node's base context, canceled on Close): when a partition client abandons
 // a replica mid-failover, its in-flight calls are canceled instead of
-// stacking up behind dead peers until CallTimeout.
+// stacking up behind dead peers until callTimeout.
 type RemoteStore struct {
 	cloudstore.Typed
 
@@ -52,7 +52,7 @@ func NewRemoteStore(ep transport.Endpoint, to transport.NodeID, timeout time.Dur
 }
 
 // remoteStore returns a mesh client owned by n: it calls through n's
-// endpoint under n's lifecycle context and CallTimeout.
+// endpoint under n's lifecycle context and callTimeout.
 func (n *Node) remoteStore(to transport.NodeID) *RemoteStore {
 	r := &RemoteStore{node: n, to: to}
 	r.Typed = cloudstore.NewTyped(r)
@@ -64,7 +64,7 @@ func (n *Node) remoteStore(to transport.NodeID) *RemoteStore {
 // base otherwise.
 func (r *RemoteStore) callCtx() (context.Context, context.CancelFunc) {
 	if r.node != nil {
-		return context.WithTimeout(r.node.baseCtx, r.node.cfg.CallTimeout)
+		return context.WithTimeout(r.node.baseCtx, callTimeout)
 	}
 	return context.WithTimeout(r.base, r.timeout)
 }

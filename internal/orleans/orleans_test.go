@@ -3,6 +3,7 @@ package orleans
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,33 +222,42 @@ func TestReentrantAllowsCycle(t *testing.T) {
 	}
 }
 
+// TestStatelessWorkersRunConcurrently: each of four calls to a four-worker
+// stateless grain waits inside its handler for the other three, so they all
+// complete only if all four workers are inside at once; fewer workers leave
+// the first waiting until its hang guard fails it.
 func TestStatelessWorkersRunConcurrently(t *testing.T) {
 	rt := newRuntime(t, 1)
 	if err := rt.RegisterClass(&Class{Name: "W", Stateless: true, Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("W", "slow", 0, func(call *Call, args []any) (schema.Value, error) {
-		time.Sleep(30 * time.Millisecond)
-		return schema.Value{}, nil
+	all := make(chan struct{})
+	var inside atomic.Int32
+	if err := rt.DeclareMethod("W", "meet", 0, func(call *Call, args []any) (schema.Value, error) {
+		if inside.Add(1) == 4 {
+			close(all)
+		}
+		select {
+		case <-all:
+			return schema.Value{}, nil
+		case <-time.After(5 * time.Second):
+			return schema.Value{}, errors.New("the four workers were never inside at once")
+		}
 	}); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := rt.CreateGrain("W")
-	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := rt.Call(id, "slow"); err != nil {
+			if _, err := rt.Call(id, "meet"); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	if el := time.Since(start); el > 90*time.Millisecond {
-		t.Fatalf("4 stateless calls took %v; want ≈30ms", el)
-	}
 }
 
 func TestDeferredReply(t *testing.T) {

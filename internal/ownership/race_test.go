@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestGraphSnapshotRaceStress hammers the lock-free read API from many
@@ -54,12 +53,17 @@ func TestGraphSnapshotRaceStress(t *testing.T) {
 		t.Errorf(format, args...)
 	}
 
+	// The mutators run a fixed budget of mutations each; the readers run
+	// until they are done.
+	const mutations = 2000
+	var mutators sync.WaitGroup
+
 	// Leaf mutator: creates single- and multi-owner leaves, detaches others.
-	wg.Add(1)
+	mutators.Add(1)
 	go func() {
-		defer wg.Done()
+		defer mutators.Done()
 		rng := rand.New(rand.NewSource(1))
-		for !stop.Load() {
+		for i := 0; i < mutations && !stop.Load(); i++ {
 			switch rng.Intn(4) {
 			case 0, 1: // single-owner leaf
 				id, err := g.AddContext("Leaf", spine[rng.Intn(len(spine))])
@@ -102,11 +106,11 @@ func TestGraphSnapshotRaceStress(t *testing.T) {
 
 	// Edge mutator: flips extra spine edges (low index → high index only, so
 	// no attempt can form a cycle).
-	wg.Add(1)
+	mutators.Add(1)
 	go func() {
-		defer wg.Done()
+		defer mutators.Done()
 		rng := rand.New(rand.NewSource(2))
-		for !stop.Load() {
+		for i := 0; i < mutations && !stop.Load(); i++ {
 			i := rng.Intn(len(spine) - 1)
 			j := i + 1 + rng.Intn(len(spine)-i-1)
 			if rng.Intn(2) == 0 {
@@ -123,8 +127,7 @@ func TestGraphSnapshotRaceStress(t *testing.T) {
 		}
 	}()
 
-	readers := 4
-	for r := 0; r < readers; r++ {
+	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
@@ -195,7 +198,7 @@ func TestGraphSnapshotRaceStress(t *testing.T) {
 		}(int64(100 + r))
 	}
 
-	time.Sleep(300 * time.Millisecond)
+	mutators.Wait()
 	stop.Store(true)
 	wg.Wait()
 }

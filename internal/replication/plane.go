@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
@@ -33,19 +34,16 @@ var (
 // while the previous append was in flight.
 const maxAppendBatch = 64
 
+// poll is the tailer's fallback for records whose notify hint was lost: it
+// bounds staleness under frame loss.
+const poll = 200 * time.Millisecond
+
 // Config tunes a replication plane.
 type Config struct {
 	// Origin identifies this node in appended records; apply results are
 	// delivered back to waiters only for records this plane originated, so
 	// two planes of one deployment must not share an origin.
 	Origin transport.NodeID
-	// Poll is the tailer's fallback interval for discovering records whose
-	// notify hint was lost. Zero means 200ms. Steady-state propagation is
-	// one notify frame; the poll only bounds staleness under frame loss.
-	Poll time.Duration
-	// Retry overrides the append retry/backoff policy (zero value:
-	// cloudstore.DefaultRetry).
-	Retry cloudstore.RetryPolicy
 }
 
 // Result is the apply outcome of one mutation: the ID the log sequence
@@ -125,12 +123,6 @@ var _ core.Replicator = (*Plane)(nil)
 // then Start to begin tailing; the plane is typically also installed on the
 // runtime with rt.SetReplicator(p).
 func New(rt *core.Runtime, store cloudstore.API, cfg Config) *Plane {
-	if cfg.Poll <= 0 {
-		cfg.Poll = 200 * time.Millisecond
-	}
-	if cfg.Retry == (cloudstore.RetryPolicy{}) {
-		cfg.Retry = cloudstore.DefaultRetry()
-	}
 	p := &Plane{
 		rt:      rt,
 		store:   store,
@@ -156,9 +148,10 @@ func (p *Plane) SetNotify(fn func(seq uint64)) { p.notify = fn }
 // callers whose store node may not be up yet can treat it as advisory (the
 // tailer keeps retrying).
 func (p *Plane) Start() error {
+	tick, stopTick := clock.Tick(poll)
 	p.wg.Add(2)
 	go p.appendLoop()
-	go p.tailLoop()
+	go p.tailLoop(tick, stopTick)
 	return p.CatchUp()
 }
 
@@ -245,19 +238,20 @@ func (p *Plane) WaitFor(seq uint64, timeout time.Duration) error {
 		return nil
 	}
 	p.kick()
-	deadline := time.Now().Add(timeout)
-	expired := time.AfterFunc(timeout, func() {
-		// Broadcast under mu so a waiter can never check the clock, decide
-		// to sleep, and miss this wakeup.
+	expired := false // guarded by mu
+	timer := clock.AfterFunc(timeout, func() {
+		// Set and broadcast under mu, so a waiter can never see the flag
+		// clear, decide to sleep, and miss this wakeup.
 		p.mu.Lock()
+		expired = true
 		p.cond.Broadcast()
 		p.mu.Unlock()
 	})
-	defer expired.Stop()
+	defer timer.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.applied < seq && !p.closed {
-		if !time.Now().Before(deadline) {
+		if expired {
 			return fmt.Errorf("replica at seq %d, need %d: %w", p.applied, seq, ErrReplicaLagging)
 		}
 		p.cond.Wait()
@@ -454,7 +448,7 @@ func (p *Plane) appendBatch(batch []*appendReq) {
 	}
 	var seq uint64
 	var resCh chan []Result
-	err := cloudstore.Retry(p.cfg.Retry, func() error {
+	err := cloudstore.Retry(cloudstore.DefaultRetry(), func() error {
 		// Re-base: apply everything other writers appended since the last
 		// attempt so the next-sequence guess is fresh.
 		if err := p.CatchUp(); err != nil {
@@ -529,16 +523,15 @@ func (p *Plane) appendBatch(batch []*appendReq) {
 
 // tailLoop applies records appended by peers: immediately on a notify hint
 // (Poke), and on the fallback poll for hints that were lost.
-func (p *Plane) tailLoop() {
+func (p *Plane) tailLoop(tick <-chan time.Time, stopTick func()) {
 	defer p.wg.Done()
-	ticker := time.NewTicker(p.cfg.Poll)
-	defer ticker.Stop()
+	defer stopTick()
 	for {
 		select {
 		case <-p.stop:
 			return
 		case <-p.wake:
-		case <-ticker.C:
+		case <-tick:
 		}
 		if p.paused.Load() {
 			continue

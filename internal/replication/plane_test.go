@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
@@ -46,10 +48,57 @@ func newTestRuntime(t *testing.T, servers int) (*core.Runtime, []ownership.ID) {
 	return rt, roots
 }
 
+// fakeClock stands in for real time in the tests that steer the tailer or the
+// lag wait: its ticker ticks only when the test sends on ticks, and a timer
+// armed on it is handed to the test on timers and fires only when the test
+// fires it, on the test's goroutine.
+type fakeClock struct {
+	ticks  chan time.Time
+	timers chan *fakeTimer
+}
+
+type fakeTimer struct {
+	f    func()
+	done atomic.Bool // fired or stopped
+}
+
+func (f *fakeTimer) Stop() bool { return f.done.CompareAndSwap(false, true) }
+
+// fire runs the timer unless it already fired or was stopped.
+func (f *fakeTimer) fire() bool {
+	if !f.done.CompareAndSwap(false, true) {
+		return false
+	}
+	f.f()
+	return true
+}
+
+// useFakeClock installs a fakeClock until the test ends.
+func useFakeClock(t *testing.T) *fakeClock {
+	// More timers than a test arms, so AfterFunc never blocks.
+	c := &fakeClock{ticks: make(chan time.Time), timers: make(chan *fakeTimer, 64)}
+	t.Cleanup(clock.Use(c))
+	return c
+}
+
+func (c *fakeClock) AfterFunc(_ time.Duration, f func()) clock.Timer {
+	ft := &fakeTimer{f: f}
+	c.timers <- ft
+	return ft
+}
+
+func (c *fakeClock) Tick(time.Duration) (<-chan time.Time, func()) { return c.ticks, func() {} }
+
+// fireNext fires the next timer armed on c that is still live.
+func (c *fakeClock) fireNext() {
+	for !(<-c.timers).fire() {
+	}
+}
+
 // newTestPlane attaches a started plane to rt over store.
 func newTestPlane(t *testing.T, rt *core.Runtime, store cloudstore.API, origin transport.NodeID) *Plane {
 	t.Helper()
-	p := New(rt, store, Config{Origin: origin, Poll: 25 * time.Millisecond})
+	p := New(rt, store, Config{Origin: origin})
 	rt.SetReplicator(p)
 	if err := p.Start(); err != nil {
 		t.Fatalf("plane %v start: %v", origin, err)
@@ -254,6 +303,7 @@ func TestConcurrentAppendersConvergeUnderContention(t *testing.T) {
 }
 
 func TestApplyIdempotentUnderDuplicateAndStalePokes(t *testing.T) {
+	clk := useFakeClock(t)
 	store := cloudstore.New()
 	rt, roots := newTestRuntime(t, 1)
 	p := newTestPlane(t, rt, store, 1)
@@ -272,7 +322,13 @@ func TestApplyIdempotentUnderDuplicateAndStalePokes(t *testing.T) {
 	if err := p.CatchUp(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let poked tailer passes run
+	// Let the poked tailer passes run: a tick is taken only once the tailer
+	// is back in its select, and only a pass drains the wake channel.
+	clk.ticks <- time.Time{}
+	for len(p.wake) > 0 {
+		clk.ticks <- time.Time{}
+	}
+	clk.ticks <- time.Time{}
 	if p.Applies() != applies {
 		t.Fatalf("pokes re-applied records: %d → %d", applies, p.Applies())
 	}
@@ -342,27 +398,27 @@ func TestServerMembershipReplicates(t *testing.T) {
 }
 
 func TestWaitForReachesAndTimesOut(t *testing.T) {
+	// The tailers never tick: B only advances when kicked, which is what
+	// WaitFor does.
+	clk := useFakeClock(t)
 	store := cloudstore.New()
 	rtA, rootsA := newTestRuntime(t, 2)
 	rtB, _ := newTestRuntime(t, 2)
 	pA := newTestPlane(t, rtA, store, 1)
-	// Long poll: B only advances when kicked, which is what WaitFor does.
-	pB := New(rtB, store, Config{Origin: 2, Poll: time.Hour})
-	rtB.SetReplicator(pB)
-	if err := pB.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pB.Close)
+	pB := newTestPlane(t, rtB, store, 2)
 
 	if _, err := rtA.CreateContextOn(1, "Leaf", rootsA[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := pB.WaitFor(pA.Applied(), 2*time.Second); err != nil {
+	if err := pB.WaitFor(pA.Applied(), time.Hour); err != nil {
 		t.Fatalf("WaitFor a durable sequence: %v", err)
 	}
-	// A sequence beyond the durable tail times out typed.
-	err := pB.WaitFor(pA.Applied()+5, 50*time.Millisecond)
-	if !errors.Is(err, ErrReplicaLagging) {
+	// A sequence beyond the durable tail times out typed, once its timer
+	// fires, and not before.
+	waited := make(chan error, 1)
+	go func() { waited <- pB.WaitFor(pA.Applied()+5, time.Hour) }()
+	clk.fireNext()
+	if err := <-waited; !errors.Is(err, ErrReplicaLagging) {
 		t.Fatalf("WaitFor beyond tail = %v, want ErrReplicaLagging", err)
 	}
 }

@@ -170,7 +170,7 @@ func TestTimedOutCallLeavesNeighboursAlone(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the late reply was never counted as dropped")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -242,7 +242,7 @@ func TestEndpointRedialsAfterPeerRestart(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("the connection to a closed peer never broke")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 
 	addr, _ := mesh.Addr(1)

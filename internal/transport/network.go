@@ -68,9 +68,6 @@ type SimNetwork struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	blocked map[[2]NodeID]bool
-
-	// sleep is indirected for tests.
-	sleep func(time.Duration)
 }
 
 var _ Network = (*SimNetwork)(nil)
@@ -85,7 +82,6 @@ func NewSim(cfg SimConfig) *SimNetwork {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(seed)),
 		blocked: make(map[[2]NodeID]bool),
-		sleep:   time.Sleep,
 	}
 }
 
@@ -116,7 +112,7 @@ func (s *SimNetwork) Hop(from, to NodeID, bytes int) error {
 		return fmt.Errorf("%v→%v: %w", from, to, ErrPartitioned)
 	}
 	if d := s.Latency(from, to, bytes); d > 0 {
-		s.sleep(d)
+		time.Sleep(d)
 	}
 	return nil
 }

@@ -176,11 +176,15 @@ func TestMuxStreamPipelines(t *testing.T) {
 func TestMuxLateResponseNeverMatchesNewerRequest(t *testing.T) {
 	firstParked := make(chan struct{})
 	releaseFirst := make(chan struct{})
+	freshSeen := make(chan struct{})
 	var seen atomic.Int32
 	h := func(ctx context.Context, from NodeID, req Message) (Message, error) {
-		if seen.Add(1) == 1 {
+		switch seen.Add(1) {
+		case 1:
 			close(firstParked)
 			<-releaseFirst // answer late, long after the caller gave up
+		case 2:
+			close(freshSeen)
 		}
 		return Message{Kind: req.Kind, Payload: req.Payload}, nil
 	}
@@ -199,11 +203,11 @@ func TestMuxLateResponseNeverMatchesNewerRequest(t *testing.T) {
 	<-firstParked
 
 	// The stale response is still pending server-side. Issue a fresh call
-	// and release the stale one while it is in flight.
+	// and release the stale one once the handler has seen the fresh one.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		time.Sleep(20 * time.Millisecond)
+		<-freshSeen
 		close(releaseFirst)
 	}()
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
@@ -281,9 +285,12 @@ func dialFake(t *testing.T, addr string) *muxStream {
 // TestMuxReorderedResponses pins out-of-order completion: responses sent in
 // reverse order still reach their own callers.
 func TestMuxReorderedResponses(t *testing.T) {
+	received := make(chan struct{}, 2)
 	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
 		id1, p1 := readReqFrame(t, r)
+		received <- struct{}{}
 		id2, p2 := readReqFrame(t, r)
+		received <- struct{}{}
 		// Answer in reverse arrival order.
 		writeRespFrame(t, conn, id2, p2)
 		writeRespFrame(t, conn, id1, p1)
@@ -305,7 +312,7 @@ func TestMuxReorderedResponses(t *testing.T) {
 			}
 			results[i] = string(resp.Payload)
 		}(i)
-		time.Sleep(50 * time.Millisecond) // deterministic arrival order
+		<-received // call i+1 leaves after the server has read call i
 	}
 	wg.Wait()
 	for i, got := range results {
@@ -700,6 +707,22 @@ func TestMuxCallBatchAbandonReleasesAllSlots(t *testing.T) {
 	}
 }
 
+// parkSpy is a weightedSem's cond locker in a test. Only cond.Wait unlocks
+// through it, once the waiter is on the cond's list, so its Unlock says a
+// waiter is parked.
+type parkSpy struct {
+	*sync.Mutex
+	parked chan struct{}
+}
+
+func (p parkSpy) Unlock() {
+	select {
+	case p.parked <- struct{}{}:
+	default:
+	}
+	p.Mutex.Unlock()
+}
+
 // TestWeightedSem pins the server admission semaphore: acquisition blocks
 // until weight is released, close unblocks waiters with failure, and a
 // frame's weight is bounded by capacity.
@@ -725,9 +748,11 @@ func TestWeightedSem(t *testing.T) {
 		t.Fatalf("release did not unblock waiter")
 	}
 
+	parked := make(chan struct{}, 1)
+	sem.cond = sync.NewCond(parkSpy{&sem.mu, parked})
 	blocked := make(chan bool)
 	go func() { blocked <- sem.acquire(100) }()
-	time.Sleep(20 * time.Millisecond)
+	<-parked
 	sem.close()
 	select {
 	case ok := <-blocked:
