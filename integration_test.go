@@ -9,6 +9,7 @@ import (
 
 	"aeon"
 	"aeon/internal/emanager"
+	"aeon/internal/schema"
 )
 
 // TestIntegrationFullLifecycle exercises the whole stack through the public
@@ -20,7 +21,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	emanager.RegisterSnapshotType(&accountState{})
+	schema.RegisterWireType(&accountState{})
 
 	sys, err := aeon.New(
 		aeon.WithSchema(bankSchema(t)),

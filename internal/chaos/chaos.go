@@ -508,20 +508,13 @@ func (r *runner) restoreSnapshots(nn *node.Node, srv cluster.ServerID) {
 	ids := nn.Runtime().Directory().HostedOn(srv)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, ctx := range ids {
-		keys, err := nn.Store().List(fmt.Sprintf("snapshot/%d/", uint64(ctx)))
-		if err != nil || len(keys) == 0 {
+		key, ok, err := nn.Manager().LatestSnapshot(ctx)
+		if err != nil || !ok {
 			continue
 		}
-		best, bestSeq := "", uint64(0)
-		for _, k := range keys {
-			var root, seq uint64
-			if _, err := fmt.Sscanf(k, "snapshot/%d/%d", &root, &seq); err == nil && seq >= bestSeq {
-				best, bestSeq = k, seq
-			}
-		}
-		states, err := nn.Manager().LoadSnapshot(best)
+		states, err := nn.Manager().LoadSnapshot(key)
 		if err != nil {
-			r.violate("restore %v: load %q: %v", ctx, best, err)
+			r.violate("restore %v: load %q: %v", ctx, key, err)
 			continue
 		}
 		if err := nn.Manager().Restore(states); err != nil {

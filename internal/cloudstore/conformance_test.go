@@ -6,21 +6,24 @@ package cloudstore_test
 // node.RemoteStore → mesh → node.StoreServer next to the in-package Doers.
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	. "aeon/internal/cloudstore"
+	"aeon/internal/cluster"
+	"aeon/internal/core"
 	"aeon/internal/node"
+	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
 // remoteStore serves st from a StoreServer on a fresh in-memory mesh and
-// returns a RemoteStore client to it: every op crosses the full
+// returns the store handle of a node that keeps no store of its own: the
+// RemoteStore the fleet wires, so every op crosses the full
 // encode → handle → Do → schema.Err path.
-func remoteStore(t *testing.T, st Backend) *node.RemoteStore {
+func remoteStore(t *testing.T, st Backend) Doer {
 	t.Helper()
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
 	srv, err := node.ServeStore(mesh, node.StoreIDBase+1, st)
@@ -28,14 +31,20 @@ func remoteStore(t *testing.T, st Backend) *node.RemoteStore {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	ep, err := mesh.Attach(999, func(context.Context, transport.NodeID, transport.Message) (transport.Message, error) {
-		return transport.Message{}, errors.New("client endpoint serves nothing")
-	})
+	s := schema.New()
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.New(s, ownership.NewGraph(), cluster.New(transport.NewSim(transport.SimConfig{})), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ep.Close() })
-	return node.NewRemoteStore(ep, node.StoreIDBase+1, 5*time.Second, nil)
+	n, err := node.Start(mesh, node.Config{ID: 999, Runtime: rt, StoreNode: node.StoreIDBase + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close(); rt.Close() })
+	return n.Store().(*node.RemoteStore)
 }
 
 // doers are the five implementations of the surface. replica says whether

@@ -238,18 +238,6 @@ func (d *Directory) HostedOn(s cluster.ServerID) []ownership.ID {
 	return out
 }
 
-// Len returns the number of placed contexts.
-func (d *Directory) Len() int {
-	n := 0
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.RLock()
-		n += len(sh.loc)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // Snapshot copies the full context→server mapping, shard by shard. The
 // eManager uses it to persist the authoritative copy to cloud storage
 // (§ 5.1); each shard is internally consistent, and placements that race the

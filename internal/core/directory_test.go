@@ -18,8 +18,8 @@ func TestDirectoryPlaceLocate(t *testing.T) {
 	if _, ok := d.Locate(ownership.ID(2)); ok {
 		t.Fatal("unknown context should not locate")
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len = %d", d.Len())
+	if n := len(d.Snapshot()); n != 1 {
+		t.Fatalf("%d contexts placed; want 1", n)
 	}
 }
 

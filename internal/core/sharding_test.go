@@ -343,7 +343,7 @@ func TestShardedRuntimeStress(t *testing.T) {
 	}
 
 	// All private contexts were destroyed: only the shared rooms remain.
-	if n := rt.Directory().Len(); n != nShared {
+	if n := len(rt.Directory().Snapshot()); n != nShared {
 		t.Fatalf("directory len = %d; want %d", n, nShared)
 	}
 	if got := rt.reg.len(); got != nShared {

@@ -2,6 +2,8 @@ package emanager
 
 import (
 	"testing"
+
+	"aeon/internal/schema"
 )
 
 // TestSnapshotSeqContinuesAboveStoreMax pins the cross-process sequence
@@ -10,7 +12,7 @@ import (
 // continue above the store's maximum — otherwise failure recovery would
 // pick a pre-migration checkpoint as "latest" and restore stale state.
 func TestSnapshotSeqContinuesAboveStoreMax(t *testing.T) {
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	f := newFixture(t, 1, 1)
 	room := f.rooms[0]
 	if _, err := f.rt.Submit(room, "inc"); err != nil {
@@ -41,7 +43,7 @@ func TestSnapshotSeqContinuesAboveStoreMax(t *testing.T) {
 		t.Fatalf("new process wrote seq %d under existing max %d",
 			snapshotSeqOf(keyNew), snapshotSeqOf(lastOld))
 	}
-	latest, ok, err := f.mgr.latestSnapshotKey(room)
+	latest, ok, err := f.mgr.LatestSnapshot(room)
 	if err != nil || !ok || latest != keyNew {
 		t.Fatalf("latest = %q ok=%v err=%v, want %q", latest, ok, err, keyNew)
 	}
@@ -59,7 +61,7 @@ func TestSnapshotSeqContinuesAboveStoreMax(t *testing.T) {
 // PutBatch), not N Puts — mirroring the migration engine's batched mapping
 // publish.
 func TestCheckpointServerBatchesStoreWrites(t *testing.T) {
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	f := newFixture(t, 1, 8)
 	for _, room := range f.rooms {
 		if _, err := f.rt.Submit(room, "inc"); err != nil {

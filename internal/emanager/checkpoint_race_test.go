@@ -9,6 +9,7 @@ import (
 	"aeon/internal/cluster"
 	"aeon/internal/core"
 	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -45,7 +46,7 @@ func (s *contentiousStore) CreateBatch(entries map[string][]byte) (uint64, error
 // silently replace the competitor's checkpoint with state captured earlier,
 // leaving "latest" pointing at data both sweeps believed superseded.
 func TestCheckpointServerSurvivesConcurrentSweep(t *testing.T) {
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	s := testSchema(t)
 	cl := cluster.New(transport.NullNetwork{})
 	cl.AddServer(cluster.M3Large)
@@ -82,7 +83,7 @@ func TestCheckpointServerSurvivesConcurrentSweep(t *testing.T) {
 	}
 
 	// The sweep re-keyed above the competitor instead of overwriting it.
-	latest, ok, err := mgr.latestSnapshotKey(room)
+	latest, ok, err := mgr.LatestSnapshot(room)
 	if err != nil || !ok {
 		t.Fatalf("latest snapshot: ok=%v err=%v", ok, err)
 	}

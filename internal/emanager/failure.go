@@ -124,10 +124,10 @@ func (m *Manager) CheckpointServer(srv cluster.ServerID) (int, error) {
 	return count, nil
 }
 
-// latestSnapshotKey finds the most recent snapshot of a context in the
-// store (keys are "snapshot/<ctx>/<seq>" with monotonically increasing
-// sequence numbers).
-func (m *Manager) latestSnapshotKey(id ownership.ID) (string, bool, error) {
+// LatestSnapshot finds the key of the most recent snapshot of a context in
+// the store (keys are "snapshot/<ctx>/<seq>" with monotonically increasing
+// sequence numbers); ok is false when the context has none.
+func (m *Manager) LatestSnapshot(id ownership.ID) (key string, ok bool, err error) {
 	prefix := fmt.Sprintf("snapshot/%d/", uint64(id))
 	keys, err := m.store.List(prefix)
 	if err != nil {
@@ -195,7 +195,7 @@ func (m *Manager) RecoverServerFailure(failed cluster.ServerID) (*FailureReport,
 			release()
 			return report, err
 		}
-		key, ok, err := m.latestSnapshotKey(id)
+		key, ok, err := m.LatestSnapshot(id)
 		if err != nil {
 			release()
 			return report, err

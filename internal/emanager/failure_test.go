@@ -2,10 +2,12 @@ package emanager
 
 import (
 	"testing"
+
+	"aeon/internal/schema"
 )
 
 func TestCheckpointAndRecoverServerFailure(t *testing.T) {
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	f := newFixture(t, 2, 4)
 
 	// Put some state into every room.
@@ -89,7 +91,7 @@ func TestRecoverServerFailureWithoutCheckpoints(t *testing.T) {
 }
 
 func TestLatestSnapshotKeyPicksNewest(t *testing.T) {
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	f := newFixture(t, 1, 1)
 	room := f.rooms[0]
 	var lastKey string
@@ -103,7 +105,7 @@ func TestLatestSnapshotKeyPicksNewest(t *testing.T) {
 		}
 		lastKey = k
 	}
-	got, ok, err := f.mgr.latestSnapshotKey(room)
+	got, ok, err := f.mgr.LatestSnapshot(room)
 	if err != nil || !ok {
 		t.Fatalf("latest = %v %v", ok, err)
 	}

@@ -539,7 +539,7 @@ func TestPolicyLoopStartStop(t *testing.T) {
 
 func TestSnapshotAndRestore(t *testing.T) {
 	f := newFixture(t, 2, 1)
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	room := f.rooms[0]
 	item, _ := f.rt.CreateContext("Item", room)
 	for i := 0; i < 3; i++ {
@@ -634,7 +634,7 @@ func TestSnapshotIsConsistentUnderLoad(t *testing.T) {
 	cl.AddServer(cluster.M3Large)
 	rt, _ := core.New(s, ownership.NewGraph(), cl, core.Config{AcquireTimeout: 10 * time.Second})
 	defer rt.Close()
-	RegisterSnapshotType(&counterState{})
+	schema.RegisterWireType(&counterState{})
 	mgr := New(rt, cloudstore.New(), DefaultConfig())
 
 	pairID, _ := rt.CreateContext("Pair")

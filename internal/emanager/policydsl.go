@@ -93,16 +93,6 @@ func CompilePolicy(src string) (*DSLPolicy, error) {
 	return p, nil
 }
 
-// MustCompilePolicy is CompilePolicy that panics on error (program
-// initialization).
-func MustCompilePolicy(src string) *DSLPolicy {
-	p, err := CompilePolicy(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func (p *DSLPolicy) compileLine(line string) error {
 	fields := strings.Fields(line)
 	switch fields[0] {

@@ -50,8 +50,18 @@ func TestCompilePolicyErrors(t *testing.T) {
 	}
 }
 
+// mustCompile compiles src or fails the test.
+func mustCompile(t *testing.T, src string) *DSLPolicy {
+	t.Helper()
+	p, err := CompilePolicy(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestDSLPolicyLatencyScaleOut(t *testing.T) {
-	p := MustCompilePolicy(`
+	p := mustCompile(t, `
 when latency > 10ms add server m1.small
 cooldown 1ns
 max servers 4
@@ -81,7 +91,7 @@ max servers 4
 }
 
 func TestDSLPolicyMaxServersCap(t *testing.T) {
-	p := MustCompilePolicy("when latency > 1ms add server m1.small\nmax servers 2\ncooldown 1ns")
+	p := mustCompile(t, "when latency > 1ms add server m1.small\nmax servers 2\ncooldown 1ns")
 	stats := Stats{
 		RecentLatency: time.Second,
 		Servers:       []ServerStat{{ID: 1}, {ID: 2}},
@@ -92,7 +102,7 @@ func TestDSLPolicyMaxServersCap(t *testing.T) {
 }
 
 func TestDSLPolicyScaleInFloor(t *testing.T) {
-	p := MustCompilePolicy("when latency < 5ms remove server\nmin servers 2\ncooldown 1ns")
+	p := mustCompile(t, "when latency < 5ms remove server\nmin servers 2\ncooldown 1ns")
 	stats := Stats{
 		RecentLatency: time.Millisecond,
 		Servers:       []ServerStat{{ID: 1, Hosted: 3}, {ID: 2, Hosted: 0}, {ID: 3, Hosted: 2}},
@@ -106,7 +116,7 @@ func TestDSLPolicyScaleInFloor(t *testing.T) {
 		t.Fatalf("action = %#v; want RemoveServer{2} (emptiest)", actions[0])
 	}
 	// At the floor: no action.
-	p2 := MustCompilePolicy("when latency < 5ms remove server\nmin servers 2\ncooldown 1ns")
+	p2 := mustCompile(t, "when latency < 5ms remove server\nmin servers 2\ncooldown 1ns")
 	atFloor := Stats{RecentLatency: time.Millisecond, Servers: []ServerStat{{ID: 1}, {ID: 2}}}
 	if actions := p2.Decide(atFloor); len(actions) != 0 {
 		t.Fatalf("actions = %v; want none at floor", actions)
@@ -114,7 +124,7 @@ func TestDSLPolicyScaleInFloor(t *testing.T) {
 }
 
 func TestDSLPolicyUtilAndHostedRules(t *testing.T) {
-	p := MustCompilePolicy(`
+	p := mustCompile(t, `
 when util > 0.8 rebalance 0.5
 when hosted > 10 rebalance 0.25
 cooldown 1ns
@@ -131,7 +141,7 @@ cooldown 1ns
 		t.Fatalf("action = %#v", actions[0])
 	}
 	// Hosted rule fires when util rule does not.
-	p2 := MustCompilePolicy("when hosted > 10 rebalance 0.25\ncooldown 1ns")
+	p2 := mustCompile(t, "when hosted > 10 rebalance 0.25\ncooldown 1ns")
 	actions = p2.Decide(Stats{Servers: []ServerStat{{ID: 3, Hosted: 12}}})
 	if len(actions) != 1 || actions[0].(Rebalance).Server != 3 {
 		t.Fatalf("actions = %v", actions)
@@ -139,7 +149,7 @@ cooldown 1ns
 }
 
 func TestDSLPolicyCooldown(t *testing.T) {
-	p := MustCompilePolicy("when latency > 1ms add server m1.small\ncooldown 1h")
+	p := mustCompile(t, "when latency > 1ms add server m1.small\ncooldown 1h")
 	stats := Stats{RecentLatency: time.Second, Servers: []ServerStat{{ID: 1}}}
 	if actions := p.Decide(stats); len(actions) == 0 {
 		t.Fatal("first decision should fire")
@@ -151,7 +161,7 @@ func TestDSLPolicyCooldown(t *testing.T) {
 
 func TestDSLPolicyDrivesManager(t *testing.T) {
 	f := newFixture(t, 1, 2)
-	f.mgr.AddPolicy(MustCompilePolicy(`
+	f.mgr.AddPolicy(mustCompile(t, `
 when latency > 1ns add server m1.small
 max servers 2
 cooldown 1ns

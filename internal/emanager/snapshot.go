@@ -20,12 +20,6 @@ type Checkpointer interface {
 	CheckpointState() any
 }
 
-// RegisterSnapshotType registers an application state type with the shared
-// wire codec (see schema.RegisterWireType); call once per state type at
-// startup. The same registration covers checkpoints, migration state
-// transfer, and node wire frames, so the codecs cannot drift.
-func RegisterSnapshotType(v any) { schema.RegisterWireType(v) }
-
 type snapshotPayload struct {
 	Root   uint64
 	States map[uint64][]byte

@@ -4,8 +4,9 @@
 // ordering flows down the tree hand-over-hand — so the root is a sequencing
 // bottleneck ("EventWave guarantees strict-serializability by totally
 // ordering all requests at the (single) root context ... this clearly
-// limits scalability"). Migration halts all execution for its duration
-// ("halting all executions during migration", § 2.1).
+// limits scalability"). EventWave's migration, which halts all execution
+// for its duration (§ 2.1), is not modelled: no figure migrates on the
+// baseline.
 //
 // The package reuses the schema declarations of the AEON applications so
 // the same handler code runs on both systems; ownership is restricted to a
@@ -125,10 +126,6 @@ type Runtime struct {
 	root     ownership.ID
 	nextID   ownership.ID
 
-	// migrationGate is held in write mode during migrations: EventWave
-	// halts all event execution while a context moves.
-	migrationGate sync.RWMutex
-
 	closed atomic.Bool
 	subWG  sync.WaitGroup
 
@@ -232,14 +229,6 @@ func (r *Runtime) State(id ownership.ID) (any, error) {
 	return c.state, nil
 }
 
-// Location returns a context's hosting server.
-func (r *Runtime) Location(id ownership.ID) (cluster.ServerID, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.location[id]
-	return s, ok
-}
-
 // Submit runs one event to completion: sequencing at the root, then a
 // hand-over-hand descent to the target, then execution holding the target's
 // subtree.
@@ -252,10 +241,6 @@ func (r *Runtime) run(target ownership.ID, method string, args []any, asSub bool
 		return nil, ErrClosed
 	}
 	start := time.Now()
-
-	// Migration halts all execution.
-	r.migrationGate.RLock()
-	defer r.migrationGate.RUnlock()
 
 	r.mu.RLock()
 	root := r.root
@@ -390,44 +375,4 @@ func (r *Runtime) pathFromRoot(target ownership.ID) ([]ownership.ID, error) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, nil
-}
-
-// Migrate moves a context to another server, halting all event execution
-// for the duration (EventWave's stop-the-world migration).
-func (r *Runtime) Migrate(id ownership.ID, to cluster.ServerID) error {
-	r.migrationGate.Lock()
-	defer r.migrationGate.Unlock()
-
-	r.mu.Lock()
-	from, ok := r.location[id]
-	if !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%v: %w", id, ErrUnknown)
-	}
-	r.mu.Unlock()
-	if from == to {
-		return nil
-	}
-	dst, ok := r.cluster.Server(to)
-	if !ok {
-		return cluster.ErrNoSuchServer
-	}
-	// Transfer cost at NIC bandwidth.
-	bytes := 1024
-	if st, err := r.State(id); err == nil {
-		if s, ok := st.(interface{ StateBytes() int }); ok {
-			bytes = s.StateBytes()
-		}
-	}
-	if mbps := dst.Profile().MigrationMBps; mbps > 0 {
-		time.Sleep(time.Duration(float64(bytes) / (mbps * 1e6) * float64(time.Second)))
-	}
-	r.mu.Lock()
-	r.location[id] = to
-	r.mu.Unlock()
-	if src, ok := r.cluster.Server(from); ok {
-		src.AddHosted(-1)
-	}
-	dst.AddHosted(1)
-	return nil
 }

@@ -266,34 +266,6 @@ func TestAsyncChildren(t *testing.T) {
 	}
 }
 
-func TestMigrationStopsTheWorldAndPreservesState(t *testing.T) {
-	w := newWorld(t, 2, 2, 0)
-	room := w.rooms[0]
-	if _, err := w.rt.Submit(room, "inc"); err != nil {
-		t.Fatal(err)
-	}
-	from, _ := w.rt.Location(room)
-	var to cluster.ServerID
-	for _, s := range w.rt.Cluster().Servers() {
-		if s.ID() != from {
-			to = s.ID()
-		}
-	}
-	if err := w.rt.Migrate(room, to); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := w.rt.Location(room); got != to {
-		t.Fatalf("location = %v; want %v", got, to)
-	}
-	res, err := w.rt.Submit(room, "inc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.(int) != 2 {
-		t.Fatalf("count = %v; want 2", res)
-	}
-}
-
 func TestDirectOwnershipEnforced(t *testing.T) {
 	w := newWorld(t, 1, 2, 1)
 	other := w.items[w.rooms[1]][0]

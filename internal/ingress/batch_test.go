@@ -123,7 +123,7 @@ func TestClientBatchStaleRouteRepair(t *testing.T) {
 	}
 
 	fwdBefore := d.Nodes[1].Forwarded()
-	subBatchesBefore := d.Nodes[0].Batches()
+	subBatchesBefore := batchFrames(t, d.Nodes[0])
 	res := c.SubmitBatch([]ingress.BatchItem{
 		{Target: acct, Method: "deposit", Args: []any{1}},
 		{Target: acct, Method: "deposit", Args: []any{1}},
@@ -138,7 +138,7 @@ func TestClientBatchStaleRouteRepair(t *testing.T) {
 		t.Fatalf("stale batch forwarded %d events, want 3", got)
 	}
 	// The three misrouted events must ride one regrouped sub-batch frame.
-	if got := d.Nodes[0].Batches() - subBatchesBefore; got != 1 {
+	if got := batchFrames(t, d.Nodes[0]) - subBatchesBefore; got != 1 {
 		t.Fatalf("forwarding used %d sub-batch frames, want 1", got)
 	}
 	if host, ok := c.Route(acct); !ok || host != 1 {
@@ -164,7 +164,7 @@ func TestClientBatchChunking(t *testing.T) {
 	if _, err := c.Submit(acct, "deposit", 0); err != nil { // warm the route
 		t.Fatal(err)
 	}
-	before := d.Nodes[0].Batches()
+	before := batchFrames(t, d.Nodes[0])
 	items := make([]ingress.BatchItem, 30)
 	for i := range items {
 		items[i] = ingress.BatchItem{Target: acct, Method: "deposit", Args: []any{1}}
@@ -174,7 +174,7 @@ func TestClientBatchChunking(t *testing.T) {
 			t.Fatalf("chunked deposit %d: %v", i, r.Err)
 		}
 	}
-	if got := d.Nodes[0].Batches() - before; got != 4 {
+	if got := batchFrames(t, d.Nodes[0]) - before; got != 4 {
 		t.Fatalf("30 events at MaxBatch=8 used %d frames, want 4", got)
 	}
 	if bal, err := c.Submit(acct, "balance"); err != nil || bal.(int) != 1030 {
@@ -251,7 +251,7 @@ func TestClientCoalescedGo(t *testing.T) {
 	if _, err := c.Submit(acct, "deposit", 0); err != nil { // warm the route
 		t.Fatal(err)
 	}
-	before := d.Nodes[0].Batches() + d.Nodes[1].Batches()
+	before := batchFrames(t, d.Nodes[0]) + batchFrames(t, d.Nodes[1])
 	const deposits = 100
 	futures := make([]*ingress.Future, 0, deposits)
 	for i := 0; i < deposits; i++ {
@@ -262,7 +262,7 @@ func TestClientCoalescedGo(t *testing.T) {
 			t.Fatalf("coalesced deposit %d: %v", i, err)
 		}
 	}
-	frames := d.Nodes[0].Batches() + d.Nodes[1].Batches() - before
+	frames := batchFrames(t, d.Nodes[0]) + batchFrames(t, d.Nodes[1]) - before
 	if frames == 0 || frames > 20 {
 		t.Fatalf("%d deposits rode %d batch frames, want coalescing (1..20)", deposits, frames)
 	}
@@ -311,7 +311,7 @@ func deployGated(t *testing.T, cfg ingress.Config) (*gatedIoT, *node.Node, *ingr
 	t.Helper()
 	g := &gatedIoT{IoT: workload.NewIoT(1, 0), entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	mesh := transport.NewTCPMesh()
-	d, err := node.Deploy(mesh, node.Topology{Nodes: 1, Scenario: g})
+	d, err := node.Deploy(mesh, node.Topology{Nodes: 1, Scenario: g, EnableOps: true})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
@@ -385,14 +385,14 @@ func TestCoalescerIdleWireNeedsNoTimer(t *testing.T) {
 func TestCoalescerGathersBehindFrameInFlight(t *testing.T) {
 	ingress.UseManualClock(t) // the linger never fires
 	g, n, c := deployGated(t, ingress.Config{})
-	before := n.Batches()
+	before := batchFrames(t, n)
 	first := g.park(t, c)
 	const k = 9
 	var futures []*ingress.Future
 	for i := 0; i < k; i++ {
 		futures = append(futures, c.Go(g.sensor(1+i%2), "ingest", 1))
 	}
-	if got := n.Batches() - before; got != 1 {
+	if got := batchFrames(t, n) - before; got != 1 {
 		t.Fatalf("%d frames reached the node while the first was in flight, want 1", got)
 	}
 	g.open()
@@ -404,7 +404,7 @@ func TestCoalescerGathersBehindFrameInFlight(t *testing.T) {
 			t.Fatalf("gathered event %d: %v", i, err)
 		}
 	}
-	if got := n.Batches() - before; got != 2 {
+	if got := batchFrames(t, n) - before; got != 2 {
 		t.Fatalf("%d events rode %d frames, want 2 (1, then %d)", 1+k, got, k)
 	}
 	if st := c.CoalescerStats(); st.FlushIdle != 2 || st.Flushes != 2 || st.Events != 1+k || st.FlushLinger != 0 {

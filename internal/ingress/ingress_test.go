@@ -1,8 +1,11 @@
 package ingress_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +21,7 @@ import (
 func deployTCP(t testing.TB, nodes int) (*node.Deployment, *transport.TCPMesh) {
 	t.Helper()
 	mesh := transport.NewTCPMesh()
-	d, err := node.Deploy(mesh, node.Topology{Nodes: nodes})
+	d, err := node.Deploy(mesh, node.Topology{Nodes: nodes, EnableOps: true})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
 	}
@@ -27,6 +30,27 @@ func deployTCP(t testing.TB, nodes int) (*node.Deployment, *transport.TCPMesh) {
 		t.Fatalf("deployment not ready: %v", err)
 	}
 	return d, mesh
+}
+
+// batchFrames reads how many batch submit frames n has handled off its
+// admin plane, as an operator's scrape would.
+func batchFrames(t *testing.T, n *node.Node) uint64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := n.Ops().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "aeon_node_batch_frames_total "); ok {
+			frames, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return frames
+		}
+	}
+	t.Fatal("the node's exposition has no aeon_node_batch_frames_total")
+	return 0
 }
 
 func dial(t testing.TB, mesh transport.Mesh, d *node.Deployment, cfg ingress.Config) *ingress.Client {

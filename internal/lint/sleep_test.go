@@ -3,7 +3,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -29,19 +28,34 @@ const (
 	work = "test work"
 )
 
-// sleeps is the ratchet: every time.Sleep call under internal/, keyed by file
-// and enclosing function, with its class and how many calls that function
-// makes. A new sleep fails the test until it is listed here with a class; a
-// listed one that is gone fails it until its entry is deleted.
-var sleeps = []struct {
+// Why a time.After is allowed to stay. Each is a test's bounded wait.
+const (
+	// guard bounds a wait for something that must happen: the test fails
+	// when it fires.
+	guard = "guard"
+	// quiet is a window in which something must not happen: the test
+	// passes when it fires, and a slow machine can only hide a failure,
+	// never invent one.
+	quiet = "quiet window"
+)
+
+// site is one function's calls of a timing primitive, with why they stay.
+type site struct {
 	class, file, fn string
 	n               int
-}{
+}
+
+// sleeps and afters are the ratchet: every time.Sleep and time.After call
+// under internal/, keyed by file and enclosing function, with its class and
+// how many calls that function makes (a function with calls of two classes
+// has an entry for each). A new call fails the test until it is listed here
+// with a class; a listed one that is gone fails it until its entry is
+// deleted.
+var sleeps = []site{
 	{modelled, "bench/migration_exps.go", "Fig8", 1},
 	{modelled, "cloudstore/cloudstore.go", "(*Store).charge", 1},
 	{modelled, "cluster/cluster.go", "(*Server).Work", 1},
 	{modelled, "core/runtime.go", "(*Runtime).CreateContextOn", 1},
-	{modelled, "eventwave/eventwave.go", "(*Runtime).Migrate", 1},
 	{modelled, "migration/engine.go", "(*Engine).run", 2},
 	{modelled, "transport/network.go", "(*SimNetwork).Hop", 1},
 	{modelled, "workload/workload.go", "RunClosedLoopSeries", 1},
@@ -61,36 +75,93 @@ var sleeps = []struct {
 	{work, "workload/workload_test.go", "TestRunRamp", 1},
 }
 
-// TestSleepRatchet holds every time.Sleep under internal/ to the list above.
+var afters = []site{
+	{guard, "core/lock_test.go", "TestLockExclusiveBlocks", 1},
+	{guard, "core/lock_test.go", "TestLockFIFONoReaderBarging", 1},
+	{guard, "core/lock_test.go", "TestLockSharedReaders", 1},
+	{guard, "core/lock_test.go", "TestLockTimeoutPumpsWaitersBehind", 1},
+	{guard, "core/lock_test.go", "TestLockWriterWaitsForReaders", 1},
+	{guard, "core/migration_support_test.go", "TestLockGroupForMigrationTimeoutReleasesAll", 1},
+	{guard, "core/runtime_test.go", "TestCrabReleasesEarly", 1},
+	{guard, "core/runtime_test.go", "TestReadOnlyEventsRunConcurrently", 1},
+	{guard, "core/runtime_test.go", "TestSubmitManyParallelRooms", 1},
+	{guard, "core/subcall_test.go", "TestInWindowEventTakesNoDirectoryLock", 1},
+	{guard, "eventwave/eventwave_test.go", "TestPipelineParallelismBelowRoot", 1},
+	{guard, "ingress/batch_test.go", "(*gatedIoT).park", 1},
+	{guard, "ingress/batch_test.go", "await", 1},
+	{guard, "ingress/learn_test.go", "applyWithCacheLocked", 1},
+	{guard, "migration/stress_test.go", "TestDisjointGroupsOverlapInTime", 1},
+	{guard, "node/fault_test.go", "TestCrashedNodeFailsFastAndQueuedWorkDrains", 1},
+	{guard, "node/fault_test.go", "TestDroppedCallFailsTypedNotWedged", 1},
+	{guard, "node/node_test.go", "TestShutdownFrame", 1},
+	{guard, "ops/ops_test.go", "TestEventNotifyWakesFollower", 1},
+	{guard, "orleans/orleans_test.go", "TestDeferredReply", 1},
+	{guard, "orleans/orleans_test.go", "TestStatelessWorkersRunConcurrently", 1},
+	{guard, "transport/endpoint_test.go", "TestWorkerPoolNeverStrandsAJob", 1},
+	{guard, "transport/muxout_test.go", "TestFlusherCaptureIsBounded", 1},
+	{guard, "transport/stream_test.go", "TestMuxServerShutdownCancelsHandlers", 1},
+	{guard, "transport/stream_test.go", "TestWeightedSem", 2},
+
+	{quiet, "core/lock_test.go", "TestLockExclusiveBlocks", 1},
+	{quiet, "core/lock_test.go", "TestLockFIFONoReaderBarging", 2},
+	{quiet, "core/lock_test.go", "TestLockWriterWaitsForReaders", 1},
+	{quiet, "core/migration_support_test.go", "TestLockGroupForMigrationStopsWholeGroup", 1},
+	{quiet, "core/runtime_test.go", "TestMigrationLockDrainsAndBlocks", 1},
+	{quiet, "orleans/orleans_test.go", "TestDeferredReply", 1},
+	{quiet, "orleans/orleans_test.go", "TestNonReentrantWhileAwaiting", 1},
+	{quiet, "transport/stream_test.go", "TestWeightedSem", 1},
+
+	{probe, "migration/stress_test.go", "TestDisjointGroupsOverlapInTime", 1},
+}
+
+// TestSleepRatchet holds every time.Sleep and time.After under internal/ to
+// the lists above.
 func TestSleepRatchet(t *testing.T) {
-	found, err := sleepSites("..")
+	found, err := timeCalls("..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range sleeps {
+	ratchet(t, "time.Sleep", sleeps, found["Sleep"])
+	ratchet(t, "time.After", afters, found["After"])
+}
+
+// ratchet compares the calls of one primitive found per function with its
+// list.
+func ratchet(t *testing.T, call string, listed []site, found map[string]int) {
+	t.Helper()
+	want, classes := map[string]int{}, map[string][]string{}
+	for _, s := range listed {
 		key := s.file + " " + s.fn
-		switch got := found[key]; {
-		case got == 0:
-			t.Errorf("stale entry: %s (%s) calls time.Sleep no more; delete it from sleeps", key, s.class)
-		case got != s.n:
-			t.Errorf("%s calls time.Sleep %d times, listed as %d (%s)", key, got, s.n, s.class)
+		want[key] += s.n
+		classes[key] = append(classes[key], s.class)
+	}
+	var keys []string
+	for key := range want {
+		keys = append(keys, key)
+	}
+	for key := range found {
+		if want[key] == 0 {
+			keys = append(keys, key)
 		}
-		delete(found, key)
 	}
-	var unlisted []string
-	for key, n := range found {
-		unlisted = append(unlisted, fmt.Sprintf("%s (%d)", key, n))
-	}
-	sort.Strings(unlisted)
-	for _, u := range unlisted {
-		t.Errorf("unlisted time.Sleep in %s: wait on the event, or list it in sleeps with a class", u)
+	sort.Strings(keys)
+	for _, key := range keys {
+		switch got, n := found[key], want[key]; {
+		case n == 0:
+			t.Errorf("unlisted %s in %s (%d): wait on the event, or list it with a class", call, key, got)
+		case got == 0:
+			t.Errorf("stale entry: %s (%s) calls %s no more; delete it", key, strings.Join(classes[key], ", "), call)
+		case got != n:
+			t.Errorf("%s calls %s %d times, listed as %d (%s)", key, call, got, n, strings.Join(classes[key], ", "))
+		}
 	}
 }
 
-// sleepSites counts the time.Sleep calls in every Go file under root, keyed
-// by the file's path relative to root and its enclosing function.
-func sleepSites(root string) (map[string]int, error) {
-	found := map[string]int{}
+// timeCalls counts the time.Sleep and time.After calls in every Go file
+// under root, by the function called, then by the file's path relative to
+// root and its enclosing function.
+func timeCalls(root string) (map[string]map[string]int, error) {
+	found := map[string]map[string]int{"Sleep": {}, "After": {}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -110,8 +181,8 @@ func sleepSites(root string) (map[string]int, error) {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if isTimeSleep(n) {
-					found[filepath.ToSlash(rel)+" "+funcName(fn)]++
+				if name := timeCall(n); found[name] != nil {
+					found[name][filepath.ToSlash(rel)+" "+funcName(fn)]++
 				}
 				return true
 			})
@@ -121,18 +192,20 @@ func sleepSites(root string) (map[string]int, error) {
 	return found, err
 }
 
-// isTimeSleep reports whether n is a call of time.Sleep.
-func isTimeSleep(n ast.Node) bool {
+// timeCall returns the name of the time package function n calls, or "".
+func timeCall(n ast.Node) string {
 	call, ok := n.(*ast.CallExpr)
 	if !ok {
-		return false
+		return ""
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return ""
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "time" && sel.Sel.Name == "Sleep"
+	if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+		return sel.Sel.Name
+	}
+	return ""
 }
 
 // funcName renders a declaration as Name, or (T).Name and (*T).Name for a

@@ -1,18 +1,11 @@
 package lint
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -29,96 +22,39 @@ const valuePath = "aeon/internal/schema"
 // result becomes an `any` through Value.Any, which is a call, not a
 // conversion.
 func TestNoValueAsInterface(t *testing.T) {
-	found, err := valueConversions("../..")
+	u, err := load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, site := range found {
+	for _, site := range valueConversions(u) {
 		t.Errorf("%s: a schema.Value converted to an interface; pass v.Any() or keep the Value", site)
 	}
 }
 
-// valueConversions type-checks every non-test package of the module rooted
-// at root and returns, sorted, the position and enclosing function of each
-// place a schema.Value is converted to an interface type. Imports are read
-// from the export data `go list -export` leaves in the build cache.
-func valueConversions(root string) ([]string, error) {
-	cmd := exec.Command("go", "list", "-export", "-deps", "-f",
-		"{{.ImportPath}}\t{{.Export}}\t{{if .Module}}{{.Module.Main}}{{end}}\t{{.Dir}}\t{{join .GoFiles \" \"}}", "./...")
-	cmd.Dir = root
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
-	}
-	exports := map[string]string{}
-	type pkg struct {
-		path, dir string
-		files     []string
-	}
-	var own []pkg
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	for sc.Scan() {
-		f := strings.Split(sc.Text(), "\t")
-		if len(f) != 5 {
-			return nil, fmt.Errorf("go list: unexpected line %q", sc.Text())
-		}
-		exports[f[0]] = f[1]
-		if f[2] == "true" && f[4] != "" {
-			own = append(own, pkg{f[0], f[3], strings.Fields(f[4])})
-		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if exports[path] == "" {
-			return nil, fmt.Errorf("no export data for %s", path)
-		}
-		return os.Open(exports[path])
-	})
-	absRoot, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
+// valueConversions returns, sorted, the position and enclosing function of
+// each place the root module's non-test code converts a schema.Value to an
+// interface type.
+func valueConversions(u *universe) []string {
 	var found []string
-	for _, p := range own {
-		var files []*ast.File
-		for _, name := range p.files {
-			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, 0)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
+	for _, p := range u.pkgs {
+		if p.module != rootModule {
+			continue
 		}
-		info := &types.Info{
-			Types: map[ast.Expr]types.TypeAndValue{},
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-		}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(p.path, fset, files, info); err != nil {
-			return nil, err
-		}
-		for _, f := range files {
-			rel, err := filepath.Rel(absRoot, fset.File(f.Pos()).Name())
-			if err != nil {
-				return nil, err
-			}
-			rel = filepath.ToSlash(rel)
+		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
-				for _, pos := range valueToInterface(info, fn) {
-					p := fset.Position(pos)
-					found = append(found, fmt.Sprintf("%s:%d:%d (%s)", rel, p.Line, p.Column, funcName(fn)))
+				for _, pos := range valueToInterface(p.info, fn) {
+					at := u.fset.Position(pos)
+					found = append(found, fmt.Sprintf("%s:%d (%s)", u.rel(pos), at.Column, funcName(fn)))
 				}
 			}
 		}
 	}
 	sort.Strings(found)
-	return found, nil
+	return found
 }
 
 // isValue reports whether t is schema.Value.

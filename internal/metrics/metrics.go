@@ -342,6 +342,3 @@ func (ts *TimeSeries) Points() []Point {
 	}
 	return out
 }
-
-// Start returns the series anchor time.
-func (ts *TimeSeries) Start() time.Time { return ts.start }

@@ -140,7 +140,7 @@ func TestCounter(t *testing.T) {
 
 func TestTimeSeries(t *testing.T) {
 	ts := NewTimeSeries(100 * time.Millisecond)
-	base := ts.Start()
+	base := ts.start
 	ts.ObserveAt(base.Add(10*time.Millisecond), 1)
 	ts.ObserveAt(base.Add(20*time.Millisecond), 3)
 	ts.ObserveAt(base.Add(250*time.Millisecond), 10)

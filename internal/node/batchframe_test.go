@@ -131,7 +131,7 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 		add(local[1], "balance", want{result: 1000, host: 1})
 		add(stale, "deposit", want{code: schema.CodeTooManyHops, host: 3}, 5)
 	}
-	fwd1, b2, b3, e2, e3 := n1.Forwarded(), n2.Batches(), n3.Batches(), n2.Executed(), n3.Executed()
+	fwd1, b2, b3, e2, e3 := n1.Forwarded(), n2.batches.Load(), n3.batches.Load(), n2.executed.Load(), n3.executed.Load()
 	outs := handleBatch(t, n1, &req)
 	for i, w := range wants {
 		o := outs[i]
@@ -152,12 +152,12 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 	if got := n1.Forwarded() - fwd1; got != 12 {
 		t.Fatalf("node 1 forwarded %d events; want the 12 non-local ones", got)
 	}
-	if n2.Batches()-b2 != 1 || n3.Batches()-b3 != 1 {
-		t.Fatalf("forwarded in %d + %d sub-frames; want one per host", n2.Batches()-b2, n3.Batches()-b3)
+	if n2.batches.Load()-b2 != 1 || n3.batches.Load()-b3 != 1 {
+		t.Fatalf("forwarded in %d + %d sub-frames; want one per host", n2.batches.Load()-b2, n3.batches.Load()-b3)
 	}
-	if n2.Executed()-e2 != 4 || n3.Executed()-e3 != 4 || n2.Forwarded() != 0 {
+	if n2.executed.Load()-e2 != 4 || n3.executed.Load()-e3 != 4 || n2.Forwarded() != 0 {
 		t.Fatalf("peers executed %d + %d events and node 2 forwarded %d; want 4 + 4 and the stale ones refused (Hops+1 reached the budget)",
-			n2.Executed()-e2, n3.Executed()-e3, n2.Forwarded())
+			n2.executed.Load()-e2, n3.executed.Load()-e3, n2.Forwarded())
 	}
 	for _, c := range []struct {
 		n    *Node

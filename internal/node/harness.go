@@ -14,7 +14,6 @@ import (
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
-	"aeon/internal/emanager"
 	"aeon/internal/ops"
 	"aeon/internal/ownership"
 	"aeon/internal/transport"
@@ -40,15 +39,6 @@ type Topology struct {
 	// "disk:<dir>" gets "/p<partition>-r<replica>" appended so replicas
 	// never share a journal).
 	StoreBackend string
-	// NetCfg is the simulated intra-node network (default: zero-latency
-	// NullNetwork semantics via zero SimConfig — mesh calls carry the real
-	// cost in TCP deployments).
-	NetCfg transport.SimConfig
-	// Runtime overrides the runtime config (zero value → DefaultConfig
-	// with client-hop charging off, since the mesh pays real costs).
-	Runtime *core.Config
-	// Manager configures each node's elasticity manager.
-	Manager emanager.Config
 	// AccountsPerBank sizes the bank workload (default 4).
 	AccountsPerBank int
 	// InitialBalance seeds every account (default 1000).
@@ -189,16 +179,12 @@ func Deploy(mesh transport.Mesh, top Topology) (*Deployment, error) {
 
 // buildNode constructs one node's full replica and attaches it.
 func buildNode(mesh transport.Mesh, top Topology, id transport.NodeID) (*Node, *BankTopology, *cloudstore.Store, error) {
-	net := transport.NewSim(top.NetCfg)
-	cl := cluster.New(net)
+	cl := cluster.New(transport.NewSim(transport.SimConfig{}))
 	for i := 0; i < top.Nodes; i++ {
 		cl.AddServer(top.Profile)
 	}
 	rtCfg := core.DefaultConfig()
 	rtCfg.ChargeClientHops = false
-	if top.Runtime != nil {
-		rtCfg = *top.Runtime
-	}
 	s := BankSchema()
 	if top.Scenario != nil {
 		s = top.Scenario.Schema()
@@ -228,7 +214,6 @@ func buildNode(mesh transport.Mesh, top Topology, id transport.NodeID) (*Node, *
 	} else {
 		cfg.StoreNode = top.StoreNode
 	}
-	cfg.Manager = top.Manager
 	if top.EnableOps {
 		cfg.Ops = ops.NewRegistry(0)
 	}

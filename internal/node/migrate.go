@@ -103,7 +103,10 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 		// proceed with its own remap, or two processes would both consider
 		// themselves authoritative for the group. If the probe says "not
 		// committed" (or the peer is unreachable), abort with the WAL
-		// intact; Recover re-runs the protocol and converges.
+		// intact: the group resumes at the source, and the journal entry is
+		// left for emanager.Manager.Recover to roll forward. Nothing in the
+		// product calls Recover yet, so until something does, the entry
+		// stays and nothing converges it.
 		if len(members) > 0 && n.transferCommitted(members[0], to) {
 			return nil
 		}

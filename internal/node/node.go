@@ -58,16 +58,13 @@ import (
 
 // Config describes one node process.
 type Config struct {
-	// ID is the node's mesh address. By default the node embodies the
-	// server with the same ID (ServerID and transport.NodeID are the same
-	// type), which is the 1:1 node-per-server deployment.
+	// ID is the node's mesh address. The node embodies the server with the
+	// same ID (ServerID and transport.NodeID are the same type): one node
+	// per server.
 	ID transport.NodeID
 	// Runtime is the node's runtime over the replicated topology. Start
 	// installs the multi-process hooks on it (Runtime.SetRemote).
 	Runtime *core.Runtime
-	// Servers lists the servers this process embodies. Empty means
-	// {ServerID(ID)}.
-	Servers []cluster.ServerID
 	// LocalStore is this process's in-memory cloud store. Required on the
 	// store node (it becomes the authoritative store every peer reaches
 	// over the mesh); ignored elsewhere unless StoreNode is zero.
@@ -133,7 +130,6 @@ type Node struct {
 	cfg         Config
 	id          transport.NodeID
 	rt          *core.Runtime
-	local       map[cluster.ServerID]bool
 	servesStore bool
 
 	// baseCtx parents every RemoteStore call so node shutdown cancels
@@ -182,19 +178,11 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 	if cfg.Runtime == nil {
 		return nil, fmt.Errorf("node %v: runtime is required", cfg.ID)
 	}
-	servers := cfg.Servers
-	if len(servers) == 0 {
-		servers = []cluster.ServerID{cluster.ServerID(cfg.ID)}
-	}
 	n := &Node{
 		cfg:        cfg,
 		id:         cfg.ID,
 		rt:         cfg.Runtime,
-		local:      make(map[cluster.ServerID]bool, len(servers)),
 		shutdownCh: make(chan struct{}),
-	}
-	for _, s := range servers {
-		n.local[s] = true
 	}
 	n.baseCtx, n.baseCancel = context.WithCancel(context.Background())
 
@@ -304,13 +292,6 @@ func (n *Node) Plane() *replication.Plane { return n.plane }
 // Forwarded returns how many submits this node forwarded to peers.
 func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
 
-// Executed returns how many peer-submitted events this node executed.
-func (n *Node) Executed() uint64 { return n.executed.Load() }
-
-// Batches returns how many batch submit frames this node handled (tests use
-// it to verify coalescing actually reduced frame count).
-func (n *Node) Batches() uint64 { return n.batches.Load() }
-
 // Done is closed when a peer requests shutdown (KindShutdown).
 func (n *Node) Done() <-chan struct{} { return n.shutdownCh }
 
@@ -330,7 +311,7 @@ func (n *Node) Close() error {
 }
 
 // isLocal reports whether this process embodies srv.
-func (n *Node) isLocal(srv cluster.ServerID) bool { return n.local[srv] }
+func (n *Node) isLocal(srv cluster.ServerID) bool { return srv == cluster.ServerID(n.id) }
 
 // nodeFor maps a server to the mesh address of the node embodying it (the
 // 1:1 deployment: same numeric ID).

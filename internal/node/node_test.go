@@ -58,7 +58,7 @@ func TestRemoteSubmitExecutesOnOwningNode(t *testing.T) {
 	if n1.Forwarded() == 0 {
 		t.Fatal("remote submit was not forwarded")
 	}
-	if n2.Executed() == 0 {
+	if n2.executed.Load() == 0 {
 		t.Fatal("owning node executed nothing")
 	}
 	// Authoritative state lives on node 2; node 1's replica is untouched.
@@ -325,7 +325,7 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 func TestDeploymentMatchesSingleProcess(t *testing.T) {
 	d := deploy(t, 2)
 	got := RunBankScript(d.Nodes[0].Submit, d.Top)
-	want, _, err := BankOracle(2, 4, 1000)
+	want, _, err := BankDynamicOracle(2, 4, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

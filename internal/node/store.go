@@ -18,38 +18,18 @@ import (
 // store-server processes (or a store-serving node) standing in for
 // ZooKeeper/S3.
 //
-// Every call runs under a context derived from the owner's lifecycle (the
-// node's base context, canceled on Close): when a partition client abandons
-// a replica mid-failover, its in-flight calls are canceled instead of
-// stacking up behind dead peers until callTimeout.
+// Every call runs under a context derived from the owning node's base
+// context, canceled on Close: when a partition client abandons a replica
+// mid-failover, its in-flight calls are canceled instead of stacking up
+// behind dead peers until callTimeout.
 type RemoteStore struct {
 	cloudstore.Typed
 
-	node *Node // set when owned by a node: endpoint/timeout/ctx resolve lazily
-
-	// Standalone wiring (partition clients owned by the harness or driver).
-	ep      transport.Endpoint
-	to      transport.NodeID
-	timeout time.Duration
-	base    context.Context
+	node *Node
+	to   transport.NodeID
 }
 
 var _ cloudstore.API = (*RemoteStore)(nil)
-
-// NewRemoteStore returns a mesh client for the store replica at `to`,
-// bounding each call by timeout and canceling in-flight calls when base is
-// canceled. A nil base means context.Background().
-func NewRemoteStore(ep transport.Endpoint, to transport.NodeID, timeout time.Duration, base context.Context) *RemoteStore {
-	if base == nil {
-		base = context.Background()
-	}
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	r := &RemoteStore{ep: ep, to: to, timeout: timeout, base: base}
-	r.Typed = cloudstore.NewTyped(r)
-	return r
-}
 
 // remoteStore returns a mesh client owned by n: it calls through n's
 // endpoint under n's lifecycle context and callTimeout.
@@ -59,35 +39,16 @@ func (n *Node) remoteStore(to transport.NodeID) *RemoteStore {
 	return r
 }
 
-// callCtx derives the per-call context: the owning node's base context when
-// node-owned (so node shutdown cancels in-flight store ops), the configured
-// base otherwise.
-func (r *RemoteStore) callCtx() (context.Context, context.CancelFunc) {
-	if r.node != nil {
-		return context.WithTimeout(r.node.baseCtx, callTimeout)
-	}
-	return context.WithTimeout(r.base, r.timeout)
-}
-
-func (r *RemoteStore) endpoint() transport.Endpoint {
-	if r.node != nil {
-		return r.node.ep
-	}
-	return r.ep
-}
-
 // Do performs one store exchange: the op is the request frame, encoded into
 // a pooled buffer like every other node frame.
 func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
-	ctx, cancel := r.callCtx()
+	ctx, cancel := context.WithTimeout(r.node.baseCtx, callTimeout)
 	defer cancel()
 	start := time.Now()
-	raw, err := sendHot(ctx, r.endpoint(), r.to, KindStore, func(dst []byte) ([]byte, error) {
+	raw, err := sendHot(ctx, r.node.ep, r.to, KindStore, func(dst []byte) ([]byte, error) {
 		return op.AppendWire(dst), nil
 	})
-	if r.node != nil {
-		r.node.storeLat.Record(time.Since(start))
-	}
+	r.node.storeLat.Record(time.Since(start))
 	if err != nil {
 		return cloudstore.Result{}, fmt.Errorf("store %v via %v: %w", op.Kind, r.to, err)
 	}

@@ -15,14 +15,37 @@ import (
 
 	"aeon/internal/alloctest"
 	"aeon/internal/cloudstore"
+	"aeon/internal/cluster"
 	"aeon/internal/core"
 	"aeon/internal/migration"
+	"aeon/internal/ownership"
 	"aeon/internal/replication"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
-// storeWireRig is a StoreServer and a RemoteStore client on one in-memory
+// storeClient starts a node on mesh that keeps no store of its own: its
+// store handle is the RemoteStore the fleet wires, calling the store server
+// at StoreIDBase+1 under the node's lifecycle context.
+func storeClient(t *testing.T, mesh transport.Mesh) *Node {
+	t.Helper()
+	s := schema.New()
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.New(s, ownership.NewGraph(), cluster.New(transport.NewSim(transport.SimConfig{})), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Start(mesh, Config{ID: 999, Runtime: rt, StoreNode: StoreIDBase + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close(); rt.Close() })
+	return n
+}
+
+// storeWireRig is a StoreServer and a node's RemoteStore on one in-memory
 // mesh: every op crosses the full encode→handle→serveStore→schema.Err
 // path.
 func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
@@ -34,14 +57,7 @@ func storeWireRig(t *testing.T) (*cloudstore.Store, *RemoteStore) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	ep, err := mesh.Attach(999, func(context.Context, transport.NodeID, transport.Message) (transport.Message, error) {
-		return transport.Message{}, errors.New("client endpoint serves nothing")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ep.Close() })
-	return st, NewRemoteStore(ep, StoreIDBase+1, 5*time.Second, nil)
+	return st, storeClient(t, mesh).Store().(*RemoteStore)
 }
 
 // TestStoreWireSentinelRoundTrip pins that every cloudstore sentinel survives
@@ -218,39 +234,32 @@ func TestEveryCodeSurvivesEveryFrame(t *testing.T) {
 	}
 }
 
-// TestRemoteStoreHonorsBaseContext pins the satellite fix for
-// RemoteStore.call using context.Background() unconditionally: calls now
-// derive from the owner's lifecycle context, so an abandoned client's ops
-// cancel immediately instead of stacking dead calls behind the timeout.
+// TestRemoteStoreHonorsBaseContext pins that a node's store calls derive
+// from its lifecycle context: Node.Close cancels a call in flight at once,
+// instead of leaving it to wait out callTimeout behind a peer that never
+// answers.
 func TestRemoteStoreHonorsBaseContext(t *testing.T) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
-	st := cloudstore.New()
-	srv, err := ServeStore(mesh, StoreIDBase+1, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ep, err := mesh.Attach(999, func(context.Context, transport.NodeID, transport.Message) (transport.Message, error) {
-		return transport.Message{}, errors.New("client endpoint serves nothing")
+	entered := make(chan struct{})
+	silent, err := mesh.Attach(StoreIDBase+1, func(ctx context.Context, _ transport.NodeID, _ transport.Message) (transport.Message, error) {
+		close(entered)
+		<-ctx.Done()
+		return transport.Message{}, ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ep.Close()
-
-	base, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := NewRemoteStore(ep, StoreIDBase+1, time.Hour, base)
-	start := time.Now()
-	_, werr := r.Put("k", nil)
-	if werr == nil {
-		t.Fatal("call under a canceled lifecycle must fail")
-	}
-	if !errors.Is(werr, context.Canceled) {
-		t.Fatalf("err = %v; want context.Canceled", werr)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("canceled call took %v; must not wait out the timeout", elapsed)
+	defer silent.Close()
+	n := storeClient(t, mesh)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := n.Store().Put("k", nil)
+		errc <- err
+	}()
+	<-entered
+	_ = n.Close()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v; want context.Canceled", err)
 	}
 }
 
@@ -499,12 +508,7 @@ func TestStoreExchangeAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ep, err := mesh.Attach(999, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ep.Close()
-	r := NewRemoteStore(ep, StoreIDBase+1, time.Minute, nil)
+	r := storeClient(t, mesh).Store()
 	key, val := "wal/group/000042", make([]byte, 200)
 	pair := func() {
 		if _, err := r.Put(key, val); err != nil {

@@ -205,32 +205,6 @@ func RunBankDynamicScript(submit SubmitFunc, top *BankTopology) []string {
 	return out
 }
 
-// BankOracle builds a fresh single-process runtime with the identical bank
-// topology, replays the script on it, and returns (outcomes, per-bank audit
-// totals). Multi-process drivers use it as the ground truth.
-func BankOracle(nodes, accountsPerBank, initialBalance int) ([]string, *BankTopology, error) {
-	cl := cluster.New(transport.NewSim(transport.SimConfig{}))
-	for i := 0; i < nodes; i++ {
-		cl.AddServer(cluster.M3Large)
-	}
-	s := BankSchema()
-	if err := s.Freeze(); err != nil {
-		return nil, nil, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.ChargeClientHops = false
-	rt, err := core.New(s, ownership.NewGraph(), cl, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer rt.Close()
-	top, err := BuildBank(rt, accountsPerBank, initialBalance)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunBankScript(rt.Submit, top), top, nil
-}
-
 // BankDynamicOracle replays the static script and then the dynamic
 // (topology-churn) script on a fresh single-process runtime and returns
 // both outcome slices. A replicated multi-process deployment that drives
