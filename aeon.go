@@ -7,16 +7,18 @@
 // Programs declare contextclasses (state factory + method table, with the
 // paper's `ro` readonly modifier and statically checked may-access sets),
 // instantiate contexts into an ownership network, and submit events. A
-// method returns its result as a Value: aeon.Int(n) holds an int inline, so a
-// chain of synchronous calls allocates nothing for its results, and
-// aeon.Of(v) holds anything else. Submit hands the event's result back as an
-// `any` of its concrete type.
+// method takes its arguments and returns its result as Values: aeon.Int(n),
+// aeon.Str(s) and aeon.ID(id) hold an int, a string and a context ID inline,
+// so a chain of synchronous calls allocates nothing for what it passes, and
+// aeon.Of(v) holds anything else; a handler reads them back with
+// args[i].Int(), .Str(), .ID() or .Any(). Submit takes its arguments as `any`
+// and hands the event's result back as an `any` of its concrete type.
 //
 //	s := aeon.NewSchema()
 //	account := s.MustDeclareClass("Account", func() any { return &Account{} })
-//	account.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (aeon.Value, error) {
+//	account.MustDeclareMethod("deposit", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 //		st := call.State().(*Account)
-//		st.Balance += args[0].(int)
+//		st.Balance += args[0].Int()
 //		return aeon.Int(st.Balance), nil
 //	})
 //	bank := s.MustDeclareClass("Bank", nil)
@@ -58,8 +60,8 @@ type (
 	Call = schema.Call
 	// Handler is a contextclass method body.
 	Handler = schema.Handler
-	// Value is a method's result: an int inline (Int) or any other value
-	// boxed (Of).
+	// Value is a method's argument or result: an int, string or context ID
+	// inline (Int, Str, ID) or any other value boxed (Of).
 	Value = schema.Value
 	// AsyncResult joins an asynchronous intra-event call.
 	AsyncResult = schema.AsyncResult
@@ -129,11 +131,15 @@ var (
 	Cost = schema.Cost
 )
 
-// Method results.
+// Method arguments and results.
 var (
 	// Int returns a Value holding an int inline.
 	Int = schema.Int
-	// Of returns a Value holding any other result, as it is.
+	// Str returns a Value holding a string inline.
+	Str = schema.Str
+	// ID returns a Value holding a context ID inline.
+	ID = schema.ID
+	// Of returns a Value holding any other value, as it is.
 	Of = schema.Of
 )
 

@@ -18,35 +18,35 @@ func bankSchema(t *testing.T) *aeon.Schema {
 	t.Helper()
 	s := aeon.NewSchema()
 	account := s.MustDeclareClass("Account", func() any { return &accountState{} })
-	account.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (aeon.Value, error) {
+	account.MustDeclareMethod("deposit", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*accountState)
-		st.Balance += args[0].(int)
+		st.Balance += args[0].Int()
 		return aeon.Int(st.Balance), nil
 	})
-	account.MustDeclareMethod("withdraw", func(call aeon.Call, args []any) (aeon.Value, error) {
+	account.MustDeclareMethod("withdraw", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*accountState)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		if amt > st.Balance {
 			return aeon.Value{}, errors.New("insufficient funds")
 		}
 		st.Balance -= amt
 		return aeon.Int(st.Balance), nil
 	})
-	account.MustDeclareMethod("balance", func(call aeon.Call, args []any) (aeon.Value, error) {
+	account.MustDeclareMethod("balance", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		return aeon.Int(call.State().(*accountState).Balance), nil
 	}, aeon.RO())
 
 	bank := s.MustDeclareClass("Bank", nil)
-	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []any) (aeon.Value, error) {
-		from := args[0].(aeon.ContextID)
-		to := args[1].(aeon.ContextID)
-		amt := args[2].(int)
-		if _, err := call.Sync(from, "withdraw", amt); err != nil {
+	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+		from := args[0].ID()
+		to := args[1].ID()
+		amt := args[2].Int()
+		if _, err := call.Sync(from, "withdraw", aeon.Int(amt)); err != nil {
 			return aeon.Value{}, err
 		}
-		return call.Sync(to, "deposit", amt)
+		return call.Sync(to, "deposit", aeon.Int(amt))
 	}, aeon.MayCall("Account", "withdraw"), aeon.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("audit", func(call aeon.Call, args []any) (aeon.Value, error) {
+	bank.MustDeclareMethod("audit", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		accounts, err := call.Children("Account")
 		if err != nil {
 			return aeon.Value{}, err

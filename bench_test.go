@@ -69,17 +69,17 @@ func ablationWorld(b *testing.B, leafCost time.Duration) (*aeon.System, aeon.Con
 	b.Helper()
 	s := aeon.NewSchema()
 	leaf := s.MustDeclareClass("Leaf", func() any { return new(int) })
-	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (aeon.Value, error) {
+	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		n := call.State().(*int)
 		*n++
 		return aeon.Int(*n), nil
 	}, aeon.Cost(leafCost))
-	leaf.MustDeclareMethod("peek", func(call aeon.Call, args []any) (aeon.Value, error) {
+	leaf.MustDeclareMethod("peek", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		return aeon.Int(*call.State().(*int)), nil
 	}, aeon.RO(), aeon.Cost(leafCost))
 
 	root := s.MustDeclareClass("Root", nil)
-	root.MustDeclareMethod("fanSync", func(call aeon.Call, args []any) (aeon.Value, error) {
+	root.MustDeclareMethod("fanSync", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		leaves, err := call.Children("Leaf")
 		if err != nil {
 			return aeon.Value{}, err
@@ -91,7 +91,7 @@ func ablationWorld(b *testing.B, leafCost time.Duration) (*aeon.System, aeon.Con
 		}
 		return aeon.Int(len(leaves)), nil
 	}, aeon.MayCall("Leaf", "bump"))
-	root.MustDeclareMethod("fanAsync", func(call aeon.Call, args []any) (aeon.Value, error) {
+	root.MustDeclareMethod("fanAsync", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		leaves, err := call.Children("Leaf")
 		if err != nil {
 			return aeon.Value{}, err
@@ -107,11 +107,11 @@ func ablationWorld(b *testing.B, leafCost time.Duration) (*aeon.System, aeon.Con
 		}
 		return aeon.Int(len(leaves)), nil
 	}, aeon.MayCall("Leaf", "bump"))
-	root.MustDeclareMethod("crabTail", func(call aeon.Call, args []any) (aeon.Value, error) {
-		return aeon.Value{}, call.Crab(args[0].(aeon.ContextID), "bump")
+	root.MustDeclareMethod("crabTail", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+		return aeon.Value{}, call.Crab(args[0].ID(), "bump")
 	}, aeon.MayCall("Leaf", "bump"))
-	root.MustDeclareMethod("syncTail", func(call aeon.Call, args []any) (aeon.Value, error) {
-		return call.Sync(args[0].(aeon.ContextID), "bump")
+	root.MustDeclareMethod("syncTail", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+		return call.Sync(args[0].ID(), "bump")
 	}, aeon.MayCall("Leaf", "bump"))
 
 	sys, err := aeon.New(
@@ -231,7 +231,7 @@ func BenchmarkAblationCrab(b *testing.B) {
 func BenchmarkParallelDisjointSubmit(b *testing.B) {
 	s := aeon.NewSchema()
 	leaf := s.MustDeclareClass("Leaf", func() any { return new(int) })
-	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (aeon.Value, error) {
+	leaf.MustDeclareMethod("bump", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		n := call.State().(*int)
 		*n++
 		return aeon.Int(*n), nil
@@ -278,14 +278,14 @@ func BenchmarkAblationDominatorParallelism(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			s := aeon.NewSchema()
 			leaf := s.MustDeclareClass("Leaf", func() any { return new(int) })
-			leaf.MustDeclareMethod("bump", func(call aeon.Call, args []any) (aeon.Value, error) {
+			leaf.MustDeclareMethod("bump", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 				n := call.State().(*int)
 				*n++
 				return aeon.Int(*n), nil
 			}, aeon.Cost(100*time.Microsecond))
 			owner := s.MustDeclareClass("Owner", nil)
-			owner.MustDeclareMethod("bumpLeaf", func(call aeon.Call, args []any) (aeon.Value, error) {
-				return call.Sync(args[0].(aeon.ContextID), "bump")
+			owner.MustDeclareMethod("bumpLeaf", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+				return call.Sync(args[0].ID(), "bump")
 			}, aeon.MayCall("Leaf", "bump"))
 			s.MustDeclareClass("Room", nil)
 			sys, err := aeon.New(aeon.WithSchema(s), aeon.WithServers(4, aeon.M3Large),

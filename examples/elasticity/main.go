@@ -25,7 +25,7 @@ type counter struct{ N int }
 func buildSchema() *aeon.Schema {
 	s := aeon.NewSchema()
 	svc := s.MustDeclareClass("Service", func() any { return &counter{} })
-	svc.MustDeclareMethod("handle", func(call aeon.Call, args []any) (aeon.Value, error) {
+	svc.MustDeclareMethod("handle", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*counter)
 		st.N++
 		call.Work(400 * time.Microsecond) // per-request compute

@@ -27,23 +27,23 @@ type buildingState struct{ TimeOfDay int }
 func buildSchema() *aeon.Schema {
 	s := aeon.NewSchema()
 	item := s.MustDeclareClass("Item", func() any { return &itemState{} })
-	item.MustDeclareMethod("get", func(call aeon.Call, args []any) (aeon.Value, error) {
+	item.MustDeclareMethod("get", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*itemState)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		if amt > st.Gold {
 			amt = st.Gold
 		}
 		st.Gold -= amt
 		return aeon.Int(amt), nil
 	}, aeon.Cost(20*time.Microsecond))
-	item.MustDeclareMethod("put", func(call aeon.Call, args []any) (aeon.Value, error) {
+	item.MustDeclareMethod("put", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*itemState)
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		return aeon.Int(st.Gold), nil
 	}, aeon.Cost(20*time.Microsecond))
 
 	player := s.MustDeclareClass("Player", func() any { return &playerState{} })
-	player.MustDeclareMethod("get_gold", func(call aeon.Call, args []any) (aeon.Value, error) {
+	player.MustDeclareMethod("get_gold", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*playerState)
 		taken, err := call.Sync(aeon.ContextID(st.Mine), "get", args[0])
 		if err != nil {
@@ -52,20 +52,20 @@ func buildSchema() *aeon.Schema {
 		if taken.Int() == 0 {
 			return aeon.Of(false), nil
 		}
-		if _, err := call.Sync(aeon.ContextID(st.Treasure), "put", taken.Any()); err != nil {
+		if _, err := call.Sync(aeon.ContextID(st.Treasure), "put", taken); err != nil {
 			return aeon.Value{}, err
 		}
 		return aeon.Of(true), nil
 	}, aeon.MayCall("Item", "get"), aeon.MayCall("Item", "put"))
-	player.MustDeclareMethod("receive", func(call aeon.Call, args []any) (aeon.Value, error) {
+	player.MustDeclareMethod("receive", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*playerState)
 		return call.Sync(aeon.ContextID(st.Treasure), "put", args[0])
 	}, aeon.MayCall("Item", "put"))
 
 	room := s.MustDeclareClass("Room", func() any { return &roomState{} })
-	room.MustDeclareMethod("interact", func(call aeon.Call, args []any) (aeon.Value, error) {
-		item := args[0].(aeon.ContextID)
-		player := args[1].(aeon.ContextID)
+	room.MustDeclareMethod("interact", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+		item := args[0].ID()
+		player := args[1].ID()
 		taken, err := call.Sync(item, "get", args[2])
 		if err != nil {
 			return aeon.Value{}, err
@@ -73,18 +73,18 @@ func buildSchema() *aeon.Schema {
 		if taken.Int() == 0 {
 			return aeon.Of(false), nil
 		}
-		return call.Sync(player, "receive", taken.Any())
+		return call.Sync(player, "receive", taken)
 	}, aeon.MayCall("Item", "get"), aeon.MayCall("Player", "receive"))
-	room.MustDeclareMethod("updateTimeOfDay", func(call aeon.Call, args []any) (aeon.Value, error) {
-		call.State().(*roomState).TimeOfDay = args[0].(int)
+	room.MustDeclareMethod("updateTimeOfDay", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+		call.State().(*roomState).TimeOfDay = args[0].Int()
 		return aeon.Value{}, nil
 	})
-	room.MustDeclareMethod("nr_players", func(call aeon.Call, args []any) (aeon.Value, error) {
+	room.MustDeclareMethod("nr_players", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		return aeon.Int(call.State().(*roomState).NPlayers), nil
 	}, aeon.RO())
 
 	building := s.MustDeclareClass("Building", func() any { return &buildingState{} })
-	building.MustDeclareMethod("updateTimeOfDay", func(call aeon.Call, args []any) (aeon.Value, error) {
+	building.MustDeclareMethod("updateTimeOfDay", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*buildingState)
 		st.TimeOfDay++
 		rooms, err := call.Children("Room")
@@ -93,11 +93,11 @@ func buildSchema() *aeon.Schema {
 		}
 		// Async fan-out: all rooms update in parallel (Listing 1).
 		for _, r := range rooms {
-			call.Async(r, "updateTimeOfDay", st.TimeOfDay)
+			call.Async(r, "updateTimeOfDay", aeon.Int(st.TimeOfDay))
 		}
 		return aeon.Int(st.TimeOfDay), nil
 	}, aeon.MayCall("Room", "updateTimeOfDay"))
-	building.MustDeclareMethod("countPlayers", func(call aeon.Call, args []any) (aeon.Value, error) {
+	building.MustDeclareMethod("countPlayers", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		rooms, err := call.Children("Room")
 		if err != nil {
 			return aeon.Value{}, err

@@ -27,33 +27,33 @@ func buildSchema() *aeon.Schema {
 	s := aeon.NewSchema()
 
 	acc := s.MustDeclareClass("Account", func() any { return &account{} })
-	acc.MustDeclareMethod("deposit", func(call aeon.Call, args []any) (aeon.Value, error) {
+	acc.MustDeclareMethod("deposit", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*account)
-		st.Balance += args[0].(int)
+		st.Balance += args[0].Int()
 		return aeon.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("withdraw", func(call aeon.Call, args []any) (aeon.Value, error) {
+	acc.MustDeclareMethod("withdraw", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		st := call.State().(*account)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		if amt > st.Balance {
 			return aeon.Value{}, errors.New("insufficient funds")
 		}
 		st.Balance -= amt
 		return aeon.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("balance", func(call aeon.Call, args []any) (aeon.Value, error) {
+	acc.MustDeclareMethod("balance", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		return aeon.Int(call.State().(*account).Balance), nil
 	}, aeon.RO())
 
 	bank := s.MustDeclareClass("Bank", nil)
-	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []any) (aeon.Value, error) {
-		from, to, amt := args[0].(aeon.ContextID), args[1].(aeon.ContextID), args[2].(int)
+	bank.MustDeclareMethod("transfer", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
+		from, to, amt := args[0].ID(), args[1].ID(), args[2]
 		if _, err := call.Sync(from, "withdraw", amt); err != nil {
 			return aeon.Value{}, err
 		}
 		return call.Sync(to, "deposit", amt)
 	}, aeon.MayCall("Account", "withdraw"), aeon.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("audit", func(call aeon.Call, args []any) (aeon.Value, error) {
+	bank.MustDeclareMethod("audit", func(call aeon.Call, args []aeon.Value) (aeon.Value, error) {
 		accounts, err := call.Children("Account")
 		if err != nil {
 			return aeon.Value{}, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aeon/internal/cluster"
@@ -84,7 +85,7 @@ func (c *callEnv) activateCallee(child ownership.ID, method string) (*Context, *
 }
 
 // Sync implements schema.Call.
-func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (schema.Value, error) {
+func (c *callEnv) Sync(child ownership.ID, method string, args ...schema.Value) (schema.Value, error) {
 	cc, m, host, err := c.activateCallee(child, method)
 	if err != nil {
 		return schema.Value{}, err
@@ -108,7 +109,7 @@ func (a *asyncResult) Wait() (schema.Value, error) {
 // Async implements schema.Call. Activation happens synchronously in queue
 // order (so two async calls to the same child from different branches keep
 // the event's ordering guarantees); only the execution is concurrent.
-func (c *callEnv) Async(child ownership.ID, method string, args ...any) schema.AsyncResult {
+func (c *callEnv) Async(child ownership.ID, method string, args ...schema.Value) schema.AsyncResult {
 	a := &asyncResult{done: make(chan struct{})}
 	cc, m, host, err := c.activateCallee(child, method)
 	if err != nil {
@@ -136,7 +137,7 @@ func (c *callEnv) Async(child ownership.ID, method string, args ...any) schema.A
 // asynchronous tail, keeping the EXEC hop and any queue wait out of the
 // current context's hold time (§ 6.1.2: the Warehouse is released while the
 // District part of the transaction is still being delivered).
-func (c *callEnv) Crab(child ownership.ID, method string, args ...any) error {
+func (c *callEnv) Crab(child ownership.ID, method string, args ...schema.Value) error {
 	cc, m, err := c.resolveCallee(child, method)
 	if err != nil {
 		return err
@@ -175,9 +176,10 @@ func (c *callEnv) Crab(child ownership.ID, method string, args ...any) error {
 	return nil
 }
 
-// Dispatch implements schema.Call.
-func (c *callEnv) Dispatch(target ownership.ID, method string, args ...any) {
-	c.ev.addSub(target, method, args)
+// Dispatch implements schema.Call. The sub-event outlives this handler, whose
+// own args may live in a buffer the next event reuses, so it gets a copy.
+func (c *callEnv) Dispatch(target ownership.ID, method string, args ...schema.Value) {
+	c.ev.addSub(target, method, slices.Clone(args))
 }
 
 // NewContext implements schema.Call. Owners must be held by the enclosing

@@ -21,12 +21,12 @@ func TestAccessDeniedBySchema(t *testing.T) {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", nil)
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
+		MustDeclareMethod("add", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 			return schema.Value{}, nil
 		})
 	// sneaky declares no access to Child.
-	parent.MustDeclareMethod("sneaky", func(call schema.Call, args []any) (schema.Value, error) {
-		return call.Sync(args[0].(ownership.ID), "add")
+	parent.MustDeclareMethod("sneaky", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		return call.Sync(args[0].ID(), "add")
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -48,14 +48,14 @@ func TestAccessDeniedBySchema(t *testing.T) {
 func TestROEventRejectsMutatingCall(t *testing.T) {
 	s := schema.New()
 	cls := s.MustDeclareClass("C", func() any { return &itemState{} })
-	cls.MustDeclareMethod("mutate", func(call schema.Call, args []any) (schema.Value, error) {
+	cls.MustDeclareMethod("mutate", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		call.State().(*itemState).Gold++
 		return schema.Value{}, nil
 	})
 	// Schema-level RO check is bypassed by calling a *self* method (the
 	// reflexive exception): the runtime must still refuse.
-	cls.MustDeclareMethod("readSneaky", func(call schema.Call, args []any) (schema.Value, error) {
-		return call.Sync(args[0].(ownership.ID), "mutate")
+	cls.MustDeclareMethod("readSneaky", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		return call.Sync(args[0].ID(), "mutate")
 	}, schema.RO())
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -78,12 +78,12 @@ func TestCrabThenCallFails(t *testing.T) {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", nil)
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+		MustDeclareMethod("noop", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 			return schema.Value{}, nil
 		})
-	parent.MustDeclareMethod("doubleCrab", func(call schema.Call, args []any) (schema.Value, error) {
-		c1 := args[0].(ownership.ID)
-		c2 := args[1].(ownership.ID)
+	parent.MustDeclareMethod("doubleCrab", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		c1 := args[0].ID()
+		c2 := args[1].ID()
 		if err := call.Crab(c1, "noop"); err != nil {
 			return schema.Value{}, err
 		}
@@ -129,17 +129,17 @@ func TestCrabPreservesOrdering(t *testing.T) {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", func() any { return &itemState{} })
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("append", func(call schema.Call, args []any) (schema.Value, error) {
+		MustDeclareMethod("append", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 			if first.CompareAndSwap(false, true) {
 				<-gate
 			}
-			call.State().(*itemState).record(uint64(args[0].(int)))
+			call.State().(*itemState).record(uint64(args[0].Int()))
 			return schema.Value{}, nil
 		})
-	parent.MustDeclareMethod("via", func(call schema.Call, args []any) (schema.Value, error) {
+	parent.MustDeclareMethod("via", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*itemState)
 		st.Gold++ // order stamp taken under the parent's lock
-		return schema.Int(st.Gold), call.Crab(args[0].(ownership.ID), "append", args[1])
+		return schema.Int(st.Gold), call.Crab(args[0].ID(), "append", args[1])
 	}, schema.MayCall("Child", "append"))
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -305,16 +305,16 @@ func gameTestSchemaForQuick() *schema.Schema {
 	s.MustDeclareClass("Room", func() any { return &itemState{} })
 	player := s.MustDeclareClass("Player", func() any { return &itemState{} })
 	item := s.MustDeclareClass("Item", func() any { return &itemState{} })
-	item.MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("add", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st, _ := call.State().(*itemState)
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		return schema.Int(st.Gold), nil
 	})
-	player.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
-		if _, err := call.Sync(args[0].(ownership.ID), "add", -args[2].(int)); err != nil {
+	player.MustDeclareMethod("transfer", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		if _, err := call.Sync(args[0].ID(), "add", schema.Int(-args[2].Int())); err != nil {
 			return schema.Value{}, err
 		}
-		return call.Sync(args[1].(ownership.ID), "add", args[2].(int))
+		return call.Sync(args[1].ID(), "add", schema.Int(args[2].Int()))
 	}, schema.MayCall("Item", "add"))
 	if err := s.Freeze(); err != nil {
 		panic(err)

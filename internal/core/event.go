@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"aeon/internal/ownership"
+	"aeon/internal/schema"
 )
 
 // inlineFrames is the handler nesting depth an event serves from its own
@@ -39,6 +40,8 @@ type event struct {
 	frames  [inlineFrames]callEnv
 	nframes int
 
+	args []schema.Value // Submit's arguments, converted; cleared at End
+
 	asyncWG sync.WaitGroup
 }
 
@@ -54,7 +57,7 @@ type heldEntry struct {
 type subEvent struct {
 	target ownership.ID
 	method string
-	args   []any
+	args   []schema.Value
 }
 
 // eventPool recycles event records: at ~1M events/s the allocation churn
@@ -219,7 +222,7 @@ func (e *event) releaseAll() {
 }
 
 // addSub queues a sub-event for dispatch after completion.
-func (e *event) addSub(target ownership.ID, method string, args []any) {
+func (e *event) addSub(target ownership.ID, method string, args []schema.Value) {
 	e.lock()
 	defer e.unlock()
 	e.subs = append(e.subs, subEvent{target: target, method: method, args: args})

@@ -22,14 +22,14 @@ func executorTestSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	gate := s.MustDeclareClass("Gate", func() any { return make(chan struct{}) })
-	gate.MustDeclareMethod("block", func(call schema.Call, args []any) (schema.Value, error) {
-		started := args[0].(chan struct{})
+	gate.MustDeclareMethod("block", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		started := args[0].Any().(chan struct{})
 		close(started)
 		<-call.State().(chan struct{})
 		return schema.Value{}, nil
 	})
 	cell := s.MustDeclareClass("Cell", func() any { return new(atomic.Int64) })
-	cell.MustDeclareMethod("bump", func(call schema.Call, args []any) (schema.Value, error) {
+	cell.MustDeclareMethod("bump", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Of(call.State().(*atomic.Int64).Add(1)), nil
 	})
 	if err := s.Freeze(); err != nil {

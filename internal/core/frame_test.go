@@ -79,7 +79,10 @@ func TestFrameReportsNonLocalAndCatchesUpOnce(t *testing.T) {
 	}
 	forwards := 0
 	rt.SetRemote(func(s cluster.ServerID) bool { return s != remoteSrv },
-		func(cluster.ServerID, ownership.ID, string, []any) (any, error) { forwards++; return "forwarded", nil })
+		func(cluster.ServerID, ownership.ID, string, []schema.Value) (any, error) {
+			forwards++
+			return "forwarded", nil
+		})
 	rep := &countingReplicator{}
 	rt.SetReplicator(rep)
 
@@ -211,7 +214,7 @@ func recordSchema(t *testing.T, log *[]recordSeen) *schema.Schema {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", nil)
 	child := s.MustDeclareClass("Child", func() any { return new(int) })
-	child.MustDeclareMethod("touch", func(call schema.Call, _ []any) (schema.Value, error) {
+	child.MustDeclareMethod("touch", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		*call.State().(*int)++
 		return schema.Value{}, nil
 	})
@@ -219,16 +222,16 @@ func recordSchema(t *testing.T, log *[]recordSeen) *schema.Schema {
 		ev := call.(*callEnv).ev
 		*log = append(*log, recordSeen{ev, ev.crabs.Load(), ev.forked, len(ev.held), len(ev.subs)})
 	}
-	parent.MustDeclareMethod("crab", func(call schema.Call, args []any) (schema.Value, error) {
+	parent.MustDeclareMethod("crab", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		note(call)
-		call.Dispatch(args[0].(ownership.ID), "touch")
-		return schema.Value{}, call.Crab(args[1].(ownership.ID), "touch")
+		call.Dispatch(args[0].ID(), "touch")
+		return schema.Value{}, call.Crab(args[1].ID(), "touch")
 	}, schema.MayCall("Child", "touch"))
-	parent.MustDeclareMethod("through", func(call schema.Call, args []any) (schema.Value, error) {
+	parent.MustDeclareMethod("through", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		note(call)
-		return call.Sync(args[0].(ownership.ID), "touch")
+		return call.Sync(args[0].ID(), "touch")
 	}, schema.MayCall("Child", "touch"))
-	parent.MustDeclareMethod("note", func(call schema.Call, _ []any) (schema.Value, error) {
+	parent.MustDeclareMethod("note", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		note(call)
 		return schema.Value{}, nil
 	})
@@ -267,8 +270,8 @@ func TestFrameReusesEventRecord(t *testing.T) {
 	for i, ev := range []struct {
 		target ownership.ID
 		method string
-		args   []any
-	}{{p, "crab", []any{k, c}}, {u, "note", nil}, {p, "through", []any{c}}} {
+		args   []schema.Value
+	}{{p, "crab", []schema.Value{schema.ID(k), schema.ID(c)}}, {u, "note", nil}, {p, "through", []schema.Value{schema.ID(c)}}} {
 		if _, _, _, err := f.Run(ev.target, ev.method, ev.args); err != nil {
 			t.Fatalf("event %d (%s): %v", i+1, ev.method, err)
 		}

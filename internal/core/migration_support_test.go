@@ -142,7 +142,7 @@ func TestParkedEventFollowsRehostedGroup(t *testing.T) {
 	room, _ := rt.CreateContextOn(here, "Room")
 	item, _ := rt.CreateContextOn(here, "Item", room)
 	rt.SetRemote(func(s cluster.ServerID) bool { return s == here },
-		func(cluster.ServerID, ownership.ID, string, []any) (any, error) {
+		func(cluster.ServerID, ownership.ID, string, []schema.Value) (any, error) {
 			t.Error("Frame.Run forwarded; it only reports")
 			return nil, nil
 		})
@@ -171,7 +171,7 @@ func TestParkedEventFollowsRehostedGroup(t *testing.T) {
 	go func() {
 		f := rt.BeginFrame()
 		var o outcome
-		o.res, o.host, o.local, o.err = f.Run(item, "add", []any{1})
+		o.res, o.host, o.local, o.err = f.Run(item, "add", []schema.Value{schema.Int(1)})
 		o.ran = f.Ran()
 		done <- o
 	}()

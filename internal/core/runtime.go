@@ -147,7 +147,7 @@ func New(s *schema.Schema, g *ownership.Graph, cl *cluster.Cluster, cfg Config) 
 // ForwardFunc delegates an event to the process embodying the server that
 // hosts its sequencing point (the node runtime sends a submit frame over the
 // transport mesh and returns the remote result).
-type ForwardFunc func(host cluster.ServerID, target ownership.ID, method string, args []any) (any, error)
+type ForwardFunc func(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (any, error)
 
 // SetRemote installs the multi-process hooks: isLocal reports whether this
 // process embodies a server, and forward delegates events whose dominator
@@ -280,9 +280,13 @@ func (r *Runtime) DestroyContext(id ownership.ID) error {
 }
 
 // Submit runs an event to completion and returns its result (the paper's
-// `event x.m(args)` decorated call, § 3).
+// `event x.m(args)` decorated call, § 3). Its args become Values in a buffer
+// of the frame's event record, which the next event reuses (Dispatch copies).
 func (r *Runtime) Submit(target ownership.ID, method string, args ...any) (any, error) {
-	res, err := r.runWith(target, method, args, false)
+	f := r.BeginFrame()
+	f.ev = eventPool.Get().(*event)
+	f.ev.args = schema.AppendValues(f.ev.args[:0], args)
+	res, err := f.runOne(target, method, f.ev.args)
 	return res.Any(), err
 }
 
@@ -322,13 +326,11 @@ func (r *Runtime) execServer(target ownership.ID) cluster.ServerID {
 	return 0
 }
 
-// runWith executes one event as a frame of one; asSub marks sub-events
-// launched before Close, which must run to completion even while the runtime
-// is draining. An event sequenced on a server another process embodies is
-// delegated there through the forwarding hook. Submit boxes the result.
-func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub bool) (schema.Value, error) {
-	f := r.BeginFrame()
-	f.asSub = asSub
+// runOne executes one event as the frame's only one and ends the frame. An
+// event sequenced on a server another process embodies is delegated there
+// through the forwarding hook. Submit boxes the result.
+func (f *Frame) runOne(target ownership.ID, method string, args []schema.Value) (schema.Value, error) {
+	r := f.r
 	res, host, local, err := f.Run(target, method, args)
 	if !local {
 		if r.forward == nil {
@@ -353,12 +355,12 @@ func (r *Runtime) runWith(target ownership.ID, method string, args []any, asSub 
 // latency EWMA once for them all. A Frame is not safe for concurrent use.
 type Frame struct {
 	r           *Runtime
-	ev          *event  // the frame's event record, from its first Run to End
+	ev          *event  // the frame's event record, from Submit or its first Run to End
 	start, last Instant // BeginFrame's reading and the previous event boundary
 	ran         int     // events closed so far
 	lastID      uint64  // the last closed event's ID; zero again once End observed it
 	caughtUp    bool    // this frame already pulled the mutation log
-	asSub       bool
+	asSub       bool    // sub-events launched before Close run while it drains
 }
 
 // Instant is a reading of the process's monotonic clock, as an offset from a
@@ -409,6 +411,7 @@ func (f *Frame) close(eventID uint64) {
 // A second End does nothing.
 func (f *Frame) End() {
 	if f.ev != nil {
+		clear(f.ev.args)
 		eventPool.Put(f.ev)
 		f.ev = nil
 	}
@@ -431,7 +434,7 @@ func (f *Frame) End() {
 // local == false and the caller forwards (a node regroups such events into
 // one sub-frame per host), so the locality decision is made here and nowhere
 // else.
-func (f *Frame) Run(target ownership.ID, method string, args []any) (res schema.Value, host cluster.ServerID, local bool, err error) {
+func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (res schema.Value, host cluster.ServerID, local bool, err error) {
 	r := f.r
 	if r.closed.Load() && !f.asSub {
 		return res, 0, true, ErrClosed
@@ -508,7 +511,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []any) (res schema.
 // execution, then release of everything. It reports local == false, with
 // nothing held and nothing run, when the group moved to another process
 // while the event waited for admission.
-func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method, args []any, view *ownership.Snapshot,
+func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method, args []schema.Value, view *ownership.Snapshot,
 	host cluster.ServerID) (schema.Value, cluster.ServerID, bool, error) {
 	// Make sure everything is released even on error paths; releaseAll is
 	// idempotent per held context.
@@ -633,7 +636,7 @@ func (r *Runtime) acquireCtx(ev *event, c *Context) error {
 }
 
 // invoke runs one method call on a context the event has activated on host.
-func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, host cluster.ServerID, args []any) (schema.Value, error) {
+func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, host cluster.ServerID, args []schema.Value) (schema.Value, error) {
 	if ev.mode == RO && !m.ReadOnly {
 		return schema.Value{}, fmt.Errorf("%s.%s in event %d: %w", c.class.Name(), m.Name, ev.id, ErrReadOnlyEvent)
 	}
@@ -676,7 +679,9 @@ func (r *Runtime) launchSubs(ev *event) {
 		r.subWG.Add(1)
 		task := func() {
 			defer r.subWG.Done()
-			if _, err := r.runWith(s.target, s.method, s.args, true); err != nil {
+			f := r.BeginFrame()
+			f.asSub = true
+			if _, err := f.runOne(s.target, s.method, s.args); err != nil {
 				r.SubEventErrors.Inc()
 			}
 		}

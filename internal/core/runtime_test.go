@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,13 +55,13 @@ func gameTestSchema(t *testing.T) *schema.Schema {
 	player := s.MustDeclareClass("Player", func() any { return &itemState{} })
 	item := s.MustDeclareClass("Item", func() any { return &itemState{} })
 
-	item.MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("add", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st, _ := call.State().(*itemState)
 		st.record(call.EventID())
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		return schema.Int(st.Gold), nil
 	})
-	item.MustDeclareMethod("peek", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("peek", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st, _ := call.State().(*itemState)
 		return schema.Int(st.Gold), nil
 	}, schema.RO())
@@ -68,20 +69,20 @@ func gameTestSchema(t *testing.T) *schema.Schema {
 	// transfer moves amt from item args[0] to item args[1] — acquisition
 	// order follows the argument order, so two players calling with crossed
 	// orders exercise the paper's deadlock scenario.
-	player.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
-		from := args[0].(ownership.ID)
-		to := args[1].(ownership.ID)
-		amt := args[2].(int)
-		if _, err := call.Sync(from, "add", -amt); err != nil {
+	player.MustDeclareMethod("transfer", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		from := args[0].ID()
+		to := args[1].ID()
+		amt := args[2].Int()
+		if _, err := call.Sync(from, "add", schema.Int(-amt)); err != nil {
 			return schema.Value{}, err
 		}
-		if _, err := call.Sync(to, "add", amt); err != nil {
+		if _, err := call.Sync(to, "add", schema.Int(amt)); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Value{}, nil
 	}, schema.MayCall("Item", "add"))
 
-	player.MustDeclareMethod("sum", func(call schema.Call, args []any) (schema.Value, error) {
+	player.MustDeclareMethod("sum", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		total := 0
 		items, err := call.Children("Item")
 		if err != nil {
@@ -97,17 +98,17 @@ func gameTestSchema(t *testing.T) *schema.Schema {
 		return schema.Int(total), nil
 	}, schema.RO(), schema.MayCall("Item", "peek"))
 
-	room.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("noop", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Of("ok"), nil
 	})
-	room.MustDeclareMethod("broadcast", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("broadcast", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		players, err := call.Children("Player")
 		if err != nil {
 			return schema.Value{}, err
 		}
 		var results []schema.AsyncResult
 		for _, p := range players {
-			results = append(results, call.Async(p, "transfer", args[0], args[1], args[2].(int)))
+			results = append(results, call.Async(p, "transfer", args[0], args[1], schema.Int(args[2].Int())))
 		}
 		for _, r := range results {
 			if _, err := r.Wait(); err != nil {
@@ -348,7 +349,7 @@ func TestReadOnlyEventsRunConcurrently(t *testing.T) {
 	var gate chan struct{}
 	s := schema.New()
 	cls := s.MustDeclareClass("C", func() any { return &itemState{} })
-	park := func(call schema.Call, args []any) (schema.Value, error) {
+	park := func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		enter()
 		entered <- struct{}{}
 		<-gate
@@ -552,14 +553,14 @@ func TestVirtualDominatorSequencing(t *testing.T) {
 func TestDispatchSubEvent(t *testing.T) {
 	s := schema.New()
 	cls := s.MustDeclareClass("C", func() any { return &itemState{} })
-	cls.MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
+	cls.MustDeclareMethod("add", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*itemState)
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		return schema.Value{}, nil
 	})
-	cls.MustDeclareMethod("addTwice", func(call schema.Call, args []any) (schema.Value, error) {
+	cls.MustDeclareMethod("addTwice", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*itemState)
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		// The second half runs as a separate event after this one.
 		call.Dispatch(call.Self(), "add", args[0])
 		return schema.Value{}, nil
@@ -581,21 +582,80 @@ func TestDispatchSubEvent(t *testing.T) {
 	}
 }
 
+// keeperState holds the argument lists TestDispatchCopiesItsArgs keeps.
+type keeperState struct {
+	kept [][]schema.Value
+}
+
+// TestDispatchCopiesItsArgs: Submit converts its `...any` into a buffer of
+// its frame's pooled event record, which the next Submit reuses, so Dispatch
+// — the one call that keeps arguments past its handler — copies them. A relay
+// dispatches its own args, a string and an int ≥ 256, to a keeper that stores
+// the list its sub-event received; after every later Submit has reused the
+// record, each stored list still holds what its relay was given.
+func TestDispatchCopiesItsArgs(t *testing.T) {
+	const events = 200
+	var kept sync.WaitGroup
+	kept.Add(events)
+	s := schema.New()
+	cls := s.MustDeclareClass("Keeper", func() any { return &keeperState{} })
+	cls.MustDeclareMethod("keep", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		st := call.State().(*keeperState)
+		st.kept = append(st.kept, args)
+		kept.Done()
+		return schema.Value{}, nil
+	})
+	cls.MustDeclareMethod("relay", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		call.Dispatch(call.Self(), "keep", args...)
+		return schema.Value{}, nil
+	})
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(transport.NullNetwork{})
+	cl.AddServer(cluster.M3Large)
+	rt, err := New(s, ownership.NewGraph(), cl, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	id, _ := rt.CreateContext("Keeper")
+	for i := range events {
+		if _, err := rt.Submit(id, "relay", fmt.Sprintf("memo %d", i), 1000+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kept.Wait()
+	c, _ := rt.Context(id)
+	seen := make(map[int]bool)
+	for _, args := range c.State().(*keeperState).kept {
+		var got []any
+		for _, v := range args {
+			got = append(got, v.Any())
+		}
+		n, _ := got[len(got)-1].(int)
+		if want := []any{fmt.Sprintf("memo %d", n-1000), n}; !reflect.DeepEqual(got, want) || seen[n] {
+			t.Fatalf("a dispatched sub-event kept %v after later events reused the record (or ran twice); want %v", got, want)
+		}
+		seen[n] = true
+	}
+}
+
 func TestNewContextWithinEvent(t *testing.T) {
 	s := schema.New()
 	parent := s.MustDeclareClass("Parent", func() any { return &itemState{} })
 	s.MustDeclareClass("Child", func() any { return &itemState{} }).
-		MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
-			call.State().(*itemState).Gold += args[0].(int)
+		MustDeclareMethod("add", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+			call.State().(*itemState).Gold += args[0].Int()
 			return schema.Value{}, nil
 		})
-	parent.MustDeclareMethod("spawn", func(call schema.Call, args []any) (schema.Value, error) {
+	parent.MustDeclareMethod("spawn", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		id, err := call.NewContext("Child", call.Self())
 		if err != nil {
 			return schema.Value{}, err
 		}
 		// The fresh child is immediately callable within this event.
-		if _, err := call.Sync(id, "add", 42); err != nil {
+		if _, err := call.Sync(id, "add", schema.Int(42)); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(id), nil
@@ -638,17 +698,17 @@ func TestCrabReleasesEarly(t *testing.T) {
 	s := schema.New()
 	wh := s.MustDeclareClass("Warehouse", func() any { return &itemState{} })
 	district := s.MustDeclareClass("District", func() any { return &itemState{} })
-	district.MustDeclareMethod("slow", func(call schema.Call, args []any) (schema.Value, error) {
+	district.MustDeclareMethod("slow", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		close(parked)
 		<-gate
 		call.State().(*itemState).Gold++
 		return schema.Value{}, nil
 	})
-	wh.MustDeclareMethod("payment", func(call schema.Call, args []any) (schema.Value, error) {
+	wh.MustDeclareMethod("payment", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		call.State().(*itemState).Gold++
-		return schema.Value{}, call.Crab(args[0].(ownership.ID), "slow")
+		return schema.Value{}, call.Crab(args[0].ID(), "slow")
 	}, schema.MayCall("District", "slow"))
-	wh.MustDeclareMethod("quick", func(call schema.Call, args []any) (schema.Value, error) {
+	wh.MustDeclareMethod("quick", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
@@ -778,7 +838,7 @@ func TestActivationWaitIsTimed(t *testing.T) {
 	gate := make(chan struct{})
 	open := sync.OnceFunc(func() { close(gate) })
 	s := schema.New()
-	s.MustDeclareClass("C", nil).MustDeclareMethod("hold", func(schema.Call, []any) (schema.Value, error) {
+	s.MustDeclareClass("C", nil).MustDeclareMethod("hold", func(schema.Call, []schema.Value) (schema.Value, error) {
 		entered <- struct{}{}
 		<-gate
 		return schema.Value{}, nil
@@ -847,7 +907,7 @@ func TestSubmitManyParallelRooms(t *testing.T) {
 	open := sync.OnceFunc(func() { close(gate) })
 	s := schema.New()
 	room := s.MustDeclareClass("Room", nil)
-	room.MustDeclareMethod("work", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("work", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		arrived <- struct{}{}
 		<-gate
 		return schema.Value{}, nil

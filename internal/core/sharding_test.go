@@ -78,24 +78,24 @@ func blockSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	b := s.MustDeclareClass("B", func() any { return new(int) })
-	b.MustDeclareMethod("wait", func(call schema.Call, args []any) (schema.Value, error) {
-		started := args[0].(chan struct{})
-		release := args[1].(chan struct{})
+	b.MustDeclareMethod("wait", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		started := args[0].Any().(chan struct{})
+		release := args[1].Any().(chan struct{})
 		close(started)
 		<-release
 		return schema.Value{}, nil
 	})
-	b.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+	b.MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		n := call.State().(*int)
 		*n++
 		return schema.Int(*n), nil
 	})
-	b.MustDeclareMethod("spawnInc", func(call schema.Call, args []any) (schema.Value, error) {
-		call.Dispatch(args[0].(ownership.ID), "inc")
+	b.MustDeclareMethod("spawnInc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		call.Dispatch(args[0].ID(), "inc")
 		return schema.Value{}, nil
 	})
-	b.MustDeclareMethod("sleep", func(call schema.Call, args []any) (schema.Value, error) {
-		time.Sleep(args[0].(time.Duration))
+	b.MustDeclareMethod("sleep", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		time.Sleep(args[0].Any().(time.Duration))
 		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
@@ -211,7 +211,7 @@ func TestRecentLatencyMerged(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		f := rt.BeginFrame()
 		for j := 0; j < perFrame; j++ {
-			if _, _, _, err := f.Run(target, "sleep", []any{d}); err != nil {
+			if _, _, _, err := f.Run(target, "sleep", []schema.Value{schema.Of(d)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -33,20 +33,20 @@ func fanSchema(t testing.TB) *schema.Schema {
 	hub := s.MustDeclareClass("Hub", func() any { return &hubState{} })
 	leaf := s.MustDeclareClass("Leaf", func() any { return &leafState{} })
 	link := s.MustDeclareClass("Link", nil)
-	leaf.MustDeclareMethod("touch", func(call schema.Call, _ []any) (schema.Value, error) {
+	leaf.MustDeclareMethod("touch", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		call.State().(*leafState).n++
 		return schema.Value{}, nil
 	})
-	leaf.MustDeclareMethod("bump", func(call schema.Call, _ []any) (schema.Value, error) {
+	leaf.MustDeclareMethod("bump", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		st := call.State().(*leafState)
 		st.n++
 		return schema.Int(st.n), nil
 	})
-	leaf.MustDeclareMethod("peek", func(schema.Call, []any) (schema.Value, error) { return schema.Value{}, nil }, schema.RO())
-	leaf.MustDeclareMethod("count", func(call schema.Call, _ []any) (schema.Value, error) {
+	leaf.MustDeclareMethod("peek", func(schema.Call, []schema.Value) (schema.Value, error) { return schema.Value{}, nil }, schema.RO())
+	leaf.MustDeclareMethod("count", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*leafState).n), nil
 	}, schema.RO())
-	hub.MustDeclareMethod("fan", func(call schema.Call, args []any) (schema.Value, error) {
+	hub.MustDeclareMethod("fan", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		for _, l := range call.State().(*hubState).leaves {
 			if _, err := call.Sync(l, "touch", args...); err != nil {
 				return schema.Value{}, err
@@ -54,7 +54,7 @@ func fanSchema(t testing.TB) *schema.Schema {
 		}
 		return schema.Value{}, nil
 	}, schema.MayCall("Leaf", "touch"))
-	hub.MustDeclareMethod("tally", func(call schema.Call, _ []any) (schema.Value, error) {
+	hub.MustDeclareMethod("tally", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		sum := 0
 		for _, l := range call.State().(*hubState).leaves {
 			v, err := call.Sync(l, "bump")
@@ -67,7 +67,7 @@ func fanSchema(t testing.TB) *schema.Schema {
 		return schema.Value{}, nil
 	}, schema.MayCall("Leaf", "bump"))
 	// spawn creates a leaf under the hub and calls it within the same event.
-	hub.MustDeclareMethod("spawn", func(call schema.Call, _ []any) (schema.Value, error) {
+	hub.MustDeclareMethod("spawn", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		id, err := call.NewContext("Leaf", call.Self())
 		if err != nil {
 			return schema.Value{}, err
@@ -76,13 +76,13 @@ func fanSchema(t testing.TB) *schema.Schema {
 		return schema.Of(id), err
 	}, schema.MayCall("Leaf", "touch"))
 	// poke calls the first leaf without having declared access to Leaf.
-	hub.MustDeclareMethod("poke", func(call schema.Call, _ []any) (schema.Value, error) {
+	hub.MustDeclareMethod("poke", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		return call.Sync(call.State().(*hubState).leaves[0], "touch")
 	})
 	// burst races args[0] asynchronous branches on the hub's first leaf.
-	hub.MustDeclareMethod("burst", func(call schema.Call, args []any) (schema.Value, error) {
+	hub.MustDeclareMethod("burst", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		l := call.State().(*hubState).leaves[0]
-		rs := make([]schema.AsyncResult, args[0].(int))
+		rs := make([]schema.AsyncResult, args[0].Int())
 		for i := range rs {
 			rs[i] = call.Async(l, "touch")
 		}
@@ -94,7 +94,7 @@ func fanSchema(t testing.TB) *schema.Schema {
 		return schema.Value{}, nil
 	}, schema.MayCall("Leaf", "touch"))
 	// down recurses along a chain of Links and reports its depth.
-	link.MustDeclareMethod("down", func(call schema.Call, _ []any) (schema.Value, error) {
+	link.MustDeclareMethod("down", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		kids, err := call.Children("Link")
 		if err != nil || len(kids) == 0 {
 			return schema.Int(1), err

@@ -27,16 +27,16 @@ func testSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	room := s.MustDeclareClass("Room", func() any { return &counterState{} })
-	room.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counterState)
 		st.N++
 		return schema.Int(st.N), nil
 	})
-	room.MustDeclareMethod("get", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("get", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*counterState).N), nil
 	}, schema.RO())
 	item := s.MustDeclareClass("Item", func() any { return &counterState{} })
-	item.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counterState)
 		st.N++
 		return schema.Int(st.N), nil
@@ -585,7 +585,7 @@ func TestSnapshotSkipsNilCheckpoint(t *testing.T) {
 	// A state whose Checkpointer returns nil is skipped (§ 5.3).
 	s := schema.New()
 	cls := s.MustDeclareClass("Ephemeral", func() any { return &ephemeralState{} })
-	cls.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) { return schema.Value{}, nil })
+	cls.MustDeclareMethod("noop", func(call schema.Call, args []schema.Value) (schema.Value, error) { return schema.Value{}, nil })
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
 	}
@@ -614,11 +614,11 @@ func TestSnapshotIsConsistentUnderLoad(t *testing.T) {
 	s := schema.New()
 	pair := s.MustDeclareClass("Pair", func() any { return &counterState{} })
 	s.MustDeclareClass("Half", func() any { return &counterState{} }).
-		MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+		MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 			call.State().(*counterState).N++
 			return schema.Value{}, nil
 		})
-	pair.MustDeclareMethod("incBoth", func(call schema.Call, args []any) (schema.Value, error) {
+	pair.MustDeclareMethod("incBoth", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		halves, _ := call.Children("Half")
 		for _, h := range halves {
 			if _, err := call.Sync(h, "inc"); err != nil {

@@ -2,6 +2,7 @@ package eventwave
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,7 +25,7 @@ type event struct {
 type subEvent struct {
 	target ownership.ID
 	method string
-	args   []any
+	args   []schema.Value
 }
 
 func (e *event) hold(c *context) {
@@ -75,7 +76,7 @@ func (e *event) releaseAll() {
 	}
 }
 
-func (e *event) addSub(target ownership.ID, method string, args []any) {
+func (e *event) addSub(target ownership.ID, method string, args []schema.Value) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.subs = append(e.subs, subEvent{target, method, args})
@@ -143,7 +144,7 @@ func (c *callEnv) prepare(child ownership.ID, method string) (*context, *schema.
 }
 
 // Sync implements schema.Call.
-func (c *callEnv) Sync(child ownership.ID, method string, args ...any) (schema.Value, error) {
+func (c *callEnv) Sync(child ownership.ID, method string, args ...schema.Value) (schema.Value, error) {
 	cc, m, err := c.prepare(child, method)
 	if err != nil {
 		return schema.Value{}, err
@@ -165,7 +166,7 @@ func (a *asyncResult) Wait() (schema.Value, error) {
 }
 
 // Async implements schema.Call.
-func (c *callEnv) Async(child ownership.ID, method string, args ...any) schema.AsyncResult {
+func (c *callEnv) Async(child ownership.ID, method string, args ...schema.Value) schema.AsyncResult {
 	a := &asyncResult{done: make(chan struct{})}
 	cc, m, err := c.prepare(child, method)
 	if err != nil {
@@ -185,14 +186,14 @@ func (c *callEnv) Async(child ownership.ID, method string, args ...any) schema.A
 
 // Crab implements schema.Call. EventWave has no early-release tail calls;
 // it degrades to a plain asynchronous call.
-func (c *callEnv) Crab(child ownership.ID, method string, args ...any) error {
+func (c *callEnv) Crab(child ownership.ID, method string, args ...schema.Value) error {
 	c.Async(child, method, args...)
 	return nil
 }
 
 // Dispatch implements schema.Call.
-func (c *callEnv) Dispatch(target ownership.ID, method string, args ...any) {
-	c.ev.addSub(target, method, args)
+func (c *callEnv) Dispatch(target ownership.ID, method string, args ...schema.Value) {
+	c.ev.addSub(target, method, slices.Clone(args))
 }
 
 // NewContext implements schema.Call.

@@ -233,10 +233,10 @@ func (r *Runtime) State(id ownership.ID) (any, error) {
 // hand-over-hand descent to the target, then execution holding the target's
 // subtree.
 func (r *Runtime) Submit(target ownership.ID, method string, args ...any) (any, error) {
-	return r.run(target, method, args, false)
+	return r.run(target, method, schema.AppendValues(nil, args), false)
 }
 
-func (r *Runtime) run(target ownership.ID, method string, args []any, asSub bool) (any, error) {
+func (r *Runtime) run(target ownership.ID, method string, args []schema.Value, asSub bool) (any, error) {
 	if r.closed.Load() && !asSub {
 		return nil, ErrClosed
 	}
@@ -327,7 +327,7 @@ func (r *Runtime) run(target ownership.ID, method string, args []any, asSub bool
 	return res.Any(), err
 }
 
-func (r *Runtime) invoke(env *callEnv, args []any) (schema.Value, error) {
+func (r *Runtime) invoke(env *callEnv, args []schema.Value) (schema.Value, error) {
 	if env.method.Cost > 0 {
 		if srv, ok := r.cluster.Server(r.locationOf(env.ctx.id)); ok {
 			srv.Work(env.method.Cost)

@@ -24,17 +24,17 @@ func testSchema(t *testing.T) *schema.Schema {
 	room := s.MustDeclareClass("Room", func() any { return &counter{} })
 	item := s.MustDeclareClass("Item", func() any { return &counter{} })
 
-	item.MustDeclareMethod("add", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("add", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counter)
-		st.N += args[0].(int)
+		st.N += args[0].Int()
 		return schema.Int(st.N), nil
 	})
-	room.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counter)
 		st.N++
 		return schema.Int(st.N), nil
 	})
-	room.MustDeclareMethod("addAll", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("addAll", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		items, err := call.Children("Item")
 		if err != nil {
 			return schema.Value{}, err
@@ -50,19 +50,19 @@ func testSchema(t *testing.T) *schema.Schema {
 		}
 		return schema.Value{}, nil
 	}, schema.MayCall("Item", "add"))
-	room.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
-		from := args[0].(ownership.ID)
-		to := args[1].(ownership.ID)
-		amt := args[2].(int)
-		if _, err := call.Sync(from, "add", -amt); err != nil {
+	room.MustDeclareMethod("transfer", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		from := args[0].ID()
+		to := args[1].ID()
+		amt := args[2].Int()
+		if _, err := call.Sync(from, "add", schema.Int(-amt)); err != nil {
 			return schema.Value{}, err
 		}
-		if _, err := call.Sync(to, "add", amt); err != nil {
+		if _, err := call.Sync(to, "add", schema.Int(amt)); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Value{}, nil
 	}, schema.MayCall("Item", "add"))
-	root.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+	root.MustDeclareMethod("noop", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Value{}, nil
 	})
 	if err := s.Freeze(); err != nil {
@@ -217,7 +217,7 @@ func TestPipelineParallelismBelowRoot(t *testing.T) {
 	s := schema.New()
 	s.MustDeclareClass("Root", nil)
 	room := s.MustDeclareClass("Room", nil)
-	room.MustDeclareMethod("meet", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("meet", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		if inside.Add(1) == 2 {
 			close(both)
 		}

@@ -153,37 +153,37 @@ func Schema(cfg Config) (*schema.Schema, error) {
 
 	cost := cfg.ActionCost
 
-	item.MustDeclareMethod("get", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("get", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*ItemState)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		if amt > st.Gold {
 			amt = st.Gold
 		}
 		st.Gold -= amt
 		return schema.Int(amt), nil
 	}, schema.Cost(cost))
-	item.MustDeclareMethod("put", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("put", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*ItemState)
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		return schema.Int(st.Gold), nil
 	}, schema.Cost(cost))
-	item.MustDeclareMethod("peek", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("peek", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*ItemState).Gold), nil
 	}, schema.RO(), schema.Cost(cost))
 
 	// get_gold: the § 2 example — move gold from the player's mine into
 	// their treasure.
-	player.MustDeclareMethod("get_gold", func(call schema.Call, args []any) (schema.Value, error) {
+	player.MustDeclareMethod("get_gold", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*PlayerState)
-		amt := args[0].(int)
-		taken, err := call.Sync(ownID(st.Mine), "get", amt)
+		amt := args[0].Int()
+		taken, err := call.Sync(ownID(st.Mine), "get", schema.Int(amt))
 		if err != nil {
 			return schema.Value{}, err
 		}
 		if taken.Int() == 0 {
 			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(ownID(st.Treasure), "put", taken.Any()); err != nil {
+		if _, err := call.Sync(ownID(st.Treasure), "put", taken); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(true), nil
@@ -191,22 +191,22 @@ func Schema(cfg Config) (*schema.Schema, error) {
 
 	// receive: deposit into the player's treasure (called by Room during
 	// shared-object interactions under multiple ownership).
-	player.MustDeclareMethod("receive", func(call schema.Call, args []any) (schema.Value, error) {
+	player.MustDeclareMethod("receive", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*PlayerState)
 		return call.Sync(ownID(st.Treasure), "put", args[0])
 	}, schema.MayCall("Item", "put"), schema.Cost(cost))
 
 	// player_gold: the single-ownership path — the Room holds all items, so
 	// it moves gold between the player's room-held mine and treasure.
-	room.MustDeclareMethod("player_gold", func(call schema.Call, args []any) (schema.Value, error) {
-		taken, err := call.Sync(args[0].(ownershipID), "get", args[2])
+	room.MustDeclareMethod("player_gold", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		taken, err := call.Sync(args[0].ID(), "get", args[2])
 		if err != nil {
 			return schema.Value{}, err
 		}
 		if taken.Int() == 0 {
 			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(args[1].(ownershipID), "put", taken.Any()); err != nil {
+		if _, err := call.Sync(args[1].ID(), "put", taken); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(true), nil
@@ -214,48 +214,48 @@ func Schema(cfg Config) (*schema.Schema, error) {
 
 	// interact: a player takes from a shared room object (multi-ownership
 	// wiring: Room reaches the player, who banks into their treasure).
-	room.MustDeclareMethod("interact", func(call schema.Call, args []any) (schema.Value, error) {
-		taken, err := call.Sync(args[0].(ownershipID), "get", args[2])
+	room.MustDeclareMethod("interact", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		taken, err := call.Sync(args[0].ID(), "get", args[2])
 		if err != nil {
 			return schema.Value{}, err
 		}
 		if taken.Int() == 0 {
 			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(args[1].(ownershipID), "receive", taken.Any()); err != nil {
+		if _, err := call.Sync(args[1].ID(), "receive", taken); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(true), nil
 	}, schema.MayCall("Item", "get"), schema.MayCall("Player", "receive"), schema.Cost(cost))
 
 	// interact_so: single-ownership variant — both objects are room items.
-	room.MustDeclareMethod("interact_so", func(call schema.Call, args []any) (schema.Value, error) {
-		taken, err := call.Sync(args[0].(ownershipID), "get", args[2])
+	room.MustDeclareMethod("interact_so", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		taken, err := call.Sync(args[0].ID(), "get", args[2])
 		if err != nil {
 			return schema.Value{}, err
 		}
 		if taken.Int() == 0 {
 			return schema.Of(false), nil
 		}
-		if _, err := call.Sync(args[1].(ownershipID), "put", taken.Any()); err != nil {
+		if _, err := call.Sync(args[1].ID(), "put", taken); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(true), nil
 	}, schema.MayCall("Item", "get"), schema.MayCall("Item", "put"), schema.Cost(cost))
 
-	room.MustDeclareMethod("nr_players", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("nr_players", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*RoomState).NPlayers), nil
 	}, schema.RO(), schema.Cost(cost))
 
-	room.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*RoomState)
-		st.TimeOfDay = args[0].(int)
+		st.TimeOfDay = args[0].Int()
 		return schema.Value{}, nil
 	}, schema.Cost(cost))
 
 	// updateTimeOfDay: change time of day in all rooms in parallel (the
 	// Listing 1 async fan-out).
-	building.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []any) (schema.Value, error) {
+	building.MustDeclareMethod("updateTimeOfDay", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*BuildingState)
 		st.TimeOfDay++
 		rooms, err := call.Children("Room")
@@ -263,12 +263,12 @@ func Schema(cfg Config) (*schema.Schema, error) {
 			return schema.Value{}, err
 		}
 		for _, r := range rooms {
-			call.Async(r, "updateTimeOfDay", st.TimeOfDay)
+			call.Async(r, "updateTimeOfDay", schema.Int(st.TimeOfDay))
 		}
 		return schema.Int(st.TimeOfDay), nil
 	}, schema.MayCall("Room", "updateTimeOfDay"), schema.Cost(cost))
 
-	building.MustDeclareMethod("countPlayers", func(call schema.Call, args []any) (schema.Value, error) {
+	building.MustDeclareMethod("countPlayers", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		rooms, err := call.Children("Room")
 		if err != nil {
 			return schema.Value{}, err

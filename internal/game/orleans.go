@@ -83,9 +83,9 @@ func (a *OrleansApp) declare() error {
 		return rt.DeclareMethod(class, name, cost, h)
 	}
 
-	if err := decl("Item", "get", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Item", "get", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*ItemState)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		if amt > st.Gold {
 			amt = st.Gold
 		}
@@ -94,16 +94,16 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("Item", "put", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Item", "put", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*ItemState)
-		st.Gold += args[0].(int)
+		st.Gold += args[0].Int()
 		return schema.Int(st.Gold), nil
 	}); err != nil {
 		return err
 	}
 
 	// Application-level room lock (serializable variant).
-	if err := rt.DeclareMethod("Room", "lock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("Room", "lock", 0, func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*roomGrainState)
 		if !st.lockHeld {
 			st.lockHeld = true
@@ -114,7 +114,7 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := rt.DeclareMethod("Room", "unlock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("Room", "unlock", 0, func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*roomGrainState)
 		if len(st.waiters) > 0 {
 			next := st.waiters[0]
@@ -127,39 +127,39 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("Room", "nr_players", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Room", "nr_players", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*roomGrainState).NPlayers), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Room", "updateTimeOfDay", func(call *orleans.Call, args []any) (schema.Value, error) {
-		call.State().(*roomGrainState).TimeOfDay = args[0].(int)
+	if err := decl("Room", "updateTimeOfDay", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
+		call.State().(*roomGrainState).TimeOfDay = args[0].Int()
 		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
 
 	// get_gold: move gold mine→treasure, with or without the room lock.
-	if err := decl("Player", "get_gold", func(call *orleans.Call, args []any) (schema.Value, error) {
-		mine := args[0].(orleans.GrainID)
-		tre := args[1].(orleans.GrainID)
-		room := args[2].(orleans.GrainID)
-		amt := args[3].(int)
-		locked := args[4].(bool)
+	if err := decl("Player", "get_gold", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
+		mine := args[0].Any().(orleans.GrainID)
+		tre := args[1].Any().(orleans.GrainID)
+		room := args[2].Any().(orleans.GrainID)
+		amt := args[3].Int()
+		locked := args[4].Any().(bool)
 		if locked {
 			if _, err := call.Call(room, "lock"); err != nil {
 				return schema.Value{}, err
 			}
 			defer func() { _, _ = call.Call(room, "unlock") }()
 		}
-		taken, err := call.Call(mine, "get", amt)
+		taken, err := call.Call(mine, "get", schema.Int(amt))
 		if err != nil {
 			return schema.Value{}, err
 		}
 		if taken.Int() == 0 {
 			return schema.Of(false), nil
 		}
-		if _, err := call.Call(tre, "put", taken.Any()); err != nil {
+		if _, err := call.Call(tre, "put", taken); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(true), nil
@@ -168,26 +168,26 @@ func (a *OrleansApp) declare() error {
 	}
 
 	// interact: take from a shared room object into the treasure.
-	if err := decl("Player", "interact", func(call *orleans.Call, args []any) (schema.Value, error) {
-		item := args[0].(orleans.GrainID)
-		tre := args[1].(orleans.GrainID)
-		room := args[2].(orleans.GrainID)
-		amt := args[3].(int)
-		locked := args[4].(bool)
+	if err := decl("Player", "interact", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
+		item := args[0].Any().(orleans.GrainID)
+		tre := args[1].Any().(orleans.GrainID)
+		room := args[2].Any().(orleans.GrainID)
+		amt := args[3].Int()
+		locked := args[4].Any().(bool)
 		if locked {
 			if _, err := call.Call(room, "lock"); err != nil {
 				return schema.Value{}, err
 			}
 			defer func() { _, _ = call.Call(room, "unlock") }()
 		}
-		taken, err := call.Call(item, "get", amt)
+		taken, err := call.Call(item, "get", schema.Int(amt))
 		if err != nil {
 			return schema.Value{}, err
 		}
 		if taken.Int() == 0 {
 			return schema.Of(false), nil
 		}
-		if _, err := call.Call(tre, "put", taken.Any()); err != nil {
+		if _, err := call.Call(tre, "put", taken); err != nil {
 			return schema.Value{}, err
 		}
 		return schema.Of(true), nil
@@ -195,13 +195,13 @@ func (a *OrleansApp) declare() error {
 		return err
 	}
 
-	if err := decl("Building", "updateTimeOfDay", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Building", "updateTimeOfDay", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*BuildingState)
 		st.TimeOfDay++
-		rooms := args[0].([]orleans.GrainID)
+		rooms := args[0].Any().([]orleans.GrainID)
 		promises := make([]*orleans.Promise, 0, len(rooms))
 		for _, r := range rooms {
-			promises = append(promises, call.CallAsync(r, "updateTimeOfDay", st.TimeOfDay))
+			promises = append(promises, call.CallAsync(r, "updateTimeOfDay", schema.Int(st.TimeOfDay)))
 		}
 		for _, p := range promises {
 			if _, err := p.Wait(); err != nil {
@@ -212,8 +212,8 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	return decl("Building", "countPlayers", func(call *orleans.Call, args []any) (schema.Value, error) {
-		rooms := args[0].([]orleans.GrainID)
+	return decl("Building", "countPlayers", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
+		rooms := args[0].Any().([]orleans.GrainID)
 		total := 0
 		for _, r := range rooms {
 			n, err := call.Call(r, "nr_players")

@@ -286,7 +286,7 @@ func (g *gatedIoT) open() { g.once.Do(func() { close(g.gate) }) }
 
 func (g *gatedIoT) Schema() *schema.Schema {
 	s := g.IoT.Schema()
-	s.Class("Sensor").MustDeclareMethod("park", func(schema.Call, []any) (schema.Value, error) {
+	s.Class("Sensor").MustDeclareMethod("park", func(schema.Call, []schema.Value) (schema.Value, error) {
 		g.entered <- struct{}{}
 		<-g.gate
 		return schema.Value{}, nil

@@ -16,10 +16,12 @@ const valuePath = "aeon/internal/schema"
 
 // TestNoValueAsInterface fails on every implicit or explicit conversion of a
 // schema.Value to an interface type in the root module's non-test code.
-// Arguments travel as []any and a handler reads them with args[i].(int), so
-// a Value passed as an argument compiles and panics in the callee; a Value
-// stored in an `any` result field is encoded as an unregistered gob blob. A
-// result becomes an `any` through Value.Any, which is a call, not a
+// Inside the product arguments and results are Values, and a sub-call takes
+// them as they are (Sync's `...Value`), but the `any` edges remain: a Value
+// stored in an `any` field (a wire struct's Result or Args) is encoded as an
+// unregistered gob blob, and one passed to an `...any` API (Submit, Of)
+// reaches the handler boxed in a second box, where args[i].Int() panics. A
+// Value becomes an `any` through Value.Any, which is a call, not a
 // conversion.
 func TestNoValueAsInterface(t *testing.T) {
 	u, err := load()

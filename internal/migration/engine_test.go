@@ -24,16 +24,16 @@ func testSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	s := schema.New()
 	room := s.MustDeclareClass("Room", func() any { return &counterState{} })
-	room.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counterState)
 		st.N++
 		return schema.Int(st.N), nil
 	})
-	room.MustDeclareMethod("get", func(call schema.Call, args []any) (schema.Value, error) {
+	room.MustDeclareMethod("get", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*counterState).N), nil
 	}, schema.RO())
 	item := s.MustDeclareClass("Item", func() any { return &counterState{} })
-	item.MustDeclareMethod("inc", func(call schema.Call, args []any) (schema.Value, error) {
+	item.MustDeclareMethod("inc", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counterState)
 		st.N++
 		return schema.Int(st.N), nil

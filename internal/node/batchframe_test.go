@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
+	"aeon/internal/workload"
 )
 
 // handleBatch delivers one batch frame to a node the way the mesh would and
@@ -40,48 +42,86 @@ func handleBatch(t testing.TB, n *Node, req *schema.SubmitBatchReq) []schema.Bat
 }
 
 // TestBatchFrameAllocBudget is the node's allocation gate for the batch
-// frame path: handling a warm 96-event bank frame (the benchmark's op mix)
-// allocates frameAllocs objects per frame, whatever its event count — the
-// frame's one args slice and its response buffer — and nothing per event.
-// Results travel as schema.Values from the handler through the response
-// encoder, so a balance of 256 or more is not boxed; decode target, outcome
-// and result slots and forward lists come from the pooled scratch.
+// frame path: handling a warm 96-event frame allocates a constant number of
+// objects per frame, whatever its event count, and nothing per event.
+//
+// bank is the benchmark's bank op mix: the frame's one args slice and its
+// response buffer. Results travel as schema.Values from the handler through
+// the response encoder, so a balance of 256 or more is not boxed; decode
+// target, outcome and result slots and forward lists come from the pooled
+// scratch.
+//
+// social is a frame of posts, each carrying its message as a string argument
+// down to a pod of timelines: the same two, plus the one copy of the frame
+// its string arguments are slices of. (Before arguments were Values, each
+// string argument was copied out of the frame and boxed into an `any`: two
+// objects per event.)
 func TestBatchFrameAllocBudget(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped scratch is rebuilt from scratch")
 	}
-	const events, frameAllocs = 96, 2
-	d := deploy(t, 1)
-	n := d.Nodes[0]
-	req := schema.SubmitBatchReq{Events: make([]schema.BatchEvent, events)}
-	for i := range req.Events {
-		ev := &req.Events[i]
-		ev.Target = d.Top.Accounts[0][i%len(d.Top.Accounts[0])]
-		if ev.Method = "deposit"; i%10 == 9 {
-			ev.Method = "balance"
-		} else {
-			ev.Args = []any{1} // small ints do not box on decode
-		}
-	}
-	payload, err := req.MarshalWire(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := transport.Message{Kind: KindSubmitBatch, Payload: payload}
-	frame := func() {
-		if _, err := n.handle(context.Background(), 99, msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		frame() // warm: scratch pool, event pool, intern table
-	}
-	// The balances the frame returns are ≥ 256 by now, so a boxed result
-	// would show as one object per event.
-	got := testing.AllocsPerRun(200, frame)
-	t.Logf("a warm %d-event frame allocates %v objects", events, got)
-	if got > frameAllocs {
-		t.Fatalf("a warm %d-event frame allocated %v objects; budget is %d per frame and none per event", events, got, frameAllocs)
+	const events = 96
+	for _, tc := range []struct {
+		name        string
+		frameAllocs float64
+		frame       func(t *testing.T) (*Node, schema.SubmitBatchReq)
+	}{
+		{"bank", 2, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
+			d := deploy(t, 1)
+			req := schema.SubmitBatchReq{Events: make([]schema.BatchEvent, events)}
+			for i := range req.Events {
+				ev := &req.Events[i]
+				ev.Target = d.Top.Accounts[0][i%len(d.Top.Accounts[0])]
+				if ev.Method = "deposit"; i%10 == 9 {
+					ev.Method = "balance"
+				} else {
+					ev.Args = []any{1} // small ints do not box on decode
+				}
+			}
+			return d.Nodes[0], req
+		}},
+		{"social", 3, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
+			scen, err := workload.NewScenario("social", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := Deploy(transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), Topology{Nodes: 1, Scenario: scen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Close)
+			var req schema.SubmitBatchReq
+			for rng := rand.New(rand.NewSource(1)); len(req.Events) < events; {
+				if op := scen.SoakOp(rng); op.Method == "post" {
+					req.Events = append(req.Events, schema.BatchEvent{Target: op.Target, Method: op.Method, Args: op.Args})
+				}
+			}
+			return d.Nodes[0], req
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, req := tc.frame(t)
+			payload, err := req.MarshalWire(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := transport.Message{Kind: KindSubmitBatch, Payload: payload}
+			frame := func() {
+				if _, err := n.handle(context.Background(), 99, msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				frame() // warm: scratch pool, event pool, intern table
+			}
+			// The results the frame returns (balances, post counts) are ≥ 256
+			// by now, so a boxed result would show as one object per event.
+			got := testing.AllocsPerRun(200, frame)
+			t.Logf("a warm %d-event %s frame allocates %v objects", events, tc.name, got)
+			if got > tc.frameAllocs {
+				t.Fatalf("a warm %d-event %s frame allocated %v objects; budget is %v per frame and none per event", events, tc.name, got, tc.frameAllocs)
+			}
+		})
 	}
 }
 
@@ -212,8 +252,8 @@ func TestFailuresArriveAsThemselves(t *testing.T) {
 	// A runtime whose one class fails with whatever sentinel it is asked for.
 	s := schema.New()
 	sentinels := []error{core.ErrMigrating, core.ErrAcquireTimeout, errors.New("handler's own")}
-	s.MustDeclareClass("Faulty", func() any { return new(int) }).MustDeclareMethod("fail", func(_ schema.Call, args []any) (schema.Value, error) {
-		return schema.Value{}, fmt.Errorf("asked for: %w", sentinels[args[0].(int)])
+	s.MustDeclareClass("Faulty", func() any { return new(int) }).MustDeclareMethod("fail", func(_ schema.Call, args []schema.Value) (schema.Value, error) {
+		return schema.Value{}, fmt.Errorf("asked for: %w", sentinels[args[0].Int()])
 	})
 	if err := s.Freeze(); err != nil {
 		t.Fatal(err)
@@ -283,7 +323,7 @@ func TestFailuresArriveAsThemselves(t *testing.T) {
 
 // keeperState is what the args-retention fixture's handlers keep.
 type keeperState struct {
-	kept [][]any
+	kept [][]schema.Value
 }
 
 // TestBatchArgsSurviveFrameReuse pins that pooling the frame scratch made no
@@ -297,13 +337,13 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 	var kept sync.WaitGroup // one Done per keep, direct or dispatched
 	kept.Add(perFrame * (laterFrames + 1))
 	keeper := s.MustDeclareClass("Keeper", func() any { return &keeperState{} })
-	keeper.MustDeclareMethod("keep", func(call schema.Call, args []any) (schema.Value, error) {
+	keeper.MustDeclareMethod("keep", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*keeperState)
 		st.kept = append(st.kept, args)
 		kept.Done()
 		return schema.Int(len(st.kept)), nil
 	})
-	keeper.MustDeclareMethod("relay", func(call schema.Call, args []any) (schema.Value, error) {
+	keeper.MustDeclareMethod("relay", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		call.Dispatch(call.Self(), "keep", args...)
 		return schema.Value{}, nil
 	})
@@ -355,10 +395,14 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 		}
 		seen := make(map[int]bool)
 		for _, args := range kept {
-			first, _ := args[0].(int)
+			got := make([]any, len(args))
+			for k, v := range args {
+				got[k] = v.Any()
+			}
+			first, _ := got[0].(int)
 			round, i := first/1000, first%1000
-			if want := []any{round*1000 + i, "memo", ownership.ID(round)}; !reflect.DeepEqual(args, want) || seen[first] {
-				t.Fatalf("%s: args %v changed after later frames reused the scratch (or arrived twice); want %v", name, args, want)
+			if want := []any{round*1000 + i, "memo", ownership.ID(round)}; !reflect.DeepEqual(got, want) || seen[first] {
+				t.Fatalf("%s: args %v changed after later frames reused the scratch (or arrived twice); want %v", name, got, want)
 			}
 			seen[first] = true
 		}

@@ -395,12 +395,12 @@ func (n *Node) replicaSeq() uint64 {
 // is hosted on a server another node embodies, so ship the whole event
 // there. The response's authoritative host repairs this node's directory
 // cache when the placement moved.
-func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []any) (any, error) {
+func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (any, error) {
 	n.forwarded.Add(1)
 	resp, err := n.callSubmit(n.nodeFor(host), &schema.SubmitReq{
 		Target: target,
 		Method: method,
-		Args:   args,
+		Vals:   args,
 		Hops:   1,
 		MinSeq: n.replicaSeq(),
 	})
@@ -468,7 +468,7 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		return ack(KindPing, schema.SubmitResp{Host: int64(n.id)}, nil)
 	case KindSubmit:
 		var hr schema.SubmitReq
-		if err := hr.UnmarshalWire(req.Payload); err != nil {
+		if err := hr.UnmarshalFrame(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
 		resp, res := n.handleSubmit(&hr)
@@ -564,7 +564,7 @@ func (n *Node) failed(err error, uncoded schema.Code, events int) (schema.Code, 
 // ErrTooManyHops when the frame's hop budget is spent. Placement is resolved
 // against the local directory snapshot, so a stale sender pays exactly the
 // forwarding hop of the paper's staleness window.
-func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method string, args []any, out *schema.BatchOutcome, res *schema.Value) cluster.ServerID {
+func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method string, args []schema.Value, out *schema.BatchOutcome, res *schema.Value) cluster.ServerID {
 	// The runtime reports the authoritative placement it admitted the event
 	// at (zero if it failed before routing).
 	v, host, local, err := f.Run(target, method, args)
@@ -591,7 +591,7 @@ func (n *Node) handleSubmit(req *schema.SubmitReq) (_ schema.SubmitResp, res sch
 		out.Code, out.Err = n.failed(fmt.Errorf("submit %v.%s at seq %d: %w", req.Target, req.Method, req.MinSeq, err), schema.CodeUnknown, 1)
 		return schema.SubmitResp(out), res
 	}
-	host := n.runEvent(&f, req.Hops, req.Target, req.Method, req.Args, &out, &res)
+	host := n.runEvent(&f, req.Hops, req.Target, req.Method, req.Vals, &out, &res)
 	f.End()
 	if host == 0 {
 		if f.Ran() > 0 {
@@ -624,7 +624,7 @@ func (n *Node) handleSubmit(req *schema.SubmitReq) (_ schema.SubmitResp, res sch
 // the decode target, the outcome and result slots and the per-host forward
 // lists. It is pooled — bounded by the mux workers handling frames at once —
 // and cleared on return, so a recycled scratch pins no event's arguments or
-// results. (Args are not part of it: see schema.SubmitBatchReq.UnmarshalFrame.)
+// results. (Arguments are not part of it: see schema.SubmitBatchReq.UnmarshalFrame.)
 type batchScratch struct {
 	req     schema.SubmitBatchReq
 	resp    schema.SubmitBatchResp
@@ -692,7 +692,7 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 	}
 	for i := range req.Events {
 		ev := &req.Events[i]
-		if host := n.runEvent(&f, req.Hops, ev.Target, ev.Method, ev.Args, &out[i], &sc.results[i]); host != 0 {
+		if host := n.runEvent(&f, req.Hops, ev.Target, ev.Method, ev.Vals, &out[i], &sc.results[i]); host != 0 {
 			sc.forwardTo(host, i)
 		}
 	}

@@ -36,26 +36,26 @@ var ErrInsufficientFunds = errors.New("bank: insufficient funds")
 func BankSchema() *schema.Schema {
 	s := schema.New()
 	acc := s.MustDeclareClass("Account", func() any { return &BankAccount{} })
-	acc.MustDeclareMethod("deposit", func(call schema.Call, args []any) (schema.Value, error) {
+	acc.MustDeclareMethod("deposit", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*BankAccount)
-		st.Balance += args[0].(int)
+		st.Balance += args[0].Int()
 		return schema.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("withdraw", func(call schema.Call, args []any) (schema.Value, error) {
+	acc.MustDeclareMethod("withdraw", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*BankAccount)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		if amt > st.Balance {
 			return schema.Value{}, ErrInsufficientFunds
 		}
 		st.Balance -= amt
 		return schema.Int(st.Balance), nil
 	})
-	acc.MustDeclareMethod("balance", func(call schema.Call, args []any) (schema.Value, error) {
+	acc.MustDeclareMethod("balance", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*BankAccount).Balance), nil
 	}, schema.RO())
 
 	bank := s.MustDeclareClass("Bank", nil)
-	bank.MustDeclareMethod("open", func(call schema.Call, args []any) (schema.Value, error) {
+	bank.MustDeclareMethod("open", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		// Runtime topology mutation: create a fresh account owned by this
 		// bank and seed it. In a replicated deployment the creation is
 		// sequenced through the fleet-wide mutation log on whichever node
@@ -65,21 +65,21 @@ func BankSchema() *schema.Schema {
 		if err != nil {
 			return schema.Value{}, err
 		}
-		if initial := args[0].(int); initial != 0 {
-			if _, err := call.Sync(id, "deposit", initial); err != nil {
+		if args[0].Int() != 0 {
+			if _, err := call.Sync(id, "deposit", args[0]); err != nil {
 				return schema.Value{}, err
 			}
 		}
-		return schema.Of(id), nil
+		return schema.ID(id), nil
 	}, schema.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("transfer", func(call schema.Call, args []any) (schema.Value, error) {
-		from, to, amt := args[0].(ownership.ID), args[1].(ownership.ID), args[2].(int)
+	bank.MustDeclareMethod("transfer", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		from, to, amt := args[0].ID(), args[1].ID(), args[2]
 		if _, err := call.Sync(from, "withdraw", amt); err != nil {
 			return schema.Value{}, err
 		}
 		return call.Sync(to, "deposit", amt)
 	}, schema.MayCall("Account", "withdraw"), schema.MayCall("Account", "deposit"))
-	bank.MustDeclareMethod("audit", func(call schema.Call, args []any) (schema.Value, error) {
+	bank.MustDeclareMethod("audit", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		accounts, err := call.Children("Account")
 		if err != nil {
 			return schema.Value{}, err

@@ -47,9 +47,9 @@ type GrainID uint64
 // String renders the grain ID.
 func (g GrainID) String() string { return fmt.Sprintf("grain#%d", uint64(g)) }
 
-// Handler is a grain method body. Its result is a schema.Value, as an AEON
-// handler's is, so a grain-to-grain call does not box an int result.
-type Handler func(call *Call, args []any) (schema.Value, error)
+// Handler is a grain method body. Its arguments and result are schema.Values,
+// as an AEON handler's are, so the same bodies read the same way on both.
+type Handler func(call *Call, args []schema.Value) (schema.Value, error)
 
 // Method describes one grain method.
 type Method struct {
@@ -105,7 +105,7 @@ func DefaultConfig() Config {
 
 type invocation struct {
 	method *Method
-	args   []any
+	args   []schema.Value
 	chain  []GrainID
 	reply  chan result
 	// deferred is set when the handler takes over the reply.
@@ -328,7 +328,7 @@ func (r *Runtime) Call(to GrainID, method string, args ...any) (any, error) {
 		return nil, ErrClosed
 	}
 	start := time.Now()
-	res, err := r.call(ClientNode, nil, to, method, args)
+	res, err := r.call(ClientNode, nil, to, method, schema.AppendValues(nil, args))
 	r.Latency.Record(time.Since(start))
 	r.Completed.Inc()
 	return res.Any(), err
@@ -336,7 +336,7 @@ func (r *Runtime) Call(to GrainID, method string, args ...any) (any, error) {
 
 // call routes one invocation; chain carries the synchronous call path for
 // deadlock detection.
-func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, method string, args []any) (schema.Value, error) {
+func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, method string, args []schema.Value) (schema.Value, error) {
 	r.mu.RLock()
 	g, ok := r.grains[to]
 	r.mu.RUnlock()
@@ -426,7 +426,7 @@ func (c *Call) State() any { return c.grain.state }
 
 // Call synchronously invokes another grain. The calling grain's message
 // loop stays blocked until the reply arrives (non-reentrancy).
-func (c *Call) Call(to GrainID, method string, args ...any) (schema.Value, error) {
+func (c *Call) Call(to GrainID, method string, args ...schema.Value) (schema.Value, error) {
 	return c.rt.call(c.grain.server, c.inv.chain, to, method, args)
 }
 
@@ -445,7 +445,7 @@ func (p *Promise) Wait() (schema.Value, error) {
 
 // CallAsync invokes another grain without blocking the current handler;
 // the grain still does not process new messages until the handler returns.
-func (c *Call) CallAsync(to GrainID, method string, args ...any) *Promise {
+func (c *Call) CallAsync(to GrainID, method string, args ...schema.Value) *Promise {
 	p := &Promise{done: make(chan struct{})}
 	go func() {
 		defer close(p.done)

@@ -32,14 +32,14 @@ func declareCounter(t *testing.T, rt *Runtime, class string) {
 	if err := rt.RegisterClass(&Class{Name: class, New: func() any { return &counter{} }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod(class, "inc", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod(class, "inc", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*counter)
 		st.N++
 		return schema.Int(st.N), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod(class, "get", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod(class, "get", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*counter).N), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestNonReentrantWhileAwaiting(t *testing.T) {
 	if err := rt.RegisterClass(&Class{Name: "B"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("B", "block", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("B", "block", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		close(entered)
 		<-release
 		return schema.Value{}, nil
@@ -132,12 +132,12 @@ func TestNonReentrantWhileAwaiting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var bID GrainID
-	if err := rt.DeclareMethod("A", "callB", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("A", "callB", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		return call.Call(bID, "block")
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("A", "quick", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("A", "quick", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		call.State().(*counter).N++
 		return schema.Value{}, nil
 	}); err != nil {
@@ -178,9 +178,9 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b GrainID
-	if err := rt.DeclareMethod("P", "ping", 0, func(call *Call, args []any) (schema.Value, error) {
-		other := args[0].(GrainID)
-		return call.Call(other, "ping", call.Self())
+	if err := rt.DeclareMethod("P", "ping", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
+		other := args[0].Any().(GrainID)
+		return call.Call(other, "ping", schema.Of(call.Self()))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -201,13 +201,13 @@ func TestReentrantAllowsCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var a, b GrainID
-	if err := rt.DeclareMethod("R", "bounce", 0, func(call *Call, args []any) (schema.Value, error) {
-		depth := args[0].(int)
+	if err := rt.DeclareMethod("R", "bounce", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
+		depth := args[0].Int()
 		if depth == 0 {
 			return schema.Of("done"), nil
 		}
-		other := args[1].(GrainID)
-		return call.Call(other, "bounce", depth-1, call.Self())
+		other := args[1].Any().(GrainID)
+		return call.Call(other, "bounce", schema.Int(depth-1), schema.Of(call.Self()))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestStatelessWorkersRunConcurrently(t *testing.T) {
 	}
 	all := make(chan struct{})
 	var inside atomic.Int32
-	if err := rt.DeclareMethod("W", "meet", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("W", "meet", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		if inside.Add(1) == 4 {
 			close(all)
 		}
@@ -270,7 +270,7 @@ func TestDeferredReply(t *testing.T) {
 	if err := rt.RegisterClass(&Class{Name: "Lock", New: func() any { return &lockState{} }}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("Lock", "lock", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("Lock", "lock", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*lockState)
 		if !st.held {
 			st.held = true
@@ -281,7 +281,7 @@ func TestDeferredReply(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.DeclareMethod("Lock", "unlock", 0, func(call *Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("Lock", "unlock", 0, func(call *Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*lockState)
 		if len(st.waiters) > 0 {
 			next := st.waiters[0]

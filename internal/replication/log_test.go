@@ -13,11 +13,11 @@ import (
 func testSchema() *schema.Schema {
 	s := schema.New()
 	root := s.MustDeclareClass("Root", nil)
-	root.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+	root.MustDeclareMethod("noop", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Value{}, nil
 	})
 	leaf := s.MustDeclareClass("Leaf", nil)
-	leaf.MustDeclareMethod("noop", func(call schema.Call, args []any) (schema.Value, error) {
+	leaf.MustDeclareMethod("noop", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Value{}, nil
 	})
 	return s

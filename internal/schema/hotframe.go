@@ -30,9 +30,9 @@ package schema
 // covering the scalar kinds real workloads send — nil, bool, int, int64,
 // uint64, float64, string, []byte, ownership.ID — and fall back to an
 // embedded EncodeWire (gob) blob for anything else, so exotic payload types
-// stay correct, merely slower. Decoding preserves the concrete type exactly
-// like a gob round trip would (an int arrives as int, not int64), which
-// application method bodies rely on for type assertions.
+// stay correct, merely slower. A decoded Value's Any has the concrete type a
+// gob round trip would give (an int arrives as int, not int64), which
+// clients and type assertions rely on.
 
 import (
 	"bytes"
@@ -97,11 +97,13 @@ const hotMax = 64 << 20
 // receiver's admission floor). Trace is an optional 8-byte trace ID (0 =
 // untraced); nodes propagate it across forwarding hops and emit a span
 // record per hop on their ops event feed. An unset trace costs one zero
-// byte on the wire.
+// byte on the wire. The arguments are Args (a client's) followed by Vals
+// (UnmarshalFrame's), so a node forwards a decoded frame as it came.
 type SubmitReq struct {
 	Target ownership.ID
 	Method string
 	Args   []any
+	Vals   []Value
 	Hops   uint32
 	MinSeq uint64
 	Trace  uint64
@@ -219,9 +221,10 @@ func PutBytes(dst []byte, b []byte) []byte {
 // count it yields can size an allocation beyond the frame's own bytes.
 // Header starts it on a frame.
 type HotReader struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	strs string // a copy of b, taken at the first non-empty string value
 }
 
 // Err reports the reader's first failure, or nil.
@@ -372,12 +375,16 @@ func intern(b []byte) string {
 
 // ---- value codec ----
 
-// appendValue encodes one tagged value, an inline int as the int it is.
+// appendValue encodes one tagged value, an inline one as the int, ID or
+// string it is.
 func appendValue(dst []byte, v Value) ([]byte, error) {
-	if _, ok := v.any.(inlineInt); ok {
-		return PutVarint(append(dst, tagInt), int64(v.num)), nil
-	}
 	switch x := v.any.(type) {
+	case inlineInt:
+		return PutVarint(append(dst, tagInt), int64(v.num)), nil
+	case inlineID:
+		return PutUvarint(append(dst, tagID), v.num), nil
+	case stringptr:
+		return PutString(append(dst, tagString), v.Str()), nil
 	case nil:
 		return append(dst, tagNil), nil
 	case bool:
@@ -411,7 +418,7 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 	}
 }
 
-// readValue decodes one tagged value, an int inline.
+// readValue decodes one tagged value, an int, an ID or a string inline.
 func (r *HotReader) readValue() Value {
 	switch tag := r.Byte(); tag {
 	case tagNil:
@@ -432,11 +439,21 @@ func (r *HotReader) readValue() Value {
 		}
 		return Value{}
 	case tagString:
-		return Of(r.Str())
+		// A slice of the reader's one copy of the frame: a frame of many
+		// strings copies once, and none of them aliases the frame.
+		n := r.Uvarint()
+		off := r.off
+		if len(r.take(n)) == 0 {
+			return Str("")
+		}
+		if r.strs == "" {
+			r.strs = string(r.b)
+		}
+		return Str(r.strs[off:r.off])
 	case tagBytes:
 		return Of(bytes.Clone(r.LenBytes()))
 	case tagID:
-		return Of(ownership.ID(r.Uvarint()))
+		return ID(ownership.ID(r.Uvarint()))
 	case tagGob:
 		v, err := DecodeWire(r.LenBytes())
 		if err != nil {
@@ -461,11 +478,24 @@ func (q *SubmitReq) MarshalWire(dst []byte) ([]byte, error) {
 	dst = PutUvarint(dst, uint64(q.Hops))
 	dst = PutUvarint(dst, q.MinSeq)
 	dst = PutUvarint(dst, q.Trace)
-	dst = PutUvarint(dst, uint64(len(q.Args)))
-	var err error
-	for _, a := range q.Args {
+	dst, err := appendArgs(dst, q.Args, q.Vals)
+	if err != nil {
+		return nil, fmt.Errorf("submit arg: %w", err)
+	}
+	return dst, nil
+}
+
+// appendArgs encodes the argument list args followed by vals.
+func appendArgs(dst []byte, args []any, vals []Value) (_ []byte, err error) {
+	dst = PutUvarint(dst, uint64(len(args)+len(vals)))
+	for _, a := range args {
 		if dst, err = appendValue(dst, Of(a)); err != nil {
-			return nil, fmt.Errorf("submit arg: %w", err)
+			return nil, err
+		}
+	}
+	for _, v := range vals {
+		if dst, err = appendValue(dst, v); err != nil {
+			return nil, err
 		}
 	}
 	return dst, nil
@@ -475,7 +505,13 @@ func (q *SubmitReq) MarshalWire(dst []byte) ([]byte, error) {
 // Args slice is reused when its capacity suffices, so a long-lived decode
 // target reaches steady-state zero allocations; decoded values never alias
 // b. The receiver is unspecified when it returns an error.
-func (q *SubmitReq) UnmarshalWire(b []byte) error {
+func (q *SubmitReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, false) }
+
+// UnmarshalFrame decodes like UnmarshalWire, the arguments into Vals: the
+// node's decode, which hands them to the handler as they are.
+func (q *SubmitReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, true) }
+
+func (q *SubmitReq) unmarshal(b []byte, vals bool) error {
 	var r HotReader
 	r.Header(b, hotTypeSubmitReq)
 	q.Target = ownership.ID(r.Uvarint())
@@ -487,13 +523,20 @@ func (q *SubmitReq) UnmarshalWire(b []byte) error {
 	q.Hops = uint32(hops)
 	q.MinSeq = r.Uvarint()
 	q.Trace = r.Uvarint()
-	n := r.Count()
-	args := q.Args[:0]
-	for range n {
-		args = append(args, r.readValue().Any())
-	}
-	q.Args = args
+	q.Args, q.Vals = r.readArgs(r.Count(), q.Args[:0], q.Vals[:0], vals)
 	return r.Err()
+}
+
+// readArgs appends n decoded arguments to vals, or their Anys to args.
+func (r *HotReader) readArgs(n int, args []any, vals []Value, unboxed bool) ([]any, []Value) {
+	for range n {
+		if v := r.readValue(); unboxed {
+			vals = append(vals, v)
+		} else {
+			args = append(args, v.Any())
+		}
+	}
+	return args, vals
 }
 
 // ---- SubmitResp ----
@@ -626,11 +669,12 @@ func (t *TransferRec) UnmarshalWire(b []byte) error {
 
 // ---- SubmitBatchReq ----
 
-// BatchEvent is one event inside a SubmitBatchReq.
+// BatchEvent is one event inside a SubmitBatchReq, its arguments as SubmitReq's.
 type BatchEvent struct {
 	Target ownership.ID
 	Method string
 	Args   []any
+	Vals   []Value
 }
 
 // SubmitBatchReq is the hot batched submit frame: execute N independent
@@ -720,12 +764,8 @@ func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error)
 		if back == 0 {
 			dst = PutUvarint(dst, uint64(ev.Target))
 		}
-		dst = PutString(dst, ev.Method)
-		dst = PutUvarint(dst, uint64(len(ev.Args)))
-		for _, a := range ev.Args {
-			if dst, err = appendValue(dst, Of(a)); err != nil {
-				return nil, fmt.Errorf("batch event %d arg: %w", i, err)
-			}
+		if dst, err = appendArgs(PutString(dst, ev.Method), ev.Args, ev.Vals); err != nil {
+			return nil, fmt.Errorf("batch event %d arg: %w", i, err)
 		}
 	}
 	return dst, nil
@@ -738,12 +778,12 @@ func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error)
 // when it returns an error; the next decode into it re-extends over it.
 func (q *SubmitBatchReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, false) }
 
-// UnmarshalFrame decodes like UnmarshalWire for a receiver that is recycled
-// between frames while the events it decoded may live on: the Events slice
-// is reused, but every event's Args is carved — with a full slice
-// expression, so appending to one never writes its neighbour — from one
-// []any allocated fresh for this frame. A handler that keeps its args, or
-// dispatches them to a sub-event, therefore holds memory no later frame
+// UnmarshalFrame decodes like UnmarshalWire into Vals for a receiver that is
+// recycled between frames while the events it decoded may live on: the
+// Events slice is reused, but every event's Vals is carved — with a full
+// slice expression, so appending to one never writes its neighbour — from
+// one []Value allocated fresh for this frame, and its strings from one copy
+// of b. A handler that keeps its args therefore holds memory no later frame
 // will write, exactly as if each event had its own slice.
 func (q *SubmitBatchReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, true) }
 
@@ -770,7 +810,7 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 		// repeated decodes allocation-free.
 		evs = evs[:n]
 	}
-	var arena []any // freshArgs: the frame's one args allocation
+	var arena []Value // freshArgs: the frame's one args allocation
 	for i := range evs {
 		e := &evs[i]
 		switch back := r.Uvarint(); {
@@ -790,20 +830,17 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 			e.Method = intern(method)
 		}
 		na := r.Count()
-		args := e.Args[:0]
+		vals := e.Vals[:0]
 		if freshArgs {
 			if cap(arena)-len(arena) < na {
 				// Size for the remaining events at this one's arity; every
 				// value takes at least a byte of what is left of the frame.
-				arena = make([]any, 0, min(na*(len(evs)-i), len(r.b)-r.off))
+				arena = make([]Value, 0, min(na*(len(evs)-i), len(r.b)-r.off))
 			}
-			args = arena[len(arena) : len(arena) : len(arena)+na]
+			vals = arena[len(arena) : len(arena) : len(arena)+na]
 			arena = arena[:len(arena)+na]
 		}
-		for range na {
-			args = append(args, r.readValue().Any())
-		}
-		e.Args = args
+		e.Args, e.Vals = r.readArgs(na, e.Args[:0], vals, freshArgs)
 	}
 	q.Events = evs
 	return r.Err()

@@ -6,6 +6,7 @@ package schema_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -18,6 +19,9 @@ import (
 // FuzzHotFrameRoundTrip feeds arbitrary bytes to every hot decoder (no
 // panics allowed) and, when the bytes decode, re-encodes and re-decodes to
 // check the codec agrees with itself — the round trip must be a fixed point.
+// A request frame decodes the same through the node's Value path
+// (UnmarshalFrame) as through UnmarshalWire: every argument has the same value
+// and dynamic type either way.
 func FuzzHotFrameRoundTrip(f *testing.F) {
 	seedReq := schema.SubmitReq{Target: 7, Method: "deposit", Args: []any{1, "x", ownership.ID(3)}, Hops: 2, MinSeq: 5}
 	if b, err := seedReq.MarshalWire(nil); err == nil {
@@ -81,6 +85,22 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 	} {
 		f.Add(rep.AppendWire(nil))
 	}
+	// Arguments of every inline kind and of the boxed ones, single and
+	// batched, so the Value path has a string, an ID, an int past the
+	// preboxed ones, bytes and a gob blob to agree on.
+	mixed := []any{"a string", ownership.ID(1 << 40), 300, []byte{0, 1}, []int{4, 5}, map[string]any{"k": 1}, ""}
+	seedMixed := schema.SubmitReq{Target: 7, Method: "post", Args: mixed, Hops: 1}
+	if b, err := seedMixed.MarshalWire(nil); err == nil {
+		f.Add(b)
+	}
+	seedMixedBatch := schema.SubmitBatchReq{Events: []schema.BatchEvent{
+		{Target: 7, Method: "post", Args: mixed},
+		{Target: 8, Method: "post", Args: mixed[:2]},
+		{Target: 7, Method: "post", Args: []any{"x", 1 << 20}},
+	}}
+	if b, err := seedMixedBatch.MarshalWire(nil); err == nil {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q schema.SubmitReq
@@ -97,6 +117,13 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 				q2.MinSeq != q.MinSeq || len(q2.Args) != len(q.Args) {
 				t.Fatalf("submitReq round trip not a fixed point: %+v vs %+v", q2, q)
 			}
+			var qv schema.SubmitReq
+			if err := qv.UnmarshalFrame(data); err != nil || qv.Target != q.Target || qv.Method != q.Method || qv.Trace != q.Trace {
+				t.Fatalf("UnmarshalFrame of a submitReq UnmarshalWire decodes: %+v vs %+v (%v)", qv, q, err)
+			}
+			sameArgs(t, "submitReq", qv.Vals, q.Args)
+		} else if err := new(schema.SubmitReq).UnmarshalFrame(data); err == nil {
+			t.Fatal("UnmarshalFrame decodes a submitReq UnmarshalWire refuses")
 		}
 		var p schema.SubmitResp
 		if err := p.UnmarshalWire(data); err == nil {
@@ -175,7 +202,17 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 				if bq2.Events[i].Target != bq.Events[i].Target || bq2.Events[i].Method != bq.Events[i].Method {
 					t.Fatalf("submitBatchReq event %d not a fixed point", i)
 				}
+				sameArgs(t, "re-encoded submitBatchReq event", bq2.Events[i].Vals, bq.Events[i].Args)
 			}
+			var bf schema.SubmitBatchReq
+			if err := bf.UnmarshalFrame(data); err != nil || len(bf.Events) != len(bq.Events) {
+				t.Fatalf("UnmarshalFrame of a submitBatchReq UnmarshalWire decodes: %d events for %d (%v)", len(bf.Events), len(bq.Events), err)
+			}
+			for i := range bq.Events {
+				sameArgs(t, "submitBatchReq event", bf.Events[i].Vals, bq.Events[i].Args)
+			}
+		} else if err := new(schema.SubmitBatchReq).UnmarshalFrame(data); err == nil {
+			t.Fatal("UnmarshalFrame decodes a submitBatchReq UnmarshalWire refuses")
 		}
 		var bp schema.SubmitBatchResp
 		if err := bp.UnmarshalWire(data); err == nil {
@@ -224,6 +261,24 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameArgs fails t unless vals, decoded by the Value path, are args, decoded by
+// UnmarshalWire: value for value, dynamic type for dynamic type. Values are
+// compared by their Go syntax where DeepEqual cannot (a NaN, a map holding
+// one).
+func sameArgs(t *testing.T, what string, vals []schema.Value, args []any) {
+	t.Helper()
+	if len(vals) != len(args) {
+		t.Fatalf("%s: the Value path decoded %d args, UnmarshalWire %d", what, len(vals), len(args))
+	}
+	for i, v := range vals {
+		got, want := v.Any(), args[i]
+		if reflect.TypeOf(got) != reflect.TypeOf(want) ||
+			!reflect.DeepEqual(got, want) && fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+			t.Fatalf("%s arg %d: the Value path decoded %#v (%T), UnmarshalWire %#v (%T)", what, i, got, got, want, want)
+		}
+	}
 }
 
 // TestEveryTruncationRefused: a frame cut short anywhere is malformed. For one

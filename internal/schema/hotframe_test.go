@@ -28,6 +28,21 @@ func roundTripSubmitReq(t *testing.T, in SubmitReq) SubmitReq {
 	return out
 }
 
+// anys returns vs as their Anys.
+func anys(vs []Value) []any {
+	var out []any
+	for _, v := range vs {
+		out = append(out, v.Any())
+	}
+	return out
+}
+
+// sameAnys reports whether a and b hold equal values of the same dynamic
+// types, an empty list equal to a nil one.
+func sameAnys(a, b []any) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
 // TestSubmitReqRoundTrip pins the request frame: every field and every value
 // tag survives, with concrete types preserved (an int arrives as an int).
 func TestSubmitReqRoundTrip(t *testing.T) {
@@ -300,9 +315,10 @@ func TestSubmitBatchReqRoundTrip(t *testing.T) {
 // TestSubmitBatchReqOneCodecBody pins that the struct forms and the
 // frame-scoped forms are the same codec: MarshalWirePick of an index list is
 // byte-identical to MarshalWire of the copied-out subset (back-references
-// included), and UnmarshalFrame decodes what UnmarshalWire decodes — except
-// that each event's Args is a full-slice-expression cut of memory no later
-// decode into the same receiver writes.
+// included), and UnmarshalFrame decodes into Vals what UnmarshalWire decodes
+// into Args, value for value and type for type — except that each event's
+// Vals is a full-slice-expression cut of memory no later decode into the same
+// receiver writes.
 func TestSubmitBatchReqOneCodecBody(t *testing.T) {
 	all := SubmitBatchReq{Hops: 1, MinSeq: 7, Trace: 9}
 	for i := 0; i < 40; i++ {
@@ -351,34 +367,29 @@ func TestSubmitBatchReqOneCodecBody(t *testing.T) {
 	}
 	for i := range viaWire.Events {
 		w, f := viaWire.Events[i], viaFrame.Events[i]
-		if f.Target != w.Target || f.Method != w.Method || len(f.Args) != len(w.Args) {
-			t.Fatalf("event %d: UnmarshalFrame %+v, UnmarshalWire %+v", i, f, w)
+		if f.Target != w.Target || f.Method != w.Method || len(f.Args) != 0 || len(w.Vals) != 0 || !sameAnys(anys(f.Vals), w.Args) {
+			t.Fatalf("event %d: UnmarshalFrame %+v (%#v), UnmarshalWire %+v", i, f, anys(f.Vals), w)
 		}
-		for k := range w.Args {
-			if !reflect.DeepEqual(f.Args[k], w.Args[k]) {
-				t.Fatalf("event %d arg %d: %#v vs %#v", i, k, f.Args[k], w.Args[k])
-			}
-		}
-		if cap(f.Args) != len(f.Args) {
-			t.Fatalf("event %d: Args has spare capacity %d into its neighbour's", i, cap(f.Args)-len(f.Args))
+		if cap(f.Vals) != len(f.Vals) {
+			t.Fatalf("event %d: Vals has spare capacity %d into its neighbour's", i, cap(f.Vals)-len(f.Vals))
 		}
 	}
-	// A kept Args slice survives the receiver's reuse, and appending to it
+	// A kept Vals slice survives the receiver's reuse, and appending to it
 	// never writes a batchmate's.
-	kept := viaFrame.Events[3].Args
-	_ = append(kept, "grown")
-	first := viaFrame.Events[0].Args
+	kept := viaFrame.Events[3].Vals
+	_ = append(kept, Str("grown"))
+	first := viaFrame.Events[0].Vals
 	if err := viaFrame.UnmarshalFrame(picked); err != nil {
 		t.Fatal(err)
 	}
 	if err := viaFrame.UnmarshalFrame(whole); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(kept, []any{3, "memo", ownership.ID(3)}) || !reflect.DeepEqual(first, []any{1000}) {
-		t.Fatalf("args kept across two reuses of the receiver changed: %v %v", kept, first)
+	if !sameAnys(anys(kept), []any{3, "memo", ownership.ID(3)}) || !sameAnys(anys(first), []any{1000}) {
+		t.Fatalf("args kept across two reuses of the receiver changed: %v %v", anys(kept), anys(first))
 	}
-	if !reflect.DeepEqual(viaFrame.Events[4].Args, []any{1004}) {
-		t.Fatalf("appending to event 3's args wrote event 4's: %v", viaFrame.Events[4].Args)
+	if !sameAnys(anys(viaFrame.Events[4].Vals), []any{1004}) {
+		t.Fatalf("appending to event 3's args wrote event 4's: %v", anys(viaFrame.Events[4].Vals))
 	}
 	// A lying arg count fails before it can size an allocation.
 	lying := []byte{HotMagic, 5, 0, 0, 0, 1, 0, 9, 0}

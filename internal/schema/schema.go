@@ -52,8 +52,9 @@ var (
 
 // Handler is the body of a contextclass method. It receives the invocation
 // environment (the paper's implicit "this context" plus the event-scoped
-// operations) and the call arguments, and returns its result as a Value.
-type Handler func(call Call, args []any) (Value, error)
+// operations) and the call arguments, and returns its result, as Values. Like
+// call, the args slice is valid only while the handler runs.
+type Handler func(call Call, args []Value) (Value, error)
 
 // AsyncResult joins an asynchronous intra-event method call.
 type AsyncResult interface {
@@ -84,11 +85,11 @@ type Call interface {
 
 	// Sync performs a synchronous method call on a directly-owned child
 	// context, activating it for the enclosing event first.
-	Sync(child ownership.ID, method string, args ...any) (Value, error)
+	Sync(child ownership.ID, method string, args ...Value) (Value, error)
 	// Async performs an asynchronous method call on a directly-owned child
 	// context. The enclosing event does not complete until the call does;
 	// Wait is optional.
-	Async(child ownership.ID, method string, args ...any) AsyncResult
+	Async(child ownership.ID, method string, args ...Value) AsyncResult
 	// Crab performs an asynchronous tail call on a directly-owned child and
 	// releases the *current* context once the child is activated, letting
 	// the next event enter it (the § 6.1.2 optimization: "once a payment
@@ -97,11 +98,12 @@ type Call interface {
 	// Warehouse context"). Safe only when the event will never again touch
 	// this context or anything reachable around the child; the runtime
 	// rejects later calls through a crabbed context.
-	Crab(child ownership.ID, method string, args ...any) error
+	Crab(child ownership.ID, method string, args ...Value) error
 	// Dispatch schedules a fresh event that runs after the enclosing event
 	// completes (§ 3: "an event that is dispatched within another event ...
-	// will execute after its creator event finishes").
-	Dispatch(target ownership.ID, method string, args ...any)
+	// will execute after its creator event finishes"). It copies args, which
+	// may be its handler's own.
+	Dispatch(target ownership.ID, method string, args ...Value)
 
 	// NewContext creates a context of the given class owned by the given
 	// owners (which must include contexts the event currently holds).

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func nop(_ Call, _ []any) (Value, error) { return Value{}, nil }
+func nop(_ Call, _ []Value) (Value, error) { return Value{}, nil }
 
 func TestDeclareAndFreeze(t *testing.T) {
 	s := New()

@@ -3,7 +3,9 @@ package schema
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"aeon/internal/ownership"
@@ -152,4 +154,135 @@ func TestValueIntAllocatesNothing(t *testing.T) {
 		t.Fatalf("Any() of an int ≥ 256 allocated %v times; want the one box", n)
 	}
 	_ = sink
+}
+
+// TestValueArgWireIsByteIdentical: an event's arguments reach the wire from a
+// client's []any (Args) or, on a node that forwards an event it decoded, from
+// the Values UnmarshalFrame decoded (Vals), single or batched. Both must write
+// exactly the bytes the raw arguments do, an argument built inline (Int, Str,
+// ID) too, and the Values must stand for the raw arguments' dynamic types.
+func TestValueArgWireIsByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		raw  any
+		v    Value // built inline where the kind has a constructor
+	}{
+		{"int -1", -1, Int(-1)},
+		{"int 255", 255, Int(255)},
+		{"int 1<<40", 1 << 40, Int(1 << 40)},
+		{"string", "hello", Str("hello")},
+		{"empty string", "", Str("")},
+		{"ownership.ID", ownership.ID(1 << 33), ID(1 << 33)},
+		{"bool", true, Of(true)},
+		{"int64", int64(-7), Of(int64(-7))},
+		{"uint64", uint64(7), Of(uint64(7))},
+		{"float64", 2.5, Of(2.5)},
+		{"[]byte", []byte("raw"), Of([]byte("raw"))},
+		{"nil", nil, Value{}},
+		{"struct", wireResult{OID: 7, Lines: 3}, Of(wireResult{OID: 7, Lines: 3})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := []any{tc.raw, "tail", 300}
+			vals := []Value{tc.v, Str("tail"), Int(300)}
+			encode := func(args []any, vals []Value) (single, batch []byte) {
+				t.Helper()
+				var err1, err2 error
+				single, err1 = (&SubmitReq{Target: 5, Method: "m", Args: args, Vals: vals, Hops: 1}).MarshalWire(nil)
+				batch, err2 = (&SubmitBatchReq{Events: []BatchEvent{
+					{Target: 5, Method: "m", Args: args, Vals: vals}, {Target: 6, Method: "m", Args: args, Vals: vals}}}).MarshalWire(nil)
+				if err := errors.Join(err1, err2); err != nil {
+					t.Fatal(err)
+				}
+				return single, batch
+			}
+			wantSingle, wantBatch := encode(args, nil)
+			var q SubmitReq
+			var bq SubmitBatchReq
+			if err := errors.Join(q.UnmarshalFrame(wantSingle), bq.UnmarshalFrame(wantBatch)); err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range [][]Value{q.Vals, bq.Events[0].Vals, bq.Events[1].Vals} {
+				if g := got[0].Any(); reflect.TypeOf(g) != reflect.TypeOf(tc.raw) || !reflect.DeepEqual(g, tc.raw) {
+					t.Fatalf("decoded as %#v (%T); want %#v (%T)", g, g, tc.raw, tc.raw)
+				}
+			}
+			forwarded, _ := encode(nil, q.Vals)
+			forwardedBatch, err := (&SubmitBatchReq{Events: bq.Events}).MarshalWirePick(nil, []int{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inline, inlineBatch := encode(nil, vals)
+			for via, got := range map[string][2][]byte{
+				"re-encoded from decoded Values": {forwarded, forwardedBatch},
+				"encoded from inline Values":     {inline, inlineBatch},
+			} {
+				if !bytes.Equal(got[0], wantSingle) || !bytes.Equal(got[1], wantBatch) {
+					t.Fatalf("%s: frames %x / %x; the raw args encode as %x / %x", via, got[0], got[1], wantSingle, wantBatch)
+				}
+			}
+		})
+	}
+}
+
+// TestFrameDecodeOwnsItsStrings: a node decodes every request frame out of a
+// pooled buffer that is recycled as soon as the handler returns, while a string
+// argument may live on in a handler's state. UnmarshalFrame's strings are
+// slices of its own copy of the frame, so overwriting and recycling a frame's
+// buffer, and decoding the next frames into the same receivers, leaves every
+// string decoded earlier as it was.
+func TestFrameDecodeOwnsItsStrings(t *testing.T) {
+	var q SubmitReq
+	var bq SubmitBatchReq
+	var kept []Value
+	var want []string
+	for round := range 4 {
+		var batch SubmitBatchReq
+		for i := range 8 {
+			batch.Events = append(batch.Events, BatchEvent{Target: ownership.ID(i + 1), Method: "post",
+				Args: []any{fmt.Sprintf("post %d.%d", round, i), 300 + i, fmt.Sprintf("tag %d", i)}})
+		}
+		single := SubmitReq{Target: 9, Method: "post", Args: []any{fmt.Sprintf("single %d", round)}}
+		for _, c := range []struct {
+			encode func([]byte) ([]byte, error)
+			decode func([]byte) error
+			vals   func() [][]Value
+		}{
+			{single.MarshalWire, q.UnmarshalFrame, func() [][]Value { return [][]Value{q.Vals} }},
+			{batch.MarshalWire, bq.UnmarshalFrame, func() (vs [][]Value) {
+				for _, ev := range bq.Events {
+					vs = append(vs, ev.Vals)
+				}
+				return vs
+			}},
+		} {
+			buf := GetFrameBuf()
+			frame, err := c.encode((*buf)[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			*buf = frame
+			if err := c.decode(frame); err != nil {
+				t.Fatal(err)
+			}
+			for _, vs := range c.vals() {
+				for _, v := range vs {
+					if s, ok := v.Any().(string); ok {
+						kept, want = append(kept, v), append(want, strings.Clone(s))
+					}
+				}
+			}
+			for i := range frame {
+				frame[i] = 0xFF
+			}
+			PutFrameBuf(buf)
+		}
+	}
+	if len(kept) != 4*(1+2*8) {
+		t.Fatalf("decoded %d string arguments; want %d", len(kept), 4*(1+2*8))
+	}
+	for i, v := range kept {
+		if v.Str() != want[i] {
+			t.Fatalf("string argument %d reads %q after its frame was overwritten and recycled; it was decoded as %q", i, v.Str(), want[i])
+		}
+	}
 }

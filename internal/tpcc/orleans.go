@@ -109,7 +109,7 @@ func (a *OrleansApp) declare() error {
 	}
 
 	// Warehouse lock for the serializable variant.
-	if err := rt.DeclareMethod("Warehouse", "lock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("Warehouse", "lock", 0, func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		if !st.lockHeld {
 			st.lockHeld = true
@@ -120,7 +120,7 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := rt.DeclareMethod("Warehouse", "unlock", 0, func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := rt.DeclareMethod("Warehouse", "unlock", 0, func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		if len(st.waiters) > 0 {
 			next := st.waiters[0]
@@ -134,9 +134,9 @@ func (a *OrleansApp) declare() error {
 		return err
 	}
 
-	if err := decl("Warehouse", "reserve_stock", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Warehouse", "reserve_stock", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*whGrainState)
-		for _, l := range args[0].([]OrderLine) {
+		for _, l := range args[0].Any().([]OrderLine) {
 			if st.Stock[l.Item] < l.Qty {
 				st.Stock[l.Item] += 100
 			}
@@ -146,17 +146,17 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("Warehouse", "pay_ytd", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Warehouse", "pay_ytd", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*whGrainState)
-		st.YTD += args[0].(int)
+		st.YTD += args[0].Int()
 		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Warehouse", "stock_level", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Warehouse", "stock_level", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*whGrainState)
 		low := 0
-		for _, it := range args[0].([]int) {
+		for _, it := range args[0].Any().([]int) {
 			if st.Stock[it] < 15 {
 				low++
 			}
@@ -166,12 +166,12 @@ func (a *OrleansApp) declare() error {
 		return err
 	}
 
-	if err := decl("Order", "fill", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Order", "fill", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*oGrainState)
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		st.OID = args[0].(int)
-		st.Lines = args[1].([]OrderLine)
+		st.OID = args[0].Int()
+		st.Lines = args[1].Any().([]OrderLine)
 		for _, l := range st.Lines {
 			st.Total += l.Amount
 		}
@@ -179,7 +179,7 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("Order", "mark_delivered", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Order", "mark_delivered", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*oGrainState)
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -189,7 +189,7 @@ func (a *OrleansApp) declare() error {
 		return err
 	}
 
-	if err := decl("Customer", "place_order", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Customer", "place_order", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		ord, err := a.rt.CreateGrain("Order")
 		if err != nil {
 			return schema.Value{}, err
@@ -203,9 +203,9 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("Customer", "pay", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Customer", "pay", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*cGrainState)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		st.Balance -= amt
 		st.YTDPayment += amt
 		st.Payments++
@@ -213,27 +213,27 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("Customer", "order_status", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Customer", "order_status", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*cGrainState)
 		return schema.Of(st.LastOrder), nil
 	}); err != nil {
 		return err
 	}
-	if err := decl("Customer", "credit_delivery", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("Customer", "credit_delivery", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*cGrainState)
-		st.Balance += args[0].(int)
+		st.Balance += args[0].Int()
 		st.Delivered++
 		return schema.Value{}, nil
 	}); err != nil {
 		return err
 	}
 
-	if err := decl("District", "new_order", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("District", "new_order", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*dGrainState)
-		wh := args[0].(orleans.GrainID)
-		cust := args[1].(orleans.GrainID)
-		lines := args[2].([]OrderLine)
-		if _, err := call.Call(wh, "reserve_stock", lines); err != nil {
+		wh := args[0].Any().(orleans.GrainID)
+		cust := args[1].Any().(orleans.GrainID)
+		lines := args[2].Any().([]OrderLine)
+		if _, err := call.Call(wh, "reserve_stock", schema.Of(lines)); err != nil {
 			return schema.Value{}, err
 		}
 		st.NextOID++
@@ -241,7 +241,7 @@ func (a *OrleansApp) declare() error {
 		for _, l := range lines {
 			st.RecentItems = append(st.RecentItems, l.Item)
 		}
-		ord, err := call.Call(cust, "place_order", st.NextOID, lines)
+		ord, err := call.Call(cust, "place_order", schema.Int(st.NextOID), schema.Of(lines))
 		if err != nil {
 			return schema.Value{}, err
 		}
@@ -250,22 +250,22 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	if err := decl("District", "payment", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("District", "payment", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*dGrainState)
-		wh := args[0].(orleans.GrainID)
-		cust := args[1].(orleans.GrainID)
-		amt := args[2].(int)
-		if _, err := call.Call(wh, "pay_ytd", amt); err != nil {
+		wh := args[0].Any().(orleans.GrainID)
+		cust := args[1].Any().(orleans.GrainID)
+		amt := args[2].Int()
+		if _, err := call.Call(wh, "pay_ytd", schema.Int(amt)); err != nil {
 			return schema.Value{}, err
 		}
 		st.YTD += amt
-		return call.Call(cust, "pay", amt)
+		return call.Call(cust, "pay", schema.Int(amt))
 	}); err != nil {
 		return err
 	}
-	if err := decl("District", "deliver", func(call *orleans.Call, args []any) (schema.Value, error) {
+	if err := decl("District", "deliver", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*dGrainState)
-		cust := args[0].(orleans.GrainID)
+		cust := args[0].Any().(orleans.GrainID)
 		n := len(st.PendingOrders)
 		if n > 10 {
 			n = 10
@@ -277,7 +277,7 @@ func (a *OrleansApp) declare() error {
 			if err != nil {
 				return schema.Value{}, err
 			}
-			if _, err := call.Call(cust, "credit_delivery", total.Any()); err != nil {
+			if _, err := call.Call(cust, "credit_delivery", total); err != nil {
 				return schema.Value{}, err
 			}
 		}
@@ -285,10 +285,10 @@ func (a *OrleansApp) declare() error {
 	}); err != nil {
 		return err
 	}
-	return decl("District", "stock_level", func(call *orleans.Call, args []any) (schema.Value, error) {
+	return decl("District", "stock_level", func(call *orleans.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*dGrainState)
-		wh := args[0].(orleans.GrainID)
-		return call.Call(wh, "stock_level", append([]int(nil), st.RecentItems...))
+		wh := args[0].Any().(orleans.GrainID)
+		return call.Call(wh, "stock_level", schema.Of(append([]int(nil), st.RecentItems...)))
 	})
 }
 

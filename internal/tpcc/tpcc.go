@@ -217,21 +217,21 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	fillCost := cost * 2
 
 	// --- Order methods -------------------------------------------------
-	order.MustDeclareMethod("fill", func(call schema.Call, args []any) (schema.Value, error) {
+	order.MustDeclareMethod("fill", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*OrderState)
-		st.OID = args[0].(int)
-		st.Lines = args[1].([]OrderLine)
+		st.OID = args[0].Int()
+		st.Lines = args[1].Any().([]OrderLine)
 		for _, l := range st.Lines {
 			st.Total += l.Amount
 		}
 		return schema.Value{}, nil
 	}, schema.Cost(fillCost))
-	order.MustDeclareMethod("mark_delivered", func(call schema.Call, args []any) (schema.Value, error) {
+	order.MustDeclareMethod("mark_delivered", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*OrderState)
 		st.Delivered = true
 		return schema.Int(st.Total), nil
 	}, schema.Cost(cost))
-	order.MustDeclareMethod("read", func(call schema.Call, args []any) (schema.Value, error) {
+	order.MustDeclareMethod("read", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*OrderState)
 		return schema.Of(struct {
 			OID       int
@@ -244,10 +244,10 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	// place_order creates the Order context. Under multiple ownership the
 	// order is owned by District and Customer; under single ownership by
 	// the Customer alone.
-	customer.MustDeclareMethod("place_order", func(call schema.Call, args []any) (schema.Value, error) {
-		oid := args[0].(int)
-		lines := args[1].([]OrderLine)
-		districtID := args[2].(ownershipID)
+	customer.MustDeclareMethod("place_order", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		oid := args[0].Int()
+		lines := args[1].Any().([]OrderLine)
+		districtID := args[2].ID()
 		var owners []ownershipID
 		if so {
 			owners = []ownershipID{call.Self()}
@@ -258,7 +258,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		if err != nil {
 			return schema.Value{}, err
 		}
-		if _, err := call.Sync(ord, "fill", oid, lines); err != nil {
+		if _, err := call.Sync(ord, "fill", schema.Int(oid), schema.Of(lines)); err != nil {
 			return schema.Value{}, err
 		}
 		st := call.State().(*CustomerState)
@@ -266,17 +266,17 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		return schema.Of(ord), nil
 	}, schema.MayCall("Order", "fill"), schema.Cost(custCost))
 
-	customer.MustDeclareMethod("pay", func(call schema.Call, args []any) (schema.Value, error) {
+	customer.MustDeclareMethod("pay", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*CustomerState)
-		amt := args[0].(int)
+		amt := args[0].Int()
 		st.Balance -= amt
 		st.YTDPayment += amt
 		st.Payments++
 		return schema.Int(st.Balance), nil
 	}, schema.Cost(custCost))
 
-	customer.MustDeclareMethod("deliver_order", func(call schema.Call, args []any) (schema.Value, error) {
-		ord := args[0].(ownershipID)
+	customer.MustDeclareMethod("deliver_order", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		ord := args[0].ID()
 		total, err := call.Sync(ord, "mark_delivered")
 		if err != nil {
 			return schema.Value{}, err
@@ -287,7 +287,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		return total, nil
 	}, schema.MayCall("Order", "mark_delivered"), schema.Cost(cost))
 
-	customer.MustDeclareMethod("order_status", func(call schema.Call, args []any) (schema.Value, error) {
+	customer.MustDeclareMethod("order_status", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*CustomerState)
 		if st.LastOrder == 0 {
 			return schema.Value{}, nil
@@ -301,10 +301,10 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	// the district crabs into it and frees itself; under multiple
 	// ownership the district must stay locked while customer→order calls
 	// run (orders are reachable from the district around the customer).
-	district.MustDeclareMethod("new_order_district", func(call schema.Call, args []any) (schema.Value, error) {
+	district.MustDeclareMethod("new_order_district", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*DistrictState)
-		cust := args[0].(ownershipID)
-		lines := args[1].([]OrderLine)
+		cust := args[0].ID()
+		lines := args[1].Any().([]OrderLine)
 		st.NextOID++
 		st.RecentItems = st.RecentItems[:0]
 		for _, l := range lines {
@@ -316,9 +316,9 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 			// convention: customers record it, the district queues the
 			// customer and resolves the order at delivery time.
 			st.PendingOrders = append(st.PendingOrders, PendingOrder{Customer: uint64(cust)})
-			return schema.Value{}, call.Crab(cust, "place_order", st.NextOID, lines, call.Self())
+			return schema.Value{}, call.Crab(cust, "place_order", schema.Int(st.NextOID), schema.Of(lines), schema.ID(call.Self()))
 		}
-		ord, err := call.Sync(cust, "place_order", st.NextOID, lines, call.Self())
+		ord, err := call.Sync(cust, "place_order", schema.Int(st.NextOID), schema.Of(lines), schema.ID(call.Self()))
 		if err != nil {
 			return schema.Value{}, err
 		}
@@ -328,21 +328,21 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		return ord, nil
 	}, schema.MayCall("Customer", "place_order"), schema.Cost(cost))
 
-	district.MustDeclareMethod("payment_district", func(call schema.Call, args []any) (schema.Value, error) {
+	district.MustDeclareMethod("payment_district", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*DistrictState)
-		cust := args[0].(ownershipID)
-		amt := args[1].(int)
+		cust := args[0].ID()
+		amt := args[1].Int()
 		st.YTD += amt
 		if so {
-			return schema.Value{}, call.Crab(cust, "pay", amt)
+			return schema.Value{}, call.Crab(cust, "pay", schema.Int(amt))
 		}
-		return call.Sync(cust, "pay", amt)
+		return call.Sync(cust, "pay", schema.Int(amt))
 	}, schema.MayCall("Customer", "pay"), schema.Cost(cost))
 
 	// deliver: pop up to 10 pending orders. Multiple ownership reaches the
 	// order contexts directly (the district owns them); single ownership
 	// routes through the owning customer.
-	district.MustDeclareMethod("deliver", func(call schema.Call, args []any) (schema.Value, error) {
+	district.MustDeclareMethod("deliver", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*DistrictState)
 		n := len(st.PendingOrders)
 		if n > 10 {
@@ -358,7 +358,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 					return schema.Value{}, err
 				}
 			} else {
-				if _, err := call.Sync(ownID(p.Customer), "deliver_order", ownID(p.Order)); err != nil {
+				if _, err := call.Sync(ownID(p.Customer), "deliver_order", schema.ID(ownID(p.Order))); err != nil {
 					return schema.Value{}, err
 				}
 			}
@@ -367,7 +367,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		return schema.Int(delivered), nil
 	}, schema.MayCall("Customer", "deliver_order"), schema.MayCall("Customer", "deliver_last"), schema.Cost(cost))
 
-	customer.MustDeclareMethod("deliver_last", func(call schema.Call, args []any) (schema.Value, error) {
+	customer.MustDeclareMethod("deliver_last", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*CustomerState)
 		if st.LastOrder == 0 {
 			return schema.Int(0), nil
@@ -381,7 +381,7 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 		return total, nil
 	}, schema.MayCall("Order", "mark_delivered"), schema.Cost(cost))
 
-	district.MustDeclareMethod("recent_items", func(call schema.Call, args []any) (schema.Value, error) {
+	district.MustDeclareMethod("recent_items", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*DistrictState)
 		return schema.Of(append([]int(nil), st.RecentItems...)), nil
 	}, schema.RO(), schema.Cost(cost))
@@ -392,11 +392,11 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 	// payment transaction finishes its execution in a Warehouse context, it
 	// calls a method in a District context asynchronously, and releases the
 	// Warehouse context. This allows another event to enter the Warehouse").
-	warehouse.MustDeclareMethod("new_order", func(call schema.Call, args []any) (schema.Value, error) {
+	warehouse.MustDeclareMethod("new_order", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*WarehouseState)
-		district := args[0].(ownershipID)
-		cust := args[1].(ownershipID)
-		lines := args[2].([]OrderLine)
+		district := args[0].ID()
+		cust := args[1].ID()
+		lines := args[2].Any().([]OrderLine)
 		for _, l := range lines {
 			if st.Stock[l.Item] < l.Qty {
 				st.Stock[l.Item] += 100 // restock per the spec's wrap rule
@@ -404,21 +404,21 @@ func Schema(cfg Config, so bool) (*schema.Schema, error) {
 			st.Stock[l.Item] -= l.Qty
 		}
 		call.Work(time.Duration(len(lines)) * whCost / 10)
-		return schema.Value{}, call.Crab(district, "new_order_district", cust, lines)
+		return schema.Value{}, call.Crab(district, "new_order_district", schema.ID(cust), schema.Of(lines))
 	}, schema.MayCall("District", "new_order_district"), schema.Cost(whCost))
 
-	warehouse.MustDeclareMethod("payment", func(call schema.Call, args []any) (schema.Value, error) {
+	warehouse.MustDeclareMethod("payment", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*WarehouseState)
-		district := args[0].(ownershipID)
-		cust := args[1].(ownershipID)
-		amt := args[2].(int)
+		district := args[0].ID()
+		cust := args[1].ID()
+		amt := args[2].Int()
 		st.YTD += amt
-		return schema.Value{}, call.Crab(district, "payment_district", cust, amt)
+		return schema.Value{}, call.Crab(district, "payment_district", schema.ID(cust), schema.Int(amt))
 	}, schema.MayCall("District", "payment_district"), schema.Cost(whCost))
 
-	warehouse.MustDeclareMethod("stock_level", func(call schema.Call, args []any) (schema.Value, error) {
+	warehouse.MustDeclareMethod("stock_level", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*WarehouseState)
-		district := args[0].(ownershipID)
+		district := args[0].ID()
 		items, err := call.Sync(district, "recent_items")
 		if err != nil {
 			return schema.Value{}, err

@@ -64,22 +64,22 @@ func (w *IoT) Name() string { return "iot" }
 func (w *IoT) Schema() *schema.Schema {
 	s := schema.New()
 	sensor := s.MustDeclareClass("Sensor", func() any { return &IoTSensor{} })
-	sensor.MustDeclareMethod("ingest", func(call schema.Call, args []any) (schema.Value, error) {
+	sensor.MustDeclareMethod("ingest", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*IoTSensor)
 		st.Count++
-		st.Sum += args[0].(int)
+		st.Sum += args[0].Int()
 		return schema.Int(st.Sum), nil
 	})
-	sensor.MustDeclareMethod("total", func(call schema.Call, args []any) (schema.Value, error) {
+	sensor.MustDeclareMethod("total", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*IoTSensor).Sum), nil
 	}, schema.RO())
-	sensor.MustDeclareMethod("read", func(call schema.Call, args []any) (schema.Value, error) {
+	sensor.MustDeclareMethod("read", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*IoTSensor)
 		return schema.Of(fmt.Sprintf("%d/%d", st.Count, st.Sum)), nil
 	}, schema.RO())
 
 	region := s.MustDeclareClass("Region", func() any { return &IoTRegion{} })
-	region.MustDeclareMethod("rollup", func(call schema.Call, args []any) (schema.Value, error) {
+	region.MustDeclareMethod("rollup", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		sensors, err := call.Children("Sensor")
 		if err != nil {
 			return schema.Value{}, err
@@ -97,13 +97,13 @@ func (w *IoT) Schema() *schema.Schema {
 		st.Total = total
 		return schema.Int(total), nil
 	}, schema.MayCall("Sensor", "total"))
-	region.MustDeclareMethod("stats", func(call schema.Call, args []any) (schema.Value, error) {
+	region.MustDeclareMethod("stats", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*IoTRegion)
 		return schema.Of(fmt.Sprintf("%d/%d", st.Rollups, st.Total)), nil
 	}, schema.RO())
-	region.MustDeclareMethod("provision", func(call schema.Call, args []any) (schema.Value, error) {
+	region.MustDeclareMethod("provision", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		id, err := call.NewContext("Sensor", call.Self())
-		return schema.Of(id), err
+		return schema.ID(id), err
 	})
 	return s
 }

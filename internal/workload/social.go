@@ -103,24 +103,24 @@ func (w *Social) pod(u int) []int {
 func (w *Social) Schema() *schema.Schema {
 	s := schema.New()
 	tl := s.MustDeclareClass("Timeline", func() any { return &SocialTimeline{} })
-	tl.MustDeclareMethod("push", func(call schema.Call, args []any) (schema.Value, error) {
+	tl.MustDeclareMethod("push", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*SocialTimeline)
 		st.Posts++
-		st.Chars += len(args[0].(string))
+		st.Chars += len(args[0].Str())
 		return schema.Int(st.Posts), nil
 	})
-	tl.MustDeclareMethod("count", func(call schema.Call, args []any) (schema.Value, error) {
+	tl.MustDeclareMethod("count", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*SocialTimeline).Posts), nil
 	}, schema.RO())
-	tl.MustDeclareMethod("read", func(call schema.Call, args []any) (schema.Value, error) {
+	tl.MustDeclareMethod("read", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*SocialTimeline)
 		return schema.Of(fmt.Sprintf("%d/%d", st.Posts, st.Chars)), nil
 	}, schema.RO())
 
 	user := s.MustDeclareClass("User", func() any { return &SocialUser{} })
-	user.MustDeclareMethod("post", func(call schema.Call, args []any) (schema.Value, error) {
-		// The message goes down in the box it arrived in: unboxing it here
-		// would re-box it, and a fresh args slice, once per timeline.
+	user.MustDeclareMethod("post", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		// The message goes down as the Value it arrived as: a fresh args
+		// slice would be an allocation per timeline.
 		st := call.State().(*SocialUser)
 		for _, tid := range st.Feed {
 			if _, err := call.Sync(ownership.ID(tid), "push", args...); err != nil {
@@ -129,18 +129,18 @@ func (w *Social) Schema() *schema.Schema {
 		}
 		return schema.Int(len(st.Feed)), nil
 	}, schema.MayCall("Timeline", "push"))
-	user.MustDeclareMethod("join", func(call schema.Call, args []any) (schema.Value, error) {
+	user.MustDeclareMethod("join", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		id, err := call.NewContext("Timeline", call.Self())
-		return schema.Of(id), err
+		return schema.ID(id), err
 	})
 
 	desk := s.MustDeclareClass("Desk", func() any { return &SocialDesk{} })
-	desk.MustDeclareMethod("scribble", func(call schema.Call, args []any) (schema.Value, error) {
+	desk.MustDeclareMethod("scribble", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*SocialDesk)
 		st.Scribbles++
 		return schema.Int(st.Scribbles), nil
 	})
-	desk.MustDeclareMethod("count", func(call schema.Call, args []any) (schema.Value, error) {
+	desk.MustDeclareMethod("count", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		return schema.Int(call.State().(*SocialDesk).Scribbles), nil
 	}, schema.RO())
 
