@@ -79,9 +79,9 @@ func TestFrameReportsNonLocalAndCatchesUpOnce(t *testing.T) {
 	}
 	forwards := 0
 	rt.SetRemote(func(s cluster.ServerID) bool { return s != remoteSrv },
-		func(cluster.ServerID, ownership.ID, string, []schema.Value) (any, error) {
+		func(cluster.ServerID, ownership.ID, string, []schema.Value) (schema.Value, error) {
 			forwards++
-			return "forwarded", nil
+			return schema.Of("forwarded"), nil
 		})
 	rep := &countingReplicator{}
 	rt.SetReplicator(rep)

@@ -142,9 +142,9 @@ func TestParkedEventFollowsRehostedGroup(t *testing.T) {
 	room, _ := rt.CreateContextOn(here, "Room")
 	item, _ := rt.CreateContextOn(here, "Item", room)
 	rt.SetRemote(func(s cluster.ServerID) bool { return s == here },
-		func(cluster.ServerID, ownership.ID, string, []schema.Value) (any, error) {
+		func(cluster.ServerID, ownership.ID, string, []schema.Value) (schema.Value, error) {
 			t.Error("Frame.Run forwarded; it only reports")
-			return nil, nil
+			return schema.Value{}, nil
 		})
 	if _, err := rt.Submit(item, "add", 5); err != nil { // caches the placement
 		t.Fatal(err)

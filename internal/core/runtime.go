@@ -145,9 +145,9 @@ func New(s *schema.Schema, g *ownership.Graph, cl *cluster.Cluster, cfg Config) 
 }
 
 // ForwardFunc delegates an event to the process embodying the server that
-// hosts its sequencing point (the node runtime sends a submit frame over the
-// transport mesh and returns the remote result).
-type ForwardFunc func(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (any, error)
+// hosts its sequencing point (the node runtime sends a frame of one over the
+// transport mesh and returns the remote result, unboxed).
+type ForwardFunc func(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (schema.Value, error)
 
 // SetRemote installs the multi-process hooks: isLocal reports whether this
 // process embodies a server, and forward delegates events whose dominator
@@ -336,8 +336,7 @@ func (f *Frame) runOne(target ownership.ID, method string, args []schema.Value) 
 		if r.forward == nil {
 			err = fmt.Errorf("%v on %v: %w", target, host, ErrNotLocal)
 		} else {
-			fwd, ferr := r.forward(host, target, method, args)
-			res, err = schema.Of(fwd), ferr
+			res, err = r.forward(host, target, method, args)
 		}
 		f.close(r.eventSeq.Add(1))
 	}

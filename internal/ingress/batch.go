@@ -190,8 +190,7 @@ func (c *Client) submitFrame(f frame) {
 		f.fail(ErrClientClosed)
 		return
 	}
-	// One frame suffices for most batches; ship it directly so small batches
-	// pay no more than a plain Submit beyond the frame's own bytes.
+	// One frame suffices for most batches; ship it directly, as Submit does.
 	if f.len() <= c.cfg.MaxBatch {
 		c.submitChunk(f)
 		return

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"aeon/internal/metrics"
-	"aeon/internal/node"
 	"aeon/internal/ops"
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
@@ -265,42 +264,23 @@ func (c *Client) Route(target ownership.ID) (transport.NodeID, bool) {
 	return to, ok
 }
 
-// Submit executes one event on the deployment and returns its result.
-// Concurrent Submits from many goroutines pipeline onto the endpoint's
-// per-node connections.
+// Submit executes one event on the deployment and returns its result: a
+// frame of one, sent by the batch path from one-slot arrays on this stack and
+// never held in a coalescer. Concurrent Submits from many goroutines pipeline
+// onto the endpoint's per-node connections.
 func (c *Client) Submit(target ownership.ID, method string, args ...any) (any, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
-	req := schema.SubmitReq{Target: target, Method: method, Args: args, Trace: c.nextTrace()}
-	buf := schema.GetFrameBuf()
-	payload, err := req.MarshalWire((*buf)[:0])
-	if err != nil {
-		schema.PutFrameBuf(buf)
-		return nil, fmt.Errorf("ingress: encode submit: %w", err)
-	}
-	*buf = payload
-
-	to, cached := c.route(target)
-	ctx := transport.NewDeadline(callTimeout)
-	defer ctx.Release()
-	raw, err := c.ep.Call(ctx, to, transport.Message{Kind: node.KindSubmit, Payload: payload})
-	schema.PutFrameBuf(buf) // endpoints do not retain payloads past Call
-	if err != nil {
-		return nil, fmt.Errorf("ingress: submit %v to %v: %w", target, to, err)
-	}
-
-	var resp schema.SubmitResp
-	if err := resp.UnmarshalWire(raw.Payload); err != nil {
-		return nil, fmt.Errorf("ingress: decode submit response: %w", err)
-	}
-	// Repair the routing cache even on failures — the authoritative host is
-	// exactly what a mis-routed submit needs.
-	c.learn(target, to, cached, resp.Host)
-	if resp.Code != schema.CodeOK {
-		return nil, schema.Err(resp.Code, resp.Err)
-	}
-	return resp.Result, nil
+	var (
+		ev     = [1]BatchItem{{Target: target, Method: method, Args: args}}
+		cached [1]bool
+		res    [1]BatchResult
+	)
+	f := frame{events: ev[:], cached: cached[:], res: res[:]}
+	f.to, cached[0] = c.route(target)
+	c.submitChunk(f)
+	return res[0].Result.Any(), res[0].Err
 }
 
 // Future is an in-flight asynchronous submit.

@@ -32,7 +32,7 @@ func deployTCP(t testing.TB, nodes int) (*node.Deployment, *transport.TCPMesh) {
 	return d, mesh
 }
 
-// batchFrames reads how many batch submit frames n has handled off its
+// batchFrames reads how many submit frames n has handled off its
 // admin plane, as an operator's scrape would.
 func batchFrames(t *testing.T, n *node.Node) uint64 {
 	t.Helper()
@@ -250,12 +250,13 @@ func TestClientOnInMemMesh(t *testing.T) {
 // path: one Client.Submit of a bank deposit to a TCP node, both ends counted
 // — what the codecs and the handler API box or slice on either end, and the
 // two payload copies the mux makes — and nothing for carrying the call: no
-// context, no timer, no channel, no kind string. (16 at the parent commit.)
+// context, no timer, no channel, no kind string, and no slice for the frame
+// of one that Submit sends through the batch path.
 func TestSubmitAllocBudget(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped buffer is rebuilt from scratch")
 	}
-	const budget = 6
+	const budget = 5
 	d, mesh := deployTCP(t, 1)
 	c := dial(t, mesh, d, ingress.Config{})
 	acct := d.Top.Accounts[0][0]
@@ -267,7 +268,9 @@ func TestSubmitAllocBudget(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		submit() // dial, learn the route, grow the pooled buffers
 	}
-	if got := testing.AllocsPerRun(2000, submit); got > budget {
+	got := testing.AllocsPerRun(2000, submit)
+	t.Logf("one Submit allocates %.3f objects", got)
+	if got > budget {
 		t.Fatalf("one Submit allocates %.2f objects, budget %d", got, budget)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"aeon/internal/alloctest"
@@ -41,15 +42,19 @@ func handleBatch(t testing.TB, n *Node, req *schema.SubmitBatchReq) []schema.Bat
 	return resp.Outcomes
 }
 
-// TestBatchFrameAllocBudget is the node's allocation gate for the batch
-// frame path: handling a warm 96-event frame allocates a constant number of
-// objects per frame, whatever its event count, and nothing per event.
+// TestBatchFrameAllocBudget is the node's allocation gate for the submit
+// frame path: handling a warm frame allocates a constant number of objects
+// per frame, whatever its event count (96, or one), and nothing per event.
 //
 // bank is the benchmark's bank op mix: the frame's one args slice and its
 // response buffer. Results travel as schema.Values from the handler through
 // the response encoder, so a balance of 256 or more is not boxed; decode
 // target, outcome and result slots and forward lists come from the pooled
 // scratch.
+//
+// one is a lone bank deposit, the frame every Client.Submit and every
+// forwarded Runtime.Submit sends: the same two objects, its args arena and
+// its response buffer.
 //
 // social is a frame of posts, each carrying its message as a string argument
 // down to a pod of timelines: the same two, plus the one copy of the frame
@@ -66,6 +71,10 @@ func TestBatchFrameAllocBudget(t *testing.T) {
 		frameAllocs float64
 		frame       func(t *testing.T) (*Node, schema.SubmitBatchReq)
 	}{
+		{"one", 2, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
+			d := deploy(t, 1)
+			return d.Nodes[0], schema.SubmitBatchReq{Events: []schema.BatchEvent{{Target: d.Top.Accounts[0][0], Method: "deposit", Args: []any{1}}}}
+		}},
 		{"bank", 2, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
 			d := deploy(t, 1)
 			req := schema.SubmitBatchReq{Events: make([]schema.BatchEvent, events)}
@@ -117,9 +126,9 @@ func TestBatchFrameAllocBudget(t *testing.T) {
 			// The results the frame returns (balances, post counts) are ≥ 256
 			// by now, so a boxed result would show as one object per event.
 			got := testing.AllocsPerRun(200, frame)
-			t.Logf("a warm %d-event %s frame allocates %v objects", events, tc.name, got)
+			t.Logf("a warm %d-event %s frame allocates %v objects", len(req.Events), tc.name, got)
 			if got > tc.frameAllocs {
-				t.Fatalf("a warm %d-event %s frame allocated %v objects; budget is %v per frame and none per event", events, tc.name, got, tc.frameAllocs)
+				t.Fatalf("a warm %d-event %s frame allocated %v objects; budget is %v per frame and none per event", len(req.Events), tc.name, got, tc.frameAllocs)
 			}
 		})
 	}
@@ -132,6 +141,38 @@ type catchUpCounter struct {
 }
 
 func (c *catchUpCounter) CatchUp() error { c.n++; return nil }
+
+// TestForwardAllocBudget is the node's allocation gate for the runtime's
+// forwarding hook: a warm Node.Submit whose event another node hosts goes out
+// as a frame of one from pooled scratch, on the submitting goroutine, and
+// allocates what the peer's frame does (its args arena and response buffer)
+// plus the box Submit returns its result in — nothing for the hop itself.
+func TestForwardAllocBudget(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped scratch is rebuilt from scratch")
+	}
+	const budget = 3
+	d := deploy(t, 2)
+	n1 := d.Nodes[0]
+	acct := d.Top.Accounts[1][0] // hosted on node 2
+	submit := func() {
+		if _, err := n1.Submit(acct, "deposit", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 300; i++ {
+		submit() // warm: scratch pools, frame buffers; the balance passes 256
+	}
+	fwd := n1.Forwarded()
+	got := testing.AllocsPerRun(2000, submit)
+	if n1.Forwarded() == fwd {
+		t.Fatal("the submits were not forwarded")
+	}
+	t.Logf("a warm forwarded Node.Submit allocates %v objects", got)
+	if got > budget {
+		t.Fatalf("a warm forwarded Node.Submit allocated %v objects; budget is %d", got, budget)
+	}
+}
 
 // TestBatchFrameInterleavedOutcomes drives one frame that interleaves local,
 // non-local and unknown-target events through a node whose hop budget has
@@ -215,33 +256,45 @@ func TestBatchFrameInterleavedOutcomes(t *testing.T) {
 }
 
 // TestFailuresArriveAsThemselves pins what a caller can tell from a failed
-// outcome, on the single and the batch path alike: a forward hop that failed
-// in the transport arrives as that link error with class unknown — nothing
-// says whether the peer executed — a peer's short batch response leaves the
-// missing slots unknown too, and the runtime's own refusals arrive as their
-// sentinels with the class the table gives them. (At the parent commit every
-// row but the insufficient-funds one read as kind "app": a handler failure.)
+// outcome, in a frame of one and in a larger frame alike: a forward hop that
+// failed in the transport arrives as that link error with class unknown —
+// nothing says whether the peer executed — so does a peer's response that is
+// undecodable or carries one outcome too few or too many for the events sent,
+// and the runtime's own refusals arrive as their sentinels with the class the
+// table gives them.
 func TestFailuresArriveAsThemselves(t *testing.T) {
 	d, fm, net := deployFaulty(t, 3)
 	n1 := d.Nodes[0]
 	on2, on3 := d.Top.Accounts[1], d.Top.Accounts[2]
 	net.Partition(1, 2)
-	// Node 3 is replaced by a peer that answers a batch frame one outcome
-	// short and a single submit with garbage.
+	// Node 3 is replaced by a peer that answers every submit frame the way
+	// the row asks: with garbage, or with one outcome short or one too many.
+	const (
+		peerGarbage = iota
+		peerShort
+		peerLong
+	)
+	var peer atomic.Int32
 	_ = d.Nodes[2].Close()
 	ep, err := fm.Attach(3, func(_ context.Context, _ transport.NodeID, req transport.Message) (transport.Message, error) {
-		if req.Kind != KindSubmitBatch {
-			return transport.Message{Kind: req.Kind, Payload: []byte("garbage")}, nil
-		}
 		var q schema.SubmitBatchReq
 		if err := q.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		short := schema.SubmitBatchResp{Outcomes: make([]schema.BatchOutcome, len(q.Events)-1)}
-		for i := range short.Outcomes {
-			short.Outcomes[i] = schema.BatchOutcome{Result: 7, Host: 3}
+		n := len(q.Events)
+		switch peer.Load() {
+		case peerGarbage:
+			return transport.Message{Kind: req.Kind, Payload: []byte("garbage")}, nil
+		case peerShort:
+			n--
+		case peerLong:
+			n++
 		}
-		payload, err := short.MarshalWire(nil)
+		resp := schema.SubmitBatchResp{Outcomes: make([]schema.BatchOutcome, n)}
+		for i := range resp.Outcomes {
+			resp.Outcomes[i] = schema.BatchOutcome{Result: 7, Host: 3}
+		}
+		payload, err := resp.MarshalWire(nil)
 		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
 	})
 	if err != nil {
@@ -279,45 +332,32 @@ func TestFailuresArriveAsThemselves(t *testing.T) {
 		args   []any
 		is     error // nil: any error of the class
 		class  schema.RetryClass
-		batch  bool // the single path cannot produce this row
+		peer   int32 // how node 3's stand-in answers, for the rows forwarded to it
 	}{
-		{"forward hop partitioned", n1, on2[0], "deposit", []any{1}, transport.ErrPartitioned, schema.OutcomeUnknown, false},
-		{"forward response undecodable", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, false},
-		{"batch response truncated", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, true},
-		{"migrating", nf, faulty, "fail", []any{0}, core.ErrMigrating, schema.NotExecuted, false},
-		{"acquire timeout", nf, faulty, "fail", []any{1}, core.ErrAcquireTimeout, schema.OutcomeUnknown, false},
-		{"handler's own error", nf, faulty, "fail", []any{2}, schema.CodeApp, schema.ExecutedFailed, false},
-		{"unknown context", n1, ownership.ID(90001), "deposit", []any{1}, core.ErrUnknownContext, schema.NotExecuted, false},
+		{"forward hop partitioned", n1, on2[0], "deposit", []any{1}, transport.ErrPartitioned, schema.OutcomeUnknown, 0},
+		{"forward response undecodable", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, peerGarbage},
+		{"forward response truncated", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, peerShort},
+		{"forward response overlong", n1, on3[0], "deposit", []any{1}, nil, schema.OutcomeUnknown, peerLong},
+		{"migrating", nf, faulty, "fail", []any{0}, core.ErrMigrating, schema.NotExecuted, 0},
+		{"acquire timeout", nf, faulty, "fail", []any{1}, core.ErrAcquireTimeout, schema.OutcomeUnknown, 0},
+		{"handler's own error", nf, faulty, "fail", []any{2}, schema.CodeApp, schema.ExecutedFailed, 0},
+		{"unknown context", n1, ownership.ID(90001), "deposit", []any{1}, core.ErrUnknownContext, schema.NotExecuted, 0},
 	} {
-		check := func(path string, code schema.Code, msg string) {
-			t.Helper()
-			back := schema.Err(code, msg)
+		peer.Store(tc.peer)
+		// A frame of one, and a frame of two whose last slot a response one
+		// outcome short would leave empty.
+		for _, events := range []int{1, 2} {
+			var req schema.SubmitBatchReq
+			for range events {
+				req.Events = append(req.Events, schema.BatchEvent{Target: tc.target, Method: tc.method, Args: tc.args})
+			}
+			last := handleBatch(t, tc.via, &req)[events-1]
+			back := schema.Err(last.Code, last.Err)
 			if back == nil || (tc.is != nil && !errors.Is(back, tc.is)) || schema.CodeOf(back).Class() != tc.class {
-				t.Errorf("%s, %s path: arrived as code %s (%s): %v; want errors.Is %v with class %s",
-					tc.name, path, code.Name(), code.Class(), back, tc.is, tc.class)
+				t.Errorf("%s, frame of %d: arrived as code %s (%s): %v; want errors.Is %v with class %s",
+					tc.name, events, last.Code.Name(), last.Code.Class(), back, tc.is, tc.class)
 			}
 		}
-		// Two events, so that a response one outcome short still fills slot 0.
-		req := schema.SubmitBatchReq{Events: []schema.BatchEvent{
-			{Target: tc.target, Method: tc.method, Args: tc.args}, {Target: tc.target, Method: tc.method, Args: tc.args}}}
-		last := handleBatch(t, tc.via, &req)[1]
-		check("batch", last.Code, last.Err)
-		if tc.batch {
-			continue
-		}
-		payload, err := (&schema.SubmitReq{Target: tc.target, Method: tc.method, Args: tc.args}).MarshalWire(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := tc.via.handle(context.Background(), 99, transport.Message{Kind: KindSubmit, Payload: payload})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp schema.SubmitResp
-		if err := resp.UnmarshalWire(raw.Payload); err != nil {
-			t.Fatal(err)
-		}
-		check("single", resp.Code, resp.Err)
 	}
 }
 

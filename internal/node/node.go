@@ -143,9 +143,9 @@ type Node struct {
 	store cloudstore.API
 	plane *replication.Plane
 
-	// forwarded counts submits this node forwarded to another node;
-	// executed counts peer submits it executed locally; batches counts
-	// batch frames it handled (however many events each carried);
+	// forwarded counts events this node forwarded to another node;
+	// executed counts peer-submitted events it executed locally; batches
+	// counts submit frames it handled (a frame of one included);
 	// batchEvents counts the events those frames carried.
 	forwarded, executed, batches, batchEvents, transfersIn, transfersOut atomic.Uint64
 	// errs counts failed outcomes by code (aeon_errors_total); only failure
@@ -392,40 +392,21 @@ func (n *Node) replicaSeq() uint64 {
 }
 
 // forward is the runtime's multi-process hook: the event's sequencing point
-// is hosted on a server another node embodies, so ship the whole event
-// there. The response's authoritative host repairs this node's directory
-// cache when the placement moved.
-func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (any, error) {
-	n.forwarded.Add(1)
-	resp, err := n.callSubmit(n.nodeFor(host), &schema.SubmitReq{
-		Target: target,
-		Method: method,
-		Vals:   args,
-		Hops:   1,
-		MinSeq: n.replicaSeq(),
-	})
-	if err != nil {
-		n.failed(err, schema.CodeUnknown, 1)
-		return nil, err
+// is hosted on a server another node embodies, so ship the whole event there
+// as a frame of one, forwarded like a frame this node received at hop 0. The
+// response's authoritative host repairs this node's directory cache when the
+// placement moved.
+func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (schema.Value, error) {
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	sc.req = schema.SubmitBatchReq{Events: append(sc.req.Events, schema.BatchEvent{Target: target, Method: method, Vals: args})}
+	sc.slots(1)
+	sc.forwardTo(host, 0)
+	n.forwardBatch(sc)
+	if out := &sc.resp.Outcomes[0]; out.Code != schema.CodeOK {
+		return schema.Value{}, schema.Err(out.Code, out.Err)
 	}
-	n.learnPlacement(target, cluster.ServerID(resp.Host))
-	if resp.Code != schema.CodeOK {
-		return nil, schema.Err(resp.Code, resp.Err)
-	}
-	return resp.Result, nil
-}
-
-// callSubmit sends one submit frame and decodes the response. Submits are
-// the hot path: the frame rides the hand-rolled hot codec in a pooled
-// buffer, and shares the endpoint's one connection to the peer with every
-// other call in flight.
-func (n *Node) callSubmit(to transport.NodeID, req *schema.SubmitReq) (schema.SubmitResp, error) {
-	var resp schema.SubmitResp
-	raw, err := n.callHot(to, KindSubmit, req.MarshalWire)
-	if err != nil {
-		return resp, fmt.Errorf("submit to %v: %w", to, err)
-	}
-	return resp, resp.UnmarshalWire(raw.Payload)
+	return sc.results[0], nil
 }
 
 // callHot is sendHot from this node, bounded by callTimeout.
@@ -466,14 +447,6 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 	switch req.Kind {
 	case KindPing:
 		return ack(KindPing, schema.SubmitResp{Host: int64(n.id)}, nil)
-	case KindSubmit:
-		var hr schema.SubmitReq
-		if err := hr.UnmarshalFrame(req.Payload); err != nil {
-			return transport.Message{}, err
-		}
-		resp, res := n.handleSubmit(&hr)
-		payload, err := resp.MarshalResult(nil, res)
-		return transport.Message{Kind: KindSubmit, Payload: payload}, err
 	case KindSubmitBatch:
 		sc := batchScratchPool.Get().(*batchScratch)
 		defer sc.release()
@@ -555,15 +528,14 @@ func (n *Node) failed(err error, uncoded schema.Code, events int) (schema.Code, 
 	return code, err.Error()
 }
 
-// runEvent is the per-event step both submit handlers share — a single
-// submit is a frame of one. The runtime frame resolves the event's
-// sequencing point once and executes it when this node embodies its host;
-// out then holds the outcome, res its result unboxed, and runEvent returns
-// 0. Otherwise our cached mapping says another node hosts it: runEvent
-// returns that host for the caller to forward to, or fills out with
-// ErrTooManyHops when the frame's hop budget is spent. Placement is resolved
-// against the local directory snapshot, so a stale sender pays exactly the
-// forwarding hop of the paper's staleness window.
+// runEvent is the per-event step of a submit frame. The runtime frame
+// resolves the event's sequencing point once and executes it when this node
+// embodies its host; out then holds the outcome, res its result unboxed, and
+// runEvent returns 0. Otherwise our cached mapping says another node hosts
+// it: runEvent returns that host for the caller to forward to, or fills out
+// with ErrTooManyHops when the frame's hop budget is spent. Placement is
+// resolved against the local directory snapshot, so a stale sender pays
+// exactly the forwarding hop of the paper's staleness window.
 func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method string, args []schema.Value, out *schema.BatchOutcome, res *schema.Value) cluster.ServerID {
 	// The runtime reports the authoritative placement it admitted the event
 	// at (zero if it failed before routing).
@@ -582,49 +554,12 @@ func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method 
 	return 0
 }
 
-// handleSubmit executes or forwards one submitted event: the frame of one.
-func (n *Node) handleSubmit(req *schema.SubmitReq) (_ schema.SubmitResp, res schema.Value) {
-	var out schema.BatchOutcome
-	f := n.rt.BeginFrame()
-	start := f.Clock()
-	if err := n.admit(req.MinSeq); err != nil {
-		out.Code, out.Err = n.failed(fmt.Errorf("submit %v.%s at seq %d: %w", req.Target, req.Method, req.MinSeq, err), schema.CodeUnknown, 1)
-		return schema.SubmitResp(out), res
-	}
-	host := n.runEvent(&f, req.Hops, req.Target, req.Method, req.Vals, &out, &res)
-	f.End()
-	if host == 0 {
-		if f.Ran() > 0 {
-			n.executed.Add(1)
-			d := f.Clock().Sub(start)
-			n.submitLat.Record(d)
-			n.span(req.Trace, "execute", req.Target, req.Method, int(req.Hops), d)
-		}
-		return schema.SubmitResp(out), res
-	}
-	// Forward on miss; the admission floor is the sender's, or this
-	// replica's applied sequence if that is further along.
-	fwd := *req
-	fwd.Hops++
-	fwd.MinSeq = max(req.MinSeq, n.replicaSeq())
-	n.forwarded.Add(1)
-	resp, err := n.callSubmit(n.nodeFor(host), &fwd)
-	d := core.Since(start)
-	n.forwardLat.Record(d)
-	n.span(req.Trace, "forward", req.Target, req.Method, int(req.Hops), d)
-	if err != nil {
-		out.Code, out.Err = n.failed(err, schema.CodeUnknown, 1)
-		return schema.SubmitResp(out), res
-	}
-	n.learnPlacement(req.Target, cluster.ServerID(resp.Host))
-	return resp, schema.Of(resp.Result)
-}
-
-// batchScratch is what handling one batch frame needs and nothing outlives:
+// batchScratch is what handling one submit frame needs and nothing outlives:
 // the decode target, the outcome and result slots and the per-host forward
-// lists. It is pooled — bounded by the mux workers handling frames at once —
-// and cleared on return, so a recycled scratch pins no event's arguments or
-// results. (Arguments are not part of it: see schema.SubmitBatchReq.UnmarshalFrame.)
+// lists. It is pooled — bounded by the mux workers handling frames and the
+// events forwarding at once — and cleared on return, so a recycled scratch
+// pins no event's arguments or results. (Arguments are not part of it: see
+// schema.SubmitBatchReq.UnmarshalFrame.)
 type batchScratch struct {
 	req     schema.SubmitBatchReq
 	resp    schema.SubmitBatchResp
@@ -632,21 +567,35 @@ type batchScratch struct {
 	fwd     []hostEvents
 }
 
-// hostEvents lists, by index into the frame, the events bound for one peer.
+// hostEvents lists, by index into the frame, the events bound for one peer,
+// and is the decode target of that peer's response.
 type hostEvents struct {
-	host cluster.ServerID
-	idxs []int
+	host    cluster.ServerID
+	idxs    []int
+	resp    schema.SubmitBatchResp
+	results []schema.Value
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func (sc *batchScratch) release() {
 	clear(sc.req.Events)
+	sc.req.Events = sc.req.Events[:0]
 	clear(sc.resp.Outcomes)
 	clear(sc.results)
-	clear(sc.fwd)
+	for _, g := range sc.fwd {
+		clear(g.resp.Outcomes)
+		clear(g.results)
+	}
 	sc.fwd = sc.fwd[:0]
 	batchScratchPool.Put(sc)
+}
+
+// slots sizes the outcome and result slots to n events; release left them
+// zeroed.
+func (sc *batchScratch) slots(n int) {
+	sc.resp.Outcomes = slices.Grow(sc.resp.Outcomes[:0], n)[:n]
+	sc.results = slices.Grow(sc.results[:0], n)[:n]
 }
 
 // forwardTo appends event i to host's forward list.
@@ -657,37 +606,41 @@ func (sc *batchScratch) forwardTo(host cluster.ServerID, i int) {
 			return
 		}
 	}
-	sc.fwd = append(sc.fwd, hostEvents{host: host, idxs: []int{i}})
+	sc.fwd = slices.Grow(sc.fwd, 1)[:len(sc.fwd)+1] // a recycled list keeps its capacity
+	g := &sc.fwd[len(sc.fwd)-1]
+	g.host, g.idxs = host, append(g.idxs[:0], i)
 }
 
-// handleSubmitBatch executes or forwards a batch of independent events in
-// one admission, filling sc.resp with one outcome per event of sc.req. The
+// handleSubmitBatch executes or forwards the independent events of one
+// submit frame, filling sc.resp with one outcome per event of sc.req. A lone
+// event is a frame of one, observed as a submit (aeon_node_submit_seconds,
+// spans naming its target and method); a larger frame as a batch
+// (aeon_node_batch_seconds, batch-* spans counting its events). The
 // frame-level costs are charged once — one replication-lag gate, one hop
 // budget, one runtime frame (at most one log catch-up, one clock read per
 // event boundary, one event record, one latency-EWMA observation), one
-// executed-counter add — while every outcome is
-// per-event: a typed failure (unknown context, backpressure, hop exhaustion)
-// fills only its own slot and its batchmates proceed. Events whose
-// dominators live on peers are regrouped into per-host sub-batches and
-// forwarded as batch frames, so a stale route costs one extra frame per
-// host, not per event; each forwarded outcome carries the authoritative
-// Host, which is learned here exactly like the single-submit path does.
+// executed-counter add — while every outcome is per-event: a typed failure
+// (unknown context, backpressure, hop exhaustion) fills only its own slot.
+// Events whose dominators live on peers are regrouped into one frame per
+// host, each forwarded outcome carrying the authoritative Host.
 func (n *Node) handleSubmitBatch(sc *batchScratch) {
 	req := &sc.req
+	one := len(req.Events) == 1
 	n.batches.Add(1)
 	n.batchEvents.Add(uint64(len(req.Events)))
 	f := n.rt.BeginFrame()
 	start := f.Clock()
-	out := slices.Grow(sc.resp.Outcomes[:0], len(req.Events))[:len(req.Events)] // release left them zeroed
-	sc.resp.Outcomes = out
-	sc.results = slices.Grow(sc.results[:0], len(out))[:len(out)]
+	sc.slots(len(req.Events))
+	out := sc.resp.Outcomes
 	// One lag-aware admission for the whole frame.
 	if err := n.admit(req.MinSeq); err != nil {
-		code, msg := n.failed(fmt.Errorf("batch of %d events at seq %d: %w", len(out), req.MinSeq, err), schema.CodeUnknown, len(out))
+		code, msg := n.failed(fmt.Errorf("frame of %d events at seq %d: %w", len(out), req.MinSeq, err), schema.CodeUnknown, len(out))
 		for i := range out {
 			out[i].Code, out[i].Err = code, msg
 		}
-		n.batchLat.Record(core.Since(start))
+		if !one {
+			n.batchLat.Record(core.Since(start))
+		}
 		return
 	}
 	for i := range req.Events {
@@ -703,58 +656,73 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 		// per-event spans would multiply the feed by the batch size for no
 		// extra structure.
 		n.executed.Add(uint64(ran))
-		n.span(req.Trace, "batch-execute", ownership.ID(ran), "", int(req.Hops), end.Sub(start))
+		if one {
+			n.submitLat.Record(end.Sub(start))
+		}
+		n.span(req, "execute", ran, end.Sub(start))
 	}
 	if len(sc.fwd) > 0 {
 		n.forwardBatch(sc)
 		end = core.Now()
 	}
-	n.batchLat.Record(end.Sub(start))
+	if !one {
+		n.batchLat.Record(end.Sub(start))
+	}
 }
 
-// forwardBatch ships each of the frame's per-host forward lists as one batch
-// frame — encoded from the frame's own events by index, with callSubmit's
-// transport discipline — concurrently across hosts. Outcome and result
-// slots are disjoint per list, so the goroutines never write the same index.
+// forwardBatch ships each of the frame's per-host forward lists as one frame,
+// the last from this goroutine and every other from its own, so a lone
+// forwarded event costs no goroutine. The lists' slots are disjoint.
 func (n *Node) forwardBatch(sc *batchScratch) {
-	req, out, results := &sc.req, sc.resp.Outcomes, sc.results
-	sub := schema.SubmitBatchReq{Hops: req.Hops + 1, MinSeq: max(req.MinSeq, n.replicaSeq()), Trace: req.Trace, Events: req.Events}
-	var wg sync.WaitGroup
-	for _, g := range sc.fwd {
-		wg.Add(1)
-		go func(host cluster.ServerID, idxs []int) {
-			defer wg.Done()
-			n.forwarded.Add(uint64(len(idxs)))
-			// The hop failed: nothing says whether the peer ran these events.
-			fail := func(err error, idxs []int) {
-				code, msg := n.failed(err, schema.CodeUnknown, len(idxs))
-				for _, i := range idxs {
-					out[i].Code, out[i].Err, out[i].Host = code, msg, int64(host)
-				}
-			}
-			start := time.Now()
-			raw, err := n.callHot(n.nodeFor(host), KindSubmitBatch, func(dst []byte) ([]byte, error) {
-				return sub.MarshalWirePick(dst, idxs)
-			})
-			n.span(req.Trace, "batch-forward", ownership.ID(len(idxs)), "", int(req.Hops), time.Since(start))
-			var fres schema.SubmitBatchResp
-			var fvals []schema.Value
-			if err == nil {
-				fvals, err = fres.UnmarshalResults(raw.Payload, nil)
-			}
-			if err != nil {
-				fail(fmt.Errorf("batch submit to %v: %w", host, err), idxs)
-				return
-			}
-			for j, i := range idxs {
-				if j >= len(fres.Outcomes) {
-					fail(fmt.Errorf("batch response from %v truncated at %d outcomes", host, j), idxs[j:])
-					return
-				}
-				out[i], results[i] = fres.Outcomes[j], fvals[j]
-				n.learnPlacement(req.Events[i].Target, cluster.ServerID(fres.Outcomes[j].Host))
-			}
-		}(g.host, g.idxs)
+	last := len(sc.fwd) - 1
+	if last == 0 {
+		n.forwardHost(sc, &sc.fwd[0])
+		return
 	}
+	var wg sync.WaitGroup // on the heap: declared only where goroutines share it
+	for k := range sc.fwd[:last] {
+		wg.Add(1)
+		go func(g *hostEvents) {
+			defer wg.Done()
+			n.forwardHost(sc, g)
+		}(&sc.fwd[k])
+	}
+	n.forwardHost(sc, &sc.fwd[last])
 	wg.Wait()
+}
+
+// forwardHost sends one host's list at Hops+1, under the sender's admission
+// floor or this replica's applied sequence if that is further along, and
+// fills the list's slots from the response. A failed hop, an undecodable
+// response or one that does not carry exactly one outcome per event fails
+// every event of the list as CodeUnknown: nothing says whether the peer ran
+// them.
+func (n *Node) forwardHost(sc *batchScratch, g *hostEvents) {
+	req, out, results := &sc.req, sc.resp.Outcomes, sc.results
+	n.forwarded.Add(uint64(len(g.idxs)))
+	start := core.Now()
+	raw, err := n.callHot(n.nodeFor(g.host), KindSubmitBatch, func(dst []byte) ([]byte, error) {
+		sub := schema.SubmitBatchReq{Hops: req.Hops + 1, MinSeq: max(req.MinSeq, n.replicaSeq()), Trace: req.Trace, Events: req.Events}
+		return sub.MarshalWirePick(dst, g.idxs)
+	})
+	d := core.Since(start)
+	n.forwardLat.Record(d)
+	n.span(req, "forward", len(g.idxs), d)
+	if err == nil {
+		g.results, err = g.resp.UnmarshalResults(raw.Payload, g.results)
+	}
+	if err == nil && len(g.resp.Outcomes) != len(g.idxs) {
+		err = fmt.Errorf("%d outcomes for %d events", len(g.resp.Outcomes), len(g.idxs))
+	}
+	if err != nil {
+		code, msg := n.failed(fmt.Errorf("submit to %v: %w", g.host, err), schema.CodeUnknown, len(g.idxs))
+		for _, i := range g.idxs {
+			out[i].Code, out[i].Err, out[i].Host = code, msg, int64(g.host)
+		}
+		return
+	}
+	for j, i := range g.idxs {
+		out[i], results[i] = g.resp.Outcomes[j], g.results[j]
+		n.learnPlacement(req.Events[i].Target, cluster.ServerID(out[i].Host))
+	}
 }

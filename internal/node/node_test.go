@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -367,7 +368,7 @@ func TestRequestFramesAreHotCodecOnly(t *testing.T) {
 		handle transport.Handler
 		kinds  []string
 	}{
-		{"node", d.Nodes[0].handle, []string{KindSubmit, KindSubmitBatch, KindStore, KindTransfer, KindTransferQuery, KindMigrate, KindReplicate}},
+		{"node", d.Nodes[0].handle, []string{KindSubmitBatch, KindStore, KindTransfer, KindTransferQuery, KindMigrate, KindReplicate}},
 		{"store server", srv.handle, []string{KindStore}},
 	}
 	for _, s := range servers {
@@ -382,5 +383,10 @@ func TestRequestFramesAreHotCodecOnly(t *testing.T) {
 				}
 			}
 		}
+	}
+	// A lone event is a frame of one on node.submit.batch: the single-event
+	// kind is gone, and a frame sent on it is refused as an unknown kind.
+	if _, err := d.Nodes[0].handle(context.Background(), 2, transport.Message{Kind: "node.submit", Payload: submit}); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+		t.Errorf("node.submit answered with %v; want an unknown frame kind", err)
 	}
 }

@@ -33,9 +33,9 @@ func (n *Node) registerOps() {
 	reg.Counter("aeon_node_submits_forwarded_total",
 		"Submits this node forwarded to the hosting peer.", nil, n.forwarded.Load)
 	reg.Counter("aeon_node_batch_frames_total",
-		"Batch submit frames this node handled.", nil, n.batches.Load)
+		"Submit frames this node handled, frames of one included.", nil, n.batches.Load)
 	reg.Counter("aeon_node_batch_events_total",
-		"Events carried by handled batch frames.", nil, n.batchEvents.Load)
+		"Events carried by handled submit frames.", nil, n.batchEvents.Load)
 	reg.Counter("aeon_node_transfers_in_total",
 		"Migration state transfers installed on this node.", nil, n.transfersIn.Load)
 	reg.Counter("aeon_node_transfers_out_total",
@@ -46,11 +46,11 @@ func (n *Node) registerOps() {
 			ops.Labels{"code": c.Name()}, n.errs[c].Load)
 	}
 	reg.Histogram("aeon_node_submit_seconds",
-		"Handler latency of locally executed submit frames.", nil, &n.submitLat)
+		"Handler latency of locally executed frames of one event.", nil, &n.submitLat)
 	reg.Histogram("aeon_node_forward_seconds",
 		"Round-trip latency of forwarded submit frames.", nil, &n.forwardLat)
 	reg.Histogram("aeon_node_batch_seconds",
-		"Handler latency of batch submit frames.", nil, &n.batchLat)
+		"Handler latency of submit frames of more than one event.", nil, &n.batchLat)
 	reg.Readiness("node", func() error {
 		select {
 		case <-n.shutdownCh:
@@ -151,12 +151,19 @@ func (n *Node) emit(typ string, fields map[string]any) {
 	}
 }
 
-// span records one per-hop trace span for a traced frame; a no-op for
-// untraced frames or with the plane off, so the hot path never builds the
-// fields map.
-func (n *Node) span(trace uint64, action string, target ownership.ID, method string, hop int, d time.Duration) {
-	if n.ops == nil || trace == 0 {
+// span records one per-hop trace span of a traced submit frame's execute or
+// forward step: a frame of one names its event, a larger frame its batch-*
+// action and the number of events the step covered. A no-op for untraced
+// frames or with the plane off, so the hot path never builds the fields map.
+func (n *Node) span(req *schema.SubmitBatchReq, action string, events int, d time.Duration) {
+	if n.ops == nil || req.Trace == 0 {
 		return
 	}
-	n.ops.Span(trace, int64(n.id), action, uint64(target), method, hop, d)
+	target, method := ownership.ID(events), ""
+	if len(req.Events) == 1 {
+		target, method = req.Events[0].Target, req.Events[0].Method
+	} else {
+		action = "batch-" + action
+	}
+	n.ops.Span(req.Trace, int64(n.id), action, uint64(target), method, int(req.Hops), d)
 }

@@ -5,10 +5,11 @@ package node
 // mesh all of them share the endpoint's one connection to the peer. Every
 // exchange is request/response, and every payload is a hot-codec frame
 // (schema/hotframe.go) or empty; a payload that is anything else is a decode
-// error (schema.ErrHotFrame), not a second protocol:
+// error (schema.ErrHotFrame), not a second protocol. Every event rides one
+// submit frame kind: a lone event, a client's or a forward's, is a frame of
+// one.
 //
 //	kind                  request                 response
-//	node.submit           schema.SubmitReq        schema.SubmitResp
 //	node.submit.batch     schema.SubmitBatchReq   schema.SubmitBatchResp
 //	node.store            cloudstore.Op           cloudstore.Reply
 //	node.transfer         schema.TransferRec      schema.SubmitResp (Code, Err)
@@ -34,10 +35,8 @@ import (
 const (
 	// KindPing checks liveness and readiness of a peer.
 	KindPing = "node.ping"
-	// KindSubmit submits (or forwards) one event for execution.
-	KindSubmit = "node.submit"
-	// KindSubmitBatch submits (or forwards) a batch of independent events in
-	// one frame: one admission, one response, per-event outcomes
+	// KindSubmitBatch submits (or forwards) independent events, one or
+	// many, in one frame: one admission, one response, per-event outcomes
 	// (schema.SubmitBatchReq/Resp).
 	KindSubmitBatch = "node.submit.batch"
 	// KindStore performs one cloud-store operation on a store replica.

@@ -1,17 +1,17 @@
 package schema
 
-// Hand-rolled binary codec for the node wire frames: submit requests and
-// responses (every remote event pays one of each), replication-notify hints
-// (every durable append fans one out per peer), migration transfer records,
-// the control plane's request (PlaceReq; its acks are SubmitResps) and — laid
-// out beside cloudstore.Op with the primitives exported here — the store
-// frames. Gob is reflection-driven and re-sends type metadata per frame on
-// the request/response path (BenchmarkSubmitReqGob vs
-// BenchmarkSubmitReqHotCodec is the cost of one submit request either way);
-// these frames instead get a fixed little-endian layout with
-// varint integers, a tagged value encoding for `any` fields, and buffer
-// reuse via sync.Pool, so the steady-state ingress path encodes and decodes
-// without allocating. No frame between processes is a gob stream; gob is
+// Hand-rolled binary codec for the node wire frames: submit frames and their
+// responses (every remote event pays one of each, a lone event as a frame of
+// one), replication-notify hints (every durable append fans one out per
+// peer), migration transfer records, the control plane's request (PlaceReq;
+// its acks are SubmitResps) and — laid out beside cloudstore.Op with the
+// primitives exported here — the store frames. Gob is reflection-driven and
+// re-sends type metadata per frame on the request/response path
+// (BenchmarkSubmitReqGob vs BenchmarkSubmitReqHotCodec is the cost of one
+// submit request either way); these frames instead get a fixed little-endian
+// layout with varint integers, a tagged value encoding for `any` fields, and
+// buffer reuse via sync.Pool, so the steady-state ingress path encodes and
+// decodes without allocating. No frame between processes is a gob stream; gob is
 // only the codec of opaque application values inside a frame (see wire.go).
 //
 // Frame layout: every hot frame starts with [HotMagic, type byte], and a
@@ -91,25 +91,24 @@ var ErrHotFrame = errors.New("schema: malformed hot frame")
 // reader refuses any length or count larger than the bytes left in the frame.
 const hotMax = 64 << 20
 
-// SubmitReq is the hot submit request frame: execute one event on the
-// receiving node. It mirrors the node wire contract: Hops counts forwards
+// SubmitReq is the single-event submit request frame: execute one event on
+// the receiving node. Only the benchmark's schema.submit_* rows encode and
+// decode it — a node or client sends a lone event as a SubmitBatchReq of
+// one — and it goes when those rows do. Hops counts forwards
 // already taken, MinSeq is the sender's applied replication sequence (the
-// receiver's admission floor). Trace is an optional 8-byte trace ID (0 =
-// untraced); nodes propagate it across forwarding hops and emit a span
-// record per hop on their ops event feed. An unset trace costs one zero
-// byte on the wire. The arguments are Args (a client's) followed by Vals
-// (UnmarshalFrame's), so a node forwards a decoded frame as it came.
+// receiver's admission floor), Trace an optional 8-byte trace ID (0 =
+// untraced; one zero byte on the wire).
 type SubmitReq struct {
 	Target ownership.ID
 	Method string
 	Args   []any
-	Vals   []Value
 	Hops   uint32
 	MinSeq uint64
 	Trace  uint64
 }
 
-// SubmitResp is the hot submit response frame: the frame of one outcome.
+// SubmitResp is the frame of one outcome: SubmitReq's response, and the ack
+// every control kind answers with.
 type SubmitResp BatchOutcome
 
 // NotifyRec is the hot replication-notify hint: the mutation log reached
@@ -478,7 +477,7 @@ func (q *SubmitReq) MarshalWire(dst []byte) ([]byte, error) {
 	dst = PutUvarint(dst, uint64(q.Hops))
 	dst = PutUvarint(dst, q.MinSeq)
 	dst = PutUvarint(dst, q.Trace)
-	dst, err := appendArgs(dst, q.Args, q.Vals)
+	dst, err := appendArgs(dst, q.Args, nil)
 	if err != nil {
 		return nil, fmt.Errorf("submit arg: %w", err)
 	}
@@ -505,13 +504,7 @@ func appendArgs(dst []byte, args []any, vals []Value) (_ []byte, err error) {
 // Args slice is reused when its capacity suffices, so a long-lived decode
 // target reaches steady-state zero allocations; decoded values never alias
 // b. The receiver is unspecified when it returns an error.
-func (q *SubmitReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, false) }
-
-// UnmarshalFrame decodes like UnmarshalWire, the arguments into Vals: the
-// node's decode, which hands them to the handler as they are.
-func (q *SubmitReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, true) }
-
-func (q *SubmitReq) unmarshal(b []byte, vals bool) error {
+func (q *SubmitReq) UnmarshalWire(b []byte) error {
 	var r HotReader
 	r.Header(b, hotTypeSubmitReq)
 	q.Target = ownership.ID(r.Uvarint())
@@ -523,7 +516,7 @@ func (q *SubmitReq) unmarshal(b []byte, vals bool) error {
 	q.Hops = uint32(hops)
 	q.MinSeq = r.Uvarint()
 	q.Trace = r.Uvarint()
-	q.Args, q.Vals = r.readArgs(r.Count(), q.Args[:0], q.Vals[:0], vals)
+	q.Args, _ = r.readArgs(r.Count(), q.Args[:0], nil, false)
 	return r.Err()
 }
 
@@ -564,12 +557,7 @@ func (r *HotReader) outcome(o *BatchOutcome) Value {
 
 // MarshalWire appends the frame to dst.
 func (p *SubmitResp) MarshalWire(dst []byte) ([]byte, error) {
-	return p.MarshalResult(dst, Of(p.Result))
-}
-
-// MarshalResult is MarshalWire with res, unboxed, in place of p.Result.
-func (p *SubmitResp) MarshalResult(dst []byte, res Value) ([]byte, error) {
-	return appendOutcome(append(dst, HotMagic, hotTypeSubmitResp), (*BatchOutcome)(p), res)
+	return appendOutcome(append(dst, HotMagic, hotTypeSubmitResp), (*BatchOutcome)(p), Of(p.Result))
 }
 
 // UnmarshalWire decodes a frame produced by MarshalWire.
@@ -669,7 +657,9 @@ func (t *TransferRec) UnmarshalWire(b []byte) error {
 
 // ---- SubmitBatchReq ----
 
-// BatchEvent is one event inside a SubmitBatchReq, its arguments as SubmitReq's.
+// BatchEvent is one event inside a SubmitBatchReq. Its arguments are Args (a
+// client's) followed by Vals (UnmarshalFrame's), so a node forwards a decoded
+// event as it came.
 type BatchEvent struct {
 	Target ownership.ID
 	Method string

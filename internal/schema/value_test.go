@@ -21,35 +21,36 @@ type wireResult struct {
 func init() { RegisterWireType(wireResult{}) }
 
 // TestValueResultWireIsByteIdentical: a handler's result reaches the wire as
-// a Value (MarshalResult, MarshalResults) or as its `any` (MarshalWire of
-// Value.Any), so for every kind of result the tree's handlers return, both
-// must write exactly the bytes the raw value did before results were Values,
-// and both decoders (UnmarshalWire, UnmarshalResults) must hand back the raw
-// value's dynamic type. What a client could otherwise see change is the type,
-// not only the bytes: an inline int handed back as an int64 would encode
-// under the int64 tag and decode as an int64, and every client-side res.(int)
-// would panic.
+// a Value (MarshalResults) or as its `any` (MarshalWire of Value.Any), so for
+// every kind of result the tree's handlers return, both must write exactly
+// the bytes the raw value did before results were Values, and both decoders
+// (UnmarshalWire, UnmarshalResults) must hand back the raw value's dynamic
+// type. What a client could otherwise see change is the type, not only the
+// bytes: an inline int handed back as an int64 would encode under the int64
+// tag and decode as an int64, and every client-side res.(int) would panic.
 func TestValueResultWireIsByteIdentical(t *testing.T) {
-	// frames encodes a result in a single response and in a two-event batch
-	// response, once as a success and once as an application error: the raw
-	// `any` through MarshalWire when v is nil, else *v through the Value
-	// entry points.
+	// frames encodes a result in a response of one outcome (a lone event's)
+	// and of two, once as a success and once as an application error: the raw
+	// `any` through MarshalWire when v is nil, else *v through MarshalResults.
 	frames := func(t *testing.T, raw any, v *Value) (out [][]byte) {
 		for _, o := range []BatchOutcome{{Host: 2}, {Host: 3, Code: CodeApp, Err: "app"}} {
-			var single, batch []byte
-			var err1, err2 error
-			if v == nil {
-				o.Result = raw
-				single, err1 = (*SubmitResp)(&o).MarshalWire(nil)
-				batch, err2 = (&SubmitBatchResp{Outcomes: []BatchOutcome{o, o}}).MarshalWire(nil)
-			} else {
-				single, err1 = (*SubmitResp)(&o).MarshalResult(nil, *v)
-				batch, err2 = (&SubmitBatchResp{Outcomes: []BatchOutcome{o, o}}).MarshalResults(nil, []Value{*v, *v})
+			for _, n := range []int{1, 2} {
+				resp := SubmitBatchResp{Outcomes: []BatchOutcome{o, o}[:n]}
+				var frame []byte
+				var err error
+				if v == nil {
+					for i := range resp.Outcomes {
+						resp.Outcomes[i].Result = raw
+					}
+					frame, err = resp.MarshalWire(nil)
+				} else {
+					frame, err = resp.MarshalResults(nil, []Value{*v, *v})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, frame)
 			}
-			if err := errors.Join(err1, err2); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, single, batch)
 		}
 		return out
 	}
@@ -82,18 +83,28 @@ func TestValueResultWireIsByteIdentical(t *testing.T) {
 			got := tc.v.Any()
 			sameAs(t, "Any()", got, tc.raw)
 			want := frames(t, tc.raw, nil)
-			for via, fs := range map[string][][]byte{"MarshalWire of Any()": frames(t, got, nil), "MarshalResult(s)": frames(t, nil, &tc.v)} {
+			for via, fs := range map[string][][]byte{"MarshalWire of Any()": frames(t, got, nil), "MarshalResults": frames(t, nil, &tc.v)} {
 				for i, frame := range fs {
 					if !bytes.Equal(frame, want[i]) {
 						t.Fatalf("%s: frame %d is %x; the raw value encodes as %x", via, i, frame, want[i])
 					}
 				}
 			}
-			var back SubmitResp
-			if err := back.UnmarshalWire(want[0]); err != nil {
+			// SubmitResp, the control acks' frame, carries its result as an `any`.
+			single, err := (&SubmitResp{Host: 2, Result: tc.raw}).MarshalWire(nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			sameAs(t, "UnmarshalWire's Result", back.Result, tc.raw)
+			var back SubmitResp
+			if err := back.UnmarshalWire(single); err != nil {
+				t.Fatal(err)
+			}
+			sameAs(t, "SubmitResp.UnmarshalWire's Result", back.Result, tc.raw)
+			var wireBatch SubmitBatchResp
+			if err := wireBatch.UnmarshalWire(want[0]); err != nil {
+				t.Fatal(err)
+			}
+			sameAs(t, "UnmarshalWire's Result", wireBatch.Outcomes[0].Result, tc.raw)
 			var batch SubmitBatchResp
 			results, err := batch.UnmarshalResults(want[1], nil)
 			if err != nil {
@@ -158,9 +169,10 @@ func TestValueIntAllocatesNothing(t *testing.T) {
 
 // TestValueArgWireIsByteIdentical: an event's arguments reach the wire from a
 // client's []any (Args) or, on a node that forwards an event it decoded, from
-// the Values UnmarshalFrame decoded (Vals), single or batched. Both must write
-// exactly the bytes the raw arguments do, an argument built inline (Int, Str,
-// ID) too, and the Values must stand for the raw arguments' dynamic types.
+// the Values UnmarshalFrame decoded (Vals), in a frame of one or of two. Both
+// must write exactly the bytes the raw arguments do, an argument built inline
+// (Int, Str, ID) too, and the Values must stand for the raw arguments'
+// dynamic types.
 func TestValueArgWireIsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -187,7 +199,7 @@ func TestValueArgWireIsByteIdentical(t *testing.T) {
 			encode := func(args []any, vals []Value) (single, batch []byte) {
 				t.Helper()
 				var err1, err2 error
-				single, err1 = (&SubmitReq{Target: 5, Method: "m", Args: args, Vals: vals, Hops: 1}).MarshalWire(nil)
+				single, err1 = (&SubmitBatchReq{Hops: 1, Events: []BatchEvent{{Target: 5, Method: "m", Args: args, Vals: vals}}}).MarshalWire(nil)
 				batch, err2 = (&SubmitBatchReq{Events: []BatchEvent{
 					{Target: 5, Method: "m", Args: args, Vals: vals}, {Target: 6, Method: "m", Args: args, Vals: vals}}}).MarshalWire(nil)
 				if err := errors.Join(err1, err2); err != nil {
@@ -196,17 +208,16 @@ func TestValueArgWireIsByteIdentical(t *testing.T) {
 				return single, batch
 			}
 			wantSingle, wantBatch := encode(args, nil)
-			var q SubmitReq
-			var bq SubmitBatchReq
+			var q, bq SubmitBatchReq
 			if err := errors.Join(q.UnmarshalFrame(wantSingle), bq.UnmarshalFrame(wantBatch)); err != nil {
 				t.Fatal(err)
 			}
-			for _, got := range [][]Value{q.Vals, bq.Events[0].Vals, bq.Events[1].Vals} {
+			for _, got := range [][]Value{q.Events[0].Vals, bq.Events[0].Vals, bq.Events[1].Vals} {
 				if g := got[0].Any(); reflect.TypeOf(g) != reflect.TypeOf(tc.raw) || !reflect.DeepEqual(g, tc.raw) {
 					t.Fatalf("decoded as %#v (%T); want %#v (%T)", g, g, tc.raw, tc.raw)
 				}
 			}
-			forwarded, _ := encode(nil, q.Vals)
+			forwarded, _ := encode(nil, q.Events[0].Vals)
 			forwardedBatch, err := (&SubmitBatchReq{Events: bq.Events}).MarshalWirePick(nil, []int{0, 1})
 			if err != nil {
 				t.Fatal(err)
@@ -229,10 +240,9 @@ func TestValueArgWireIsByteIdentical(t *testing.T) {
 // argument may live on in a handler's state. UnmarshalFrame's strings are
 // slices of its own copy of the frame, so overwriting and recycling a frame's
 // buffer, and decoding the next frames into the same receivers, leaves every
-// string decoded earlier as it was.
+// string decoded earlier as it was, in a frame of one as in a larger one.
 func TestFrameDecodeOwnsItsStrings(t *testing.T) {
-	var q SubmitReq
-	var bq SubmitBatchReq
+	var q, bq SubmitBatchReq
 	var kept []Value
 	var want []string
 	for round := range 4 {
@@ -241,31 +251,22 @@ func TestFrameDecodeOwnsItsStrings(t *testing.T) {
 			batch.Events = append(batch.Events, BatchEvent{Target: ownership.ID(i + 1), Method: "post",
 				Args: []any{fmt.Sprintf("post %d.%d", round, i), 300 + i, fmt.Sprintf("tag %d", i)}})
 		}
-		single := SubmitReq{Target: 9, Method: "post", Args: []any{fmt.Sprintf("single %d", round)}}
+		single := SubmitBatchReq{Events: []BatchEvent{{Target: 9, Method: "post", Args: []any{fmt.Sprintf("single %d", round)}}}}
 		for _, c := range []struct {
 			encode func([]byte) ([]byte, error)
-			decode func([]byte) error
-			vals   func() [][]Value
-		}{
-			{single.MarshalWire, q.UnmarshalFrame, func() [][]Value { return [][]Value{q.Vals} }},
-			{batch.MarshalWire, bq.UnmarshalFrame, func() (vs [][]Value) {
-				for _, ev := range bq.Events {
-					vs = append(vs, ev.Vals)
-				}
-				return vs
-			}},
-		} {
+			into   *SubmitBatchReq
+		}{{single.MarshalWire, &q}, {batch.MarshalWire, &bq}} {
 			buf := GetFrameBuf()
 			frame, err := c.encode((*buf)[:0])
 			if err != nil {
 				t.Fatal(err)
 			}
 			*buf = frame
-			if err := c.decode(frame); err != nil {
+			if err := c.into.UnmarshalFrame(frame); err != nil {
 				t.Fatal(err)
 			}
-			for _, vs := range c.vals() {
-				for _, v := range vs {
+			for _, ev := range c.into.Events {
+				for _, v := range ev.Vals {
 					if s, ok := v.Any().(string); ok {
 						kept, want = append(kept, v), append(want, strings.Clone(s))
 					}
