@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,10 +15,24 @@ import (
 // Context is the runtime representation of one context instance: its class,
 // mutable state, activation lock, and execution bookkeeping.
 type Context struct {
+	// An activation reads id, class, placed and the lock's thin word; they
+	// sit in the struct's first 48 bytes, mostly one cache line.
 	id    ownership.ID
 	class *schema.Class
 
-	lock *eventLock
+	// placed caches the context's host, tagged with the directory generation
+	// it was read at (Directory.routeOf) — inside the context's forwarding
+	// window too: the window changes what a remote sender pays, not the host.
+	placed atomic.Uint64
+
+	// kids resolves the callees of this context's sub-calls (ownedChild);
+	// built on first use, replaced when the context's child set changes.
+	kids atomic.Pointer[childTable]
+
+	// adm is the admission of events that target this context (admission).
+	adm atomic.Pointer[admission]
+
+	lock eventLock
 	// runMu serializes method executions on this context, providing the
 	// paper's coarse-grained (context-access level) interleaving for
 	// same-event asynchronous calls that race on a common child. Readonly
@@ -29,15 +44,6 @@ type Context struct {
 	// without it (callEnv.State).
 	stateMu sync.Mutex
 	state   any
-
-	// kids resolves the callees of this context's sub-calls (ownedChild);
-	// built on first use, replaced when the context's child set changes.
-	kids atomic.Pointer[childTable]
-
-	// placed caches the context's host, tagged with the directory generation
-	// it was read at (Directory.routeOf) — inside the context's forwarding
-	// window too: the window changes what a remote sender pays, not the host.
-	placed atomic.Uint64
 }
 
 // childTable maps a caller's direct children to their runtime entries. It is
@@ -85,6 +91,58 @@ func (r *Runtime) ownedChild(parent *Context, child ownership.ID) (*Context, err
 	}
 	t.ctxs[i].Store(cc)
 	return cc, nil
+}
+
+// admission is where events on one target are sequenced and how they reach
+// it: the dominator's runtime entry, then the contexts below it that
+// Algorithm 2 activates, top-down with the target last (none when the target
+// is its own dominator). Like childTable it holds for the graph version it was
+// last checked at, and graph IDs are never reused, so a newer graph that
+// resolves to the same IDs revalidates it in place.
+type admission struct {
+	version atomic.Uint64
+	dom     *Context
+	path    []*Context
+}
+
+// admission returns tc's admission at the current graph version: one version
+// compare on a hit, a Resolve on a miss, a new memo only when the dominator
+// or the path changed.
+func (r *Runtime) admission(tc *Context) (*admission, error) {
+	a := tc.adm.Load()
+	if a != nil && a.version.Load() == r.graph.Snapshot().Version() {
+		return a, nil
+	}
+	// getDom (Algorithm 2 line 3) and the path below it read one snapshot, so
+	// an admission never mixes two versions of the network.
+	dom, view, err := r.graph.Resolve(tc.id)
+	if err != nil {
+		// Typed for the wire, with the real cause (resolve ambiguity, a
+		// context removed since the lookup) kept in the chain.
+		return nil, fmt.Errorf("dominator of %v: %w: %w", tc.id, err, ErrUnknownContext)
+	}
+	var ids []ownership.ID // the path below dom, target last
+	if dom != tc.id {
+		if ids, err = view.Path(dom, tc.id); err != nil {
+			return nil, fmt.Errorf("activate path %v→%v: %w", dom, tc.id, err)
+		}
+		ids = ids[1:]
+	}
+	if a == nil || a.dom.id != dom || !slices.EqualFunc(a.path, ids, func(c *Context, id ownership.ID) bool { return c.id == id }) {
+		// Virtual sequencers get their runtime entry, and a placement, here.
+		a = &admission{path: make([]*Context, len(ids))}
+		if a.dom, err = r.Context(dom); err != nil {
+			return nil, err
+		}
+		for i, cid := range ids {
+			if a.path[i], err = r.Context(cid); err != nil {
+				return nil, err
+			}
+		}
+		tc.adm.Store(a)
+	}
+	a.version.Store(view.Version())
+	return a, nil
 }
 
 // ID returns the context's ID.

@@ -68,8 +68,6 @@ type waiter struct {
 	cancelled bool
 }
 
-func newEventLock() *eventLock { return new(eventLock) }
-
 // lock takes mu and inflates: a thin holder — one may be admitted or released
 // by a racing CAS until the word reads lockInflated — moves into ex.
 func (l *eventLock) lock() {

@@ -103,7 +103,7 @@ func implHolderSet(l *eventLock) map[uint64]AccessMode {
 func TestLockMatchesModel(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		impl := newEventLock()
+		impl := new(eventLock)
 		model := newLockModel()
 		live := make(map[uint64]bool)
 		nextID := uint64(1)
@@ -169,7 +169,7 @@ func TestLockMatchesModel(t *testing.T) {
 func TestLockInvariantsRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		impl := newEventLock()
+		impl := new(eventLock)
 		live := map[uint64]AccessMode{}
 		nextID := uint64(1)
 		for s := 0; s < 150; s++ {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestLockExclusiveBlocks(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	if first, _, err := l.acquire(1, EX, 0); err != nil || !first {
 		t.Fatalf("first acquire: %v %v", first, err)
 	}
@@ -34,7 +34,7 @@ func TestLockExclusiveBlocks(t *testing.T) {
 }
 
 func TestLockReentrant(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	first, _, _ := l.acquire(1, EX, 0)
 	if !first {
 		t.Fatal("want first=true")
@@ -49,7 +49,7 @@ func TestLockReentrant(t *testing.T) {
 }
 
 func TestLockSharedReaders(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	for id := uint64(1); id <= 3; id++ {
 		done := make(chan struct{})
 		go func(id uint64) {
@@ -68,7 +68,7 @@ func TestLockSharedReaders(t *testing.T) {
 }
 
 func TestLockWriterWaitsForReaders(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	_, _, _ = l.acquire(1, RO, 0)
 	_, _, _ = l.acquire(2, RO, 0)
 	acquired := make(chan struct{})
@@ -94,7 +94,7 @@ func TestLockWriterWaitsForReaders(t *testing.T) {
 // TestLockFIFONoReaderBarging: a reader arriving after a waiting writer must
 // not overtake it (starvation freedom).
 func TestLockFIFONoReaderBarging(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	_, _, _ = l.acquire(1, RO, 0) // active reader
 
 	writerIn := make(chan struct{})
@@ -130,7 +130,7 @@ func TestLockFIFONoReaderBarging(t *testing.T) {
 }
 
 func TestLockFIFOOrderAmongWriters(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	_, _, _ = l.acquire(100, EX, 0)
 	var order []uint64
 	var mu sync.Mutex
@@ -157,7 +157,7 @@ func TestLockFIFOOrderAmongWriters(t *testing.T) {
 }
 
 func TestLockAcquireTimeout(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	_, _, _ = l.acquire(1, EX, 0)
 	start := time.Now()
 	_, _, err := l.acquire(2, EX, 20*time.Millisecond)
@@ -179,7 +179,7 @@ func TestLockAcquireTimeout(t *testing.T) {
 }
 
 func TestLockReleaseUnheldIsNoop(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	l.release(42) // must not panic or corrupt
 	if first, _, err := l.acquire(1, EX, 0); err != nil || !first {
 		t.Fatalf("acquire after spurious release: %v %v", first, err)
@@ -187,7 +187,7 @@ func TestLockReleaseUnheldIsNoop(t *testing.T) {
 }
 
 func TestLockConcurrentStress(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	var active atomic.Int32
 	var roActive atomic.Int32
 	var wg sync.WaitGroup
@@ -257,7 +257,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // first in line and admissible — it must not stay parked until the first
 // reader happens to release.
 func TestLockTimeoutPumpsWaitersBehind(t *testing.T) {
-	l := newEventLock()
+	l := new(eventLock)
 	_, _, _ = l.acquire(1, RO, 0)
 	writer := make(chan error, 1)
 	go func() {
@@ -360,7 +360,7 @@ func TestLockThinTransitions(t *testing.T) {
 	}
 	for name, script := range scripts {
 		t.Run(name, func(t *testing.T) {
-			l := newEventLock()
+			l := new(eventLock)
 			waiters := map[uint64]*waiter{}
 			for i, s := range script {
 				switch s.op {
@@ -414,7 +414,7 @@ func TestLockStressMixed(t *testing.T) {
 		seq int // arrival number of a waiter that queued
 		ex  bool
 	}
-	l := newEventLock()
+	l := new(eventLock)
 	var (
 		counter  int // plain: written under EX, read under RO
 		exHolds  atomic.Int64

@@ -13,7 +13,7 @@ func TestRegistryPutGetDelete(t *testing.T) {
 	if _, ok := r.get(1); ok {
 		t.Fatal("empty registry returned a context")
 	}
-	c := &Context{id: 1, lock: newEventLock()}
+	c := &Context{id: 1}
 	r.put(1, c)
 	got, ok := r.get(1)
 	if !ok || got != c {
@@ -46,7 +46,7 @@ func TestRegistryGetOrPutSingleConstruction(t *testing.T) {
 			defer wg.Done()
 			c, _ := r.getOrPut(42, func() *Context {
 				built.Add(1)
-				return &Context{id: 42, lock: newEventLock()}
+				return &Context{id: 42}
 			})
 			results[g] = c
 		}(g)
@@ -90,7 +90,7 @@ func TestRegistryLenAcrossShards(t *testing.T) {
 	r := newRegistry()
 	const n = 500
 	for i := 1; i <= n; i++ {
-		r.put(ownership.ID(i), &Context{id: ownership.ID(i), lock: newEventLock()})
+		r.put(ownership.ID(i), &Context{id: ownership.ID(i)})
 	}
 	if got := r.len(); got != n {
 		t.Fatalf("len = %d; want %d", got, n)

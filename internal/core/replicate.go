@@ -65,7 +65,7 @@ func (r *Runtime) ApplyCreateContext(class string, srv cluster.ServerID, owners 
 	if err != nil {
 		return ownership.None, fmt.Errorf("create %q: %w", class, err)
 	}
-	c := &Context{id: id, class: cls, lock: newEventLock(), state: cls.NewState()}
+	c := &Context{id: id, class: cls, state: cls.NewState()}
 	r.reg.put(id, c)
 	r.dir.Place(id, srv)
 	server.AddHosted(1)

@@ -246,7 +246,7 @@ func (r *Runtime) Context(id ownership.ID) (*Context, error) {
 	// Materialize under the registry shard lock so racing callers observe
 	// the virtual sequencer only once it is placed and counted.
 	c, _ := r.reg.getOrPut(id, func() *Context {
-		c := &Context{id: id, class: schema.VirtualContextClass(), lock: newEventLock()}
+		c := &Context{id: id, class: schema.VirtualContextClass()}
 		// Place the virtual sequencer alongside its first child for locality.
 		srv := cluster.ServerID(0)
 		if children, err := view.Children(id); err == nil && len(children) > 0 {
@@ -424,15 +424,15 @@ func (f *Frame) End() {
 	}
 }
 
-// Run executes the frame's next event: it resolves the event's sequencing
-// point (its dominator) once, and drives Algorithm 2 — dominator activation,
-// path activation down to the target, execution, release — when this process
-// embodies the server hosting it. host is that server as seen once the event
-// was admitted (zero if the event failed before routing), for senders' route
-// repair. When another process embodies host, nothing ran: Run reports
-// local == false and the caller forwards (a node regroups such events into
-// one sub-frame per host), so the locality decision is made here and nowhere
-// else.
+// Run executes the frame's next event: it reads the target's admission (its
+// sequencing point, the dominator, and the path below it) and drives
+// Algorithm 2 — dominator activation, path activation down to the target,
+// execution, release — when this process embodies the server hosting it.
+// host is that server as seen once the event was admitted (zero if the event
+// failed before routing), for senders' route repair. When another process
+// embodies host, nothing ran: Run reports local == false and the caller
+// forwards (a node regroups such events into one sub-frame per host), so the
+// locality decision is made here and nowhere else.
 func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (res schema.Value, host cluster.ServerID, local bool, err error) {
 	r := f.r
 	if r.closed.Load() && !f.asSub {
@@ -456,27 +456,13 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 	if m == nil {
 		return res, 0, true, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
 	}
-	// Resolve the dominator (getDom, Algorithm 2 line 3) together with one
-	// consistent ownership snapshot; the activation path below is computed
-	// against the same snapshot, so the admission sequence never mixes two
-	// versions of the network.
-	dom, view, err := r.graph.Resolve(target)
+	a, err := r.admission(tc)
 	if err != nil {
-		// Typed for the wire, with the real cause (resolve ambiguity, a
-		// context removed since the lookup above) kept in the chain.
-		return res, 0, true, fmt.Errorf("dominator of %v: %w: %w", target, err, ErrUnknownContext)
+		return res, 0, true, err
 	}
-	// Materialize the dominator's runtime entry first: virtual sequencer
-	// contexts are created lazily and need placement before routing.
-	domCtx := tc
-	if dom != target {
-		if domCtx, err = r.Context(dom); err != nil {
-			return res, 0, true, err
-		}
-	}
-	host, ok := r.dir.routeOf(domCtx)
+	host, ok := r.dir.routeOf(a.dom)
 	if !ok {
-		return res, 0, true, fmt.Errorf("%v: %w", dom, ErrUnknownContext)
+		return res, 0, true, fmt.Errorf("%v: %w", a.dom.id, ErrUnknownContext)
 	}
 	// Multi-process mode: events execute on the process embodying the server
 	// that hosts their sequencing point, never against this process's
@@ -493,7 +479,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 	}
 	ev := f.ev
 	ev.reset(r.eventSeq.Add(1), mode, target, method)
-	res, host, local, err = r.executeEvent(ev, tc, domCtx, m, args, view, host)
+	res, host, local, err = r.executeEvent(ev, tc, a, m, args, host)
 	if local {
 		f.close(ev.id)
 		r.launchSubs(ev)
@@ -504,25 +490,24 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 	return res, host, local, err
 }
 
-// executeEvent drives Algorithm 2 for one event whose dominator domCtx is
+// executeEvent drives Algorithm 2 for one event whose dominator a.dom is
 // hosted, by the directory read that routed it, on a server this process
 // embodies: dominator activation, path activation down to the target,
 // execution, then release of everything. It reports local == false, with
 // nothing held and nothing run, when the group moved to another process
 // while the event waited for admission.
-func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method, args []schema.Value, view *ownership.Snapshot,
-	host cluster.ServerID) (schema.Value, cluster.ServerID, bool, error) {
+func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.Method, args []schema.Value, host cluster.ServerID) (schema.Value, cluster.ServerID, bool, error) {
 	// Make sure everything is released even on error paths; releaseAll is
 	// idempotent per held context.
 	defer ev.releaseAll()
 
 	// Client request travels to the dominator's host (ACT message).
 	if r.cfg.ChargeClientHops {
-		if _, err := r.routeHop(ClientNode, domCtx, true); err != nil {
+		if _, err := r.routeHop(ClientNode, a.dom, true); err != nil {
 			return schema.Value{}, host, true, err
 		}
 	}
-	if err := r.acquireCtx(ev, domCtx); err != nil {
+	if err := r.acquireCtx(ev, a.dom); err != nil {
 		return schema.Value{}, host, true, err
 	}
 	// Re-check locality now that admission succeeded: an event that queued
@@ -532,14 +517,14 @@ func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method,
 	// lock, which bumps the directory generation before it returns), so this
 	// read is guaranteed to see the move.
 	if r.isLocal != nil {
-		if cur, ok := r.dir.routeOf(domCtx); ok && cur != host {
+		if cur, ok := r.dir.routeOf(a.dom); ok && cur != host {
 			if host = cur; !r.isLocal(host) {
 				return schema.Value{}, host, false, nil
 			}
 		}
 	}
 
-	cur, err := r.activatePath(ev, view, domCtx.id, tc, host, true)
+	cur, err := r.activatePath(ev, a.path, host, true)
 	if err != nil {
 		return schema.Value{}, host, true, err
 	}
@@ -560,24 +545,11 @@ func (r *Runtime) executeEvent(ev *event, tc, domCtx *Context, m *schema.Method,
 }
 
 // activatePath escorts ev from its activated dominator (on server from) down
-// to its target tc, top-down along the snapshot's ownership path (Algorithm
-// 2, activatePath), charging each EXEC hop when charge is set. It returns
-// the target's host.
-func (r *Runtime) activatePath(ev *event, view *ownership.Snapshot, dom ownership.ID, tc *Context, from cluster.ServerID, charge bool) (cluster.ServerID, error) {
-	if dom == tc.id {
-		return from, nil
-	}
-	path, err := view.Path(dom, tc.id)
-	if err != nil {
-		return 0, fmt.Errorf("activate path %v→%v: %w", dom, tc.id, err)
-	}
-	for _, cid := range path[1:] {
-		c := tc
-		if cid != tc.id {
-			if c, err = r.Context(cid); err != nil {
-				return 0, err
-			}
-		}
+// its admission path (Algorithm 2, activatePath), charging each EXEC hop when
+// charge is set. It returns the target's host.
+func (r *Runtime) activatePath(ev *event, path []*Context, from cluster.ServerID, charge bool) (cluster.ServerID, error) {
+	for _, c := range path {
+		var err error
 		if from, err = r.routeHop(from, c, charge); err != nil {
 			return 0, err
 		}

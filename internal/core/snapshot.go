@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"aeon/internal/ownership"
-)
+import "aeon/internal/ownership"
 
 // WithSubtreeShared runs fn while holding the given context and all its
 // transitive descendants in share (readonly) mode, acquired top-down from
@@ -25,25 +21,19 @@ func (r *Runtime) WithSubtreeShared(root ownership.ID, fn func(ids []ownership.I
 	if err != nil {
 		return err
 	}
-	// One consistent ownership snapshot drives the whole acquisition: the
-	// dominator, the activation path, and the subtree walk all observe the
-	// same version of the network.
-	dom, view, err := r.graph.Resolve(root)
+	// Events reach root by the same admission, and the subtree walk reads
+	// the network as it stands once root is held.
+	a, err := r.admission(rootCtx)
 	if err != nil {
-		return fmt.Errorf("dominator of %v: %w", root, err)
-	}
-	domCtx := rootCtx
-	if dom != root {
-		if domCtx, err = r.Context(dom); err != nil {
-			return err
-		}
-	}
-	if err := r.acquireCtx(ev, domCtx); err != nil {
 		return err
 	}
-	if _, err := r.activatePath(ev, view, dom, rootCtx, 0, false); err != nil {
+	if err := r.acquireCtx(ev, a.dom); err != nil {
 		return err
 	}
+	if _, err := r.activatePath(ev, a.path, 0, false); err != nil {
+		return err
+	}
+	view := r.graph.Snapshot()
 
 	// Breadth-first top-down over the subtree.
 	ids := []ownership.ID{root}

@@ -470,6 +470,11 @@ func BenchmarkFanoutSubmit(b *testing.B) {
 	}{
 		{"own-dominator", 1, false, "fan"},
 		{"virtual-join", 2, false, "fan"},
+		// wide cycles the targets of virtual-join through 512 hubs, so that
+		// each event's admission, lock words and child table come from a
+		// working set far larger than L1 rather than from lines the
+		// previous event left hot.
+		{"wide", 512, false, "fan"},
 		{"moved-in-window", 1, true, "fan"},
 		{"callee-results", 1, false, "tally"},
 	} {
@@ -479,8 +484,8 @@ func BenchmarkFanoutSubmit(b *testing.B) {
 				w.moveGroup(b, w.rt.Cluster().Servers()[1].ID(), append(w.hubs[:1:1], w.leaves...)...)
 			}
 			args := []any{"msg"}
-			for i := 0; i < 256; i++ {
-				w.submit(b, w.hubs[0], bc.method, args...) // warm; tally's counts past 255
+			for i := 0; i < max(256, bc.hubs); i++ {
+				w.submit(b, w.hubs[i%bc.hubs], bc.method, args...) // warm every hub; tally's counts past 255
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

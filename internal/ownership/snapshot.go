@@ -118,9 +118,11 @@ func (s *Snapshot) IDs() []ID {
 // Path returns a downward direct-ownership path from anc to desc, inclusive
 // on both ends. If anc == desc the path is the single context. The runtime
 // activates the returned contexts top-down when escorting an event from its
-// dominator to its target (Algorithm 2, activatePath). The dominator→target
-// path is memoized beside the dominator (see domCache) and shared between
-// callers, so the returned slice must not be modified.
+// dominator to its target (Algorithm 2, activatePath); it memoizes them per
+// target and reads Path only when the graph version has moved, not per
+// event. The dominator→target path is memoized beside the dominator (see
+// domCache) and shared between callers, so the returned slice must not be
+// modified.
 func (s *Snapshot) Path(anc, desc ID) ([]ID, error) {
 	if s.nodes.get(anc) == nil {
 		return nil, fmt.Errorf("%v: %w", anc, ErrNotFound)
