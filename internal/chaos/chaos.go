@@ -13,7 +13,6 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"aeon/internal/cloudstore"
@@ -74,7 +73,6 @@ type Report struct {
 	Acked     uint64 `json:"acked"`
 	Failed    uint64 `json:"failed"`
 	Ambiguous uint64 `json:"ambiguous"`
-	Skipped   uint64 `json:"skipped"`
 
 	Availability float64       `json:"availability"`
 	ClientP50    time.Duration `json:"client_p50_ns"`
@@ -108,7 +106,6 @@ type runner struct {
 	fence     []uint64 // per-partition max observed fence epoch
 	salts     []string // per-partition probe-key salt (salt/x lands in p)
 	probes    int      // probe keys written so far
-	frozen    []int    // entities frozen by the in-flight kill window
 	migrated  map[int]bool
 	deadStore map[int]bool
 
@@ -336,7 +333,6 @@ func Run(cfg Config) (*Report, error) {
 		Acked:        r.dr.acked.Load(),
 		Failed:       r.dr.failed.Load(),
 		Ambiguous:    r.dr.ambiguous.Load(),
-		Skipped:      r.dr.skipped.Load(),
 		Availability: r.dr.availability(),
 		ClientP50:    r.dr.lat.Quantile(0.50),
 		ClientP99:    r.dr.lat.Quantile(0.99),
@@ -441,30 +437,24 @@ func (r *runner) probeLink(from, to int) {
 	r.noteRecovery(ClassMesh, el)
 }
 
-// killNode runs the crash protocol against node v: stop routing to it,
-// freeze and drain its entities, checkpoint its server, then tear the
-// process down. The freeze models what a real deployment gets from
-// fencing: no acked writes race the checkpoint.
+// killNode takes node v down through the product's own close: stop routing
+// to it, then Close drains it and checkpoints its server before the process
+// is torn down.
 func (r *runner) killNode(v int) {
 	id := transport.NodeID(v)
 	r.dr.markDead(id)
-	r.frozen = r.dr.freeze(v, 2*time.Second)
 	vn := r.node(v)
-	if _, err := vn.Manager().CheckpointServer(cluster.ServerID(v)); err != nil {
-		r.violate("kill node=%d: checkpoint: %v", v, err)
-	}
 	_ = vn.Close()
 	vn.Runtime().Close()
-	// Ops that entered through the victim en route to other servers were
-	// not drained by the freeze; any such call in flight across the close
-	// may have executed downstream and lost only its reply.
+	// Ops that entered through the victim en route to other servers may
+	// have executed downstream and lost only their reply to the close.
 	r.dr.noteHazard()
 }
 
 // restartNode brings the victim back: rebuild the process on the same mesh
-// ID, wait for bidirectional reachability and replica catch-up, restore the
-// freshest checkpoints for every context its directory places on the
-// revived server, then reopen traffic.
+// ID — its Start restores the server's checkpoints before it serves — and
+// wait for bidirectional reachability and replica catch-up before reopening
+// traffic.
 func (r *runner) restartNode(v int) {
 	id := transport.NodeID(v)
 	t0 := time.Now()
@@ -479,8 +469,6 @@ func (r *runner) restartNode(v int) {
 	nn, err := r.d.Restart(r.fm, top, id)
 	if err != nil {
 		r.violate("restart node=%d: %v", v, err)
-		r.dr.unfreeze(r.frozen)
-		r.frozen = nil
 		return
 	}
 	r.dr.setNode(nn)
@@ -493,34 +481,8 @@ func (r *runner) restartNode(v int) {
 	if err := nn.Plane().WaitFor(one.Plane().Applied(), 10*time.Second); err != nil {
 		r.violate("restart node=%d: replica catch-up: %v", v, err)
 	}
-	r.restoreSnapshots(nn, cluster.ServerID(v))
 	r.noteRecovery(ClassKill, time.Since(t0))
-	r.dr.unfreeze(r.frozen)
-	r.frozen = nil
 	r.dr.markAlive(id)
-}
-
-// restoreSnapshots loads the freshest per-context checkpoint for every
-// context the restarted node's directory places on srv. Contexts without a
-// snapshot (virtual joins, zero-state churn creations) are skipped: replay
-// of the replicated mutation log already rebuilt their structure.
-func (r *runner) restoreSnapshots(nn *node.Node, srv cluster.ServerID) {
-	ids := nn.Runtime().Directory().HostedOn(srv)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, ctx := range ids {
-		key, ok, err := nn.Manager().LatestSnapshot(ctx)
-		if err != nil || !ok {
-			continue
-		}
-		states, err := nn.Manager().LoadSnapshot(key)
-		if err != nil {
-			r.violate("restore %v: load %q: %v", ctx, key, err)
-			continue
-		}
-		if err := nn.Manager().Restore(states); err != nil {
-			r.violate("restore %v: %v", ctx, err)
-		}
-	}
 }
 
 // killStore closes partition p's boot primary, then measures failover by
@@ -683,9 +645,6 @@ func (r *runner) checkpoint() {
 	r.checks++
 	checked := 0
 	for e := range r.dr.ents {
-		if r.dr.ents[e].frozen.Load() {
-			continue
-		}
 		ackedLo := r.dr.ents[e].acked.Load()
 		v, ok := r.readEntity(e)
 		if !ok {

@@ -132,8 +132,8 @@ func runSoak(t *testing.T, scenario string) *Report {
 			t.Errorf("soak never injected %q: %v", c, rep.Faults)
 		}
 	}
-	t.Logf("%s: ops=%d acked=%d failed=%d ambig=%d skipped=%d avail=%.3f p99=%v checkpoints=%d recovery=%v",
-		scenario, rep.Ops, rep.Acked, rep.Failed, rep.Ambiguous, rep.Skipped,
+	t.Logf("%s: ops=%d acked=%d failed=%d ambig=%d avail=%.3f p99=%v checkpoints=%d recovery=%v",
+		scenario, rep.Ops, rep.Acked, rep.Failed, rep.Ambiguous,
 		rep.Availability, rep.ClientP99, rep.Checkpoints, rep.Recovery)
 	return rep
 }

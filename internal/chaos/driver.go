@@ -39,11 +39,9 @@ import (
 
 // entityAcct is one entity's soak accounting.
 type entityAcct struct {
-	started  atomic.Uint64 // delta sum of every op that began (upper bound)
-	acked    atomic.Uint64 // delta sum of acknowledged ops (lower bound)
-	ambig    atomic.Uint64 // delta sum of ambiguous-outcome ops
-	inflight atomic.Int64  // ops currently in flight touching this entity
-	frozen   atomic.Bool   // set while the entity's host is being killed
+	started atomic.Uint64 // delta sum of every op that began (upper bound)
+	acked   atomic.Uint64 // delta sum of acknowledged ops (lower bound)
+	ambig   atomic.Uint64 // delta sum of ambiguous-outcome ops
 }
 
 // driver runs soak traffic against a deployment.
@@ -64,7 +62,6 @@ type driver struct {
 	acked     atomic.Uint64
 	failed    atomic.Uint64
 	ambiguous atomic.Uint64
-	skipped   atomic.Uint64
 
 	// hazard is the unixnano stamp of the latest reply-loss hazard: the
 	// instant a partition finished engaging or a node finished dying. A
@@ -142,38 +139,6 @@ func (dr *driver) markAlive(id transport.NodeID) {
 	}
 }
 
-// freeze marks every entity hosted on srv and waits for in-flight ops on
-// them to drain, so a checkpoint of srv captures a quiescent state.
-func (dr *driver) freeze(srv int, timeout time.Duration) []int {
-	var frozen []int
-	for e := range dr.ents {
-		if int(dr.scen.EntityServer(e)) == srv {
-			dr.ents[e].frozen.Store(true)
-			frozen = append(frozen, e)
-		}
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		busy := false
-		for _, e := range frozen {
-			if dr.ents[e].inflight.Load() != 0 {
-				busy = true
-				break
-			}
-		}
-		if !busy || time.Now().After(deadline) {
-			return frozen
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func (dr *driver) unfreeze(frozen []int) {
-	for _, e := range frozen {
-		dr.ents[e].frozen.Store(false)
-	}
-}
-
 // submitter returns the submit function routed via the given live node —
 // plain node submits, or batched ingress futures when the driver has an
 // ingress client (the IoT soak shape: high fan-in telemetry riding
@@ -232,14 +197,6 @@ func (dr *driver) run(seed int64, workers int) {
 func (dr *driver) step(rng *rand.Rand) {
 	op := dr.scen.SoakOp(rng)
 	for _, ef := range op.Effects {
-		if dr.ents[ef.Entity].frozen.Load() {
-			dr.skipped.Add(1)
-			time.Sleep(time.Millisecond)
-			return
-		}
-	}
-	for _, ef := range op.Effects {
-		dr.ents[ef.Entity].inflight.Add(1)
 		dr.ents[ef.Entity].started.Add(ef.Delta)
 	}
 	dr.attempts.Add(1)
@@ -260,9 +217,6 @@ func (dr *driver) step(rng *rand.Rand) {
 		for _, ef := range op.Effects {
 			dr.ents[ef.Entity].ambig.Add(ef.Delta)
 		}
-	}
-	for _, ef := range op.Effects {
-		dr.ents[ef.Entity].inflight.Add(-1)
 	}
 }
 

@@ -38,7 +38,7 @@ func (r *Runtime) RegisterOps(reg *ops.Registry) {
 		"Servers in this runtime's cluster view.", nil,
 		func() float64 { return float64(len(r.Cluster().Servers())) })
 	reg.Readiness("runtime", func() error {
-		if r.closed.Load() {
+		if r.draining.Load() {
 			return ErrClosed
 		}
 		return nil

@@ -93,6 +93,20 @@ func (r *registry) delete(id ownership.ID) {
 	s.mu.Unlock()
 }
 
+// all returns every registered context.
+func (r *registry) all() []*Context {
+	var out []*Context
+	for i := range r.shards {
+		s := &r.shards[i]
+		s.mu.RLock()
+		for _, c := range s.m {
+			out = append(out, c)
+		}
+		s.mu.RUnlock()
+	}
+	return out
+}
+
 // len returns the number of registered contexts (sums shard sizes; the
 // result is a consistent-enough estimate under concurrent mutation).
 func (r *registry) len() int {

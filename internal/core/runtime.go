@@ -104,8 +104,11 @@ type Runtime struct {
 	repl Replicator
 
 	eventSeq atomic.Uint64
-	closed   atomic.Bool
-	subWG    sync.WaitGroup
+	// draining refuses events (Drain and Close); closed refuses snapshots
+	// too, once Close has stopped the executors. wrote is set by the first
+	// event with write access to execute (Wrote).
+	draining, closed, wrote atomic.Bool
+	subWG                   sync.WaitGroup
 
 	// SubEventErrors counts sub-events that failed (they have no client to
 	// report to).
@@ -173,11 +176,30 @@ func (r *Runtime) Cluster() *cluster.Cluster { return r.cluster }
 // Schema returns the application schema.
 func (r *Runtime) Schema() *schema.Schema { return r.schema }
 
-// Close stops accepting events, waits for in-flight sub-events, then stops
-// the per-server executors.
-func (r *Runtime) Close() {
-	r.closed.Store(true)
+// Drain stops admitting events and waits for the admitted ones, sub-events
+// included, to finish. An event is refused once it holds its dominator, so
+// taking and releasing every context's activation in turn waits out each
+// event that got past that point; events that queued behind it are refused.
+// Snapshots still run on a drained runtime: a node checkpoints it before
+// Close.
+func (r *Runtime) Drain() {
+	r.draining.Store(true)
+	eventID := r.eventSeq.Add(1)
+	for _, c := range r.reg.all() {
+		_, _, _ = c.lock.acquire(eventID, EX, 0) // without a timeout it cannot fail
+		c.lock.release(eventID)
+	}
 	r.subWG.Wait()
+}
+
+// Wrote reports whether an event with write access has executed. Until one
+// has, every context holds the state it was built or restored with.
+func (r *Runtime) Wrote() bool { return r.wrote.Load() }
+
+// Close drains the runtime, then stops the per-server executors.
+func (r *Runtime) Close() {
+	r.Drain()
+	r.closed.Store(true)
 	r.exec.shutdown()
 }
 
@@ -359,7 +381,7 @@ type Frame struct {
 	ran         int     // events closed so far
 	lastID      uint64  // the last closed event's ID; zero again once End observed it
 	caughtUp    bool    // this frame already pulled the mutation log
-	asSub       bool    // sub-events launched before Close run while it drains
+	asSub       bool    // sub-events dispatched before Drain run while it drains
 }
 
 // Instant is a reading of the process's monotonic clock, as an offset from a
@@ -435,9 +457,6 @@ func (f *Frame) End() {
 // locality decision is made here and nowhere else.
 func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (res schema.Value, host cluster.ServerID, local bool, err error) {
 	r := f.r
-	if r.closed.Load() && !f.asSub {
-		return res, 0, true, ErrClosed
-	}
 	tc, err := r.Context(target)
 	if err != nil && !f.caughtUp && r.repl != nil && errors.Is(err, ErrUnknownContext) {
 		// The target may have been created on another node moments ago and
@@ -479,7 +498,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 	}
 	ev := f.ev
 	ev.reset(r.eventSeq.Add(1), mode, target, method)
-	res, host, local, err = r.executeEvent(ev, tc, a, m, args, host)
+	res, host, local, err = r.executeEvent(ev, tc, a, m, args, host, f.asSub)
 	if local {
 		f.close(ev.id)
 		r.launchSubs(ev)
@@ -495,8 +514,9 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 // embodies: dominator activation, path activation down to the target,
 // execution, then release of everything. It reports local == false, with
 // nothing held and nothing run, when the group moved to another process
-// while the event waited for admission.
-func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.Method, args []schema.Value, host cluster.ServerID) (schema.Value, cluster.ServerID, bool, error) {
+// while the event waited for admission. A draining runtime refuses the event
+// once its dominator is held, unless it is a sub-event (sub).
+func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.Method, args []schema.Value, host cluster.ServerID, sub bool) (schema.Value, cluster.ServerID, bool, error) {
 	// Make sure everything is released even on error paths; releaseAll is
 	// idempotent per held context.
 	defer ev.releaseAll()
@@ -509,6 +529,15 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.M
 	}
 	if err := r.acquireCtx(ev, a.dom); err != nil {
 		return schema.Value{}, host, true, err
+	}
+	// Refused here, not before the dominator is held: an event that got past
+	// this check holds it until it ends, so Drain's pass over the activations
+	// (and a checkpoint's shared one) orders it wholly before, never after.
+	if r.draining.Load() && !sub {
+		return schema.Value{}, host, true, ErrClosed
+	}
+	if ev.mode == EX && !r.wrote.Load() {
+		r.wrote.Store(true)
 	}
 	// Re-check locality now that admission succeeded: an event that queued
 	// behind a migration's stop window wakes up *after* the group moved, and
@@ -532,8 +561,12 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.M
 	// The event terminates only when all its asynchronous calls have; all
 	// activations release at termination, *before* the reply travels back
 	// (the deferred releaseAll above is an idempotent safety net for error
-	// paths).
+	// paths). Its sub-events count as in flight from before the release, so
+	// Drain, once it has waited the event out, waits for them too.
 	ev.asyncWG.Wait()
+	if len(ev.subs) > 0 {
+		r.subWG.Add(len(ev.subs))
+	}
 	ev.releaseAll()
 
 	// Reply to the client from the target's host. The result leaves unboxed:
@@ -645,9 +678,9 @@ func (r *Runtime) invoke(ev *event, c *Context, m *schema.Method, host cluster.S
 // the executor pool of the server hosting its target; when that queue is
 // full the sub-event runs inline on this goroutine instead — dispatched
 // work is never dropped, and the producer pays the cost (backpressure).
+// executeEvent counted them in subWG.
 func (r *Runtime) launchSubs(ev *event) {
 	for _, s := range ev.subs {
-		r.subWG.Add(1)
 		task := func() {
 			defer r.subWG.Done()
 			f := r.BeginFrame()

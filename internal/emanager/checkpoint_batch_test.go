@@ -43,9 +43,10 @@ func TestSnapshotSeqContinuesAboveStoreMax(t *testing.T) {
 		t.Fatalf("new process wrote seq %d under existing max %d",
 			snapshotSeqOf(keyNew), snapshotSeqOf(lastOld))
 	}
-	latest, ok, err := f.mgr.LatestSnapshot(room)
-	if err != nil || !ok || latest != keyNew {
-		t.Fatalf("latest = %q ok=%v err=%v, want %q", latest, ok, err, keyNew)
+	index, err := f.mgr.latestSnapshots()
+	latest := index[room]
+	if err != nil || latest != keyNew {
+		t.Fatalf("latest = %q err=%v, want %q", latest, err, keyNew)
 	}
 	states, err := f.mgr.LoadSnapshot(latest)
 	if err != nil {

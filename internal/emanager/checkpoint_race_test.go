@@ -83,7 +83,8 @@ func TestCheckpointServerSurvivesConcurrentSweep(t *testing.T) {
 	}
 
 	// The sweep re-keyed above the competitor instead of overwriting it.
-	latest, ok, err := mgr.LatestSnapshot(room)
+	index, err := mgr.latestSnapshots()
+	latest, ok := index[room]
 	if err != nil || !ok {
 		t.Fatalf("latest snapshot: ok=%v err=%v", ok, err)
 	}

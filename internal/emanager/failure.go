@@ -124,23 +124,73 @@ func (m *Manager) CheckpointServer(srv cluster.ServerID) (int, error) {
 	return count, nil
 }
 
-// LatestSnapshot finds the key of the most recent snapshot of a context in
-// the store (keys are "snapshot/<ctx>/<seq>" with monotonically increasing
-// sequence numbers); ok is false when the context has none.
-func (m *Manager) LatestSnapshot(id ownership.ID) (key string, ok bool, err error) {
-	prefix := fmt.Sprintf("snapshot/%d/", uint64(id))
-	keys, err := m.store.List(prefix)
+// latestSnapshots maps every checkpointed context to the key of its most
+// recent snapshot (keys are "snapshot/<ctx>/<seq>" with monotonically
+// increasing sequence numbers). It reads the store with one List: a List per
+// context would fan out over every store partition for each.
+func (m *Manager) latestSnapshots() (map[ownership.ID]string, error) {
+	keys, err := m.store.List("snapshot/")
 	if err != nil {
-		return "", false, err
+		return nil, err
 	}
-	if len(keys) == 0 {
-		return "", false, nil
+	latest := make(map[ownership.ID]string)
+	for _, k := range keys {
+		var id, seq uint64
+		if _, err := fmt.Sscanf(k, "snapshot/%d/%d", &id, &seq); err != nil {
+			continue
+		}
+		// Sequence numbers sort numerically, not lexically.
+		if cur, ok := latest[ownership.ID(id)]; !ok || seq > snapshotSeqOf(cur) {
+			latest[ownership.ID(id)] = k
+		}
 	}
-	// Sequence numbers sort numerically, not lexically.
-	sort.Slice(keys, func(i, j int) bool {
-		return snapshotSeqOf(keys[i]) < snapshotSeqOf(keys[j])
-	})
-	return keys[len(keys)-1], true, nil
+	return latest, nil
+}
+
+// latestState decodes id's state from its latest checkpoint in latest; ok
+// is false when it has none.
+func (m *Manager) latestState(latest map[ownership.ID]string, id ownership.ID) (st any, ok bool, err error) {
+	key, ok := latest[id]
+	if !ok {
+		return nil, false, nil
+	}
+	states, err := m.LoadSnapshot(key)
+	if err != nil {
+		return nil, false, fmt.Errorf("load checkpoint %q: %w", key, err)
+	}
+	st, ok = states[id]
+	return st, ok, nil
+}
+
+// RecoverServer brings a restarted process's server srv back to what it
+// acknowledged, before the process serves: every context the directory
+// places on srv takes the state of its latest checkpoint (one without keeps
+// its boot state), then the journaled migrations srv is the source of roll
+// forward from that state. Another source's journal entries are left to it.
+// The caller has caught the replica up with the mutation log (a node does
+// before it serves). It returns how many contexts it restored.
+func (m *Manager) RecoverServer(srv cluster.ServerID) (int, error) {
+	latest, err := m.latestSnapshots()
+	if err != nil {
+		return 0, err
+	}
+	states := make(map[ownership.ID]any)
+	for id := range latest {
+		if host, ok := m.rt.Directory().Locate(id); !ok || host != srv {
+			continue
+		}
+		st, ok, err := m.latestState(latest, id)
+		if err != nil {
+			return 0, err
+		}
+		if ok {
+			states[id] = st
+		}
+	}
+	if err := m.Restore(states); err != nil {
+		return 0, err
+	}
+	return len(states), m.engine.Recover(srv)
 }
 
 func snapshotSeqOf(key string) uint64 {
@@ -175,9 +225,12 @@ func (m *Manager) RecoverServerFailure(failed cluster.ServerID) (*FailureReport,
 	if err := m.syncReplica(); err != nil {
 		return nil, fmt.Errorf("recover %v: sync replica: %w", failed, err)
 	}
-	dir := m.rt.Directory()
-	lost := dir.HostedOn(failed)
+	lost := m.rt.Directory().HostedOn(failed)
 	report := &FailureReport{Lost: lost}
+	latest, err := m.latestSnapshots()
+	if err != nil {
+		return report, err
+	}
 
 	for _, id := range lost {
 		to, err := m.pickDestination(failed)
@@ -195,28 +248,18 @@ func (m *Manager) RecoverServerFailure(failed cluster.ServerID) (*FailureReport,
 			release()
 			return report, err
 		}
-		key, ok, err := m.LatestSnapshot(id)
+		st, ok, err := m.latestState(latest, id)
 		if err != nil {
 			release()
 			return report, err
 		}
 		if ok {
-			states, err := m.LoadSnapshot(key)
-			if err != nil {
-				release()
-				return report, fmt.Errorf("load checkpoint %q: %w", key, err)
-			}
-			if st, found := states[id]; found {
-				c.SetState(st)
-				report.Restored = append(report.Restored, id)
-			} else {
-				c.SetState(c.Class().NewState())
-				report.Reset = append(report.Reset, id)
-			}
+			report.Restored = append(report.Restored, id)
 		} else {
-			c.SetState(c.Class().NewState())
+			st = c.Class().NewState()
 			report.Reset = append(report.Reset, id)
 		}
+		c.SetState(st)
 		if err := m.rt.Rehost(id, to); err != nil {
 			release()
 			return report, err

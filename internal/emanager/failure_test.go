@@ -105,7 +105,8 @@ func TestLatestSnapshotKeyPicksNewest(t *testing.T) {
 		}
 		lastKey = k
 	}
-	got, ok, err := f.mgr.LatestSnapshot(room)
+	index, err := f.mgr.latestSnapshots()
+	got, ok := index[room]
 	if err != nil || !ok {
 		t.Fatalf("latest = %v %v", ok, err)
 	}

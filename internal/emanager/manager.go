@@ -580,7 +580,7 @@ func (m *Manager) Recover() error {
 	if err := m.syncReplica(); err != nil {
 		return fmt.Errorf("recover: sync replica: %w", err)
 	}
-	return m.engine.Recover()
+	return m.engine.Recover(0)
 }
 
 // syncReplica catches the local topology replica up with the fleet's

@@ -53,17 +53,8 @@ func nextSnapshotSeq(storeMax uint64) uint64 {
 // storeMaxSnapshotSeq reads the highest sequence number the store holds for
 // a root.
 func (m *Manager) storeMaxSnapshotSeq(root ownership.ID) (uint64, error) {
-	keys, err := m.store.List(fmt.Sprintf("snapshot/%d/", uint64(root)))
-	if err != nil {
-		return 0, err
-	}
-	var max uint64
-	for _, k := range keys {
-		if s := snapshotSeqOf(k); s > max {
-			max = s
-		}
-	}
-	return max, nil
+	latest, err := m.latestSnapshots()
+	return snapshotSeqOf(latest[root]), err
 }
 
 // snapshotKey renders the storage key of one checkpoint.

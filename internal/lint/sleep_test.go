@@ -60,14 +60,14 @@ var sleeps = []site{
 	{modelled, "transport/network.go", "(*SimNetwork).Hop", 1},
 	{modelled, "workload/workload.go", "RunClosedLoopSeries", 1},
 
-	{backoff, "chaos/driver.go", "(*driver).step", 2},
+	{backoff, "chaos/driver.go", "(*driver).step", 1},
 	{backoff, "cloudstore/retry.go", "Retry", 1},
 	{backoff, "migration/engine.go", "(*Engine).stopGroup", 1},
+	{backoff, "node/node.go", "(*Node).recover", 1},
 
 	{probe, "chaos/chaos.go", "(*runner).quiesce", 1},
 	{probe, "chaos/chaos.go", "(*runner).readEntity", 1},
 	{probe, "chaos/chaos.go", "waitUntil", 1},
-	{probe, "chaos/driver.go", "(*driver).freeze", 1},
 	{probe, "node/harness.go", "(*Deployment).WaitReady", 1},
 
 	{work, "core/sharding_test.go", "blockSchema", 1},

@@ -638,11 +638,12 @@ func (e *Engine) stopGroup(members []ownership.ID) (func(), error) {
 }
 
 // Recover scans the migration journal and rolls forward every group
-// migration a crashed eManager left behind. The WAL record is deleted only
-// after the group's move has converged on the destination, so a second
-// crash during recovery loses nothing: the next Recover finds the record
-// again and finishes the job.
-func (e *Engine) Recover() error {
+// migration from server `from` a crashed eManager left behind — every
+// source's when from is zero. The WAL record is deleted only after the
+// group's move has converged on the destination, so a second crash during
+// recovery loses nothing: the next Recover finds the record again and
+// finishes the job.
+func (e *Engine) Recover(from cluster.ServerID) error {
 	keys, err := e.store.List("wal/migration/")
 	if err != nil {
 		return err
@@ -655,6 +656,9 @@ func (e *Engine) Recover() error {
 		wal, err := decodeWAL(raw)
 		if err != nil {
 			return fmt.Errorf("corrupt WAL %q: %w", k, err)
+		}
+		if from != 0 && wal.From != from {
+			continue
 		}
 		if err := e.recoverGroup(wal); err != nil {
 			return fmt.Errorf("recover group %v: %w", wal.Root, err)

@@ -364,7 +364,7 @@ func TestRecoverAtEveryStep(t *testing.T) {
 		}
 
 		e2 := NewEngine(f.rt, f.store, Config{Delta: time.Millisecond})
-		if err := e2.Recover(); err != nil {
+		if err := e2.Recover(0); err != nil {
 			t.Fatalf("step %d: recover: %v", step, err)
 		}
 		for _, id := range members {

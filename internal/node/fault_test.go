@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/cluster"
+	"aeon/internal/ownership"
 	"aeon/internal/transport"
 )
 
@@ -196,7 +198,7 @@ func TestFailureRecoveryRehostsFromCheckpointsAfterNodeCrash(t *testing.T) {
 	if _, err := n2.Submit(acct, "deposit", 500); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n2.Manager().CheckpointServer(2); err != nil {
+	if _, err := n2.mgr.CheckpointServer(2); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	if keys, _ := d.Stores[0].List("snapshot/"); len(keys) == 0 {
@@ -209,7 +211,7 @@ func TestFailureRecoveryRehostsFromCheckpointsAfterNodeCrash(t *testing.T) {
 	}
 
 	// The survivor re-homes server 2's contexts from checkpoints.
-	report, err := n1.Manager().RecoverServerFailure(2)
+	report, err := n1.mgr.RecoverServerFailure(2)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -243,65 +245,106 @@ func TestFailureRecoveryRehostsFromCheckpointsAfterNodeCrash(t *testing.T) {
 // but the transfer ack is lost AND the destination is unreachable for the
 // commit probe, so the source aborts in doubt — destination authoritative
 // per its own directory, source still authoritative per its own, and the
-// migration WAL entry pinned. Healing the link and running WAL recovery on
-// the source must converge the split to exactly one authority.
+// migration WAL entry pinned. Running WAL recovery on the source, or just
+// restarting it, must converge the split to exactly one authority; a
+// restart of the destination must leave the source's entry to the source.
 func TestTransferResidualConvergesViaWALRecovery(t *testing.T) {
-	net := transport.NewSim(transport.SimConfig{})
-	fm := transport.NewFaultyMesh(transport.NewInMemMesh(net))
-	// Store on node 2: the only 2→1 calls during the migration are the
-	// transfer and its commit probe, so a reply-drop budget of two kills
-	// exactly those.
-	d, err := Deploy(fm, Topology{Nodes: 2, StoreNode: 2})
-	if err != nil {
-		t.Fatalf("deploy: %v", err)
+	// inDoubt deploys two nodes whose store is not node `from`'s to call:
+	// during the migration the only from→to calls are the transfer and its
+	// commit probe, so a reply-drop budget of two kills exactly those. It
+	// moves `from`'s bank to `to` with 500 deposited first, and leaves the
+	// move in doubt.
+	inDoubt := func(t *testing.T, top Topology, from, to transport.NodeID) (*Deployment, *transport.FaultyMesh, ownership.ID, ownership.ID, func() []string) {
+		fm := transport.NewFaultyMesh(transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})))
+		d, err := Deploy(fm, top)
+		if err != nil {
+			t.Fatalf("deploy: %v", err)
+		}
+		t.Cleanup(d.Close)
+		bank, acct := d.Top.Banks[from-1], d.Top.Accounts[from-1][0]
+		if _, err := d.Node(from).Submit(acct, "deposit", 500); err != nil {
+			t.Fatal(err)
+		}
+		// The journal, read from the authoritative store directly: the
+		// nodes may be cut off from it.
+		var store interface {
+			List(string) ([]string, error)
+		}
+		if top.StoreParts > 0 {
+			store = d.StoreBackends[0]
+		} else {
+			store = d.Stores[top.StoreNode-1]
+		}
+		journal := func() []string {
+			keys, _ := store.List("wal/migration/")
+			return keys
+		}
+		fm.DropReply(from, to, 2)
+		if err := d.Node(to).MigrateRemote(from, bank, cluster.ServerID(to)); err == nil {
+			t.Fatal("migration must abort in doubt when ack and probe are both lost")
+		}
+		if srv, _ := d.Node(to).Runtime().Directory().Locate(bank); srv != cluster.ServerID(to) {
+			t.Fatalf("destination should have committed its remap, locates %v", srv)
+		}
+		if srv, _ := d.Node(from).Runtime().Directory().Locate(bank); srv != cluster.ServerID(from) {
+			t.Fatalf("source should still claim the group in doubt, locates %v", srv)
+		}
+		if len(journal()) == 0 {
+			t.Fatal("aborted migration must leave its WAL entry pinned")
+		}
+		return d, fm, bank, acct, journal
 	}
-	t.Cleanup(d.Close)
-	n1, n2 := d.Nodes[0], d.Nodes[1]
-	bank2 := d.Top.Banks[1]
-	acct := d.Top.Accounts[1][0]
-	if _, err := n2.Submit(acct, "deposit", 500); err != nil {
-		t.Fatal(err)
-	}
-
-	// Both the transfer ack and the commit-probe reply vanish: the
-	// destination commits, the source cannot learn that.
-	fm.DropReply(2, 1, 2)
-	if err := n1.MigrateRemote(n2.ID(), bank2, 1); err == nil {
-		t.Fatal("migration must abort in doubt when ack and probe are both lost")
-	}
-
-	// The split is real while the link is down: each side claims the group.
-	net.Partition(2, 1)
-	net.Partition(1, 2)
-	if srv, _ := n1.Runtime().Directory().Locate(bank2); srv != 1 {
-		t.Fatalf("destination should have committed its remap, locates %v", srv)
-	}
-	if srv, _ := n2.Runtime().Directory().Locate(bank2); srv != 2 {
-		t.Fatalf("source should still claim the group in doubt, locates %v", srv)
-	}
-	if keys, _ := d.Stores[1].List("wal/migration/"); len(keys) == 0 {
-		t.Fatal("aborted migration must leave its WAL entry pinned")
-	}
-
-	// Heal and recover: the source's WAL replay re-runs the protocol,
-	// discovers the committed transfer, and finishes its own remap.
-	net.Heal(2, 1)
-	net.Heal(1, 2)
-	if err := n2.Manager().Recover(); err != nil {
-		t.Fatalf("WAL recovery: %v", err)
-	}
-	for i, n := range d.Nodes {
-		if srv, _ := n.Runtime().Directory().Locate(bank2); srv != 1 {
-			t.Fatalf("node %d maps bank2 to %v after recovery, want exactly one authority on 1", i+1, srv)
+	converged := func(t *testing.T, d *Deployment, bank, acct ownership.ID, to cluster.ServerID, journal func() []string) {
+		t.Helper()
+		for _, n := range d.Nodes {
+			if srv, _ := n.Runtime().Directory().Locate(bank); srv != to {
+				t.Fatalf("node %v maps the bank to %v, want exactly one authority on %v", n.ID(), srv, to)
+			}
+			if res, err := n.Submit(acct, "balance"); err != nil || res.(int) != 1500 {
+				t.Fatalf("node %v balance = %v err=%v, want 1500", n.ID(), res, err)
+			}
+		}
+		if keys := journal(); len(keys) != 0 {
+			t.Fatalf("migration WAL left behind: %v", keys)
 		}
 	}
-	if res, err := n1.Submit(acct, "balance"); err != nil || res.(int) != 1500 {
-		t.Fatalf("node1 balance = %v err=%v, want 1500", res, err)
-	}
-	if res, err := n2.Submit(acct, "balance"); err != nil || res.(int) != 1500 {
-		t.Fatalf("node2 balance = %v err=%v, want 1500", res, err)
-	}
-	if keys, _ := d.Stores[1].List("wal/migration/"); len(keys) != 0 {
-		t.Fatalf("migration WAL left behind after recovery: %v", keys)
-	}
+
+	t.Run("recover", func(t *testing.T) {
+		// Store on node 2, the source.
+		d, _, bank, acct, journal := inDoubt(t, Topology{Nodes: 2, StoreNode: 2}, 2, 1)
+		// The source's WAL replay re-runs the protocol, discovers the
+		// committed transfer, and finishes its own remap.
+		if err := d.Nodes[1].mgr.Recover(); err != nil {
+			t.Fatalf("WAL recovery: %v", err)
+		}
+		converged(t, d, bank, acct, 1, journal)
+	})
+
+	t.Run("restart", func(t *testing.T) {
+		// A store plane of its own: Restart refuses the store node. The
+		// restarted source rolls its entry forward before it serves.
+		top := Topology{Nodes: 2, StoreParts: 1}
+		d, fm, bank, acct, journal := inDoubt(t, top, 2, 1)
+		restartNode(t, d, fm, top, 2)
+		converged(t, d, bank, acct, 1, journal)
+	})
+
+	t.Run("restart-other-source", func(t *testing.T) {
+		// Node 1's move to node 2 is in doubt; restarting node 2, the
+		// destination, leaves node 1's entry alone. Only its source
+		// converges it.
+		top := Topology{Nodes: 2, StoreParts: 1}
+		d, fm, bank, acct, journal := inDoubt(t, top, 1, 2)
+		restartNode(t, d, fm, top, 2)
+		if keys := journal(); len(keys) != 1 {
+			t.Fatalf("restarting the destination touched the source's journal: %v", keys)
+		}
+		if srv, _ := d.Nodes[0].Runtime().Directory().Locate(bank); srv != 1 {
+			t.Fatalf("source locates its in-doubt group on %v after the destination restarted", srv)
+		}
+		if err := d.Nodes[0].mgr.Recover(); err != nil {
+			t.Fatalf("WAL recovery: %v", err)
+		}
+		converged(t, d, bank, acct, 2, journal)
+	})
 }

@@ -161,16 +161,20 @@ func Deploy(mesh transport.Mesh, top Topology) (*Deployment, error) {
 			}
 		}
 	}
-	for i := 1; i <= top.Nodes; i++ {
-		n, bank, store, err := buildNode(mesh, top, transport.NodeID(i))
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.Nodes = append(d.Nodes, n)
-		d.Stores = append(d.Stores, store)
-		if d.Top == nil {
-			d.Top = bank
+	// The store-serving node starts first: a node reads the store before it
+	// serves (Start recovers its server).
+	d.Nodes = make([]*Node, top.Nodes)
+	d.Stores = make([]*cloudstore.Store, top.Nodes)
+	for _, first := range []bool{true, false} {
+		for i := range d.Nodes {
+			if id := transport.NodeID(i + 1); (top.StoreParts == 0 && id == top.StoreNode) == first {
+				n, bank, store, err := buildNode(mesh, top, id)
+				if err != nil {
+					d.Close()
+					return nil, err
+				}
+				d.Nodes[i], d.Stores[i], d.Top = n, store, bank
+			}
 		}
 	}
 	d.Scenario = top.Scenario
@@ -233,10 +237,11 @@ func buildNode(mesh transport.Mesh, top Topology, id transport.NodeID) (*Node, *
 // Restart rebuilds the node with the given mesh ID from scratch — a fresh
 // deterministic startup replica, like a crashed process relaunched from the
 // same binary and flags — and re-attaches it to the mesh. The previous
-// incarnation must have been closed (Close + Runtime().Close()). With
-// Topology.Replicate the restarted node replays the mutation log before it
-// serves, which is how a rejoining process recovers runtime-created
-// topology it was not alive to apply.
+// incarnation must have been closed (Close + Runtime().Close()). Before it
+// serves, the restarted node replays the mutation log (with
+// Topology.Replicate: runtime-created topology it was not alive to apply),
+// restores its server's latest checkpoints and rolls its own migration
+// journal forward.
 func (d *Deployment) Restart(mesh transport.Mesh, top Topology, id transport.NodeID) (*Node, error) {
 	top = top.withDefaults()
 	if top.StoreParts == 0 && id == top.StoreNode {
@@ -287,15 +292,17 @@ func (d *Deployment) WaitReady(timeout time.Duration) error {
 	return nil
 }
 
-// Close detaches every node and drains its runtime, then tears down the
-// store plane (servers detached, backends closed).
+// Close closes every node — each checkpoints its server into the store —
+// and its runtime, the store-serving node last, then tears down the store
+// plane (servers detached, backends closed).
 func (d *Deployment) Close() {
-	for _, n := range d.Nodes {
-		if n == nil {
-			continue
+	for _, last := range []bool{false, true} {
+		for _, n := range d.Nodes {
+			if n != nil && n.servesStore == last {
+				_ = n.Close()
+				n.Runtime().Close()
+			}
 		}
-		_ = n.Close()
-		n.Runtime().Close()
 	}
 	for _, s := range d.StoreServers {
 		if s != nil {

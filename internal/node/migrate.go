@@ -104,9 +104,7 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 		// themselves authoritative for the group. If the probe says "not
 		// committed" (or the peer is unreachable), abort with the WAL
 		// intact: the group resumes at the source, and the journal entry is
-		// left for emanager.Manager.Recover to roll forward. Nothing in the
-		// product calls Recover yet, so until something does, the entry
-		// stays and nothing converges it.
+		// left for the source's next Start to roll forward.
 		if len(members) > 0 && n.transferCommitted(members[0], to) {
 			return nil
 		}

@@ -262,16 +262,44 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node %v: attach: %w", cfg.ID, err)
 	}
 	n.ep = ep
-	if n.plane != nil {
-		// Catch up from the log before serving a single frame, so a node
-		// that (re)joins a live deployment replays every mutation it missed
-		// before peers can route to it. Best-effort: when the store node is
-		// not reachable yet (peers booting in any order) the tailer keeps
-		// retrying, and admission gating covers the window.
-		_ = n.plane.Start()
+	if err := n.recover(); err != nil {
+		_ = n.detach() // the recovery failure is the one to report
+		return nil, err
 	}
 	close(ready)
 	return n, nil
+}
+
+// recover brings the node back to what it acknowledged before it serves a
+// frame: it replays the mutation log it missed, then its server's latest
+// checkpoints and its own migration journal (Manager.RecoverServer). Peers
+// boot in any order, so it waits, bounded by callTimeout, for the store.
+func (n *Node) recover() error {
+	start := time.Now()
+	var err error
+	if n.plane != nil {
+		err = n.plane.Start()
+	}
+	restored := 0
+	for {
+		if err == nil {
+			if restored, err = n.mgr.RecoverServer(cluster.ServerID(n.id)); err == nil {
+				break
+			}
+		}
+		if time.Since(start) > callTimeout {
+			return fmt.Errorf("node %v: recover: %w", n.id, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		err = nil
+		if n.plane != nil {
+			err = n.plane.CatchUp()
+		}
+	}
+	n.emit("node.recover", map[string]any{
+		"node": int64(n.id), "contexts": restored, "us": time.Since(start).Microseconds(),
+	})
+	return nil
 }
 
 // ID returns the node's mesh address.
@@ -279,9 +307,6 @@ func (n *Node) ID() transport.NodeID { return n.id }
 
 // Runtime returns the node's runtime.
 func (n *Node) Runtime() *core.Runtime { return n.rt }
-
-// Manager returns the node's elasticity manager (mesh-wired migrations).
-func (n *Node) Manager() *emanager.Manager { return n.mgr }
 
 // Store returns the node's view of the authoritative cloud store.
 func (n *Node) Store() cloudstore.API { return n.store }
@@ -295,19 +320,38 @@ func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
 // Done is closed when a peer requests shutdown (KindShutdown).
 func (n *Node) Done() <-chan struct{} { return n.shutdownCh }
 
-// Close detaches the node from the mesh and stops its manager. The runtime
-// is left to the caller (it may outlive the mesh attachment in tests).
+// Close stops the node's manager, drains its runtime and checkpoints its
+// server if anything there changed, so a restarted node comes back with
+// everything this one acknowledged; then it leaves the mesh. The caller
+// closes the runtime.
 func (n *Node) Close() error {
 	var err error
 	n.closeOnce.Do(func() {
-		n.baseCancel()
+		start := time.Now()
 		n.mgr.Stop()
-		if n.plane != nil {
-			n.plane.Close()
+		n.rt.Drain()
+		// A node that ran no writing event and installed no transferred
+		// state holds what its restart rebuilds or restores.
+		count, cerr := 0, error(nil)
+		if n.rt.Wrote() || n.transfersIn.Load() > 0 {
+			count, cerr = n.mgr.CheckpointServer(cluster.ServerID(n.id))
 		}
-		err = n.ep.Close()
+		n.emit("node.checkpoint", map[string]any{
+			"node": int64(n.id), "contexts": count, "us": time.Since(start).Microseconds(),
+		})
+		err = errors.Join(cerr, n.detach())
 	})
 	return err
+}
+
+// detach stops the node's store calls and replication plane and leaves the
+// mesh.
+func (n *Node) detach() error {
+	n.baseCancel()
+	if n.plane != nil {
+		n.plane.Close()
+	}
+	return n.ep.Close()
 }
 
 // isLocal reports whether this process embodies srv.

@@ -169,7 +169,7 @@ func TestRemoteStorePutBatchIsOneChargedWrite(t *testing.T) {
 
 func TestPersistMappingJournalsIntoAuthoritativeStore(t *testing.T) {
 	d := deploy(t, 2)
-	if err := d.Nodes[1].Manager().PersistMapping(); err != nil {
+	if err := d.Nodes[1].mgr.PersistMapping(); err != nil {
 		t.Fatalf("persist: %v", err)
 	}
 	keys, err := d.Stores[0].List("map/")
@@ -307,7 +307,7 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	if err != nil || res.(int) != 1077 {
 		t.Fatalf("tcp remote deposit = %v err=%v", res, err)
 	}
-	if err := n2.Manager().PersistMapping(); err != nil {
+	if err := n2.mgr.PersistMapping(); err != nil {
 		t.Fatalf("tcp persist: %v", err)
 	}
 	if err := n1.MigrateRemote(2, d.Top.Banks[1], 1); err != nil {

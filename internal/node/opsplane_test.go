@@ -3,6 +3,7 @@ package node
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"aeon/internal/schema"
 	"aeon/internal/transport"
@@ -158,4 +159,59 @@ func deployOps(t *testing.T, n int) *Deployment {
 	}
 	t.Cleanup(d.Close)
 	return d
+}
+
+// TestOpsPlaneRestartEvents pins the lifecycle feed: Start leaves
+// node.recover on the node's feed and Close node.checkpoint, each with the
+// contexts it covered and its duration. A fresh node restores nothing; a
+// node that ran no writing event checkpoints nothing; a restarted one
+// restores what its previous incarnation checkpointed.
+func TestOpsPlaneRestartEvents(t *testing.T) {
+	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
+	top := Topology{Nodes: 2, EnableOps: true}
+	d, err := Deploy(mesh, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if err := d.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	fields := func(n *Node, typ string) map[string]any {
+		t.Helper()
+		events, _, _, _ := n.Ops().EventsSince(0)
+		for _, ev := range events {
+			if ev.Type == typ {
+				if _, ok := ev.Fields["us"].(int64); !ok {
+					t.Fatalf("%s on node %v carries no duration: %v", typ, n.ID(), ev.Fields)
+				}
+				return ev.Fields
+			}
+		}
+		t.Fatalf("node %v feed lacks %s", n.ID(), typ)
+		return nil
+	}
+	old := d.Nodes[1]
+	if got := fields(old, "node.recover")["contexts"]; got != 0 {
+		t.Fatalf("fresh node restored %v contexts, want 0", got)
+	}
+	if _, err := old.Submit(d.Top.Accounts[1][0], "balance"); err != nil {
+		t.Fatal(err)
+	}
+	n2 := restartNode(t, d, mesh, top, 2)
+	if got := fields(old, "node.checkpoint")["contexts"]; got != 0 {
+		t.Fatalf("a node that only read checkpointed %v contexts, want 0", got)
+	}
+	old = n2
+	if _, err := old.Submit(d.Top.Accounts[1][0], "deposit", 1); err != nil {
+		t.Fatal(err)
+	}
+	n2 = restartNode(t, d, mesh, top, 2)
+	saved := fields(old, "node.checkpoint")["contexts"]
+	if n, _ := saved.(int); n < len(d.Top.Accounts[1]) {
+		t.Fatalf("close checkpointed %v contexts, want node 2's %d accounts at least", saved, len(d.Top.Accounts[1]))
+	}
+	if got := fields(n2, "node.recover")["contexts"]; got != saved {
+		t.Fatalf("restart restored %v contexts, the close checkpointed %v", got, saved)
+	}
 }

@@ -288,7 +288,7 @@ func TestEManagerScaleOutReplicatesMembership(t *testing.T) {
 	n1, n2 := d.Nodes[0], d.Nodes[1]
 
 	before := n1.Runtime().Cluster().Size()
-	if err := n1.Manager().Apply(emanager.AddServer{Profile: cluster.M1Small}); err != nil {
+	if err := n1.mgr.Apply(emanager.AddServer{Profile: cluster.M1Small}); err != nil {
 		t.Fatalf("policy scale-out: %v", err)
 	}
 	if got := n1.Runtime().Cluster().Size(); got != before+1 {

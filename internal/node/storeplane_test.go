@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,7 +242,13 @@ func TestEveryCodeSurvivesEveryFrame(t *testing.T) {
 func TestRemoteStoreHonorsBaseContext(t *testing.T) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
 	entered := make(chan struct{})
-	silent, err := mesh.Attach(StoreIDBase+1, func(ctx context.Context, _ transport.NodeID, _ transport.Message) (transport.Message, error) {
+	// The store answers the node's boot recovery reads, then goes silent.
+	var mute atomic.Bool
+	st := cloudstore.New()
+	silent, err := mesh.Attach(StoreIDBase+1, func(ctx context.Context, _ transport.NodeID, req transport.Message) (transport.Message, error) {
+		if !mute.Load() {
+			return serveStore(st.Do, req.Payload)
+		}
 		close(entered)
 		<-ctx.Done()
 		return transport.Message{}, ctx.Err()
@@ -251,6 +258,7 @@ func TestRemoteStoreHonorsBaseContext(t *testing.T) {
 	}
 	defer silent.Close()
 	n := storeClient(t, mesh)
+	mute.Store(true)
 	errc := make(chan error, 1)
 	go func() {
 		_, err := n.Store().Put("k", nil)
@@ -455,6 +463,10 @@ func TestStorePlaneDiskBackend(t *testing.T) {
 	}
 	diffScripts(t, "static", static, wantStatic)
 	diffScripts(t, "dynamic", dynamic, wantDynamic)
+	// The nodes close first: their close-time checkpoints are journaled too.
+	for _, n := range d.Nodes {
+		_ = n.Close()
+	}
 	wantKeys := make([]int, 2)
 	for p := 0; p < 2; p++ {
 		keys, err := d.StoreBackends[StoreRF*p].List("")
