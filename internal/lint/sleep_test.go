@@ -97,9 +97,11 @@ var afters = []site{
 	{guard, "ops/ops_test.go", "TestEventNotifyWakesFollower", 1},
 	{guard, "orleans/orleans_test.go", "TestDeferredReply", 1},
 	{guard, "orleans/orleans_test.go", "TestStatelessWorkersRunConcurrently", 1},
+	{guard, "transport/endpoint_test.go", "TestCloseNeverWaitsOnTheReadLoop", 1},
 	{guard, "transport/endpoint_test.go", "TestWorkerPoolNeverStrandsAJob", 1},
 	{guard, "transport/muxout_test.go", "TestFlusherCaptureIsBounded", 1},
 	{guard, "transport/stream_test.go", "TestMuxServerShutdownCancelsHandlers", 1},
+	{guard, "transport/stream_test.go", "TestReadFramesBothDrivers", 1},
 	{guard, "transport/stream_test.go", "TestWeightedSem", 2},
 
 	{quiet, "core/lock_test.go", "TestLockExclusiveBlocks", 1},

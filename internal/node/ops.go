@@ -73,6 +73,9 @@ func (n *Node) registerOps() {
 	reg.Counter("aeon_mux_socket_writes_total",
 		"Socket writes that carried those frames; frames per write is how well senders coalesce.", nil,
 		func() uint64 { return transport.ReadMuxStats().SocketWrites })
+	reg.Counter("aeon_mux_socket_reads_total",
+		"Read syscalls of the mux read loops, those that found the socket empty included; about one per arrival.", nil,
+		func() uint64 { return transport.ReadMuxStats().SocketReads })
 	reg.Gauge("aeon_mux_slots_in_use",
 		"Occupied mux completion slots across open streams.", nil,
 		func() float64 { return float64(transport.ReadMuxStats().SlotsInUse) })

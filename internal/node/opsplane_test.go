@@ -41,6 +41,7 @@ func TestOpsPlaneNodeExposition(t *testing.T) {
 		"aeon_mux_dropped_responses_total",
 		"aeon_mux_frames_written_total",
 		"aeon_mux_socket_writes_total",
+		"aeon_mux_socket_reads_total",
 		"aeon_migration_groups_total",
 		"aeon_migration_stop_seconds",
 		"aeon_store_op_seconds",

@@ -664,3 +664,69 @@ func TestMuxCallAllocBudget(t *testing.T) {
 		t.Fatalf("one round trip allocates %.2f objects, budget %d", got, budget)
 	}
 }
+
+// TestCloseNeverWaitsOnTheReadLoop pins that nothing a served connection's
+// read loop can wait on closes its socket synchronously: the loop reads
+// inside RawConn.Read, and conn.Close waits for such a reader to return. A
+// peer floods the connection past muxServerAdmission and never reads; every
+// response is a gathered write larger than the socket buffers, so the first
+// worker is stuck writing, every other one waits for the flush role and the
+// read loop waits in dispatch for a worker. Close's drain deadline fails the
+// stuck write, and the failure must wake the loop without waiting for it: a
+// synchronous conn.Close there hangs Close for good.
+func TestCloseNeverWaitsOnTheReadLoop(t *testing.T) {
+	big := make([]byte, 16<<20)
+	var entered atomic.Int32
+	mesh := NewTCPMesh()
+	ep, err := mesh.Attach(1, func(ctx context.Context, from NodeID, req Message) (Message, error) {
+		entered.Add(1)
+		return Message{Kind: "big", Payload: big}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ep.(*tcpEndpoint)
+	addr, _ := mesh.Addr(1)
+	peer, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	flood := append(muxMagic[:4:4], make([]byte, 8)...)
+	for id := uint64(1); id <= muxServerAdmission+1; id++ {
+		wr := muxWrite{corrID: id, kind: "q"}
+		flood = wr.appendHeader(flood)
+	}
+	go func() { _, _ = peer.Write(flood) }()
+
+	var pool *muxWorkerPool
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		srv.mu.Lock()
+		for _, p := range srv.served {
+			pool = p
+		}
+		srv.mu.Unlock()
+		// Every worker holds a job it cannot finish, and the loop has taken
+		// one off idle for a job that no worker will receive: it is in
+		// dispatch, past its last look at closing, for good.
+		if entered.Load() == MuxWindow && pool.idle.Load() == -(muxQueueDepth+1) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the flood never took every worker")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- ep.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(closeDrain + time.Second):
+		t.Fatalf("Close did not return within %v: a write failure waited on the read loop", closeDrain+time.Second)
+	}
+	if n := pool.workers.Load(); n != 0 {
+		t.Fatalf("%d workers outlived Close", n)
+	}
+}

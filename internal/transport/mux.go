@@ -11,6 +11,14 @@ package transport
 // an idle connection runs on the calling end — matches responses back to
 // callers by correlation ID, in whatever order the handlers finish.
 //
+// Read side. Each end's read loop runs for the connection's whole life inside
+// one RawConn.Read (see readFrames): a socket read lands in the connection's
+// one buffer, every whole frame in it is parsed in place, and once a read has
+// left nothing behind the goroutine parks in the poller until the next
+// arrival — one read syscall per arrival, none that only hears EAGAIN. A
+// frame's payload aliases the buffer until the next frame, so the client's
+// deliver and the server's dispatch copy it.
+//
 // Completion plane. Completions are delivered through a per-stream slot
 // table instead of one channel per call: a correlation ID encodes its slot
 // index in the low bits and a per-slot generation in the high bits, so the
@@ -41,10 +49,11 @@ package transport
 // 128-event batch frame takes 128 admission slots and batching cannot be
 // used to sidestep the window.
 //
-// Footprint. A connection that has carried nothing holds its two 64 KiB
-// read buffers and little else: the two pending buffers, one queued into
-// while the other is written, grow to what the link's bursts need (the window
-// and the admission gate bound that); the read loop → workers queue is short
+// Footprint. A connection that has carried nothing holds one 64 KiB read
+// buffer per side and little else (a frame larger than that grows its side's
+// buffer to the frame, once): the two pending buffers, one queued into while
+// the other is written, grow to what the link's bursts need (the window and
+// the admission gate bound that); the read loop → workers queue is short
 // (muxQueueDepth); the slot table is allocated a chunk at a time as the
 // freelist first reaches each chunk.
 //
@@ -66,16 +75,17 @@ package transport
 // handler runs.
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"aeon/internal/schema"
@@ -119,8 +129,8 @@ const muxWorkerIdle = time.Second
 // carries — a migration's state transfer included.
 const maxMuxFrame = 64 << 20
 
-// muxReadBuffer is each side's socket read buffer: one read syscall drains
-// up to this much of a burst.
+// muxReadBuffer is each side's socket read buffer, unless a larger frame has
+// grown it: one read syscall drains up to this much of a burst.
 const muxReadBuffer = 64 << 10
 
 // muxFlushBytes is how much a corked sender queues before it flushes without
@@ -191,79 +201,205 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// frameScratch is what one connection's read loop keeps between frames, so
-// that reading one allocates nothing: the length prefix (a local would
-// escape through the io.Reader), the body buffer, and an intern table of the
-// kinds the connection has carried — a handful of constants.
-type frameScratch struct {
-	hdr   [4]byte
-	body  []byte
+// muxFrame is one parsed frame. herr is the handler error an error frame
+// carries (Node unset; a code byte this build has no row for reads as
+// CodeUnknown), nil on requests and successes. payload aliases the read
+// buffer until the next frame is parsed.
+type muxFrame struct {
+	corrID  uint64
+	kind    string
+	herr    *RemoteError
+	payload []byte
+}
+
+// frameReader is one connection's read side: the buffer every socket read
+// lands in and every frame is parsed from in place, and an intern table of
+// the kinds the connection has carried — a handful of constants — so that
+// reading a frame allocates nothing.
+type frameReader struct {
+	buf   []byte
+	r, w  int // buf[r:w] is read and not yet parsed
 	kinds []string
+	oob   [32]byte // a read's control message: see readFrames
 }
 
-func (sc *frameScratch) intern(kind []byte) string {
-	for _, k := range sc.kinds {
-		if string(kind) == k {
-			return k
-		}
+// next parses the next whole frame in the buffer; ok is false when less than
+// one is there. A malformed frame is an error, and the connection is then
+// unusable.
+func (fr *frameReader) next() (f muxFrame, ok bool, err error) {
+	b := fr.buf[fr.r:fr.w]
+	if len(b) < 4 {
+		return f, false, nil
 	}
-	k := string(kind)
-	if len(sc.kinds) < muxKinds {
-		sc.kinds = append(sc.kinds, k)
-	}
-	return k
-}
-
-// readMuxFrame reads one frame, reusing sc for the body. herr is the handler
-// error an error frame carries (Node unset; a code byte this build has no row
-// for reads as CodeUnknown), nil on requests and successes. payload aliases
-// sc and is only valid until the next call.
-func readMuxFrame(r io.Reader, sc *frameScratch) (corrID uint64, kind string, herr *RemoteError, payload []byte, err error) {
-	if _, err = io.ReadFull(r, sc.hdr[:]); err != nil {
-		return 0, "", nil, nil, err
-	}
-	n := binary.BigEndian.Uint32(sc.hdr[:])
+	n := binary.BigEndian.Uint32(b)
 	if n < 8 || n > maxMuxFrame {
-		return 0, "", nil, nil, fmt.Errorf("transport: bad mux frame length %d", n)
+		return f, false, fmt.Errorf("transport: bad mux frame length %d", n)
 	}
-	if cap(sc.body) < int(n) {
-		sc.body = make([]byte, n)
+	if uint32(len(b)-4) < n {
+		return f, false, nil
 	}
-	body := sc.body[:n]
-	if _, err = io.ReadFull(r, body); err != nil {
-		return 0, "", nil, nil, err
-	}
-	corrID = binary.BigEndian.Uint64(body[:8])
+	fr.r += 4 + int(n)
+	body := b[4 : 4+n]
+	f.corrID = binary.BigEndian.Uint64(body)
 	rest := body[8:]
 	take := func() ([]byte, error) {
 		ln, sz := binary.Uvarint(rest)
 		if sz <= 0 || uint64(len(rest)-sz) < ln {
 			return nil, fmt.Errorf("transport: corrupt mux frame field")
 		}
-		f := rest[sz : sz+int(ln)]
+		fld := rest[sz : sz+int(ln)]
 		rest = rest[sz+int(ln):]
-		return f, nil
+		return fld, nil
 	}
 	kb, err := take()
 	if err != nil {
-		return 0, "", nil, nil, err
+		return f, false, err
 	}
 	if len(rest) == 0 {
-		return 0, "", nil, nil, fmt.Errorf("transport: mux frame has no code byte")
+		return f, false, fmt.Errorf("transport: mux frame has no code byte")
 	}
 	code := schema.Code(rest[0])
 	rest = rest[1:]
 	if code != schema.CodeOK {
 		mb, err := take()
 		if err != nil {
-			return 0, "", nil, nil, err
+			return f, false, err
 		}
 		if code >= schema.NumCodes {
 			code = schema.CodeUnknown
 		}
-		herr = &RemoteError{Code: code, Msg: string(mb)}
+		f.herr = &RemoteError{Code: code, Msg: string(mb)}
 	}
-	return corrID, sc.intern(kb), herr, rest, nil
+	f.kind, f.payload = fr.intern(kb), rest
+	return f, true, nil
+}
+
+func (fr *frameReader) intern(kind []byte) string {
+	for _, k := range fr.kinds {
+		if string(kind) == k {
+			return k
+		}
+	}
+	k := string(kind)
+	if len(fr.kinds) < muxKinds {
+		fr.kinds = append(fr.kinds, k)
+	}
+	return k
+}
+
+// space readies the buffer for the next read and returns where it lands: a
+// partial frame moves to the front, and the buffer grows to hold a frame
+// larger than it (next has bounded the length), keeping that size after.
+func (fr *frameReader) space() []byte {
+	if fr.r > 0 {
+		fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+		fr.r = 0
+	}
+	need := muxReadBuffer
+	if fr.w >= 4 {
+		need = max(need, 4+int(binary.BigEndian.Uint32(fr.buf)))
+	}
+	if len(fr.buf) < need {
+		grown := make([]byte, need)
+		copy(grown, fr.buf[:fr.w])
+		fr.buf = grown
+	}
+	return fr.buf[fr.w:]
+}
+
+// tcpINQ is Linux's TCP_INQ socket option: with it set, recvmsg reports in a
+// control message how many bytes are left to read, a pending FIN counting as
+// one.
+const tcpINQ = 36
+
+// readFrames reads conn for the connection's whole life and hands on every
+// frame in arrival order, until a read fails, a frame is malformed or on
+// fails; it returns why. A TCP connection is read inside one RawConn.Read,
+// and a read that TCP_INQ says left nothing behind returns to the poller,
+// which parks the goroutine until the next arrival: readiness is forgotten
+// only on entry to RawConn.Read, so an arrival after the read wakes the wait
+// at once. (A short read would not say enough: a FIN that came with the last
+// data leaves no readiness behind.) Without TCP_INQ the loop reads until
+// EAGAIN; a conn without a descriptor is read with plain Reads.
+//
+// conn.Close waits for a reader inside RawConn.Read to return, so nothing
+// that on may wait for closes conn synchronously.
+func (fr *frameReader) readFrames(conn net.Conn, on func(muxFrame) error) error {
+	parse := func(n int) error {
+		fr.w += n
+		for {
+			f, ok, err := fr.next()
+			if !ok {
+				return err
+			}
+			if err := on(f); err != nil {
+				return err
+			}
+		}
+	}
+	sc, ok := conn.(syscall.Conn)
+	if !ok {
+		for {
+			n, err := conn.Read(fr.space())
+			if perr := parse(n); perr != nil {
+				return perr
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	raw, err := sc.SyscallConn()
+	if err != nil {
+		return err
+	}
+	_ = raw.Control(func(fd uintptr) {
+		_ = syscall.SetsockoptInt(int(fd), syscall.IPPROTO_TCP, tcpINQ, 1)
+	})
+	var ferr error
+	if err := raw.Read(func(fd uintptr) bool {
+		for {
+			n, oobn, _, _, err := syscall.Recvmsg(int(fd), fr.space(), fr.oob[:], 0)
+			muxSocketReads.Add(1)
+			switch {
+			case err == syscall.EINTR:
+				continue
+			case err == syscall.EAGAIN:
+				return false
+			case err != nil:
+				ferr = os.NewSyscallError("recvmsg", err)
+				return true
+			case n == 0:
+				ferr = io.EOF
+				return true
+			}
+			if raceEnabled {
+				// The race detector orders socket I/O only through
+				// syscall.Read and Write; recvmsg has no annotation, so an
+				// empty Read acquires what the peer's writes released.
+				_, _ = syscall.Read(int(fd), nil)
+			}
+			if ferr = parse(n); ferr != nil {
+				return true
+			}
+			if unread(fr.oob[:oobn]) == 0 {
+				return false
+			}
+		}
+	}); err != nil {
+		return err
+	}
+	return ferr
+}
+
+// unread is what the TCP_INQ control message in oob — the only one the
+// socket asked for — says is left to read, or 1 when oob holds none: without
+// it only EAGAIN says the socket is drained.
+func unread(oob []byte) int {
+	if len(oob) < syscall.CmsgLen(4) {
+		return 1
+	}
+	return int(int32(binary.NativeEndian.Uint32(oob[syscall.CmsgLen(0):])))
 }
 
 // RemoteError is the error a remote handler returned: its message, and the
@@ -283,7 +419,7 @@ func (e *RemoteError) Unwrap() error { return e.Code }
 
 // ---- write half ----
 
-// aLongTimeAgo is a write deadline that has always passed.
+// aLongTimeAgo is a deadline that has always passed.
 var aLongTimeAgo = time.Unix(1, 0)
 
 // muxOut is the write half of a connection, shared by every sender on it:
@@ -655,16 +791,10 @@ func (s *muxStream) Close() error {
 // reused, so it cannot belong to a newer call.
 func (s *muxStream) reader() {
 	defer s.wg.Done()
-	r := bufio.NewReaderSize(s.conn, muxReadBuffer)
-	var sc frameScratch
-	for {
-		corrID, kind, herr, payload, err := readMuxFrame(r, &sc)
-		if err != nil {
-			s.fail(fmt.Errorf("mux read from %v: %w", s.to, err))
-			return
-		}
-		s.deliver(corrID, kind, herr, payload)
-	}
+	var fr frameReader
+	err := fr.readFrames(s.conn, s.deliver)
+	// Only now, out of the read, may the connection be closed here.
+	s.fail(fmt.Errorf("mux read from %v: %w: %w", s.to, err, ErrStreamBroken))
 }
 
 // slot returns the completion slot for idx, nil when its chunk of the table
@@ -677,33 +807,34 @@ func (s *muxStream) slot(idx uint32) *muxSlot {
 }
 
 // deliver writes one response into its slot and wakes the slot's owner.
-func (s *muxStream) deliver(corrID uint64, kind string, herr *RemoteError, payload []byte) {
-	sl := s.slot(uint32(corrID & (MuxWindow - 1)))
+func (s *muxStream) deliver(f muxFrame) error {
+	sl := s.slot(uint32(f.corrID & (MuxWindow - 1)))
 	if sl == nil {
 		muxDroppedResponses.Add(1)
-		return // an ID this stream never issued
+		return nil // an ID this stream never issued
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.corr != corrID || sl.done {
+	if sl.corr != f.corrID || sl.done {
 		muxDroppedResponses.Add(1)
-		return // late or duplicated response: no caller, drop it
+		return nil // late or duplicated response: no caller, drop it
 	}
-	if herr != nil {
-		herr.Node = s.to
-		sl.err = herr
+	if f.herr != nil {
+		f.herr.Node = s.to
+		sl.err = f.herr
 	} else {
 		// The read buffer is reused for the next frame; the payload handed
 		// to the caller must own its bytes.
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		sl.msg = Message{Kind: kind, Payload: p}
+		p := make([]byte, len(f.payload))
+		copy(p, f.payload)
+		sl.msg = Message{Kind: f.kind, Payload: p}
 	}
 	sl.done = true
 	select {
 	case sl.wake <- struct{}{}:
 	default: // a token is already waiting
 	}
+	return nil
 }
 
 // acquire takes a free completion slot (the backpressure point). A deadline
@@ -1066,11 +1197,13 @@ func (p *muxWorkerPool) close() {
 // worker copies it into the pending buffer or writes it to the socket. The
 // copy is therefore never recycled when the handler returns.
 func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}, track func(*muxWorkerPool)) {
-	// A failed write closes the connection, which unblocks the read loop.
+	// A failed write ends the read loop, which may be waiting on the very
+	// worker that hears of it: a past read deadline ends it without waiting
+	// for it, as Close would.
 	out := &muxOut{conn: conn}
 	out.broke = func(err error) {
 		out.shut(err)
-		_ = conn.Close()
+		_ = conn.SetReadDeadline(aLongTimeAgo)
 	}
 
 	// Handlers get a context cancelled on endpoint shutdown, so long-running
@@ -1105,34 +1238,24 @@ func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}, tr
 	})
 	track(pool)
 
-	r := bufio.NewReaderSize(conn, muxReadBuffer)
-	var sc frameScratch
-	for {
-		corrID, kind, _, payload, err := readMuxFrame(r, &sc)
-		if err != nil {
-			break
-		}
+	var fr frameReader
+	_ = fr.readFrames(conn, func(f muxFrame) error {
 		select {
 		case <-closing:
-			err = errors.New("endpoint closing")
+			return ErrClosed
 		default:
 		}
-		if err != nil {
-			break
-		}
-		weight := schema.HotFrameEvents(payload)
-		if weight > muxServerAdmission {
-			weight = muxServerAdmission
-		}
+		weight := min(schema.HotFrameEvents(f.payload), muxServerAdmission)
 		if !adm.acquire(weight) {
-			break // endpoint closing
+			return ErrClosed
 		}
 		// The read buffer is reused; the worker owns a copy, valid for the
 		// handler call and any response that aliases it (see above).
-		p := make([]byte, len(payload))
-		copy(p, payload)
-		pool.dispatch(muxJob{corrID: corrID, req: Message{Kind: kind, Payload: p}, weight: weight})
-	}
+		p := make([]byte, len(f.payload))
+		copy(p, f.payload)
+		pool.dispatch(muxJob{corrID: f.corrID, req: Message{Kind: f.kind, Payload: p}, weight: weight})
+		return nil
+	})
 	// Once its worker has exited a response is written, or with a drain.
 	pool.close()
 	out.drains.Wait()

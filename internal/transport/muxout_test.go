@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -66,18 +65,16 @@ type wireFrame struct {
 func (c *scriptConn) wire(t *testing.T) []wireFrame {
 	t.Helper()
 	c.mu.Lock()
-	r := bytes.NewReader(bytes.Join(c.writes, nil))
+	b := bytes.Join(c.writes, nil)
 	c.mu.Unlock()
-	var (
-		sc     frameScratch
-		frames []wireFrame
-	)
-	for r.Len() > 0 {
-		id, _, _, p, err := readMuxFrame(r, &sc)
-		if err != nil {
+	fr := frameReader{buf: b, w: len(b)}
+	var frames []wireFrame
+	for fr.r < fr.w {
+		f, ok, err := fr.next()
+		if !ok {
 			t.Fatalf("the wire does not parse after %d frames: %v", len(frames), err)
 		}
-		frames = append(frames, wireFrame{id, append([]byte(nil), p...)})
+		frames = append(frames, wireFrame{f.corrID, append([]byte(nil), f.payload...)})
 	}
 	return frames
 }
@@ -286,13 +283,13 @@ func TestGatheredSenderThatLeavesStrandsNothing(t *testing.T) {
 
 // pipeStream is a mux stream over net.Pipe, whose writes block until the
 // script reads them: a test decides when bytes move.
-func pipeStream(t *testing.T, script func(conn net.Conn, r *bufio.Reader)) *muxStream {
+func pipeStream(t *testing.T, script func(conn net.Conn, r *peerReader)) *muxStream {
 	t.Helper()
 	cliConn, srvConn := net.Pipe()
 	go func() {
 		defer srvConn.Close()
 		if _, ok := readMuxPreamble(srvConn); ok {
-			script(srvConn, bufio.NewReader(srvConn))
+			script(srvConn, &peerReader{conn: srvConn})
 		}
 	}()
 	s, err := dialMux(cliConn, 99, 1)
@@ -345,18 +342,17 @@ func (c *lapsingCtx) Deadline() (time.Time, bool) {
 // caller's context — which may be why the send failed — is not what bounds
 // their write. The stream carries on, and the corked frames are written.
 func TestFailedFlightLeavesTheLinkAlone(t *testing.T) {
-	echoAfter := func(proceed <-chan struct{}, kinds chan<- string) func(net.Conn, *bufio.Reader) {
-		return func(conn net.Conn, r *bufio.Reader) {
+	echoAfter := func(proceed <-chan struct{}, kinds chan<- string) func(net.Conn, *peerReader) {
+		return func(conn net.Conn, r *peerReader) {
 			<-proceed
-			var sc frameScratch
 			for {
-				id, kind, _, p, err := readMuxFrame(r, &sc)
+				f, err := r.frame()
 				if err != nil {
 					return
 				}
-				kinds <- kind
-				wr := muxWrite{corrID: id, kind: kind, payload: p}
-				if _, err := conn.Write(append(wr.appendHeader(nil), p...)); err != nil {
+				kinds <- f.kind
+				wr := muxWrite{corrID: f.corrID, kind: f.kind, payload: f.payload}
+				if _, err := conn.Write(append(wr.appendHeader(nil), f.payload...)); err != nil {
 					return
 				}
 			}

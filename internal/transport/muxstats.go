@@ -13,6 +13,7 @@ var (
 	muxStreamsOpen      atomic.Int64
 	muxFramesWritten    atomic.Uint64
 	muxSocketWrites     atomic.Uint64
+	muxSocketReads      atomic.Uint64
 )
 
 // MuxStats is a snapshot of the process-wide mux internals.
@@ -31,6 +32,9 @@ type MuxStats struct {
 	// process has written, and SocketWrites the writes that carried them.
 	FramesWritten uint64
 	SocketWrites  uint64
+	// SocketReads counts the read syscalls of the mux read loops, those that
+	// found the socket empty included.
+	SocketReads uint64
 }
 
 // ReadMuxStats returns the current process-wide mux counters.
@@ -41,5 +45,6 @@ func ReadMuxStats() MuxStats {
 		StreamsOpen:      muxStreamsOpen.Load(),
 		FramesWritten:    muxFramesWritten.Load(),
 		SocketWrites:     muxSocketWrites.Load(),
+		SocketReads:      muxSocketReads.Load(),
 	}
 }

@@ -1,0 +1,6 @@
+//go:build race
+
+package transport
+
+// raceEnabled says the race detector is on; see readFrames.
+const raceEnabled = true

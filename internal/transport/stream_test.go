@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -10,7 +9,9 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -225,7 +226,7 @@ func TestMuxLateResponseNeverMatchesNewerRequest(t *testing.T) {
 // fakeMuxServer speaks the raw mux wire protocol so tests can inject
 // protocol-level misbehavior (duplicated responses, unknown correlation
 // IDs, reordering) that a well-behaved server never produces.
-func fakeMuxServer(t *testing.T, script func(conn net.Conn, r *bufio.Reader)) string {
+func fakeMuxServer(t *testing.T, script func(conn net.Conn, r *peerReader)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -238,26 +239,47 @@ func fakeMuxServer(t *testing.T, script func(conn net.Conn, r *bufio.Reader)) st
 			return
 		}
 		defer conn.Close()
-		r := bufio.NewReader(conn)
-		var pre [12]byte
-		if _, err := io.ReadFull(r, pre[:]); err != nil {
-			return
+		if _, ok := readMuxPreamble(conn); ok {
+			script(conn, &peerReader{conn: conn})
 		}
-		script(conn, r)
 	}()
 	return ln.Addr().String()
 }
 
-func readReqFrame(t *testing.T, r *bufio.Reader) (corrID uint64, payload []byte) {
+// peerReader is a scripted peer's read side: plain Reads parsed by the
+// parser the mux read loops use, one frame at a time as the script asks.
+type peerReader struct {
+	conn net.Conn
+	fr   frameReader
+}
+
+// frame returns the next frame, its payload copied out of the buffer.
+func (p *peerReader) frame() (muxFrame, error) {
+	for {
+		f, ok, err := p.fr.next()
+		if ok {
+			f.payload = append([]byte(nil), f.payload...)
+			return f, nil
+		}
+		if err != nil {
+			return f, err
+		}
+		n, err := p.conn.Read(p.fr.space())
+		p.fr.w += n
+		if n == 0 && err != nil {
+			return f, err
+		}
+	}
+}
+
+func readReqFrame(t *testing.T, r *peerReader) (corrID uint64, payload []byte) {
 	t.Helper()
-	var sc frameScratch
-	corrID, _, _, p, err := readMuxFrame(r, &sc)
+	f, err := r.frame()
 	if err != nil {
 		t.Errorf("fake server read: %v", err)
 		return 0, nil
 	}
-	payload = append([]byte(nil), p...)
-	return corrID, payload
+	return f.corrID, f.payload
 }
 
 func writeRespFrame(t *testing.T, conn net.Conn, corrID uint64, payload []byte) {
@@ -286,7 +308,7 @@ func dialFake(t *testing.T, addr string) *muxStream {
 // reverse order still reach their own callers.
 func TestMuxReorderedResponses(t *testing.T) {
 	received := make(chan struct{}, 2)
-	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+	addr := fakeMuxServer(t, func(conn net.Conn, r *peerReader) {
 		id1, p1 := readReqFrame(t, r)
 		received <- struct{}{}
 		id2, p2 := readReqFrame(t, r)
@@ -327,7 +349,7 @@ func TestMuxReorderedResponses(t *testing.T) {
 // ID are both dropped, and the stream keeps serving.
 func TestMuxDuplicatedAndUnknownResponses(t *testing.T) {
 	dropsBefore := ReadMuxStats().DroppedResponses
-	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+	addr := fakeMuxServer(t, func(conn net.Conn, r *peerReader) {
 		id1, p1 := readReqFrame(t, r)
 		writeRespFrame(t, conn, 0xDEAD, []byte("never-issued")) // unknown ID first
 		writeRespFrame(t, conn, id1, p1)
@@ -444,7 +466,7 @@ func TestFaultyStreamFaults(t *testing.T) {
 // TestMuxStreamBrokenConn pins failure propagation: when the connection
 // dies mid-flight, pending and future calls fail fast instead of hanging.
 func TestMuxStreamBrokenConn(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+	addr := fakeMuxServer(t, func(conn net.Conn, r *peerReader) {
 		readReqFrame(t, r) // accept the request, then die without answering
 		_ = conn.Close()
 	})
@@ -560,7 +582,7 @@ func TestMuxConcurrentClientsStress(t *testing.T) {
 // one CallBatch come back index-aligned through the shared completion plane,
 // even when the server answers them out of order.
 func TestMuxCallBatchRoundTrip(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+	addr := fakeMuxServer(t, func(conn net.Conn, r *peerReader) {
 		const k = 8
 		ids := make([]uint64, k)
 		payloads := make([][]byte, k)
@@ -684,9 +706,9 @@ func TestMuxSlotReuseAcrossWindow(t *testing.T) {
 // partial failure: a batch abandoned by context expiry returns every one of
 // its N slots to the freelist — no leak, no double release.
 func TestMuxCallBatchAbandonReleasesAllSlots(t *testing.T) {
-	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+	addr := fakeMuxServer(t, func(conn net.Conn, r *peerReader) {
 		for { // swallow requests, never answer
-			if _, _, _, _, err := readMuxFrame(r, new(frameScratch)); err != nil {
+			if _, err := r.frame(); err != nil {
 				return
 			}
 		}
@@ -799,43 +821,53 @@ func TestStreamCallBatchFallback(t *testing.T) {
 	}
 }
 
+// parseOne parses b, which must hold exactly one frame, with the read
+// loops' parser.
+func parseOne(b []byte) (muxFrame, error) {
+	fr := frameReader{buf: b, w: len(b)}
+	f, ok, err := fr.next()
+	if err == nil && (!ok || fr.r != fr.w) {
+		err = fmt.Errorf("%d bytes are not one frame", len(b))
+	}
+	return f, err
+}
+
 // TestMuxFrameCodec pins the frame layout round trip — request/success
 // frames, and error frames with their code byte — and its bounds checks.
 func TestMuxFrameCodec(t *testing.T) {
-	var scratch frameScratch
 	frame := func(wr muxWrite) []byte { return append(wr.appendHeader(nil), wr.payload...) }
 
 	ok := frame(muxWrite{corrID: 42, kind: "node.submit", payload: []byte("hello")})
 	if want := 4 + 8 + 1 + len("node.submit") + 1 + len("hello"); len(ok) != want {
 		t.Fatalf("success frame is %d bytes, want %d (a zero code byte and no message field)", len(ok), want)
 	}
-	corrID, kind, herr, payload, err := readMuxFrame(&readerOf{ok}, &scratch)
+	f, err := parseOne(ok)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if corrID != 42 || kind != "node.submit" || herr != nil || string(payload) != "hello" {
-		t.Fatalf("round trip: %d %q %v %q", corrID, kind, herr, payload)
+	if f.corrID != 42 || f.kind != "node.submit" || f.herr != nil || string(f.payload) != "hello" {
+		t.Fatalf("round trip: %d %q %v %q", f.corrID, f.kind, f.herr, f.payload)
 	}
 
 	bad := frame(muxWrite{corrID: 43, code: schema.CodeBackpressure, errMsg: "boom"})
-	corrID, _, herr, payload, err = readMuxFrame(&readerOf{bad}, &scratch)
+	f, err = parseOne(bad)
 	if err != nil {
 		t.Fatalf("read error frame: %v", err)
 	}
-	if corrID != 43 || herr == nil || herr.Code != schema.CodeBackpressure || herr.Msg != "boom" || len(payload) != 0 {
-		t.Fatalf("error frame round trip: %d %+v %q", corrID, herr, payload)
+	if herr := f.herr; f.corrID != 43 || herr == nil || herr.Code != schema.CodeBackpressure || herr.Msg != "boom" || len(f.payload) != 0 {
+		t.Fatalf("error frame round trip: %d %+v %q", f.corrID, herr, f.payload)
 	}
-	if !errors.Is(herr, schema.CodeBackpressure) || schema.CodeOf(herr).Class() != schema.NotExecuted {
-		t.Fatalf("error frame lost its code: %v reads as %s", herr, schema.CodeOf(herr).Name())
+	if !errors.Is(f.herr, schema.CodeBackpressure) || schema.CodeOf(f.herr).Class() != schema.NotExecuted {
+		t.Fatalf("error frame lost its code: %v reads as %s", f.herr, schema.CodeOf(f.herr).Name())
 	}
 
 	// A code byte this build has no row for reads as CodeUnknown, message
 	// kept (TestUnknownCodeByteReadsAsUnknown's rule for the hot frames).
 	newer := frame(muxWrite{corrID: 44, code: 0xEE, errMsg: "from the future"})
-	if _, _, herr, _, err = readMuxFrame(&readerOf{newer}, &scratch); err != nil {
+	if f, err = parseOne(newer); err != nil {
 		t.Fatalf("read newer-peer frame: %v", err)
 	}
-	if herr.Code != schema.CodeUnknown || schema.CodeOf(herr).Class() != schema.OutcomeUnknown || herr.Msg != "from the future" {
+	if herr := f.herr; herr.Code != schema.CodeUnknown || schema.CodeOf(herr).Class() != schema.OutcomeUnknown || herr.Msg != "from the future" {
 		t.Fatalf("code byte 0xEE decoded as %+v", herr)
 	}
 
@@ -843,7 +875,7 @@ func TestMuxFrameCodec(t *testing.T) {
 	for cut := 1; cut <= len("boom")+2; cut++ {
 		short := append([]byte(nil), bad[:len(bad)-cut]...)
 		binary.BigEndian.PutUint32(short[:4], uint32(len(short)-4))
-		if _, _, _, _, err := readMuxFrame(&readerOf{short}, &scratch); err == nil {
+		if _, err := parseOne(short); err == nil {
 			t.Fatalf("error frame truncated by %d bytes accepted", cut)
 		}
 	}
@@ -851,20 +883,9 @@ func TestMuxFrameCodec(t *testing.T) {
 	// A frame with an absurd length prefix must be rejected, not allocated.
 	var huge [12]byte
 	binary.BigEndian.PutUint32(huge[:4], 1<<30)
-	if _, _, _, _, err := readMuxFrame(bufio.NewReader(&readerOf{huge[:]}), &scratch); err == nil {
+	if _, err := parseOne(huge[:]); err == nil {
 		t.Fatalf("oversized frame accepted")
 	}
-}
-
-type readerOf struct{ b []byte }
-
-func (r *readerOf) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // TestCallBatchLeavesInOneWrite pins the cork: the frames of one CallBatch
@@ -872,7 +893,7 @@ func (r *readerOf) Read(p []byte) (int, error) {
 // raw writes, so the counters see the calling end alone.)
 func TestCallBatchLeavesInOneWrite(t *testing.T) {
 	const frames = 64
-	addr := fakeMuxServer(t, func(conn net.Conn, r *bufio.Reader) {
+	addr := fakeMuxServer(t, func(conn net.Conn, r *peerReader) {
 		for i := 0; i < frames; i++ {
 			id, p := readReqFrame(t, r)
 			writeRespFrame(t, conn, id, p)
@@ -929,5 +950,214 @@ func TestConcurrentCallersShareAWrite(t *testing.T) {
 	frames, writes := after.FramesWritten-before.FramesWritten, after.SocketWrites-before.SocketWrites
 	if ratio := float64(frames) / float64(writes); ratio <= 1.5 {
 		t.Fatalf("%d frames took %d socket writes (%.2f frames per write), want more than 1.5", frames, writes, ratio)
+	}
+}
+
+// TestDrainedSocketIsWaitedOn pins the read loops' wait: a read that did not
+// fill the buffer drained the socket, and the loop parks in the poller until
+// the next arrival instead of reading again to hear EAGAIN. Sequential calls
+// on one thread put one frame on each end's socket at a time, so that is one
+// read per frame; reading again after a short read makes it two.
+func TestDrainedSocketIsWaitedOn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cli, _, _ := tcpPair(t, mirrorHandler)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	req := Message{Kind: "echo", Payload: []byte("ping")}
+	if _, err := cli.Call(ctx, 1, req); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 2000
+	before := ReadMuxStats()
+	for i := 0; i < calls; i++ {
+		if _, err := cli.Call(ctx, 1, req); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	after := ReadMuxStats()
+	frames := 2 * calls // a request read by the server, a response by the client
+	reads := after.SocketReads - before.SocketReads
+	t.Logf("%d frames took %d read syscalls", frames, reads)
+	if perFrame := float64(reads) / float64(frames); perFrame > 1.1 {
+		t.Fatalf("%d frames took %d read syscalls (%.2f per frame), want at most 1.1", frames, reads, perFrame)
+	}
+}
+
+// TestReadFramesBothDrivers feeds the same byte streams through both of the
+// read loops' drivers — the RawConn.Read one over a TCP pair, the plain-Read
+// one over net.Pipe — and checks what the shared parser hands on: frames
+// split at every byte boundary, many frames in one write, a frame larger
+// than the buffer (which grows it once), lengths out of bounds (refused
+// before any handler runs) and EOF inside a frame (which fails the callers
+// waiting on the stream with ErrStreamBroken).
+func TestReadFramesBothDrivers(t *testing.T) {
+	frame := func(id uint64, payload []byte) []byte {
+		wr := muxWrite{corrID: id, kind: "q", payload: payload}
+		return append(wr.appendHeader(nil), payload...)
+	}
+	three := slices.Concat(frame(1, []byte("one")), frame(2, nil), frame(3, []byte("three")))
+	var hundred []byte
+	for id := uint64(1); id <= 100; id++ {
+		hundred = append(hundred, frame(id, []byte(strconv.Itoa(int(id))))...)
+	}
+	big := frame(1, bytes.Repeat([]byte{7}, 200<<10))
+	short := binary.BigEndian.AppendUint32(nil, 7)
+	short = append(append(short, make([]byte, 7)...), frame(1, nil)...)
+	long := binary.BigEndian.AppendUint32(nil, maxMuxFrame+1)
+
+	type stream struct {
+		name   string
+		writes [][]byte
+		frames int    // whole frames handed on before the stream ends
+		refuse string // the error the parser ends the stream with, if not EOF
+		buf    int    // the buffer's size at the end
+	}
+	streams := []stream{
+		{name: "hundred frames in one write", writes: [][]byte{hundred}, frames: 100, buf: muxReadBuffer},
+		{name: "frame larger than the buffer, then a small one", writes: [][]byte{big, frame(2, []byte("small"))}, frames: 2, buf: len(big)},
+		{name: "length below 8", writes: [][]byte{short}, refuse: "bad mux frame length 7", buf: muxReadBuffer},
+		{name: "length above maxMuxFrame", writes: [][]byte{long}, refuse: fmt.Sprintf("bad mux frame length %d", maxMuxFrame+1), buf: muxReadBuffer},
+		{name: "EOF inside a frame", writes: [][]byte{three[:len(three)-3]}, frames: 2, buf: muxReadBuffer},
+	}
+	for k := 1; k < len(three); k++ {
+		streams = append(streams, stream{name: fmt.Sprintf("split at byte %d", k), writes: [][]byte{three[:k], three[k:]}, frames: 3, buf: muxReadBuffer})
+	}
+
+	drivers := []struct {
+		name string
+		pair func(t *testing.T) (read, write net.Conn)
+		// settle returns once what was written since reads was sampled has
+		// been read, so that the next write arrives apart from it.
+		settle func(reads uint64)
+	}{
+		{"RawConn.Read", func(t *testing.T) (net.Conn, net.Conn) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			w, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _, _ = r.Close(), w.Close() })
+			return r, w
+		}, func(reads uint64) {
+			for start := time.Now(); ReadMuxStats().SocketReads == reads && time.Since(start) < time.Second; {
+				runtime.Gosched()
+			}
+		}},
+		{"plain Read", func(t *testing.T) (net.Conn, net.Conn) {
+			r, w := net.Pipe()
+			t.Cleanup(func() { _, _ = r.Close(), w.Close() })
+			return r, w
+		}, func(uint64) {}}, // a pipe's Write returns once it has been read
+	}
+
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			for _, st := range streams {
+				r, w := d.pair(t)
+				var (
+					fr    frameReader
+					got   []muxFrame
+					bufAt []*byte // the buffer each frame was parsed from
+				)
+				ended := make(chan error, 1)
+				go func() {
+					defer r.Close() // a write the reader will never read fails
+					ended <- fr.readFrames(r, func(f muxFrame) error {
+						f.payload = append([]byte(nil), f.payload...)
+						got, bufAt = append(got, f), append(bufAt, &fr.buf[0])
+						return nil
+					})
+				}()
+				for i, b := range st.writes {
+					reads := ReadMuxStats().SocketReads
+					_, _ = w.Write(b)
+					if i < len(st.writes)-1 {
+						d.settle(reads)
+					}
+				}
+				_ = w.Close()
+				var err error
+				select {
+				case err = <-ended:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s: the reader never saw the stream end", st.name)
+				}
+				switch {
+				case st.refuse == "" && !errors.Is(err, io.EOF):
+					t.Fatalf("%s: the stream ended with %v, want EOF", st.name, err)
+				case st.refuse != "" && (err == nil || !strings.Contains(err.Error(), st.refuse)):
+					t.Fatalf("%s: the stream ended with %v, want %q", st.name, err, st.refuse)
+				case len(got) != st.frames:
+					t.Fatalf("%s: %d frames handed on, want %d", st.name, len(got), st.frames)
+				case len(fr.buf) != st.buf:
+					t.Fatalf("%s: the buffer ends %d bytes long, want %d", st.name, len(fr.buf), st.buf)
+				}
+				for i, f := range got {
+					if want := uint64(i + 1); f.corrID != want || f.kind != "q" {
+						t.Fatalf("%s: frame %d is call %d kind %q, want call %d", st.name, i, f.corrID, f.kind, want)
+					}
+				}
+				if st.name == "frame larger than the buffer, then a small one" && bufAt[0] != bufAt[1] {
+					t.Fatalf("%s: the small frame grew the buffer again", st.name)
+				}
+				if st.name == "hundred frames in one write" && string(got[99].payload) != "100" {
+					t.Fatalf("%s: the last payload is %q", st.name, got[99].payload)
+				}
+			}
+
+			// A length out of bounds ends the server's loop before any handler runs.
+			for _, b := range [][]byte{short, long} {
+				r, w := d.pair(t)
+				var handled atomic.Int32
+				served := make(chan struct{})
+				go func() {
+					defer close(served)
+					serveMux(r, 2, func(ctx context.Context, from NodeID, req Message) (Message, error) {
+						handled.Add(1)
+						return req, nil
+					}, make(chan struct{}), func(*muxWorkerPool) {})
+					_ = r.Close()
+				}()
+				_, _ = w.Write(b)
+				<-served
+				if n := handled.Load(); n != 0 {
+					t.Fatalf("a frame length out of bounds ran %d handlers", n)
+				}
+			}
+
+			// EOF inside a response fails the caller waiting for it.
+			c, p := d.pair(t)
+			go func() {
+				defer p.Close()
+				if _, ok := readMuxPreamble(p); !ok {
+					return
+				}
+				pr := &peerReader{conn: p}
+				req, err := pr.frame()
+				if err != nil {
+					return
+				}
+				resp := frame(req.corrID, []byte("cut short"))
+				_, _ = p.Write(resp[:len(resp)-2])
+			}()
+			s, err := dialMux(c, 99, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := s.Call(ctx, Message{Kind: "q"}); !errors.Is(err, ErrStreamBroken) {
+				t.Fatalf("a call whose response ended in EOF: %v, want ErrStreamBroken", err)
+			}
+		})
 	}
 }

@@ -332,11 +332,14 @@ func (e *tcpEndpoint) Close() error {
 		// shutdown request that led here, for one: serveMux drains its
 		// handlers and its writer, then serveConn closes the socket. The
 		// write deadline bounds that on a peer that has stopped reading.
+		// Neither CloseRead nor a past read deadline waits for the read
+		// loop, as conn.Close would: it may be waiting for admission that
+		// only close(e.done) below releases.
 		_ = conn.SetWriteDeadline(time.Now().Add(closeDrain))
 		if half, ok := conn.(interface{ CloseRead() error }); ok {
 			_ = half.CloseRead()
 		} else {
-			_ = conn.Close()
+			_ = conn.SetReadDeadline(aLongTimeAgo)
 		}
 	}
 	streams := make([]*muxStream, 0, len(e.streams))
