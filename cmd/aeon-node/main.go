@@ -552,12 +552,16 @@ func driveIngress(n *node.Node, mesh transport.Mesh, top *node.BankTopology, reg
 	return nil
 }
 
+// adminFamilies are the metric families every node's admin plane exports.
+var adminFamilies = []string{"aeon_node_submits_executed_total", "aeon_activation_waits_total"}
+
 // driveAdminSmoke exercises the ops plane across the fleet: every admin
 // endpoint (this process's plus every -admin-peers entry) must report
-// healthy, serve Prometheus-parseable metrics, and serve its event feed.
-// Fleet-wide, the executed-submit counters must be nonzero after the drive,
-// and at least one phase-4 trace must appear with spans on ≥2 forwarding
-// hops — proving trace IDs survive the hot codec and cross-node forwarding.
+// healthy, serve Prometheus-parseable metrics exporting every family in
+// adminFamilies, and serve its event feed. Fleet-wide, the executed-submit
+// counters must be nonzero after the drive, and at least one phase-4 trace
+// must appear with spans on ≥2 forwarding hops — proving trace IDs survive
+// the hot codec and cross-node forwarding.
 func driveAdminSmoke(adminSelf, adminPeerSpec string) error {
 	urls := map[string]string{}
 	if adminSelf != "" {
@@ -613,13 +617,21 @@ func driveAdminSmoke(adminSelf, adminPeerSpec string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
+		exported := map[string]bool{}
 		for _, line := range strings.Split(string(body), "\n") {
-			if strings.HasPrefix(line, "aeon_node_submits_executed_total ") {
-				v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			family, value, _ := strings.Cut(line, " ")
+			exported[family] = true
+			if family == "aeon_node_submits_executed_total" {
+				v, err := strconv.ParseFloat(value, 64)
 				if err != nil {
 					return fmt.Errorf("%s: unparseable metric line %q", name, line)
 				}
 				executed += v
+			}
+		}
+		for _, family := range adminFamilies {
+			if !exported[family] {
+				return fmt.Errorf("%s /metrics exports no %s", name, family)
 			}
 		}
 

@@ -234,6 +234,7 @@ func (c *Client) submitFrame(f frame) {
 			continue
 		}
 		c.applyBatchResp(ch.f, resps[k])
+		resps[k].Release() // the decoded results own their bytes
 	}
 }
 
@@ -267,6 +268,7 @@ func (c *Client) submitChunk(f frame) {
 		return
 	}
 	c.applyBatchResp(f, raw)
+	raw.Release() // the decoded results own their bytes
 }
 
 // applyBatchResp decodes one chunk's response through pooled scratch into

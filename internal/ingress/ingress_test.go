@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"aeon/internal/node"
 	"aeon/internal/ownership"
 	"aeon/internal/transport"
+	"aeon/internal/workload"
 )
 
 func deployTCP(t testing.TB, nodes int) (*node.Deployment, *transport.TCPMesh) {
@@ -246,17 +248,90 @@ func TestClientOnInMemMesh(t *testing.T) {
 	}
 }
 
+// TestResponseOutlivesItsBuffer pins that what a caller decodes from a batch
+// response owns its bytes. Over TCP every payload lies in a frame-buffer pool
+// buffer (the request copy, the node's response, the caller's response copy),
+// and each goes back to the pool once its frame is decoded or sent; the next
+// frames reuse it at once. So a failing outcome's error message, a string
+// result and an int result of 256 or more, read from one response, must read
+// the same after eight more calls have cycled the pool. A decoder that
+// aliased the frame instead of copying out of it would read a later frame's
+// bytes here.
+func TestResponseOutlivesItsBuffer(t *testing.T) {
+	scen := workload.NewIoT(1, 4)
+	mesh := transport.NewTCPMesh()
+	d, err := node.Deploy(mesh, node.Topology{Nodes: 1, Scenario: scen})
+	if err != nil {
+		t.Fatalf("deploy: %v", err)
+	}
+	t.Cleanup(d.Close)
+	c := dial(t, mesh, d, ingress.Config{})
+	region := scen.Roots()[0]
+	var sensor ownership.ID
+	for rng := rand.New(rand.NewSource(1)); sensor == 0; {
+		if op := scen.SoakOp(rng); op.Method == "ingest" {
+			sensor = op.Target
+		}
+	}
+
+	first := c.SubmitBatch([]ingress.BatchItem{
+		{Target: region, Method: "no-such-method"},
+		{Target: sensor, Method: "ingest", Args: []any{300}},
+		{Target: sensor, Method: "read"},
+	})
+	if first[0].Err == nil || first[1].Err != nil || first[2].Err != nil {
+		t.Fatalf("first batch: %v, %v, %v", first[0].Err, first[1].Err, first[2].Err)
+	}
+	errMsg, sum, read := first[0].Err.Error(), first[1].Result.Int(), first[2].Result.Str()
+	wantErr, wantRead := strings.Clone(errMsg), strings.Clone(read)
+	if sum != 300 || read != "1/300" || !strings.Contains(errMsg, "no-such-method") {
+		t.Fatalf("first batch read (%q, %d, %q)", errMsg, sum, read)
+	}
+
+	// Each later frame is longer than the first, so that whichever of them
+	// reuses its buffer writes over every byte the first one held.
+	var later []ingress.BatchItem
+	for range 4 {
+		later = append(later,
+			ingress.BatchItem{Target: region, Method: "stats"},
+			ingress.BatchItem{Target: sensor, Method: "ingest", Args: []any{1000}},
+			ingress.BatchItem{Target: region, Method: "rollup"},
+			ingress.BatchItem{Target: sensor, Method: "read"})
+	}
+	for i := range 8 {
+		res := c.SubmitBatch(later)
+		for k, r := range res {
+			if r.Err != nil {
+				t.Fatalf("call %d event %d: %v", i, k, r.Err)
+			}
+		}
+	}
+	if first[0].Err.Error() != wantErr || errMsg != wantErr {
+		t.Fatalf("a failing outcome's message changed after its buffer went back to the pool: %q, want %q", first[0].Err.Error(), wantErr)
+	}
+	if got := first[2].Result.Str(); got != wantRead || read != wantRead {
+		t.Fatalf("a string result changed after its buffer went back to the pool: %q, want %q", got, wantRead)
+	}
+	if got := first[1].Result.Int(); got != 300 {
+		t.Fatalf("an int result changed after its buffer went back to the pool: %d, want 300", got)
+	}
+}
+
 // TestSubmitAllocBudget is the SDK's allocation gate for the interactive
 // path: one Client.Submit of a bank deposit to a TCP node, both ends counted
-// — what the codecs and the handler API box or slice on either end, and the
-// two payload copies the mux makes — and nothing for carrying the call: no
-// context, no timer, no channel, no kind string, and no slice for the frame
-// of one that Submit sends through the batch path.
+// — the node's args arena and the box Submit returns its result in — and
+// nothing for carrying the call: no context, no timer, no channel, no kind
+// string, no slice for the frame of one that Submit sends through the batch
+// path, and no byte buffer. The two payload copies the mux makes and the
+// node's response buffer come from the frame-buffer pool, and go back to it
+// where each frame dies: the server's worker releases the request copy and
+// the response once the response is sent, and Submit releases the
+// response copy once it has decoded it (5 before the pool served the three).
 func TestSubmitAllocBudget(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped buffer is rebuilt from scratch")
 	}
-	const budget = 5
+	const budget = 2
 	d, mesh := deployTCP(t, 1)
 	c := dial(t, mesh, d, ingress.Config{})
 	acct := d.Top.Accounts[0][0]

@@ -498,11 +498,13 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 			return transport.Message{}, err
 		}
 		n.handleSubmitBatch(sc)
-		// The response outlives the handler (the transport's writer flushes
-		// it later), so its buffer is the one per-frame byte allocation:
-		// sized from the event count so that it rarely grows.
-		payload, err := sc.resp.MarshalResults(make([]byte, 0, 16+8*len(sc.resp.Outcomes)), sc.results)
-		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
+		// The response outlives the handler, so it goes into a pooled buffer
+		// that its last reader releases: the TCP worker once it is sent, an
+		// in-memory caller once it has decoded it.
+		buf := schema.GetFrameBuf()
+		payload, err := sc.resp.MarshalResults(*buf, sc.results)
+		*buf = payload
+		return transport.PooledMessage(KindSubmitBatch, buf), err
 	case KindStore:
 		return serveStore(n.handleStore, req.Payload)
 	case KindTransfer:
@@ -754,6 +756,7 @@ func (n *Node) forwardHost(sc *batchScratch, g *hostEvents) {
 	n.span(req, "forward", len(g.idxs), d)
 	if err == nil {
 		g.results, err = g.resp.UnmarshalResults(raw.Payload, g.results)
+		raw.Release() // the decoded outcomes and results own their bytes
 	}
 	if err == nil && len(g.resp.Outcomes) != len(g.idxs) {
 		err = fmt.Errorf("%d outcomes for %d events", len(g.resp.Outcomes), len(g.idxs))

@@ -53,7 +53,9 @@ func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
 		return cloudstore.Result{}, fmt.Errorf("store %v via %v: %w", op.Kind, r.to, err)
 	}
 	var rep cloudstore.Reply
-	if err := rep.UnmarshalWire(raw.Payload); err != nil {
+	err = rep.UnmarshalWire(raw.Payload)
+	raw.Release() // the decoded reply owns its bytes
+	if err != nil {
 		return cloudstore.Result{}, err
 	}
 	return rep.Result, schema.Err(rep.Code, rep.Err)
@@ -73,7 +75,9 @@ func serveStore(do func(cloudstore.Op) (cloudstore.Result, error), payload []byt
 	if err != nil {
 		rep.Err, rep.Code = err.Error(), schema.CodeOf(err)
 	}
-	return transport.Message{Kind: KindStore, Payload: rep.AppendWire(nil)}, nil
+	buf := schema.GetFrameBuf()
+	*buf = rep.AppendWire(*buf)
+	return transport.PooledMessage(KindStore, buf), nil
 }
 
 // handleStore serves one cloud-store operation from the authoritative local

@@ -86,10 +86,11 @@ const (
 // on malformed frames without string matching.
 var ErrHotFrame = errors.New("schema: malformed hot frame")
 
-// hotMax bounds the buffers PutFrameBuf recycles; 64 MiB matches the
-// transport's frame bound. Decoded lengths need no bound of their own: the
-// reader refuses any length or count larger than the bytes left in the frame.
-const hotMax = 64 << 20
+// hotMax bounds the buffers PutFrameBuf recycles to one mux read buffer's
+// worth, so a buffer an outsized frame grew goes to the GC. Decoded lengths
+// need no bound of their own: the reader refuses any length or count larger
+// than the bytes left in the frame.
+const hotMax = 64 << 10
 
 // SubmitReq is the single-event submit request frame: execute one event on
 // the receiving node. Only the benchmark's schema.submit_* rows encode and
@@ -171,10 +172,11 @@ var framePool = sync.Pool{
 	},
 }
 
-// GetFrameBuf returns a pooled byte slice (length 0) for MarshalWire to
-// append into. Return it with PutFrameBuf once the encoded frame is no
-// longer referenced — for mesh calls, after Call returns (endpoints do not
-// retain request payloads).
+// GetFrameBuf returns a pooled byte slice (length 0) to encode or copy a
+// frame into. Return it with PutFrameBuf once the frame is no longer
+// referenced — for mesh calls, after Call returns (endpoints do not retain
+// request payloads); a payload a transport.Message carries is returned by
+// its Release.
 func GetFrameBuf() *[]byte {
 	return framePool.Get().(*[]byte)
 }

@@ -399,6 +399,22 @@ func TestSubmitBatchReqOneCodecBody(t *testing.T) {
 	}
 }
 
+// TestFramePoolDropsOutsizedBuffers: the pool keeps no buffer grown past one
+// mux read buffer (64 KiB), so a frame that grew its buffer — a response or
+// a state transfer of megabytes — leaves nothing that size resident once it
+// is released.
+func TestFramePoolDropsOutsizedBuffers(t *testing.T) {
+	for range 16 {
+		b := make([]byte, 0, 1<<20)
+		PutFrameBuf(&b)
+	}
+	for i := range 16 {
+		if c := cap(*GetFrameBuf()); c > 64<<10 {
+			t.Fatalf("buffer %d taken from the pool holds %d bytes; the pool keeps none above 64 KiB", i, c)
+		}
+	}
+}
+
 // TestLyingCountAllocatesNothing: a collection count larger than the bytes
 // left in the frame is refused before it sizes anything. The ten-byte
 // transfer frame below claims 60 Mi members; sized from the claim, the decoder

@@ -639,23 +639,28 @@ func TestSmallFramesDeadlineWhenPeerStopsReading(t *testing.T) {
 }
 
 // TestMuxCallAllocBudget is the transport's allocation gate for one small
-// round trip over loopback, both ends counted: the request copy the handler
-// owns, the response copy the caller owns, and nothing for the carriage —
-// no context, no timer, no channel, no kind string, no length prefix. (12 at
-// the parent commit under context.WithTimeout, 7 under context.Background.)
+// round trip over loopback, both ends counted: nothing at all. The request
+// copy the handler owns and the response copy the caller owns come from the
+// frame-buffer pool — the worker returns the first once the response is
+// sent, and the call releases the second, as every caller that has decoded
+// its response does — and the carriage allocates no context, timer, channel,
+// kind string or length prefix. (12 at the parent commit under
+// context.WithTimeout, 7 under context.Background, 2 with unpooled copies.)
 func TestMuxCallAllocBudget(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped deadline is rebuilt from scratch")
 	}
-	const budget = 2
+	const budget = 0
 	cli, _, _ := tcpPair(t, mirrorHandler)
 	req := Message{Kind: "node.submit", Payload: bytes.Repeat([]byte{1}, 64)}
 	call := func() {
 		ctx := NewDeadline(10 * time.Second)
 		defer ctx.Release()
-		if resp, err := cli.Call(ctx, 1, req); err != nil || len(resp.Payload) != len(req.Payload) {
+		resp, err := cli.Call(ctx, 1, req)
+		if err != nil || len(resp.Payload) != len(req.Payload) {
 			t.Fatalf("call: %d bytes, %v", len(resp.Payload), err)
 		}
+		resp.Release()
 	}
 	for i := 0; i < 100; i++ {
 		call() // dial, grow the pending buffers, start the worker

@@ -9,12 +9,29 @@ import (
 	"aeon/internal/schema"
 )
 
-// Message is a request or response exchanged between mesh endpoints.
+// Message is a request or response exchanged between mesh endpoints. Its
+// payload may lie in a buffer of the frame-buffer pool (schema.GetFrameBuf) —
+// the TCP mux's copies, a handler's PooledMessage — which whoever reads it
+// last returns with Release; a message nobody releases leaves it to the GC.
 type Message struct {
 	// Kind routes the message to a handler action (e.g. "migrate.prepare").
 	Kind string `json:"kind"`
 	// Payload is an opaque, codec-encoded body.
-	Payload []byte `json:"payload"`
+	Payload []byte  `json:"payload"`
+	buf     *[]byte // the pooled buffer Payload lies in, else nil
+}
+
+// PooledMessage is a message whose payload is *buf, a buffer from
+// schema.GetFrameBuf that Release returns to the pool.
+func PooledMessage(kind string, buf *[]byte) Message {
+	return Message{Kind: kind, Payload: *buf, buf: buf}
+}
+
+// Release returns m's pooled buffer, if it has one, and empties m. Nothing
+// may read the payload afterwards; the hot-codec decoders copy out of it.
+func (m *Message) Release() {
+	schema.PutFrameBuf(m.buf)
+	*m = Message{}
 }
 
 // Handler processes a request and produces a response.
@@ -32,13 +49,14 @@ type Endpoint interface {
 	// connection's in-flight window is full, Call blocks until a slot frees
 	// or ctx expires — backpressure propagates to the submitter. The request
 	// payload is not retained after Call returns, so callers may recycle
-	// pooled payload buffers.
+	// pooled payload buffers. A caller that has decoded the response
+	// releases it.
 	Call(ctx context.Context, to NodeID, req Message) (Message, error)
 	// CallBatch issues several requests to one node as one flight. Responses
 	// are index-aligned with reqs; per-call handler failures land in errs; a
 	// non-nil overall error is a transport-level failure (context expiry,
 	// broken connection) that voided the whole flight. Payloads are not
-	// retained after it returns.
+	// retained after it returns, and each response is released as Call's is.
 	CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error)
 	// Close detaches the endpoint and closes its connections.
 	Close() error

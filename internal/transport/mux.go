@@ -17,7 +17,9 @@ package transport
 // left nothing behind the goroutine parks in the poller until the next
 // arrival — one read syscall per arrival, none that only hears EAGAIN. A
 // frame's payload aliases the buffer until the next frame, so the client's
-// deliver and the server's dispatch copy it.
+// deliver and the server's dispatch copy it into a frame-buffer pool buffer,
+// which the server's worker returns once the response is sent and the caller
+// once it has decoded it (Message.Release).
 //
 // Completion plane. Completions are delivered through a per-stream slot
 // table instead of one channel per call: a correlation ID encodes its slot
@@ -272,6 +274,13 @@ func (fr *frameReader) next() (f muxFrame, ok bool, err error) {
 	}
 	f.kind, f.payload = fr.intern(kb), rest
 	return f, true, nil
+}
+
+// pooledCopy is f as a message that owns a pooled copy of its payload.
+func pooledCopy(f muxFrame) Message {
+	buf := schema.GetFrameBuf()
+	*buf = append(*buf, f.payload...)
+	return PooledMessage(f.kind, buf)
 }
 
 func (fr *frameReader) intern(kind []byte) string {
@@ -824,10 +833,8 @@ func (s *muxStream) deliver(f muxFrame) error {
 		sl.err = f.herr
 	} else {
 		// The read buffer is reused for the next frame; the payload handed
-		// to the caller must own its bytes.
-		p := make([]byte, len(f.payload))
-		copy(p, f.payload)
-		sl.msg = Message{Kind: f.kind, Payload: p}
+		// to the caller owns a pooled copy, which the caller releases.
+		sl.msg = pooledCopy(f)
 	}
 	sl.done = true
 	select {
@@ -1191,11 +1198,12 @@ func (p *muxWorkerPool) close() {
 // stall the read loop and responses flow back in completion order.
 //
 // Handler contract on this path: every request frame is copied out of the
-// read buffer into memory of its own, valid for the handler call *and* any
-// response that aliases it — an echo handler returns the request itself, and
-// the response is read once more after the handler has returned, when its
-// worker copies it into the pending buffer or writes it to the socket. The
-// copy is therefore never recycled when the handler returns.
+// read buffer into a pooled buffer of its own, valid for the handler call
+// *and* any response that aliases it — an echo handler returns the request
+// itself, and the response is read once more after the handler has returned,
+// when its worker copies it into the pending buffer or writes it to the
+// socket. The copy is therefore recycled once its response is sent, and so
+// is a pooled response (PooledMessage).
 func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}, track func(*muxWorkerPool)) {
 	// A failed write ends the read loop, which may be waiting on the very
 	// worker that hears of it: a past read deadline ends it without waiting
@@ -1234,6 +1242,12 @@ func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}, tr
 			wr = muxWrite{corrID: j.corrID, code: schema.CodeOf(herr), errMsg: herr.Error()}
 		}
 		_, _ = out.send(context.Background(), &wr, false) // out has told broke
+		// Nobody reads either payload any more (see send); an echo is its
+		// request, released once.
+		if resp.buf != j.req.buf {
+			resp.Release()
+		}
+		j.req.Release()
 		adm.release(j.weight)
 	})
 	track(pool)
@@ -1249,11 +1263,9 @@ func serveMux(conn net.Conn, from NodeID, h Handler, closing <-chan struct{}, tr
 		if !adm.acquire(weight) {
 			return ErrClosed
 		}
-		// The read buffer is reused; the worker owns a copy, valid for the
-		// handler call and any response that aliases it (see above).
-		p := make([]byte, len(f.payload))
-		copy(p, f.payload)
-		pool.dispatch(muxJob{corrID: f.corrID, req: Message{Kind: f.kind, Payload: p}, weight: weight})
+		// The read buffer is reused; the worker owns a pooled copy, valid for
+		// the handler call and any response that aliases it (see above).
+		pool.dispatch(muxJob{corrID: f.corrID, req: pooledCopy(f), weight: weight})
 		return nil
 	})
 	// Once its worker has exited a response is written, or with a drain.
