@@ -1,15 +1,33 @@
-// Package clock is the seam through which the runtime arms the timers a test
-// has to steer: the coalescer's linger, the replica-lag wait, the replication
-// tailer's poll and the eManager's policy loop. In production it is package
-// time. A test installs its own Source with Use and decides when, or whether,
-// each timer fires. Clock reads, transport deadlines and modelled latencies
-// call package time directly.
+// Package clock holds the runtime's monotonic clock read and is the seam
+// through which it arms the timers a test has to steer: the coalescer's
+// linger, the replica-lag wait, the replication tailer's poll and the
+// eManager's policy loop. In production the timers are package time. A test
+// installs its own Source with Use and decides when, or whether, each timer
+// fires. The read is not behind the seam: it is on every event's path.
+// Transport deadlines and modelled latencies call package time directly.
 package clock
 
 import (
 	"sync/atomic"
 	"time"
 )
+
+// Instant is a reading of the process's monotonic clock, as an offset from a
+// base fixed at start-up. Two readings only ever get subtracted, and taking
+// one reads the monotonic clock alone where time.Now reads the wall clock
+// too.
+type Instant time.Duration
+
+var base = time.Now()
+
+// Now reads the clock.
+func Now() Instant { return Instant(time.Since(base)) }
+
+// Sub returns the time elapsed from u to t.
+func (t Instant) Sub(u Instant) time.Duration { return time.Duration(t - u) }
+
+// Since returns the time elapsed since t.
+func Since(t Instant) time.Duration { return Now().Sub(t) }
 
 // Timer is a timer armed by AfterFunc; *time.Timer is one.
 type Timer interface{ Stop() bool }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 )
@@ -48,12 +49,12 @@ type dirShard struct {
 
 type movedRecord struct {
 	old cluster.ServerID
-	at  Instant
+	at  clock.Instant
 }
 
 // expire drops the shard's closed forwarding windows; the caller holds sh.mu
 // for writing.
-func (d *Directory) expire(sh *dirShard, now Instant) {
+func (d *Directory) expire(sh *dirShard, now clock.Instant) {
 	for id, rec := range sh.moved {
 		if now.Sub(rec.at) >= d.staleFor {
 			delete(sh.moved, id)
@@ -100,11 +101,11 @@ func (d *Directory) Locate(id ownership.ID) (cluster.ServerID, bool) {
 // within the staleness window, the old host a stale cache would still point
 // at (the caller charges the extra forwarding hop).
 func (d *Directory) Route(id ownership.ID) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
-	return d.routeAt(id, Now())
+	return d.routeAt(id, clock.Now())
 }
 
 // routeAt is Route as read at instant now.
-func (d *Directory) routeAt(id ownership.ID, now Instant) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
+func (d *Directory) routeAt(id ownership.ID, now clock.Instant) (host cluster.ServerID, staleVia cluster.ServerID, forwarded bool, ok bool) {
 	sh := d.shard(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -152,7 +153,7 @@ func (d *Directory) Move(id ownership.ID, to cluster.ServerID) error {
 	if !ok {
 		return fmt.Errorf("%v: %w", id, ErrUnknownContext)
 	}
-	now := Now()
+	now := clock.Now()
 	d.expire(sh, now)
 	sh.loc[id] = to
 	sh.moved[id] = movedRecord{old: old, at: now}
@@ -196,7 +197,7 @@ func (d *Directory) MoveBatch(ids []ownership.ID, to cluster.ServerID) error {
 		}
 	}
 	// Apply: one epoch timestamp for the whole group.
-	epoch := Now()
+	epoch := clock.Now()
 	for _, si := range locked {
 		sh := &d.shards[si]
 		d.expire(sh, epoch)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 )
@@ -34,7 +35,7 @@ func TestDirectoryMoveOpensForwardingWindow(t *testing.T) {
 		t.Fatalf("Route = host %v via %v fwd %v ok %v", host, via, forwarded, ok)
 	}
 	// Once the staleness window has passed, routing is direct.
-	host, _, forwarded, ok = d.routeAt(ownership.ID(1), Now()+Instant(50*time.Millisecond))
+	host, _, forwarded, ok = d.routeAt(ownership.ID(1), clock.Now()+clock.Instant(50*time.Millisecond))
 	if !ok || host != 20 || forwarded {
 		t.Fatalf("post-window Route = host %v fwd %v", host, forwarded)
 	}
@@ -67,7 +68,7 @@ func TestDirectoryMoveBatchSingleEpoch(t *testing.T) {
 	}
 	// One staleness epoch: the whole group's forwarding windows close
 	// together.
-	closed := Now() + Instant(50*time.Millisecond)
+	closed := clock.Now() + clock.Instant(50*time.Millisecond)
 	for _, id := range ids {
 		if _, _, forwarded, _ := d.routeAt(id, closed); forwarded {
 			t.Fatalf("%v still forwarded after the shared window", id)
@@ -137,7 +138,7 @@ func closeWindows(d *Directory) {
 		sh := &d.shards[i]
 		sh.mu.Lock()
 		for id, rec := range sh.moved {
-			rec.at -= Instant(d.staleFor)
+			rec.at -= clock.Instant(d.staleFor)
 			sh.moved[id] = rec
 		}
 		sh.mu.Unlock()

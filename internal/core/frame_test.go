@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cluster"
 	"aeon/internal/metrics"
 	"aeon/internal/ownership"
@@ -31,7 +32,7 @@ func TestFrameChainsTimestamps(t *testing.T) {
 	w := newFanWorld(t, 1, 8, transport.NullNetwork{}, 1)
 	rt := w.rt
 	const k = 32
-	wallStart, clockStart := time.Now(), Now()
+	wallStart, clockStart := time.Now(), clock.Now()
 	f := rt.BeginFrame()
 	for i := 0; i < k; i++ {
 		target, method := w.leaves[i%len(w.leaves)], "touch"

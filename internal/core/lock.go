@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"aeon/internal/clock"
 )
 
 // AccessMode distinguishes readonly from exclusive activation (Algorithm 1,
@@ -149,7 +151,7 @@ func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Durati
 	if w == nil {
 		return admitted, 0, nil
 	}
-	start := Now()
+	start := clock.Now()
 	first = true
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
@@ -176,7 +178,7 @@ func (l *eventLock) acquire(eventID uint64, mode AccessMode, timeout time.Durati
 	if first && !l.waitAdmitted(w) {
 		first, err = false, ErrAcquireTimeout
 	}
-	return first, max(Since(start), 1), err
+	return first, max(clock.Since(start), 1), err
 }
 
 // release drops the event's hold (or its pending queue entry, if the event

@@ -7,16 +7,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cluster"
 	"aeon/internal/metrics"
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
-
-// ClientNode is the logical network location of external clients; hops
-// between clients and servers are charged against it.
-const ClientNode = transport.NodeID(-1)
 
 // Config tunes the runtime.
 type Config struct {
@@ -376,40 +373,23 @@ func (f *Frame) runOne(target ownership.ID, method string, args []schema.Value) 
 // latency EWMA once for them all. A Frame is not safe for concurrent use.
 type Frame struct {
 	r           *Runtime
-	ev          *event  // the frame's event record, from Submit or its first Run to End
-	start, last Instant // BeginFrame's reading and the previous event boundary
-	ran         int     // events closed so far
-	lastID      uint64  // the last closed event's ID; zero again once End observed it
-	caughtUp    bool    // this frame already pulled the mutation log
-	asSub       bool    // sub-events dispatched before Drain run while it drains
+	ev          *event        // the frame's event record, from Submit or its first Run to End
+	start, last clock.Instant // BeginFrame's reading and the previous event boundary
+	ran         int           // events closed so far
+	lastID      uint64        // the last closed event's ID; zero again once End observed it
+	caughtUp    bool          // this frame already pulled the mutation log
+	asSub       bool          // sub-events dispatched before Drain run while it drains
 }
-
-// Instant is a reading of the process's monotonic clock, as an offset from a
-// base fixed at start-up. Two readings only ever get subtracted, and taking
-// one reads the monotonic clock alone where time.Now reads the wall clock
-// too.
-type Instant time.Duration
-
-var clockBase = time.Now()
-
-// Now reads the clock.
-func Now() Instant { return Instant(time.Since(clockBase)) }
-
-// Sub returns the time elapsed from u to t.
-func (t Instant) Sub(u Instant) time.Duration { return time.Duration(t - u) }
-
-// Since returns the time elapsed since t.
-func Since(t Instant) time.Duration { return Now().Sub(t) }
 
 // BeginFrame opens a frame at the current instant.
 func (r *Runtime) BeginFrame() Frame {
-	now := Now()
+	now := clock.Now()
 	return Frame{r: r, start: now, last: now}
 }
 
 // Clock returns the frame's latest clock reading: BeginFrame's, or the end of
 // the last event Run executed.
-func (f *Frame) Clock() Instant { return f.last }
+func (f *Frame) Clock() clock.Instant { return f.last }
 
 // Ran returns how many events the frame has executed, each with its latency
 // sample; events that failed before admission, or that Run reported as not
@@ -421,7 +401,7 @@ func (f *Frame) Ran() int { return f.ran }
 func (f *Frame) close(eventID uint64) {
 	f.ran++
 	f.lastID = eventID
-	now := Now()
+	now := clock.Now()
 	f.r.Latency.Record(now.Sub(f.last))
 	f.last = now
 }
@@ -523,7 +503,7 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.M
 
 	// Client request travels to the dominator's host (ACT message).
 	if r.cfg.ChargeClientHops {
-		if _, err := r.routeHop(ClientNode, a.dom, true); err != nil {
+		if _, err := r.routeHop(transport.ClientNode, a.dom, true); err != nil {
 			return schema.Value{}, host, true, err
 		}
 	}
@@ -572,7 +552,7 @@ func (r *Runtime) executeEvent(ev *event, tc *Context, a *admission, m *schema.M
 	// Reply to the client from the target's host. The result leaves unboxed:
 	// only an edge that must return `any`, like Runtime.Submit, boxes it.
 	if r.cfg.ChargeClientHops {
-		_ = r.cluster.Net().Hop(cur, ClientNode, r.cfg.MessageBytes)
+		_ = r.cluster.Net().Hop(cur, transport.ClientNode, r.cfg.MessageBytes)
 	}
 	return res, host, true, err
 }
@@ -593,12 +573,12 @@ func (r *Runtime) activatePath(ev *event, path []*Context, from cluster.ServerID
 	return from, nil
 }
 
-// routeHop routes a message from `from` — a server, or ClientNode — to
-// context c and returns c's host. A hop is charged when a message is sent,
-// that is between two servers, and goes by the context's previous server
-// while the sender's map may still point there (§ 5.2); a caller already on
-// c's host sends none and has no route to be stale about. When charge is
-// false only routing is performed.
+// routeHop routes a message from `from` — a server, or
+// transport.ClientNode — to context c and returns c's host. A hop is charged
+// when a message is sent, that is between two servers, and goes by the
+// context's previous server while the sender's map may still point there
+// (§ 5.2); a caller already on c's host sends none and has no route to be
+// stale about. When charge is false only routing is performed.
 func (r *Runtime) routeHop(from transport.NodeID, c *Context, charge bool) (cluster.ServerID, error) {
 	host, ok := r.dir.routeOf(c)
 	if ok && (!charge || from == host) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
@@ -40,7 +41,7 @@ func TestDirectoryShardedStaleness(t *testing.T) {
 		t.Fatal("move on a's shard leaked a forwarding window onto b")
 	}
 	// Once the window has passed, a routes directly again.
-	if _, _, fwd, _ := d.routeAt(a, Now()+Instant(80*time.Millisecond)); fwd {
+	if _, _, fwd, _ := d.routeAt(a, clock.Now()+clock.Instant(80*time.Millisecond)); fwd {
 		t.Fatal("forwarding window did not expire")
 	}
 }

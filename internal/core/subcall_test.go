@@ -335,7 +335,7 @@ func TestSubCallHopCharging(t *testing.T) {
 		t.Fatal(err)
 	}
 	type hops = [][2]transport.NodeID
-	act, reply := hops{{ClientNode, s1}}, hops{{s1, ClientNode}} // the client's request in, the reply out
+	act, reply := hops{{transport.ClientNode, s1}}, hops{{s1, transport.ClientNode}} // the client's request in, the reply out
 	check := func(name string, exec hops, leaves ...ownership.ID) {
 		t.Helper()
 		w.aim(t, hub, leaves...)
@@ -356,10 +356,10 @@ func TestSubCallHopCharging(t *testing.T) {
 
 	// The whole group follows: hub and near join mover and far on s2.
 	w.moveGroup(t, s2, hub, near, mover, far)
-	act, reply = hops{{ClientNode, s1}, {s1, s2}}, hops{{s2, ClientNode}}
+	act, reply = hops{{transport.ClientNode, s1}, {s1, s2}}, hops{{s2, transport.ClientNode}}
 	check("group moved, inside the staleness window", nil, near, mover, far)
 	closeWindows(w.rt.dir)
-	act = hops{{ClientNode, s2}}
+	act = hops{{transport.ClientNode, s2}}
 	check("group moved, window closed", nil, near, mover, far)
 }
 

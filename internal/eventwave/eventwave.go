@@ -40,9 +40,6 @@ var (
 	ErrNotOwned = errors.New("eventwave: callee not owned by caller")
 )
 
-// ClientNode is the logical client network location.
-const ClientNode = transport.NodeID(-1)
-
 // Config tunes the runtime.
 type Config struct {
 	// RootCost is the CPU the root context spends ordering each event —
@@ -265,7 +262,7 @@ func (r *Runtime) run(target ownership.ID, method string, args []schema.Value, a
 
 	net := r.cluster.Net()
 	if r.cfg.ChargeClientHops {
-		if err := net.Hop(ClientNode, r.locationOf(root), r.cfg.MessageBytes); err != nil {
+		if err := net.Hop(transport.ClientNode, r.locationOf(root), r.cfg.MessageBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -312,7 +309,7 @@ func (r *Runtime) run(target ownership.ID, method string, args []schema.Value, a
 	ev.releaseAll()
 
 	if r.cfg.ChargeClientHops {
-		_ = net.Hop(r.locationOf(target), ClientNode, r.cfg.MessageBytes)
+		_ = net.Hop(r.locationOf(target), transport.ClientNode, r.cfg.MessageBytes)
 	}
 	r.Latency.Record(time.Since(start))
 	r.Completed.Inc()

@@ -20,8 +20,6 @@ import (
 	"sync/atomic"
 
 	"aeon/internal/clock"
-	"aeon/internal/core"
-	"aeon/internal/node"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
@@ -31,8 +29,9 @@ import (
 type BatchItem = schema.BatchEvent
 
 // BatchResult is the per-event outcome of SubmitBatch. Err carries the same
-// typed sentinels as Submit (core.ErrUnknownContext, core.ErrBackpressure,
-// ...); Result (a schema.Value) is only meaningful when Err is nil.
+// typed sentinels as Submit, which are schema codes (errors.Is(err,
+// schema.CodeUnknownContext), schema.CodeBackpressure, ...); Result (a
+// schema.Value) is only meaningful when Err is nil.
 type BatchResult struct {
 	Result schema.Value
 	Err    error
@@ -213,7 +212,7 @@ func (c *Client) submitFrame(f frame) {
 			continue
 		}
 		chunks = append(chunks, sent{f: ch, buf: buf})
-		msgs = append(msgs, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
+		msgs = append(msgs, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
 	}
 	if len(msgs) == 0 {
 		return
@@ -261,7 +260,7 @@ func (c *Client) submitChunk(f frame) {
 	}
 	ctx := transport.NewDeadline(callTimeout)
 	defer ctx.Release()
-	raw, err := c.ep.Call(ctx, f.to, transport.Message{Kind: node.KindSubmitBatch, Payload: payload})
+	raw, err := c.ep.Call(ctx, f.to, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
 	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
 	if err != nil {
 		f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))
@@ -333,9 +332,9 @@ type coalescer struct {
 
 	mu       sync.Mutex
 	pending  batch
-	since    core.Instant // when pending's oldest event was added
-	timer    clock.Timer  // non-nil while pending waits behind inFlight
-	inFlight bool         // the flusher's frame is on the wire
+	since    clock.Instant // when pending's oldest event was added
+	timer    clock.Timer   // non-nil while pending waits behind inFlight
+	inFlight bool          // the flusher's frame is on the wire
 	closed   bool
 }
 
@@ -349,7 +348,7 @@ func (co *coalescer) take(next batch) batch {
 		co.timer = nil
 	}
 	if len(b.futures) > 0 {
-		co.c.hold.Record(core.Since(co.since))
+		co.c.hold.Record(clock.Since(co.since))
 	}
 	return b
 }
@@ -370,7 +369,7 @@ func (co *coalescer) add(ev BatchItem, cached bool, f *Future) {
 	p.futures = append(p.futures, f)
 	n := len(p.events)
 	if n == 1 {
-		co.since = core.Now()
+		co.since = clock.Now()
 	}
 	switch {
 	case n >= co.c.cfg.MaxBatch:

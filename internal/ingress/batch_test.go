@@ -190,7 +190,7 @@ func TestClientBatchChunking(t *testing.T) {
 func TestClientBatchTypedErrorsRawProtocol(t *testing.T) {
 	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
 	fake, err := mesh.Attach(1, func(ctx context.Context, from transport.NodeID, req transport.Message) (transport.Message, error) {
-		if req.Kind != node.KindSubmitBatch {
+		if req.Kind != schema.KindSubmitBatch {
 			return transport.Message{}, errors.New("fake node: unexpected kind " + req.Kind)
 		}
 		var br schema.SubmitBatchReq

@@ -28,7 +28,7 @@ func handleBatch(t testing.TB, n *Node, req *schema.SubmitBatchReq) []schema.Bat
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := n.handle(context.Background(), 99, transport.Message{Kind: KindSubmitBatch, Payload: payload})
+	raw, err := n.handle(context.Background(), 99, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBatchFrameAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			msg := transport.Message{Kind: KindSubmitBatch, Payload: payload}
+			msg := transport.Message{Kind: schema.KindSubmitBatch, Payload: payload}
 			frame := func() {
 				resp, err := n.handle(context.Background(), 99, msg)
 				if err != nil {
@@ -301,7 +301,7 @@ func TestFailuresArriveAsThemselves(t *testing.T) {
 			resp.Outcomes[i] = schema.BatchOutcome{Result: 7, Host: 3}
 		}
 		payload, err := resp.MarshalWire(nil)
-		return transport.Message{Kind: KindSubmitBatch, Payload: payload}, err
+		return transport.Message{Kind: schema.KindSubmitBatch, Payload: payload}, err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@ import (
 	"aeon/internal/core"
 	"aeon/internal/ops"
 	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
-	"aeon/internal/workload"
 )
 
 // Topology describes an in-process deployment.
@@ -48,7 +48,7 @@ type Topology struct {
 	// instance is shared across nodes — Build is deterministic and resets
 	// itself, so each node's replica derives identical IDs, and Restart
 	// rebuilds the same boot topology.
-	Scenario workload.Scenario
+	Scenario Scenario
 	// Replicate enables the replicated ownership-metadata control plane on
 	// every node: runtime structural mutations are sequenced through the
 	// authoritative store's mutation log instead of staying process-local.
@@ -58,6 +58,14 @@ type Topology struct {
 	EnableOps bool
 }
 
+// Scenario is what a node needs of a hosted workload (workload.Scenario is
+// one): its name, its schema and a deterministic build of its topology.
+type Scenario interface {
+	Name() string
+	Schema() *schema.Schema
+	Build(rt *core.Runtime) error
+}
+
 // Deployment is a set of in-process nodes attached to one mesh.
 type Deployment struct {
 	// Nodes in ID order (Nodes[0] is node 1).
@@ -65,8 +73,6 @@ type Deployment struct {
 	// Top is the replicated bank topology (identical on every node); nil
 	// when the deployment hosts a Topology.Scenario instead.
 	Top *BankTopology
-	// Scenario is the hosted scenario workload (Topology.Scenario).
-	Scenario workload.Scenario
 	// Stores[i] is node i+1's local in-memory store; only the store
 	// node's is authoritative (all unauthoritative with StoreParts).
 	Stores []*cloudstore.Store
@@ -177,7 +183,6 @@ func Deploy(mesh transport.Mesh, top Topology) (*Deployment, error) {
 			}
 		}
 	}
-	d.Scenario = top.Scenario
 	return d, nil
 }
 

@@ -20,7 +20,7 @@ func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to clust
 	req := schema.PlaceReq{Context: root, Server: int64(to)}
 	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
 	defer cancel()
-	raw, err := sendHot(ctx, n.ep, owner, KindMigrate, req.MarshalWire)
+	raw, err := sendHot(ctx, n.ep, owner, schema.KindMigrate, req.MarshalWire)
 	if err != nil {
 		return fmt.Errorf("migrate %v via %v: %w", root, owner, err)
 	}
@@ -94,7 +94,7 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
 	defer cancel()
 	n.transfersOut.Add(1)
-	raw, err := n.ep.Call(ctx, n.nodeFor(to), transport.Message{Kind: KindTransfer, Payload: payload})
+	raw, err := n.ep.Call(ctx, n.nodeFor(to), transport.Message{Kind: schema.KindTransfer, Payload: payload})
 	if err != nil {
 		// Ambiguous outcome: the request — or just its ack — may have been
 		// lost after the destination installed the state and remapped its
@@ -118,7 +118,7 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 // caller then aborts and leaves convergence to WAL recovery.
 func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
 	req := schema.PlaceReq{Context: probe, Server: int64(to)}
-	raw, err := n.callHot(n.nodeFor(to), KindTransferQuery, req.MarshalWire)
+	raw, err := n.callHot(n.nodeFor(to), schema.KindTransferQuery, req.MarshalWire)
 	if err != nil {
 		return false
 	}

@@ -13,7 +13,7 @@
 // paper's split between the authoritative context mapping in cloud storage
 // and the cached mapping on every host (§ 5.1).
 //
-// Wire protocol (see wire.go): client submit and cross-node event
+// Wire protocol (see schema/kinds.go): client submit and cross-node event
 // forwarding (placement resolved against the local directory snapshot;
 // misses forward along the directory's answer, stale callers pay the
 // forwarding hop of § 5.2 and repair their cache from the response), remote
@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"aeon/internal/clock"
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/core"
@@ -317,7 +318,7 @@ func (n *Node) Plane() *replication.Plane { return n.plane }
 // Forwarded returns how many submits this node forwarded to peers.
 func (n *Node) Forwarded() uint64 { return n.forwarded.Load() }
 
-// Done is closed when a peer requests shutdown (KindShutdown).
+// Done is closed when a peer requests shutdown (schema.KindShutdown).
 func (n *Node) Done() <-chan struct{} { return n.shutdownCh }
 
 // Close stops the node's manager, drains its runtime and checkpoints its
@@ -375,7 +376,7 @@ func (n *Node) Submit(target ownership.ID, method string, args ...any) (any, err
 func (n *Node) Ping(peer transport.NodeID) error {
 	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
-	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: KindPing})
+	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: schema.KindPing})
 	return err
 }
 
@@ -383,7 +384,7 @@ func (n *Node) Ping(peer transport.NodeID) error {
 func (n *Node) Shutdown(peer transport.NodeID) error {
 	ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
 	defer cancel()
-	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: KindShutdown})
+	_, err := n.ep.Call(ctx, peer, transport.Message{Kind: schema.KindShutdown})
 	return err
 }
 
@@ -420,7 +421,7 @@ func (n *Node) notifyReplicated(seq uint64) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			// Best-effort: a lost hint costs poll latency, never correctness.
-			_, _ = n.ep.Call(ctx, peer, transport.Message{Kind: KindReplicate, Payload: payload})
+			_, _ = n.ep.Call(ctx, peer, transport.Message{Kind: schema.KindReplicate, Payload: payload})
 		}(peer)
 	}
 }
@@ -489,9 +490,9 @@ func (n *Node) learnPlacement(target ownership.ID, host cluster.ServerID) {
 // handle is the node's mesh request handler.
 func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.Message) (transport.Message, error) {
 	switch req.Kind {
-	case KindPing:
-		return ack(KindPing, schema.SubmitResp{Host: int64(n.id)}, nil)
-	case KindSubmitBatch:
+	case schema.KindPing:
+		return ack(schema.KindPing, schema.SubmitResp{Host: int64(n.id)}, nil)
+	case schema.KindSubmitBatch:
 		sc := batchScratchPool.Get().(*batchScratch)
 		defer sc.release()
 		if err := sc.req.UnmarshalFrame(req.Payload); err != nil {
@@ -504,29 +505,29 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 		buf := schema.GetFrameBuf()
 		payload, err := sc.resp.MarshalResults(*buf, sc.results)
 		*buf = payload
-		return transport.PooledMessage(KindSubmitBatch, buf), err
-	case KindStore:
+		return transport.PooledMessage(schema.KindSubmitBatch, buf), err
+	case schema.KindStore:
 		return serveStore(n.handleStore, req.Payload)
-	case KindTransfer:
+	case schema.KindTransfer:
 		var rec schema.TransferRec
 		if err := rec.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		return ack(KindTransfer, schema.SubmitResp{}, n.handleTransfer(&rec))
-	case KindTransferQuery:
+		return ack(schema.KindTransfer, schema.SubmitResp{}, n.handleTransfer(&rec))
+	case schema.KindTransferQuery:
 		var tq schema.PlaceReq
 		if err := tq.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
 		host, ok := n.rt.Directory().Locate(tq.Context)
-		return ack(KindTransferQuery, schema.SubmitResp{Result: ok && int64(host) == tq.Server}, nil)
-	case KindMigrate:
+		return ack(schema.KindTransferQuery, schema.SubmitResp{Result: ok && int64(host) == tq.Server}, nil)
+	case schema.KindMigrate:
 		var mr schema.PlaceReq
 		if err := mr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
 		}
-		return ack(KindMigrate, schema.SubmitResp{}, n.handleMigrate(mr.Context, cluster.ServerID(mr.Server)))
-	case KindReplicate:
+		return ack(schema.KindMigrate, schema.SubmitResp{}, n.handleMigrate(mr.Context, cluster.ServerID(mr.Server)))
+	case schema.KindReplicate:
 		var nr schema.NotifyRec
 		if err := nr.UnmarshalWire(req.Payload); err != nil {
 			return transport.Message{}, err
@@ -535,10 +536,10 @@ func (n *Node) handle(ctx context.Context, from transport.NodeID, req transport.
 			n.plane.Poke(nr.Seq)
 		}
 		// The hint is fire-and-forget; an empty ack suffices.
-		return transport.Message{Kind: KindReplicate}, nil
-	case KindShutdown:
+		return transport.Message{Kind: schema.KindReplicate}, nil
+	case schema.KindShutdown:
 		n.shutdownOnce.Do(func() { close(n.shutdownCh) })
-		return transport.Message{Kind: KindShutdown}, nil
+		return transport.Message{Kind: schema.KindShutdown}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("node %v: unknown frame kind %q", n.id, req.Kind)
 	}
@@ -685,7 +686,7 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 			out[i].Code, out[i].Err = code, msg
 		}
 		if !one {
-			n.batchLat.Record(core.Since(start))
+			n.batchLat.Record(clock.Since(start))
 		}
 		return
 	}
@@ -709,7 +710,7 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 	}
 	if len(sc.fwd) > 0 {
 		n.forwardBatch(sc)
-		end = core.Now()
+		end = clock.Now()
 	}
 	if !one {
 		n.batchLat.Record(end.Sub(start))
@@ -746,12 +747,12 @@ func (n *Node) forwardBatch(sc *batchScratch) {
 func (n *Node) forwardHost(sc *batchScratch, g *hostEvents) {
 	req, out, results := &sc.req, sc.resp.Outcomes, sc.results
 	n.forwarded.Add(uint64(len(g.idxs)))
-	start := core.Now()
-	raw, err := n.callHot(n.nodeFor(g.host), KindSubmitBatch, func(dst []byte) ([]byte, error) {
+	start := clock.Now()
+	raw, err := n.callHot(n.nodeFor(g.host), schema.KindSubmitBatch, func(dst []byte) ([]byte, error) {
 		sub := schema.SubmitBatchReq{Hops: req.Hops + 1, MinSeq: max(req.MinSeq, n.replicaSeq()), Trace: req.Trace, Events: req.Events}
 		return sub.MarshalWirePick(dst, g.idxs)
 	})
-	d := core.Since(start)
+	d := clock.Since(start)
 	n.forwardLat.Record(d)
 	n.span(req, "forward", len(g.idxs), d)
 	if err == nil {

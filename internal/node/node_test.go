@@ -368,13 +368,13 @@ func TestRequestFramesAreHotCodecOnly(t *testing.T) {
 		handle transport.Handler
 		kinds  []string
 	}{
-		{"node", d.Nodes[0].handle, []string{KindSubmitBatch, KindStore, KindTransfer, KindTransferQuery, KindMigrate, KindReplicate}},
-		{"store server", srv.handle, []string{KindStore}},
+		{"node", d.Nodes[0].handle, []string{schema.KindSubmitBatch, schema.KindStore, schema.KindTransfer, schema.KindTransferQuery, schema.KindMigrate, schema.KindReplicate}},
+		{"store server", srv.handle, []string{schema.KindStore}},
 	}
 	for _, s := range servers {
 		for _, kind := range s.kinds {
 			other := notify
-			if kind == KindReplicate {
+			if kind == schema.KindReplicate {
 				other = submit
 			}
 			for name, payload := range map[string][]byte{"gob": gobPayload.Bytes(), "another kind's": other, "empty": nil} {

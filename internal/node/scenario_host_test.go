@@ -112,7 +112,7 @@ func TestSubmitBatchFirstTouchMaterialisesVirtualJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ep.Call(context.Background(), 1, transport.Message{Kind: KindSubmitBatch, Payload: payload})
+	raw, err := ep.Call(context.Background(), 1, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
 	ctx, cancel := context.WithTimeout(r.node.baseCtx, callTimeout)
 	defer cancel()
 	start := time.Now()
-	raw, err := sendHot(ctx, r.node.ep, r.to, KindStore, func(dst []byte) ([]byte, error) {
+	raw, err := sendHot(ctx, r.node.ep, r.to, schema.KindStore, func(dst []byte) ([]byte, error) {
 		return op.AppendWire(dst), nil
 	})
 	r.node.storeLat.Record(time.Since(start))
@@ -61,7 +61,7 @@ func (r *RemoteStore) Do(op cloudstore.Op) (cloudstore.Result, error) {
 	return rep.Result, schema.Err(rep.Code, rep.Err)
 }
 
-// serveStore is the KindStore arm of a store-serving handler, shared by
+// serveStore is the schema.KindStore arm of a store-serving handler, shared by
 // store-serving nodes and dedicated store servers so both speak exactly the
 // same protocol: decode the op, run it, answer with its Reply. The Result
 // rides even next to an error: a fence refusal carries the accepted epoch.
@@ -77,7 +77,7 @@ func serveStore(do func(cloudstore.Op) (cloudstore.Result, error), payload []byt
 	}
 	buf := schema.GetFrameBuf()
 	*buf = rep.AppendWire(*buf)
-	return transport.PooledMessage(KindStore, buf), nil
+	return transport.PooledMessage(schema.KindStore, buf), nil
 }
 
 // handleStore serves one cloud-store operation from the authoritative local

@@ -30,7 +30,7 @@ const StoreIDBase transport.NodeID = 1 << 20
 const StoreRF = 3
 
 // StoreServer is a dedicated store-replica process attachment: it serves
-// the cloud-store wire protocol (KindStore, via the same serveStore as
+// the cloud-store wire protocol (schema.KindStore, via the same serveStore as
 // store-serving nodes) from a pluggable backend, answers pings, and honors
 // shutdown frames. It embodies no AEON servers — losing one loses a store
 // replica and nothing else, which is exactly the blast radius the sharded
@@ -68,7 +68,7 @@ func ServeStore(mesh transport.Mesh, id transport.NodeID, backend cloudstore.Bac
 // ID returns the store server's mesh address.
 func (s *StoreServer) ID() transport.NodeID { return s.id }
 
-// Done is closed when a peer requests shutdown (KindShutdown).
+// Done is closed when a peer requests shutdown (schema.KindShutdown).
 func (s *StoreServer) Done() <-chan struct{} { return s.shutdownCh }
 
 // Close detaches the server from the mesh. The backend stays open.
@@ -100,15 +100,15 @@ func (s *StoreServer) RegisterOps(reg *ops.Registry) {
 
 func (s *StoreServer) handle(_ context.Context, _ transport.NodeID, req transport.Message) (transport.Message, error) {
 	switch req.Kind {
-	case KindPing:
+	case schema.KindPing:
 		s.pings.Add(1)
-		return ack(KindPing, schema.SubmitResp{Host: int64(s.id)}, nil)
-	case KindStore:
+		return ack(schema.KindPing, schema.SubmitResp{Host: int64(s.id)}, nil)
+	case schema.KindStore:
 		s.storeOps.Add(1)
 		return serveStore(s.be.Do, req.Payload)
-	case KindShutdown:
+	case schema.KindShutdown:
 		s.shutdownOnce.Do(func() { close(s.shutdownCh) })
-		return transport.Message{Kind: KindShutdown}, nil
+		return transport.Message{Kind: schema.KindShutdown}, nil
 	default:
 		return transport.Message{}, fmt.Errorf("store server %v: unknown frame kind %q", s.id, req.Kind)
 	}

@@ -38,9 +38,6 @@ var (
 	ErrDuplicate = errors.New("orleans: duplicate class")
 )
 
-// ClientNode is the logical client network location.
-const ClientNode = transport.NodeID(-1)
-
 // GrainID identifies a grain.
 type GrainID uint64
 
@@ -328,7 +325,7 @@ func (r *Runtime) Call(to GrainID, method string, args ...any) (any, error) {
 		return nil, ErrClosed
 	}
 	start := time.Now()
-	res, err := r.call(ClientNode, nil, to, method, schema.AppendValues(nil, args))
+	res, err := r.call(transport.ClientNode, nil, to, method, schema.AppendValues(nil, args))
 	r.Latency.Record(time.Since(start))
 	r.Completed.Inc()
 	return res.Any(), err
@@ -348,7 +345,7 @@ func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, metho
 		return schema.Value{}, fmt.Errorf("%s.%s: %w", g.class.Name, method, ErrUnknown)
 	}
 	// Message hop (client calls charge only when configured).
-	if from != g.server && (from != ClientNode || r.cfg.ChargeClientHops) {
+	if from != g.server && (from != transport.ClientNode || r.cfg.ChargeClientHops) {
 		if err := r.cluster.Net().Hop(from, g.server, r.cfg.MessageBytes); err != nil {
 			return schema.Value{}, err
 		}
@@ -383,7 +380,7 @@ func (r *Runtime) call(from transport.NodeID, chain []GrainID, to GrainID, metho
 	g.enqueue(inv)
 	out := <-inv.reply
 	// Reply hop back to the caller.
-	if from != g.server && (from != ClientNode || r.cfg.ChargeClientHops) {
+	if from != g.server && (from != transport.ClientNode || r.cfg.ChargeClientHops) {
 		_ = r.cluster.Net().Hop(g.server, from, r.cfg.MessageBytes)
 	}
 	return out.res, out.err

@@ -704,17 +704,22 @@ func TestCloseNeverWaitsOnTheReadLoop(t *testing.T) {
 	}
 	go func() { _, _ = peer.Write(flood) }()
 
+	// The pool of this test's own connection: another accepted connection
+	// (a stray dial from elsewhere) is served too, and any served
+	// connection's pool is nil until its preamble has arrived.
 	var pool *muxWorkerPool
 	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
 		srv.mu.Lock()
-		for _, p := range srv.served {
-			pool = p
+		for conn, p := range srv.served {
+			if conn.RemoteAddr().String() == peer.LocalAddr().String() {
+				pool = p
+			}
 		}
 		srv.mu.Unlock()
 		// Every worker holds a job it cannot finish, and the loop has taken
 		// one off idle for a job that no worker will receive: it is in
 		// dispatch, past its last look at closing, for good.
-		if entered.Load() == MuxWindow && pool.idle.Load() == -(muxQueueDepth+1) {
+		if pool != nil && entered.Load() == MuxWindow && pool.idle.Load() == -(muxQueueDepth+1) {
 			break
 		}
 		if time.Now().After(deadline) {

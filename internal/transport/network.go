@@ -18,6 +18,10 @@ import (
 // NodeID identifies a node (server) on the network.
 type NodeID int
 
+// ClientNode is the logical network location of external clients; hops
+// between clients and servers are charged against it.
+const ClientNode = NodeID(-1)
+
 // String renders the node ID.
 func (n NodeID) String() string { return fmt.Sprintf("node%d", int(n)) }
 
