@@ -2,7 +2,10 @@ package ingress
 
 // Batched submits. SubmitBatch packs many events into SubmitBatchReq frames —
 // one frame per destination node (chunked at Config.MaxBatch) — so the fleet
-// pays one wakeup and one admission per frame instead of per event. Go's
+// pays one wakeup and one admission per frame instead of per event, and its
+// frames leave as one flight (transport.Endpoint.CallBatch) from the caller's
+// goroutine: every request is out before any reply is awaited, with no
+// goroutine per node. Go's
 // futures ride the same frames transparently, under one rule: an async submit
 // waits for batchmates only while one of its per-node coalescer's own frames
 // is on the wire to that node. On an idle wire it leaves as soon as the
@@ -16,6 +19,7 @@ package ingress
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,12 +84,16 @@ func (f *frame) fail(err error) {
 	}
 }
 
-// batchScratch is the per-call bookkeeping of SubmitBatch that nothing
-// outlives — the cache-hit flags and the per-node pick lists — pooled so the
-// results slice is the call's one allocation.
+// batchScratch is the bookkeeping of one flight that nothing outlives — the
+// cache-hit flags, the per-node pick lists, the calls and the chunks they
+// carry, a coalesced batch's results — pooled so that SubmitBatch's results
+// slice is its one allocation.
 type batchScratch struct {
 	cached []bool
 	groups []frame
+	calls  []transport.Call
+	chunks []frame // the events each call carries
+	res    []BatchResult
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -119,19 +127,14 @@ type respScratch struct {
 
 // SubmitBatch executes many events in as few frames as possible: items are
 // grouped by their routed node, each group rides SubmitBatchReq frames
-// (chunked at Config.MaxBatch), and groups fly concurrently. The returned
-// slice is index-aligned with items. Failures are per-event — a rejected or
-// failed event never affects its batchmates — except transport-level faults,
-// which fail every event that rode the broken connection.
+// (chunked at Config.MaxBatch), and every frame of every group leaves in one
+// flight before any reply is awaited. The returned slice is index-aligned
+// with items. Failures are per-event — a rejected or failed event never
+// affects its batchmates — except transport-level faults, which fail every
+// event whose frame rode the broken connection.
 func (c *Client) SubmitBatch(items []BatchItem) []BatchResult {
 	res := make([]BatchResult, len(items))
 	if len(items) == 0 {
-		return res
-	}
-	if c.closed.Load() {
-		for i := range res {
-			res[i].Err = ErrClientClosed
-		}
 		return res
 	}
 	sc := batchScratchPool.Get().(*batchScratch)
@@ -156,24 +159,7 @@ func (c *Client) SubmitBatch(items []BatchItem) []BatchResult {
 		g := &sc.groups[i]
 		g.events, g.cached, g.res = items, cached, res
 	}
-	if len(sc.groups) == 1 {
-		// Single-destination batches — the common case once routes are warm —
-		// encode the caller's slice in place.
-		f := sc.groups[0]
-		f.pick = nil
-		c.submitFrame(f)
-	} else {
-		var wg sync.WaitGroup
-		for _, f := range sc.groups[1:] {
-			wg.Add(1)
-			go func(f frame) {
-				defer wg.Done()
-				c.submitFrame(f)
-			}(f)
-		}
-		c.submitFrame(sc.groups[0])
-		wg.Wait()
-	}
+	c.fly(sc, sc.groups)
 	for i := range sc.groups {
 		sc.groups[i] = frame{pick: sc.groups[i].pick} // keep the capacity, drop the caller's slices
 	}
@@ -182,86 +168,71 @@ func (c *Client) SubmitBatch(items []BatchItem) []BatchResult {
 	return res
 }
 
-// submitFrame ships one node's events as pipelined SubmitBatchReq frames
-// and fills their result slots.
-func (c *Client) submitFrame(f frame) {
+// fly ships frames as one flight — each chunked at MaxBatch, every chunk one
+// call to its node — and fills their result slots.
+func (c *Client) fly(sc *batchScratch, frames []frame) {
 	if c.closed.Load() {
-		f.fail(ErrClientClosed)
-		return
-	}
-	// One frame suffices for most batches; ship it directly, as Submit does.
-	if f.len() <= c.cfg.MaxBatch {
-		c.submitChunk(f)
-		return
-	}
-
-	// Chunk at MaxBatch; each chunk is one frame.
-	type sent struct {
-		f   frame
-		buf *[]byte
-	}
-	var (
-		chunks []sent
-		msgs   []transport.Message
-	)
-	for start := 0; start < f.len(); start += c.cfg.MaxBatch {
-		ch := f.chunk(start, min(start+c.cfg.MaxBatch, f.len()))
-		buf, payload, err := c.encodeFrame(ch)
-		if err != nil {
-			ch.fail(err)
-			continue
+		for _, f := range frames {
+			f.fail(ErrClientClosed)
 		}
-		chunks = append(chunks, sent{f: ch, buf: buf})
-		msgs = append(msgs, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
-	}
-	if len(msgs) == 0 {
 		return
 	}
-
+	for _, f := range frames {
+		for start := 0; start < f.len(); start += c.cfg.MaxBatch {
+			ch := f.chunk(start, min(start+c.cfg.MaxBatch, f.len()))
+			req, err := c.encodeFrame(ch)
+			if err != nil {
+				ch.fail(err)
+				continue
+			}
+			sc.chunks = append(sc.chunks, ch)
+			sc.calls = append(sc.calls, transport.Call{To: f.to, Req: req})
+		}
+	}
 	ctx := transport.NewDeadline(callTimeout)
-	defer ctx.Release()
-
-	resps, errs, fatal := c.ep.CallBatch(ctx, f.to, msgs)
-	for k, ch := range chunks {
-		schema.PutFrameBuf(ch.buf) // endpoints do not retain payloads past the call
-		err := fatal
-		if err == nil {
-			err = errs[k]
-		}
-		if err != nil {
-			ch.f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))
+	c.ep.CallBatch(ctx, sc.calls)
+	ctx.Release()
+	for k, ch := range sc.chunks {
+		call := &sc.calls[k]
+		call.Req.Release() // endpoints do not retain payloads past the call
+		if call.Err != nil {
+			ch.fail(fmt.Errorf("ingress: batch submit to %v: %w", ch.to, call.Err))
 			continue
 		}
-		c.applyBatchResp(ch.f, resps[k])
-		resps[k].Release() // the decoded results own their bytes
+		c.applyBatchResp(ch, call.Resp)
+		call.Resp.Release() // the decoded results own their bytes
 	}
+	clear(sc.calls)
+	clear(sc.chunks)
+	sc.calls, sc.chunks = sc.calls[:0], sc.chunks[:0]
 }
 
-// encodeFrame encodes one chunk into a pooled buffer, which the caller
-// returns with schema.PutFrameBuf once the call it rides has returned.
-func (c *Client) encodeFrame(f frame) (*[]byte, []byte, error) {
+// encodeFrame encodes one chunk into a pooled request, which the caller
+// releases once the call it rides has returned.
+func (c *Client) encodeFrame(f frame) (transport.Message, error) {
 	req := schema.SubmitBatchReq{Events: f.events, Trace: c.nextTrace()}
 	buf := schema.GetFrameBuf()
 	payload, err := req.MarshalWirePick((*buf)[:0], f.pick)
 	if err != nil {
 		schema.PutFrameBuf(buf)
-		return nil, nil, fmt.Errorf("ingress: encode batch: %w", err)
+		return transport.Message{}, fmt.Errorf("ingress: encode batch: %w", err)
 	}
 	*buf = payload
-	return buf, payload, nil
+	return transport.PooledMessage(schema.KindSubmitBatch, buf), nil
 }
 
-// submitChunk ships one frame's worth of events and fills its result slots.
+// submitChunk ships one frame's worth of events as one Call and fills its
+// result slots.
 func (c *Client) submitChunk(f frame) {
-	buf, payload, err := c.encodeFrame(f)
+	req, err := c.encodeFrame(f)
 	if err != nil {
 		f.fail(err)
 		return
 	}
 	ctx := transport.NewDeadline(callTimeout)
 	defer ctx.Release()
-	raw, err := c.ep.Call(ctx, f.to, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
-	schema.PutFrameBuf(buf) // endpoints do not retain payloads past the call
+	raw, err := c.ep.Call(ctx, f.to, req)
+	req.Release() // endpoints do not retain payloads past the call
 	if err != nil {
 		f.fail(fmt.Errorf("ingress: batch submit to %v: %w", f.to, err))
 		return
@@ -453,11 +424,15 @@ func (co *coalescer) ship(b batch, why *atomic.Uint64) {
 	why.Add(1)
 	c.coalFlushes.Add(1)
 	c.coalEvents.Add(uint64(len(b.futures)))
-	fr := frame{to: co.to, events: b.events, cached: b.cached, res: make([]BatchResult, len(b.futures))}
-	c.submitFrame(fr)
+	sc := batchScratchPool.Get().(*batchScratch)
+	res := slices.Grow(sc.res[:0], len(b.futures))[:len(b.futures)]
+	c.fly(sc, []frame{{to: co.to, events: b.events, cached: b.cached, res: res}})
 	for i, f := range b.futures {
-		c.resolve(f, fr.res[i].Result.Any(), fr.res[i].Err)
+		c.resolve(f, res[i].Result.Any(), res[i].Err)
 	}
+	clear(res)
+	sc.res = res
+	batchScratchPool.Put(sc)
 }
 
 // coalescerFor returns the per-node coalescer, starting it on first use; nil

@@ -19,11 +19,13 @@
 // client's total in-flight futures by Config.Window so a producer that never
 // waits cannot spawn unbounded goroutines.
 //
-// Batching. SubmitBatch ships many events per frame (see batch.go), and Go's
-// futures transparently coalesce onto the same batch frames — each waits for
-// batchmates only while a frame of its coalescer is in flight — so high-rate
-// async producers pay the per-event wakeup once per batch, not once per
-// event, and an idle client pays no wait at all. Failures stay per-event.
+// Batching. SubmitBatch ships many events per frame, and all its frames, to
+// however many nodes, as one flight from the caller's goroutine (see
+// batch.go); Go's futures transparently coalesce onto the same batch frames —
+// each waits for batchmates only while a frame of its coalescer is in flight
+// — so high-rate async producers pay the per-event wakeup once per batch, not
+// once per event, and an idle client pays no wait at all. Failures stay
+// per-event.
 package ingress
 
 import (

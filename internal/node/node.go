@@ -612,6 +612,7 @@ type batchScratch struct {
 	resp    schema.SubmitBatchResp
 	results []schema.Value
 	fwd     []hostEvents
+	calls   []transport.Call // one per forward list
 }
 
 // hostEvents lists, by index into the frame, the events bound for one peer,
@@ -635,6 +636,8 @@ func (sc *batchScratch) release() {
 		clear(g.results)
 	}
 	sc.fwd = sc.fwd[:0]
+	clear(sc.calls)
+	sc.calls = sc.calls[:0]
 	batchScratchPool.Put(sc)
 }
 
@@ -717,60 +720,62 @@ func (n *Node) handleSubmitBatch(sc *batchScratch) {
 	}
 }
 
-// forwardBatch ships each of the frame's per-host forward lists as one frame,
-// the last from this goroutine and every other from its own, so a lone
-// forwarded event costs no goroutine. The lists' slots are disjoint.
+// forwardBatch ships the frame's per-host forward lists at Hops+1, under the
+// sender's admission floor or this replica's applied sequence if that is
+// further along, as one flight from this goroutine — a call per host — and
+// fills each list's slots from its response. A list that does not encode, a
+// failed call, an undecodable response or one that does not carry exactly one
+// outcome per event fails every event of its list as CodeUnknown: nothing
+// says whether the peer ran them.
 func (n *Node) forwardBatch(sc *batchScratch) {
-	last := len(sc.fwd) - 1
-	if last == 0 {
-		n.forwardHost(sc, &sc.fwd[0])
-		return
-	}
-	var wg sync.WaitGroup // on the heap: declared only where goroutines share it
-	for k := range sc.fwd[:last] {
-		wg.Add(1)
-		go func(g *hostEvents) {
-			defer wg.Done()
-			n.forwardHost(sc, g)
-		}(&sc.fwd[k])
-	}
-	n.forwardHost(sc, &sc.fwd[last])
-	wg.Wait()
-}
-
-// forwardHost sends one host's list at Hops+1, under the sender's admission
-// floor or this replica's applied sequence if that is further along, and
-// fills the list's slots from the response. A failed hop, an undecodable
-// response or one that does not carry exactly one outcome per event fails
-// every event of the list as CodeUnknown: nothing says whether the peer ran
-// them.
-func (n *Node) forwardHost(sc *batchScratch, g *hostEvents) {
 	req, out, results := &sc.req, sc.resp.Outcomes, sc.results
-	n.forwarded.Add(uint64(len(g.idxs)))
-	start := clock.Now()
-	raw, err := n.callHot(n.nodeFor(g.host), schema.KindSubmitBatch, func(dst []byte) ([]byte, error) {
-		sub := schema.SubmitBatchReq{Hops: req.Hops + 1, MinSeq: max(req.MinSeq, n.replicaSeq()), Trace: req.Trace, Events: req.Events}
-		return sub.MarshalWirePick(dst, g.idxs)
-	})
-	d := clock.Since(start)
-	n.forwardLat.Record(d)
-	n.span(req, "forward", len(g.idxs), d)
-	if err == nil {
-		g.results, err = g.resp.UnmarshalResults(raw.Payload, g.results)
-		raw.Release() // the decoded outcomes and results own their bytes
-	}
-	if err == nil && len(g.resp.Outcomes) != len(g.idxs) {
-		err = fmt.Errorf("%d outcomes for %d events", len(g.resp.Outcomes), len(g.idxs))
-	}
-	if err != nil {
+	sub := schema.SubmitBatchReq{Hops: req.Hops + 1, MinSeq: max(req.MinSeq, n.replicaSeq()), Trace: req.Trace, Events: req.Events}
+	fail := func(g *hostEvents, err error) {
 		code, msg := n.failed(fmt.Errorf("submit to %v: %w", g.host, err), schema.CodeUnknown, len(g.idxs))
 		for _, i := range g.idxs {
 			out[i].Code, out[i].Err, out[i].Host = code, msg, int64(g.host)
 		}
-		return
 	}
-	for j, i := range g.idxs {
-		out[i], results[i] = g.resp.Outcomes[j], g.results[j]
-		n.learnPlacement(req.Events[i].Target, cluster.ServerID(out[i].Host))
+	for k := 0; k < len(sc.fwd); {
+		g := &sc.fwd[k]
+		n.forwarded.Add(uint64(len(g.idxs)))
+		buf := schema.GetFrameBuf()
+		payload, err := sub.MarshalWirePick((*buf)[:0], g.idxs)
+		if err != nil {
+			schema.PutFrameBuf(buf)
+			fail(g, err)
+			sc.fwd = slices.Delete(sc.fwd, k, k+1) // keeps the calls index-aligned with the lists
+			continue
+		}
+		*buf = payload
+		sc.calls = append(sc.calls, transport.Call{To: n.nodeFor(g.host), Req: transport.PooledMessage(schema.KindSubmitBatch, buf)})
+		k++
+	}
+	ctx := transport.NewDeadline(callTimeout)
+	start := clock.Now()
+	n.ep.CallBatch(ctx, sc.calls)
+	d := clock.Since(start)
+	ctx.Release()
+	for k, call := range sc.calls {
+		g := &sc.fwd[k]
+		call.Req.Release() // endpoints do not retain payloads past the call
+		n.forwardLat.Record(d)
+		n.span(req, "forward", len(g.idxs), d)
+		err := call.Err
+		if err == nil {
+			g.results, err = g.resp.UnmarshalResults(call.Resp.Payload, g.results)
+			call.Resp.Release() // the decoded outcomes and results own their bytes
+		}
+		if err == nil && len(g.resp.Outcomes) != len(g.idxs) {
+			err = fmt.Errorf("%d outcomes for %d events", len(g.resp.Outcomes), len(g.idxs))
+		}
+		if err != nil {
+			fail(g, err)
+			continue
+		}
+		for j, i := range g.idxs {
+			out[i], results[i] = g.resp.Outcomes[j], g.results[j]
+			n.learnPlacement(req.Events[i].Target, cluster.ServerID(out[i].Host))
+		}
 	}
 }

@@ -83,11 +83,14 @@ func TestEndpointCallSharesOneConnection(t *testing.T) {
 					}
 					continue
 				}
-				reqs := []Message{{Kind: kind, Payload: []byte(want + "a")}, {Kind: kind, Payload: []byte(want + "b")}}
-				resps, cerrs, err := cli.CallBatch(ctx, 1, reqs)
-				if err != nil || cerrs[0] != nil || cerrs[1] != nil ||
-					string(resps[0].Payload) != want+"a" || string(resps[1].Payload) != want+"b" {
-					errs <- fmt.Errorf("CallBatch %s: %v, %v, %v", want, resps, cerrs, err)
+				calls := []Call{
+					{To: 1, Req: Message{Kind: kind, Payload: []byte(want + "a")}},
+					{To: 1, Req: Message{Kind: kind, Payload: []byte(want + "b")}},
+				}
+				cli.CallBatch(ctx, calls)
+				if calls[0].Err != nil || calls[1].Err != nil ||
+					string(calls[0].Resp.Payload) != want+"a" || string(calls[1].Resp.Payload) != want+"b" {
+					errs <- fmt.Errorf("CallBatch %s: %+v", want, calls)
 					return
 				}
 			}
@@ -618,12 +621,16 @@ func TestSmallFramesDeadlineWhenPeerStopsReading(t *testing.T) {
 	// socket either.
 	flight := func(ctx context.Context) func(Endpoint) []error {
 		return func(cli Endpoint) []error {
-			reqs := make([]Message, frames)
-			for i := range reqs {
-				reqs[i] = Message{Kind: "node.submit", Payload: payload}
+			calls := make([]Call, frames)
+			for i := range calls {
+				calls[i] = Call{To: 1, Req: Message{Kind: "node.submit", Payload: payload}}
 			}
-			_, _, fatal := cli.CallBatch(ctx, 1, reqs)
-			return []error{fatal}
+			cli.CallBatch(ctx, calls)
+			errs := make([]error, frames)
+			for i := range calls {
+				errs[i] = calls[i].Err
+			}
+			return errs
 		}
 	}
 	t.Run("flight deadline", func(t *testing.T) {

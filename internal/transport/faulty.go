@@ -127,11 +127,9 @@ func (e *faultyEndpoint) Call(ctx context.Context, to NodeID, req Message) (Mess
 	return resp, err
 }
 
-// CallBatch faults each request of the flight on its own, exactly as Call
+// CallBatch faults each call of the flight on its own, exactly as Call
 // would: one dropped, duplicated or unacknowledged request never touches its
 // batchmates.
-func (e *faultyEndpoint) CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error) {
-	return callEach(reqs, func(req Message) (Message, error) { return e.Call(ctx, to, req) })
-}
+func (e *faultyEndpoint) CallBatch(ctx context.Context, calls []Call) { callEach(ctx, e, calls) }
 
 func (e *faultyEndpoint) Close() error { return e.inner.Close() }

@@ -11,8 +11,9 @@ import (
 
 // Message is a request or response exchanged between mesh endpoints. Its
 // payload may lie in a buffer of the frame-buffer pool (schema.GetFrameBuf) —
-// the TCP mux's copies, a handler's PooledMessage — which whoever reads it
-// last returns with Release; a message nobody releases leaves it to the GC.
+// the TCP mux's copies, a PooledMessage a handler or caller built — which
+// whoever reads it last returns with Release; a message nobody releases
+// leaves it to the GC.
 type Message struct {
 	// Kind routes the message to a handler action (e.g. "migrate.prepare").
 	Kind string `json:"kind"`
@@ -52,48 +53,62 @@ type Endpoint interface {
 	// pooled payload buffers. A caller that has decoded the response
 	// releases it.
 	Call(ctx context.Context, to NodeID, req Message) (Message, error)
-	// CallBatch issues several requests to one node as one flight. Responses
-	// are index-aligned with reqs; per-call handler failures land in errs; a
-	// non-nil overall error is a transport-level failure (context expiry,
-	// broken connection) that voided the whole flight. Payloads are not
-	// retained after it returns, and each response is released as Call's is.
-	CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error)
+	// CallBatch sends a flight of calls, each to the peer it names, and
+	// returns once each call holds its outcome. On a TCP mesh every request
+	// is sent before any reply is awaited, adjacent calls to one peer leave in
+	// one write, and no goroutine starts per peer. A failure — a handler's, a
+	// broken connection, an expired ctx — fails only the calls it touched.
+	// Payloads are not retained, and responses are released as Call's are.
+	CallBatch(ctx context.Context, calls []Call)
 	// Close detaches the endpoint and closes its connections.
 	Close() error
 }
 
+// Call is one call of a flight (Endpoint.CallBatch): the peer and request
+// its caller sets, and the outcome CallBatch sets — Resp, or Err: a handler's
+// *RemoteError or the transport failure that stopped this call. The calls are
+// the caller's storage, which CallBatch does not keep.
+type Call struct {
+	To   NodeID
+	Req  Message
+	Resp Message
+	Err  error
+
+	s   *muxStream // the stream whose slot idx awaits the reply, else nil
+	idx uint32
+}
+
 // callEach is CallBatch for an endpoint with no connection to pipeline on:
-// the requests run as concurrent calls, and a transport failure lands in its
-// own index of errs rather than voiding the flight.
-func callEach(reqs []Message, call func(Message) (Message, error)) ([]Message, []error, error) {
-	msgs := make([]Message, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	wg.Add(len(reqs))
-	for i := range reqs {
-		go func(i int) {
-			defer wg.Done()
-			msgs[i], errs[i] = call(reqs[i])
-		}(i)
+// the calls run as concurrent Calls, the last on the caller's goroutine.
+func callEach(ctx context.Context, ep Endpoint, calls []Call) {
+	if len(calls) == 0 {
+		return
 	}
-	wg.Wait()
-	return msgs, errs, nil
+	if len(calls) > 1 {
+		var wg sync.WaitGroup // on the heap: declared only where goroutines share it
+		for i := range calls[:len(calls)-1] {
+			wg.Add(1)
+			go func(c *Call) {
+				defer wg.Done()
+				c.Resp, c.Err = ep.Call(ctx, c.To, c.Req)
+			}(&calls[i])
+		}
+		defer wg.Wait()
+	}
+	c := &calls[len(calls)-1]
+	c.Resp, c.Err = ep.Call(ctx, c.To, c.Req)
 }
 
 // Stream is a private pipelined connection to one peer, for a caller that
 // wants one of its own instead of the endpoint's (the benchmark's echo
-// replay, the mux's tests): same Call and CallBatch contract, minus the
-// peer.
+// replay, the mux's tests): Call's contract minus the peer, and a CallBatch
+// whose reqs fly to that peer as Endpoint.CallBatch flies its calls, with
+// responses and handler failures index-aligned and a transport failure — an
+// expired ctx, a broken connection — returned as fatal for the whole flight.
 type Stream interface {
 	Call(ctx context.Context, req Message) (Message, error)
-	BatchCaller
-	Close() error
-}
-
-// BatchCaller is the batch half of a Stream: the frames ride one writer
-// flush and one parked waiter instead of len(reqs) goroutines.
-type BatchCaller interface {
 	CallBatch(ctx context.Context, reqs []Message) ([]Message, []error, error)
+	Close() error
 }
 
 // StreamCallBatch issues reqs over st as one pipelined flight.
@@ -202,9 +217,7 @@ func (e *inMemEndpoint) Call(ctx context.Context, to NodeID, req Message) (Messa
 	return resp, nil
 }
 
-func (e *inMemEndpoint) CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error) {
-	return callEach(reqs, func(req Message) (Message, error) { return e.Call(ctx, to, req) })
-}
+func (e *inMemEndpoint) CallBatch(ctx context.Context, calls []Call) { callEach(ctx, e, calls) }
 
 func (e *inMemEndpoint) Close() error {
 	e.mu.Lock()

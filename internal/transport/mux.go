@@ -46,7 +46,9 @@ package transport
 // Backpressure: the slot freelist doubles as the bounded in-flight window
 // (MuxWindow, 1024). When no slot is free, Call blocks until one frees or
 // the caller's context expires — pressure propagates to the submitter
-// instead of growing an unbounded queue or dropping frames. The server side
+// instead of growing an unbounded queue or dropping frames. A flight
+// (CallBatch) first awaits its own oldest calls, so one larger than the
+// window makes its own room. The server side
 // weighs admission by *events*, not frames (schema.HotFrameEvents), so a
 // 128-event batch frame takes 128 admission slots and batching cannot be
 // used to sidestep the window.
@@ -846,14 +848,19 @@ func (s *muxStream) deliver(f muxFrame) error {
 
 // acquire takes a free completion slot (the backpressure point). A deadline
 // that expires here waited on the window, not the wire: the stream is fine.
-func (s *muxStream) acquire(ctx context.Context) (uint32, error) {
+func (s *muxStream) acquire(ctx context.Context, fl *flight) (uint32, error) {
 	var idx uint32
 	select {
 	case idx = <-s.free:
 	default:
 		// About to wait for a reply to free a slot: the frames a corked burst
-		// has queued so far are among those it waits on.
+		// has queued so far are among those it waits on. A flight awaits its
+		// own oldest calls first while the window stays full, so that one
+		// larger than the window makes its own room: it blocks below only
+		// with no call of its own in flight, or having just seen a slot free.
 		s.out.kick(ctx)
+		for fl != nil && len(s.free) == 0 && fl.next(ctx) {
+		}
 		select {
 		case idx = <-s.free:
 		case <-ctx.Done():
@@ -897,14 +904,14 @@ func (s *muxStream) release(idx uint32) {
 	s.free <- idx
 }
 
-// send takes a slot for req and writes its frame, or under cork queues it
-// (see muxOut.send). A context that is already done never reaches the
-// stream, and one that expires before the frame is queued waited on the
-// window or on the flush role: neither says anything about the connection.
-// A write that fails has broken the stream; the sender whose own deadline
-// cut the write short gets ErrCallTimeout like any other caller whose
-// deadline passed with its frame unflushed.
-func (s *muxStream) send(ctx context.Context, req Message, cork bool) (uint32, error) {
+// send takes a slot for req — on behalf of fl, when it is a flight's — and
+// writes its frame, or under cork queues it (see muxOut.send). A context that
+// is already done never reaches the stream, and one that expires before the
+// frame is queued waited on the window or on the flush role: neither says
+// anything about the connection. A write that fails has broken the stream;
+// the sender whose own deadline cut the write short gets ErrCallTimeout like
+// any other caller whose deadline passed with its frame unflushed.
+func (s *muxStream) send(ctx context.Context, req Message, cork bool, fl *flight) (uint32, error) {
 	wr := muxWrite{kind: req.Kind, payload: req.Payload}
 	if wr.bodyLen() > maxMuxFrame {
 		return 0, fmt.Errorf("mux call to %v: %w", s.to, errFrameTooLarge)
@@ -914,7 +921,7 @@ func (s *muxStream) send(ctx context.Context, req Message, cork bool) (uint32, e
 		return 0, s.timeoutErr()
 	default:
 	}
-	idx, err := s.acquire(ctx)
+	idx, err := s.acquire(ctx, fl)
 	if err != nil {
 		return 0, err
 	}
@@ -931,8 +938,8 @@ func (s *muxStream) send(ctx context.Context, req Message, cork bool) (uint32, e
 	return 0, s.brokenErr()
 }
 
-// giveUp abandons a sent call whose result will not be taken. With waited
-// set it is where a caller that waited for the reply decides what its expired
+// giveUp abandons a sent call whose result will not be taken. With waited set
+// it is where a caller that waited for the reply decides what its expired
 // deadline says about the connection: a frame that reached the socket was
 // waiting on the handler, and the stream is left alone (the late reply
 // mismatches the slot's next ID and is dropped); a frame still unwritten
@@ -951,22 +958,21 @@ func (s *muxStream) giveUp(idx uint32, waited bool) {
 	s.release(idx)
 }
 
-// awaitSlot parks on the slot's wake channel until the reader completes the
-// slot, the context expires, or the stream breaks. callErr is a per-call
-// handler failure (RemoteError); fatal is a transport-level failure that
-// voids the whole flight. Exactly one of the three outcomes is set, and in
-// every case the slot has been returned to the freelist when awaitSlot
-// returns.
-func (s *muxStream) awaitSlot(ctx context.Context, idx uint32) (msg Message, callErr, fatal error) {
+// await parks on the slot's wake channel until the reader completes the
+// slot, the context expires, or the stream breaks, and returns the reply or
+// why there is none: the handler's RemoteError, the timeout or the break. In
+// every case the slot is back on the freelist when await returns.
+func (s *muxStream) await(ctx context.Context, idx uint32) (Message, error) {
 	sl := s.slot(idx)
+	var fatal error
 	for {
-		if m, e, ok := sl.take(); ok {
+		if m, err, ok := sl.take(); ok {
 			s.release(idx)
-			return m, e, nil
+			return m, err
 		}
 		if fatal != nil {
 			s.giveUp(idx, true)
-			return Message{}, nil, fatal
+			return Message{}, fatal
 		}
 		// On either failure, look once more: a completion may have raced it.
 		select {
@@ -983,57 +989,96 @@ func (s *muxStream) awaitSlot(ctx context.Context, idx uint32) (msg Message, cal
 // calls pipeline on the single connection. The request payload is not
 // retained after Call returns.
 func (s *muxStream) Call(ctx context.Context, req Message) (Message, error) {
-	idx, err := s.send(ctx, req, false)
+	idx, err := s.send(ctx, req, false, nil)
 	if err != nil {
 		return Message{}, err
 	}
-	msg, callErr, fatal := s.awaitSlot(ctx, idx)
-	if fatal != nil {
-		return Message{}, fatal
-	}
-	return msg, callErr
+	return s.await(ctx, idx)
 }
 
-// CallBatch implements BatchCaller: every request becomes its own pipelined
-// frame, queued under cork so that the burst leaves in one flush — the last
-// frame's — and awaited through the completion plane with one parked caller
-// instead of len(reqs) goroutines. Handler failures land per-index in errs; a
-// transport-level failure (context expiry, broken stream) aborts the whole
-// flight and is returned as fatal with every in-flight slot abandoned.
+// CallBatch implements Stream: reqs fly as one flight on this stream.
 func (s *muxStream) CallBatch(ctx context.Context, reqs []Message) ([]Message, []error, error) {
-	if len(reqs) == 0 {
-		return nil, nil, nil
-	}
-	flights := make([]uint32, 0, len(reqs)) // slot per request still in flight
-	abandon := func(fatal error, waited bool) ([]Message, []error, error) {
-		for _, idx := range flights {
-			s.giveUp(idx, waited)
-		}
-		return nil, nil, fatal
-	}
+	calls := make([]Call, len(reqs))
 	for i := range reqs {
-		idx, err := s.send(ctx, reqs[i], i < len(reqs)-1)
-		if err != nil {
-			// The frames corked so far were never flushed: that they are still
-			// queued says nothing about the connection, and ctx may be why the
-			// send failed, so it is not for this caller to write them.
-			s.out.mu.Lock()
-			s.out.relay()
-			return abandon(err, false)
-		}
-		flights = append(flights, idx)
+		calls[i] = Call{To: s.to, Req: reqs[i]}
 	}
-	msgs := make([]Message, len(reqs))
-	errs := make([]error, len(reqs))
-	for i, idx := range flights {
-		msg, callErr, fatal := s.awaitSlot(ctx, idx)
-		if fatal != nil {
-			flights = flights[i+1:]
-			return abandon(fatal, true)
+	(&flight{calls: calls}).fly(ctx, func(NodeID) (*muxStream, error) { return s, nil })
+	msgs, errs := make([]Message, len(reqs)), make([]error, len(reqs))
+	for i, c := range calls {
+		var herr *RemoteError
+		if c.Err != nil && !errors.As(c.Err, &herr) {
+			return nil, nil, c.Err
 		}
-		msgs[i], errs[i] = msg, callErr
+		msgs[i], errs[i] = c.Resp, c.Err
 	}
 	return msgs, errs, nil
+}
+
+// flight is one CallBatch over mux streams: its calls, how many have been
+// sent, and the oldest that may still be waiting for its reply.
+type flight struct {
+	calls    []Call
+	sent, lo int
+}
+
+// fly sends every call on the stream link names for its peer, one link per
+// run of calls to one peer and every frame of the run but its last corked, so
+// that the run leaves in one write; then it awaits every reply, oldest first.
+// A call whose send fails has its outcome at once. If it was its run's last,
+// a drain writes the frames the run corked — under no deadline of the
+// caller's, which may be why the send failed — and when ctx has expired their
+// calls are abandoned unawaited: that they are not written yet says nothing
+// about the connection.
+func (fl *flight) fly(ctx context.Context, link func(NodeID) (*muxStream, error)) {
+	var (
+		s         *muxStream
+		linkErr   error
+		run       int  // the current run's first call
+		unflushed bool // the run has frames corked on s
+	)
+	for i := range fl.calls {
+		c := &fl.calls[i]
+		if i == 0 || fl.calls[i-1].To != c.To {
+			run, unflushed = i, false
+			s, linkErr = link(c.To)
+		}
+		last := i+1 == len(fl.calls) || fl.calls[i+1].To != c.To
+		err := linkErr
+		if err == nil {
+			c.idx, err = s.send(ctx, c.Req, !last, fl)
+		}
+		fl.sent++
+		if err == nil {
+			c.s, unflushed = s, !last
+			continue
+		}
+		if c.Err = err; !last || !unflushed {
+			continue
+		}
+		s.out.mu.Lock()
+		s.out.relay()
+		for j := run; j < i && ctx.Err() != nil; j++ {
+			if d := &fl.calls[j]; d.s != nil {
+				s.giveUp(d.idx, false)
+				d.s, d.Err = nil, err
+			}
+		}
+	}
+	for fl.next(ctx) {
+	}
+}
+
+// next awaits the reply of the flight's oldest sent call still waiting for
+// one, and reports whether there was such a call.
+func (fl *flight) next(ctx context.Context) bool {
+	for ; fl.lo < fl.sent; fl.lo++ {
+		if c := &fl.calls[fl.lo]; c.s != nil {
+			c.Resp, c.Err = c.s.await(ctx, c.idx)
+			c.s = nil
+			return true
+		}
+	}
+	return false
 }
 
 func (s *muxStream) timeoutErr() error {

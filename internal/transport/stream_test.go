@@ -408,11 +408,9 @@ func TestFaultyStreamFaults(t *testing.T) {
 			return err
 		},
 		"CallBatch": func(req Message) error {
-			_, errs, fatal := cli.CallBatch(ctx, 1, []Message{req})
-			if fatal != nil {
-				t.Fatalf("a per-request fault voided the flight: %v", fatal)
-			}
-			return errs[0]
+			calls := []Call{{To: 1, Req: req}}
+			cli.CallBatch(ctx, calls)
+			return calls[0].Err
 		},
 	}
 	for name, call := range calls {
@@ -446,13 +444,11 @@ func TestFaultyStreamFaults(t *testing.T) {
 	// One faulted request in a flight leaves its batchmates alone.
 	handled.Store(0)
 	fm.DropReply(2, 1, 1)
-	_, errs, fatal := cli.CallBatch(ctx, 1, make([]Message, 4))
-	if fatal != nil {
-		t.Fatalf("flight with one lost ack: %v", fatal)
-	}
+	flight := []Call{{To: 1}, {To: 1}, {To: 1}, {To: 1}}
+	cli.CallBatch(ctx, flight)
 	lost := 0
-	for _, err := range errs {
-		if errors.Is(err, ErrDropped) {
+	for _, c := range flight {
+		if err := c.Err; errors.Is(err, ErrDropped) {
 			lost++
 		} else if err != nil {
 			t.Fatalf("batchmate of a lost ack failed: %v", err)
@@ -632,10 +628,6 @@ func TestMuxCallBatchPerCallErrors(t *testing.T) {
 		t.Fatalf("OpenStream: %v", err)
 	}
 	defer st.Close()
-	bc, ok := st.(BatchCaller)
-	if !ok {
-		t.Fatalf("mux stream does not implement BatchCaller")
-	}
 
 	reqs := []Message{
 		{Kind: "q", Payload: []byte("ok-0")},
@@ -644,7 +636,7 @@ func TestMuxCallBatchPerCallErrors(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	msgs, errs, err := bc.CallBatch(ctx, reqs)
+	msgs, errs, err := st.CallBatch(ctx, reqs)
 	if err != nil {
 		t.Fatalf("CallBatch: %v", err)
 	}
@@ -804,19 +796,16 @@ func TestStreamCallBatchFallback(t *testing.T) {
 		t.Fatalf("the in-memory mesh opened a private connection")
 	}
 
-	reqs := make([]Message, 5)
-	for i := range reqs {
-		reqs[i] = Message{Kind: "q", Payload: []byte(strconv.Itoa(i))}
+	calls := make([]Call, 5)
+	for i := range calls {
+		calls[i] = Call{To: 1, Req: Message{Kind: "q", Payload: []byte(strconv.Itoa(i))}}
 	}
-	msgs, errs, err := cli.CallBatch(context.Background(), 1, reqs)
-	if err != nil {
-		t.Fatalf("CallBatch: %v", err)
-	}
-	for i := range reqs {
-		if errs[i] != nil {
-			t.Errorf("call %d: %v", i, errs[i])
-		} else if string(msgs[i].Payload) != strconv.Itoa(i) {
-			t.Errorf("call %d: got %q", i, msgs[i].Payload)
+	cli.CallBatch(context.Background(), calls)
+	for i, c := range calls {
+		if c.Err != nil {
+			t.Errorf("call %d: %v", i, c.Err)
+		} else if string(c.Resp.Payload) != strconv.Itoa(i) {
+			t.Errorf("call %d: got %q", i, c.Resp.Payload)
 		}
 	}
 }

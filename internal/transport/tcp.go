@@ -311,12 +311,8 @@ func (e *tcpEndpoint) Call(ctx context.Context, to NodeID, req Message) (Message
 	return s.Call(ctx, req)
 }
 
-func (e *tcpEndpoint) CallBatch(ctx context.Context, to NodeID, reqs []Message) ([]Message, []error, error) {
-	s, err := e.link(ctx, to)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.CallBatch(ctx, reqs)
+func (e *tcpEndpoint) CallBatch(ctx context.Context, calls []Call) {
+	(&flight{calls: calls}).fly(ctx, func(to NodeID) (*muxStream, error) { return e.link(ctx, to) })
 }
 
 func (e *tcpEndpoint) Close() error {
