@@ -106,8 +106,10 @@ type runner struct {
 	fence     []uint64 // per-partition max observed fence epoch
 	salts     []string // per-partition probe-key salt (salt/x lands in p)
 	probes    int      // probe keys written so far
-	migrated  map[int]bool
 	deadStore map[int]bool
+	// at is the server each root's group sits on, and movedFrom where its
+	// open migrate window found it.
+	at, movedFrom map[int]int
 
 	recovery   map[string]time.Duration
 	violations []string
@@ -217,10 +219,14 @@ func Run(cfg Config) (*Report, error) {
 
 	r := &runner{
 		cfg: cfg, scen: scen, net: net, fm: fm, top: top, d: d,
-		migrated:  make(map[int]bool),
 		deadStore: make(map[int]bool),
+		at:        make(map[int]int),
+		movedFrom: make(map[int]int),
 		recovery:  make(map[string]time.Duration),
 		salts:     probeSalts(storeParts),
+	}
+	for i := range scen.Roots() {
+		r.at[i] = int(scen.RootServer(i))
 	}
 
 	// Preflight: the deterministic script through the live deployment must
@@ -415,13 +421,7 @@ func (r *runner) heal(a Action) {
 // probeLink waits until a submit from node `from` reaching an entity hosted
 // on server `to` succeeds — the mesh-heal recovery probe.
 func (r *runner) probeLink(from, to int) {
-	e := -1
-	for i := 0; i < r.scen.Entities(); i++ {
-		if int(r.scen.EntityServer(i)) == to {
-			e = i
-			break
-		}
-	}
+	e := r.entityOn(to)
 	if e < 0 {
 		return
 	}
@@ -435,6 +435,22 @@ func (r *runner) probeLink(from, to int) {
 		return
 	}
 	r.noteRecovery(ClassMesh, el)
+}
+
+// entityOn returns an entity on server s: the probe entity of a root group
+// sitting there now, else one placed there at boot; -1 if there is none.
+func (r *runner) entityOn(s int) int {
+	for i := range r.scen.Roots() {
+		if r.at[i] == s {
+			return r.scen.RootEntity(i)
+		}
+	}
+	for e := 0; e < r.scen.Entities(); e++ {
+		if int(r.scen.EntityServer(e)) == s {
+			return e
+		}
+	}
+	return -1
 }
 
 // killNode takes node v down through the product's own close: stop routing
@@ -535,27 +551,29 @@ func (r *runner) maxFence(p int) uint64 {
 	return max
 }
 
-// migrate moves root a.A to server a.B (inject) and back to its boot server
-// (heal), probing a group member after each move. Soak traffic keeps
-// running: ops against the moving group resolve via forwarding or fail with
-// retry-safe errors, never ambiguously.
-func (r *runner) migrate(a Action, back bool) {
+// migrate moves root a.A from the server it sits on to server a.B (inject)
+// and, for a MigrateBack heal, back to where the inject found it, probing a
+// group member after each move. A MigrateStay heal leaves the group where it
+// is. Soak traffic keeps running: ops against the moving group resolve via
+// forwarding or fail with retry-safe errors, never ambiguously.
+func (r *runner) migrate(a Action, heal bool) {
 	root := r.scen.Roots()[a.A]
-	boot := int(r.scen.RootServer(a.A))
-	owner, dest := boot, a.B
-	if back {
-		if !r.migrated[a.A] {
-			return // the outbound move failed; nothing to bring home
+	owner, dest := r.at[a.A], a.B
+	if heal {
+		from, ok := r.movedFrom[a.A]
+		delete(r.movedFrom, a.A)
+		if !ok || a.Kind == MigrateStay {
+			return // the outbound move failed, or the group stays
 		}
-		owner, dest = a.B, boot
-		delete(r.migrated, a.A)
+		dest = from
 	}
 	if err := r.node(1).MigrateRemote(transport.NodeID(owner), root, cluster.ServerID(dest)); err != nil {
 		r.violate("migrate root=%d %d->%d: %v", a.A, owner, dest, err)
 		return
 	}
-	if !back {
-		r.migrated[a.A] = true
+	r.at[a.A] = dest
+	if !heal {
+		r.movedFrom[a.A] = owner
 	}
 	e := r.scen.RootEntity(a.A)
 	one := r.node(1)

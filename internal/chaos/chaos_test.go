@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"maps"
 	"os"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -64,7 +66,8 @@ func TestScheduleParameterBounds(t *testing.T) {
 	sh := testShape()
 	s := Generate(99, 128, sh)
 	storeKills := map[int]int{}
-	for _, a := range s.Actions {
+	at := placements(s, sh)
+	for i, a := range s.Actions {
 		if a.Heal {
 			continue
 		}
@@ -79,8 +82,11 @@ func TestScheduleParameterBounds(t *testing.T) {
 				t.Fatalf("store kill must target the boot primary: %v", a)
 			}
 		case ClassMigrate:
-			if a.B == sh.RootServer(a.A) {
-				t.Fatalf("migration to its own boot server is not a move: %v", a)
+			if a.B == at[i][a.A] {
+				t.Fatalf("migration to the server the group sits on is not a move: %v", a)
+			}
+			if a.Kind != MigrateBack && a.Kind != MigrateStay {
+				t.Fatalf("migration without a heal variant: %v", a)
 			}
 		case ClassMesh:
 			if a.Kind == MeshDrop || a.Kind == MeshPartition {
@@ -97,6 +103,69 @@ func TestScheduleParameterBounds(t *testing.T) {
 	}
 }
 
+// placements replays s's migrations: element i maps each root to the
+// server it sits on when action i runs.
+func placements(s *Schedule, sh Shape) []map[int]int {
+	out := make([]map[int]int, len(s.Actions))
+	at, from := map[int]int{}, map[int]int{}
+	for r := 0; r < sh.Roots; r++ {
+		at[r] = sh.RootServer(r)
+	}
+	for i, a := range s.Actions {
+		out[i] = maps.Clone(at)
+		switch {
+		case a.Class != ClassMigrate || a.Heal && a.Kind == MigrateStay:
+		case a.Heal:
+			at[a.A] = from[a.A]
+		default:
+			from[a.A], at[a.A] = at[a.A], a.B
+		}
+	}
+	return out
+}
+
+// killAfterUnhealedMove returns the first kill of s that finds a group
+// away from its boot server and hits that group's current or boot host.
+func killAfterUnhealedMove(s *Schedule, sh Shape) (Action, bool) {
+	at := placements(s, sh)
+	for i, a := range s.Actions {
+		if a.Class != ClassKill || a.Heal {
+			continue
+		}
+		for r, host := range at[i] {
+			if boot := sh.RootServer(r); host != boot && (a.A == host || a.A == boot) {
+				return a, true
+			}
+		}
+	}
+	return Action{}, false
+}
+
+// TestScheduleKillsAfterAnUnhealedMove pins what the soak must reach: at the
+// soak's seed, in both scenarios' shapes (iot: a region per server; social:
+// four desks per server) and both at its local length and at CI's 30 s, a
+// migrate whose heal leaves the group away is followed by a kill of that
+// group's current or boot host — the restart that must learn the move from
+// the log.
+func TestScheduleKillsAfterAnUnhealedMove(t *testing.T) {
+	shapes := map[string]Shape{
+		"iot":    testShape(),
+		"social": {Nodes: 3, StoreParts: 2, Roots: 12, RootServer: func(r int) int { return r/4 + 1 }},
+	}
+	for name, sh := range shapes {
+		for _, slots := range []int{32, 120} {
+			s := Generate(soakSeed, slots, sh)
+			if _, ok := killAfterUnhealedMove(s, sh); !ok {
+				t.Errorf("%s: seed %d over %d slots never kills a moved group's host:\n%s",
+					name, soakSeed, slots, strings.Join(s.Lines(), "\n"))
+			}
+		}
+	}
+}
+
+// soakSeed drives the soak's schedule and traffic.
+const soakSeed = 10
+
 // runSoak drives a short but fault-complete chaos soak for one workload and
 // asserts the report is violation-free.
 func runSoak(t *testing.T, scenario string) *Report {
@@ -111,7 +180,7 @@ func runSoak(t *testing.T, scenario string) *Report {
 	}
 	rep, err := Run(Config{
 		Scenario: scenario,
-		Seed:     11,
+		Seed:     soakSeed,
 		Duration: dur,
 		Log:      func(s string) { t.Log(s) },
 	})

@@ -8,10 +8,10 @@ package chaos
 // the exact fault sequence against the same workload.
 //
 // Windows are sequential and non-overlapping (inject at slot s, heal at
-// s+hold, next fault after a gap). That is a deliberate invariant, not a
-// simplification: the node-kill protocol checkpoints against boot
-// placements, and migration round-trips restore them, so "at most one fault
-// in flight" is what lets every fault class reason about the state it finds.
+// s+hold, next fault after a gap), so each fault finds a fleet recovered
+// from the last. Placement does not recover: a migrate heal moves the group
+// back only half of the time (the seed picks), so a later kill can find a
+// group away from its boot server, which its restart must learn from the log.
 
 import (
 	"fmt"
@@ -34,13 +34,19 @@ const (
 	MeshDup       = "dup"       // duplicate node→store-replica calls
 )
 
+// Migrate variants: what the heal does with the moved group.
+const (
+	MigrateBack = "back" // move it back to where the inject found it
+	MigrateStay = "stay" // leave it on the destination
+)
+
 // Action is one scheduled fault transition. Inject and heal of the same
 // fault carry identical parameters.
 type Action struct {
 	Slot  int
 	Heal  bool
 	Class string
-	Kind  string // mesh variant; empty for other classes
+	Kind  string // mesh or migrate variant; empty for other classes
 	A     int    // node / partition / root index (class-dependent)
 	B     int    // peer node / replica offset / destination server
 }
@@ -60,7 +66,7 @@ func (a Action) String() string {
 	case ClassStore:
 		return fmt.Sprintf("slot=%03d %s store part=%d replica=%d", a.Slot, verb, a.A, a.B)
 	case ClassMigrate:
-		return fmt.Sprintf("slot=%03d %s migrate root=%d to=%d", a.Slot, verb, a.A, a.B)
+		return fmt.Sprintf("slot=%03d %s migrate/%s root=%d to=%d", a.Slot, verb, a.Kind, a.A, a.B)
 	case ClassLag:
 		return fmt.Sprintf("slot=%03d %s lag node=%d", a.Slot, verb, a.A)
 	}
@@ -136,6 +142,10 @@ func Generate(seed int64, slots int, sh Shape) *Schedule {
 		return true
 	}
 
+	at := make([]int, sh.Roots) // each root's server as the schedule leaves it
+	for r := range at {
+		at[r] = sh.RootServer(r)
+	}
 	cursor := 1
 	next := 0
 	for {
@@ -197,13 +207,16 @@ func Generate(seed int64, slots int, sh Shape) *Schedule {
 			inject.B = 0 // boot primary; only one kill per partition
 		case ClassMigrate:
 			r := rng.Intn(sh.Roots)
-			boot := sh.RootServer(r)
 			dest := 1 + rng.Intn(sh.Nodes-1)
-			if dest >= boot {
+			if dest >= at[r] {
 				dest++
 			}
 			inject.A = r
 			inject.B = dest
+			inject.Kind = MigrateBack
+			if rng.Intn(2) == 0 {
+				inject.Kind, at[r] = MigrateStay, dest
+			}
 		}
 		s.Actions = append(s.Actions, inject)
 		heal := inject

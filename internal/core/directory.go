@@ -12,19 +12,19 @@ import (
 )
 
 // Directory maps contexts to their hosting servers (§ 5.1 "Context
-// Mapping"). The authoritative copy lives with the eManager in cloud
-// storage; hosts and clients cache it. This in-process directory models the
-// cached mapping: lookups are cheap, and for a staleness window after a
-// migration, routing to a moved context reports the old server so the
-// runtime can charge the forwarding hop the paper describes ("s1 will
-// forward those events to s2 directly and notify source host to update its
-// context map").
+// Mapping"). In a replicated deployment the authoritative copy is the
+// replication log, whose records every node's directory applies; hosts and
+// clients cache it. This in-process directory models the cached mapping:
+// lookups are cheap, and for a staleness window after a migration, routing
+// to a moved context reports the old server so the runtime can charge the
+// forwarding hop the paper describes ("s1 will forward those events to s2
+// directly and notify source host to update its context map").
 //
 // The directory is striped the same way as the context registry: per-event
 // operations (Locate, Route, Place, Move, Forget) touch only the shard the
 // context hashes to, so events on distinct contexts never serialize here.
-// Whole-directory reads (HostedOn, Len, Snapshot) walk the shards one at a
-// time; they serve the eManager's control plane, not the event hot path.
+// HostedOn, the whole-directory read, walks the shards one at a time; it
+// serves the eManager's control plane, not the event hot path.
 //
 // The event hot path, which holds the *Context, comes here only where a
 // message crosses servers (the forwarding window is a property of the remote
@@ -233,23 +233,6 @@ func (d *Directory) HostedOn(s cluster.ServerID) []ownership.ID {
 			if host == s {
 				out = append(out, id)
 			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// Snapshot copies the full context→server mapping, shard by shard. The
-// eManager uses it to persist the authoritative copy to cloud storage
-// (§ 5.1); each shard is internally consistent, and placements that race the
-// walk land in the next snapshot.
-func (d *Directory) Snapshot() map[ownership.ID]cluster.ServerID {
-	out := make(map[ownership.ID]cluster.ServerID)
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.RLock()
-		for id, host := range sh.loc {
-			out[id] = host
 		}
 		sh.mu.RUnlock()
 	}

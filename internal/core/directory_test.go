@@ -19,7 +19,7 @@ func TestDirectoryPlaceLocate(t *testing.T) {
 	if _, ok := d.Locate(ownership.ID(2)); ok {
 		t.Fatal("unknown context should not locate")
 	}
-	if n := len(d.Snapshot()); n != 1 {
+	if n := len(d.HostedOn(10)); n != 1 {
 		t.Fatalf("%d contexts placed; want 1", n)
 	}
 }
@@ -286,7 +286,7 @@ func TestPlacementCacheSurvivesCreatesNotMoves(t *testing.T) {
 	if !placementCached(rt.dir, c) || rt.dir.gen.Load() != gen {
 		t.Fatalf("1000 CreateContext calls moved the generation %d → %d", gen, rt.dir.gen.Load())
 	}
-	if err := rt.Rehost(other, servers[1].ID()); err != nil {
+	if err := rt.RehostBatch([]ownership.ID{other}, servers[1].ID()); err != nil {
 		t.Fatal(err)
 	}
 	if placementCached(rt.dir, c) {

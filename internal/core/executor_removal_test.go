@@ -84,10 +84,10 @@ func TestRemovedServerQueueDrainsAndReroutesAtExecution(t *testing.T) {
 	// Scale in: migrate both contexts to B, then remove A. The gate is
 	// mid-event; its placement moves while the handler runs, exactly like a
 	// migration racing slow events.
-	if err := rt.Rehost(cellID, b.ID()); err != nil {
+	if err := rt.RehostBatch([]ownership.ID{cellID}, b.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Rehost(gate, b.ID()); err != nil {
+	if err := rt.RehostBatch([]ownership.ID{gate}, b.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.RemoveServer(a.ID()); err != nil {
@@ -142,7 +142,7 @@ func TestSubmitAfterServerRemovalUsesNewHostPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Rehost(cellID, b.ID()); err != nil {
+	if err := rt.RehostBatch([]ownership.ID{cellID}, b.ID()); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.RemoveServer(a.ID()); err != nil {

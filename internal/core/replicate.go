@@ -8,9 +8,10 @@ import (
 	"aeon/internal/schema"
 )
 
-// Replicator sequences structural ownership-network mutations through a
-// fleet-wide log so every node of a multi-process deployment applies them in
-// the same order (and therefore assigns the same context IDs). The runtime
+// Replicator sequences structural ownership-network mutations and
+// migration commits through a fleet-wide log so every node of a
+// multi-process deployment applies them in the same order (and therefore
+// assigns the same context IDs and places each group alike). The runtime
 // calls it on its mutation entry points when one is installed
 // (SetReplicator); the replication plane calls back into the Apply* helpers
 // below, which perform the local side effects without re-entering the
@@ -24,6 +25,9 @@ type Replicator interface {
 	AddEdge(parent, child ownership.ID) error
 	// DestroyContext appends a detach-and-remove mutation.
 	DestroyContext(id ownership.ID) error
+	// Move appends a migration group's new placement; its apply is
+	// RehostBatch.
+	Move(members []ownership.ID, to cluster.ServerID) error
 	// CatchUp applies every log record the local replica has not seen. The
 	// runtime calls it before failing an event with ErrUnknownContext: the
 	// target may have been created on another node an instant ago.
@@ -32,8 +36,8 @@ type Replicator interface {
 
 // SetReplicator installs the fleet-wide mutation log on the runtime's
 // structural mutation paths (CreateContext/CreateContextOn, Call.NewContext,
-// Call.AddOwner, DestroyContext). Call once during node startup before
-// events are submitted, like SetRemote; nil restores process-local
+// Call.AddOwner, DestroyContext, CommitMove). Call once during node startup
+// before events are submitted, like SetRemote; nil restores process-local
 // mutations.
 func (r *Runtime) SetReplicator(rep Replicator) { r.repl = rep }
 
@@ -44,6 +48,17 @@ func (r *Runtime) AddOwnerEdge(parent, child ownership.ID) error {
 		return r.repl.AddEdge(parent, child)
 	}
 	return r.graph.AddEdge(parent, child)
+}
+
+// CommitMove places a migration group on server `to`, through the
+// replication log when one is installed: the move is a log record, so every
+// node, a restarted one included, learns it by applying it. The caller holds
+// every member via LockGroupForMigration.
+func (r *Runtime) CommitMove(ids []ownership.ID, to cluster.ServerID) error {
+	if r.repl != nil {
+		return r.repl.Move(ids, to)
+	}
+	return r.RehostBatch(ids, to)
 }
 
 // ApplyCreateContext performs the local side effects of a context creation:

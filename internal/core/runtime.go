@@ -758,9 +758,10 @@ func (r *Runtime) LockGroupForMigration(ids []ownership.ID, memberTimeout time.D
 
 // RehostBatch moves a whole migration group to one server: a single
 // directory update (one staleness epoch via Directory.MoveBatch) plus bulk
-// hosted-counter accounting. The caller must hold every member via
-// LockGroupForMigration. Members already on the destination are counted as
-// no-ops.
+// hosted-counter accounting. On a server that hosts the group the caller
+// holds every member via LockGroupForMigration; a replicated move applied
+// elsewhere needs no lock, since no event runs on the group there. Members
+// already on the destination are counted as no-ops.
 func (r *Runtime) RehostBatch(ids []ownership.ID, to cluster.ServerID) error {
 	dst, ok := r.cluster.Server(to)
 	if !ok {
@@ -788,28 +789,5 @@ func (r *Runtime) RehostBatch(ids []ownership.ID, to cluster.ServerID) error {
 		}
 	}
 	dst.AddHosted(moved)
-	return nil
-}
-
-// Rehost moves a context's placement to another server, adjusting hosted
-// counters and opening the directory's forwarding window. The caller must
-// hold the context via LockForMigration.
-func (r *Runtime) Rehost(id ownership.ID, to cluster.ServerID) error {
-	from, ok := r.dir.Locate(id)
-	if !ok {
-		return fmt.Errorf("%v: %w", id, ErrUnknownContext)
-	}
-	if _, ok := r.cluster.Server(to); !ok {
-		return fmt.Errorf("rehost %v: %w", to, cluster.ErrNoSuchServer)
-	}
-	if err := r.dir.Move(id, to); err != nil {
-		return err
-	}
-	if s, ok := r.cluster.Server(from); ok {
-		s.AddHosted(-1)
-	}
-	if s, ok := r.cluster.Server(to); ok {
-		s.AddHosted(1)
-	}
 	return nil
 }

@@ -786,7 +786,7 @@ func TestRehostMovesPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.rt.Rehost(w.i1, to); err != nil {
+	if err := w.rt.RehostBatch([]ownership.ID{w.i1}, to); err != nil {
 		t.Fatal(err)
 	}
 	release()

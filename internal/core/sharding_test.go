@@ -46,32 +46,6 @@ func TestDirectoryShardedStaleness(t *testing.T) {
 	}
 }
 
-func TestDirectorySnapshot(t *testing.T) {
-	d := NewDirectory(time.Second)
-	const n = 300
-	for i := 1; i <= n; i++ {
-		d.Place(ownership.ID(i), cluster.ServerID(1+i%4))
-	}
-	if err := d.Move(ownership.ID(7), 9); err != nil {
-		t.Fatal(err)
-	}
-	snap := d.Snapshot()
-	if len(snap) != n {
-		t.Fatalf("snapshot size = %d; want %d", len(snap), n)
-	}
-	if snap[7] != 9 {
-		t.Fatalf("snapshot[7] = %v; want moved host 9", snap[7])
-	}
-	for i := 1; i <= n; i++ {
-		if i == 7 {
-			continue
-		}
-		if want := cluster.ServerID(1 + i%4); snap[ownership.ID(i)] != want {
-			t.Fatalf("snapshot[%d] = %v; want %v", i, snap[ownership.ID(i)], want)
-		}
-	}
-}
-
 // blockSchema is a minimal schema for executor tests: "wait" parks until
 // its channel argument closes, "inc" bumps an int, "spawnInc" dispatches an
 // inc sub-event at the context given in args[0], "sleep" sleeps for args[0].
@@ -308,7 +282,7 @@ func TestShardedRuntimeStress(t *testing.T) {
 					return
 				}
 				to := servers[rng.Intn(len(servers))].ID()
-				if err := rt.Rehost(id, to); err != nil {
+				if err := rt.RehostBatch([]ownership.ID{id}, to); err != nil {
 					release()
 					errs <- fmt.Errorf("rehost: %w", err)
 					return
@@ -344,7 +318,11 @@ func TestShardedRuntimeStress(t *testing.T) {
 	}
 
 	// All private contexts were destroyed: only the shared rooms remain.
-	if n := len(rt.Directory().Snapshot()); n != nShared {
+	placed := 0
+	for _, srv := range rt.Cluster().Servers() {
+		placed += len(rt.Directory().HostedOn(srv.ID()))
+	}
+	if n := placed; n != nShared {
 		t.Fatalf("directory len = %d; want %d", n, nShared)
 	}
 	if got := rt.reg.len(); got != nShared {

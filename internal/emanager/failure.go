@@ -7,7 +7,6 @@ import (
 
 	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
-	"aeon/internal/migration"
 	"aeon/internal/ownership"
 )
 
@@ -16,7 +15,7 @@ import (
 // implemented here follows its stated design: context state is
 // checkpointed to cloud storage via the snapshot API, and when a server is
 // lost, the eManager re-creates the lost contexts on surviving servers from
-// their most recent checkpoints and republishes the mapping. Events
+// their most recent checkpoints and records their new placement. Events
 // submitted to a recovering context simply queue on its activation lock and
 // execute once recovery completes.
 
@@ -217,8 +216,8 @@ type FailureReport struct {
 // RecoverServerFailure handles the loss of a server: every context it
 // hosted is re-homed onto surviving servers, state is restored from the
 // most recent checkpoint where one exists (factory state otherwise), and
-// the mapping is republished. The failed server is removed from the
-// cluster.
+// each re-homing commits as a placement record, like a migration's. The
+// failed server is removed from the cluster.
 func (m *Manager) RecoverServerFailure(failed cluster.ServerID) (*FailureReport, error) {
 	// Checkpoint keys name log-assigned context IDs; replay them against
 	// the replicated graph, not a possibly stale local rebuild.
@@ -260,11 +259,7 @@ func (m *Manager) RecoverServerFailure(failed cluster.ServerID) (*FailureReport,
 			report.Reset = append(report.Reset, id)
 		}
 		c.SetState(st)
-		if err := m.rt.Rehost(id, to); err != nil {
-			release()
-			return report, err
-		}
-		if _, err := m.store.Put(migration.MapKey(id), migration.EncodeServerID(to)); err != nil {
+		if err := m.rt.CommitMove([]ownership.ID{id}, to); err != nil {
 			release()
 			return report, err
 		}

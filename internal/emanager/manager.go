@@ -611,18 +611,3 @@ func (m *Manager) removeServer(id cluster.ServerID) error {
 	}
 	return m.rt.Cluster().RemoveServer(id)
 }
-
-// PersistMapping journals the current context mapping to the cloud store
-// (done in bulk at deployment time; individual migrations update entries).
-// It reads one directory snapshot — a single pass over the shards — and
-// writes it as one batched put instead of a round trip per context, using
-// the same key/value schema the engine publishes in migration step III.
-func (m *Manager) PersistMapping() error {
-	snap := m.rt.Directory().Snapshot()
-	entries := make(map[string][]byte, len(snap))
-	for id, srv := range snap {
-		entries[migration.MapKey(id)] = migration.EncodeServerID(srv)
-	}
-	_, err := m.store.PutBatch(entries)
-	return err
-}

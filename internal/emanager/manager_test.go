@@ -267,9 +267,9 @@ func TestRecoverSurvivesCrashDuringRecovery(t *testing.T) {
 	}
 
 	// Second manager crashes again *during recovery*, this time after the
-	// remap step of the re-run.
+	// transfer step of the re-run, before its move commits.
 	mgr2 := New(f.rt, f.store, f.mgr.cfg)
-	crashAfter(mgr2, migration.StepRemapped)
+	crashAfter(mgr2, migration.StepTransferred)
 	if err := mgr2.Recover(); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("recover err = %v; want simulated crash", err)
 	}

@@ -9,13 +9,20 @@
 //	II  one stop exchange with the source, then one group stop window in
 //	    which membership is re-snapshotted (children created mid-migration
 //	    are adopted, never left behind) and sealed into the WAL
-//	III one δ settle, then one bulk mapping publish (a single batched
-//	    cloud-store write for the whole group)
+//	III one δ settle
 //	IV  one coalesced state transfer (group bytes summed, protocol CPU
-//	    charged once per endpoint pair) and one bulk directory remap with a
-//	    single staleness epoch (Directory.MoveBatch)
+//	    charged once per endpoint pair), journaled once the destination
+//	    holds the state; then the move commits as one placement record
+//	    (Runtime.CommitMove: one replicated-log append that every node
+//	    applies as a bulk directory remap with a single staleness epoch)
 //	V   one resume + one journal clear — after the move converged, so a
 //	    crash mid-recovery never orphans the journal entry
+//
+// The placement record is the paper's published mapping (§ 5.2): the log
+// is where every node, a restarted one included, learns the move. It is
+// appended only after the transfer installed, never at the δ settle: a
+// third node that applied it earlier would forward events into a
+// destination that does not hold the group's state yet.
 //
 // Migrations of disjoint groups run concurrently on a bounded worker pool
 // behind a Future-style async API, so policy loops and server drains are not
@@ -64,8 +71,7 @@ type Step int
 const (
 	StepPrepared    Step = 1 // intent journaled, destination prepared
 	StepStopped     Step = 2 // group stopped, membership sealed
-	StepRemapped    Step = 3 // new mapping published to cloud storage
-	StepTransferred Step = 4 // state transferred, runtime remapped
+	StepTransferred Step = 3 // destination holds the state; the move commits next
 )
 
 // stopTimeout bounds each member's acquisition in a group stop window; a
@@ -75,7 +81,7 @@ const stopTimeout = 25 * time.Millisecond
 // Config tunes the engine.
 type Config struct {
 	// Delta is the paper's δ: the settle time between stopping the source
-	// and publishing the new mapping (step III). Charged once per group.
+	// and transferring its state (step III). Charged once per group.
 	Delta time.Duration
 	// ProtocolWork is the CPU consumed on each endpoint per protocol round
 	// (message handling, serialization); the batched protocol charges it
@@ -87,7 +93,7 @@ type Config struct {
 	// Transfer, when set, performs the group's state transfer in step IV —
 	// the node runtime ships serialized member state over the transport mesh
 	// to the destination node here. It runs inside the stop window, after
-	// the bandwidth charge and before the directory remap; an error aborts
+	// the bandwidth charge and before the move commits; an error aborts
 	// the migration with the WAL record left behind for Recover. nil keeps
 	// the single-process semantics (state stays in the shared registry, so
 	// there is nothing to move).
@@ -382,15 +388,6 @@ type groupWAL struct {
 
 func walKey(root ownership.ID) string { return fmt.Sprintf("wal/migration/%d", uint64(root)) }
 
-// MapKey is the cloud-store key of a context's authoritative placement
-// entry, and EncodeServerID its value encoding. Exported so the eManager's
-// bulk PersistMapping and failure re-homing write the same schema the
-// engine publishes in step III.
-func MapKey(id ownership.ID) string { return fmt.Sprintf("map/%d", uint64(id)) }
-
-// EncodeServerID renders a server ID for a mapping entry.
-func EncodeServerID(s cluster.ServerID) []byte { return []byte(fmt.Sprintf("%d", int(s))) }
-
 func encodeWAL(w groupWAL) []byte {
 	var buf bytes.Buffer
 	_ = gob.NewEncoder(&buf).Encode(w)
@@ -466,7 +463,7 @@ func (e *Engine) run(root ownership.ID, from, to cluster.ServerID, members []own
 	// under the group between the prepare snapshot and the stop would
 	// otherwise be left behind on the source, splitting the group.
 	if subtree {
-		members, release, _ = e.adoptNewMembers(root, from, members, release)
+		members, release = e.adoptNewMembers(root, from, members, release)
 	}
 	wal.Step = StepStopped
 	wal.Members = members
@@ -474,25 +471,13 @@ func (e *Engine) run(root ownership.ID, from, to cluster.ServerID, members []own
 		return err
 	}
 
-	// Step III: one δ settle for the whole group, then publish the new
-	// mapping — the journaled step plus one batched mapping write.
+	// Step III: one δ settle for the whole group.
 	time.Sleep(e.cfg.Delta)
-	wal.Step = StepRemapped
-	if err := e.journal(wal); err != nil {
-		return err
-	}
-	mappings := make(map[string][]byte, len(members))
-	for _, id := range members {
-		mappings[MapKey(id)] = EncodeServerID(to)
-	}
-	if _, err := e.store.PutBatch(mappings); err != nil {
-		return fmt.Errorf("publish mapping: %w", err)
-	}
 
 	// Step IV: coalesced state transfer. Group bytes are summed into one
 	// bandwidth charge and the protocol CPU is charged once per endpoint
-	// pair (the slower endpoint bounds the exchange), then the runtime
-	// remaps the whole group in one directory update — a single staleness
+	// pair (the slower endpoint bounds the exchange), then the move commits
+	// for the whole group in one placement record — a single staleness
 	// epoch for every member.
 	total := 0
 	for _, id := range members {
@@ -522,42 +507,33 @@ func (e *Engine) run(root ownership.ID, from, to cluster.ServerID, members []own
 		srcServer.AddTransferBytes(int64(total))
 	}
 	dstServer.AddTransferBytes(int64(total))
-	// Final adoption sweep right before the remap: children created during
+	// Final adoption sweep right before the commit: children created during
 	// the δ and transfer sleeps were placed on the still-current source and
 	// would be stranded there. Newborns carry factory state, so they ride
-	// the move without re-running the transfer; their mappings are
-	// published in one straggler batch.
+	// the move without re-running the transfer.
 	if subtree {
-		var late []ownership.ID
-		members, release, late = e.adoptNewMembers(root, from, members, release)
-		if len(late) > 0 {
-			lateMaps := make(map[string][]byte, len(late))
-			for _, id := range late {
-				lateMaps[MapKey(id)] = EncodeServerID(to)
-			}
-			if _, err := e.store.PutBatch(lateMaps); err != nil {
-				return fmt.Errorf("publish straggler mapping: %w", err)
-			}
-		}
+		members, release = e.adoptNewMembers(root, from, members, release)
 	}
 	// Multi-process deployments ship the serialized member states to the
 	// destination node here — after the final adoption sweep, so the frame
 	// carries the complete membership (stragglers ride along with factory
-	// state), and before this node's directory remap publishes the new
-	// placement. A failed transfer aborts the migration with the WAL record
-	// intact for Recover; the destination installs state and remaps its own
-	// directory replica inside the handler.
+	// state), and before the move commits. A failed transfer aborts the
+	// migration with the WAL record intact for Recover; the destination
+	// installs state and remaps its own directory replica inside the
+	// handler.
 	if e.cfg.Transfer != nil {
 		if err := e.cfg.Transfer(members, from, to, total); err != nil {
 			return fmt.Errorf("state transfer %v→%v: %w", from, to, err)
 		}
 	}
-	if err := e.rt.RehostBatch(members, to); err != nil {
-		return err
-	}
 	wal.Step = StepTransferred
 	wal.Members = members
 	if err := e.journal(wal); err != nil {
+		return err
+	}
+	// The commit point: with the state installed, the placement record
+	// moves the group on every node.
+	if err := e.rt.CommitMove(members, to); err != nil {
 		return err
 	}
 
@@ -587,13 +563,12 @@ func (e *Engine) run(root ownership.ID, from, to cluster.ServerID, members []own
 // A newcomer claimed by another in-flight group is skipped (that group owns
 // its move), as is one still held by a straggler event (left behind with
 // the per-member protocol's semantics rather than failing the group).
-// Returns the grown member list, the re-wrapped release, and the adoptees.
-func (e *Engine) adoptNewMembers(root ownership.ID, from cluster.ServerID, members []ownership.ID, release func()) ([]ownership.ID, func(), []ownership.ID) {
+// Returns the grown member list and the re-wrapped release.
+func (e *Engine) adoptNewMembers(root ownership.ID, from cluster.ServerID, members []ownership.ID, release func()) ([]ownership.ID, func()) {
 	have := make(map[ownership.ID]bool, len(members))
 	for _, id := range members {
 		have[id] = true
 	}
-	var adopted []ownership.ID
 	for _, id := range e.groupMembers(root, from) {
 		if have[id] {
 			continue
@@ -609,9 +584,8 @@ func (e *Engine) adoptNewMembers(root ownership.ID, from cluster.ServerID, membe
 		prev := release
 		release = func() { rel(); prev() }
 		members = append(members, id)
-		adopted = append(adopted, id)
 	}
-	return members, release, adopted
+	return members, release
 }
 
 // stopGroup opens the group stop window: every member exclusively activated
@@ -674,13 +648,32 @@ func (e *Engine) Recover(from cluster.ServerID) error {
 	return nil
 }
 
-// recoverGroup converges one journaled group onto its destination. Whether
-// the crash hit before or after the mapping was published, re-running the
-// batched protocol converges: the runtime-side move happens atomically in
-// step IV under the group stop. Members sealed in the WAL that no longer
-// sit with the root (crash between partial effects) are swept individually.
+// recoverGroup converges one journaled group onto its destination. A group
+// journaled as transferred rolls forward: the destination holds its state,
+// so the move commits by its placement record, appended for every member
+// the log does not place there yet. An earlier crash re-runs the batched
+// protocol, whose move happens atomically in step IV under the group stop;
+// members sealed in the WAL that no longer sit with the root (crash between
+// partial effects) are swept individually.
 func (e *Engine) recoverGroup(w groupWAL) error {
 	dir := e.rt.Directory()
+	if w.Step == StepTransferred {
+		var pending []ownership.ID
+		for _, id := range w.Members {
+			if cur, ok := dir.Locate(id); ok && cur != w.To {
+				pending = append(pending, id)
+			}
+		}
+		if len(pending) == 0 {
+			return nil
+		}
+		release, err := e.stopGroup(pending)
+		if err != nil {
+			return err
+		}
+		defer release()
+		return e.rt.CommitMove(pending, w.To)
+	}
 	if cur, ok := dir.Locate(w.Root); ok && cur != w.To {
 		if err := e.MigrateGroup(w.Root, w.To); err != nil {
 			return err

@@ -2,6 +2,7 @@ package migration
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,10 +111,10 @@ func TestGroupMigrationOneProtocolRound(t *testing.T) {
 				t.Fatalf("size %d: member %v on %v; want destination", size, id, srv)
 			}
 		}
-		// 4 journaled steps + 1 batched mapping write + 1 journal clear,
-		// independent of group size.
-		if got := w1 - w0; got != 6 {
-			t.Fatalf("size %d: %d store writes; want 6 (one protocol round)", size, got)
+		// 3 journaled steps + 1 journal clear, independent of group size
+		// (the commit is a log append, and this runtime has no log).
+		if got := w1 - w0; got != 4 {
+			t.Fatalf("size %d: %d store writes; want 4 (one protocol round)", size, got)
 		}
 		if f.engine.Groups.Value() != 1 || f.engine.StopWindows.Value() != 1 {
 			t.Fatalf("size %d: groups=%d stopWindows=%d; want 1/1",
@@ -166,22 +167,37 @@ func TestChildCreatedInStopWindowMigrates(t *testing.T) {
 
 // TestChildCreatedAfterSealMigrates pins the final adoption sweep: a
 // context created after membership was sealed (during the δ settle or the
-// state transfer) is still swept into the move right before the bulk remap
+// state transfer) is still swept into the move right before it commits
 // instead of being stranded on the source.
 func TestChildCreatedAfterSealMigrates(t *testing.T) {
 	f := newFixture(t, 2)
 	root, _ := f.group(t, f.server(t, 0), 2)
 	var straggler ownership.ID
+	var moved []ownership.ID
 	f.engine.Hooks.AfterStep = func(_ ownership.ID, s Step) error {
-		if s == StepRemapped && straggler == ownership.None {
-			// Runs after the sealed membership was journaled and the
-			// mapping published, before the transfer and remap.
+		switch {
+		case s == StepStopped && straggler == ownership.None:
+			// Runs after the sealed membership was journaled, before the δ
+			// settle, the transfer and the commit.
 			id, err := f.rt.CreateContext("Item", root)
 			if err != nil {
 				t.Errorf("create after seal: %v", err)
 				return nil
 			}
 			straggler = id
+		case s == StepTransferred:
+			// The journaled membership is the one the move commits.
+			raw, _, err := f.store.Get(walKey(root))
+			if err != nil {
+				t.Errorf("transferred record: %v", err)
+				return nil
+			}
+			w, err := decodeWAL(raw)
+			if err != nil {
+				t.Errorf("transferred record: %v", err)
+				return nil
+			}
+			moved = w.Members
 		}
 		return nil
 	}
@@ -194,13 +210,9 @@ func TestChildCreatedAfterSealMigrates(t *testing.T) {
 	if srv, _ := f.rt.Directory().Locate(straggler); srv != f.server(t, 1) {
 		t.Fatalf("post-seal child on %v; want destination %v (stranded)", srv, f.server(t, 1))
 	}
-	// Its mapping entry was published too.
-	raw, _, err := f.store.Get(MapKey(straggler))
-	if err != nil {
-		t.Fatalf("straggler mapping: %v", err)
-	}
-	if string(raw) != string(EncodeServerID(f.server(t, 1))) {
-		t.Fatalf("straggler mapping = %q", raw)
+	// It rode the move itself, not a placement of its own.
+	if !slices.Contains(moved, straggler) {
+		t.Fatalf("straggler %v not in the committed move %v", straggler, moved)
 	}
 	if _, err := f.rt.Submit(straggler, "inc"); err != nil {
 		t.Fatal(err)
@@ -292,9 +304,9 @@ func TestMigrateValidation(t *testing.T) {
 }
 
 // TestGroupMoveIsAtomicInDirectory pins the single-epoch remap at every
-// protocol-visible point: throughout the stop window the whole group is
-// still on the source, and by the time the transferred step is journaled
-// the whole group is already on the destination — there is no protocol
+// protocol-visible point: throughout the stop window, the transferred step
+// included, the whole group is still on the source, and once the move
+// commits the whole group is on the destination — there is no protocol
 // state in which the group is split across servers (the per-member loop
 // kept it split for the entire tail of the loop).
 func TestGroupMoveIsAtomicInDirectory(t *testing.T) {
@@ -319,16 +331,10 @@ func TestGroupMoveIsAtomicInDirectory(t *testing.T) {
 		}
 	}
 	f.engine.Hooks.AfterStep = func(_ ownership.ID, s Step) error {
-		switch s {
-		case StepRemapped:
-			// Mapping published to cloud storage, runtime not yet remapped.
+		if s == StepTransferred {
+			// State transferred, the move not yet committed.
 			if hit, miss := on(src); miss != 0 {
-				t.Errorf("after remap step: %d/%d members already off the source", miss, hit+miss)
-			}
-		case StepTransferred:
-			// The bulk remap happened: the whole group flipped together.
-			if hit, miss := on(dst); miss != 0 {
-				t.Errorf("after transfer step: %d/%d members not on destination", miss, hit+miss)
+				t.Errorf("after transfer step: %d/%d members already off the source", miss, hit+miss)
 			}
 		}
 		return nil

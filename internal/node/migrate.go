@@ -30,6 +30,13 @@ func (n *Node) MigrateRemote(owner transport.NodeID, root ownership.ID, to clust
 // handleMigrate serves a commanded migration: only the node embodying the
 // group's current host may run it (the migration engine is source-driven).
 func (n *Node) handleMigrate(root ownership.ID, to cluster.ServerID) error {
+	// The record that placed the group here may still be on its way to this
+	// replica: read the log before judging where the group is.
+	if n.plane != nil {
+		if err := n.plane.CatchUp(); err != nil {
+			return fmt.Errorf("migrate %v: %w", root, err)
+		}
+	}
 	host, ok := n.rt.Directory().Locate(root)
 	if !ok {
 		return fmt.Errorf("%v: %w", root, core.ErrUnknownContext)
@@ -56,9 +63,9 @@ func (n *Node) handleMigrate(root ownership.ID, to cluster.ServerID) error {
 }
 
 // transferGroup is the migration engine's Transfer hook: serialize every
-// member's state and ship it to the destination node, which installs it and
-// remaps its directory replica. Destinations embodied by this node need no
-// wire round trip (the registry is shared process-wide).
+// member's state and ship it to the destination node, which installs it.
+// Destinations embodied by this node need no wire round trip (the registry
+// is shared process-wide).
 func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, totalBytes int) error {
 	if n.isLocal(to) {
 		return nil
@@ -104,7 +111,9 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 		// themselves authoritative for the group. If the probe says "not
 		// committed" (or the peer is unreachable), abort with the WAL
 		// intact: the group resumes at the source, and the journal entry is
-		// left for the source's next Start to roll forward.
+		// left for the source's next Start to roll forward. With the
+		// replication log the destination places nothing itself, so the
+		// probe says no and the state it installed stays unused.
 		if len(members) > 0 && n.transferCommitted(members[0], to) {
 			return nil
 		}
@@ -131,11 +140,12 @@ func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
 }
 
 // handleTransfer installs a migrated group on this node: decode and set
-// each member's state, then remap the local directory replica in one
-// MoveBatch epoch (RehostBatch) and mirror the NIC transfer accounting the
-// source engine charges on its side. Members without a States entry (nil
-// state, adopted stragglers carrying factory state) are remapped without a
-// state install.
+// each member's state and mirror the NIC transfer accounting the source
+// engine charges on its side. Members without a States entry (nil state,
+// adopted stragglers carrying factory state) keep the state they have.
+// With the log, the source's move record places the group here, in log
+// order as on every node (placing it now, an older move applied late would
+// undo it); without it, this node remaps its own directory replica.
 func (n *Node) handleTransfer(req *schema.TransferRec) error {
 	from, to := cluster.ServerID(req.From), cluster.ServerID(req.To)
 	if !n.isLocal(to) {
@@ -164,8 +174,10 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 		}
 		c.SetState(v)
 	}
-	if err := n.rt.RehostBatch(req.Members, to); err != nil {
-		return err
+	if n.plane == nil {
+		if err := n.rt.RehostBatch(req.Members, to); err != nil {
+			return err
+		}
 	}
 	n.transfersIn.Add(1)
 	n.emit("transfer.install", map[string]any{

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"aeon/internal/cloudstore"
+	"aeon/internal/cluster"
 	"aeon/internal/core"
+	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
@@ -167,14 +169,86 @@ func TestRemoteStorePutBatchIsOneChargedWrite(t *testing.T) {
 	}
 }
 
-func TestPersistMappingJournalsIntoAuthoritativeStore(t *testing.T) {
-	d := deploy(t, 2)
-	if err := d.Nodes[1].mgr.PersistMapping(); err != nil {
-		t.Fatalf("persist: %v", err)
+// TestMoveRecordPlacesTheGroupOnAThirdNode moves node 2's bank to server 1
+// while node 3 takes no part: once node 3's replica has applied the log, it
+// places the whole group on the destination before it forwards any call,
+// and its first call goes there directly.
+func TestMoveRecordPlacesTheGroupOnAThirdNode(t *testing.T) {
+	d := deployReplicated(t, transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), 3)
+	n1, n2, n3 := d.Nodes[0], d.Nodes[1], d.Nodes[2]
+	if err := n1.MigrateRemote(n2.ID(), d.Top.Banks[1], 1); err != nil {
+		t.Fatal(err)
 	}
-	keys, err := d.Stores[0].List("map/")
-	if err != nil || len(keys) == 0 {
-		t.Fatalf("authoritative store mapping keys = %v err=%v", keys, err)
+	if err := n3.Plane().WaitFor(n2.Plane().Applied(), 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	group := append([]ownership.ID{d.Top.Banks[1]}, d.Top.Accounts[1]...)
+	for _, id := range group {
+		if srv, _ := n3.Runtime().Directory().Locate(id); srv != 1 {
+			t.Fatalf("node 3 places %v on %v before any call, want 1", id, srv)
+		}
+	}
+	if n3.Forwarded() != 0 {
+		t.Fatalf("node 3 forwarded %d calls before it was asked anything", n3.Forwarded())
+	}
+	n2fwd := n2.Forwarded()
+	if res, err := n3.Submit(d.Top.Accounts[1][0], "balance"); err != nil || res.(int) != 1000 {
+		t.Fatalf("balance from node 3 = %v err=%v", res, err)
+	}
+	if n2.Forwarded() != n2fwd {
+		t.Fatal("node 3's call went through the source")
+	}
+}
+
+// TestBackToBackMovesFollowTheLog moves node 2's bank around three nodes,
+// each move commanded at the server the previous one left it on as soon as
+// that returned. Every node places the group by applying the move records
+// in log order, so a destination never falls back to an older placement it
+// applies late; and a command, which can reach the new host before the
+// record's notify does, reads the log before it looks for the group.
+func TestBackToBackMovesFollowTheLog(t *testing.T) {
+	d := deployReplicated(t, transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), 3)
+	bank, host := d.Top.Banks[1], transport.NodeID(2)
+	for i := 0; i < 200; i++ {
+		to := host%3 + 1
+		if err := d.Nodes[0].MigrateRemote(host, bank, cluster.ServerID(to)); err != nil {
+			t.Fatalf("move %d, %v→%v: %v", i, host, to, err)
+		}
+		host = to
+	}
+	for _, n := range d.Nodes {
+		if err := n.Plane().CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		if srv, _ := n.Runtime().Directory().Locate(bank); srv != cluster.ServerID(host) {
+			t.Errorf("node %v places the bank on %v, want %v", n.ID(), srv, host)
+		}
+	}
+	if res, err := d.Nodes[0].Submit(d.Top.Accounts[1][0], "balance"); err != nil || res.(int) != 1000 {
+		t.Fatalf("balance after the moves = %v err=%v", res, err)
+	}
+}
+
+// TestUncommittedTransferHostsNothing installs a transfer of node 2's bank
+// on node 1 whose move never commits, as when the source's log append
+// fails: node 1 keeps placing the bank on server 2, which still hosts it,
+// so a read from node 1 sees node 2's deposit, not node 1's stale copy.
+func TestUncommittedTransferHostsNothing(t *testing.T) {
+	d := deployReplicated(t, transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), 2)
+	n1, n2 := d.Nodes[0], d.Nodes[1]
+	bank, acct := d.Top.Banks[1], d.Top.Accounts[1][0]
+	if _, err := n2.Submit(acct, "deposit", 100); err != nil {
+		t.Fatal(err)
+	}
+	members := append([]ownership.ID{bank}, d.Top.Accounts[1]...)
+	if err := n1.handleTransfer(&schema.TransferRec{Members: members, From: 2, To: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if srv, _ := n1.Runtime().Directory().Locate(bank); srv != 2 {
+		t.Fatalf("node 1 places the bank on %v before any move record, want 2", srv)
+	}
+	if res, err := n1.Submit(acct, "balance"); err != nil || res.(int) != 1100 {
+		t.Fatalf("balance from node 1 = %v err=%v, want node 2's 1100", res, err)
 	}
 }
 
@@ -300,15 +374,12 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 	if err := d.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	n1, n2 := d.Nodes[0], d.Nodes[1]
+	n1 := d.Nodes[0]
 	acct := d.Top.Accounts[1][0]
 
 	res, err := n1.Submit(acct, "deposit", 77)
 	if err != nil || res.(int) != 1077 {
 		t.Fatalf("tcp remote deposit = %v err=%v", res, err)
-	}
-	if err := n2.mgr.PersistMapping(); err != nil {
-		t.Fatalf("tcp persist: %v", err)
 	}
 	if err := n1.MigrateRemote(2, d.Top.Banks[1], 1); err != nil {
 		t.Fatalf("tcp migrate: %v", err)

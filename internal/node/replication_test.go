@@ -77,15 +77,7 @@ func (c *fakeClock) fireNext() {
 // replicated ownership-metadata control plane enabled.
 func deployReplicated(t *testing.T, mesh transport.Mesh, n int) *Deployment {
 	t.Helper()
-	d, err := Deploy(mesh, Topology{Nodes: n, Replicate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Close)
-	if err := d.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return deployTopology(t, mesh, Topology{Nodes: n, Replicate: true})
 }
 
 // diffScripts fails the test when the deployment's outcomes diverge from

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/cluster"
+	"aeon/internal/ownership"
 	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
@@ -39,15 +41,17 @@ func restartNode(t *testing.T, d *Deployment, mesh transport.Mesh, top Topology,
 	return n
 }
 
+// restartMeshes are the two meshes every restart round trip runs over.
+var restartMeshes = map[string]func() transport.Mesh{
+	"inmem": func() transport.Mesh { return transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})) },
+	"tcp":   func() transport.Mesh { return transport.NewTCPMesh() },
+}
+
 // TestRestartKeepsAcknowledgedWrites is the round trip: ten acked deposits
 // of 100 into an account node 2 hosts, node 2 restarted, and the account
 // reads 2000 from both nodes, over the in-memory mesh and TCP loopback.
 func TestRestartKeepsAcknowledgedWrites(t *testing.T) {
-	meshes := map[string]func() transport.Mesh{
-		"inmem": func() transport.Mesh { return transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})) },
-		"tcp":   func() transport.Mesh { return transport.NewTCPMesh() },
-	}
-	for name, newMesh := range meshes {
+	for name, newMesh := range restartMeshes {
 		t.Run(name, func(t *testing.T) {
 			mesh := newMesh()
 			top := Topology{Nodes: 2, Replicate: true}
@@ -71,6 +75,92 @@ func TestRestartKeepsAcknowledgedWrites(t *testing.T) {
 					t.Fatalf("node %v reads %v (err %v) after node 2 restarted, want 2000", n.ID(), res, err)
 				}
 			}
+		})
+	}
+}
+
+// deployTopology deploys top on mesh and waits until the fleet is meshed.
+func deployTopology(t *testing.T, mesh transport.Mesh, top Topology) *Deployment {
+	t.Helper()
+	d, err := Deploy(mesh, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if err := d.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// deposits acks n deposits of 100 into acct, submitted at node `at`.
+func deposits(t *testing.T, at *Node, acct ownership.ID, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := at.Submit(acct, "deposit", 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// placedAndReads checks every node, once its replica has caught up with the
+// log, places bank on server `on` and reads want from acct.
+func placedAndReads(t *testing.T, d *Deployment, bank, acct ownership.ID, on cluster.ServerID, want int) {
+	t.Helper()
+	for _, n := range d.Nodes {
+		if err := n.Plane().CatchUp(); err != nil {
+			t.Fatalf("node %v catch-up: %v", n.ID(), err)
+		}
+		if srv, _ := n.Runtime().Directory().Locate(bank); srv != on {
+			t.Errorf("node %v places the bank on %v, want %v", n.ID(), srv, on)
+		}
+		if res, err := n.Submit(acct, "balance"); err != nil || res.(int) != want {
+			t.Errorf("node %v reads %v (err %v), want %d", n.ID(), res, err, want)
+		}
+	}
+}
+
+// TestSourceRestartAfterMigrationKeepsAcknowledgedWrites restarts the
+// source of a move: five deposits, node 2's bank moved to server 1, five
+// more deposits, node 2 restarted. The restarted node learns the move from
+// the log, so it neither takes the group back nor restores its pre-move
+// state: both nodes place the bank on server 1 and read 2000.
+func TestSourceRestartAfterMigrationKeepsAcknowledgedWrites(t *testing.T) {
+	for name, newMesh := range restartMeshes {
+		t.Run(name, func(t *testing.T) {
+			mesh := newMesh()
+			top := Topology{Nodes: 2, Replicate: true}
+			d := deployTopology(t, mesh, top)
+			bank, acct := d.Top.Banks[1], d.Top.Accounts[1][0]
+			deposits(t, d.Nodes[0], acct, 5)
+			if err := d.Nodes[0].MigrateRemote(2, bank, 1); err != nil {
+				t.Fatal(err)
+			}
+			deposits(t, d.Nodes[0], acct, 5)
+			restartNode(t, d, mesh, top, 2)
+			placedAndReads(t, d, bank, acct, 1, 2000)
+		})
+	}
+}
+
+// TestDestinationRestartAfterMigrationKeepsAcknowledgedWrites restarts the
+// destination of a move: node 2's bank moved to server 1 and took five
+// deposits, then node 1 restarted (the store is on node 3). Node 1
+// checkpointed the moved group at close and places it on itself again at
+// boot, so every node routes to it and reads 1500.
+func TestDestinationRestartAfterMigrationKeepsAcknowledgedWrites(t *testing.T) {
+	for name, newMesh := range restartMeshes {
+		t.Run(name, func(t *testing.T) {
+			mesh := newMesh()
+			top := Topology{Nodes: 3, StoreNode: 3, Replicate: true}
+			d := deployTopology(t, mesh, top)
+			bank, acct := d.Top.Banks[1], d.Top.Accounts[1][0]
+			if err := d.Nodes[0].MigrateRemote(2, bank, 1); err != nil {
+				t.Fatal(err)
+			}
+			deposits(t, d.Nodes[0], acct, 5)
+			restartNode(t, d, mesh, top, 1)
+			placedAndReads(t, d, bank, acct, 1, 1500)
 		})
 	}
 }

@@ -1,11 +1,11 @@
-// Package replication makes the ownership graph and cluster map a
-// replicated state machine: every structural mutation — context creation
-// and destruction, ownership-edge changes, server membership — is captured
-// as a schema-registered wire record, appended to an ordered, durable log
-// in the cloud store, and applied in sequence order by every node's local
-// replica. Log order, not process-local call order, assigns context IDs, so
-// a context created at runtime on one node is addressable from every other
-// node without coordination beyond the log itself.
+// Package replication makes the ownership graph, the placement and the
+// cluster map a replicated state machine: every structural mutation —
+// context creation and destruction, ownership-edge changes, a group's move,
+// server membership — is captured as a schema-registered wire record,
+// appended to an ordered, durable log in the cloud store, and applied in
+// sequence order by every node's local replica. Log order, not
+// process-local call order, assigns context IDs and places moved groups, so
+// every node, a restarted one included, agrees on both.
 //
 // Log layout (cloud-store keys):
 //
@@ -80,6 +80,9 @@ const (
 	// OpRemoveServer releases Server ("scale in"). Applied force-removed:
 	// the drain was validated by the capturing node.
 	OpRemoveServer
+	// OpMove places a migration group's Members on Server: the commit
+	// point of a migration, appended once the destination holds the state.
+	OpMove
 )
 
 // String renders the op for logs and errors.
@@ -99,6 +102,8 @@ func (o Op) String() string {
 		return "add-server"
 	case OpRemoveServer:
 		return "remove-server"
+	case OpMove:
+		return "move"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -117,6 +122,8 @@ type Mutation struct {
 	Parent, Child ownership.ID
 	// Target names the context of detach/remove ops.
 	Target ownership.ID
+	// Members names the contexts an OpMove places on Server.
+	Members []ownership.ID
 	// Profile describes the server added by OpAddServer.
 	Profile cluster.Profile
 }

@@ -364,6 +364,10 @@ func (p *Plane) applyMutation(m Mutation) Result {
 		// Force-removed: validated by the capturing node; replica hosted
 		// counters are routing metadata and must not veto membership.
 		return Result{Server: m.Server, Err: p.rt.Cluster().ForceRemoveServer(m.Server)}
+	case OpMove:
+		// Every node moves the group here, in log order; a node that
+		// restarts replays it like any other record.
+		return Result{Server: m.Server, Err: p.rt.RehostBatch(m.Members, m.Server)}
 	default:
 		return Result{Err: fmt.Errorf("replication: unknown mutation %v", m.Op)}
 	}
@@ -575,6 +579,19 @@ func (p *Plane) AddEdge(parent, child ownership.ID) error {
 		return err
 	}
 	res, err := p.submit(Mutation{Op: OpAddEdge, Parent: parent, Child: child})
+	if err != nil {
+		return err
+	}
+	return res.Err
+}
+
+// Move implements core.Replicator: it commits a migration group's move to
+// server `to` by appending one record, which every replica applies.
+func (p *Plane) Move(members []ownership.ID, to cluster.ServerID) error {
+	if err := checkIDs(members...); err != nil {
+		return err
+	}
+	res, err := p.submit(Mutation{Op: OpMove, Members: members, Server: to})
 	if err != nil {
 		return err
 	}

@@ -305,14 +305,24 @@ func TestConcurrentAppendersConvergeUnderContention(t *testing.T) {
 func TestApplyIdempotentUnderDuplicateAndStalePokes(t *testing.T) {
 	clk := useFakeClock(t)
 	store := cloudstore.New()
-	rt, roots := newTestRuntime(t, 1)
+	rt, roots := newTestRuntime(t, 2)
 	p := newTestPlane(t, rt, store, 1)
 
-	if _, err := rt.CreateContextOn(1, "Leaf", roots[0]); err != nil {
+	leaf, err := rt.CreateContextOn(1, "Leaf", roots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.CommitMove([]ownership.ID{leaf}, 2); err != nil {
 		t.Fatal(err)
 	}
 	applies := p.Applies()
 	lenBefore := rt.Graph().Len()
+	hosted := func() [2]int {
+		s1, _ := rt.Cluster().Server(1)
+		s2, _ := rt.Cluster().Server(2)
+		return [2]int{s1.Hosted(), s2.Hosted()}
+	}
+	hostedBefore := hosted()
 	// Duplicate, stale, and future pokes must never re-apply a record.
 	for i := 0; i < 10; i++ {
 		p.Poke(1)
@@ -334,6 +344,9 @@ func TestApplyIdempotentUnderDuplicateAndStalePokes(t *testing.T) {
 	}
 	if rt.Graph().Len() != lenBefore {
 		t.Fatalf("graph changed under duplicate pokes: %d → %d", lenBefore, rt.Graph().Len())
+	}
+	if srv, _ := rt.Directory().Locate(leaf); srv != 2 || hosted() != hostedBefore {
+		t.Fatalf("move re-applied under duplicate pokes: leaf on %v, hosted %v → %v", srv, hostedBefore, hosted())
 	}
 }
 

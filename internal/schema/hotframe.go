@@ -120,8 +120,8 @@ type NotifyRec struct {
 
 // TransferRec ships a stopped migration group's serialized state to the
 // destination node (migration step IV over the mesh). States maps member ID
-// to its EncodeWire payload; members without an entry are remapped without
-// a state install.
+// to its EncodeWire payload; members without an entry keep the state they
+// have.
 type TransferRec struct {
 	Members    []ownership.ID
 	From, To   int64
