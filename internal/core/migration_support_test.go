@@ -10,6 +10,70 @@ import (
 	"aeon/internal/schema"
 )
 
+// faultyMoveLog is a Replicator whose move appends all report an error:
+// with landed the record reached the log anyway, and the next readable
+// CatchUp applies it. Its first `blind` log reads fail.
+type faultyMoveLog struct {
+	Replicator
+	rt      *Runtime
+	landed  bool
+	blind   int
+	pending []ownership.ID
+	to      cluster.ServerID
+}
+
+func (l *faultyMoveLog) Move(ids []ownership.ID, to cluster.ServerID) error {
+	if l.landed {
+		l.pending, l.to = ids, to
+	}
+	return errors.New("append acknowledgment lost")
+}
+
+func (l *faultyMoveLog) CatchUp() error {
+	if l.blind > 0 {
+		l.blind--
+		return errors.New("log unreadable")
+	}
+	if l.pending == nil {
+		return nil
+	}
+	ids := l.pending
+	l.pending = nil
+	return l.rt.RehostBatch(ids, l.to)
+}
+
+// TestCommitMoveAsksTheLogAfterAFailedAppend fails the move append, once
+// after the record landed and once before, behind two unreadable log
+// reads: CommitMove reads the log until it answers, and reports the move
+// committed exactly when the log placed the group on the destination.
+func TestCommitMoveAsksTheLogAfterAFailedAppend(t *testing.T) {
+	for _, landed := range []bool{true, false} {
+		rt := newTestRuntime(t, 2)
+		servers := rt.Cluster().Servers()
+		from, to := servers[0].ID(), servers[1].ID()
+		room, err := rt.CreateContextOn(from, "Room")
+		if err != nil {
+			t.Fatal(err)
+		}
+		item, _ := rt.CreateContextOn(from, "Item", room)
+		log := &faultyMoveLog{rt: rt, landed: landed, blind: 2}
+		rt.SetReplicator(log)
+		err = rt.CommitMove([]ownership.ID{room, item}, to)
+		want := from
+		if landed {
+			want = to
+		}
+		for _, id := range []ownership.ID{room, item} {
+			if srv, _ := rt.Directory().Locate(id); srv != want {
+				t.Fatalf("landed=%v: %v on %v, want %v", landed, id, srv, want)
+			}
+		}
+		if (err == nil) != landed || log.blind != 0 {
+			t.Fatalf("landed=%v: CommitMove = %v after %d unread log reads", landed, err, log.blind)
+		}
+	}
+}
+
 // TestRehostBatchMovesGroupAndCounts checks the bulk runtime remap: one
 // directory update for the whole group plus correct hosted-counter
 // accounting, with members already on the destination counted as no-ops.

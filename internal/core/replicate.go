@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
@@ -50,15 +51,41 @@ func (r *Runtime) AddOwnerEdge(parent, child ownership.ID) error {
 	return r.graph.AddEdge(parent, child)
 }
 
+// moveSettle bounds how long CommitMove reads the log after an append
+// that reported an error.
+const moveSettle = 10 * time.Second
+
 // CommitMove places a migration group on server `to`, through the
 // replication log when one is installed: the move is a log record, so every
 // node, a restarted one included, learns it by applying it. The caller holds
-// every member via LockGroupForMigration.
+// every member via LockGroupForMigration until CommitMove returns. An append
+// that reported an error may still have landed (its acknowledgment lost, or
+// the read-back after it failed), and a source that resumed then would
+// serve writes the record, applied later, discards; so CommitMove reads the
+// log until it answers: nil when it places every member on `to`, the
+// append's error when it does not. A log still unreadable after moveSettle
+// leaves the outcome unknown, and the append's error is returned.
 func (r *Runtime) CommitMove(ids []ownership.ID, to cluster.ServerID) error {
-	if r.repl != nil {
-		return r.repl.Move(ids, to)
+	if r.repl == nil {
+		return r.RehostBatch(ids, to)
 	}
-	return r.RehostBatch(ids, to)
+	err := r.repl.Move(ids, to)
+	if err == nil {
+		return nil
+	}
+	deadline := time.Now().Add(moveSettle)
+	for backoff := time.Millisecond; r.repl.CatchUp() != nil; backoff = min(2*backoff, 100*time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("commit move, log unreadable: %w", err)
+		}
+		time.Sleep(backoff)
+	}
+	for _, id := range ids {
+		if srv, ok := r.dir.Locate(id); !ok || srv != to {
+			return fmt.Errorf("commit move: %w", err)
+		}
+	}
+	return nil
 }
 
 // ApplyCreateContext performs the local side effects of a context creation:

@@ -208,7 +208,7 @@ func crashAfter(mgr *Manager, step migration.Step) {
 // journaled WAL step; a fresh manager over the same store must converge the
 // group onto the destination and only then clear the journal.
 func TestRecoverFinishesCrashedMigration(t *testing.T) {
-	for step := migration.StepPrepared; step <= migration.StepTransferred; step++ {
+	for _, step := range []migration.Step{migration.StepPrepared, migration.StepStopped, migration.StepTransferred} {
 		f := newFixture(t, 2, 1)
 		room := f.rooms[0]
 		item, err := f.rt.CreateContext("Item", room)
@@ -267,9 +267,9 @@ func TestRecoverSurvivesCrashDuringRecovery(t *testing.T) {
 	}
 
 	// Second manager crashes again *during recovery*, this time after the
-	// transfer step of the re-run, before its move commits.
+	// stop step of the re-run, before its move commits.
 	mgr2 := New(f.rt, f.store, f.mgr.cfg)
-	crashAfter(mgr2, migration.StepTransferred)
+	crashAfter(mgr2, migration.StepStopped)
 	if err := mgr2.Recover(); !errors.Is(err, errSimulatedCrash) {
 		t.Fatalf("recover err = %v; want simulated crash", err)
 	}

@@ -62,6 +62,7 @@ var sleeps = []site{
 
 	{backoff, "chaos/driver.go", "(*driver).step", 1},
 	{backoff, "cloudstore/retry.go", "Retry", 1},
+	{backoff, "core/replicate.go", "(*Runtime).CommitMove", 1},
 	{backoff, "migration/engine.go", "(*Engine).stopGroup", 1},
 	{backoff, "node/node.go", "(*Node).recover", 1},
 
@@ -69,6 +70,7 @@ var sleeps = []site{
 	{probe, "chaos/chaos.go", "(*runner).readEntity", 1},
 	{probe, "chaos/chaos.go", "waitUntil", 1},
 	{probe, "node/harness.go", "(*Deployment).WaitReady", 1},
+	{probe, "node/migrate.go", "(*Node).awaitMoves", 1},
 
 	{work, "core/sharding_test.go", "blockSchema", 1},
 	{work, "workload/workload_test.go", "TestClosedLoopRuns", 1},

@@ -11,10 +11,11 @@
 //	    are adopted, never left behind) and sealed into the WAL
 //	III one δ settle
 //	IV  one coalesced state transfer (group bytes summed, protocol CPU
-//	    charged once per endpoint pair), journaled once the destination
-//	    holds the state; then the move commits as one placement record
-//	    (Runtime.CommitMove: one replicated-log append that every node
-//	    applies as a bulk directory remap with a single staleness epoch)
+//	    charged once per endpoint pair); once the destination holds the
+//	    state the move commits as one placement record (Runtime.CommitMove:
+//	    one replicated-log append that every node applies as a bulk
+//	    directory remap with a single staleness epoch), and the commit is
+//	    journaled
 //	V   one resume + one journal clear — after the move converged, so a
 //	    crash mid-recovery never orphans the journal entry
 //
@@ -22,7 +23,10 @@
 // is where every node, a restarted one included, learns the move. It is
 // appended only after the transfer installed, never at the δ settle: a
 // third node that applied it earlier would forward events into a
-// destination that does not hold the group's state yet.
+// destination that does not hold the group's state yet. The group stays
+// stopped until the log says whether the record landed; a move that did not
+// commit resumes on the source with its journal at StepStopped, so Recover
+// re-runs the transfer from whatever the source acknowledged since.
 //
 // Migrations of disjoint groups run concurrently on a bounded worker pool
 // behind a Future-style async API, so policy loops and server drains are not
@@ -71,8 +75,12 @@ type Step int
 const (
 	StepPrepared    Step = 1 // intent journaled, destination prepared
 	StepStopped     Step = 2 // group stopped, membership sealed
-	StepTransferred Step = 3 // destination holds the state; the move commits next
+	StepTransferred Step = 4 // state transferred, move committed
 )
+
+// Step 3 journaled a published mapping; the log's move record replaced it.
+// An entry a build with that step left at 3 recovers like any entry whose
+// move has not committed.
 
 // stopTimeout bounds each member's acquisition in a group stop window; a
 // collision with an in-flight multi-context event retries after a backoff.
@@ -518,22 +526,21 @@ func (e *Engine) run(root ownership.ID, from, to cluster.ServerID, members []own
 	// destination node here — after the final adoption sweep, so the frame
 	// carries the complete membership (stragglers ride along with factory
 	// state), and before the move commits. A failed transfer aborts the
-	// migration with the WAL record intact for Recover; the destination
-	// installs state and remaps its own directory replica inside the
-	// handler.
+	// migration with the WAL record intact for Recover.
 	if e.cfg.Transfer != nil {
 		if err := e.cfg.Transfer(members, from, to, total); err != nil {
 			return fmt.Errorf("state transfer %v→%v: %w", from, to, err)
 		}
 	}
+	// The commit point: with the state installed, the placement record
+	// moves the group on every node. CommitMove returns once the log says
+	// whether it landed; only then may the group resume.
+	if err := e.rt.CommitMove(members, to); err != nil {
+		return err
+	}
 	wal.Step = StepTransferred
 	wal.Members = members
 	if err := e.journal(wal); err != nil {
-		return err
-	}
-	// The commit point: with the state installed, the placement record
-	// moves the group on every node.
-	if err := e.rt.CommitMove(members, to); err != nil {
 		return err
 	}
 
@@ -648,32 +655,16 @@ func (e *Engine) Recover(from cluster.ServerID) error {
 	return nil
 }
 
-// recoverGroup converges one journaled group onto its destination. A group
-// journaled as transferred rolls forward: the destination holds its state,
-// so the move commits by its placement record, appended for every member
-// the log does not place there yet. An earlier crash re-runs the batched
-// protocol, whose move happens atomically in step IV under the group stop;
-// members sealed in the WAL that no longer sit with the root (crash between
-// partial effects) are swept individually.
+// recoverGroup converges one journaled group onto its destination. Its
+// callers catch the replica up with the log first (Manager.Recover, a
+// node's boot), so a move whose record landed already places the root on
+// the destination and needs nothing more. A move that never committed
+// re-runs the batched protocol from the state the source holds now, and its
+// move happens atomically in step IV under the group stop. Members sealed
+// in the WAL that no longer sit with the root (crash between partial
+// effects) are swept individually.
 func (e *Engine) recoverGroup(w groupWAL) error {
 	dir := e.rt.Directory()
-	if w.Step == StepTransferred {
-		var pending []ownership.ID
-		for _, id := range w.Members {
-			if cur, ok := dir.Locate(id); ok && cur != w.To {
-				pending = append(pending, id)
-			}
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-		release, err := e.stopGroup(pending)
-		if err != nil {
-			return err
-		}
-		defer release()
-		return e.rt.CommitMove(pending, w.To)
-	}
 	if cur, ok := dir.Locate(w.Root); ok && cur != w.To {
 		if err := e.MigrateGroup(w.Root, w.To); err != nil {
 			return err

@@ -304,9 +304,9 @@ func TestMigrateValidation(t *testing.T) {
 }
 
 // TestGroupMoveIsAtomicInDirectory pins the single-epoch remap at every
-// protocol-visible point: throughout the stop window, the transferred step
-// included, the whole group is still on the source, and once the move
-// commits the whole group is on the destination — there is no protocol
+// protocol-visible point: throughout the stop window the whole group is
+// still on the source, and by the time the transferred step is journaled
+// the whole group is already on the destination — there is no protocol
 // state in which the group is split across servers (the per-member loop
 // kept it split for the entire tail of the loop).
 func TestGroupMoveIsAtomicInDirectory(t *testing.T) {
@@ -332,9 +332,9 @@ func TestGroupMoveIsAtomicInDirectory(t *testing.T) {
 	}
 	f.engine.Hooks.AfterStep = func(_ ownership.ID, s Step) error {
 		if s == StepTransferred {
-			// State transferred, the move not yet committed.
-			if hit, miss := on(src); miss != 0 {
-				t.Errorf("after transfer step: %d/%d members already off the source", miss, hit+miss)
+			// The move committed: the whole group flipped together.
+			if hit, miss := on(dst); miss != 0 {
+				t.Errorf("after transfer step: %d/%d members not on destination", miss, hit+miss)
 			}
 		}
 		return nil
@@ -351,7 +351,7 @@ func TestGroupMoveIsAtomicInDirectory(t *testing.T) {
 // verifies a fresh engine over the same store converges the whole group and
 // clears the journal only afterwards.
 func TestRecoverAtEveryStep(t *testing.T) {
-	for step := StepPrepared; step <= StepTransferred; step++ {
+	for _, step := range []Step{StepPrepared, StepStopped, StepTransferred} {
 		f := newFixture(t, 2)
 		root, members := f.group(t, f.server(t, 0), 3)
 

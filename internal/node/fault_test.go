@@ -7,12 +7,17 @@ package node
 // from the authoritative store after a node dies.
 
 import (
+	"context"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
+	"aeon/internal/schema"
 	"aeon/internal/transport"
 )
 
@@ -347,4 +352,87 @@ func TestTransferResidualConvergesViaWALRecovery(t *testing.T) {
 		}
 		converged(t, d, bank, acct, 2, journal)
 	})
+}
+
+// tapFunc decides the fate of one store call node `from` makes on a
+// replication-log record: send delivers it.
+type tapFunc func(from transport.NodeID, op cloudstore.Op, send func() (transport.Message, error)) (transport.Message, error)
+
+// recordTap is a mesh whose endpoints hand every store call on a
+// replication-log record to the installed tapFunc; with none installed, or
+// for any other call, they pass the call through.
+type recordTap struct {
+	transport.Mesh
+	tap atomic.Pointer[tapFunc]
+}
+
+func (m *recordTap) Attach(id transport.NodeID, h transport.Handler) (transport.Endpoint, error) {
+	ep, err := m.Mesh.Attach(id, h)
+	return recordTapEndpoint{ep, m}, err
+}
+
+type recordTapEndpoint struct {
+	transport.Endpoint
+	m *recordTap
+}
+
+func (e recordTapEndpoint) Call(ctx context.Context, to transport.NodeID, req transport.Message) (transport.Message, error) {
+	send := func() (transport.Message, error) { return e.Endpoint.Call(ctx, to, req) }
+	tap := e.m.tap.Load()
+	var op cloudstore.Op
+	if tap == nil || req.Kind != schema.KindStore || op.UnmarshalWire(req.Payload) != nil || !strings.HasPrefix(op.Key, "replog/rec/") {
+		return send()
+	}
+	return (*tap)(e.ID(), op, send)
+}
+
+// TestFaultyMoveCommitKeepsAcknowledgedWrites fails the log append that
+// commits a move of node 2's bank to server 1: "rejected" before the record
+// lands, "reply-lost" after it landed, with the reply and the read that
+// probes for the record lost. Node 2 keeps the group stopped until the log
+// answers, so the move succeeds exactly when its record landed, and the
+// group resumes on node 2 only when it did not. Five deposits follow
+// through node 2 and a journal recovery there finishes any move left
+// behind: both nodes place the bank on server 1 and read all ten deposits.
+func TestFaultyMoveCommitKeepsAcknowledgedWrites(t *testing.T) {
+	lost := errors.New("injected store fault")
+	for name, landed := range map[string]bool{"rejected": false, "reply-lost": true} {
+		t.Run(name, func(t *testing.T) {
+			mesh := &recordTap{Mesh: transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))}
+			d := deployTopology(t, mesh, Topology{Nodes: 2, Replicate: true})
+			bank, acct := d.Top.Banks[1], d.Top.Accounts[1][0]
+			deposits(t, d.Nodes[1], acct, 5)
+			var fired atomic.Bool
+			var blind atomic.Int32
+			tap := tapFunc(func(_ transport.NodeID, op cloudstore.Op, send func() (transport.Message, error)) (transport.Message, error) {
+				switch {
+				case op.Kind == cloudstore.OpCAS && !fired.Swap(true):
+					if landed {
+						resp, err := send()
+						if err == nil {
+							resp.Release()
+						}
+						blind.Store(1)
+					}
+					return transport.Message{}, lost
+				case op.Kind == cloudstore.OpGet && blind.Add(-1) >= 0:
+					return transport.Message{}, lost
+				}
+				return send()
+			})
+			mesh.tap.Store(&tap)
+			err := d.Nodes[0].MigrateRemote(2, bank, 1)
+			if !fired.Load() || (err == nil) != landed {
+				t.Errorf("move with its commit %s: err %v", name, err)
+			}
+			deposits(t, d.Nodes[1], acct, 5)
+			if err := d.Nodes[1].mgr.Recover(); err != nil {
+				t.Fatalf("journal recovery: %v", err)
+			}
+			placedAndReads(t, d, bank, acct, 1, 2000)
+			if keys, _ := d.Stores[0].List("wal/migration/"); len(keys) != 0 {
+				t.Fatalf("migration WAL left behind: %v", keys)
+			}
+		})
+	}
 }

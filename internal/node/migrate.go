@@ -104,17 +104,14 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 	raw, err := n.ep.Call(ctx, n.nodeFor(to), transport.Message{Kind: schema.KindTransfer, Payload: payload})
 	if err != nil {
 		// Ambiguous outcome: the request — or just its ack — may have been
-		// lost after the destination installed the state and remapped its
-		// directory (it commits inside the handler). Probe the destination:
-		// if it committed, the transfer succeeded and the source must
-		// proceed with its own remap, or two processes would both consider
-		// themselves authoritative for the group. If the probe says "not
-		// committed" (or the peer is unreachable), abort with the WAL
-		// intact: the group resumes at the source, and the journal entry is
-		// left for the source's next Start to roll forward. With the
-		// replication log the destination places nothing itself, so the
-		// probe says no and the state it installed stays unused.
-		if len(members) > 0 && n.transferCommitted(members[0], to) {
+		// lost after the destination installed the state. With the log only
+		// the move record, which an aborted migration never appends, places
+		// the group there. Without it the destination remaps itself inside
+		// the handler, so probe it: if it committed, the source must proceed
+		// with its own remap, or two processes would both be authoritative.
+		// Otherwise (or if the peer is unreachable) abort with the WAL
+		// intact for the source's next Start to roll forward.
+		if n.plane == nil && len(members) > 0 && n.transferCommitted(members[0], to) {
 			return nil
 		}
 		return fmt.Errorf("transfer to %v: %w", to, err)
@@ -143,9 +140,9 @@ func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
 // each member's state and mirror the NIC transfer accounting the source
 // engine charges on its side. Members without a States entry (nil state,
 // adopted stragglers carrying factory state) keep the state they have.
-// With the log, the source's move record places the group here, in log
-// order as on every node (placing it now, an older move applied late would
-// undo it); without it, this node remaps its own directory replica.
+// With the log the source's move record places the group here, in log
+// order (placing it now, an older move applied late would undo it);
+// without it this node remaps its own directory replica.
 func (n *Node) handleTransfer(req *schema.TransferRec) error {
 	from, to := cluster.ServerID(req.From), cluster.ServerID(req.To)
 	if !n.isLocal(to) {
@@ -178,6 +175,13 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 		if err := n.rt.RehostBatch(req.Members, to); err != nil {
 			return err
 		}
+	} else {
+		n.installMu.Lock()
+		n.pruneInstallsLocked()
+		for _, id := range req.Members {
+			n.installs[id] = time.Now()
+		}
+		n.installMu.Unlock()
 	}
 	n.transfersIn.Add(1)
 	n.emit("transfer.install", map[string]any{
@@ -192,4 +196,33 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 		s.AddTransferBytes(req.TotalBytes)
 	}
 	return nil
+}
+
+// awaitMoves runs in Close before the checkpoint, which covers only what the
+// replica places here: it waits for the move records of the groups this
+// node installed in the last installWait, which their sources append right
+// after the transfer's ack. A group left unplaced longer belongs to a move
+// its source aborted, and its installed state is not this node's to keep.
+func (n *Node) awaitMoves() {
+	for {
+		_ = n.plane.CatchUp()
+		n.installMu.Lock()
+		left := n.pruneInstallsLocked()
+		n.installMu.Unlock()
+		if left == 0 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// pruneInstallsLocked forgets the installs the replica places here and
+// those older than installWait, and returns how many are left.
+func (n *Node) pruneInstallsLocked() int {
+	for id, at := range n.installs {
+		if srv, ok := n.rt.Directory().Locate(id); ok && n.isLocal(srv) || time.Since(at) > installWait {
+			delete(n.installs, id)
+		}
+	}
+	return len(n.installs)
 }

@@ -110,14 +110,16 @@ type Config struct {
 
 // A node's bounds: forwarding hops per submit chain; a mesh call (submit
 // forwards, store ops); a state transfer or commanded migration, which moves
-// real bytes through protocol windows; and a submit's wait for the local
+// real bytes through protocol windows; a submit's wait for the local
 // replica to reach the sender's log sequence, after which it fails with
-// replication.ErrReplicaLagging.
+// replication.ErrReplicaLagging; and how long after installing a transfer
+// Close waits for its move record.
 const (
 	maxHops         = 4
 	callTimeout     = 10 * time.Second
 	transferTimeout = 60 * time.Second
 	replicaLagWait  = 5 * time.Second
+	installWait     = 2 * time.Second
 )
 
 // StorePartition names the replica set serving one keyspace partition of
@@ -168,6 +170,11 @@ type Node struct {
 	shutdownCh   chan struct{}
 
 	closeOnce sync.Once
+
+	// installs holds when each group member a transfer installed here was
+	// installed, until the replica places the member here (log mode only).
+	installMu sync.Mutex
+	installs  map[ownership.ID]time.Time
 }
 
 // Start attaches a node to the mesh: it wires the runtime's multi-process
@@ -184,6 +191,7 @@ func Start(mesh transport.Mesh, cfg Config) (*Node, error) {
 		id:         cfg.ID,
 		rt:         cfg.Runtime,
 		shutdownCh: make(chan struct{}),
+		installs:   make(map[ownership.ID]time.Time),
 	}
 	n.baseCtx, n.baseCancel = context.WithCancel(context.Background())
 
@@ -331,6 +339,9 @@ func (n *Node) Close() error {
 		start := time.Now()
 		n.mgr.Stop()
 		n.rt.Drain()
+		if n.plane != nil {
+			n.awaitMoves()
+		}
 		// A node that ran no writing event and installed no transferred
 		// state holds what its restart rebuilds or restores.
 		count, cerr := 0, error(nil)

@@ -232,7 +232,8 @@ func TestBackToBackMovesFollowTheLog(t *testing.T) {
 // TestUncommittedTransferHostsNothing installs a transfer of node 2's bank
 // on node 1 whose move never commits, as when the source's log append
 // fails: node 1 keeps placing the bank on server 2, which still hosts it,
-// so a read from node 1 sees node 2's deposit, not node 1's stale copy.
+// so a read from node 1 sees node 2's deposit, not node 1's stale copy. A
+// later move ships the state node 2 acknowledged since.
 func TestUncommittedTransferHostsNothing(t *testing.T) {
 	d := deployReplicated(t, transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})), 2)
 	n1, n2 := d.Nodes[0], d.Nodes[1]
@@ -250,6 +251,10 @@ func TestUncommittedTransferHostsNothing(t *testing.T) {
 	if res, err := n1.Submit(acct, "balance"); err != nil || res.(int) != 1100 {
 		t.Fatalf("balance from node 1 = %v err=%v, want node 2's 1100", res, err)
 	}
+	if err := n1.MigrateRemote(n2.ID(), bank, 1); err != nil {
+		t.Fatal(err)
+	}
+	placedAndReads(t, d, bank, acct, 1, 1100)
 }
 
 func TestMeshMigrationTransfersStateBetweenLiveNodes(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"aeon/internal/cloudstore"
 	"aeon/internal/cluster"
 	"aeon/internal/ownership"
 	"aeon/internal/schema"
@@ -160,6 +161,85 @@ func TestDestinationRestartAfterMigrationKeepsAcknowledgedWrites(t *testing.T) {
 			}
 			deposits(t, d.Nodes[0], acct, 5)
 			restartNode(t, d, mesh, top, 1)
+			placedAndReads(t, d, bank, acct, 1, 1500)
+		})
+	}
+}
+
+// TestDestinationCloseBeforeTheMoveAppliesKeepsItsState closes the
+// destination of a move after it installed the group's state but before its
+// replica applied the move record: node 2's bank takes five deposits and
+// moves to server 1 (the store is on node 3), then node 1 restarts. In
+// "appended" node 1's tailer is paused, so the record is in the log before
+// node 1 closes; in "appending" node 2's commit append is held until node 1,
+// closing, reads the log (or has closed). Either way node 1's close
+// checkpoints the group, and every node places the bank on server 1 and
+// reads 1500.
+func TestDestinationCloseBeforeTheMoveAppliesKeepsItsState(t *testing.T) {
+	for name, newMesh := range restartMeshes {
+		t.Run(name+"/appended", func(t *testing.T) {
+			mesh := newMesh()
+			top := Topology{Nodes: 3, StoreNode: 3, Replicate: true}
+			d := deployTopology(t, mesh, top)
+			bank, acct := d.Top.Banks[1], d.Top.Accounts[1][0]
+			deposits(t, d.Nodes[1], acct, 5)
+			d.Nodes[0].Plane().Pause()
+			if err := d.Nodes[2].MigrateRemote(2, bank, 1); err != nil {
+				t.Fatal(err)
+			}
+			restartNode(t, d, mesh, top, 1)
+			placedAndReads(t, d, bank, acct, 1, 1500)
+		})
+		t.Run(name+"/appending", func(t *testing.T) {
+			mesh := &recordTap{Mesh: newMesh()}
+			top := Topology{Nodes: 3, StoreNode: 3, Replicate: true}
+			d := deployTopology(t, mesh, top)
+			bank, acct := d.Top.Banks[1], d.Top.Accounts[1][0]
+			deposits(t, d.Nodes[1], acct, 5)
+			held, release, closing, reading := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+			var holdOnce, readOnce sync.Once
+			tap := tapFunc(func(from transport.NodeID, op cloudstore.Op, send func() (transport.Message, error)) (transport.Message, error) {
+				switch {
+				case op.Kind == cloudstore.OpCAS:
+					holdOnce.Do(func() { close(held); <-release })
+				case from == 1 && op.Kind == cloudstore.OpGet:
+					select {
+					case <-closing:
+						readOnce.Do(func() { close(reading) })
+					default:
+					}
+				}
+				return send()
+			})
+			mesh.tap.Store(&tap)
+			moved := make(chan error, 1)
+			go func() { moved <- d.Nodes[2].MigrateRemote(2, bank, 1) }()
+			<-held
+			old := d.Node(1)
+			closed := make(chan error, 1)
+			close(closing)
+			go func() { closed <- old.Close() }()
+			var err error
+			select {
+			case <-reading:
+				close(release)
+				err = <-closed
+			case err = <-closed:
+				close(release)
+			}
+			if err != nil {
+				t.Fatalf("close node 1: %v", err)
+			}
+			old.Runtime().Close()
+			if err := <-moved; err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Restart(mesh, top, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.WaitReady(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
 			placedAndReads(t, d, bank, acct, 1, 1500)
 		})
 	}

@@ -37,12 +37,12 @@ const (
 	// node (migration protocol step IV over the mesh).
 	KindTransfer = "node.transfer"
 	// KindTransferQuery asks a destination whether it places the group on
-	// itself. Without the replication log the destination does so as it
-	// installs the state, and the source uses the query to resolve a lost
-	// transfer ack: without it, a dropped response would leave the
-	// destination live while the source aborted — two authoritative
-	// copies. With the log, only the source's move record places the group,
-	// so the answer before it is no, and the source aborts.
+	// itself. Only deployments without the replication log send it: their
+	// destination does so as it installs the state, and the source uses the
+	// query to resolve a lost transfer ack — without it, a dropped response
+	// would leave the destination live while the source aborted, two
+	// authoritative copies. With the log only the source's move record
+	// places the group, so the source aborts without asking.
 	KindTransferQuery = "node.transfer.query"
 	// KindReplicate hints that the replication log advanced to a sequence:
 	// the appender sends it to every peer after a durable append so
