@@ -230,13 +230,24 @@ func (c *callEnv) Children(class string) ([]ownership.ID, error) {
 	if class == "" {
 		return children, nil
 	}
-	out := children[:0]
-	for _, ch := range children {
-		if cls, err := view.Class(ch); err == nil && cls == class {
-			out = append(out, ch)
+	match := func(ch ownership.ID) bool {
+		cls, err := view.Class(ch)
+		return err == nil && cls == class
+	}
+	// The snapshot's own slice goes out unless the filter drops a child, so
+	// listing a rollup's sensors copies nothing.
+	for i, ch := range children {
+		if !match(ch) {
+			out := append([]ownership.ID(nil), children[:i]...)
+			for _, ch := range children[i+1:] {
+				if match(ch) {
+					out = append(out, ch)
+				}
+			}
+			return out, nil
 		}
 	}
-	return out, nil
+	return children, nil
 }
 
 // Work implements schema.Call.

@@ -59,8 +59,8 @@ const moveSettle = 10 * time.Second
 // replication log when one is installed: the move is a log record, so every
 // node, a restarted one included, learns it by applying it. The caller holds
 // every member via LockGroupForMigration until CommitMove returns. An append
-// that reported an error may still have landed (its acknowledgment lost, or
-// the read-back after it failed), and a source that resumed then would
+// that reported an error may still have landed (its acknowledgment lost and
+// the probe for it failed), and a source that resumed then would
 // serve writes the record, applied later, discards; so CommitMove reads the
 // log until it answers: nil when it places every member on `to`, the
 // append's error when it does not. A log still unreadable after moveSettle

@@ -66,6 +66,11 @@ func fanSchema(t testing.TB) *schema.Schema {
 		call.State().(*hubState).sum = sum
 		return schema.Value{}, nil
 	}, schema.MayCall("Leaf", "bump"))
+	// list counts the hub's Leaf children.
+	hub.MustDeclareMethod("list", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
+		leaves, err := call.Children("Leaf")
+		return schema.Int(len(leaves)), err
+	}, schema.RO())
 	// spawn creates a leaf under the hub and calls it within the same event.
 	hub.MustDeclareMethod("spawn", func(call schema.Call, _ []schema.Value) (schema.Value, error) {
 		id, err := call.NewContext("Leaf", call.Self())
@@ -210,6 +215,78 @@ func TestSubCallPathAllocatesNothing(t *testing.T) {
 				t.Fatalf("%s.%s: %v allocations per event inside the runtime; want 0", target, method, n)
 			}
 		})
+	}
+}
+
+// TestChildrenListingAllocatesNothing: a handler that lists 32 children, all
+// of the class it asks for, is handed the ownership snapshot's own slice
+// (the parent commit copied it, one allocation per listing).
+func TestChildrenListingAllocatesNothing(t *testing.T) {
+	if alloctest.PoolIsLossy() {
+		t.Skip("sync.Pool drops entries at random under the race detector; every dropped event is rebuilt from scratch")
+	}
+	w := newFanWorld(t, 1, 32, transport.NullNetwork{}, 1)
+	list := func() {
+		if n, err := w.rt.Submit(w.hubs[0], "list"); err != nil || n != 32 {
+			t.Fatalf("list = %v, %v; want 32", n, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		list()
+	}
+	if n := testing.AllocsPerRun(500, list); n != 0 {
+		t.Fatalf("listing 32 children allocates %v per event; want 0", n)
+	}
+}
+
+// TestChildrenListingIsReadOnly: appending to a listing never writes into
+// the snapshot, and a class filter that drops a child lists the rest.
+func TestChildrenListingIsReadOnly(t *testing.T) {
+	var got []ownership.ID
+	s := schema.New()
+	box := s.MustDeclareClass("Box", nil)
+	s.MustDeclareClass("Leaf", nil)
+	box.MustDeclareMethod("kids", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		kids, err := call.Children(args[0].Str())
+		got = append(kids, ownership.None) // must copy, not extend the snapshot's slice
+		return schema.Value{}, err
+	}, schema.RO())
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(transport.NullNetwork{})
+	srv := cl.AddServer(cluster.M3Large).ID()
+	rt, err := New(s, ownership.NewGraph(), cl, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	root, _ := rt.CreateContextOn(srv, "Box")
+	var want []ownership.ID
+	for _, class := range []string{"Leaf", "Box", "Leaf"} {
+		id, err := rt.CreateContextOn(srv, class, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, id)
+	}
+	for _, tc := range []struct {
+		class string
+		want  []ownership.ID
+	}{
+		{"", want},
+		{"Leaf", []ownership.ID{want[0], want[2]}},
+		{"Box", want[1:2]},
+	} {
+		if _, err := rt.Submit(root, "kids", tc.class); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[:len(got)-1], tc.want) {
+			t.Fatalf("Children(%q) = %v; want %v", tc.class, got[:len(got)-1], tc.want)
+		}
+	}
+	if all, _ := rt.Graph().Children(root); !reflect.DeepEqual(all, want) {
+		t.Fatalf("snapshot children = %v after appends to listings; want %v", all, want)
 	}
 }
 

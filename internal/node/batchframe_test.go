@@ -463,3 +463,59 @@ func mustCreate(t *testing.T, rt *core.Runtime, class string) ownership.ID {
 	}
 	return id
 }
+
+// TestTransferInstallAllocBudget: a destination decodes and installs a
+// stopped 33-member group (a bank and its 32 accounts, the size of an
+// iot_elastic region) from one gob stream, so gob's type table is built
+// once per transfer, not once per member. It read 300 objects when the gate
+// was added (go1.24), most of them the one decoder's type table; the parent
+// commit, one decoder per member, read 5,479.
+func TestTransferInstallAllocBudget(t *testing.T) {
+	const budget = 400
+	d := deployTopology(t, transport.NewInMemMesh(transport.NewSim(transport.SimConfig{})),
+		Topology{Nodes: 2, Replicate: true, AccountsPerBank: 32})
+	n1, n2 := d.Nodes[0], d.Nodes[1]
+	members := append([]ownership.ID{d.Top.Banks[1]}, d.Top.Accounts[1]...)
+	if _, err := n2.Submit(members[len(members)-1], "deposit", 5); err != nil {
+		t.Fatal(err) // so the installed state differs from node 1's copy
+	}
+	rec := schema.TransferRec{Members: members, From: 2, To: 1}
+	var states []any
+	for _, id := range members {
+		c, err := n2.Runtime().Context(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.State(); st != nil {
+			rec.Stateful = append(rec.Stateful, id)
+			states = append(states, st)
+		}
+	}
+	var err error
+	if rec.States, err = schema.EncodeWires(states); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := rec.MarshalWire(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	install := func() {
+		var got schema.TransferRec
+		if err := got.UnmarshalWire(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.handleTransfer(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	install()
+	got := testing.AllocsPerRun(50, install)
+	t.Logf("installing a %d-member group (%d states) allocates %v objects", len(members), len(states), got)
+	if got > budget {
+		t.Fatalf("installing a %d-member group allocated %v objects; budget is %d", len(members), got, budget)
+	}
+	last := states[len(states)-1] // the last member's
+	if c, _ := n1.Runtime().Context(members[len(members)-1]); !reflect.DeepEqual(c.State(), last) {
+		t.Fatalf("installed state %+v; want %+v", c.State(), last)
+	}
+}

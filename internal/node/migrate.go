@@ -70,28 +70,29 @@ func (n *Node) transferGroup(members []ownership.ID, from, to cluster.ServerID, 
 	if n.isLocal(to) {
 		return nil
 	}
-	states := make(map[uint64][]byte, len(members))
+	var stateful []ownership.ID
+	var states []any
 	for _, id := range members {
 		c, err := n.rt.Context(id)
 		if err != nil {
 			return fmt.Errorf("transfer %v: %w", id, err)
 		}
-		st := c.State()
-		if st == nil {
-			continue
+		if st := c.State(); st != nil {
+			stateful = append(stateful, id)
+			states = append(states, st)
 		}
-		b, err := schema.EncodeWire(st)
-		if err != nil {
-			return fmt.Errorf("transfer %v: %w", id, err)
-		}
-		states[uint64(id)] = b
+	}
+	stream, err := schema.EncodeWires(states)
+	if err != nil {
+		return fmt.Errorf("transfer %v: %w", members, err)
 	}
 	rec := schema.TransferRec{
 		Members:    members,
 		From:       int64(from),
 		To:         int64(to),
 		TotalBytes: int64(totalBytes),
-		States:     states,
+		Stateful:   stateful,
+		States:     stream,
 		MinSeq:     n.replicaSeq(),
 	}
 	payload, err := rec.MarshalWire(nil)
@@ -137,9 +138,10 @@ func (n *Node) transferCommitted(probe ownership.ID, to cluster.ServerID) bool {
 }
 
 // handleTransfer installs a migrated group on this node: decode and set
-// each member's state and mirror the NIC transfer accounting the source
-// engine charges on its side. Members without a States entry (nil state,
-// adopted stragglers carrying factory state) keep the state they have.
+// each stateful member's state and mirror the NIC transfer accounting the
+// source engine charges on its side. Members the record does not list as
+// stateful (nil state, adopted stragglers carrying factory state) keep the
+// state they have.
 // With the log the source's move record places the group here, in log
 // order (placing it now, an older move applied late would undo it);
 // without it this node remaps its own directory replica.
@@ -156,20 +158,20 @@ func (n *Node) handleTransfer(req *schema.TransferRec) error {
 			return fmt.Errorf("transfer at seq %d: %w", req.MinSeq, err)
 		}
 	}
+	states, err := schema.DecodeWires(req.States, len(req.Stateful))
+	if err != nil {
+		return fmt.Errorf("install %v: %w", req.Stateful, err)
+	}
+	next := 0 // Stateful lists members in Members' order
 	for _, id := range req.Members {
 		c, err := n.rt.Context(id)
 		if err != nil {
 			return fmt.Errorf("install %v: %w", id, err)
 		}
-		b, ok := req.States[uint64(id)]
-		if !ok {
-			continue
+		if next < len(states) && req.Stateful[next] == id {
+			c.SetState(states[next])
+			next++
 		}
-		v, err := schema.DecodeWire(b)
-		if err != nil {
-			return fmt.Errorf("install %v: %w", id, err)
-		}
-		c.SetState(v)
 	}
 	if n.plane == nil {
 		if err := n.rt.RehostBatch(req.Members, to); err != nil {

@@ -179,7 +179,8 @@ func (g *Graph) Class(id ID) (string, error) { return g.Snapshot().Class(id) }
 // Contains reports whether the context exists.
 func (g *Graph) Contains(id ID) bool { return g.Snapshot().Contains(id) }
 
-// Children returns a copy of the direct children of id.
+// Children returns the direct children of id (shared, read-only; see
+// Snapshot.Children).
 func (g *Graph) Children(id ID) ([]ID, error) { return g.Snapshot().Children(id) }
 
 // Parents returns a copy of the direct owners of id.

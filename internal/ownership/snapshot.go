@@ -48,15 +48,16 @@ func (s *Snapshot) Class(id ID) (string, error) {
 	return n.class, nil
 }
 
-// Children returns a copy of the direct children of id.
+// Children returns the direct children of id, in the order they were added.
+// The slice is the snapshot's own and is shared: it must not be written. It
+// is clipped to its length, so appending to it copies. Mutations clone a
+// node before they change its children, so the slice never changes.
 func (s *Snapshot) Children(id ID) ([]ID, error) {
 	n := s.nodes.get(id)
 	if n == nil {
 		return nil, fmt.Errorf("%v: %w", id, ErrNotFound)
 	}
-	out := make([]ID, len(n.children))
-	copy(out, n.children)
-	return out, nil
+	return n.children[:len(n.children):len(n.children)], nil
 }
 
 // Parents returns a copy of the direct owners of id.

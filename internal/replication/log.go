@@ -1,11 +1,11 @@
 // Package replication makes the ownership graph, the placement and the
 // cluster map a replicated state machine: every structural mutation —
 // context creation and destruction, ownership-edge changes, a group's move,
-// server membership — is captured as a schema-registered wire record,
-// appended to an ordered, durable log in the cloud store, and applied in
-// sequence order by every node's local replica. Log order, not
-// process-local call order, assigns context IDs and places moved groups, so
-// every node, a restarted one included, agrees on both.
+// server membership — is captured as a hot-codec record frame, appended to
+// an ordered, durable log in the cloud store, and applied in sequence order
+// by every node's local replica. Log order, not process-local call order,
+// assigns context IDs and places moved groups, so every node, a restarted
+// one included, agrees on both.
 //
 // Log layout (cloud-store keys):
 //
@@ -28,9 +28,11 @@
 // Append protocol: catch the local replica up to the durable tail, guess
 // seq = applied+1, CAS-create the record there; a version-mismatch means
 // another writer claimed the slot — re-read (apply the interloper), re-base,
-// retry with backoff (cloudstore.Retry). Batching amortizes contention: all
-// mutations queued while an append is in flight ride the next record as one
-// CAS round.
+// retry with backoff (cloudstore.Retry). Once the CAS lands the appender
+// applies the record it holds, answers its callers, and only then advances
+// the head, so an uncontended append is two round trips: the tail probe and
+// the CAS. Batching amortizes contention: all mutations queued while an
+// append is in flight ride the next record as one CAS round.
 //
 // Applies are deterministic (every replica executes the same mutations in
 // the same order against the same starting state) and idempotent at the
@@ -47,6 +49,7 @@ package replication
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"aeon/internal/cloudstore"
@@ -136,12 +139,6 @@ type Record struct {
 	Muts   []Mutation
 }
 
-func init() {
-	// Log records travel through the shared wire registry like every other
-	// cross-process payload.
-	schema.RegisterWireTypes(Record{}, Mutation{}, cluster.Profile{})
-}
-
 const (
 	headKey   = "replog/head"
 	recPrefix = "replog/rec/"
@@ -151,24 +148,54 @@ const (
 // returns records in sequence order).
 func recKey(seq uint64) string { return fmt.Sprintf("%s%020d", recPrefix, seq) }
 
-// encodeRecord renders a record for storage.
-func encodeRecord(rec Record) ([]byte, error) {
-	b, err := schema.EncodeWire(rec)
-	if err != nil {
-		return nil, fmt.Errorf("replication: encode record %d: %w", rec.Seq, err)
+// The stored form: a hot-codec frame (schema/hotframe.go: magic, type byte,
+// varint integers, length-prefixed strings), laid out here beside the structs
+// it carries, as the store frames are beside cloudstore.Op. The layout is
+// positional: the record's Seq and Origin, then each mutation's fields in
+// declaration order whatever its Op, so an unused field costs one zero byte.
+// A float is the uvarint of its IEEE bits. A record an older binary stored
+// as gob has no header and fails to decode: a fleet runs one binary.
+
+// appendRecord appends rec's frame to dst.
+func appendRecord(dst []byte, rec *Record) []byte {
+	dst = append(dst, schema.HotMagic, schema.HotTypeRecord)
+	dst = schema.PutVarint(schema.PutUvarint(dst, rec.Seq), int64(rec.Origin))
+	dst = schema.PutUvarint(dst, uint64(len(rec.Muts)))
+	for i := range rec.Muts {
+		m := &rec.Muts[i]
+		dst = schema.PutString(append(dst, byte(m.Op)), m.Class)
+		dst = schema.PutVarint(schema.AppendIDs(dst, m.Owners), int64(m.Server))
+		dst = schema.PutUvarint(dst, uint64(m.Parent))
+		dst = schema.PutUvarint(dst, uint64(m.Child))
+		dst = schema.PutUvarint(dst, uint64(m.Target))
+		dst = schema.PutString(schema.AppendIDs(dst, m.Members), m.Profile.Name)
+		dst = schema.PutVarint(dst, int64(m.Profile.Cores))
+		dst = schema.PutUvarint(dst, math.Float64bits(m.Profile.Speed))
+		dst = schema.PutUvarint(dst, math.Float64bits(m.Profile.MigrationMBps))
 	}
-	return b, nil
+	return dst
 }
 
-// decodeRecord parses a stored record.
-func decodeRecord(b []byte) (Record, error) {
-	v, err := schema.DecodeWire(b)
-	if err != nil {
-		return Record{}, fmt.Errorf("replication: decode record: %w", err)
+// decodeRecord parses the record stored at seq.
+func decodeRecord(seq uint64, b []byte) (Record, error) {
+	var r schema.HotReader
+	r.Header(b, schema.HotTypeRecord)
+	rec := Record{Seq: r.Uvarint(), Origin: transport.NodeID(r.Varint())}
+	rec.Muts = make([]Mutation, r.Count())
+	for i := range rec.Muts {
+		m := &rec.Muts[i]
+		m.Op, m.Class, m.Owners = Op(r.Byte()), r.Str(), r.IDs()
+		m.Server = cluster.ServerID(r.Varint())
+		m.Parent, m.Child, m.Target = ownership.ID(r.Uvarint()), ownership.ID(r.Uvarint()), ownership.ID(r.Uvarint())
+		m.Members, m.Profile.Name, m.Profile.Cores = r.IDs(), r.Str(), int(r.Varint())
+		m.Profile.Speed = math.Float64frombits(r.Uvarint())
+		m.Profile.MigrationMBps = math.Float64frombits(r.Uvarint())
 	}
-	rec, ok := v.(Record)
-	if !ok {
-		return Record{}, fmt.Errorf("replication: record has wire type %T", v)
+	if err := r.Err(); err != nil {
+		return Record{}, fmt.Errorf("replication: decode record %d: %w", seq, err)
+	}
+	if rec.Seq != seq {
+		return Record{}, fmt.Errorf("replication: record %d carries seq %d", seq, rec.Seq)
 	}
 	return rec, nil
 }

@@ -299,12 +299,9 @@ func (p *Plane) catchUp() error {
 			}
 			return err
 		}
-		rec, err := decodeRecord(raw)
+		rec, err := decodeRecord(next, raw)
 		if err != nil {
 			return err
-		}
-		if rec.Seq != next {
-			return fmt.Errorf("replication: record %d carries seq %d", next, rec.Seq)
 		}
 		p.applyLocked(rec)
 	}
@@ -382,8 +379,8 @@ func (p *Plane) ownRecordAt(seq uint64) bool {
 	if err != nil {
 		return false
 	}
-	rec, err := decodeRecord(raw)
-	return err == nil && rec.Origin == p.cfg.Origin && rec.Seq == seq
+	rec, err := decodeRecord(seq, raw)
+	return err == nil && rec.Origin == p.cfg.Origin
 }
 
 // checkIDs rejects mutations naming virtual-join contexts at capture,
@@ -442,15 +439,14 @@ func (p *Plane) appendLoop() {
 
 // appendBatch appends one record carrying every batched mutation: catch up,
 // guess seq = applied+1, CAS-create the record there; on conflict re-read
-// (apply the interloping record), re-base, retry with backoff. After the
-// record is durable the local apply delivers each mutation's result to its
-// waiter.
+// (apply the interloping record), re-base, retry with backoff. Once the
+// record is durable the appender applies it from memory, which delivers
+// each mutation's result to its waiter, and only then advances the head.
 func (p *Plane) appendBatch(batch []*appendReq) {
-	muts := make([]Mutation, len(batch))
+	rec := Record{Origin: p.cfg.Origin, Muts: make([]Mutation, len(batch))}
 	for i, r := range batch {
-		muts[i] = r.mut
+		rec.Muts[i] = r.mut
 	}
-	var seq uint64
 	var resCh chan []Result
 	err := cloudstore.Retry(cloudstore.DefaultRetry(), func() error {
 		// Re-base: apply everything other writers appended since the last
@@ -458,16 +454,12 @@ func (p *Plane) appendBatch(batch []*appendReq) {
 		if err := p.CatchUp(); err != nil {
 			return err
 		}
-		seq = p.Applied() + 1
-		payload, err := encodeRecord(Record{Seq: seq, Origin: p.cfg.Origin, Muts: muts})
-		if err != nil {
-			return err
-		}
+		rec.Seq = p.Applied() + 1
 		ch := make(chan []Result, 1)
 		p.waiterMu.Lock()
-		p.waiters[seq] = ch
+		p.waiters[rec.Seq] = ch
 		p.waiterMu.Unlock()
-		if _, err := p.store.CAS(recKey(seq), 0, payload); err != nil {
+		if _, err := p.store.CAS(recKey(rec.Seq), 0, appendRecord(nil, &rec)); err != nil {
 			if !errors.Is(err, cloudstore.ErrVersionMismatch) {
 				// Ambiguous outcome: over a mesh-backed store the CAS — or
 				// just its acknowledgment — may have been lost after the
@@ -478,7 +470,7 @@ func (p *Plane) appendBatch(batch []*appendReq) {
 				// transfer commit probe). A failed probe aborts with the
 				// ambiguity unresolved — the tailer still applies the
 				// record if it committed, convergence over exactly-once.
-				if p.ownRecordAt(seq) {
+				if p.ownRecordAt(rec.Seq) {
 					resCh = ch
 					return nil
 				}
@@ -486,7 +478,7 @@ func (p *Plane) appendBatch(batch []*appendReq) {
 				p.conflicts.Add(1)
 			}
 			p.waiterMu.Lock()
-			delete(p.waiters, seq)
+			delete(p.waiters, rec.Seq)
 			p.waiterMu.Unlock()
 			return err
 		}
@@ -500,28 +492,25 @@ func (p *Plane) appendBatch(batch []*appendReq) {
 		return
 	}
 	p.appends.Add(1)
-	advanceHead(p.store, seq)
-	if err := p.CatchUp(); err != nil {
-		// The record is durable but the store failed before the local apply
-		// could read it back: the mutations committed fleet-wide, yet their
-		// results are unknown here. Surface the ambiguity; the tailer will
-		// apply the record once the store recovers.
-		p.waiterMu.Lock()
-		delete(p.waiters, seq)
-		p.waiterMu.Unlock()
-		for _, r := range batch {
-			r.out <- outcome{err: fmt.Errorf("appended at seq %d but local apply failed: %w", seq, err)}
-		}
-		return
+	// The replica stood at seq-1 when the record was guessed there, and the
+	// tailer may have read the record back since; either way it applies
+	// once, and the apply buffers the results before it publishes seq.
+	p.applyMu.Lock()
+	if p.Applied() == rec.Seq-1 {
+		p.applyLocked(rec)
 	}
-	// CatchUp returned with applied ≥ seq, and delivery precedes the
-	// applied publication, so the results are buffered.
+	p.applyMu.Unlock()
 	results := <-resCh
 	for i, r := range batch {
 		r.out <- outcome{res: results[i]}
 	}
 	if p.notify != nil {
-		p.notify(seq)
+		p.notify(rec.Seq)
+	}
+	// The head carries no correctness, so no caller waits for it, and a
+	// burst of appends advances it once, after its last record.
+	if len(p.pending) == 0 {
+		advanceHead(p.store, rec.Seq)
 	}
 }
 

@@ -3,6 +3,8 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -138,7 +140,8 @@ func graphFingerprint(t *testing.T, g *ownership.Graph) string {
 	for _, id := range all {
 		class, _ := view.Class(id)
 		children, _ := view.Children(id)
-		sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
+		children = slices.Clone(children) // the snapshot's own slice
+		slices.Sort(children)
 		out += fmt.Sprintf("%v:%s:%v\n", id, class, children)
 	}
 	return out
@@ -168,15 +171,12 @@ func TestPlaneSequencesCreateThroughLog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("record 1 not durable: %v", err)
 	}
-	rec, err := decodeRecord(raw)
+	rec, err := decodeRecord(1, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Seq != 1 || len(rec.Muts) != 1 || rec.Muts[0].Op != OpNewContext {
 		t.Fatalf("unexpected record: %+v", rec)
-	}
-	if head := readHead(store); head != 1 {
-		t.Fatalf("head hint = %d, want 1", head)
 	}
 	// Destroy goes through the log too.
 	if err := rt.DestroyContext(id); err != nil {
@@ -559,5 +559,156 @@ func TestRejoiningReplicaReplaysLogOnStart(t *testing.T) {
 	}
 	if fA, fB := graphFingerprint(t, rtA.Graph()), graphFingerprint(t, rtB.Graph()); fA != fB {
 		t.Fatalf("rejoined replica diverged:\nA:\n%s\nB:\n%s", fA, fB)
+	}
+}
+
+// countingStore records the store operations a plane makes, head keys apart.
+type countingStore struct {
+	cloudstore.API
+	mu  sync.Mutex
+	ops []string // "get <key>" or "cas <key>", record keys only
+}
+
+func (s *countingStore) note(op, key string) {
+	if key != headKey {
+		s.mu.Lock()
+		s.ops = append(s.ops, op+" "+key)
+		s.mu.Unlock()
+	}
+}
+
+func (s *countingStore) Get(key string) ([]byte, uint64, error) {
+	s.note("get", key)
+	return s.API.Get(key)
+}
+
+func (s *countingStore) CAS(key string, expect uint64, value []byte) (uint64, error) {
+	s.note("cas", key)
+	return s.API.CAS(key, expect, value)
+}
+
+func (s *countingStore) take() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ops := s.ops
+	s.ops = nil
+	return ops
+}
+
+// TestUncontendedAppendMakesTwoRoundTrips: an append probes the log's tail
+// and CAS-creates its record, then applies the record it holds; it neither
+// reads its record back nor waits for the head, which still reaches the
+// tail once appends stop. (The parent read the record and the next key
+// back, and advanced the head, before it answered: six round trips.)
+func TestUncontendedAppendMakesTwoRoundTrips(t *testing.T) {
+	store := &countingStore{API: cloudstore.New()}
+	rt, roots := newTestRuntime(t, 1)
+	p := newTestPlane(t, rt, store, 1)
+	p.Pause() // no tailer reads between the counts
+	store.take()
+	if _, err := rt.CreateContextOn(1, "Leaf", roots[0]); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"get " + recKey(1), "cas " + recKey(1)}
+	if ops := store.take(); !reflect.DeepEqual(ops, want) {
+		t.Fatalf("an uncontended append made %d round trips %q; want %q", len(ops), ops, want)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, err := rt.CreateContextOn(1, "Leaf", roots[0]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Close waits out the appender, whose last batch found nothing queued
+	// behind it.
+	p.Close()
+	if head, tail := readHead(store), p.Applied(); head != tail {
+		t.Fatalf("head hint = %d once appends stopped, tail %d", head, tail)
+	}
+}
+
+// TestAppenderRacesTheTailer: two planes append over one store while each
+// replica's catch-up runs without pause, so a record is applied by its
+// appender or by a catch-up that read it back, whichever comes first. Every
+// append answers with the ID its record assigned, once, and the replicas
+// converge.
+func TestAppenderRacesTheTailer(t *testing.T) {
+	store := cloudstore.New()
+	rtA, roots := newTestRuntime(t, 2)
+	rtB, _ := newTestRuntime(t, 2)
+	planes := []*Plane{newTestPlane(t, rtA, store, 1), newTestPlane(t, rtB, store, 2)}
+	done := make(chan struct{})
+	var tailers sync.WaitGroup
+	for _, p := range planes {
+		tailers.Add(1)
+		go func(p *Plane) {
+			defer tailers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					_ = p.CatchUp()
+					p.Poke(p.Applied() + 1)
+				}
+			}
+		}(p)
+	}
+	const workers, each = 3, 15
+	var wg sync.WaitGroup
+	ids := make(chan ownership.ID, 2*workers*each)
+	for w := 0; w < workers; w++ {
+		for i, rt := range []*core.Runtime{rtA, rtB} {
+			wg.Add(1)
+			go func(rt *core.Runtime, srv cluster.ServerID) {
+				defer wg.Done()
+				for k := 0; k < each; k++ {
+					id, err := rt.CreateContextOn(srv, "Leaf", roots[0])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// The answer is this replica's apply of the record.
+					if at, ok := rt.Directory().Locate(id); !ok || at != srv {
+						t.Errorf("created %v placed on %v (%v), want %v", id, at, ok, srv)
+					}
+					ids <- id
+				}
+			}(rt, cluster.ServerID(i+1))
+		}
+	}
+	wg.Wait()
+	close(done)
+	tailers.Wait()
+	close(ids)
+	seen := map[ownership.ID]bool{}
+	for id := range ids {
+		if seen[id] {
+			t.Fatalf("ID %v answered twice", id)
+		}
+		seen[id] = true
+	}
+	if len(seen) != 2*workers*each {
+		t.Fatalf("%d IDs answered, want %d", len(seen), 2*workers*each)
+	}
+	for _, p := range planes {
+		if err := p.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := planes[0].Applied(), planes[1].Applied(); a != b || planes[0].Appends()+planes[1].Appends() != a {
+		t.Fatalf("applied %d and %d, appends %d+%d", a, b, planes[0].Appends(), planes[1].Appends())
+	}
+	if fA, fB := graphFingerprint(t, rtA.Graph()), graphFingerprint(t, rtB.Graph()); fA != fB {
+		t.Fatalf("replicas diverged:\nA:\n%s\nB:\n%s", fA, fB)
 	}
 }

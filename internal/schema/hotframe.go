@@ -4,8 +4,9 @@ package schema
 // responses (every remote event pays one of each, a lone event as a frame of
 // one), replication-notify hints (every durable append fans one out per
 // peer), migration transfer records, the control plane's request (PlaceReq;
-// its acks are SubmitResps) and — laid out beside cloudstore.Op with the
-// primitives exported here — the store frames. Gob is reflection-driven and
+// its acks are SubmitResps) and — laid out beside cloudstore.Op and
+// replication.Record with the primitives exported here — the store frames
+// and the replication log's records. Gob is reflection-driven and
 // re-sends type metadata per frame on the request/response path
 // (BenchmarkSubmitReqGob vs BenchmarkSubmitReqHotCodec is the cost of one
 // submit request either way); these frames instead get a fixed little-endian
@@ -64,6 +65,9 @@ const (
 	HotTypeStoreReq  byte = 7
 	HotTypeStoreResp byte = 8
 	hotTypePlaceReq  byte = 9
+	// HotTypeRecord is a replication log record, laid out in
+	// replication/log.go beside the Record it carries.
+	HotTypeRecord byte = 10
 )
 
 // Value tags for the `any` encoding.
@@ -119,15 +123,17 @@ type NotifyRec struct {
 }
 
 // TransferRec ships a stopped migration group's serialized state to the
-// destination node (migration step IV over the mesh). States maps member ID
-// to its EncodeWire payload; members without an entry keep the state they
-// have.
+// destination node (migration step IV over the mesh). States is one
+// EncodeWires stream of the states of the members Stateful lists, in that
+// order, so gob's type descriptors cross once per group; Stateful keeps
+// Members' order, and members it does not list keep the state they have.
 type TransferRec struct {
 	Members    []ownership.ID
 	From, To   int64
 	TotalBytes int64
 	MinSeq     uint64
-	States     map[uint64][]byte
+	Stateful   []ownership.ID
+	States     []byte
 }
 
 // PlaceReq is the control plane's one request shape, a context and a server:
@@ -192,8 +198,9 @@ func PutFrameBuf(b *[]byte) {
 
 // ---- primitives ----
 //
-// Exported for the one frame family laid out outside this package (the store
-// frames, which must sit beside cloudstore.Op and cannot be imported here).
+// Exported for the frame families laid out outside this package beside the
+// structs they carry, which cannot be imported here: the store frames
+// (cloudstore.Op) and the replication log's records (replication.Record).
 
 func PutUvarint(dst []byte, v uint64) []byte {
 	return binary.AppendUvarint(dst, v)
@@ -211,6 +218,15 @@ func PutString(dst []byte, s string) []byte {
 func PutBytes(dst []byte, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
+}
+
+// AppendIDs appends a counted list of context IDs.
+func AppendIDs(dst []byte, ids []ownership.ID) []byte {
+	dst = PutUvarint(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = PutUvarint(dst, uint64(id))
+	}
+	return dst
 }
 
 // HotReader walks a frame body with bounds checks and one sticky error. Its
@@ -304,6 +320,20 @@ func (r *HotReader) Count() int {
 		return 0
 	}
 	return int(v)
+}
+
+// IDs decodes a counted list of context IDs as AppendIDs lays it out (nil
+// when empty).
+func (r *HotReader) IDs() []ownership.ID {
+	n := r.Count()
+	if n == 0 {
+		return nil
+	}
+	ids := make([]ownership.ID, n)
+	for i := range ids {
+		ids[i] = ownership.ID(r.Uvarint())
+	}
+	return ids
 }
 
 // Header starts the reader on b, which must be a frame of the given type;
@@ -607,33 +637,17 @@ func (q *PlaceReq) UnmarshalWire(b []byte) error {
 
 // MarshalWire appends the frame to dst.
 func (t *TransferRec) MarshalWire(dst []byte) ([]byte, error) {
+	if !inOrder(t.Stateful, t.Members) {
+		return nil, fmt.Errorf("schema: transfer frame carries states of non-members %v", t.Stateful)
+	}
 	dst = append(dst, HotMagic, hotTypeTransfer)
 	dst = PutVarint(dst, t.From)
 	dst = PutVarint(dst, t.To)
 	dst = PutVarint(dst, t.TotalBytes)
 	dst = PutUvarint(dst, t.MinSeq)
-	dst = PutUvarint(dst, uint64(len(t.Members)))
-	for _, id := range t.Members {
-		dst = PutUvarint(dst, uint64(id))
-	}
-	dst = PutUvarint(dst, uint64(len(t.States)))
-	// Iterate members (ordered) rather than the map so the encoding is
-	// deterministic; entries for non-members cannot exist by construction
-	// but are guarded below anyway.
-	written := 0
-	for _, id := range t.Members {
-		b, ok := t.States[uint64(id)]
-		if !ok {
-			continue
-		}
-		dst = PutUvarint(dst, uint64(id))
-		dst = PutBytes(dst, b)
-		written++
-	}
-	if written != len(t.States) {
-		return nil, fmt.Errorf("schema: transfer frame has %d states for non-members", len(t.States)-written)
-	}
-	return dst, nil
+	dst = AppendIDs(dst, t.Members)
+	dst = AppendIDs(dst, t.Stateful)
+	return PutBytes(dst, t.States), nil
 }
 
 // UnmarshalWire decodes a frame produced by MarshalWire.
@@ -644,17 +658,23 @@ func (t *TransferRec) UnmarshalWire(b []byte) error {
 	t.To = r.Varint()
 	t.TotalBytes = r.Varint()
 	t.MinSeq = r.Uvarint()
-	t.Members = make([]ownership.ID, r.Count())
-	for i := range t.Members {
-		t.Members[i] = ownership.ID(r.Uvarint())
-	}
-	n := r.Count()
-	t.States = make(map[uint64][]byte, n)
-	for range n {
-		id := r.Uvarint()
-		t.States[id] = bytes.Clone(r.LenBytes())
+	t.Members = r.IDs()
+	t.Stateful = r.IDs()
+	t.States = bytes.Clone(r.LenBytes())
+	if !inOrder(t.Stateful, t.Members) {
+		r.Fail("states of non-members")
 	}
 	return r.Err()
+}
+
+// inOrder reports whether sub is a subsequence of ids.
+func inOrder(sub, ids []ownership.ID) bool {
+	for _, id := range ids {
+		if len(sub) > 0 && sub[0] == id {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
 }
 
 // ---- SubmitBatchReq ----

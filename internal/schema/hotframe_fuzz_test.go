@@ -37,7 +37,7 @@ func FuzzHotFrameRoundTrip(f *testing.F) {
 		f.Add(newer)
 	}
 	seedTr := schema.TransferRec{Members: []ownership.ID{1, 2}, From: 1, To: 2, TotalBytes: 10, MinSeq: 3,
-		States: map[uint64][]byte{1: []byte("s")}}
+		Stateful: []ownership.ID{1}, States: []byte("s")}
 	if b, err := seedTr.MarshalWire(nil); err == nil {
 		f.Add(b)
 	}
@@ -308,7 +308,7 @@ func TestEveryTruncationRefused(t *testing.T) {
 	b, err = (&schema.PlaceReq{Context: 700, Server: 2}).MarshalWire(nil)
 	add("place req", b, err, func(b []byte) error { return new(schema.PlaceReq).UnmarshalWire(b) })
 	tr := schema.TransferRec{Members: []ownership.ID{5, 900}, From: 1, To: 2, TotalBytes: 4096, MinSeq: 3,
-		States: map[uint64][]byte{900: []byte("state")}}
+		Stateful: []ownership.ID{900}, States: []byte("state")}
 	b, err = tr.MarshalWire(nil)
 	add("transfer", b, err, func(b []byte) error { return new(schema.TransferRec).UnmarshalWire(b) })
 	batch := schema.SubmitBatchReq{Hops: 1, MinSeq: 4, Trace: 8, Events: []schema.BatchEvent{

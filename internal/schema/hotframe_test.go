@@ -134,10 +134,8 @@ func TestNotifyAndTransferRoundTrip(t *testing.T) {
 		To:         0,
 		TotalBytes: 4096,
 		MinSeq:     77,
-		States: map[uint64][]byte{
-			5:  []byte("state-5"),
-			11: {},
-		},
+		Stateful:   []ownership.ID{5, 11},
+		States:     []byte("two-states"),
 	}
 	b, err = tin.MarshalWire(nil)
 	if err != nil {
@@ -151,11 +149,19 @@ func TestNotifyAndTransferRoundTrip(t *testing.T) {
 		t.Fatalf("transfer: got %+v, want %+v", tout, tin)
 	}
 
-	// A state keyed by a non-member must be rejected, not silently dropped.
-	bad := tin
-	bad.States = map[uint64][]byte{99: []byte("orphan")}
-	if _, err := bad.MarshalWire(nil); err == nil {
-		t.Fatalf("transfer frame with non-member state encoded")
+	// A state of a non-member, or one out of Members' order, must be
+	// rejected, not silently dropped or installed.
+	for _, stateful := range [][]ownership.ID{{99}, {11, 5}} {
+		bad := tin
+		bad.Stateful = stateful
+		if _, err := bad.MarshalWire(nil); err == nil {
+			t.Fatalf("transfer frame with states of %v encoded", stateful)
+		}
+		frame := PutVarint(PutVarint(PutVarint([]byte{HotMagic, hotTypeTransfer}, 2), 0), 4096)
+		frame = PutBytes(AppendIDs(AppendIDs(PutUvarint(frame, 77), tin.Members), stateful), nil)
+		if err := new(TransferRec).UnmarshalWire(frame); !errors.Is(err, ErrHotFrame) {
+			t.Fatalf("transfer frame with states of %v decoded: %v", stateful, err)
+		}
 	}
 }
 
@@ -791,5 +797,31 @@ func TestCodeTableComplete(t *testing.T) {
 	}
 	if CodeOK.Class() != 0 || CodeOf(nil) != CodeOK || Err(CodeOK, "ignored") != nil {
 		t.Error("CodeOK must read as no error")
+	}
+}
+
+// TestWireStreamRoundTrip: values of several types, one of them repeated,
+// travel as one stream and come back in order; a stream cut short, or
+// asked for more values than it holds, fails instead of inventing one.
+func TestWireStreamRoundTrip(t *testing.T) {
+	type acct struct{ Balance int }
+	RegisterWireType(&acct{})
+	in := []any{&acct{Balance: 7}, "label", &acct{Balance: 9}, ownership.ID(4)}
+	b, err := EncodeWires(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeWires(b, len(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("stream round trip: got %v, want %v", out, in)
+	}
+	if _, err := DecodeWires(b, len(in)+1); err == nil {
+		t.Fatal("decoded a value past the stream's end")
+	}
+	if _, err := DecodeWires(b[:len(b)-1], len(in)); err == nil {
+		t.Fatal("decoded a truncated stream")
 	}
 }

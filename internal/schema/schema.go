@@ -112,7 +112,9 @@ type Call interface {
 	AddOwner(parent, child ownership.ID) error
 
 	// Children lists the directly-owned children of the executing context,
-	// optionally filtered by class (empty string = all).
+	// optionally filtered by class (empty string = all). The slice may be
+	// shared with the runtime's ownership snapshot and must not be written;
+	// appending to it copies.
 	Children(class string) ([]ownership.ID, error)
 
 	// Work consumes the given amount of simulated CPU on the hosting server

@@ -1,13 +1,15 @@
 package schema
 
-// Central gob type registry for every codec that moves AEON values across a
-// process or storage boundary: event payloads shipped between nodes over the
-// transport mesh, migration state-transfer records, the migration WAL, and
-// eManager checkpoints. Registering in one place keeps the codecs from
-// drifting — a type registered for checkpoints is automatically decodable in
-// a node wire frame and vice versa, and a payload type forgotten by one
-// subsystem fails the same way everywhere instead of only on the rarely
-// exercised path.
+// Central gob type registry for the opaque application values AEON moves
+// across a process or storage boundary: event arguments and results of types
+// the hot codec does not know (hotframe.go's tagGob), a moved group's
+// context states (one EncodeWires stream per transfer), and eManager
+// checkpoints. Registering in one place keeps the codecs from drifting — a
+// type registered for checkpoints is automatically decodable in a transfer
+// and vice versa, and a payload type forgotten by one subsystem fails the
+// same way everywhere instead of only on the rarely exercised path. The
+// runtime's own records (frames, log records) are hot-codec layouts, not
+// gob.
 
 import (
 	"bytes"
@@ -68,20 +70,41 @@ type wireBox struct {
 	V any
 }
 
-// EncodeWire gob-encodes one value of any registered type.
-func EncodeWire(v any) ([]byte, error) {
+// EncodeWire gob-encodes one value of any registered type: a stream of one.
+func EncodeWire(v any) ([]byte, error) { return EncodeWires([]any{v}) }
+
+// DecodeWire decodes a value produced by EncodeWire.
+func DecodeWire(b []byte) (any, error) {
+	vs, err := DecodeWires(b, 1)
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
+}
+
+// EncodeWires gob-encodes vs as one stream, so each type's descriptor is
+// sent once however many values carry it.
+func EncodeWires(vs []any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wireBox{V: v}); err != nil {
-		return nil, fmt.Errorf("schema: encode wire value: %w", err)
+	enc := gob.NewEncoder(&buf)
+	for _, v := range vs {
+		if err := enc.Encode(wireBox{V: v}); err != nil {
+			return nil, fmt.Errorf("schema: encode wire value: %w", err)
+		}
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodeWire decodes a value produced by EncodeWire.
-func DecodeWire(b []byte) (any, error) {
-	var box wireBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("schema: decode wire value: %w", err)
+// DecodeWires decodes the n values of a stream EncodeWires produced.
+func DecodeWires(b []byte, n int) ([]any, error) {
+	dec := gob.NewDecoder(bytes.NewReader(b))
+	vs := make([]any, n)
+	for i := range vs {
+		var box wireBox
+		if err := dec.Decode(&box); err != nil {
+			return nil, fmt.Errorf("schema: decode wire value %d of %d: %w", i+1, n, err)
+		}
+		vs[i] = box.V
 	}
-	return box.V, nil
+	return vs, nil
 }
