@@ -80,7 +80,7 @@ type Runtime struct {
 	exec *executor
 	// Latency records end-to-end event latency, one sample per completed
 	// event, so its count is Completed. Every event reads its one word, so it
-	// sits a cache line away from eventSeq, which every event writes.
+	// sits a cache line away from eventSeq, which every frame writes.
 	Latency metrics.Histogram
 
 	placeCursor atomic.Uint64
@@ -357,7 +357,7 @@ func (f *Frame) runOne(target ownership.ID, method string, args []schema.Value) 
 		} else {
 			res, err = r.forward(host, target, method, args)
 		}
-		f.close(r.eventSeq.Add(1))
+		f.close(f.nextID())
 	}
 	f.End()
 	return res, err
@@ -369,16 +369,48 @@ func (f *Frame) runOne(target ownership.ID, method string, args []schema.Value) 
 // per event: the clock is read at event boundaries only — event i's end is
 // event i+1's start, N+1 reads for N events, one latency sample each — and
 // the replication log is pulled at most once however many unknown targets
-// the frame names; its events share one event record, and End feeds the
-// latency EWMA once for them all. A Frame is not safe for concurrent use.
+// the frame names; its events share one event record and blocks of IDs, a
+// run of them on one method looks it up once, and End feeds the latency EWMA
+// once for them all. A Frame is not safe for concurrent use.
 type Frame struct {
 	r           *Runtime
 	ev          *event        // the frame's event record, from Submit or its first Run to End
 	start, last clock.Instant // BeginFrame's reading and the previous event boundary
 	ran         int           // events closed so far
 	lastID      uint64        // the last closed event's ID; zero again once End observed it
-	caughtUp    bool          // this frame already pulled the mutation log
-	asSub       bool          // sub-events dispatched before Drain run while it drains
+	id, idEnd   uint64        // the frame's unused event IDs, [id, idEnd)
+	method      methodMemo
+	caughtUp    bool // this frame already pulled the mutation log
+	asSub       bool // sub-events dispatched before Drain run while it drains
+}
+
+// idBlock is how many event IDs a frame reserves at once. IDs only name
+// events, nothing orders by them, so a frame's unused ones are skipped.
+const idBlock = 64
+
+// nextID returns a fresh event ID.
+func (f *Frame) nextID() uint64 {
+	if f.id == f.idEnd {
+		f.idEnd = f.r.eventSeq.Add(idBlock) + 1
+		f.id = f.idEnd - idBlock
+	}
+	f.id++
+	return f.id - 1
+}
+
+// methodMemo is a call site's last Class.Method lookup, which a frame's
+// events and a handler's calls repeat in runs; frozen schemas never change it.
+type methodMemo struct {
+	class *schema.Class
+	name  string
+	m     *schema.Method
+}
+
+func (mm *methodMemo) lookup(c *schema.Class, name string) *schema.Method {
+	if c != mm.class || name != mm.name {
+		*mm = methodMemo{c, name, c.Method(name)}
+	}
+	return mm.m
 }
 
 // BeginFrame opens a frame at the current instant.
@@ -451,7 +483,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 	if err != nil {
 		return res, 0, true, err
 	}
-	m := tc.class.Method(method)
+	m := f.method.lookup(tc.class, method)
 	if m == nil {
 		return res, 0, true, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
 	}
@@ -477,7 +509,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 		f.ev = eventPool.Get().(*event)
 	}
 	ev := f.ev
-	ev.reset(r.eventSeq.Add(1), mode, target, method)
+	ev.reset(f.nextID(), mode, target, method)
 	res, host, local, err = r.executeEvent(ev, tc, a, m, args, host, f.asSub)
 	if local {
 		f.close(ev.id)

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"aeon/internal/alloctest"
 	"aeon/internal/cloudstore"
@@ -50,19 +52,20 @@ func handleBatch(t testing.TB, n *Node, req *schema.SubmitBatchReq) []schema.Bat
 // is sent, so the response buffer comes from the frame-buffer pool and is
 // not counted (it was one object per frame before the pool served it).
 //
-// bank is the benchmark's bank op mix: the frame's one args slice. Results
-// travel as schema.Values from the handler through the response encoder, so
-// a balance of 256 or more is not boxed; decode target, outcome and result
-// slots and forward lists come from the pooled scratch.
+// bank is the benchmark's bank op mix: nothing. Results travel as
+// schema.Values from the handler through the response encoder, so a balance
+// of 256 or more is not boxed; decode target, args arena, outcome and result
+// slots and forward lists come from the pooled scratch. (Before the arena was
+// the scratch's, every frame allocated its own: one object.)
 //
 // one is a lone bank deposit, the frame every Client.Submit and every
-// forwarded Runtime.Submit sends: the same one object, its args arena.
+// forwarded Runtime.Submit sends: nothing either (one before).
 //
 // social is a frame of posts, each carrying its message as a string argument
-// down to a pod of timelines: the args arena plus the one copy of the frame
-// its string arguments are slices of. (Before arguments were Values, each
-// string argument was copied out of the frame and boxed into an `any`: two
-// objects per event.)
+// down to a pod of timelines: the one copy of the frame its string arguments
+// are slices of, which a handler may keep (two before: the arena too).
+// (Before arguments were Values, each string argument was copied out of the
+// frame and boxed into an `any`: two objects per event.)
 func TestBatchFrameAllocBudget(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped scratch is rebuilt from scratch")
@@ -73,11 +76,11 @@ func TestBatchFrameAllocBudget(t *testing.T) {
 		frameAllocs float64
 		frame       func(t *testing.T) (*Node, schema.SubmitBatchReq)
 	}{
-		{"one", 1, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
+		{"one", 0, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
 			d := deploy(t, 1)
 			return d.Nodes[0], schema.SubmitBatchReq{Events: []schema.BatchEvent{{Target: d.Top.Accounts[0][0], Method: "deposit", Args: []any{1}}}}
 		}},
-		{"bank", 1, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
+		{"bank", 0, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
 			d := deploy(t, 1)
 			req := schema.SubmitBatchReq{Events: make([]schema.BatchEvent, events)}
 			for i := range req.Events {
@@ -91,7 +94,7 @@ func TestBatchFrameAllocBudget(t *testing.T) {
 			}
 			return d.Nodes[0], req
 		}},
-		{"social", 2, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
+		{"social", 1, func(t *testing.T) (*Node, schema.SubmitBatchReq) {
 			scen, err := workload.NewScenario("social", 1)
 			if err != nil {
 				t.Fatal(err)
@@ -149,15 +152,15 @@ func (c *catchUpCounter) CatchUp() error { c.n++; return nil }
 // TestForwardAllocBudget is the node's allocation gate for the runtime's
 // forwarding hook: a warm Node.Submit whose event another node hosts goes out
 // as a frame of one from pooled scratch, on the submitting goroutine, and
-// allocates what the peer's frame does (its args arena) plus the box Submit
-// returns its result in — nothing for the hop itself. The peer's response
-// buffer is pooled: forwardHost releases it once it has decoded it (3 before
-// the pool served it).
+// allocates only the box Submit returns its result in — nothing for the hop
+// itself, nothing for the peer's frame, whose args arena is its scratch's (2
+// before it was). The peer's response buffer is pooled: forwardHost releases
+// it once it has decoded it (3 before the pool served it).
 func TestForwardAllocBudget(t *testing.T) {
 	if alloctest.PoolIsLossy() {
 		t.Skip("sync.Pool drops entries at random under the race detector; every dropped scratch is rebuilt from scratch")
 	}
-	const budget = 2
+	const budget = 1
 	d := deploy(t, 2)
 	n1 := d.Nodes[0]
 	acct := d.Top.Accounts[1][0] // hosted on node 2
@@ -372,11 +375,13 @@ type keeperState struct {
 	kept [][]schema.Value
 }
 
-// TestBatchArgsSurviveFrameReuse pins that pooling the frame scratch made no
-// new no-retain contract: a handler that stores its args slice, and one that
-// dispatches `args...` to a sub-event (which runs after the frame is gone),
-// read back unchanged values after 100 further frames have been decoded
-// through the same node's recycled scratch.
+// TestBatchArgsSurviveFrameReuse pins that a node's frames keep
+// schema.Handler's one no-retain contract, which the args arena its pooled
+// scratch reuses across frames relies on: a handler that stores a clone of
+// its args, as the contract asks of one that keeps them, and one that
+// dispatches `args...` to a sub-event (which runs after the frame is gone;
+// Dispatch copies), read back unchanged values after 100 further frames have
+// been decoded through the same node's recycled scratch.
 func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 	s := schema.New()
 	const perFrame, laterFrames = 16, 100
@@ -385,7 +390,7 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 	keeper := s.MustDeclareClass("Keeper", func() any { return &keeperState{} })
 	keeper.MustDeclareMethod("keep", func(call schema.Call, args []schema.Value) (schema.Value, error) {
 		st := call.State().(*keeperState)
-		st.kept = append(st.kept, args)
+		st.kept = append(st.kept, slices.Clone(args))
 		kept.Done()
 		return schema.Int(len(st.kept)), nil
 	})
@@ -393,21 +398,7 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 		call.Dispatch(call.Self(), "keep", args...)
 		return schema.Value{}, nil
 	})
-	if err := s.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.New(transport.NewSim(transport.SimConfig{}))
-	cl.AddServer(cluster.M3Large)
-	rt, err := core.New(s, ownership.NewGraph(), cl, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
-	n, err := Start(mesh, Config{ID: 1, Runtime: rt, LocalStore: cloudstore.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Close(); rt.Close() })
+	n, rt := startSchemaNode(t, s)
 	direct, relayed := mustCreate(t, rt, "Keeper"), mustCreate(t, rt, "Keeper")
 
 	frame := func(round int) (req schema.SubmitBatchReq) {
@@ -453,6 +444,156 @@ func TestBatchArgsSurviveFrameReuse(t *testing.T) {
 			seen[first] = true
 		}
 	}
+}
+
+// TestConcurrentFramesKeepTheirArgs runs frames on two goroutines at once,
+// as two mux workers do, each from a scratch of the pool with its own args
+// arena: every event's int, string and ID args must be the ones its frame
+// carried, in the handler, in the sub-event it dispatches and in its result,
+// however the scratches pass between the workers. Under -race it also pins
+// that nothing still reads an arena a later frame writes.
+func TestConcurrentFramesKeepTheirArgs(t *testing.T) {
+	const workers, frames, perFrame = 2, 200, 24
+	var bad atomic.Int64
+	var subs sync.WaitGroup
+	subs.Add(workers * frames * perFrame / 2)
+	checked := func(args []schema.Value) int {
+		// Read through Any: a zeroed or overwritten Value must count as bad,
+		// not panic in a typed read.
+		if len(args) == 3 {
+			if k, ok := args[0].Any().(int); ok && args[1].Any() == any(fmt.Sprint("arg ", k)) && args[2].Any() == any(ownership.ID(k)) {
+				return k
+			}
+		}
+		bad.Add(1)
+		return -1
+	}
+	s := schema.New()
+	checker := s.MustDeclareClass("Checker", nil)
+	checker.MustDeclareMethod("check", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		return schema.Int(checked(args)), nil
+	})
+	checker.MustDeclareMethod("sub", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		checked(args)
+		subs.Done()
+		return schema.Value{}, nil
+	})
+	checker.MustDeclareMethod("relay", func(call schema.Call, args []schema.Value) (schema.Value, error) {
+		call.Dispatch(call.Self(), "sub", args...)
+		return schema.Int(checked(args)), nil
+	})
+	n, rt := startSchemaNode(t, s)
+	targets := []ownership.ID{mustCreate(t, rt, "Checker"), mustCreate(t, rt, "Checker"), mustCreate(t, rt, "Checker")}
+
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range frames {
+				var req schema.SubmitBatchReq
+				for i := range perFrame {
+					k := (w*frames+f)*perFrame + i + 1
+					method := "check"
+					if i%2 == 1 {
+						method = "relay"
+					}
+					req.Events = append(req.Events, schema.BatchEvent{Target: targets[k%len(targets)], Method: method,
+						Args: []any{k, fmt.Sprint("arg ", k), ownership.ID(k)}})
+				}
+				payload, err := req.MarshalWire(nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				raw, err := n.handle(context.Background(), 99, transport.Message{Kind: schema.KindSubmitBatch, Payload: payload})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var resp schema.SubmitBatchResp
+				err = resp.UnmarshalWire(raw.Payload)
+				raw.Release()
+				if err != nil || len(resp.Outcomes) != perFrame {
+					t.Errorf("frame %d of worker %d: %d outcomes (%v)", f, w, len(resp.Outcomes), err)
+					return
+				}
+				for i, o := range resp.Outcomes {
+					if want := req.Events[i].Args[0]; o.Code != schema.CodeOK || o.Result != want {
+						t.Errorf("worker %d frame %d event %d: result %v (%s); want %v", w, f, i, o.Result, o.Err, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	subs.Wait()
+	if bad.Load() != 0 {
+		t.Fatalf("%d events read args their frame did not carry", bad.Load())
+	}
+}
+
+// TestScratchKeepsNoOutsizedArena: a pooled scratch keeps the args arena its
+// frames decode into, zeroed, and drops it when a frame grew it past the
+// 64 KiB the frame-buffer pool keeps, as a MaxBatchEvents frame of one-arg
+// events does.
+func TestScratchKeepsNoOutsizedArena(t *testing.T) {
+	const bound = 64 << 10 / int(unsafe.Sizeof(schema.Value{}))
+	arena := func(sc *batchScratch) reflect.Value {
+		return reflect.ValueOf(&sc.req).Elem().FieldByName("arena")
+	}
+	for _, tc := range []struct {
+		events int
+		kept   bool
+	}{{96, true}, {schema.MaxBatchEvents, false}} {
+		var req schema.SubmitBatchReq
+		for i := range tc.events {
+			req.Events = append(req.Events, schema.BatchEvent{Target: ownership.ID(i + 1), Method: "deposit", Args: []any{fmt.Sprint(i)}})
+		}
+		payload, err := req.MarshalWire(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := new(batchScratch)
+		if err := sc.req.UnmarshalFrame(payload); err != nil {
+			t.Fatal(err)
+		}
+		if used := arena(sc).Cap(); used < tc.events {
+			t.Fatalf("a %d-event frame decoded into an arena of %d values", tc.events, used)
+		}
+		sc.release()
+		a := arena(sc)
+		if a.Cap() > bound || (a.Cap() > 0) != tc.kept {
+			t.Fatalf("after a %d-event frame the released scratch keeps an arena of %d values; want it kept (%v) and at most %d", tc.events, a.Cap(), tc.kept, bound)
+		}
+		for i := range a.Cap() {
+			if !a.Slice(0, a.Cap()).Index(i).IsZero() {
+				t.Fatalf("after a %d-event frame the released scratch's arena still holds value %d", tc.events, i)
+			}
+		}
+	}
+}
+
+// startSchemaNode starts a one-server node running schema s.
+func startSchemaNode(t *testing.T, s *schema.Schema) (*Node, *core.Runtime) {
+	t.Helper()
+	if err := s.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(transport.NewSim(transport.SimConfig{}))
+	cl.AddServer(cluster.M3Large)
+	rt, err := core.New(s, ownership.NewGraph(), cl, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh := transport.NewInMemMesh(transport.NewSim(transport.SimConfig{}))
+	n, err := Start(mesh, Config{ID: 1, Runtime: rt, LocalStore: cloudstore.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close(); rt.Close() })
+	return n, rt
 }
 
 func mustCreate(t *testing.T, rt *core.Runtime, class string) ownership.ID {

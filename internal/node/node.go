@@ -455,7 +455,7 @@ func (n *Node) replicaSeq() uint64 {
 func (n *Node) forward(host cluster.ServerID, target ownership.ID, method string, args []schema.Value) (schema.Value, error) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer sc.release()
-	sc.req = schema.SubmitBatchReq{Events: append(sc.req.Events, schema.BatchEvent{Target: target, Method: method, Vals: args})}
+	sc.req.Events = append(sc.req.Events, schema.BatchEvent{Target: target, Method: method, Vals: args})
 	sc.slots(1)
 	sc.forwardTo(host, 0)
 	n.forwardBatch(sc)
@@ -613,11 +613,11 @@ func (n *Node) runEvent(f *core.Frame, hops uint32, target ownership.ID, method 
 }
 
 // batchScratch is what handling one submit frame needs and nothing outlives:
-// the decode target, the outcome and result slots and the per-host forward
-// lists. It is pooled — bounded by the mux workers handling frames and the
-// events forwarding at once — and cleared on return, so a recycled scratch
-// pins no event's arguments or results. (Arguments are not part of it: see
-// schema.SubmitBatchReq.UnmarshalFrame.)
+// the decode target with its args arena, the outcome and result slots and the
+// per-host forward lists. It is pooled — bounded by the mux workers handling
+// frames and the events forwarding at once — and cleared on return, so a
+// recycled scratch pins no event's arguments or results, and keeps an arena
+// of at most 64 KiB (see schema.SubmitBatchReq.UnmarshalFrame).
 type batchScratch struct {
 	req     schema.SubmitBatchReq
 	resp    schema.SubmitBatchResp
@@ -638,8 +638,7 @@ type hostEvents struct {
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 func (sc *batchScratch) release() {
-	clear(sc.req.Events)
-	sc.req.Events = sc.req.Events[:0]
+	sc.req.Reset()
 	clear(sc.resp.Outcomes)
 	clear(sc.results)
 	for _, g := range sc.fwd {

@@ -45,6 +45,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"aeon/internal/ownership"
 )
@@ -202,11 +203,19 @@ func PutFrameBuf(b *[]byte) {
 // structs they carry, which cannot be imported here: the store frames
 // (cloudstore.Op) and the replication log's records (replication.Record).
 
+// PutUvarint, PutVarint and HotReader's varint reads take the one-byte case,
+// most of a frame's integers, inline.
 func PutUvarint(dst []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(dst, byte(v))
+	}
 	return binary.AppendUvarint(dst, v)
 }
 
 func PutVarint(dst []byte, v int64) []byte {
+	if -0x40 <= v && v < 0x40 {
+		return append(dst, byte(v<<1^v>>63)) // zigzag
+	}
 	return binary.AppendVarint(dst, v)
 }
 
@@ -267,8 +276,10 @@ func (r *HotReader) Byte() byte {
 }
 
 func (r *HotReader) Uvarint() uint64 {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	v, n := uint64(0), 1
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		v = uint64(r.b[r.off])
+	} else if v, n = binary.Uvarint(r.b[r.off:]); n <= 0 {
 		r.Fail("bad uvarint")
 		return 0
 	}
@@ -277,8 +288,10 @@ func (r *HotReader) Uvarint() uint64 {
 }
 
 func (r *HotReader) Varint() int64 {
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	v, n := int64(0), 1
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		v = int64(r.b[r.off]>>1) ^ -int64(r.b[r.off]&1) // zigzag
+	} else if v, n = binary.Varint(r.b[r.off:]); n <= 0 {
 		r.Fail("bad varint")
 		return 0
 	}
@@ -310,8 +323,10 @@ func (r *HotReader) Str() string { return string(r.LenBytes()) }
 // reads its varint itself: batch decode pays one Count per event, and a call
 // through Uvarint showed there (+7 % on BenchmarkSubmitBatchReqHotCodec).
 func (r *HotReader) Count() int {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	v, n := uint64(0), 1
+	if r.off < len(r.b) && r.b[r.off] < 0x80 {
+		v = uint64(r.b[r.off])
+	} else if v, n = binary.Uvarint(r.b[r.off:]); n <= 0 {
 		r.Fail("bad uvarint")
 		return 0
 	}
@@ -706,6 +721,20 @@ type SubmitBatchReq struct {
 	// untraced); forwarded sub-batches inherit it.
 	Trace  uint64
 	Events []BatchEvent
+
+	arena []Value // UnmarshalFrame's: every event's Vals, reused until Reset
+}
+
+// Reset empties q for its next frame: it zeroes the events and the args
+// UnmarshalFrame decoded, so an idle receiver pins none of them, and drops an
+// arena larger than hotMax bytes, the bound the frame-buffer pool keeps.
+func (q *SubmitBatchReq) Reset() {
+	clear(q.Events)
+	clear(q.arena)
+	if cap(q.arena) > hotMax/int(unsafe.Sizeof(Value{})) {
+		q.arena = nil
+	}
+	*q = SubmitBatchReq{Events: q.Events[:0], arena: q.arena[:0]}
 }
 
 // BatchOutcome is the result of one event. Host is the authoritative
@@ -790,16 +819,16 @@ func (q *SubmitBatchReq) MarshalWirePick(dst []byte, pick []int) ([]byte, error)
 // when it returns an error; the next decode into it re-extends over it.
 func (q *SubmitBatchReq) UnmarshalWire(b []byte) error { return q.unmarshal(b, false) }
 
-// UnmarshalFrame decodes like UnmarshalWire into Vals for a receiver that is
-// recycled between frames while the events it decoded may live on: the
-// Events slice is reused, but every event's Vals is carved — with a full
-// slice expression, so appending to one never writes its neighbour — from
-// one []Value allocated fresh for this frame, and its strings from one copy
-// of b. A handler that keeps its args therefore holds memory no later frame
-// will write, exactly as if each event had its own slice.
+// UnmarshalFrame decodes like UnmarshalWire into Vals: every event's Vals is
+// a full-slice-expression cut (appending to one never writes its neighbour)
+// of one []Value arena the receiver keeps across frames, its strings slices
+// of one copy of b, which a handler may keep. Args live until the next decode
+// into the receiver, which schema.Handler's contract allows: Dispatch copies
+// them, Async and Crab goroutines are joined before the event ends, and a
+// node re-encodes a forwarded event before it Resets the receiver.
 func (q *SubmitBatchReq) UnmarshalFrame(b []byte) error { return q.unmarshal(b, true) }
 
-func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
+func (q *SubmitBatchReq) unmarshal(b []byte, unboxed bool) error {
 	var r HotReader
 	r.Header(b, hotTypeSubmitBatchReq)
 	hops := r.Uvarint()
@@ -822,7 +851,8 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 		// repeated decodes allocation-free.
 		evs = evs[:n]
 	}
-	var arena []Value // freshArgs: the frame's one args allocation
+	clear(q.arena) // nothing, after a Reset
+	arena := q.arena[:0]
 	for i := range evs {
 		e := &evs[i]
 		switch back := r.Uvarint(); {
@@ -843,18 +873,19 @@ func (q *SubmitBatchReq) unmarshal(b []byte, freshArgs bool) error {
 		}
 		na := r.Count()
 		vals := e.Vals[:0]
-		if freshArgs {
+		if unboxed {
 			if cap(arena)-len(arena) < na {
-				// Size for the remaining events at this one's arity; every
-				// value takes at least a byte of what is left of the frame.
-				arena = make([]Value, 0, min(na*(len(evs)-i), len(r.b)-r.off))
+				// Size for the remaining events at this one's arity (every
+				// value takes at least a byte of what is left of the frame)
+				// past what the frame used, so its next one fits.
+				arena = make([]Value, len(arena), len(arena)+min(na*(len(evs)-i), len(r.b)-r.off))
 			}
 			vals = arena[len(arena) : len(arena) : len(arena)+na]
 			arena = arena[:len(arena)+na]
 		}
-		e.Args, e.Vals = r.readArgs(na, e.Args[:0], vals, freshArgs)
+		e.Args, e.Vals = r.readArgs(na, e.Args[:0], vals, unboxed)
 	}
-	q.Events = evs
+	q.Events, q.arena = evs, arena
 	return r.Err()
 }
 

@@ -53,7 +53,10 @@ var (
 // Handler is the body of a contextclass method. It receives the invocation
 // environment (the paper's implicit "this context" plus the event-scoped
 // operations) and the call arguments, and returns its result, as Values. Like
-// call, the args slice is valid only while the handler runs.
+// call, the args slice is valid only while the handler runs (a node decodes
+// every frame into one reused arena), so a handler keeps a copy; a Value read
+// out of it, a string too, is its own. Dispatch copies its args, and Async
+// and Crab calls are joined before the event ends.
 type Handler func(call Call, args []Value) (Value, error)
 
 // AsyncResult joins an asynchronous intra-event method call.
