@@ -21,8 +21,7 @@ type callEnv struct {
 	// host is the server ctx was routed to when it was activated: the origin
 	// of the EXEC hops this frame's calls send, and where its Work burns.
 	host   cluster.ServerID
-	inline bool       // one of ev.frames
-	callee methodMemo // resolveCallee's
+	inline bool // one of ev.frames
 }
 
 var _ schema.Call = (*callEnv)(nil)
@@ -61,7 +60,7 @@ func (c *callEnv) resolveCallee(child ownership.ID, method string) (*Context, *s
 		return nil, nil, fmt.Errorf("%s.%s → %s: %w",
 			c.ctx.class.Name(), c.method.Name, cc.class.Name(), ErrAccessDenied)
 	}
-	m := c.callee.lookup(cc.class, method)
+	m := cc.class.Method(method)
 	if m == nil {
 		return nil, nil, fmt.Errorf("%s.%s: %w", cc.class.Name(), method, ErrUnknownMethod)
 	}

@@ -92,10 +92,6 @@ func (e *event) clear() {
 	clear(e.held)
 	e.held = e.held[:0]
 	e.subs = nil
-	// The inline frames the event used are a prefix, each marked inline.
-	for i := 0; i < len(e.frames) && e.frames[i].inline; i++ {
-		e.frames[i] = callEnv{}
-	}
 }
 
 // lock and unlock guard held and subs once the event has forked.
@@ -129,10 +125,10 @@ func (e *event) pushFrame() *callEnv {
 	return f
 }
 
-// popFrame retires a frame when its handler has returned. The frame keeps
-// its contents, its method memo included, until the event's clear.
+// popFrame retires a frame when its handler has returned.
 func (e *event) popFrame(f *callEnv) {
 	if f.inline {
+		*f = callEnv{}
 		e.nframes--
 	}
 }

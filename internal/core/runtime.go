@@ -369,9 +369,9 @@ func (f *Frame) runOne(target ownership.ID, method string, args []schema.Value) 
 // per event: the clock is read at event boundaries only — event i's end is
 // event i+1's start, N+1 reads for N events, one latency sample each — and
 // the replication log is pulled at most once however many unknown targets
-// the frame names; its events share one event record and blocks of IDs, a
-// run of them on one method looks it up once, and End feeds the latency EWMA
-// once for them all. A Frame is not safe for concurrent use.
+// the frame names; its events share one event record and blocks of IDs, and
+// End feeds the latency EWMA once for them all. A Frame is not safe for
+// concurrent use.
 type Frame struct {
 	r           *Runtime
 	ev          *event        // the frame's event record, from Submit or its first Run to End
@@ -379,9 +379,8 @@ type Frame struct {
 	ran         int           // events closed so far
 	lastID      uint64        // the last closed event's ID; zero again once End observed it
 	id, idEnd   uint64        // the frame's unused event IDs, [id, idEnd)
-	method      methodMemo
-	caughtUp    bool // this frame already pulled the mutation log
-	asSub       bool // sub-events dispatched before Drain run while it drains
+	caughtUp    bool          // this frame already pulled the mutation log
+	asSub       bool          // sub-events dispatched before Drain run while it drains
 }
 
 // idBlock is how many event IDs a frame reserves at once. IDs only name
@@ -396,21 +395,6 @@ func (f *Frame) nextID() uint64 {
 	}
 	f.id++
 	return f.id - 1
-}
-
-// methodMemo is a call site's last Class.Method lookup, which a frame's
-// events and a handler's calls repeat in runs; frozen schemas never change it.
-type methodMemo struct {
-	class *schema.Class
-	name  string
-	m     *schema.Method
-}
-
-func (mm *methodMemo) lookup(c *schema.Class, name string) *schema.Method {
-	if c != mm.class || name != mm.name {
-		*mm = methodMemo{c, name, c.Method(name)}
-	}
-	return mm.m
 }
 
 // BeginFrame opens a frame at the current instant.
@@ -483,7 +467,7 @@ func (f *Frame) Run(target ownership.ID, method string, args []schema.Value) (re
 	if err != nil {
 		return res, 0, true, err
 	}
-	m := f.method.lookup(tc.class, method)
+	m := tc.class.Method(method)
 	if m == nil {
 		return res, 0, true, fmt.Errorf("%s.%s: %w", tc.class.Name(), method, ErrUnknownMethod)
 	}

@@ -203,19 +203,11 @@ func PutFrameBuf(b *[]byte) {
 // structs they carry, which cannot be imported here: the store frames
 // (cloudstore.Op) and the replication log's records (replication.Record).
 
-// PutUvarint, PutVarint and HotReader's varint reads take the one-byte case,
-// most of a frame's integers, inline.
 func PutUvarint(dst []byte, v uint64) []byte {
-	if v < 0x80 {
-		return append(dst, byte(v))
-	}
 	return binary.AppendUvarint(dst, v)
 }
 
 func PutVarint(dst []byte, v int64) []byte {
-	if -0x40 <= v && v < 0x40 {
-		return append(dst, byte(v<<1^v>>63)) // zigzag
-	}
 	return binary.AppendVarint(dst, v)
 }
 
@@ -276,10 +268,8 @@ func (r *HotReader) Byte() byte {
 }
 
 func (r *HotReader) Uvarint() uint64 {
-	v, n := uint64(0), 1
-	if r.off < len(r.b) && r.b[r.off] < 0x80 {
-		v = uint64(r.b[r.off])
-	} else if v, n = binary.Uvarint(r.b[r.off:]); n <= 0 {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
 		r.Fail("bad uvarint")
 		return 0
 	}
@@ -288,10 +278,8 @@ func (r *HotReader) Uvarint() uint64 {
 }
 
 func (r *HotReader) Varint() int64 {
-	v, n := int64(0), 1
-	if r.off < len(r.b) && r.b[r.off] < 0x80 {
-		v = int64(r.b[r.off]>>1) ^ -int64(r.b[r.off]&1) // zigzag
-	} else if v, n = binary.Varint(r.b[r.off:]); n <= 0 {
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 {
 		r.Fail("bad varint")
 		return 0
 	}
@@ -323,10 +311,8 @@ func (r *HotReader) Str() string { return string(r.LenBytes()) }
 // reads its varint itself: batch decode pays one Count per event, and a call
 // through Uvarint showed there (+7 % on BenchmarkSubmitBatchReqHotCodec).
 func (r *HotReader) Count() int {
-	v, n := uint64(0), 1
-	if r.off < len(r.b) && r.b[r.off] < 0x80 {
-		v = uint64(r.b[r.off])
-	} else if v, n = binary.Uvarint(r.b[r.off:]); n <= 0 {
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
 		r.Fail("bad uvarint")
 		return 0
 	}
